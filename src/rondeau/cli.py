@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .codec import capacity
-from .runner import ConfigError, KINDS, RunConfig, run
+from .runner import ConfigError, RunConfig, run
 from .sequences import MonopoleSpec
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -109,9 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-points", type=int, default=14)
     p.add_argument("--normalization", choices=["row", "global", "none"])
 
-    p = sub.add_parser("heating", help="decay-rate scaling sweeps")
+    p = sub.add_parser(
+        "heating", help="decay-rate scaling sweeps",
+        description="Power-law fits of the 1/e decay rate, one per multipole order. "
+                    "Only points whose realizations all crossed 1/e and whose rate "
+                    "(in excess of the rate at gamma=pi for --sweep eps) is positive "
+                    "enter a fit. Each fits.json entry holds points_used, uncrossed, "
+                    "and exponent/stderr or error; eps entries add rate_at_pi, "
+                    "period and highfreq entries add smallest_period_rate.")
     _add_common(p); _add_system(p); _add_drive(p)
-    p.add_argument("--sweep", choices=["eps", "period", "highfreq"], default="eps")
+    p.add_argument("--sweep", choices=["eps", "period", "highfreq"], default="eps",
+                   help="eps: kick-angle deviation; period: tau with eps = slope*T; "
+                        "highfreq: period sweep over orders 0, 1, 3, inf by default")
     p.add_argument("--eps-min", type=float, default=0.01 * math.pi)
     p.add_argument("--eps-max", type=float, default=0.1 * math.pi)
     p.add_argument("--eps-points", type=int, default=8)

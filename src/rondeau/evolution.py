@@ -15,7 +15,7 @@ faster for long parameter sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -317,12 +317,9 @@ class BlockPropagatorFactory:
     def _kick_cycle(self, mat: np.ndarray, gamma_y: float,
                     angle_spread: float = 0.0, disorder_seed: int | None = None) -> np.ndarray:
         """Left-multiply `mat` by the kick cycle (y rotation + free slot)."""
-        spec = self.spec.with_gamma(gamma_y)
+        spec = replace(self.spec, gamma_y=gamma_y)
         gates = _kick_gates(spec, self.num_spins, angle_spread, disorder_seed)
-        if isinstance(gates, np.ndarray):
-            gates = [gates] * self.num_spins
-        rotated = apply_gates(mat, gates, self.num_spins)
-        return self.u_free @ rotated
+        return self.u_free @ apply_gates(mat, gates, self.num_spins)
 
     def block_set(self, gamma_y: float | None = None, include_half: bool = True,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -338,14 +335,15 @@ class BlockPropagatorFactory:
         second_plus = p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])
         first_minus = p[h - spec.kick_minus - 1] @ kick(p[spec.kick_minus])
         second_minus = p[spec.pulses_per_block + 1 - h]
+        gspec = replace(spec, gamma_y=gamma_y)
         if include_half:
             return BlockPropagators(
-                spec=spec.with_gamma(gamma_y), half_slot=h,
+                spec=gspec, half_slot=h,
                 first={1: first_plus, -1: first_minus},
                 second={1: second_plus, -1: second_minus},
             )
         return BlockPropagators(
-            spec=spec.with_gamma(gamma_y), half_slot=h,
+            spec=gspec, half_slot=h,
             first=None,
             second=None,
             full={1: second_plus @ first_plus, -1: second_minus @ first_minus},

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal, predicted_rate
 from .evolution import (BlockPropagatorFactory, SignalTrace, compile_program, evolve,
                         evolve_blockwise, initial_state, total_ix, _check_norm)
-from .sequences import (MonopoleSpec, SymbolStream, floquet_stream, sample_rmd,
-                        thue_morse_stream)
+from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 from .spins import build_hamiltonian, compute_couplings, generate_graph
 from . import serialize
 
@@ -35,6 +34,23 @@ KINDS = ("trace", "phase-diagram", "heating-eps", "heating-period",
          "heating-highfreq", "spectrum", "encode", "decode")
 ENGINES = ("full", "dephasing")
 SPECTRUM_KINDS = ("symbol", "micromotion", "stroboscopic")
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One heating sweep: the swept grid, its CSV column and its seed layout."""
+
+    grid: str          # RunConfig field holding the swept values
+    xname: str         # CSV column of the swept axis
+    seed_block: int    # point indices of the k-th order start at seed_block * k
+    orders: tuple = ()  # orders swept when n_orders is empty; () means (n_order,)
+
+
+_SWEEPS = {
+    "heating-eps": _Sweep("eps_grid", "epsilon", 1000),
+    "heating-period": _Sweep("tau_grid", "period", 2000),
+    "heating-highfreq": _Sweep("tau_grid", "period", 3000, ("0", "1", "3", "inf")),
+}
 
 
 class ConfigError(ValueError):
@@ -107,16 +123,14 @@ class RunConfig:
             raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
             raise ConfigError("phase-diagram requires a gamma_grid")
-        if self.kind == "heating-eps" and not self.eps_grid:
-            raise ConfigError("heating-eps requires an eps_grid")
-        if self.kind in ("heating-period", "heating-highfreq") and not self.tau_grid:
-            raise ConfigError(f"{self.kind} requires a tau_grid")
+        sweep = _SWEEPS.get(self.kind)
+        if sweep and not getattr(self, sweep.grid):
+            raise ConfigError(f"{self.kind} requires a non-empty {sweep.grid}")
         if self.kind == "encode" and not self.text:
             raise ConfigError("encode requires text")
         if self.kind == "decode" and not self.trace_file:
             raise ConfigError("decode requires a trace_file")
-        _parse_order(self.n_order)
-        for n in self.n_orders:
+        for n in (self.n_order, *self.n_orders):
             _parse_order(n)
 
     def spec(self) -> MonopoleSpec:
@@ -206,8 +220,8 @@ class FullSystem:
     def factory(self, spec: MonopoleSpec) -> BlockPropagatorFactory:
         key = spec.tau
         if key not in self._factories:
-            self._factories[key] = BlockPropagatorFactory(self.hamiltonian,
-                                                          spec.with_gamma(math.pi))
+            self._factories[key] = BlockPropagatorFactory(
+                self.hamiltonian, replace(spec, gamma_y=math.pi))
         return self._factories[key]
 
     def s0(self) -> float:
@@ -287,22 +301,17 @@ def measure_rate(system: FullSystem | None, config: RunConfig, spec: MonopoleSpe
     return lifetime(trace)
 
 
-def mean_rate(systems, config: RunConfig, spec: MonopoleSpec, order,
-              point_index: int, realizations: int | None = None,
-              max_cycles: int | None = None) -> tuple[float, float, bool]:
+def mean_rate(systems: list, config: RunConfig, spec: MonopoleSpec, order,
+              point_index: int) -> tuple[float, float, bool]:
     """Rate averaged over graph and drive realizations: (mean, std, all_crossed)."""
-    if not isinstance(systems, (list, tuple)):
-        systems = [systems]
     order_val = _parse_order(order)
-    reps = realizations or config.realizations
     fits = []
     for gi, system in enumerate(systems):
-        for r in range(reps):
+        for r in range(config.realizations):
             seed = derive_seed(config.seed, point_index, gi, r)
             # deterministic drives vary by window offset instead of seed
             offset = r if order_val == math.inf else 0
-            fits.append(measure_rate(system, config, spec, order, seed,
-                                     max_cycles, offset=offset))
+            fits.append(measure_rate(system, config, spec, order, seed, offset=offset))
     rates = np.array([f.rate for f in fits])
     return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
 
@@ -373,7 +382,7 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
         i, gamma, r = task
         seed = derive_seed(config.seed, i, r)
         stream = make_stream(config.n_order, config.cycles, seed)
-        gspec = spec.with_gamma(gamma)
+        gspec = replace(spec, gamma_y=gamma)
         if config.engine == "dephasing":
             return gamma, dephasing_trace(config, stream, gspec)
         return gamma, blockwise_trace(system, stream, gspec, include_half=False)
@@ -394,109 +403,64 @@ def _systems_for(config: RunConfig):
     """One FullSystem per graph realization, or [None] for the dephasing engine."""
     if config.engine != "full":
         return [None]
-    systems = []
-    for g in range(config.graph_realizations):
-        cfg = dataclasses.replace(config, graph_seed=config.graph_seed + g)
-        systems.append(FullSystem(cfg))
-    return systems
+    return [FullSystem(replace(config, graph_seed=config.graph_seed + g))
+            for g in range(config.graph_realizations)]
 
 
-def _run_heating_eps(config: RunConfig, out: Path) -> dict:
-    spec = config.spec()
+def _run_heating(config: RunConfig, out: Path) -> dict:
+    """Heating-rate power law along one swept axis, per multipole order.
+
+    ``heating-eps`` sweeps the kick-angle deviation and fits the rate in
+    excess of the rate at gamma = pi against |eps|; ``heating-period`` and
+    ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
+    the rate against the period T.  Only points whose realizations all
+    crossed 1/e and whose fitted (excess) rate is positive enter a fit.
+    Every ``fits.json`` entry carries ``points_used`` and ``uncrossed``,
+    then ``exponent``/``stderr`` or an ``error``; eps entries add
+    ``rate_at_pi``, tau-sweep entries ``smallest_period_rate``.
+    """
+    sweep = _SWEEPS[config.kind]
+    base = config.spec()
     systems = _systems_for(config)
-    orders = config.n_orders or (config.n_order,)
+    grid = getattr(config, sweep.grid)
     rows, fits = [], {}
-    for order in orders:
-        base_index = 1000 * len(fits)
-        gamma0_mean, gamma0_std, _ = mean_rate(
-            systems, config, spec.with_gamma(math.pi), order, base_index)
-
-        def one(task):
-            j, eps = task
-            return mean_rate(systems, config, spec.with_gamma(math.pi + eps),
-                             order, base_index + 1 + j)
-
-        results = _parallel_map(one, list(enumerate(config.eps_grid)), config.threads)
-        eps = np.array(config.eps_grid, dtype=float)
-        rates = np.array([r[0] for r in results])
-        excess = rates - gamma0_mean
-        usable = excess > 0
-        entry = {"rate_at_pi": gamma0_mean, "points_used": int(usable.sum())}
-        if usable.sum() >= 3:
-            fit = fit_power_law(np.abs(eps[usable]), excess[usable])
-            entry.update(exponent=fit.exponent, stderr=fit.stderr)
+    for k, order in enumerate(config.n_orders or sweep.orders or (config.n_order,)):
+        index = sweep.seed_block * k
+        if sweep.grid == "eps_grid":
+            reference = mean_rate(systems, config, replace(base, gamma_y=math.pi),
+                                  order, index)[0]
+            entry = {"rate_at_pi": reference}
+            index += 1  # the reference point holds the order's first seed index
+            specs = [replace(base, gamma_y=math.pi + eps) for eps in grid]
+            xs = np.array(grid, dtype=float)
         else:
-            entry["error"] = "fewer than 3 points above the reference rate"
+            reference, entry = 0.0, {}
+            specs = [replace(base, tau=tau) for tau in grid]
+            specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
+                     for s in specs]
+            xs = np.array([s.block_duration for s in specs])
+
+        results = _parallel_map(
+            lambda task: mean_rate(systems, config, task[1], order, index + task[0]),
+            list(enumerate(specs)), config.threads)
+        rates = np.array([r[0] for r in results])
+        crossed = np.array([r[2] for r in results], dtype=bool)
+        ys = rates - reference
+        use = crossed & (ys > 0)
+        if sweep.grid == "tau_grid":
+            entry["smallest_period_rate"] = float(rates[np.argmin(xs)])
+        entry.update(points_used=int(use.sum()), uncrossed=int((~crossed).sum()))
+        try:
+            fit = fit_power_law(np.abs(xs[use]), ys[use])
+            entry.update(exponent=fit.exponent, stderr=fit.stderr)
+        except ValueError as exc:
+            entry["error"] = f"fit over {entry['points_used']} crossed points failed: {exc}"
         fits[str(order)] = entry
-        for j, e in enumerate(eps):
-            rows.append((str(order), e, rates[j], results[j][1],
-                         excess[j], results[j][2]))
-    _write_heating_csv(out / "heating_eps.csv", "epsilon", rows)
+        rows += [(str(order), xs[j], rates[j], results[j][1], ys[j], crossed[j])
+                 for j in range(len(grid))]
+    serialize.write_heating(out / f"{config.kind.replace('-', '_')}.csv", sweep.xname, rows)
     serialize.write_json(out / "fits.json", fits)
     return {"fits": fits}
-
-
-def _run_heating_period(config: RunConfig, out: Path) -> dict:
-    base = config.spec()
-    systems = _systems_for(config)
-    orders = config.n_orders or (config.n_order,)
-    rows, fits = [], {}
-    for k, order in enumerate(orders):
-        def one(task):
-            j, tau = task
-            spec = base.with_tau(tau)
-            gamma = math.pi + config.sweep_slope * spec.block_duration
-            return mean_rate(systems, config, spec.with_gamma(gamma), order,
-                             2000 * k + j)
-
-        results = _parallel_map(one, list(enumerate(config.tau_grid)), config.threads)
-        periods = np.array([base.with_tau(t).block_duration for t in config.tau_grid])
-        rates = np.array([r[0] for r in results])
-        fit = fit_power_law(periods, rates)
-        fits[str(order)] = {"exponent": fit.exponent, "stderr": fit.stderr}
-        for j, T in enumerate(periods):
-            rows.append((str(order), T, rates[j], results[j][1], rates[j],
-                         results[j][2]))
-    _write_heating_csv(out / "heating_period.csv", "period", rows)
-    serialize.write_json(out / "fits.json", fits)
-    return {"fits": fits}
-
-
-def _run_heating_highfreq(config: RunConfig, out: Path) -> dict:
-    base = config.spec()
-    systems = _systems_for(config)
-    orders = config.n_orders or ("0", "1", "3", "inf")
-    rows = []
-    summary = {}
-    for k, order in enumerate(orders):
-        def one(task):
-            j, tau = task
-            spec = base.with_tau(tau)
-            gamma = math.pi + config.sweep_slope * spec.block_duration
-            return mean_rate(systems, config, spec.with_gamma(gamma), order,
-                             3000 * k + j)
-
-        results = _parallel_map(one, list(enumerate(config.tau_grid)), config.threads)
-        periods = np.array([base.with_tau(t).block_duration for t in config.tau_grid])
-        rates = np.array([r[0] for r in results])
-        crossed = [r[2] for r in results]
-        ok = np.array(crossed)
-        if ok.sum() >= 3:
-            fit = fit_power_law(periods[ok], rates[ok])
-            summary[str(order)] = {"exponent": fit.exponent, "stderr": fit.stderr,
-                                   "smallest_period_rate": float(rates[0])}
-        for j, T in enumerate(periods):
-            rows.append((str(order), T, rates[j], results[j][1], rates[j], crossed[j]))
-    _write_heating_csv(out / "heating_highfreq.csv", "period", rows)
-    serialize.write_json(out / "fits.json", summary)
-    return {"fits": summary}
-
-
-def _write_heating_csv(path: Path, xname: str, rows):
-    lines = [f"n_order,{xname},rate_mean,rate_std,excess_rate,crossed"]
-    for order, x, mean, std, excess, crossed in rows:
-        lines.append(f"{order},{x!r},{mean!r},{std!r},{excess!r},{int(crossed)}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _run_encode(config: RunConfig, out: Path) -> dict:
@@ -531,9 +495,9 @@ def _run_decode(config: RunConfig, out: Path) -> dict:
 _HANDLERS = {
     "trace": _run_trace,
     "phase-diagram": _run_phase_diagram,
-    "heating-eps": _run_heating_eps,
-    "heating-period": _run_heating_period,
-    "heating-highfreq": _run_heating_highfreq,
+    "heating-eps": _run_heating,
+    "heating-period": _run_heating,
+    "heating-highfreq": _run_heating,
     "spectrum": _run_spectrum,
     "encode": _run_encode,
     "decode": _run_decode,

@@ -66,26 +66,6 @@ class MonopoleSpec:
         """Kick-angle deviation from a perfect inversion."""
         return self.gamma_y - math.pi
 
-    def with_gamma(self, gamma_y: float) -> "MonopoleSpec":
-        return MonopoleSpec(
-            pulses_per_block=self.pulses_per_block,
-            kick_plus=self.kick_plus,
-            kick_minus=self.kick_minus,
-            tau=self.tau,
-            theta_x=self.theta_x,
-            gamma_y=gamma_y,
-        )
-
-    def with_tau(self, tau: float) -> "MonopoleSpec":
-        return MonopoleSpec(
-            pulses_per_block=self.pulses_per_block,
-            kick_plus=self.kick_plus,
-            kick_minus=self.kick_minus,
-            tau=tau,
-            theta_x=self.theta_x,
-            gamma_y=self.gamma_y,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SymbolStream:

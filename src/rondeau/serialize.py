@@ -171,5 +171,14 @@ def write_phase_diagram(path, diagram: PhaseDiagram):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_heating(path, xname: str, rows):
+    """Heating-sweep table: one row per (order, swept value)."""
+    lines = [f"n_order,{xname},rate_mean,rate_std,excess_rate,crossed"]
+    for order, x, mean, std, excess, crossed in rows:
+        lines.append(f"{order},{_format_float(x)},{_format_float(mean)},"
+                     f"{_format_float(std)},{_format_float(excess)},{int(crossed)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_json(path, payload: dict):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ class TestModelSignal:
 
     def test_kick_factor_accumulates(self, short_spec):
         eps = 0.2
-        spec = short_spec.with_gamma(math.pi + eps)
+        spec = dataclasses.replace(short_spec, gamma_y=math.pi + eps)
         stream = SymbolStream.from_text("++++")
         trace = model_signal(stream, params_for(spec, epsilon=eps))
         _, strobo = stroboscopic_samples(trace)
@@ -38,7 +39,7 @@ class TestModelSignal:
     def test_envelope_depends_only_on_length(self, short_spec):
         # stroboscopic envelope counts kicks, never which block delivered them
         eps = 0.11
-        spec = short_spec.with_gamma(math.pi + eps)
+        spec = dataclasses.replace(short_spec, gamma_y=math.pi + eps)
         p = params_for(spec, epsilon=eps, gamma_0=0.05)
         a = model_signal(sample_rmd(0, 16, seed=1), p)
         b = model_signal(thue_morse_stream(16), p)

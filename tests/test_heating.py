@@ -1,0 +1,125 @@
+"""Heating sweeps: strict read-back of the CSV, crossed-point fits, seed layout."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from rondeau.analysis import fit_power_law
+from rondeau.runner import ConfigError, RunConfig, mean_rate, run
+
+SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
+EPS_GRID = tuple(float(e) for e in np.geomspace(0.02, 0.2, 6) * math.pi)
+TAU_GRID = tuple(float(t) for t in np.geomspace(0.02, 0.2, 6))
+
+# kind -> (CSV file, x column, seed index of point j of order k)
+LAYOUT = {
+    "heating-eps": ("heating_eps.csv", "epsilon", lambda k, j: 1000 * k + 1 + j),
+    "heating-period": ("heating_period.csv", "period", lambda k, j: 2000 * k + j),
+    "heating-highfreq": ("heating_highfreq.csv", "period", lambda k, j: 3000 * k + j),
+}
+
+
+def heating_config(out_dir, kind, **overrides):
+    base = dict(kind=kind, out_dir=str(out_dir), engine="dephasing", seed=1,
+                sweep_slope=0.05, tau=0.05, gamma_0=0.001, realizations=2, **SMALL)
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def read_heating(path, xname):
+    """Strict parser: every numeric field must be a plain int or float literal."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"n_order,{xname},rate_mean,rate_std,excess_rate,crossed"
+    rows = []
+    for line in lines[1:]:
+        order, x, mean, std, excess, crossed = line.split(",")
+        assert crossed in ("0", "1"), line
+        rows.append({"order": order, "x": float(x), "rate": float(mean),
+                     "std": float(std), "y": float(excess), "crossed": int(crossed)})
+    return rows
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("heating-eps", dict(eps_grid=EPS_GRID, n_orders=("0", "inf"), max_cycles=128)),
+    ("heating-period", dict(tau_grid=TAU_GRID, n_orders=("1", "inf"), max_cycles=512)),
+    ("heating-highfreq", dict(tau_grid=TAU_GRID, max_cycles=512)),
+])
+def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
+    config = heating_config(tmp_path, kind, **overrides)
+    summary = run(config)
+    filename, xname, point_index = LAYOUT[kind]
+    rows = read_heating(tmp_path / filename, xname)
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    assert fits == summary["fits"]
+    grid = config.eps_grid or config.tau_grid
+    assert len(rows) == len(fits) * len(grid)
+    base = config.spec()
+    for k, order in enumerate(fits):
+        mine = [r for r in rows if r["order"] == order]
+        entry = fits[order]
+        assert entry["uncrossed"] == sum(1 - r["crossed"] for r in mine)
+        use = [r for r in mine if r["crossed"] and r["y"] > 0]
+        assert entry["points_used"] == len(use)
+        if len(use) >= 3:
+            fit = fit_power_law([abs(r["x"]) for r in use], [r["y"] for r in use])
+            assert (entry["exponent"], entry["stderr"]) == (fit.exponent, fit.stderr)
+        else:
+            assert "exponent" not in entry and entry["error"]
+        for j, (value, row) in enumerate(zip(grid, mine)):
+            if kind == "heating-eps":
+                spec = dataclasses.replace(base, gamma_y=math.pi + value)
+                assert row["x"] == value
+            else:
+                spec = dataclasses.replace(base, tau=value)
+                spec = dataclasses.replace(
+                    spec, gamma_y=math.pi + config.sweep_slope * spec.block_duration)
+                assert row["x"] == spec.block_duration
+            rate, std, crossed = mean_rate([None], config, spec, order, point_index(k, j))
+            assert (row["rate"], row["std"], row["crossed"]) == (rate, std, int(crossed))
+            reference = entry.get("rate_at_pi", 0.0)
+            assert row["y"] == rate - reference
+    if kind == "heating-eps":
+        assert all(fits[o]["uncrossed"] > 0 for o in fits)
+
+
+@pytest.mark.parametrize("kind", ["heating-period", "heating-highfreq"])
+def test_smallest_period_rate_for_descending_grid(tmp_path, kind):
+    up = run(heating_config(tmp_path / "up", kind, tau_grid=TAU_GRID, n_orders=("0",)))
+    down = run(heating_config(tmp_path / "down", kind, tau_grid=TAU_GRID[::-1],
+                              n_orders=("0",)))
+    assert down["fits"]["0"]["smallest_period_rate"] == \
+        up["fits"]["0"]["smallest_period_rate"]
+    rows = read_heating(tmp_path / "down" / LAYOUT[kind][0], "period")
+    smallest = min(rows, key=lambda r: r["x"])
+    assert down["fits"]["0"]["smallest_period_rate"] == smallest["rate"]
+    assert down["fits"]["0"]["exponent"] == pytest.approx(up["fits"]["0"]["exponent"])
+
+
+def test_period_sweep_excludes_uncrossed_points(tmp_path):
+    config = heating_config(tmp_path, "heating-period", tau_grid=TAU_GRID,
+                            realizations=1, max_cycles=64)
+    entry = run(config)["fits"]["0"]
+    assert "exponent" not in entry and "stderr" not in entry
+    assert entry["points_used"] == 0
+    assert entry["uncrossed"] == 6
+    assert entry["error"]
+
+
+def test_highfreq_keeps_orders_it_cannot_fit(tmp_path):
+    config = heating_config(tmp_path, "heating-highfreq", tau_grid=TAU_GRID,
+                            max_cycles=128)
+    fits = run(config)["fits"]
+    assert sorted(fits) == ["0", "1", "3", "inf"]
+    assert all("error" in entry and entry["points_used"] < 3 for entry in fits.values())
+
+
+@pytest.mark.parametrize("kind, grid", [("heating-eps", "eps_grid"),
+                                        ("heating-period", "tau_grid"),
+                                        ("heating-highfreq", "tau_grid")])
+def test_each_sweep_requires_its_grid(kind, grid):
+    with pytest.raises(ConfigError, match=grid):
+        RunConfig(kind=kind, out_dir="x").validate()
+    RunConfig(kind=kind, out_dir="x", **{grid: (0.1,)}).validate()
