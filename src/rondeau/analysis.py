@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from .evolution import SignalTrace
 from .sequences import MonopoleSpec, SymbolStream
@@ -244,6 +243,9 @@ def fit_biexponential(trace: SignalTrace, noise_floor: float,
     ``floor_crossing`` is the first time the fitted curve reaches the noise
     floor (infinite if it never does within the fitted asymptote).
     """
+    # imported here: scipy.optimize dominates the package import time
+    from scipy.optimize import brentq, curve_fit
+
     times, values = stroboscopic_samples(trace)
     mags = np.abs(values)
     if mags.size < 8:

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,8 +25,9 @@ from .analysis import (HeatingFit, SpectrumResult, fit_power_law,
                        dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal, predicted_rate
-from .evolution import (BlockPropagatorFactory, SignalTrace, compile_program, evolve,
-                        evolve_blockwise, initial_state, total_ix, _check_norm)
+from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
+                        compile_program, evolve, evolve_blockwise, initial_state,
+                        total_ix, _check_norm)
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 from .spins import build_hamiltonian, compute_couplings, generate_graph
 from . import serialize
@@ -130,8 +132,13 @@ class RunConfig:
             raise ConfigError("encode requires text")
         if self.kind == "decode" and not self.trace_file:
             raise ConfigError("decode requires a trace_file")
-        for n in (self.n_order, *self.n_orders):
-            _parse_order(n)
+        _parse_order(self.n_order)
+        seen = set()
+        for label in self.n_orders:
+            order = _parse_order(label)
+            if order in seen:
+                raise ConfigError(f"n_orders repeats multipole order {label!r}")
+            seen.add(order)
 
     def spec(self) -> MonopoleSpec:
         return MonopoleSpec(
@@ -200,7 +207,10 @@ def _parallel_map(fn, items, threads: int):
 
 
 class FullSystem:
-    """Graph, Hamiltonian, initial state, and propagator caches for one run."""
+    """Graph, Hamiltonian, initial state, and propagator caches for one run.
+
+    The factory cache is safe to share between the threads of `_parallel_map`.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -216,24 +226,31 @@ class FullSystem:
         self.psi0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factories: dict[float, BlockPropagatorFactory] = {}
+        self._lock = threading.Lock()
 
     def factory(self, spec: MonopoleSpec) -> BlockPropagatorFactory:
         key = spec.tau
-        if key not in self._factories:
-            self._factories[key] = BlockPropagatorFactory(
-                self.hamiltonian, replace(spec, gamma_y=math.pi))
-        return self._factories[key]
+        with self._lock:
+            if key not in self._factories:
+                self._factories[key] = BlockPropagatorFactory(
+                    self.hamiltonian, replace(spec, gamma_y=math.pi))
+            return self._factories[key]
 
     def s0(self) -> float:
         return total_ix(self.psi0, self.config.num_spins)
 
 
-def blockwise_trace(system: FullSystem, stream: SymbolStream, spec: MonopoleSpec,
-                    include_half: bool = True,
+def blockwise_trace(system: FullSystem, stream: SymbolStream, props: BlockPropagators,
                     readout_noise: float = 0.0, noise_seed=None) -> SignalTrace:
-    props = system.factory(spec).block_set(spec.gamma_y, include_half=include_half)
-    return evolve_blockwise(stream, spec, system.hamiltonian, system.psi0,
-                            propagators=props, include_half=include_half,
+    """Blockwise evolution of one stream under propagators the caller built.
+
+    The caller builds ``props`` once per kick angle with
+    ``system.factory(spec).block_set`` and passes it to every stream evolved
+    at that angle; half-period samples are recorded when it was built with
+    ``include_half``.
+    """
+    return evolve_blockwise(stream, props.spec, system.hamiltonian, system.psi0,
+                            propagators=props, include_half=props.first is not None,
                             readout_noise=readout_noise, noise_seed=noise_seed)
 
 
@@ -244,8 +261,8 @@ def dephasing_trace(config: RunConfig, stream: SymbolStream, spec: MonopoleSpec,
                         readout_noise=config.readout_noise, noise_seed=noise_seed)
 
 
-def stroboscopic_rundown(symbols: np.ndarray, props, hamiltonian, psi0,
-                         max_cycles: int, stop_factor: float = 0.8) -> SignalTrace:
+def stroboscopic_rundown(symbols: np.ndarray, props, psi0, max_cycles: int,
+                         stop_factor: float = 0.8) -> SignalTrace:
     """Blockwise evolution that stops soon after the 1/e crossing.
 
     Records only stroboscopic samples; once the envelope falls below
@@ -279,11 +296,16 @@ def stroboscopic_rundown(symbols: np.ndarray, props, hamiltonian, psi0,
     )
 
 
-def measure_rate(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
-                 order, seed: int, max_cycles: int | None = None,
+def measure_rate(system: FullSystem | None, props: BlockPropagators | None,
+                 config: RunConfig, spec: MonopoleSpec, order, seed: int,
                  offset: int = 0) -> HeatingFit:
-    """1/e decay rate of one drive realization under either engine."""
-    max_cycles = max_cycles or config.max_cycles
+    """1/e decay rate of one drive realization under either engine.
+
+    The full engine evolves under ``props``, the whole-block propagators the
+    caller built for ``spec`` on ``system``; the dephasing engine (``system``
+    None) ignores both.
+    """
+    max_cycles = config.max_cycles
     if config.engine == "dephasing" or system is None:
         # the model's own rate bounds the cycles needed to reach 1/e
         params = DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
@@ -295,23 +317,30 @@ def measure_rate(system: FullSystem | None, config: RunConfig, spec: MonopoleSpe
         trace = dephasing_trace(config, stream, spec)
         return lifetime(trace)
     stream = make_stream(order, max_cycles, seed, exact=False, offset=offset)
-    props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
-    trace = stroboscopic_rundown(stream.symbols, props, system.hamiltonian,
-                                 system.psi0, max_cycles)
+    trace = stroboscopic_rundown(stream.symbols, props, system.psi0, max_cycles)
     return lifetime(trace)
 
 
 def mean_rate(systems: list, config: RunConfig, spec: MonopoleSpec, order,
               point_index: int) -> tuple[float, float, bool]:
-    """Rate averaged over graph and drive realizations: (mean, std, all_crossed)."""
+    """Rate averaged over graph and drive realizations: (mean, std, all_crossed).
+
+    Each system's block set for ``spec`` is built here once and shared by
+    that system's realizations; it is released before the next system's.
+    """
     order_val = _parse_order(order)
     fits = []
     for gi, system in enumerate(systems):
+        props = None
+        if system is not None:
+            props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
         for r in range(config.realizations):
             seed = derive_seed(config.seed, point_index, gi, r)
             # deterministic drives vary by window offset instead of seed
             offset = r if order_val == math.inf else 0
-            fits.append(measure_rate(system, config, spec, order, seed, offset=offset))
+            fits.append(measure_rate(system, props, config, spec, order, seed,
+                                     offset=offset))
+        props = None
     rates = np.array([f.rate for f in fits])
     return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
 
@@ -341,9 +370,11 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
 
 def _run_spectrum(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
-    system = None
+    system = props = None
     if config.engine == "full" and config.spectrum_kind != "symbol":
         system = FullSystem(config)
+        props = system.factory(spec).block_set(
+            spec.gamma_y, include_half=config.spectrum_kind == "micromotion")
 
     def one(r: int):
         seed = derive_seed(config.seed, 0, r)
@@ -353,8 +384,7 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
         if config.engine == "dephasing":
             trace = dephasing_trace(config, stream, spec)
         else:
-            trace = blockwise_trace(system, stream, spec,
-                                    include_half=config.spectrum_kind == "micromotion")
+            trace = blockwise_trace(system, stream, props)
         if config.spectrum_kind == "micromotion":
             return dft_micromotion(trace, spec)
         return dft_stroboscopic(trace, spec)
@@ -378,17 +408,24 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     order_val = _parse_order(config.n_order)
     reps = 1 if order_val == math.inf else config.realizations
 
-    def one(task):
-        i, gamma, r = task
-        seed = derive_seed(config.seed, i, r)
-        stream = make_stream(config.n_order, config.cycles, seed)
+    def one(i: int) -> list:
+        """(gamma, trace) of every realization at the i-th kick angle."""
+        gamma = config.gamma_grid[i]
         gspec = replace(spec, gamma_y=gamma)
-        if config.engine == "dephasing":
-            return gamma, dephasing_trace(config, stream, gspec)
-        return gamma, blockwise_trace(system, stream, gspec, include_half=False)
+        props = None
+        if system is not None:
+            props = system.factory(gspec).block_set(gspec.gamma_y, include_half=False)
+        pairs = []
+        for r in range(reps):
+            stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, i, r))
+            if system is None:
+                pairs.append((gamma, dephasing_trace(config, stream, gspec)))
+            else:
+                pairs.append((gamma, blockwise_trace(system, stream, props)))
+        return pairs
 
-    tasks = [(i, g, r) for i, g in enumerate(config.gamma_grid) for r in range(reps)]
-    sweep = _parallel_map(one, tasks, config.threads)
+    per_gamma = _parallel_map(one, list(range(len(config.gamma_grid))), config.threads)
+    sweep = [pair for pairs in per_gamma for pair in pairs]
     diagram = phase_diagram(sweep, n_order=config.n_order,
                             normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
@@ -414,10 +451,12 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     excess of the rate at gamma = pi against |eps|; ``heating-period`` and
     ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
     the rate against the period T.  Only points whose realizations all
-    crossed 1/e and whose fitted (excess) rate is positive enter a fit.
+    crossed 1/e and whose fitted (excess) rate is positive enter a fit; an
+    eps order whose reference realizations never crossed is not fitted.
     Every ``fits.json`` entry carries ``points_used`` and ``uncrossed``,
     then ``exponent``/``stderr`` or an ``error``; eps entries add
-    ``rate_at_pi``, tau-sweep entries ``smallest_period_rate``.
+    ``rate_at_pi`` and ``reference_crossed``, tau-sweep entries
+    ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
     base = config.spec()
@@ -427,14 +466,14 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     for k, order in enumerate(config.n_orders or sweep.orders or (config.n_order,)):
         index = sweep.seed_block * k
         if sweep.grid == "eps_grid":
-            reference = mean_rate(systems, config, replace(base, gamma_y=math.pi),
-                                  order, index)[0]
-            entry = {"rate_at_pi": reference}
+            reference, _, reference_crossed = mean_rate(
+                systems, config, replace(base, gamma_y=math.pi), order, index)
+            entry = {"rate_at_pi": reference, "reference_crossed": reference_crossed}
             index += 1  # the reference point holds the order's first seed index
             specs = [replace(base, gamma_y=math.pi + eps) for eps in grid]
             xs = np.array(grid, dtype=float)
         else:
-            reference, entry = 0.0, {}
+            reference, reference_crossed, entry = 0.0, True, {}
             specs = [replace(base, tau=tau) for tau in grid]
             specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
                      for s in specs]
@@ -446,15 +485,18 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
         rates = np.array([r[0] for r in results])
         crossed = np.array([r[2] for r in results], dtype=bool)
         ys = rates - reference
-        use = crossed & (ys > 0)
+        use = crossed & (ys > 0) & reference_crossed
         if sweep.grid == "tau_grid":
             entry["smallest_period_rate"] = float(rates[np.argmin(xs)])
         entry.update(points_used=int(use.sum()), uncrossed=int((~crossed).sum()))
-        try:
-            fit = fit_power_law(np.abs(xs[use]), ys[use])
-            entry.update(exponent=fit.exponent, stderr=fit.stderr)
-        except ValueError as exc:
-            entry["error"] = f"fit over {entry['points_used']} crossed points failed: {exc}"
+        if not reference_crossed:
+            entry["error"] = "no fit: the reference rate at gamma = pi never crossed 1/e"
+        else:
+            try:
+                fit = fit_power_law(np.abs(xs[use]), ys[use])
+                entry.update(exponent=fit.exponent, stderr=fit.stderr)
+            except ValueError as exc:
+                entry["error"] = f"fit over {entry['points_used']} crossed points failed: {exc}"
         fits[str(order)] = entry
         rows += [(str(order), xs[j], rates[j], results[j][1], ys[j], crossed[j])
                  for j in range(len(grid))]
@@ -473,8 +515,8 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
                                 noise_seed=derive_seed(config.seed, 0, 1))
     else:
         system = FullSystem(config)
-        trace = blockwise_trace(system, stream, spec,
-                                readout_noise=config.readout_noise,
+        props = system.factory(spec).block_set(spec.gamma_y, include_half=True)
+        trace = blockwise_trace(system, stream, props, readout_noise=config.readout_noise,
                                 noise_seed=derive_seed(config.seed, 0, 1))
     serialize.write_trace(out / "trace.csv", trace)
     return {"characters": len(message.text), "cycles": len(stream)}

@@ -8,6 +8,7 @@ assembled into the z-conserving (secular) many-body Hamiltonian
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,11 +76,16 @@ class CouplingSet:
 
 @dataclass(eq=False)
 class Hamiltonian:
-    """Dense secular dipolar Hamiltonian with a lazy eigendecomposition."""
+    """Dense secular dipolar Hamiltonian with a lazy eigendecomposition.
+
+    The eigendecomposition is computed once even when threads ask for it
+    concurrently.
+    """
 
     matrix: np.ndarray
     num_spins: int
     _eigensystem: tuple | None = None
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -87,10 +93,10 @@ class Hamiltonian:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """One-time dense diagonalization, cached for reuse."""
-        if self._eigensystem is None:
-            eigvals, eigvecs = np.linalg.eigh(self.matrix)
-            self._eigensystem = (eigvals, eigvecs)
-        return self._eigensystem
+        with self._lock:
+            if self._eigensystem is None:
+                self._eigensystem = np.linalg.eigh(self.matrix)
+            return self._eigensystem
 
     def is_zero(self) -> bool:
         return not np.any(self.matrix)

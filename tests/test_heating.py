@@ -61,7 +61,14 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
         mine = [r for r in rows if r["order"] == order]
         entry = fits[order]
         assert entry["uncrossed"] == sum(1 - r["crossed"] for r in mine)
-        use = [r for r in mine if r["crossed"] and r["y"] > 0]
+        if kind == "heating-eps":
+            reference = mean_rate([None], config, dataclasses.replace(base, gamma_y=math.pi),
+                                  order, 1000 * k)
+            assert (entry["rate_at_pi"], entry["reference_crossed"]) == \
+                (reference[0], reference[2])
+        # an eps order whose reference never crossed 1/e is not fitted at all
+        use = [r for r in mine if r["crossed"] and r["y"] > 0
+               and entry.get("reference_crossed", True)]
         assert entry["points_used"] == len(use)
         if len(use) >= 3:
             fit = fit_power_law([abs(r["x"]) for r in use], [r["y"] for r in use])
@@ -83,6 +90,25 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
             assert row["y"] == rate - reference
     if kind == "heating-eps":
         assert all(fits[o]["uncrossed"] > 0 for o in fits)
+
+
+def test_eps_sweep_fits_nothing_without_a_crossed_reference(tmp_path):
+    short = run(heating_config(tmp_path / "short", "heating-eps", eps_grid=EPS_GRID,
+                               max_cycles=512))["fits"]["0"]
+    assert short["reference_crossed"] is False
+    assert short["points_used"] == 0
+    assert "exponent" not in short and "reference" in short["error"]
+    full = run(heating_config(tmp_path / "full", "heating-eps", eps_grid=EPS_GRID))["fits"]["0"]
+    assert full["reference_crossed"] is True
+    assert full["points_used"] == 6
+    assert full["exponent"] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("orders", [("0", "0"), ("inf", "tm"), ("1", "3", " 1")])
+def test_repeated_order_is_rejected(orders):
+    with pytest.raises(ConfigError, match=f"repeats multipole order {orders[-1]!r}"):
+        RunConfig(kind="heating-period", out_dir="x", tau_grid=(0.1,),
+                  n_orders=orders).validate()
 
 
 @pytest.mark.parametrize("kind", ["heating-period", "heating-highfreq"])

@@ -1,0 +1,118 @@
+"""Block propagators are built once per kick angle and shared; lazy caches are thread-safe."""
+
+import dataclasses
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import rondeau.runner as runner
+from rondeau.evolution import BlockPropagatorFactory
+from rondeau.runner import FullSystem, RunConfig, derive_seed, mean_rate, measure_rate, run
+from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
+
+SMALL = dict(num_spins=4, engine="full", pulses_per_block=12, kick_plus=8, kick_minus=4,
+             tau=0.05, realizations=3)
+
+
+@pytest.fixture()
+def block_set_keys(monkeypatch):
+    """Key of every BlockPropagatorFactory.block_set call, in call order."""
+    keys = []
+    real = BlockPropagatorFactory.block_set
+
+    def counted(self, gamma_y=None, include_half=True, angle_spread=0.0, disorder_seed=None):
+        keys.append((id(self), gamma_y, include_half, angle_spread, disorder_seed))
+        return real(self, gamma_y, include_half, angle_spread, disorder_seed)
+
+    monkeypatch.setattr(BlockPropagatorFactory, "block_set", counted)
+    return keys
+
+
+@pytest.mark.parametrize("overrides, distinct", [
+    (dict(kind="spectrum", spectrum_kind="micromotion", cycles=16), 1),
+    (dict(kind="phase-diagram", gamma_grid=(math.pi, 0.9 * math.pi), cycles=16), 2),
+    (dict(kind="heating-eps", eps_grid=(0.2, 0.4, 0.6), max_cycles=64), 4),
+])
+def test_one_block_set_per_kick_angle(tmp_path, block_set_keys, overrides, distinct):
+    run(RunConfig(out_dir=str(tmp_path), **SMALL, **overrides))
+    assert len(set(block_set_keys)) == distinct
+    assert len(block_set_keys) == distinct
+
+
+@pytest.mark.parametrize("order", ["1", "inf"])
+def test_shared_block_set_gives_identical_rates(order):
+    config = RunConfig(kind="heating-eps", out_dir="x", graph_realizations=2,
+                       max_cycles=256, seed=7, **SMALL)
+    spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.3)
+    systems = runner._systems_for(config)
+    rates = []
+    for gi, system in enumerate(systems):
+        for r in range(config.realizations):
+            props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
+            seed = derive_seed(config.seed, 5, gi, r)
+            offset = r if order == "inf" else 0
+            rates.append(measure_rate(system, props, config, spec, order, seed,
+                                      offset=offset).rate)
+    mean, std, _ = mean_rate(systems, config, spec, order, 5)
+    assert (mean, std) == (float(np.mean(rates)), float(np.std(rates)))
+
+
+def _race(call, workers=4):
+    """Call `call` from `workers` threads released together; returns their results."""
+    barrier = threading.Barrier(workers, timeout=5)
+    results = []
+
+    def worker():
+        barrier.wait()
+        results.append(call())
+
+    threads = [threading.Thread(target=worker) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == workers
+    return results
+
+
+def _slow_counter(build, calls):
+    """`build` that records each call and lingers until a second call arrives."""
+    both = threading.Event()
+
+    def slow(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            both.set()
+        both.wait(timeout=0.5)
+        return build(*args)
+
+    return slow
+
+
+def test_eigensystem_is_computed_once_under_threads(monkeypatch):
+    hamiltonian = build_hamiltonian(compute_couplings(generate_graph(3, seed=1)))
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", _slow_counter(np.linalg.eigh, calls))
+    results = _race(hamiltonian.eigensystem)
+    assert len(calls) == 1
+    assert all(r is results[0] for r in results)
+
+
+def test_factory_is_built_once_under_threads(monkeypatch):
+    system = FullSystem(RunConfig(kind="spectrum", out_dir="x", **SMALL))
+    calls = []
+    monkeypatch.setattr(runner, "BlockPropagatorFactory",
+                        _slow_counter(lambda hamiltonian, spec: object(), calls))
+    spec = system.config.spec()
+    results = _race(lambda: system.factory(spec))
+    assert len(calls) == 1
+    assert all(r is results[0] for r in results)

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,14 @@ class TestCodecPipeline:
 
 
 class TestCli:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import rondeau.cli; "
+                  "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+        proc = subprocess.run([sys.executable, "-c", script, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_capacity_json(self, capsys):
         assert main(["capacity", "--floor-time", "36.2", "--tau", "86.8e-6",
                      "--pulses", "300", "--bits", "7"]) == 0
