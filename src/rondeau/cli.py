@@ -89,7 +89,9 @@ def _add_drive(p: argparse.ArgumentParser):
                    help="multipole order: 0, 1, 2, ... or inf")
     p.add_argument("--cycles", type=int)
     p.add_argument("--realizations", type=int)
-    p.add_argument("--noise", type=float, dest="readout_noise")
+    p.add_argument("--noise", type=float, dest="readout_noise",
+                   help="Gaussian readout-noise std, seeded from --seed; "
+                        "trace and encode only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,8 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Only points whose realizations all crossed 1/e and whose rate "
                     "(in excess of the rate at gamma=pi for --sweep eps) is positive "
                     "enter a fit. Each fits.json entry holds points_used, uncrossed, "
-                    "and exponent/stderr or error; eps entries add rate_at_pi, "
-                    "period and highfreq entries add smallest_period_rate.")
+                    "and exponent/stderr or error; eps entries add rate_at_pi and "
+                    "reference_crossed (an order whose gamma=pi reference never "
+                    "crossed 1/e is not fitted), period and highfreq entries add "
+                    "smallest_period_rate.")
     _add_common(p); _add_system(p); _add_drive(p)
     p.add_argument("--sweep", choices=["eps", "period", "highfreq"], default="eps",
                    help="eps: kick-angle deviation; period: tau with eps = slope*T; "

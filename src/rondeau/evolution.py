@@ -5,11 +5,12 @@ gates; free evolution uses the cached dense eigendecomposition of the
 dipolar Hamiltonian.  Readout is the expectation value of total Ix after
 every pulse's free-evolution slot.
 
-Two engines are provided: :func:`evolve` walks the unrolled pulse program
-one pulse at a time (full quasi-continuous readout), while
-:func:`evolve_blockwise` precomputes whole-block propagators and records
-only the stroboscopic and half-period samples -- orders of magnitude
-faster for long parameter sweeps.
+:func:`evolve` walks the unrolled pulse program one pulse at a time (full
+quasi-continuous readout).  :func:`evolve_blockwise`, the one blockwise
+stepper, applies a dense propagator per readout step of a
+:class:`BlockPropagators` set, records stroboscopic and optionally
+half-period samples, and can stop early past 1/e.  The engines are built
+independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -323,7 +324,11 @@ class BlockPropagatorFactory:
 
     def block_set(self, gamma_y: float | None = None, include_half: bool = True,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
-        """Assemble per-sign propagators for the given kick angle."""
+        """Readout steps of both block signs for the given kick angle.
+
+        With ``include_half`` each block is two steps, to the half-period
+        slot and on to the block end; without it, one whole-block step.
+        """
         if gamma_y is None:
             gamma_y = self.spec.gamma_y
         spec = self.spec
@@ -331,96 +336,76 @@ class BlockPropagatorFactory:
         p = self.powers
         kick = lambda m: self._kick_cycle(m, gamma_y, angle_spread, disorder_seed)
 
-        first_plus = p[h]
-        second_plus = p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])
-        first_minus = p[h - spec.kick_minus - 1] @ kick(p[spec.kick_minus])
-        second_minus = p[spec.pulses_per_block + 1 - h]
-        gspec = replace(spec, gamma_y=gamma_y)
+        halves = {
+            1: (p[h], p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])),
+            -1: (p[h - spec.kick_minus - 1] @ kick(p[spec.kick_minus]),
+                 p[spec.pulses_per_block + 1 - h]),
+        }
+        end = spec.slots_per_block
         if include_half:
-            return BlockPropagators(
-                spec=gspec, half_slot=h,
-                first={1: first_plus, -1: first_minus},
-                second={1: second_plus, -1: second_minus},
-            )
-        return BlockPropagators(
-            spec=gspec, half_slot=h,
-            first=None,
-            second=None,
-            full={1: second_plus @ first_plus, -1: second_minus @ first_minus},
-        )
+            steps = {s: ((h, first), (end, second)) for s, (first, second) in halves.items()}
+        else:
+            steps = {s: ((end, second @ first),) for s, (first, second) in halves.items()}
+        return BlockPropagators(spec=replace(spec, gamma_y=gamma_y), steps=steps)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockPropagators:
-    """Per-sign propagators: block start -> half sample -> block end."""
+    """Blockwise evolution of both block signs at one kick angle.
+
+    ``steps[s]`` is the block of sign ``s`` as a tuple of ``(slot, operator)``
+    pairs: each operator carries the state from the previous readout to the
+    readout after pulse slot ``slot``, and the last step ends the block at
+    ``spec.slots_per_block``.
+    """
 
     spec: MonopoleSpec
-    half_slot: int
-    first: dict | None
-    second: dict | None
-    full: dict | None = None
-
-    def full_ops(self) -> dict:
-        """Whole-block propagators, composed from the halves on first use."""
-        if self.full is None:
-            self.full = {s: self.second[s] @ self.first[s] for s in (1, -1)}
-        return self.full
+    steps: dict
 
 
-def evolve_blockwise(stream: SymbolStream, spec: MonopoleSpec,
-                     hamiltonian: Hamiltonian, psi0: np.ndarray,
-                     propagators: BlockPropagators | None = None,
-                     include_half: bool = True,
+def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.ndarray,
+                     stop_factor: float | None = None,
                      readout_noise: float = 0.0, noise_seed: int | None = None,
                      norm_check_every: int = 64) -> SignalTrace:
-    """Stroboscopic (and optionally half-period) evolution via block products.
+    """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
-    Produces the samples the spectral and lifetime analyses consume at a
-    cost of one or two dense matrix-vector products per drive cycle.
+    Costs one dense matrix-vector product per step of ``props``: one or two
+    per drive cycle.  With ``stop_factor`` the run ends at the first block-end
+    sample below ``stop_factor / e`` of the initial magnitude, since later
+    cycles cannot move the lifetime argmin; ``num_cycles`` counts the cycles
+    evolved.
     """
-    if propagators is None:
-        factory = BlockPropagatorFactory(hamiltonian, spec)
-        propagators = factory.block_set(spec.gamma_y, include_half=include_half)
-    spec = propagators.spec
-    num_spins = hamiltonian.num_spins
-    if psi0.shape != (2**num_spins,):
-        raise ValueError("state dimension does not match the Hamiltonian")
-    cycles = len(stream)
-    half = include_half and propagators.first is not None
-    per_cycle = 2 if half else 1
-    full_ops = None if half else propagators.full_ops()
-    n_samples = 1 + per_cycle * cycles
-
-    times = np.empty(n_samples)
-    values = np.empty(n_samples)
-    cycle_index = np.zeros(n_samples, dtype=np.int64)
-    pulse_index = np.zeros(n_samples, dtype=np.int64)
+    spec = props.spec
+    dim = props.steps[1][0][1].shape[0]
+    if psi0.shape != (dim,):
+        raise ValueError("state dimension does not match the propagators")
+    num_spins = dim.bit_length() - 1
     psi = np.array(psi0, dtype=complex)
-    times[0] = 0.0
-    values[0] = total_ix(psi, num_spins)
-    T = spec.block_duration
-    h = propagators.half_slot
+    values, cycle_index, pulse_index = [total_ix(psi, num_spins)], [0], [0]
+    # without stop_factor the target is 0, which no magnitude falls below
+    target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
+    cycles = 0
     for ell, sym in enumerate(stream.symbols):
-        s = int(sym)
-        pos = 1 + per_cycle * ell
-        if half:
-            psi = propagators.first[s] @ psi
-            times[pos] = ell * T + h * spec.tau
-            values[pos] = total_ix(psi, num_spins)
-            cycle_index[pos] = ell
-            pulse_index[pos] = h
-            psi = propagators.second[s] @ psi
-            pos += 1
-        else:
-            psi = full_ops[s] @ psi
-        times[pos] = (ell + 1) * T
-        values[pos] = total_ix(psi, num_spins)
-        cycle_index[pos] = ell
-        pulse_index[pos] = spec.slots_per_block
-        if (ell + 1) % norm_check_every == 0:
-            _check_norm(psi, f"cycle {ell + 1}")
+        for slot, op in props.steps[int(sym)]:
+            psi = op @ psi
+            values.append(total_ix(psi, num_spins))
+            cycle_index.append(ell)
+            pulse_index.append(slot)
+        cycles = ell + 1
+        if cycles % norm_check_every == 0:
+            _check_norm(psi, f"cycle {cycles}")
+        if abs(values[-1]) < target:
+            break
     if cycles:
         _check_norm(psi, "final state")
+
+    values = np.array(values)
+    cycle_index = np.array(cycle_index, dtype=np.int64)
+    pulse_index = np.array(pulse_index, dtype=np.int64)
+    T = spec.block_duration
+    # block ends sit on exact multiples of T, which the slot sum can miss by an ulp
+    times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
+                     cycle_index * T + pulse_index * spec.tau)
     if readout_noise > 0.0:
         rng = np.random.Generator(np.random.PCG64(noise_seed))
         values = values + readout_noise * rng.standard_normal(values.size)

@@ -26,8 +26,9 @@ from .analysis import (HeatingFit, SpectrumResult, fit_power_law,
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal, predicted_rate
 from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
-                        compile_program, evolve, evolve_blockwise, initial_state,
-                        total_ix, _check_norm)
+                        compile_program, evolve, evolve_blockwise, initial_state)
+# the heating rundown under its own name, so bench/tracing.py times it apart
+from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 from .spins import build_hamiltonian, compute_couplings, generate_graph
 from . import serialize
@@ -121,6 +122,10 @@ class RunConfig:
             raise ConfigError("realizations must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.readout_noise < 0:
+            raise ConfigError("readout_noise must be >= 0")
+        if self.readout_noise > 0 and self.kind not in ("trace", "encode"):
+            raise ConfigError(f"readout_noise is seeded only by trace and encode, not {self.kind}")
         if self.spectrum_kind not in SPECTRUM_KINDS:
             raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
@@ -148,7 +153,10 @@ class RunConfig:
         )
 
     def hash(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        """Content hash of the fields that affect outputs (not out_dir or threads)."""
+        fields = dataclasses.asdict(self)
+        del fields["out_dir"], fields["threads"]
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -198,6 +206,11 @@ def make_stream(order, cycles: int, seed: int, exact: bool = True,
     return sample_rmd(order, rounded, seed)
 
 
+def _drive_realizations(config: RunConfig) -> int:
+    """Drive realizations a spectrum or phase diagram evolves; one for Thue-Morse."""
+    return 1 if _parse_order(config.n_order) == math.inf else config.realizations
+
+
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; results independent of worker scheduling."""
     if threads <= 1 or len(items) <= 1:
@@ -236,64 +249,12 @@ class FullSystem:
                     self.hamiltonian, replace(spec, gamma_y=math.pi))
             return self._factories[key]
 
-    def s0(self) -> float:
-        return total_ix(self.psi0, self.config.num_spins)
-
-
-def blockwise_trace(system: FullSystem, stream: SymbolStream, props: BlockPropagators,
-                    readout_noise: float = 0.0, noise_seed=None) -> SignalTrace:
-    """Blockwise evolution of one stream under propagators the caller built.
-
-    The caller builds ``props`` once per kick angle with
-    ``system.factory(spec).block_set`` and passes it to every stream evolved
-    at that angle; half-period samples are recorded when it was built with
-    ``include_half``.
-    """
-    return evolve_blockwise(stream, props.spec, system.hamiltonian, system.psi0,
-                            propagators=props, include_half=props.first is not None,
-                            readout_noise=readout_noise, noise_seed=noise_seed)
-
 
 def dephasing_trace(config: RunConfig, stream: SymbolStream, spec: MonopoleSpec,
                     noise_seed=None) -> SignalTrace:
     params = DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
     return model_signal(stream, params, amplitude=1.0,
                         readout_noise=config.readout_noise, noise_seed=noise_seed)
-
-
-def stroboscopic_rundown(symbols: np.ndarray, props, psi0, max_cycles: int,
-                         stop_factor: float = 0.8) -> SignalTrace:
-    """Blockwise evolution that stops soon after the 1/e crossing.
-
-    Records only stroboscopic samples; once the envelope falls below
-    ``stop_factor / e`` of its initial value the remaining cycles cannot
-    move the lifetime argmin, so the run ends early.
-    """
-    spec = props.spec
-    T = spec.block_duration
-    full = props.full_ops()
-    num_spins = int(round(math.log2(psi0.size)))
-    psi = np.array(psi0, dtype=complex)
-    values = [total_ix(psi, num_spins)]
-    target = abs(values[0]) * stop_factor / math.e
-    limit = min(max_cycles, symbols.size)
-    for ell in range(limit):
-        psi = full[int(symbols[ell])] @ psi
-        values.append(total_ix(psi, num_spins))
-        if (ell + 1) % 64 == 0:
-            _check_norm(psi, f"cycle {ell + 1}")
-        if abs(values[-1]) < target:
-            break
-    m = len(values) - 1
-    times = T * np.arange(m + 1)
-    per_block = spec.slots_per_block
-    return SignalTrace(
-        times=times, values=np.array(values),
-        cycle_index=np.maximum(np.arange(m + 1) - 1, 0),
-        pulse_index=np.where(np.arange(m + 1) == 0, 0, per_block),
-        block_duration=T, num_cycles=m,
-        meta={"engine": "full-blockwise", "gamma_y": spec.gamma_y, "tau": spec.tau},
-    )
 
 
 def measure_rate(system: FullSystem | None, props: BlockPropagators | None,
@@ -317,7 +278,8 @@ def measure_rate(system: FullSystem | None, props: BlockPropagators | None,
         trace = dephasing_trace(config, stream, spec)
         return lifetime(trace)
     stream = make_stream(order, max_cycles, seed, exact=False, offset=offset)
-    trace = stroboscopic_rundown(stream.symbols, props, system.psi0, max_cycles)
+    trace = stroboscopic_rundown(replace(stream, symbols=stream.symbols[:max_cycles]),
+                                 props, system.psi0, stop_factor=0.8)
     return lifetime(trace)
 
 
@@ -384,29 +346,28 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
         if config.engine == "dephasing":
             trace = dephasing_trace(config, stream, spec)
         else:
-            trace = blockwise_trace(system, stream, props)
+            trace = evolve_blockwise(stream, props, system.psi0)
         if config.spectrum_kind == "micromotion":
             return dft_micromotion(trace, spec)
         return dft_stroboscopic(trace, spec)
 
-    spectra = _parallel_map(one, list(range(config.realizations)), config.threads)
+    reps = _drive_realizations(config)
+    spectra = _parallel_map(one, list(range(reps)), config.threads)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
                           kind=spectra[0].kind)
     serialize.write_spectrum(
         out / "spectrum.csv", mean, std=amps.std(axis=0),
-        extra_meta={"realizations": config.realizations, "n_order": config.n_order,
+        extra_meta={"realizations": reps, "n_order": config.n_order,
                     "engine": config.engine, "seed": config.seed},
     )
-    return {"kind": config.spectrum_kind, "realizations": config.realizations,
-            "cycles": config.cycles}
+    return {"kind": config.spectrum_kind, "realizations": reps, "cycles": config.cycles}
 
 
 def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
     system = FullSystem(config) if config.engine == "full" else None
-    order_val = _parse_order(config.n_order)
-    reps = 1 if order_val == math.inf else config.realizations
+    reps = _drive_realizations(config)
 
     def one(i: int) -> list:
         """(gamma, trace) of every realization at the i-th kick angle."""
@@ -421,7 +382,7 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
             if system is None:
                 pairs.append((gamma, dephasing_trace(config, stream, gspec)))
             else:
-                pairs.append((gamma, blockwise_trace(system, stream, props)))
+                pairs.append((gamma, evolve_blockwise(stream, props, system.psi0)))
         return pairs
 
     per_gamma = _parallel_map(one, list(range(len(config.gamma_grid))), config.threads)
@@ -516,8 +477,9 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     else:
         system = FullSystem(config)
         props = system.factory(spec).block_set(spec.gamma_y, include_half=True)
-        trace = blockwise_trace(system, stream, props, readout_noise=config.readout_noise,
-                                noise_seed=derive_seed(config.seed, 0, 1))
+        trace = evolve_blockwise(stream, props, system.psi0,
+                                 readout_noise=config.readout_noise,
+                                 noise_seed=derive_seed(config.seed, 0, 1))
     serialize.write_trace(out / "trace.csv", trace)
     return {"characters": len(message.text), "cycles": len(stream)}
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rondeau.codec import (BITS_PER_CHAR, EncodingError, LowConfidenceError,
                            Message, capacity, decode, decode_margins, encode)
 from rondeau.dephasing import DephasingParams, model_signal
-from rondeau.evolution import evolve_blockwise, initial_state
+from rondeau.evolution import BlockPropagatorFactory, evolve_blockwise, initial_state
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -90,7 +90,8 @@ class TestDecode:
         psi0 = initial_state(8, hamiltonian)
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=math.pi)
-        trace = evolve_blockwise(encode(Message("Hi")), spec, hamiltonian, psi0)
+        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
+        trace = evolve_blockwise(encode(Message("Hi")), props, psi0)
         assert decode(trace, spec).text == "Hi"
 
     def test_trailing_partial_group_dropped(self, short_spec):

@@ -166,24 +166,25 @@ class TestBlockwiseEngine:
                             tau=0.05, gamma_y=0.97 * math.pi)
         stream = sample_rmd(1, 8, seed=3)
         full = evolve(compile_program(stream, spec), hamiltonian, psi0)
-        block = evolve_blockwise(stream, spec, hamiltonian, psi0)
+        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
+        block = evolve_blockwise(stream, props, psi0)
         at_shared = samples_nearest(full, block.times)
         assert np.abs(at_shared - block.values).max() < 1e-10
 
     def test_strobo_only_mode(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
         stream = sample_rmd(0, 6, seed=8)
-        trace = evolve_blockwise(stream, short_spec, hamiltonian, psi0,
-                                 include_half=False)
+        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set(include_half=False)
+        trace = evolve_blockwise(stream, props, psi0)
         assert len(trace) == 7
         assert np.allclose(np.diff(trace.times), short_spec.block_duration)
 
     def test_block_propagators_unitary(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system
         factory = BlockPropagatorFactory(hamiltonian, short_spec)
-        props = factory.block_set(0.95 * math.pi)
+        props = factory.block_set(0.95 * math.pi, include_half=False)
         for sign in (1, -1):
-            u = props.full_ops()[sign]
+            (_, u), = props.steps[sign]
             deviation = u.conj().T @ u - np.eye(u.shape[0])
             assert np.abs(deviation).max() < 1e-10
 
@@ -234,8 +235,9 @@ class TestInitialStateIndependence:
             traces = []
             for hamiltonian in hamiltonians:
                 psi0 = initial_state(8, hamiltonian, decay_time=decay_time)
-                trace = evolve_blockwise(stream, spec, hamiltonian, psi0,
-                                         include_half=False)
+                props = BlockPropagatorFactory(hamiltonian, spec).block_set(
+                    include_half=False)
+                trace = evolve_blockwise(stream, props, psi0)
                 _, values = stroboscopic_samples(trace)
                 traces.append(values)
             mean = np.mean(traces, axis=0)
@@ -253,7 +255,8 @@ class TestRondeauPhenomenology:
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=0.98 * math.pi)
         stream = sample_rmd(0, 40, seed=12)
-        trace = evolve_blockwise(stream, spec, hamiltonian, psi0)
+        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
+        trace = evolve_blockwise(stream, props, psi0)
         _, values = stroboscopic_samples(trace)
         signs = np.sign(values)
         assert np.array_equal(signs, signs[0] * (-1.0) ** np.arange(values.size))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rondeau.cli import load_config_file, main
-from rondeau.runner import ConfigError, RunConfig, derive_seed, run
+from rondeau.runner import KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.serialize import read_trace
 
 
@@ -37,6 +37,25 @@ class TestRunConfig:
         c = RunConfig(kind="trace", out_dir="x", seed=2)
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+
+    def test_hash_ignores_out_dir_and_threads(self):
+        a = RunConfig(kind="spectrum", out_dir="a", threads=1, seed=1)
+        b = RunConfig(kind="spectrum", out_dir="b", threads=2, seed=1)
+        assert a.hash() == b.hash()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_readout_noise_only_where_seeded(self, kind):
+        base = dict(kind=kind, out_dir="x", gamma_grid=(math.pi,), eps_grid=(0.1,),
+                    tau_grid=(0.05,), text="Hi", trace_file="trace.csv")
+        RunConfig(**base).validate()
+        with pytest.raises(ConfigError, match="readout_noise"):
+            RunConfig(readout_noise=-0.1, **base).validate()
+        noisy = RunConfig(readout_noise=0.1, **base)
+        if kind in ("trace", "encode"):
+            noisy.validate()
+        else:
+            with pytest.raises(ConfigError, match="readout_noise"):
+                noisy.validate()
 
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
