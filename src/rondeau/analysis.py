@@ -33,11 +33,15 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """DFT amplitudes |1/M sum_l exp(-i omega_k l) s_l| and their grid."""
+    """DFT amplitudes |1/M sum_l exp(-i omega_k l) s_l| and their grid.
+
+    ``std`` is the spread over realizations of an averaged spectrum, else None.
+    """
 
     omegas: np.ndarray
     amplitudes: np.ndarray
     kind: str
+    std: np.ndarray | None = None
 
     @property
     def num_cycles(self) -> int:
@@ -46,11 +50,10 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class HeatingFit:
-    """1/e lifetime and decay rate, optionally with a reference rate."""
+    """1/e lifetime and decay rate; ``crossed`` tells whether 1/e was reached."""
 
     lifetime: float
     rate: float
-    rate_reference: float | None = None
     crossed: bool = True
 
 
@@ -327,7 +330,7 @@ def half_frequency_contrast(intensity_row: np.ndarray, exclude: int = 3) -> floa
     """Peak-to-background ratio of the period-doubling line.
 
     Peak is the bin at omega = pi; background the median over bins at least
-    `exclude` bins away from it (DC excluded as well).
+    `exclude` bins away from it (DC excluded as well); NaN if no such bin exists.
     """
     m = intensity_row.size
     center = m // 2
@@ -336,6 +339,8 @@ def half_frequency_contrast(intensity_row: np.ndarray, exclude: int = 3) -> floa
     lo = max(center - exclude, 0)
     mask[lo:center + exclude + 1] = False
     mask[0] = False
+    if not mask.any():
+        return math.nan
     background = float(np.median(intensity_row[mask]))
     if background == 0.0:
         return math.inf if peak > 0 else 0.0

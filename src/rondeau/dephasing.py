@@ -40,9 +40,8 @@ class DephasingParams:
 
 
 def model_signal(stream: SymbolStream, params: DephasingParams,
-                 amplitude: float = 1.0,
-                 readout_noise: float = 0.0, noise_seed: int | None = None) -> SignalTrace:
-    """Piecewise-constant trace on the same readout grid as the simulator.
+                 amplitude: float = 1.0) -> SignalTrace:
+    """Piecewise-constant, noise-free trace on the same readout grid as the simulator.
 
     The value after slot j is amplitude * (-cos eps)**kicks(j) * exp(-Gamma_0 * t_j);
     at the half-period sample this reproduces the sign law (-1)**cycle * symbol
@@ -70,9 +69,6 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     slots = np.arange(total + 1)
     cycle_index = np.maximum(slots - 1, 0) // per_block
     pulse_index = np.where(slots == 0, 0, (slots - 1) % per_block + 1)
-    if readout_noise > 0.0:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
-        values = values + readout_noise * rng.standard_normal(values.size)
     return SignalTrace(
         times=times, values=values, cycle_index=cycle_index,
         pulse_index=pulse_index, block_duration=spec.block_duration,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class SignalTrace:
     """Per-readout total-Ix record with timing metadata.
 
     ``pulse_index`` is the 1-based slot within the block (0 marks the
-    pre-drive sample at t=0); ``cycle_index`` is the block number.
+    pre-drive sample at t=0); ``cycle_index`` is the block number.  The
+    engines record noise-free values; :meth:`with_noise` adds read-out noise.
     """
 
     times: np.ndarray
@@ -74,6 +76,13 @@ class SignalTrace:
 
     def __len__(self) -> int:
         return self.times.size
+
+    def with_noise(self, readout_noise: float, noise_seed: int | None) -> "SignalTrace":
+        """This trace plus Gaussian read-out noise: std ``readout_noise``, PCG64 ``noise_seed``."""
+        if readout_noise <= 0.0:
+            return self
+        rng = np.random.Generator(np.random.PCG64(noise_seed))
+        return replace(self, values=self.values + readout_noise * rng.standard_normal(len(self)))
 
 
 def compile_program(stream: SymbolStream, spec: MonopoleSpec) -> PulseProgram:
@@ -195,13 +204,13 @@ def _check_norm(state: np.ndarray, context: str):
 # -- per-pulse engine ------------------------------------------------------
 
 def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
-           readout_noise: float = 0.0, noise_seed: int | None = None,
            angle_spread: float = 0.0, disorder_seed: int | None = None,
            norm_check_every: int = 256) -> SignalTrace:
     """Walk the pulse program one pulse at a time, recording Ix after each.
 
     The first sample is the pre-drive value at t=0, then one sample per
-    pulse at the end of its free-evolution slot.
+    pulse at the end of its free-evolution slot.  The samples are exact
+    expectation values, free of read-out noise.
     """
     num_spins = hamiltonian.num_spins
     if psi0.shape != (2**num_spins,):
@@ -230,9 +239,6 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
     per_block = spec.slots_per_block
     cycle_index = np.maximum(slots - 1, 0) // per_block
     pulse_index = np.where(slots == 0, 0, (slots - 1) % per_block + 1)
-    if readout_noise > 0.0:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
-        values = values + readout_noise * rng.standard_normal(values.size)
     return SignalTrace(
         times=times, values=values, cycle_index=cycle_index,
         pulse_index=pulse_index, block_duration=spec.block_duration,
@@ -248,37 +254,18 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
 
 def half_sample_slot(spec: MonopoleSpec) -> int:
     """Readout slot nearest the half-period instant (ties toward earlier)."""
-    target = spec.slots_per_block / 2.0
-    lo = math.floor(target)
-    hi = lo + 1
-    slot = lo if (target - lo) <= (hi - target) else hi
-    return min(max(slot, 1), spec.slots_per_block)
+    return max(spec.slots_per_block // 2, 1)
 
 
 def _matrix_powers(base: np.ndarray, exponents) -> dict[int, np.ndarray]:
     """Powers of a dense matrix sharing binary squarings across exponents."""
-    exponents = sorted(set(int(e) for e in exponents))
-    dim = base.shape[0]
-    out = {}
-    if not exponents:
-        return out
-    top = exponents[-1]
-    squares = [base]
-    while 2 ** len(squares) <= top:
-        squares.append(squares[-1] @ squares[-1])
-    for e in exponents:
-        if e == 0:
-            out[e] = np.eye(dim, dtype=complex)
-            continue
-        acc = None
-        bit = 0
-        rem = e
-        while rem:
-            if rem & 1:
-                acc = squares[bit] if acc is None else acc @ squares[bit]
-            rem >>= 1
-            bit += 1
-        out[e] = acc
+    squares, out = [base], {}
+    for e in sorted(set(int(e) for e in exponents)):
+        while 2 ** len(squares) <= e:
+            squares.append(squares[-1] @ squares[-1])
+        # multiply the squares of the set bits in increasing order
+        factors = [squares[bit] for bit in range(e.bit_length()) if e >> bit & 1]
+        out[e] = reduce(np.matmul, factors) if e else np.eye(base.shape[0], dtype=complex)
     return out
 
 
@@ -315,13 +302,6 @@ class BlockPropagatorFactory:
             h, n_plus - h, n - n_plus, n_minus, h - n_minus - 1, n + 1 - h,
         })
 
-    def _kick_cycle(self, mat: np.ndarray, gamma_y: float,
-                    angle_spread: float = 0.0, disorder_seed: int | None = None) -> np.ndarray:
-        """Left-multiply `mat` by the kick cycle (y rotation + free slot)."""
-        spec = replace(self.spec, gamma_y=gamma_y)
-        gates = _kick_gates(spec, self.num_spins, angle_spread, disorder_seed)
-        return self.u_free @ apply_gates(mat, gates, self.num_spins)
-
     def block_set(self, gamma_y: float | None = None, include_half: bool = True,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
         """Readout steps of both block signs for the given kick angle.
@@ -334,7 +314,10 @@ class BlockPropagatorFactory:
         spec = self.spec
         h = self.half_slot
         p = self.powers
-        kick = lambda m: self._kick_cycle(m, gamma_y, angle_spread, disorder_seed)
+        gates = _kick_gates(replace(spec, gamma_y=gamma_y), self.num_spins,
+                            angle_spread, disorder_seed)
+        # the kick cycle: y rotation, then its free slot
+        kick = lambda m: self.u_free @ apply_gates(m, gates, self.num_spins)
 
         halves = {
             1: (p[h], p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])),
@@ -364,9 +347,7 @@ class BlockPropagators:
 
 
 def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.ndarray,
-                     stop_factor: float | None = None,
-                     readout_noise: float = 0.0, noise_seed: int | None = None,
-                     norm_check_every: int = 64) -> SignalTrace:
+                     stop_factor: float | None = None, norm_check_every: int = 64) -> SignalTrace:
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
     Costs one dense matrix-vector product per step of ``props``: one or two
@@ -406,9 +387,6 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
     # block ends sit on exact multiples of T, which the slot sum can miss by an ulp
     times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
                      cycle_index * T + pulse_index * spec.tau)
-    if readout_noise > 0.0:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
-        values = values + readout_noise * rng.standard_normal(values.size)
     return SignalTrace(
         times=times, values=values, cycle_index=cycle_index,
         pulse_index=pulse_index, block_duration=T, num_cycles=cycles,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (HeatingFit, SpectrumResult, fit_power_law,
+from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_power_law,
                        half_frequency_contrast, lifetime, phase_diagram,
                        dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
@@ -130,6 +130,14 @@ class RunConfig:
             raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
             raise ConfigError("phase-diagram requires a gamma_grid")
+        order = _parse_order(self.n_order)
+        if self.kind in ("trace", "spectrum", "phase-diagram") and order != math.inf \
+                and self.cycles % 2**order:
+            raise ConfigError(f"cycles ({self.cycles}) must be a multiple of 2**n "
+                              f"({2**order}) for order {order}")
+        if self.cycles < MIN_SPECTRUM_CYCLES and (self.kind == "phase-diagram" or (
+                self.kind == "spectrum" and self.spectrum_kind != "symbol")):
+            raise ConfigError(f"{self.kind} needs cycles >= {MIN_SPECTRUM_CYCLES}")
         sweep = _SWEEPS.get(self.kind)
         if sweep and not getattr(self, sweep.grid):
             raise ConfigError(f"{self.kind} requires a non-empty {sweep.grid}")
@@ -137,7 +145,6 @@ class RunConfig:
             raise ConfigError("encode requires text")
         if self.kind == "decode" and not self.trace_file:
             raise ConfigError("decode requires a trace_file")
-        _parse_order(self.n_order)
         seen = set()
         for label in self.n_orders:
             order = _parse_order(label)
@@ -161,19 +168,15 @@ class RunConfig:
 
 
 def _parse_order(label) -> int | float:
-    if isinstance(label, (int, float)) and not isinstance(label, bool):
-        if label == math.inf:
-            return math.inf
-        if float(label).is_integer() and label >= 0:
-            return int(label)
-        raise ConfigError(f"invalid multipole order {label!r}")
+    """Multipole order of a label: an integer n >= 0, or inf ("inf", "tm", "thue-morse")."""
     text = str(label).strip().lower()
     if text in ("inf", "tm", "thue-morse"):
         return math.inf
+    numeric = isinstance(label, (int, float)) and not isinstance(label, bool)
     try:
-        value = int(text)
+        value = int(label) if numeric and float(label).is_integer() else int(text)
     except ValueError:
-        raise ConfigError(f"invalid multipole order {label!r}") from None
+        value = -1  # not an integer: rejected below like a negative order
     if value < 0:
         raise ConfigError(f"invalid multipole order {label!r}")
     return value
@@ -185,25 +188,19 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def make_stream(order, cycles: int, seed: int, exact: bool = True,
-                offset: int = 0) -> SymbolStream:
+def make_stream(order, cycles: int, seed: int, offset: int = 0) -> SymbolStream:
     """Stream covering `cycles` blocks for the given multipole order.
 
-    With ``exact`` the cycle count must respect the 2**n alignment of the
-    multipole; otherwise the stream is rounded up to the next multiple and
-    callers simply stop evolving early.  For the deterministic n -> inf
-    drive, ``offset`` selects the window that plays the role of a
-    realization; ``seed`` is ignored there.
+    A random drive is rounded up to the next multiple of its 2**n alignment
+    (`RunConfig.validate` keeps fixed-length kinds aligned).  For the
+    deterministic n -> inf drive, ``offset`` selects the window that plays
+    the role of a realization; ``seed`` is ignored there.
     """
     order = _parse_order(order)
     if order == math.inf:
         return thue_morse_stream(cycles, offset=offset)
     chunk = 2**order
-    if exact and cycles % chunk:
-        raise ConfigError(
-            f"cycles ({cycles}) must be a multiple of 2**n ({chunk}) for order {order}")
-    rounded = ((cycles + chunk - 1) // chunk) * chunk
-    return sample_rmd(order, rounded, seed)
+    return sample_rmd(order, -(-cycles // chunk) * chunk, seed)
 
 
 def _drive_realizations(config: RunConfig) -> int:
@@ -220,9 +217,11 @@ def _parallel_map(fn, items, threads: int):
 
 
 class FullSystem:
-    """Graph, Hamiltonian, initial state, and propagator caches for one run.
+    """Graph, Hamiltonian, initial state, and the propagator factory of one run.
 
-    The factory cache is safe to share between the threads of `_parallel_map`.
+    Only the factory of the most recent tau is kept, since a sweep uses each
+    tau for one point; the cache is safe to share between the threads of
+    `_parallel_map`.
     """
 
     def __init__(self, config: RunConfig):
@@ -238,73 +237,93 @@ class FullSystem:
         self.hamiltonian = build_hamiltonian(self.couplings)
         self.psi0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
-        self._factories: dict[float, BlockPropagatorFactory] = {}
+        self._factory: tuple[float, BlockPropagatorFactory] | None = None
         self._lock = threading.Lock()
 
     def factory(self, spec: MonopoleSpec) -> BlockPropagatorFactory:
-        key = spec.tau
         with self._lock:
-            if key not in self._factories:
-                self._factories[key] = BlockPropagatorFactory(
-                    self.hamiltonian, replace(spec, gamma_y=math.pi))
-            return self._factories[key]
+            if self._factory is None or self._factory[0] != spec.tau:
+                self._factory = None  # release the old factory before building
+                self._factory = (spec.tau, BlockPropagatorFactory(
+                    self.hamiltonian, replace(spec, gamma_y=math.pi)))
+            return self._factory[1]
 
 
-def dephasing_trace(config: RunConfig, stream: SymbolStream, spec: MonopoleSpec,
-                    noise_seed=None) -> SignalTrace:
-    params = DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
-    return model_signal(stream, params, amplitude=1.0,
-                        readout_noise=config.readout_noise, noise_seed=noise_seed)
+def _systems_for(config: RunConfig, graphs: int = 1) -> list:
+    """A FullSystem for each of ``graphs`` graph seeds, or [None] for the dephasing engine."""
+    if config.engine != "full":
+        return [None]
+    return [FullSystem(replace(config, graph_seed=config.graph_seed + g))
+            for g in range(graphs)]
 
 
-def measure_rate(system: FullSystem | None, props: BlockPropagators | None,
-                 config: RunConfig, spec: MonopoleSpec, order, seed: int,
+# -- the engine seam: only these two functions know which engine runs ---------
+
+def _block_set(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
+               include_half: bool = False) -> BlockPropagators | DephasingParams:
+    """What `_drive_trace` evolves under at ``spec``.
+
+    The full engine's block propagators on ``system`` (half-period readout
+    with ``include_half``), or the dephasing model's parameters when
+    ``system`` is None.
+    """
+    if system is None:
+        return DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
+    return system.factory(spec).block_set(spec.gamma_y, include_half=include_half)
+
+
+def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
+                 stop_factor: float | None = None) -> SignalTrace:
+    """Noise-free trace of ``stream`` under ``props`` from `_block_set`.
+
+    With ``stop_factor`` the full engine runs the early-stopping heating
+    rundown; the closed-form model always covers the whole stream.
+    """
+    if system is None:
+        return model_signal(stream, props)
+    if stop_factor is None:
+        return evolve_blockwise(stream, props, system.psi0)
+    return stroboscopic_rundown(stream, props, system.psi0, stop_factor=stop_factor)
+
+
+def measure_rate(system: FullSystem | None, props, config: RunConfig, order, seed: int,
                  offset: int = 0) -> HeatingFit:
-    """1/e decay rate of one drive realization under either engine.
-
-    The full engine evolves under ``props``, the whole-block propagators the
-    caller built for ``spec`` on ``system``; the dephasing engine (``system``
-    None) ignores both.
-    """
-    max_cycles = config.max_cycles
-    if config.engine == "dephasing" or system is None:
+    """1/e decay rate of one drive realization under ``props`` from `_block_set`."""
+    cycles = config.max_cycles
+    if system is None:
         # the model's own rate bounds the cycles needed to reach 1/e
-        params = DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
-        rate = predicted_rate(params)
-        budget = max_cycles
+        rate = predicted_rate(props)
         if rate > 0:
-            budget = min(max_cycles, max(64, int(3.0 / (rate * spec.block_duration))))
-        stream = make_stream(order, budget, seed, exact=False, offset=offset)
-        trace = dephasing_trace(config, stream, spec)
-        return lifetime(trace)
-    stream = make_stream(order, max_cycles, seed, exact=False, offset=offset)
-    trace = stroboscopic_rundown(replace(stream, symbols=stream.symbols[:max_cycles]),
-                                 props, system.psi0, stop_factor=0.8)
-    return lifetime(trace)
+            cycles = min(cycles, max(64, int(3.0 / (rate * props.spec.block_duration))))
+    stream = make_stream(order, cycles, seed, offset=offset)
+    if system is not None:
+        stream = replace(stream, symbols=stream.symbols[:cycles])
+    return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 
-def mean_rate(systems: list, config: RunConfig, spec: MonopoleSpec, order,
-              point_index: int) -> tuple[float, float, bool]:
-    """Rate averaged over graph and drive realizations: (mean, std, all_crossed).
+def point_rates(systems: list, config: RunConfig, spec: MonopoleSpec, orders,
+                indices) -> list[tuple[float, float, bool]]:
+    """Per order, the rate at ``spec`` over graph and drive realizations.
 
-    Each system's block set for ``spec`` is built here once and shared by
-    that system's realizations; it is released before the next system's.
+    Returns (mean, std, all_crossed) for each order; ``indices[k]`` is the
+    seed index of the k-th order.  Each system's block set is built once and
+    shared by every order and realization; it is released before the next
+    system's.
     """
-    order_val = _parse_order(order)
-    fits = []
+    fits = [[] for _ in orders]
     for gi, system in enumerate(systems):
-        props = None
-        if system is not None:
-            props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
-        for r in range(config.realizations):
-            seed = derive_seed(config.seed, point_index, gi, r)
+        props = _block_set(system, config, spec)
+        for order, index, order_fits in zip(orders, indices, fits):
             # deterministic drives vary by window offset instead of seed
-            offset = r if order_val == math.inf else 0
-            fits.append(measure_rate(system, props, config, spec, order, seed,
-                                     offset=offset))
-        props = None
-    rates = np.array([f.rate for f in fits])
-    return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
+            inf = _parse_order(order) == math.inf
+            for r in range(config.realizations):
+                order_fits.append(measure_rate(system, props, config, order,
+                                               derive_seed(config.seed, index, gi, r),
+                                               offset=r if inf else 0))
+        del props
+    rates = [np.array([f.rate for f in order_fits]) for order_fits in fits]
+    return [(float(r.mean()), float(r.std()), all(f.crossed for f in order_fits))
+            for r, order_fits in zip(rates, fits)]
 
 
 # -- experiment handlers ----------------------------------------------------
@@ -312,17 +331,15 @@ def mean_rate(systems: list, config: RunConfig, spec: MonopoleSpec, order,
 def _run_trace(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
     stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, 0))
-    if config.engine == "dephasing":
-        trace = dephasing_trace(config, stream, spec,
-                                noise_seed=derive_seed(config.seed, 0, 1))
-    else:
+    if config.engine == "full":
+        # the per-pulse reference engine, for the quasi-continuous readout
         system = FullSystem(config)
-        program = compile_program(stream, spec)
-        trace = evolve(program, system.hamiltonian, system.psi0,
-                       readout_noise=config.readout_noise,
-                       noise_seed=derive_seed(config.seed, 0, 1))
+        trace = evolve(compile_program(stream, spec), system.hamiltonian, system.psi0)
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
+    else:
+        trace = _drive_trace(None, _block_set(None, config, spec), stream)
+    trace = trace.with_noise(config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_stream(out / "stream.txt", stream)
     serialize.write_trace(out / "trace.csv", trace)
     fit = lifetime(trace)
@@ -333,20 +350,16 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
 def _run_spectrum(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
     system = props = None
-    if config.engine == "full" and config.spectrum_kind != "symbol":
-        system = FullSystem(config)
-        props = system.factory(spec).block_set(
-            spec.gamma_y, include_half=config.spectrum_kind == "micromotion")
+    if config.spectrum_kind != "symbol":
+        (system,) = _systems_for(config)
+        props = _block_set(system, config, spec,
+                           include_half=config.spectrum_kind == "micromotion")
 
     def one(r: int):
-        seed = derive_seed(config.seed, 0, r)
-        stream = make_stream(config.n_order, config.cycles, seed)
-        if config.spectrum_kind == "symbol":
+        stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, r))
+        if props is None:
             return symbol_dft(stream)
-        if config.engine == "dephasing":
-            trace = dephasing_trace(config, stream, spec)
-        else:
-            trace = evolve_blockwise(stream, props, system.psi0)
+        trace = _drive_trace(system, props, stream)
         if config.spectrum_kind == "micromotion":
             return dft_micromotion(trace, spec)
         return dft_stroboscopic(trace, spec)
@@ -355,54 +368,41 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
     spectra = _parallel_map(one, list(range(reps)), config.threads)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
-                          kind=spectra[0].kind)
-    serialize.write_spectrum(
-        out / "spectrum.csv", mean, std=amps.std(axis=0),
-        extra_meta={"realizations": reps, "n_order": config.n_order,
-                    "engine": config.engine, "seed": config.seed},
-    )
+                          kind=spectra[0].kind, std=amps.std(axis=0))
+    serialize.write_spectrum(out / "spectrum.csv", mean, extra_meta={
+        "realizations": reps, "n_order": config.n_order, "engine": config.engine,
+        "seed": config.seed})
     return {"kind": config.spectrum_kind, "realizations": reps, "cycles": config.cycles}
+
+
+def _json_number(x: float) -> float | str | None:
+    """``x`` as strict JSON: "inf" as in the CSV headers, None where undefined."""
+    return None if math.isnan(x) else "inf" if math.isinf(x) else x
 
 
 def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
-    system = FullSystem(config) if config.engine == "full" else None
+    (system,) = _systems_for(config)
     reps = _drive_realizations(config)
 
     def one(i: int) -> list:
         """(gamma, trace) of every realization at the i-th kick angle."""
         gamma = config.gamma_grid[i]
-        gspec = replace(spec, gamma_y=gamma)
-        props = None
-        if system is not None:
-            props = system.factory(gspec).block_set(gspec.gamma_y, include_half=False)
-        pairs = []
-        for r in range(reps):
-            stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, i, r))
-            if system is None:
-                pairs.append((gamma, dephasing_trace(config, stream, gspec)))
-            else:
-                pairs.append((gamma, evolve_blockwise(stream, props, system.psi0)))
-        return pairs
+        props = _block_set(system, config, replace(spec, gamma_y=gamma))
+        return [(gamma, _drive_trace(system, props, make_stream(
+                    config.n_order, config.cycles, derive_seed(config.seed, i, r))))
+                for r in range(reps)]
 
     per_gamma = _parallel_map(one, list(range(len(config.gamma_grid))), config.threads)
     sweep = [pair for pairs in per_gamma for pair in pairs]
     diagram = phase_diagram(sweep, n_order=config.n_order,
                             normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
-    contrasts = {repr(float(g)): half_frequency_contrast(row)
+    contrasts = {repr(float(g)): _json_number(half_frequency_contrast(row))
                  for g, row in zip(diagram.gamma_grid, diagram.intensity)}
     serialize.write_json(out / "contrast.json", {"half_frequency_contrast": contrasts})
     return {"gammas": len(config.gamma_grid), "realizations": reps,
             "cycles": config.cycles}
-
-
-def _systems_for(config: RunConfig):
-    """One FullSystem per graph realization, or [None] for the dephasing engine."""
-    if config.engine != "full":
-        return [None]
-    return [FullSystem(replace(config, graph_seed=config.graph_seed + g))
-            for g in range(config.graph_realizations)]
 
 
 def _run_heating(config: RunConfig, out: Path) -> dict:
@@ -411,45 +411,51 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     ``heating-eps`` sweeps the kick-angle deviation and fits the rate in
     excess of the rate at gamma = pi against |eps|; ``heating-period`` and
     ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
-    the rate against the period T.  Only points whose realizations all
-    crossed 1/e and whose fitted (excess) rate is positive enter a fit; an
-    eps order whose reference realizations never crossed is not fitted.
-    Every ``fits.json`` entry carries ``points_used`` and ``uncrossed``,
-    then ``exponent``/``stderr`` or an ``error``; eps entries add
-    ``rate_at_pi`` and ``reference_crossed``, tau-sweep entries
-    ``smallest_period_rate``.
+    the rate against the period T.  Each point, the eps reference included,
+    is measured for every order under one block set per system.  Only points
+    whose realizations all crossed 1/e and whose fitted (excess) rate is
+    positive enter a fit; an eps order whose reference realizations never
+    crossed is not fitted.  Every ``fits.json`` entry carries
+    ``points_used`` and ``uncrossed``, then ``exponent``/``stderr`` or an
+    ``error``; eps entries add ``rate_at_pi`` and ``reference_crossed``,
+    tau-sweep entries ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
     base = config.spec()
-    systems = _systems_for(config)
+    systems = _systems_for(config, config.graph_realizations)
     grid = getattr(config, sweep.grid)
-    rows, fits = [], {}
-    for k, order in enumerate(config.n_orders or sweep.orders or (config.n_order,)):
-        index = sweep.seed_block * k
-        if sweep.grid == "eps_grid":
-            reference, _, reference_crossed = mean_rate(
-                systems, config, replace(base, gamma_y=math.pi), order, index)
-            entry = {"rate_at_pi": reference, "reference_crossed": reference_crossed}
-            index += 1  # the reference point holds the order's first seed index
-            specs = [replace(base, gamma_y=math.pi + eps) for eps in grid]
-            xs = np.array(grid, dtype=float)
-        else:
-            reference, reference_crossed, entry = 0.0, True, {}
-            specs = [replace(base, tau=tau) for tau in grid]
-            specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
-                     for s in specs]
-            xs = np.array([s.block_duration for s in specs])
+    orders = config.n_orders or sweep.orders or (config.n_order,)
+    # the k-th order's point indices start at seed_block * k
+    starts = [sweep.seed_block * k for k in range(len(orders))]
+    if sweep.grid == "eps_grid":
+        references = point_rates(systems, config, replace(base, gamma_y=math.pi),
+                                 orders, starts)
+        starts = [s + 1 for s in starts]  # the reference holds each order's first index
+        specs = [replace(base, gamma_y=math.pi + eps) for eps in grid]
+        xs = np.array(grid, dtype=float)
+    else:
+        references = [(0.0, 0.0, True)] * len(orders)
+        specs = [replace(base, tau=tau) for tau in grid]
+        specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
+                 for s in specs]
+        xs = np.array([s.block_duration for s in specs])
+    points = _parallel_map(
+        lambda j: point_rates(systems, config, specs[j], orders, [s + j for s in starts]),
+        list(range(len(specs))), config.threads)
 
-        results = _parallel_map(
-            lambda task: mean_rate(systems, config, task[1], order, index + task[0]),
-            list(enumerate(specs)), config.threads)
+    rows, fits = [], {}
+    for k, order in enumerate(orders):
+        reference, _, reference_crossed = references[k]
+        results = [point[k] for point in points]
         rates = np.array([r[0] for r in results])
         crossed = np.array([r[2] for r in results], dtype=bool)
         ys = rates - reference
         use = crossed & (ys > 0) & reference_crossed
-        if sweep.grid == "tau_grid":
+        entry = {"points_used": int(use.sum()), "uncrossed": int((~crossed).sum())}
+        if sweep.grid == "eps_grid":
+            entry.update(rate_at_pi=reference, reference_crossed=reference_crossed)
+        else:
             entry["smallest_period_rate"] = float(rates[np.argmin(xs)])
-        entry.update(points_used=int(use.sum()), uncrossed=int((~crossed).sum()))
         if not reference_crossed:
             entry["error"] = "no fit: the reference rate at gamma = pi never crossed 1/e"
         else:
@@ -469,17 +475,11 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
 def _run_encode(config: RunConfig, out: Path) -> dict:
     message = Message(config.text)
     stream = encode(message)
-    spec = config.spec()
     serialize.write_stream(out / "stream.txt", stream)
-    if config.engine == "dephasing":
-        trace = dephasing_trace(config, stream, spec,
-                                noise_seed=derive_seed(config.seed, 0, 1))
-    else:
-        system = FullSystem(config)
-        props = system.factory(spec).block_set(spec.gamma_y, include_half=True)
-        trace = evolve_blockwise(stream, props, system.psi0,
-                                 readout_noise=config.readout_noise,
-                                 noise_seed=derive_seed(config.seed, 0, 1))
+    (system,) = _systems_for(config)
+    props = _block_set(system, config, config.spec(), include_half=True)
+    trace = _drive_trace(system, props, stream).with_noise(
+        config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_trace(out / "trace.csv", trace)
     return {"characters": len(message.text), "cycles": len(stream)}
 

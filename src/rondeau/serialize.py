@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import PhaseDiagram, SpectrumResult
 from .evolution import SignalTrace
-from .sequences import SymbolStream
+from .sequences import SymbolStream, order_label
 from .spins import CouplingSet, SpinGraph
 
 
@@ -49,7 +49,6 @@ def _read_header(text_lines) -> tuple[dict, list[str]]:
 
 
 def write_stream(path, stream: SymbolStream):
-    from .sequences import order_label
     lines: list[str] = []
     _write_header(lines, {
         "n_order": order_label(stream),
@@ -70,12 +69,13 @@ def read_stream(path) -> SymbolStream:
     return SymbolStream.from_text(body[0], n_order=n_order, seed=meta.get("seed"))
 
 
-def write_spectrum(path, spectrum: SpectrumResult, extra_meta: dict | None = None,
-                   std: np.ndarray | None = None):
+def write_spectrum(path, spectrum: SpectrumResult, extra_meta: dict | None = None):
+    """Spectrum table; an ``amplitude_std`` column follows when ``spectrum.std`` is set."""
     lines: list[str] = []
     meta = {"kind": spectrum.kind, "cycles": spectrum.num_cycles}
     meta.update(extra_meta or {})
     _write_header(lines, meta)
+    std = spectrum.std
     lines.append("omega,amplitude" + (",amplitude_std" if std is not None else ""))
     for i in range(spectrum.omegas.size):
         row = f"{_format_float(spectrum.omegas[i])},{_format_float(spectrum.amplitudes[i])}"
@@ -87,10 +87,10 @@ def write_spectrum(path, spectrum: SpectrumResult, extra_meta: dict | None = Non
 
 def read_spectrum(path) -> SpectrumResult:
     meta, body = _read_header(Path(path).read_text().splitlines())
-    rows = [line.split(",") for line in body[1:]]
-    omegas = np.array([float(r[0]) for r in rows])
-    amps = np.array([float(r[1]) for r in rows])
-    return SpectrumResult(omegas=omegas, amplitudes=amps, kind=meta.get("kind", "unknown"))
+    columns = np.array([[float(x) for x in line.split(",")] for line in body[1:]]).T
+    std = columns[2] if len(columns) > 2 else None
+    return SpectrumResult(omegas=columns[0], amplitudes=columns[1], std=std,
+                          kind=meta.get("kind", "unknown"))
 
 
 def write_graph(path, graph: SpinGraph):
@@ -181,4 +181,5 @@ def write_heating(path, xname: str, rows):
 
 
 def write_json(path, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite float is an error, not ``NaN``/``Infinity``."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

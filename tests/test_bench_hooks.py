@@ -1,5 +1,6 @@
 """The benchmark wraps package functions by name; a rename must fail fast here."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,39 @@ from tracing import Tracer, instrument
 instrument(Tracer())
 """
 
+# A tiny full-engine heating sweep (3 eps points, 2 realizations) and an encode,
+# run after instrumenting; prints the per-layer metrics of their spans.
+RUN_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracing import Tracer, instrument, layer_metrics
+tracer = Tracer()
+instrument(tracer)
+from rondeau.runner import RunConfig, run
+small = dict(engine="full", num_spins=4, pulses_per_block=12, kick_plus=8, kick_minus=4,
+             tau=0.05, realizations=2)
+run(RunConfig(kind="heating-eps", out_dir=sys.argv[3] + "/heat", eps_grid=(0.3, 0.5, 0.7),
+              max_cycles=64, **small))
+run(RunConfig(kind="encode", out_dir=sys.argv[3] + "/encode", text="Hi", **small))
+print(json.dumps(layer_metrics([tracer.spans])))
+"""
+
 
 def test_bench_tracing_instruments_current_names():
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_go_through_the_traced_names(tmp_path):
+    """A seam calling the engines by their home-module names would zero these spans."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
+         str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    # (3 eps points + the reference at gamma = pi) x 2 realizations
+    assert metrics["runner.measure_rate_calls"] == (3 + 1) * 2
+    assert metrics["runner.rundown_cycles"] > 0
+    assert metrics["evolution.blockwise_cycles"] > 0

@@ -80,8 +80,7 @@ class TestDecode:
         # additive noise at a tenth of the signal leaves sign slicing intact
         stream = encode(Message("Disorder"))
         for noise_seed in range(50):
-            trace = channel(stream, short_spec, readout_noise=0.1,
-                            noise_seed=noise_seed)
+            trace = channel(stream, short_spec).with_noise(0.1, noise_seed)
             assert decode(trace, short_spec).text == "Disorder"
 
     def test_full_simulator_round_trip(self):

@@ -131,8 +131,8 @@ class TestEvolveEngine:
     def test_readout_noise_reproducible(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
         program = compile_program(sample_rmd(0, 2, seed=1), short_spec)
-        a = evolve(program, hamiltonian, psi0, readout_noise=0.1, noise_seed=7)
-        b = evolve(program, hamiltonian, psi0, readout_noise=0.1, noise_seed=7)
+        a = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
+        b = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
         assert np.array_equal(a.values, b.values)
 
     def test_angle_disorder_reproducible_and_small(self, small_system, short_spec):

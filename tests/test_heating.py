@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rondeau.analysis import fit_power_law
-from rondeau.runner import ConfigError, RunConfig, mean_rate, run
+from rondeau.runner import ConfigError, RunConfig, point_rates, run
 
 SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
 EPS_GRID = tuple(float(e) for e in np.geomspace(0.02, 0.2, 6) * math.pi)
@@ -62,8 +62,9 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
         entry = fits[order]
         assert entry["uncrossed"] == sum(1 - r["crossed"] for r in mine)
         if kind == "heating-eps":
-            reference = mean_rate([None], config, dataclasses.replace(base, gamma_y=math.pi),
-                                  order, 1000 * k)
+            (reference,) = point_rates([None], config,
+                                       dataclasses.replace(base, gamma_y=math.pi),
+                                       [order], [1000 * k])
             assert (entry["rate_at_pi"], entry["reference_crossed"]) == \
                 (reference[0], reference[2])
         # an eps order whose reference never crossed 1/e is not fitted at all
@@ -84,7 +85,8 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
                 spec = dataclasses.replace(
                     spec, gamma_y=math.pi + config.sweep_slope * spec.block_duration)
                 assert row["x"] == spec.block_duration
-            rate, std, crossed = mean_rate([None], config, spec, order, point_index(k, j))
+            ((rate, std, crossed),) = point_rates([None], config, spec, [order],
+                                                  [point_index(k, j)])
             assert (row["rate"], row["std"], row["crossed"]) == (rate, std, int(crossed))
             reference = entry.get("rate_at_pi", 0.0)
             assert row["y"] == rate - reference

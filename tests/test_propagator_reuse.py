@@ -1,16 +1,18 @@
 """Block propagators are built once per kick angle and shared; lazy caches are thread-safe."""
 
 import dataclasses
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import rondeau.runner as runner
 from rondeau.evolution import BlockPropagatorFactory
-from rondeau.runner import FullSystem, RunConfig, derive_seed, mean_rate, measure_rate, run
+from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, point_rates, run
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 SMALL = dict(num_spins=4, engine="full", pulses_per_block=12, kick_plus=8, kick_minus=4,
@@ -35,6 +37,8 @@ def block_set_keys(monkeypatch):
     (dict(kind="spectrum", spectrum_kind="micromotion", cycles=16), 1),
     (dict(kind="phase-diagram", gamma_grid=(math.pi, 0.9 * math.pi), cycles=16), 2),
     (dict(kind="heating-eps", eps_grid=(0.2, 0.4, 0.6), max_cycles=64), 4),
+    (dict(kind="heating-highfreq", tau_grid=(0.05, 0.04, 0.03), n_orders=("0", "1"),
+          sweep_slope=0.5, max_cycles=64), 3),
 ])
 def test_one_block_set_per_kick_angle(tmp_path, block_set_keys, overrides, distinct):
     run(RunConfig(out_dir=str(tmp_path), **SMALL, **overrides))
@@ -42,21 +46,44 @@ def test_one_block_set_per_kick_angle(tmp_path, block_set_keys, overrides, disti
     assert len(block_set_keys) == distinct
 
 
+def test_tau_sweep_keeps_one_factory_alive(tmp_path, monkeypatch):
+    """Each tau's factory is released once the sweep moves on to the next tau."""
+    live = weakref.WeakSet()
+    counts = []
+    init, block_set = BlockPropagatorFactory.__init__, BlockPropagatorFactory.block_set
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    def counted_block_set(self, *args, **kwargs):
+        gc.collect()
+        counts.append(len(live))
+        return block_set(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockPropagatorFactory, "__init__", tracked_init)
+    monkeypatch.setattr(BlockPropagatorFactory, "block_set", counted_block_set)
+    # every default order of the high-frequency sweep at each of 4 periods
+    run(RunConfig(kind="heating-highfreq", out_dir=str(tmp_path), sweep_slope=0.5,
+                  tau_grid=(0.05, 0.04, 0.03, 0.02), max_cycles=64, **SMALL))
+    assert counts == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("order", ["1", "inf"])
 def test_shared_block_set_gives_identical_rates(order):
     config = RunConfig(kind="heating-eps", out_dir="x", graph_realizations=2,
                        max_cycles=256, seed=7, **SMALL)
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.3)
-    systems = runner._systems_for(config)
+    systems = runner._systems_for(config, config.graph_realizations)
     rates = []
     for gi, system in enumerate(systems):
         for r in range(config.realizations):
             props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
             seed = derive_seed(config.seed, 5, gi, r)
             offset = r if order == "inf" else 0
-            rates.append(measure_rate(system, props, config, spec, order, seed,
+            rates.append(measure_rate(system, props, config, order, seed,
                                       offset=offset).rate)
-    mean, std, _ = mean_rate(systems, config, spec, order, 5)
+    ((mean, std, _),) = point_rates(systems, config, spec, [order], [5])
     assert (mean, std) == (float(np.mean(rates)), float(np.std(rates)))
 
 
@@ -105,6 +132,22 @@ def test_eigensystem_is_computed_once_under_threads(monkeypatch):
     results = _race(hamiltonian.eigensystem)
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
+
+
+def test_factory_matches_each_callers_tau_under_threads():
+    """Callers sweeping different taus each get the factory of their own tau."""
+    system = FullSystem(RunConfig(kind="heating-period", out_dir="x", **SMALL))
+    spec = system.config.spec()
+    taus = [0.05, 0.04, 0.03, 0.02] * 2
+    lock = threading.Lock()
+
+    def call():
+        with lock:
+            tau = taus.pop()
+        return tau, system.factory(dataclasses.replace(spec, tau=tau))
+
+    results = _race(call, workers=8)
+    assert all(factory.spec.tau == tau for tau, factory in results)
 
 
 def test_factory_is_built_once_under_threads(monkeypatch):

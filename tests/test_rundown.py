@@ -60,9 +60,9 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
         return traces[-1]
 
     monkeypatch.setattr(runner, "stroboscopic_rundown", recorded)
-    fit = measure_rate(system, props, config, spec, order, seed=5)
+    fit = measure_rate(system, props, config, order, seed=5)
 
-    stream = make_stream(order, max_cycles, 5, exact=False)
+    stream = make_stream(order, max_cycles, 5)
     expected = reference_rundown(stream.symbols, props, system.psi0, max_cycles)
     (trace,) = traces
     assert trace.num_cycles == expected.num_cycles

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rondeau.runner as runner
 from rondeau.cli import load_config_file, main
 from rondeau.runner import KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.serialize import read_trace
@@ -57,6 +58,30 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="readout_noise"):
                 noisy.validate()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="trace", n_order="2", cycles=10),
+        dict(kind="spectrum", n_order="2", cycles=10),
+        dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=10),
+        dict(kind="phase-diagram", n_order="2", cycles=10),
+        dict(kind="phase-diagram", n_order="1", cycles=4),
+        dict(kind="spectrum", spectrum_kind="stroboscopic", n_order="inf", cycles=4),
+    ])
+    def test_cycles_rejected_before_any_system_is_built(self, tmp_path, monkeypatch,
+                                                        overrides):
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        with pytest.raises(ConfigError, match="cycles"):
+            run(RunConfig(out_dir=str(tmp_path), engine="full", num_spins=4,
+                          gamma_grid=(math.pi,), **overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="trace", n_order="inf", cycles=10),
+        dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=4),
+        dict(kind="heating-eps", n_order="2", cycles=10, eps_grid=(0.1,)),
+    ])
+    def test_cycles_accepted_where_alignment_does_not_apply(self, overrides):
+        RunConfig(out_dir="x", **overrides).validate()
+
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
@@ -91,6 +116,23 @@ class TestRunTrace:
         assert len(trace) == 6 * 13 + 1
 
 
+@pytest.mark.parametrize("kind", ["trace", "encode"])
+@pytest.mark.parametrize("engine", ["full", "dephasing"])
+def test_readout_noise_is_added_to_the_clean_trace(tmp_path, kind, engine):
+    base = dict(kind=kind, engine=engine, num_spins=4, seed=9, pulses_per_block=12,
+                kick_plus=8, kick_minus=4, tau=0.05, gamma_y=0.95 * math.pi,
+                gamma_0=0.01, n_order="1", cycles=8, text="Hi")
+    run(RunConfig(out_dir=str(tmp_path / "clean"), **base))
+    config = RunConfig(out_dir=str(tmp_path / "noisy"), readout_noise=0.05, **base)
+    run(config)
+    clean = read_trace(tmp_path / "clean" / "trace.csv")
+    noisy = read_trace(tmp_path / "noisy" / "trace.csv")
+    expected = clean.with_noise(config.readout_noise, derive_seed(config.seed, 0, 1))
+    assert np.array_equal(noisy.times, clean.times)
+    assert np.array_equal(noisy.values, expected.values)
+    assert not np.array_equal(noisy.values, clean.values)
+
+
 class TestRunSweeps:
     def test_phase_diagram_outputs(self, tmp_path):
         config = RunConfig(
@@ -104,7 +146,8 @@ class TestRunSweeps:
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 6  # header row + 5 kick angles
         contrast = json.loads((tmp_path / "pd" / "contrast.json").read_text())
-        ratios = contrast["half_frequency_contrast"]
+        # strict JSON: an infinite contrast is written as "inf"
+        ratios = {g: float(v) for g, v in contrast["half_frequency_contrast"].items()}
         assert ratios[repr(math.pi)] > ratios[repr(0.8 * math.pi)]
 
     def test_heating_eps_dephasing_engine_quadratic(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,12 +44,13 @@ def test_trace_round_trip_bit_exact(tmp_path):
 
 
 def test_spectrum_round_trip(tmp_path):
-    spectrum = symbol_dft(sample_rmd(1, 32, seed=2))
+    spectrum = dataclasses.replace(symbol_dft(sample_rmd(1, 32, seed=2)), std=np.zeros(32))
     path = tmp_path / "spectrum.csv"
-    serialize.write_spectrum(path, spectrum, std=np.zeros(32))
+    serialize.write_spectrum(path, spectrum)
     again = serialize.read_spectrum(path)
     assert np.array_equal(again.omegas, spectrum.omegas)
     assert np.array_equal(again.amplitudes, spectrum.amplitudes)
+    assert np.array_equal(again.std, spectrum.std)
     assert again.kind == spectrum.kind
 
 

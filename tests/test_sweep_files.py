@@ -48,15 +48,19 @@ def test_spectrum_csv_round_trips(tmp_path, written, spectrum_kind):
     config = RunConfig(kind="spectrum", out_dir=str(tmp_path), spectrum_kind=spectrum_kind,
                        n_order="1", realizations=3, gamma_y=0.95 * math.pi, **SMALL)
     run(config)
-    (_, spectrum), kwargs = written["write_spectrum"]
+    (_, spectrum), _ = written["write_spectrum"]
     meta, columns, rows = read_table(tmp_path / "spectrum.csv")
     assert meta == {"kind": spectrum_kind, "cycles": spectrum.num_cycles, "realizations": 3,
                     "n_order": "1", "engine": "full", "seed": 4}
     assert columns == ["omega", "amplitude", "amplitude_std"]
     assert np.array_equal(rows[:, 0], spectrum.omegas)
     assert np.array_equal(rows[:, 1], spectrum.amplitudes)
-    assert np.array_equal(rows[:, 2], kwargs["std"])
-    assert (kwargs["std"] > 0).any()
+    assert np.array_equal(rows[:, 2], spectrum.std)
+    assert (spectrum.std > 0).any()
+    again = serialize.read_spectrum(tmp_path / "spectrum.csv")
+    assert again.kind == spectrum_kind
+    for field in ("omegas", "amplitudes", "std"):
+        assert np.array_equal(getattr(again, field), getattr(spectrum, field)), field
 
 
 @pytest.mark.parametrize("n_order, realizations", [("1", 2), ("inf", 1)])
@@ -73,6 +77,20 @@ def test_phase_diagram_csv_round_trips(tmp_path, written, n_order, realizations)
     assert np.array_equal([float(nu) for nu in columns[1:]], diagram.nu_grid)
     assert np.array_equal(rows[:, 0], diagram.gamma_grid)
     assert np.array_equal(rows[:, 1:], diagram.intensity)
+
+
+def test_contrast_json_is_strict(tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    # an ideal kick leaves no background (an infinite contrast); 8 cycles leave no
+    # background bin at all (an undefined one)
+    for cycles, expected in ((16, "inf"), (8, None)):
+        out = tmp_path / str(cycles)
+        run(RunConfig(kind="phase-diagram", out_dir=str(out), gamma_grid=(math.pi,),
+                      **dict(SMALL, engine="dephasing", n_order="inf", cycles=cycles)))
+        contrast = json.loads((out / "contrast.json").read_text(), parse_constant=reject)
+        assert contrast == {"half_frequency_contrast": {repr(math.pi): expected}}
 
 
 def test_thue_morse_spectrum_evolves_its_single_drive_once(tmp_path, monkeypatch):
