@@ -1,0 +1,80 @@
+"""Golden-output suite: run every case of ``cases.json`` through the CLI.
+
+Each case is one ``rondeau`` command line, run with the case root as the
+working directory so every path it writes or reads (``--out``, ``--trace``)
+is relative and lands in the outputs byte for byte.  A case directory holds
+the files the command wrote plus ``stdout.json``, the line it printed.
+Manifests are stored without ``versions`` and ``config.out_dir``, the only
+fields that may differ between machines or checkouts.
+
+``tests/test_golden.py`` reruns the cases and compares bytes.  After a change
+that moves outputs on purpose, regenerate the committed copy with
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+and name every file that changed, with its reason, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CASES = json.loads((HERE / "cases.json").read_text())
+EXPECTED = HERE / "expected"
+
+
+def normalized(path: Path) -> bytes:
+    """Bytes of an output file, a manifest without its machine-dependent fields."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    manifest.pop("versions", None)
+    manifest["config"].pop("out_dir", None)
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+
+
+def run_cases(root: Path) -> None:
+    """Run every case in order under ``root`` (a decode reads an earlier encode)."""
+    from rondeau.cli import main
+
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for name, argv in CASES.items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv)
+            if code != 0:
+                raise RuntimeError(f"golden case {name} exited with {code}")
+            Path(name).mkdir(exist_ok=True)  # capacity writes no directory
+            Path(name, "stdout.json").write_text(stdout.getvalue())
+    finally:
+        os.chdir(cwd)
+
+
+def output_files(root: Path) -> dict[str, bytes]:
+    """Normalized bytes of every file under ``root``, keyed by relative path."""
+    return {p.relative_to(root).as_posix(): normalized(p)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def main() -> int:
+    shutil.rmtree(EXPECTED, ignore_errors=True)
+    EXPECTED.mkdir()
+    run_cases(EXPECTED)
+    for path in EXPECTED.rglob("manifest.json"):
+        path.write_bytes(normalized(path))
+    print(f"wrote {len(output_files(EXPECTED))} files for {len(CASES)} cases "
+          f"into {EXPECTED}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
