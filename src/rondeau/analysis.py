@@ -1,4 +1,4 @@
-"""Spectral analysis, lifetime extraction, and curve fitting of traces.
+"""Spectral analysis, lifetime extraction, and power-law fits of traces.
 
 All discrete Fourier transforms use the 1/M normalization on the grid
 omega_k = 2 pi k / M, where M is the number of drive cycles the trace
@@ -8,7 +8,7 @@ spans; amplitudes are absolute values, intensities their squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ MIN_SPECTRUM_CYCLES = 8
 
 class InsufficientDataError(ValueError):
     """Trace does not span enough cycles for the requested analysis."""
-
-
-class FitError(RuntimeError):
-    """Nonlinear fit failed to converge within its iteration budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,22 +60,6 @@ class PowerLawFit:
     exponent: float
     stderr: float
     prefactor: float
-
-
-@dataclass(frozen=True)
-class BiexponentialFit:
-    """Two-component exponential decay and its noise-floor crossing."""
-
-    amp_fast: float
-    tau_fast: float
-    amp_slow: float
-    tau_slow: float
-    floor_crossing: float
-    residual: float
-
-    def __call__(self, t):
-        return (self.amp_fast * np.exp(-np.asarray(t) / self.tau_fast)
-                + self.amp_slow * np.exp(-np.asarray(t) / self.tau_slow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,20 +141,11 @@ def dft_stroboscopic(trace: SignalTrace, spec: MonopoleSpec | None = None) -> Sp
     return SpectrumResult(omegas=omegas, amplitudes=amps, kind=STROBOSCOPIC)
 
 
-def pi_shift_mirror(amplitudes: np.ndarray) -> np.ndarray:
-    """Amplitudes reindexed omega -> pi - omega on the shared grid."""
-    m = amplitudes.size
-    if m % 2:
-        raise ValueError("pi-shift mirror needs an even number of cycles")
-    return amplitudes[(m // 2 - np.arange(m)) % m]
-
-
-def lifetime(trace: SignalTrace, method: str = "argmin") -> HeatingFit:
+def lifetime(trace: SignalTrace) -> HeatingFit:
     """1/e lifetime of the stroboscopic envelope.
 
-    "argmin" takes the literal global minimizer of ||S(t)| - S0/e| over the
-    stroboscopic samples (ties toward earlier times); "first-crossing"
-    returns the first sample at or below S0/e, for robustness studies.
+    The literal global minimizer of ||S(t)| - S0/e| over the stroboscopic
+    samples, ties toward earlier times.
     """
     times, values = stroboscopic_samples(trace)
     s0 = values[0]
@@ -184,13 +155,7 @@ def lifetime(trace: SignalTrace, method: str = "argmin") -> HeatingFit:
     magnitudes = np.abs(values[1:])
     if magnitudes.size == 0:
         raise InsufficientDataError("trace has no stroboscopic samples past t=0")
-    if method == "argmin":
-        pick = int(np.argmin(np.abs(magnitudes - target)))
-    elif method == "first-crossing":
-        below = np.nonzero(magnitudes <= target)[0]
-        pick = int(below[0]) if below.size else int(np.argmin(np.abs(magnitudes - target)))
-    else:
-        raise ValueError(f"unknown lifetime method {method!r}")
+    pick = int(np.argmin(np.abs(magnitudes - target)))
     t_e = float(times[1 + pick])
     return HeatingFit(lifetime=t_e, rate=1.0 / t_e,
                       crossed=bool(magnitudes.min() <= target))
@@ -217,75 +182,6 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     return PowerLawFit(exponent=float(slope),
                        stderr=float(math.sqrt(max(variance, 0.0) / sxx)),
                        prefactor=float(math.exp(intercept)))
-
-
-def spectral_slope(omegas: np.ndarray, amplitudes: np.ndarray,
-                   side: str = "low", decades: float = 1.0) -> PowerLawFit:
-    """Log-log slope of a spectrum near omega = 0 ("low") or omega = pi ("pi").
-
-    The fit window spans the given number of decades up from the smallest
-    resolvable offset, where the multipolar suppression is asymptotic.
-    """
-    m = omegas.size
-    if side == "low":
-        ks = np.arange(1, m // 2)
-        xs = omegas[ks]
-    elif side == "pi":
-        ks = m // 2 - np.arange(1, m // 2)
-        xs = np.pi - omegas[ks]
-    else:
-        raise ValueError(f"side must be 'low' or 'pi', got {side!r}")
-    window = xs <= xs[0] * 10.0**decades * (1 + 1e-12)
-    return fit_power_law(xs[window], amplitudes[ks][window])
-
-
-def fit_biexponential(trace: SignalTrace, noise_floor: float,
-                      max_evals: int = 20000) -> BiexponentialFit:
-    """Fit |S| at stroboscopic times to a two-exponential decay.
-
-    ``floor_crossing`` is the first time the fitted curve reaches the noise
-    floor (infinite if it never does within the fitted asymptote).
-    """
-    # imported here: scipy.optimize dominates the package import time
-    from scipy.optimize import brentq, curve_fit
-
-    times, values = stroboscopic_samples(trace)
-    mags = np.abs(values)
-    if mags.size < 8:
-        raise InsufficientDataError("need at least 8 stroboscopic samples")
-    if noise_floor <= 0:
-        raise ValueError("noise floor must be positive")
-    span = times[-1] - times[0]
-    s0 = mags[0]
-
-    def model(t, a1, t1, a2, t2):
-        return a1 * np.exp(-t / t1) + a2 * np.exp(-t / t2)
-
-    p0 = (0.5 * s0, span / 20.0, 0.5 * s0, span / 2.0)
-    bounds = ([0.0, 1e-12, 0.0, 1e-12], [np.inf] * 4)
-    try:
-        popt, _ = curve_fit(model, times, mags, p0=p0, bounds=bounds, maxfev=max_evals)
-    except RuntimeError as exc:
-        residual = float(np.sqrt(np.mean((model(times, *p0) - mags) ** 2)))
-        raise FitError(f"biexponential fit did not converge (rms at start {residual:.3g})") from exc
-    a1, t1, a2, t2 = (float(v) for v in popt)
-    if t1 > t2:  # report the fast component first
-        a1, t1, a2, t2 = a2, t2, a1, t1
-    residual = float(np.sqrt(np.mean((model(times, *popt) - mags) ** 2)))
-
-    if a1 + a2 <= noise_floor:
-        crossing = 0.0
-    else:
-        upper = max(t1, t2)
-        while model(upper, a1, t1, a2, t2) > noise_floor and upper < 1e9 * max(t1, t2):
-            upper *= 2.0
-        if model(upper, a1, t1, a2, t2) > noise_floor:
-            crossing = math.inf
-        else:
-            crossing = float(brentq(lambda t: model(t, a1, t1, a2, t2) - noise_floor,
-                                    0.0, upper))
-    return BiexponentialFit(amp_fast=a1, tau_fast=t1, amp_slow=a2, tau_slow=t2,
-                            floor_crossing=crossing, residual=residual)
 
 
 def phase_diagram(sweep, n_order=None, normalization: str = "row") -> PhaseDiagram:

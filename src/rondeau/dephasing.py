@@ -23,16 +23,12 @@ class DephasingParams:
     """Inputs of the dephasing model.
 
     ``epsilon`` is the kick deviation gamma_y - pi; ``gamma_0`` the
-    intrinsic decay rate (measured, not predicted); ``sweep_slope`` the
-    coefficient B of period sweeps with epsilon = B*T; ``epsilon_offset``
-    a static calibration error added on top of B*T.
+    intrinsic decay rate (measured, not predicted).
     """
 
     spec: MonopoleSpec
     epsilon: float = 0.0
     gamma_0: float = 0.0
-    sweep_slope: float = 0.0
-    epsilon_offset: float = 0.0
 
     def __post_init__(self):
         if self.gamma_0 < 0:
@@ -80,16 +76,14 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     )
 
 
-def predicted_rate(params: DephasingParams, period: float | None = None) -> float:
-    """Decay rate Gamma_e from the small-angle expansion of the kick factor.
+def predicted_rate(params: DephasingParams) -> float:
+    """Decay rate Gamma_e = Gamma_0 + eps**2 / (2 T) from the small-angle kick factor.
 
-    With a fixed deviation: Gamma_e = Gamma_0 + eps**2 / (2 T).  When the
-    deviation tracks the period (eps = eps_offset + B*T) this unfolds to
-    Gamma_0 + eps_offset**2/(2T) + B*eps_offset + B**2 T / 2, which bends
-    up again as T -> 0 whenever the calibration offset is nonzero.
+    A deviation that tracks the period, eps = eps_offset + B*T, unfolds to
+    Gamma_0 + eps_offset**2/(2T) + B*eps_offset + B**2 T / 2, which bends up
+    again as T -> 0 whenever the calibration offset is nonzero.
     """
-    T = params.spec.block_duration if period is None else period
-    eps = params.epsilon + params.epsilon_offset + params.sweep_slope * T
+    eps = params.epsilon
     if abs(eps) >= math.pi / 2:
         raise ValueError(f"kick deviation {eps:.3f} outside the small-angle regime")
-    return params.gamma_0 + eps**2 / (2.0 * T)
+    return params.gamma_0 + eps**2 / (2.0 * params.spec.block_duration)

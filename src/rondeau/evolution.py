@@ -134,12 +134,6 @@ def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     return out.reshape((2**num_spins,) + trailing)
 
 
-def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarray:
-    """Dense matrix of the factored global rotation (for small-system checks)."""
-    return apply_gates(np.eye(2**num_spins, dtype=complex),
-                       rotation_gate(axis, angle), num_spins)
-
-
 def total_ix(state: np.ndarray, num_spins: int) -> float:
     """Expectation of total Ix; spin flips are index permutations."""
     total = 0.0

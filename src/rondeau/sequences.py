@@ -114,15 +114,6 @@ class SymbolStream:
         return cls(symbols=symbols, n_order=n_order, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopePrediction:
-    """Predicted spectral envelope of an n-th order multipolar stream."""
-
-    n_order: int
-    grid: np.ndarray
-    amplitude: np.ndarray
-
-
 def _check_capacity(length: int, max_symbols: int):
     if length > max_symbols:
         raise StreamCapacityError(
@@ -192,42 +183,8 @@ def thue_morse_stream(cycles: int, offset: int = 0,
                         n_order=THUE_MORSE, seed=None)
 
 
-def floquet_stream(cycles: int, sign: int = 1,
-                   max_symbols: int = DEFAULT_MAX_SYMBOLS) -> SymbolStream:
-    """Periodic drive: the same monopole repeated every cycle."""
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_capacity(cycles, max_symbols)
-    return SymbolStream(symbols=np.full(cycles, sign, dtype=np.int8), n_order=None, seed=None)
-
-
-def structureless_stream(cycles: int, seed: int,
-                         max_symbols: int = DEFAULT_MAX_SYMBOLS) -> SymbolStream:
-    """Fully random stream: every cycle an independent fair coin (0-RMD)."""
-    return sample_rmd(0, cycles, seed, max_symbols=max_symbols)
-
-
 def order_label(stream: SymbolStream) -> int | str | None:
     """Serialization-friendly multipole order: an int, "inf", or None."""
     if stream.n_order is None:
         return None
     return "inf" if math.isinf(stream.n_order) else int(stream.n_order)
-
-
-def envelope(n: int, grid: np.ndarray) -> EnvelopePrediction:
-    """Spectral envelope prod_{j=1..n} [1 - cos(2**(j-1) nu)]**(1/2).
-
-    The empty product at n=0 is the flat envelope; for small nu the
-    product vanishes as nu**n.
-    """
-    if n < 0:
-        raise ValueError(f"multipole order must be >= 0, got {n}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < 0 or grid.max() > math.pi + 1e-12):
-        raise ValueError("frequency grid must lie in [0, pi]")
-    amp = np.ones_like(grid)
-    for j in range(1, n + 1):
-        amp = amp * np.sqrt(np.maximum(1.0 - np.cos(2 ** (j - 1) * grid), 0.0))
-    return EnvelopePrediction(n_order=n, grid=grid, amplitude=amp)

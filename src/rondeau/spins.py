@@ -217,17 +217,3 @@ def build_hamiltonian(couplings: CouplingSet, spin_cap: int = DEFAULT_SPIN_CAP) 
             H[dst, src] += -0.5 * B[k, l]
             H[src, dst] += -0.5 * B[k, l]
     return Hamiltonian(matrix=H, num_spins=n)
-
-
-def zero_hamiltonian(num_spins: int) -> Hamiltonian:
-    """Non-interacting reference system (all couplings off)."""
-    dim = 1 << num_spins
-    return Hamiltonian(matrix=np.zeros((dim, dim)), num_spins=num_spins)
-
-
-def total_iz_matrix(num_spins: int) -> np.ndarray:
-    """Diagonal of the total Iz operator in the computational basis."""
-    dim = 1 << num_spins
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(num_spins - 1, -1, -1)[None, :]) & 1
-    return 0.5 * (1.0 - 2.0 * bits).sum(axis=1)

@@ -1,0 +1,65 @@
+"""Independent reference results that only the tests compare the library against."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from rondeau.evolution import apply_gates, rotation_gate
+from rondeau.spins import Hamiltonian
+
+
+@dataclass(frozen=True, eq=False)
+class EnvelopePrediction:
+    """Predicted spectral envelope of an n-th order multipolar stream."""
+
+    n_order: int
+    grid: np.ndarray
+    amplitude: np.ndarray
+
+
+def envelope(n: int, grid: np.ndarray) -> EnvelopePrediction:
+    """Spectral envelope prod_{j=1..n} [1 - cos(2**(j-1) nu)]**(1/2).
+
+    The empty product at n=0 is the flat envelope; for small nu the
+    product vanishes as nu**n.
+    """
+    if n < 0:
+        raise ValueError(f"multipole order must be >= 0, got {n}")
+    grid = np.asarray(grid, dtype=float)
+    if grid.size and (grid.min() < 0 or grid.max() > math.pi + 1e-12):
+        raise ValueError("frequency grid must lie in [0, pi]")
+    amp = np.ones_like(grid)
+    for j in range(1, n + 1):
+        amp = amp * np.sqrt(np.maximum(1.0 - np.cos(2 ** (j - 1) * grid), 0.0))
+    return EnvelopePrediction(n_order=n, grid=grid, amplitude=amp)
+
+
+def pi_shift_mirror(amplitudes: np.ndarray) -> np.ndarray:
+    """Amplitudes reindexed omega -> pi - omega on the shared grid."""
+    m = amplitudes.size
+    if m % 2:
+        raise ValueError("pi-shift mirror needs an even number of cycles")
+    return amplitudes[(m // 2 - np.arange(m)) % m]
+
+
+def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarray:
+    """Dense matrix of the factored global rotation (for small-system checks)."""
+    return apply_gates(np.eye(2**num_spins, dtype=complex),
+                       rotation_gate(axis, angle), num_spins)
+
+
+def zero_hamiltonian(num_spins: int) -> Hamiltonian:
+    """Non-interacting reference system (all couplings off)."""
+    dim = 1 << num_spins
+    return Hamiltonian(matrix=np.zeros((dim, dim)), num_spins=num_spins)
+
+
+def total_iz_matrix(num_spins: int) -> np.ndarray:
+    """Diagonal of the total Iz operator in the computational basis."""
+    dim = 1 << num_spins
+    idx = np.arange(dim)
+    bits = (idx[:, None] >> np.arange(num_spins - 1, -1, -1)[None, :]) & 1
+    return 0.5 * (1.0 - 2.0 * bits).sum(axis=1)

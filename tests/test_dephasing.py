@@ -5,13 +5,22 @@ import numpy as np
 import pytest
 
 from rondeau.analysis import (dft_micromotion, fit_power_law, half_period_samples,
-                              pi_shift_mirror, stroboscopic_samples, symbol_dft)
+                              stroboscopic_samples, symbol_dft)
 from rondeau.dephasing import DephasingParams, model_signal, predicted_rate
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
+
+from oracles import pi_shift_mirror
 
 
 def params_for(spec, **kwargs):
     return DephasingParams(spec=spec, **kwargs)
+
+
+def swept_params(spec, period, offset=0.0, slope=0.0):
+    """Parameters at block duration ``period`` with epsilon = offset + slope * period."""
+    epsilon = offset + slope * period
+    return params_for(dataclasses.replace(spec, tau=period / spec.slots_per_block,
+                                          gamma_y=math.pi + epsilon), epsilon=epsilon)
 
 
 class TestModelSignal:
@@ -65,13 +74,13 @@ class TestPredictedRate:
         assert predicted_rate(params_for(short_spec, gamma_0=0.07)) == 0.07
 
     def test_small_angle_value(self, short_spec):
-        rate = predicted_rate(params_for(short_spec, epsilon=0.1), period=1.0)
+        rate = predicted_rate(swept_params(short_spec, 1.0, offset=0.1))
         assert rate == pytest.approx(0.005)
 
     def test_calibration_offset_bends_curve_up(self, short_spec):
-        p = params_for(short_spec, epsilon_offset=0.02, sweep_slope=0.05)
         periods = np.linspace(0.05, 4.0, 200)
-        rates = np.array([predicted_rate(p, period=t) for t in periods])
+        rates = np.array([predicted_rate(swept_params(short_spec, t, 0.02, 0.05))
+                          for t in periods])
         interior = np.argmin(rates)
         assert 0 < interior < periods.size - 1
         assert rates[0] > rates[interior]
@@ -79,9 +88,10 @@ class TestPredictedRate:
 
     def test_unfolds_sweep_terms(self, short_spec):
         offset, slope, period = 0.03, 0.02, 2.5
-        p = params_for(short_spec, epsilon_offset=offset, sweep_slope=slope)
+        p = swept_params(short_spec, period, offset, slope)
+        assert p.spec.block_duration == pytest.approx(period, rel=1e-15)
         expected = offset**2 / (2 * period) + slope * offset + slope**2 * period / 2
-        assert predicted_rate(p, period=period) == pytest.approx(expected)
+        assert predicted_rate(p) == pytest.approx(expected)
 
     def test_rejects_large_deviation(self, short_spec):
         with pytest.raises(ValueError):
@@ -101,8 +111,8 @@ class TestExponentProperties:
 
     def test_period_scaling_exactly_linear(self, short_spec):
         periods = np.geomspace(0.5, 5.0, 12)
-        p = params_for(short_spec, sweep_slope=0.04)
-        rates = np.array([predicted_rate(p, period=t) for t in periods])
+        rates = np.array([predicted_rate(swept_params(short_spec, t, slope=0.04))
+                          for t in periods])
         fit = fit_power_law(periods, rates)
         assert fit.exponent == pytest.approx(1.0, abs=1e-6)
         assert fit.stderr < 1e-6

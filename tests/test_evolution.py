@@ -8,10 +8,11 @@ from rondeau.analysis import half_period_samples, samples_nearest, stroboscopic_
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
                                PulseProgram, X_PULSE, Y_PULSE, compile_program,
-                               evolve, evolve_blockwise, global_rotation_matrix,
-                               half_sample_slot, initial_state, total_ix)
+                               evolve, evolve_blockwise, half_sample_slot,
+                               initial_state, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
-from rondeau.spins import zero_hamiltonian
+
+from oracles import global_rotation_matrix, zero_hamiltonian
 
 
 def stream_of(text):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rondeau.sequences import (MonopoleSpec, StreamCapacityError, SymbolStream,
-                               envelope, sample_rmd, thue_morse_stream,
-                               unroll_multipole)
+                               sample_rmd, thue_morse_stream, unroll_multipole)
+
+from oracles import envelope
 
 
 def parity_symbol(k: int) -> int:
@@ -124,6 +125,15 @@ class TestEnvelope:
     def test_rejects_grid_outside_range(self):
         with pytest.raises(ValueError):
             envelope(1, np.array([-0.1]))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_is_the_unrolled_multipole_spectrum(self, n):
+        # |sum_j b_j e^{-i w j}|**2 of one order-n block is 2**n envelope(n, w)**2
+        symbols = unroll_multipole(n, 1).symbols
+        grid = np.linspace(0, math.pi, 257)
+        power = np.abs(np.exp(-1j * np.outer(grid, np.arange(symbols.size))) @ symbols) ** 2
+        assert np.allclose(power, 2**n * envelope(n, grid).amplitude ** 2,
+                           rtol=0, atol=1e-11)
 
 
 class TestSymbolStream:

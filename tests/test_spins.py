@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from rondeau.spins import (ANGULAR, ISOTROPIC, CouplingSet, NormalizationError,
                            PackingInfeasibleError, SpinGraph, build_hamiltonian,
-                           compute_couplings, generate_graph, total_iz_matrix,
-                           zero_hamiltonian)
+                           compute_couplings, generate_graph)
+
+from oracles import total_iz_matrix, zero_hamiltonian
 
 
 def line_graph(*zs):
