@@ -202,7 +202,8 @@ class TestCli:
     def test_import_leaves_scipy_optimize_unloaded(self):
         src = Path(__file__).resolve().parent.parent / "src"
         script = ("import sys; sys.path.insert(0, sys.argv[1]); import rondeau.cli; "
-                  "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+                  "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                  "assert not loaded, f'scipy imported: {loaded}'")
         proc = subprocess.run([sys.executable, "-c", script, str(src)],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
