@@ -8,7 +8,7 @@ spans; amplitudes are absolute values, intensities their squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,13 +31,15 @@ class InsufficientDataError(ValueError):
 class SpectrumResult:
     """DFT amplitudes |1/M sum_l exp(-i omega_k l) s_l| and their grid.
 
-    ``std`` is the spread over realizations of an averaged spectrum, else None.
+    ``std`` is the spread over realizations of an averaged spectrum, else None;
+    ``meta`` the run parameters a spectrum file carries in its header.
     """
 
     omegas: np.ndarray
     amplitudes: np.ndarray
     kind: str
     std: np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
 
     @property
     def num_cycles(self) -> int:

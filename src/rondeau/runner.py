@@ -368,10 +368,10 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
     spectra = _parallel_map(one, list(range(reps)), config.threads)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
-                          kind=spectra[0].kind, std=amps.std(axis=0))
-    serialize.write_spectrum(out / "spectrum.csv", mean, extra_meta={
-        "realizations": reps, "n_order": config.n_order, "engine": config.engine,
-        "seed": config.seed})
+                          kind=spectra[0].kind, std=amps.std(axis=0), meta={
+                              "realizations": reps, "n_order": config.n_order,
+                              "engine": config.engine, "seed": config.seed})
+    serialize.write_spectrum(out / "spectrum.csv", mean)
     return {"kind": config.spectrum_kind, "realizations": reps, "cycles": config.cycles}
 
 

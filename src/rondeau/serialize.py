@@ -69,12 +69,11 @@ def read_stream(path) -> SymbolStream:
     return SymbolStream.from_text(body[0], n_order=n_order, seed=meta.get("seed"))
 
 
-def write_spectrum(path, spectrum: SpectrumResult, extra_meta: dict | None = None):
+def write_spectrum(path, spectrum: SpectrumResult):
     """Spectrum table; an ``amplitude_std`` column follows when ``spectrum.std`` is set."""
     lines: list[str] = []
-    meta = {"kind": spectrum.kind, "cycles": spectrum.num_cycles}
-    meta.update(extra_meta or {})
-    _write_header(lines, meta)
+    _write_header(lines, {"kind": spectrum.kind, "cycles": spectrum.num_cycles,
+                          **spectrum.meta})
     std = spectrum.std
     lines.append("omega,amplitude" + (",amplitude_std" if std is not None else ""))
     for i in range(spectrum.omegas.size):
@@ -89,8 +88,10 @@ def read_spectrum(path) -> SpectrumResult:
     meta, body = _read_header(Path(path).read_text().splitlines())
     columns = np.array([[float(x) for x in line.split(",")] for line in body[1:]]).T
     std = columns[2] if len(columns) > 2 else None
-    return SpectrumResult(omegas=columns[0], amplitudes=columns[1], std=std,
-                          kind=meta.get("kind", "unknown"))
+    kind = meta.pop("kind", "unknown")
+    meta.pop("cycles", None)  # the length of omegas
+    return SpectrumResult(omegas=columns[0], amplitudes=columns[1], std=std, kind=kind,
+                          meta=meta)
 
 
 def write_graph(path, graph: SpinGraph):

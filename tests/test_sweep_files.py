@@ -59,6 +59,7 @@ def test_spectrum_csv_round_trips(tmp_path, written, spectrum_kind):
     assert (spectrum.std > 0).any()
     again = serialize.read_spectrum(tmp_path / "spectrum.csv")
     assert again.kind == spectrum_kind
+    assert again.meta == {"realizations": 3, "n_order": "1", "engine": "full", "seed": 4}
     for field in ("omegas", "amplitudes", "std"):
         assert np.array_equal(getattr(again, field), getattr(spectrum, field)), field
 
