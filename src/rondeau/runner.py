@@ -296,8 +296,7 @@ def measure_rate(system: FullSystem | None, props, config: RunConfig, order, see
         if rate > 0:
             cycles = min(cycles, max(64, int(3.0 / (rate * props.spec.block_duration))))
     stream = make_stream(order, cycles, seed, offset=offset)
-    if system is not None:
-        stream = replace(stream, symbols=stream.symbols[:cycles])
+    stream = replace(stream, symbols=stream.symbols[:cycles])
     return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 

@@ -76,3 +76,22 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
     else:
         assert expected.num_cycles == max_cycles
     assert (len(stream) > max_cycles) == (outcome == "rounded-up")
+
+
+def test_dephasing_rundown_stops_at_max_cycles(monkeypatch):
+    config = RunConfig(kind="heating-eps", out_dir="x", engine="dephasing",
+                       pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.01,
+                       max_cycles=101, eps_grid=(0.05,))
+    spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.05)
+    lengths = []
+    model_signal = runner.model_signal
+
+    def recorded(stream, params):
+        lengths.append(len(stream))
+        return model_signal(stream, params)
+
+    monkeypatch.setattr(runner, "model_signal", recorded)
+    fit = measure_rate(None, runner._block_set(None, config, spec), config, "2", seed=5)
+    assert lengths == [101]  # not the 104 symbols of the rounded-up order-2 stream
+    assert not fit.crossed
+    assert fit.lifetime == pytest.approx(101 * spec.block_duration)
