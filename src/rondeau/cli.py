@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "enter a fit. Each fits.json entry holds points_used, uncrossed, "
                     "and exponent/stderr or error; eps entries add rate_at_pi and "
                     "reference_crossed (an order whose gamma=pi reference never "
-                    "crossed 1/e is not fitted), period and highfreq entries add "
-                    "smallest_period_rate.")
+                    "crossed 1/e is not fitted and its rate_at_pi is null), period "
+                    "and highfreq entries add smallest_period_rate.")
     _add_common(p); _add_system(p); _add_drive(p)
     p.add_argument("--sweep", choices=["eps", "period", "highfreq"], default="eps",
                    help="eps: kick-angle deviation; period: tau with eps = slope*T; "

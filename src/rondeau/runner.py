@@ -414,7 +414,8 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     is measured for every order under one block set per system.  Only points
     whose realizations all crossed 1/e and whose fitted (excess) rate is
     positive enter a fit; an eps order whose reference realizations never
-    crossed is not fitted.  Every ``fits.json`` entry carries
+    crossed is not fitted, and its reference rate is NaN (``null`` in
+    ``fits.json``), since the argmin fallback is no rate.  Every ``fits.json`` entry carries
     ``points_used`` and ``uncrossed``, then ``exponent``/``stderr`` or an
     ``error``; eps entries add ``rate_at_pi`` and ``reference_crossed``,
     tau-sweep entries ``smallest_period_rate``.
@@ -445,6 +446,8 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     rows, fits = [], {}
     for k, order in enumerate(orders):
         reference, _, reference_crossed = references[k]
+        if not reference_crossed:
+            reference = math.nan
         results = [point[k] for point in points]
         rates = np.array([r[0] for r in results])
         crossed = np.array([r[2] for r in results], dtype=bool)
@@ -452,7 +455,8 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
         use = crossed & (ys > 0) & reference_crossed
         entry = {"points_used": int(use.sum()), "uncrossed": int((~crossed).sum())}
         if sweep.grid == "eps_grid":
-            entry.update(rate_at_pi=reference, reference_crossed=reference_crossed)
+            entry.update(rate_at_pi=_json_number(reference),
+                         reference_crossed=reference_crossed)
         else:
             entry["smallest_period_rate"] = float(rates[np.argmin(xs)])
         if not reference_crossed:
