@@ -414,10 +414,10 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     is measured for every order under one block set per system.  Only points
     whose realizations all crossed 1/e and whose fitted (excess) rate is
     positive enter a fit; an eps order whose reference realizations never
-    crossed is not fitted, and its reference rate is NaN (``null`` in
-    ``fits.json``), since the argmin fallback is no rate.  Every ``fits.json`` entry carries
-    ``points_used`` and ``uncrossed``, then ``exponent``/``stderr`` or an
-    ``error``; eps entries add ``rate_at_pi`` and ``reference_crossed``,
+    crossed is not fitted, and its reference rate, only the argmin fallback,
+    is NaN.  Every ``fits.json`` entry carries ``points_used`` and
+    ``uncrossed``, then ``exponent``/``stderr`` or an ``error``; eps entries
+    add ``rate_at_pi`` (``null`` when NaN) and ``reference_crossed``,
     tau-sweep entries ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
