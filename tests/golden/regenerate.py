@@ -12,7 +12,8 @@ that moves outputs on purpose, regenerate the committed copy with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-and name every file that changed, with its reason, in CHANGES.md.
+which prints every file it added, changed or removed relative to the copy it
+replaced, and name each of them, with its reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -65,13 +66,26 @@ def output_files(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def changes(before: dict[str, bytes], after: dict[str, bytes]) -> dict[str, list[str]]:
+    """Files of ``after`` added, changed or removed relative to ``before``."""
+    return {"added": sorted(after.keys() - before.keys()),
+            "changed": sorted(k for k in after.keys() & before.keys()
+                              if after[k] != before[k]),
+            "removed": sorted(before.keys() - after.keys())}
+
+
 def main() -> int:
+    before = output_files(EXPECTED) if EXPECTED.exists() else {}
     shutil.rmtree(EXPECTED, ignore_errors=True)
     EXPECTED.mkdir()
     run_cases(EXPECTED)
     for path in EXPECTED.rglob("manifest.json"):
         path.write_bytes(normalized(path))
-    print(f"wrote {len(output_files(EXPECTED))} files for {len(CASES)} cases "
+    after = output_files(EXPECTED)
+    for change, names in changes(before, after).items():
+        for name in names:
+            print(f"{change} {name}")
+    print(f"wrote {len(after)} files for {len(CASES)} cases "
           f"into {EXPECTED}", file=sys.stderr)
     return 0
 
