@@ -1,5 +1,9 @@
 """Spectral analysis, lifetime extraction, and power-law fits of traces.
 
+Every analysis picks a trace's samples by pulse slot, never by time: the
+stroboscopic ones (t = 0, then each cycle's block end) and the half-period
+ones (each cycle's `half_sample_slot`); a trace lacking one is rejected.
+
 All discrete Fourier transforms use the 1/M normalization on the grid
 omega_k = 2 pi k / M, where M is the number of drive cycles the trace
 spans; amplitudes are absolute values, intensities their squares.
@@ -12,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import SignalTrace
-from .sequences import MonopoleSpec, SymbolStream
+from .evolution import SignalTrace, half_sample_slot
+from .sequences import SymbolStream
 
 MICROMOTION = "micromotion"
 STROBOSCOPIC = "stroboscopic"
@@ -90,29 +94,28 @@ def symbol_dft(stream: SymbolStream) -> SpectrumResult:
     return SpectrumResult(omegas=omegas, amplitudes=amps, kind=SYMBOL)
 
 
-def samples_nearest(trace: SignalTrace, targets: np.ndarray) -> np.ndarray:
-    """Values at the recorded instants nearest each target time (ties earlier)."""
-    times = trace.times
-    idx = np.searchsorted(times, targets)
-    idx = np.clip(idx, 1, times.size - 1)
-    left_closer = (targets - times[idx - 1]) <= (times[idx] - targets)
-    idx = np.where(left_closer, idx - 1, idx)
-    return trace.values[idx]
+def _slot_samples(trace: SignalTrace, slot: int) -> np.ndarray:
+    """Value after slot ``slot`` of each cycle; a ValueError names the cycles lacking one."""
+    rows = np.flatnonzero((trace.pulse_index == slot) & (trace.cycle_index < trace.num_cycles))
+    pick = np.full(trace.num_cycles, -1)
+    pick[trace.cycle_index[rows]] = rows
+    missing = np.flatnonzero(pick < 0)
+    if missing.size:
+        raise ValueError(f"trace has no slot {slot} sample in cycles {missing.tolist()}")
+    return trace.values[pick]
 
 
-def half_period_samples(trace: SignalTrace, spec: MonopoleSpec | None = None) -> np.ndarray:
-    """Micromotion samples nearest (2l+1) T/2 for each complete cycle."""
-    T = trace.block_duration if spec is None else spec.block_duration
-    m = trace.num_cycles
-    targets = (2.0 * np.arange(m) + 1.0) * T / 2.0
-    return samples_nearest(trace, targets)
+def half_period_samples(trace: SignalTrace) -> np.ndarray:
+    """Micromotion samples: the `half_sample_slot` sample of each cycle."""
+    return _slot_samples(trace, half_sample_slot(trace))
 
 
 def stroboscopic_samples(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(times, values) nearest l*T for l = 0 .. cycles."""
-    T = trace.block_duration
-    targets = T * np.arange(trace.num_cycles + 1)
-    return targets, samples_nearest(trace, targets)
+    """(l*T, value) for l = 0 .. cycles: the t = 0 sample, then each block-end sample."""
+    if not len(trace) or trace.pulse_index[0] != 0:
+        raise ValueError("trace has no t = 0 sample")
+    values = np.concatenate([trace.values[:1], _slot_samples(trace, trace.slots_per_block)])
+    return trace.block_duration * np.arange(trace.num_cycles + 1), values
 
 
 def digitize(values: np.ndarray) -> np.ndarray:
@@ -120,26 +123,25 @@ def digitize(values: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(values) >= 0, 1.0, -1.0)
 
 
-def dft_micromotion(trace: SignalTrace, spec: MonopoleSpec | None = None) -> SpectrumResult:
+def dft_micromotion(trace: SignalTrace) -> SpectrumResult:
     """Spectrum of the digitized half-period micromotion."""
     if trace.num_cycles < MIN_SPECTRUM_CYCLES:
         raise InsufficientDataError(
             f"need at least {MIN_SPECTRUM_CYCLES} cycles, got {trace.num_cycles}"
         )
-    signs = digitize(half_period_samples(trace, spec))
+    signs = digitize(half_period_samples(trace))
     omegas, amps = _dft_amplitudes(signs)
     return SpectrumResult(omegas=omegas, amplitudes=amps, kind=MICROMOTION)
 
 
-def dft_stroboscopic(trace: SignalTrace, spec: MonopoleSpec | None = None) -> SpectrumResult:
+def dft_stroboscopic(trace: SignalTrace) -> SpectrumResult:
     """Spectrum of the raw signal at stroboscopic times l*T, l = 0 .. M-1."""
     if trace.num_cycles < MIN_SPECTRUM_CYCLES:
         raise InsufficientDataError(
             f"need at least {MIN_SPECTRUM_CYCLES} cycles, got {trace.num_cycles}"
         )
-    T = trace.block_duration if spec is None else spec.block_duration
-    targets = T * np.arange(trace.num_cycles)
-    omegas, amps = _dft_amplitudes(samples_nearest(trace, targets))
+    _, values = stroboscopic_samples(trace)
+    omegas, amps = _dft_amplitudes(values[:-1])
     return SpectrumResult(omegas=omegas, amplitudes=amps, kind=STROBOSCOPIC)
 
 

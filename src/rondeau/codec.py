@@ -82,19 +82,18 @@ def encode(message: Message | str, start_cycle: int = 0) -> SymbolStream:
     return SymbolStream(symbols=symbols, n_order=None, seed=None)
 
 
-def decode_margins(trace: SignalTrace, spec: MonopoleSpec | None = None) -> np.ndarray:
+def decode_margins(trace: SignalTrace) -> np.ndarray:
     """Raw half-period sample values, one per complete cycle."""
-    return half_period_samples(trace, spec)
+    return half_period_samples(trace)
 
 
-def decode(trace: SignalTrace, spec: MonopoleSpec | None = None,
-           threshold: float = 0.0, start_cycle: int = 0) -> Message:
+def decode(trace: SignalTrace, threshold: float = 0.0, start_cycle: int = 0) -> Message:
     """Read the message back from a trace's half-period samples.
 
     Samples with magnitude at or below `threshold` abort the decode with
     the affected cycle numbers; a trailing partial character is dropped.
     """
-    samples = decode_margins(trace, spec)[start_cycle:]
+    samples = decode_margins(trace)[start_cycle:]
     weak = np.nonzero(np.abs(samples) <= threshold)[0]
     usable = samples.size - samples.size % BITS_PER_CHAR
     if usable == 0:

@@ -23,12 +23,14 @@ class DephasingParams:
     """Inputs of the dephasing model.
 
     ``epsilon`` is the kick deviation gamma_y - pi; ``gamma_0`` the
-    intrinsic decay rate (measured, not predicted).
+    intrinsic decay rate (measured, not predicted); ``readout`` the slots
+    sampled in each cycle, as `readout_slots` gives them, or None for every slot.
     """
 
     spec: MonopoleSpec
     epsilon: float = 0.0
     gamma_0: float = 0.0
+    readout: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.gamma_0 < 0:
@@ -37,42 +39,34 @@ class DephasingParams:
 
 def model_signal(stream: SymbolStream, params: DephasingParams,
                  amplitude: float = 1.0) -> SignalTrace:
-    """Piecewise-constant, noise-free trace on the same readout grid as the simulator.
+    """Noise-free trace at the ``params.readout`` slots of every cycle.
 
-    The value after slot j is amplitude * (-cos eps)**kicks(j) * exp(-Gamma_0 * t_j);
-    at the half-period sample this reproduces the sign law (-1)**cycle * symbol
-    for eps = 0.
+    The value after slot j of cycle l is amplitude * (-cos eps)**kicks *
+    exp(-Gamma_0 * t) with kicks = l + (j > the block's kick slot); at the
+    half-period sample this reproduces the sign law (-1)**cycle * symbol for eps = 0.
     """
     spec = params.spec
     if not spec.kick_minus < half_sample_slot(spec) <= spec.kick_plus:
         raise ValueError("half-period readout does not distinguish the blocks")
-    cycles = len(stream)
     per_block = spec.slots_per_block
-    total = cycles * per_block
-
-    kick_flags = np.zeros(total, dtype=bool)
-    if cycles:
-        kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)
-        kick_flags[np.arange(cycles) * per_block + kick_slots] = True
-    kicks = np.cumsum(kick_flags)
-
-    slot_times = spec.tau * np.arange(1, total + 1)
+    slots = np.arange(1, per_block + 1) if params.readout is None else np.array(params.readout)
+    cycle_index = np.repeat(np.arange(len(stream)), slots.size)
+    pulse_index = np.tile(slots, len(stream))
+    kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle_index]
+    kicks = cycle_index + (pulse_index > kick_slots)
+    slot_times = spec.tau * (cycle_index * per_block + pulse_index)
     values = amplitude * np.power(-math.cos(params.epsilon), kicks) \
         * np.exp(-params.gamma_0 * slot_times)
-
-    times = np.concatenate([[0.0], slot_times])
-    values = np.concatenate([[amplitude], values])
-    slots = np.arange(total + 1)
-    cycle_index = np.maximum(slots - 1, 0) // per_block
-    pulse_index = np.where(slots == 0, 0, (slots - 1) % per_block + 1)
     return SignalTrace(
-        times=times, values=values, cycle_index=cycle_index,
-        pulse_index=pulse_index, block_duration=spec.block_duration,
-        num_cycles=cycles,
+        times=np.concatenate([[0.0], slot_times]),
+        values=np.concatenate([[amplitude], values]),
+        cycle_index=np.concatenate([[0], cycle_index]),
+        pulse_index=np.concatenate([[0], pulse_index]),
+        block_duration=spec.block_duration, num_cycles=len(stream), slots_per_block=per_block,
         meta={"engine": "dephasing", "stream_seed": stream.seed,
               "n_order": order_label(stream), "gamma_y": spec.gamma_y,
               "epsilon": params.epsilon, "gamma_0": params.gamma_0,
-              "tau": spec.tau, "pulses_per_block": spec.pulses_per_block},
+              "tau": spec.tau},
     )
 
 

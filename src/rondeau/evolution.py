@@ -57,8 +57,8 @@ class PulseProgram:
 class SignalTrace:
     """Per-readout total-Ix record with timing metadata.
 
-    ``pulse_index`` is the 1-based slot within the block (0 marks the
-    pre-drive sample at t=0); ``cycle_index`` is the block number.  The
+    ``pulse_index`` is the 1-based slot within the block, up to ``slots_per_block``
+    (0 marks the pre-drive sample at t=0); ``cycle_index`` is the block number.  The
     engines record noise-free values; :meth:`with_noise` adds read-out noise.
     """
 
@@ -68,6 +68,7 @@ class SignalTrace:
     pulse_index: np.ndarray
     block_duration: float
     num_cycles: int
+    slots_per_block: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -236,19 +237,24 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
     return SignalTrace(
         times=times, values=values, cycle_index=cycle_index,
         pulse_index=pulse_index, block_duration=spec.block_duration,
-        num_cycles=program.num_cycles,
+        num_cycles=program.num_cycles, slots_per_block=per_block,
         meta={"engine": "full", "num_spins": num_spins,
               "stream_seed": program.stream.seed, "n_order": order_label(program.stream),
-              "gamma_y": spec.gamma_y, "tau": spec.tau,
-              "pulses_per_block": spec.pulses_per_block},
+              "gamma_y": spec.gamma_y, "tau": spec.tau},
     )
 
 
 # -- blockwise engine ------------------------------------------------------
 
-def half_sample_slot(spec: MonopoleSpec) -> int:
-    """Readout slot nearest the half-period instant (ties toward earlier)."""
-    return max(spec.slots_per_block // 2, 1)
+def half_sample_slot(layout: MonopoleSpec | SignalTrace) -> int:
+    """Readout slot nearest the half-period instant of a spec's or a trace's blocks."""
+    return max(layout.slots_per_block // 2, 1)
+
+
+def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
+    """Per-cycle readout slots: the half-period slot with ``include_half``, then the block end."""
+    end = spec.slots_per_block
+    return (half_sample_slot(spec), end) if include_half else (end,)
 
 
 def _matrix_powers(base: np.ndarray, exponents) -> dict[int, np.ndarray]:
@@ -313,16 +319,14 @@ class BlockPropagatorFactory:
         # the kick cycle: y rotation, then its free slot
         kick = lambda m: self.u_free @ apply_gates(m, gates, self.num_spins)
 
-        halves = {
+        ops = {
             1: (p[h], p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])),
             -1: (p[h - spec.kick_minus - 1] @ kick(p[spec.kick_minus]),
                  p[spec.pulses_per_block + 1 - h]),
         }
-        end = spec.slots_per_block
-        if include_half:
-            steps = {s: ((h, first), (end, second)) for s, (first, second) in halves.items()}
-        else:
-            steps = {s: ((end, second @ first),) for s, (first, second) in halves.items()}
+        if not include_half:
+            ops = {s: (second @ first,) for s, (first, second) in ops.items()}
+        steps = {s: tuple(zip(readout_slots(spec, include_half), ops[s])) for s in ops}
         return BlockPropagators(spec=replace(spec, gamma_y=gamma_y), steps=steps)
 
 
@@ -382,10 +386,9 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
     times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
                      cycle_index * T + pulse_index * spec.tau)
     return SignalTrace(
-        times=times, values=values, cycle_index=cycle_index,
-        pulse_index=pulse_index, block_duration=T, num_cycles=cycles,
+        times=times, values=values, cycle_index=cycle_index, pulse_index=pulse_index,
+        block_duration=T, num_cycles=cycles, slots_per_block=spec.slots_per_block,
         meta={"engine": "full-blockwise", "num_spins": num_spins,
               "stream_seed": stream.seed, "n_order": order_label(stream),
-              "gamma_y": spec.gamma_y, "tau": spec.tau,
-              "pulses_per_block": spec.pulses_per_block},
+              "gamma_y": spec.gamma_y, "tau": spec.tau},
     )

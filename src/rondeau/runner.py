@@ -24,9 +24,9 @@ from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_powe
                        half_frequency_contrast, lifetime, phase_diagram,
                        dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
-from .dephasing import DephasingParams, model_signal, predicted_rate
+from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
-                        compile_program, evolve, evolve_blockwise, initial_state)
+                        compile_program, evolve, evolve_blockwise, initial_state, readout_slots)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
@@ -263,12 +263,13 @@ def _block_set(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
                include_half: bool = False) -> BlockPropagators | DephasingParams:
     """What `_drive_trace` evolves under at ``spec``.
 
-    The full engine's block propagators on ``system`` (half-period readout
-    with ``include_half``), or the dephasing model's parameters when
-    ``system`` is None.
+    The full engine's block propagators on ``system``, or the dephasing
+    model's parameters when ``system`` is None; both read out the
+    `readout_slots` (the half-period slot too with ``include_half``).
     """
     if system is None:
-        return DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0)
+        return DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0,
+                               readout=readout_slots(spec, include_half))
     return system.factory(spec).block_set(spec.gamma_y, include_half=include_half)
 
 
@@ -289,14 +290,8 @@ def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
 def measure_rate(system: FullSystem | None, props, config: RunConfig, order, seed: int,
                  offset: int = 0) -> HeatingFit:
     """1/e decay rate of one drive realization under ``props`` from `_block_set`."""
-    cycles = config.max_cycles
-    if system is None:
-        # the model's own rate bounds the cycles needed to reach 1/e
-        rate = predicted_rate(props)
-        if rate > 0:
-            cycles = min(cycles, max(64, int(3.0 / (rate * props.spec.block_duration))))
-    stream = make_stream(order, cycles, seed, offset=offset)
-    stream = replace(stream, symbols=stream.symbols[:cycles])
+    stream = make_stream(order, config.max_cycles, seed, offset=offset)
+    stream = replace(stream, symbols=stream.symbols[:config.max_cycles])
     return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 
@@ -337,7 +332,8 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
     else:
-        trace = _drive_trace(None, _block_set(None, config, spec), stream)
+        trace = _drive_trace(None, replace(_block_set(None, config, spec), readout=None),
+                             stream)
     trace = trace.with_noise(config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_stream(out / "stream.txt", stream)
     serialize.write_trace(out / "trace.csv", trace)
@@ -360,8 +356,8 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
             return symbol_dft(stream)
         trace = _drive_trace(system, props, stream)
         if config.spectrum_kind == "micromotion":
-            return dft_micromotion(trace, spec)
-        return dft_stroboscopic(trace, spec)
+            return dft_micromotion(trace)
+        return dft_stroboscopic(trace)
 
     reps = _drive_realizations(config)
     spectra = _parallel_map(one, list(range(reps)), config.threads)

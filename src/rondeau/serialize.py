@@ -130,8 +130,10 @@ def write_couplings(path, couplings: CouplingSet):
 
 
 def write_trace(path, trace: SignalTrace):
+    """Trace table; its header carries ``slots_per_block`` as ``pulses_per_block``."""
     lines: list[str] = []
     meta = dict(trace.meta)
+    meta["pulses_per_block"] = trace.slots_per_block - 1
     meta["block_duration"] = trace.block_duration
     meta["num_cycles"] = trace.num_cycles
     _write_header(lines, meta)
@@ -153,9 +155,11 @@ def read_trace(path) -> SignalTrace:
     values = np.array([float(r[3]) for r in rows])
     block_duration = meta.pop("block_duration")
     num_cycles = meta.pop("num_cycles")
+    slots_per_block = meta.pop("pulses_per_block") + 1
     return SignalTrace(times=times, values=values, cycle_index=cycles,
                        pulse_index=pulses, block_duration=block_duration,
-                       num_cycles=num_cycles, meta=meta)
+                       num_cycles=num_cycles, slots_per_block=slots_per_block,
+                       meta=meta)
 
 
 def write_phase_diagram(path, diagram: PhaseDiagram):

@@ -27,6 +27,7 @@ def strobo_trace(values, block_duration=1.0):
         pulse_index=np.where(np.arange(m + 1) == 0, 0, 13),
         block_duration=block_duration,
         num_cycles=m,
+        slots_per_block=13,
     )
 
 
@@ -60,20 +61,20 @@ class TestMicromotionDft:
     def test_alternating_signs_peak_at_pi(self, short_spec):
         # an all-plus drive flips sign every cycle at the half-period samples
         trace = model_trace(SymbolStream.from_text("+" * 8), short_spec)
-        spectrum = dft_micromotion(trace, short_spec)
+        spectrum = dft_micromotion(trace)
         assert spectrum.amplitudes[4] == pytest.approx(1.0)
         assert np.allclose(np.delete(spectrum.amplitudes, 4), 0.0, atol=1e-15)
 
     def test_constant_signs_give_dc_line(self, short_spec):
         # alternating drive symbols cancel the (-1)^cycle factor exactly
         trace = model_trace(SymbolStream.from_text("+-" * 4), short_spec)
-        spectrum = dft_micromotion(trace, short_spec)
+        spectrum = dft_micromotion(trace)
         assert spectrum.amplitudes[0] == pytest.approx(1.0)
 
     def test_requires_enough_cycles(self, short_spec):
         trace = model_trace(SymbolStream.from_text("+-+"), short_spec)
         with pytest.raises(InsufficientDataError):
-            dft_micromotion(trace, short_spec)
+            dft_micromotion(trace)
 
     def test_digitize_tie_break(self):
         assert list(digitize(np.array([-0.5, 0.0, 0.5]))) == [-1.0, 1.0, 1.0]
@@ -82,7 +83,7 @@ class TestMicromotionDft:
 class TestStroboscopicDft:
     def test_period_doubled_signal_single_line(self, short_spec):
         trace = model_trace(sample_rmd(0, 8, seed=1), short_spec)
-        spectrum = dft_stroboscopic(trace, short_spec)
+        spectrum = dft_stroboscopic(trace)
         assert spectrum.amplitudes[4] == pytest.approx(1.0)
 
     def test_constant_signal_dc_line(self):
@@ -94,17 +95,17 @@ class TestStroboscopicDft:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=10, deadline=None)
     def test_parseval_both_kinds(self, seed):
-        from rondeau.analysis import half_period_samples, samples_nearest
+        from rondeau.analysis import half_period_samples, stroboscopic_samples
 
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
         stream = sample_rmd(0, 16, seed=seed)
         trace = model_trace(stream, spec, epsilon=0.05, gamma_0=0.02)
         m = 16
-        strobo = samples_nearest(trace, spec.block_duration * np.arange(m))
-        micro = digitize(half_period_samples(trace, spec))
+        strobo = stroboscopic_samples(trace)[1][:m]
+        micro = digitize(half_period_samples(trace))
         for spectrum, samples in (
-            (dft_stroboscopic(trace, spec), strobo),
-            (dft_micromotion(trace, spec), micro),
+            (dft_stroboscopic(trace), strobo),
+            (dft_micromotion(trace), micro),
         ):
             total = np.sum(spectrum.amplitudes**2)
             assert total == pytest.approx(np.sum(np.abs(samples) ** 2) / m)
@@ -114,7 +115,7 @@ class TestPiShiftMirror:
     def test_exact_for_perfect_kicks(self, short_spec):
         stream = sample_rmd(2, 32, seed=13)
         trace = model_trace(stream, short_spec)
-        micro = dft_micromotion(trace, short_spec).amplitudes
+        micro = dft_micromotion(trace).amplitudes
         mirrored = pi_shift_mirror(symbol_dft(stream).amplitudes)
         assert np.abs(micro - mirrored).max() < 1e-12
 

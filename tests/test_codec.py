@@ -67,21 +67,21 @@ class TestEncode:
 class TestDecode:
     def test_round_trip_single_character(self, short_spec):
         trace = channel(encode(Message("D")), short_spec)
-        assert decode(trace, short_spec).text == "D"
+        assert decode(trace).text == "D"
 
     @given(text=printable_7bit)
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, text):
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
         trace = channel(encode(Message(text)), spec)
-        assert decode(trace, spec).text == text
+        assert decode(trace).text == text
 
     def test_noise_margin(self, short_spec):
         # additive noise at a tenth of the signal leaves sign slicing intact
         stream = encode(Message("Disorder"))
         for noise_seed in range(50):
             trace = channel(stream, short_spec).with_noise(0.1, noise_seed)
-            assert decode(trace, short_spec).text == "Disorder"
+            assert decode(trace).text == "Disorder"
 
     def test_full_simulator_round_trip(self):
         graph = generate_graph(8, seed=3)
@@ -91,14 +91,14 @@ class TestDecode:
                             tau=0.02, gamma_y=math.pi)
         props = BlockPropagatorFactory(hamiltonian, spec).block_set()
         trace = evolve_blockwise(encode(Message("Hi")), props, psi0)
-        assert decode(trace, spec).text == "Hi"
+        assert decode(trace).text == "Hi"
 
     def test_trailing_partial_group_dropped(self, short_spec):
         stream = encode(Message("D"))
         extra = np.concatenate([stream.symbols, [1]])
         from rondeau.sequences import SymbolStream
         trace = channel(SymbolStream(extra.astype(np.int8)), short_spec)
-        assert decode(trace, short_spec).text == "D"
+        assert decode(trace).text == "D"
 
     def test_low_confidence_error_lists_cycles(self, short_spec):
         trace = channel(encode(Message("D")), short_spec)
@@ -108,12 +108,12 @@ class TestDecode:
         mask = (trace.pulse_index == h) & (trace.cycle_index == 3)
         trace.values[mask] = 0.0
         with pytest.raises(LowConfidenceError) as err:
-            decode(trace, short_spec)
+            decode(trace)
         assert err.value.cycles == [3]
 
     def test_margins_exposed(self, short_spec):
         trace = channel(encode(Message("D")), short_spec)
-        margins = decode_margins(trace, short_spec)
+        margins = decode_margins(trace)
         assert margins.size == 7
         assert (np.abs(margins) > 0).all()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rondeau.analysis import half_period_samples, samples_nearest, stroboscopic_samples
+from rondeau.analysis import half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
                                PulseProgram, X_PULSE, Y_PULSE, compile_program,
@@ -169,7 +169,8 @@ class TestBlockwiseEngine:
         full = evolve(compile_program(stream, spec), hamiltonian, psi0)
         props = BlockPropagatorFactory(hamiltonian, spec).block_set()
         block = evolve_blockwise(stream, props, psi0)
-        at_shared = samples_nearest(full, block.times)
+        by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
+        at_shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
         assert np.abs(at_shared - block.values).max() < 1e-10
 
     def test_strobo_only_mode(self, small_system, short_spec):

@@ -36,7 +36,7 @@ def reference_rundown(symbols, props, psi0, max_cycles, stop_factor=0.8):
         times=times, values=np.array(values),
         cycle_index=np.maximum(np.arange(m + 1) - 1, 0),
         pulse_index=np.where(np.arange(m + 1) == 0, 0, per_block),
-        block_duration=T, num_cycles=m,
+        block_duration=T, num_cycles=m, slots_per_block=per_block,
     )
 
 
