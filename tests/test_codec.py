@@ -69,10 +69,14 @@ class TestDecode:
         trace = channel(encode(Message("D")), short_spec)
         assert decode(trace).text == "D"
 
+    @pytest.mark.parametrize("spec", [
+        MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05),
+        # the + kick directly follows the half-period slot
+        MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4, tau=0.05),
+    ], ids=["kick-after-half", "kick-at-half"])
     @given(text=printable_7bit)
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, text):
-        spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
+    def test_round_trip_property(self, spec, text):
         trace = channel(encode(Message(text)), spec)
         assert decode(trace).text == text
 

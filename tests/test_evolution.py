@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rondeau.analysis import half_period_samples, stroboscopic_samples
+from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
                                PulseProgram, X_PULSE, Y_PULSE, compile_program,
@@ -96,13 +96,19 @@ class TestNonInteractingLimits:
         expected = values[0] * (-1.0) ** np.arange(13)
         assert np.abs(values - expected).max() < 1e-12
 
-    def test_half_period_signs_follow_kick_position(self, short_spec):
-        # kick before/after the half sample per block sign: all samples +S0
+    @pytest.mark.parametrize("spec", [
+        MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05),
+        # the + kick directly follows the half-period slot
+        MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4, tau=0.05),
+    ], ids=["kick-after-half", "kick-at-half"])
+    def test_half_period_signs_follow_kick_position(self, spec):
+        # the - block kicks before the half sample, the + block after it
         h0 = zero_hamiltonian(3)
         psi0 = initial_state(3)
-        trace = evolve(compile_program(stream_of("+-+"), short_spec), h0, psi0)
-        half = half_period_samples(trace)
-        assert np.allclose(half, total_ix(psi0, 3), atol=1e-12)
+        stream = sample_rmd(0, 64, seed=14)
+        trace = evolve(compile_program(stream, spec), h0, psi0)
+        expected = total_ix(psi0, 3) * (-1.0) ** np.arange(64) * stream.symbols
+        assert np.allclose(half_period_samples(trace), expected, atol=1e-12)
 
     def test_dephasing_model_equivalence_is_exact(self, short_spec):
         h0 = zero_hamiltonian(4)
@@ -180,6 +186,13 @@ class TestBlockwiseEngine:
         trace = evolve_blockwise(stream, props, psi0)
         assert len(trace) == 7
         assert np.allclose(np.diff(trace.times), short_spec.block_duration)
+
+    def test_micromotion_of_a_strobo_only_trace_rejected(self, small_system, short_spec):
+        _, _, hamiltonian, psi0 = small_system
+        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set(include_half=False)
+        trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, psi0)
+        with pytest.raises(ValueError, match=r"slot 6 sample in cycles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
+            dft_micromotion(trace)
 
     def test_block_propagators_unitary(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system

@@ -9,6 +9,7 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.cli import load_config_file, main
+from rondeau.codec import decode
 from rondeau.runner import KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.serialize import read_trace
 
@@ -196,6 +197,32 @@ class TestCodecPipeline:
         decoded = json.loads((decode_out / "decoded.json").read_text())
         assert decoded["text"] == "Hi"
         assert len(decoded["margins"]) == 14
+
+    @staticmethod
+    def trace_without_row(tmp_path, cycle, slot):
+        """An encoded dephasing trace.csv with the (cycle, slot) row deleted."""
+        out = tmp_path / "enc"
+        assert main(["encode", "--engine", "dephasing", "--text", "Hi", "--out", str(out),
+                     "--pulses", "12", "--kick-plus", "8", "--kick-minus", "4"]) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines if line.split(",")[1:3] != [str(cycle), str(slot)]]
+        assert len(kept) == len(lines) - 1
+        path.write_text("\n".join(kept) + "\n")
+        return path
+
+    def test_missing_half_period_row_rejected(self, tmp_path):
+        path = self.trace_without_row(tmp_path, cycle=3, slot=6)
+        with pytest.raises(ValueError, match=r"cycles \[3\]"):
+            decode(read_trace(path))
+
+    def test_decode_reports_missing_row_as_json_error(self, tmp_path, capsys):
+        path = self.trace_without_row(tmp_path, cycle=3, slot=6)
+        capsys.readouterr()
+        assert main(["decode", "--trace", str(path), "--out", str(tmp_path / "dec")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "cycles [3]" in err["message"]
 
 
 class TestCli:
