@@ -11,6 +11,7 @@ spans; amplitudes are absolute values, intensities their squares.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,9 @@ SYMBOL = "symbol"
 
 #: Fewest cycles for which a spectrum is considered meaningful.
 MIN_SPECTRUM_CYCLES = 8
+
+#: Bins on either side of omega = pi kept out of the contrast's background.
+CONTRAST_EXCLUDE = 3
 
 
 class InsufficientDataError(ValueError):
@@ -226,19 +230,29 @@ def phase_diagram(sweep, n_order=None, normalization: str = "row") -> PhaseDiagr
                         normalization=normalization)
 
 
-def half_frequency_contrast(intensity_row: np.ndarray, exclude: int = 3) -> float:
+def _background_bins(m: int, exclude: int) -> np.ndarray:
+    """Mask of the bins more than `exclude` bins away from omega = pi, DC left out."""
+    center = m // 2
+    mask = np.ones(m, dtype=bool)
+    mask[max(center - exclude, 0):center + exclude + 1] = False
+    mask[0] = False
+    return mask
+
+
+def min_contrast_cycles(exclude: int = CONTRAST_EXCLUDE) -> int:
+    """Fewest cycles (DFT bins) for which `half_frequency_contrast` has a background."""
+    return next(m for m in itertools.count(1) if _background_bins(m, exclude).any())
+
+
+def half_frequency_contrast(intensity_row: np.ndarray,
+                            exclude: int = CONTRAST_EXCLUDE) -> float:
     """Peak-to-background ratio of the period-doubling line.
 
     Peak is the bin at omega = pi; background the median over bins at least
     `exclude` bins away from it (DC excluded as well); NaN if no such bin exists.
     """
-    m = intensity_row.size
-    center = m // 2
-    peak = intensity_row[center]
-    mask = np.ones(m, dtype=bool)
-    lo = max(center - exclude, 0)
-    mask[lo:center + exclude + 1] = False
-    mask[0] = False
+    peak = intensity_row[intensity_row.size // 2]
+    mask = _background_bins(intensity_row.size, exclude)
     if not mask.any():
         return math.nan
     background = float(np.median(intensity_row[mask]))

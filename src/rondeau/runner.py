@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_power_law,
-                       half_frequency_contrast, lifetime, phase_diagram,
+                       half_frequency_contrast, lifetime, min_contrast_cycles, phase_diagram,
                        dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
@@ -135,9 +135,11 @@ class RunConfig:
                 and self.cycles % 2**order:
             raise ConfigError(f"cycles ({self.cycles}) must be a multiple of 2**n "
                               f"({2**order}) for order {order}")
-        if self.cycles < MIN_SPECTRUM_CYCLES and (self.kind == "phase-diagram" or (
-                self.kind == "spectrum" and self.spectrum_kind != "symbol")):
-            raise ConfigError(f"{self.kind} needs cycles >= {MIN_SPECTRUM_CYCLES}")
+        # a phase diagram's contrast.json needs a background bin in every row
+        needed = {"phase-diagram": max(MIN_SPECTRUM_CYCLES, min_contrast_cycles()),
+                  "spectrum": 0 if self.spectrum_kind == "symbol" else MIN_SPECTRUM_CYCLES}
+        if self.cycles < needed.get(self.kind, 0):
+            raise ConfigError(f"{self.kind} needs cycles >= {needed[self.kind]}")
         sweep = _SWEEPS.get(self.kind)
         if sweep and not getattr(self, sweep.grid):
             raise ConfigError(f"{self.kind} requires a non-empty {sweep.grid}")

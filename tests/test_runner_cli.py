@@ -65,6 +65,7 @@ class TestRunConfig:
         dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=10),
         dict(kind="phase-diagram", n_order="2", cycles=10),
         dict(kind="phase-diagram", n_order="1", cycles=4),
+        dict(kind="phase-diagram", n_order="1", cycles=8),
         dict(kind="spectrum", spectrum_kind="stroboscopic", n_order="inf", cycles=4),
     ])
     def test_cycles_rejected_before_any_system_is_built(self, tmp_path, monkeypatch,
