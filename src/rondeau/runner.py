@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -153,6 +154,11 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
+        needed, memory = peak_matrix_bytes(self), _physical_memory()
+        if needed > memory:
+            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
+                              f"needs about {needed} bytes of dense matrices, more than the "
+                              f"{memory} bytes of physical memory")
 
     def spec(self) -> MonopoleSpec:
         return MonopoleSpec(
@@ -167,6 +173,30 @@ class RunConfig:
         del fields["out_dir"], fields["threads"]
         payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def peak_matrix_bytes(config: RunConfig) -> int:
+    """Bytes of the dense 2^n x 2^n matrices a run holds at its peak.
+
+    In complex matrices: the real Hamiltonian and its eigenvectors make one,
+    and the per-pulse trace adds u_free; the other full-engine kinds add the
+    factory's 8 per graph and a block set of up to 4 per thread.  The
+    dephasing engine, decode and the symbol spectrum build none.
+    """
+    if config.engine != "full" or config.kind == "decode" or (
+            config.kind == "spectrum" and config.spectrum_kind == "symbol"):
+        return 0
+    if config.kind == "trace":
+        matrices = 2
+    else:
+        graphs = config.graph_realizations if config.kind in _SWEEPS else 1
+        matrices = 9 * graphs + 4 * config.threads
+    return matrices * 16 * 4**config.num_spins
 
 
 def _parse_order(label) -> int | float:

@@ -84,6 +84,25 @@ class TestRunConfig:
     def test_cycles_accepted_where_alignment_does_not_apply(self, overrides):
         RunConfig(out_dir="x", **overrides).validate()
 
+    def test_full_engine_rejected_before_any_system_when_memory_is_short(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), num_spins=13,
+                           eps_grid=(0.1,))
+        with pytest.raises(ConfigError) as err:
+            run(config)
+        assert str(runner.peak_matrix_bytes(config)) in str(err.value)
+        assert str(8 * 2**30) in str(err.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dephasing_engine_never_rejected_for_memory(self, monkeypatch, kind):
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 0)
+        RunConfig(kind=kind, out_dir="x", engine="dephasing", num_spins=14,
+                  gamma_grid=(math.pi,), eps_grid=(0.1,), tau_grid=(0.05,), text="Hi",
+                  trace_file="trace.csv").validate()
+
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
