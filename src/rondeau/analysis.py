@@ -239,9 +239,9 @@ def _background_bins(m: int, exclude: int) -> np.ndarray:
     return mask
 
 
-def min_contrast_cycles(exclude: int = CONTRAST_EXCLUDE) -> int:
+def min_contrast_cycles() -> int:
     """Fewest cycles (DFT bins) for which `half_frequency_contrast` has a background."""
-    return next(m for m in itertools.count(1) if _background_bins(m, exclude).any())
+    return next(m for m in itertools.count(1) if _background_bins(m, CONTRAST_EXCLUDE).any())
 
 
 def half_frequency_contrast(intensity_row: np.ndarray,

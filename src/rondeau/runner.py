@@ -154,10 +154,10 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
-        needed, memory = peak_matrix_bytes(self), _physical_memory()
-        if needed > memory:
+        estimate, memory = peak_matrix_bytes(self), _physical_memory()
+        if estimate > memory:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs about {needed} bytes of dense matrices, more than the "
+                              f"needs about {estimate} bytes of dense matrices, more than the "
                               f"{memory} bytes of physical memory")
 
     def spec(self) -> MonopoleSpec:

@@ -69,16 +69,15 @@ class TestDecode:
         trace = channel(encode(Message("D")), short_spec)
         assert decode(trace).text == "D"
 
-    @pytest.mark.parametrize("spec", [
-        MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05),
-        # the + kick directly follows the half-period slot
-        MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4, tau=0.05),
-    ], ids=["kick-after-half", "kick-at-half"])
     @given(text=printable_7bit)
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, spec, text):
-        trace = channel(encode(Message(text)), spec)
-        assert decode(trace).text == text
+    def test_round_trip_property(self, text):
+        # the second layout puts the + kick directly after the half-period slot
+        for kick_plus in (8, 6):
+            spec = MonopoleSpec(pulses_per_block=12, kick_plus=kick_plus, kick_minus=4,
+                                tau=0.05)
+            trace = channel(encode(Message(text)), spec)
+            assert decode(trace).text == text
 
     def test_noise_margin(self, short_spec):
         # additive noise at a tenth of the signal leaves sign slicing intact

@@ -96,19 +96,18 @@ class TestNonInteractingLimits:
         expected = values[0] * (-1.0) ** np.arange(13)
         assert np.abs(values - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("spec", [
-        MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05),
-        # the + kick directly follows the half-period slot
-        MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4, tau=0.05),
-    ], ids=["kick-after-half", "kick-at-half"])
-    def test_half_period_signs_follow_kick_position(self, spec):
-        # the - block kicks before the half sample, the + block after it
+    def test_half_period_signs_follow_kick_position(self):
+        # the - block kicks before the half sample, the + block after it; the
+        # second layout puts the + kick directly after the half-period slot
         h0 = zero_hamiltonian(3)
         psi0 = initial_state(3)
         stream = sample_rmd(0, 64, seed=14)
-        trace = evolve(compile_program(stream, spec), h0, psi0)
         expected = total_ix(psi0, 3) * (-1.0) ** np.arange(64) * stream.symbols
-        assert np.allclose(half_period_samples(trace), expected, atol=1e-12)
+        for kick_plus in (8, 6):
+            spec = MonopoleSpec(pulses_per_block=12, kick_plus=kick_plus, kick_minus=4,
+                                tau=0.05)
+            trace = evolve(compile_program(stream, spec), h0, psi0)
+            assert np.allclose(half_period_samples(trace), expected, atol=1e-12)
 
     def test_dephasing_model_equivalence_is_exact(self, short_spec):
         h0 = zero_hamiltonian(4)
