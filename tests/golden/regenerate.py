@@ -13,7 +13,10 @@ that moves outputs on purpose, regenerate the committed copy with
     PYTHONPATH=src python tests/golden/regenerate.py
 
 which prints every file it added, changed or removed relative to the copy it
-replaced, and name each of them, with its reason, in CHANGES.md.
+replaced, and name each of them, with its reason, in CHANGES.md.  A changed
+file is reported as ``floats only`` with the largest |delta| of its float
+tokens when nothing else in it moved (a reassociated matrix product), and as
+``content`` otherwise: a count, an integer, a word or a line that changed.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -29,6 +33,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 CASES = json.loads((HERE / "cases.json").read_text())
 EXPECTED = HERE / "expected"
+
+#: A decimal number token; a float token is one written with a point or an exponent.
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def normalized(path: Path) -> bytes:
@@ -74,6 +81,26 @@ def changes(before: dict[str, bytes], after: dict[str, bytes]) -> dict[str, list
             "removed": sorted(before.keys() - after.keys())}
 
 
+def float_drift(before: bytes, after: bytes) -> float | None:
+    """Largest |delta| between two texts that differ only in float tokens, else None."""
+    old, new = (NUMBER.split(text.decode()) for text in (before, after))
+    if len(old) != len(new) or old[::2] != new[::2]:
+        return None
+    drift = 0.0
+    for a, b in zip(old[1::2], new[1::2]):
+        if a != b:
+            if not (set(a) & set(".eE") and set(b) & set(".eE")):
+                return None
+            drift = max(drift, abs(float(a) - float(b)))
+    return drift
+
+
+def describe(before: bytes, after: bytes) -> str:
+    """How a changed file moved: ``floats only, max |delta| ...`` or ``content``."""
+    drift = float_drift(before, after)
+    return "content" if drift is None else f"floats only, max |delta| {drift:.3g}"
+
+
 def main() -> int:
     before = output_files(EXPECTED) if EXPECTED.exists() else {}
     shutil.rmtree(EXPECTED, ignore_errors=True)
@@ -84,7 +111,8 @@ def main() -> int:
     after = output_files(EXPECTED)
     for change, names in changes(before, after).items():
         for name in names:
-            print(f"{change} {name}")
+            how = f" ({describe(before[name], after[name])})" if change == "changed" else ""
+            print(f"{change} {name}{how}")
     print(f"wrote {len(after)} files for {len(CASES)} cases "
           f"into {EXPECTED}", file=sys.stderr)
     return 0

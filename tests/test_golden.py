@@ -4,7 +4,10 @@ The cases and their outputs live in ``tests/golden``; see
 ``tests/golden/regenerate.py`` for how they run and how to regenerate them.
 """
 
-from golden.regenerate import CASES, EXPECTED, changes, output_files, run_cases
+import pytest
+
+from golden.regenerate import (CASES, EXPECTED, changes, describe, float_drift, output_files,
+                               run_cases)
 
 
 def test_cli_outputs_match_golden_files(tmp_path):
@@ -30,3 +33,17 @@ def test_regeneration_names_added_changed_and_removed_files():
     after = {"a/kept": b"1", "a/moved": b"2", "new": b"1"}
     assert changes(before, after) == {"added": ["new"], "changed": ["a/moved"],
                                       "removed": ["gone"]}
+
+
+def test_regeneration_tells_float_drift_from_content_changes():
+    before = b"slot,value\n1,0.25\n2,-1.5e-03\n"
+    assert float_drift(before, before) == 0.0
+    drift = float_drift(before, b"slot,value\n1,0.2500000000001\n2,-1.5e-03\n")
+    assert drift == pytest.approx(1e-13, rel=1e-3)
+    assert describe(before, b"slot,value\n1,0.25\n2,-1.6e-03\n") == \
+        "floats only, max |delta| 0.0001"
+    # an integer, a word or a line that moves is a content change
+    for after in (b"slot,value\n1,0.25\n3,-1.5e-03\n", b"slot,val\n1,0.25\n2,-1.5e-03\n",
+                  b"slot,value\n1,0.25\n", b"slot,value\n1,nan\n2,-1.5e-03\n"):
+        assert float_drift(before, after) is None
+        assert describe(before, after) == "content"
