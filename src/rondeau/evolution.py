@@ -1,7 +1,7 @@
 """Exact state-vector evolution of driven spin networks.
 
-Pulses are instantaneous global rotations applied as factored single-spin
-gates; free evolution uses the cached dense eigendecomposition of the
+Pulses are instantaneous global rotations: layers of single-spin gates,
+applied as the Kronecker products of two halves of the spins; free evolution uses the cached dense eigendecomposition of the
 dipolar Hamiltonian.  Readout is the expectation value of total Ix after
 every pulse's free-evolution slot.
 
@@ -113,6 +113,36 @@ def rotation_gate(axis: str, angle: float) -> np.ndarray:
     raise ValueError(f"unsupported rotation axis {axis!r}")
 
 
+def gate_halves(gates, num_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker products of the first ``num_spins // 2`` per-spin gates and of the rest.
+
+    `gates` is a single 2x2 gate shared by all spins or a sequence of
+    per-spin gates; spin 0 is the most significant bit of a basis index.
+    """
+    if np.shape(gates) == (2, 2):
+        gates = [gates] * num_spins
+    k = num_spins // 2
+    kron = lambda part: reduce(np.kron, part, np.ones((1, 1), dtype=complex))
+    return kron(gates[:k]), kron(gates[k:])
+
+
+def apply_halves(state: np.ndarray, halves: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply the gate layer of `gate_halves` to the leading axis of `state`.
+
+    One GEMM with the first half on the (2^k, rest) view, then the second
+    half on each of its 2^k row blocks: a single GEMM for a vector, one
+    batched matmul for a (dim, m) matrix.
+    """
+    first, second = halves
+    state = np.asarray(state, dtype=complex)
+    out = first @ state.reshape(first.shape[0], -1)
+    if state.ndim == 1:
+        out = out @ second.T
+    else:
+        out = second @ out.reshape(first.shape[0], second.shape[0], -1)
+    return out.reshape(state.shape)
+
+
 def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     """Apply one 2x2 gate per spin to the leading axis of `state`.
 
@@ -120,19 +150,7 @@ def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     flat batch.  `gates` is a single gate shared by all spins or a list of
     per-spin gates.
     """
-    if isinstance(gates, np.ndarray) and gates.shape == (2, 2):
-        gates = [gates] * num_spins
-    out = np.asarray(state, dtype=complex)
-    trailing = out.shape[1:]
-    for k, g in enumerate(gates):
-        v = out.reshape(2**k, 2, -1)
-        a = v[:, 0, :]
-        b = v[:, 1, :]
-        stacked = np.empty_like(v)
-        stacked[:, 0, :] = g[0, 0] * a + g[0, 1] * b
-        stacked[:, 1, :] = g[1, 0] * a + g[1, 1] * b
-        out = stacked
-    return out.reshape((2**num_spins,) + trailing)
+    return apply_halves(state, gate_halves(gates, num_spins))
 
 
 def total_ix(state: np.ndarray, num_spins: int) -> float:
@@ -212,15 +230,15 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
         raise ValueError("state dimension does not match the Hamiltonian")
     spec = program.spec
     u_free = free_propagator(hamiltonian, spec.tau)
-    x_gate = rotation_gate("x", spec.theta_x)
-    y_gates = _kick_gates(spec, num_spins, angle_spread, disorder_seed)
+    x_halves = gate_halves(rotation_gate("x", spec.theta_x), num_spins)
+    y_halves = gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed), num_spins)
 
     n = program.num_pulses
     values = np.empty(n + 1)
     psi = np.array(psi0, dtype=complex)
     values[0] = total_ix(psi, num_spins)
     for i, kind in enumerate(program.kinds):
-        psi = apply_gates(psi, x_gate if kind == X_PULSE else y_gates, num_spins)
+        psi = apply_halves(psi, x_halves if kind == X_PULSE else y_halves)
         if u_free is not None:
             psi = u_free @ psi
         values[i + 1] = total_ix(psi, num_spins)
@@ -257,50 +275,145 @@ def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
     return (half_sample_slot(spec), end) if include_half else (end,)
 
 
-def _matrix_powers(base: np.ndarray, exponents) -> dict[int, np.ndarray]:
-    """Powers of a dense matrix sharing binary squarings across exponents."""
-    squares, out = [base], {}
-    for e in sorted(set(int(e) for e in exponents)):
-        while 2 ** len(squares) <= e:
-            squares.append(squares[-1] @ squares[-1])
-        # multiply the squares of the set bits in increasing order
-        factors = [squares[bit] for bit in range(e.bit_length()) if e >> bit & 1]
-        out[e] = reduce(np.matmul, factors) if e else np.eye(base.shape[0], dtype=complex)
-    return out
+class PowerChain:
+    """Addition chain building W^e for every exponent e of a set.
+
+    Exponents are built in increasing order.  Each one is a single product
+    W^a · W^(e-a) of two powers already built when such a pair exists (the
+    largest such a is taken).  Otherwise it is the binary method's product of
+    the squares W^(2^j) of its set bits, highest first, building only the
+    squares not yet built.  A chain therefore never needs more products than
+    the binary method with shared squares, and far fewer when the exponents
+    are sums of one another.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b,
+    and ``drops[i]`` names the powers that are no target and that no later
+    step reads.
+    """
+
+    def __init__(self, exponents):
+        self.targets = frozenset(int(e) for e in exponents)
+        if any(e < 0 for e in self.targets):
+            raise ValueError(f"negative exponent in {sorted(self.targets)}")
+        built, steps = {1}, []
+
+        def product(a: int, b: int):
+            steps.append((a + b, a, b))
+            built.add(a + b)
+
+        for e in sorted(self.targets - {0}):
+            if e in built:
+                continue
+            a = next((a for a in sorted(built, reverse=True) if e - a in built), None)
+            if a is not None:
+                product(a, e - a)
+                continue
+            for j in range(1, e.bit_length()):
+                if 1 << j not in built:
+                    product(1 << j - 1, 1 << j - 1)
+            bits = [1 << j for j in reversed(range(e.bit_length())) if e >> j & 1]
+            partial = bits[0]
+            for bit in bits[1:]:
+                if partial + bit not in built:
+                    product(partial, bit)
+                partial += bit
+        self.steps = tuple(steps)
+        last = {f: i for i, step in enumerate(steps) for f in step[1:]}
+        self.drops = tuple(tuple(sorted({f for f in (a, b) if last[f] == i} - self.targets))
+                           for i, (_, a, b) in enumerate(steps))
+
+    @property
+    def peak(self) -> int:
+        """Most matrices `fill` holds at once: the base, built powers, the identity."""
+        live = peak = 1
+        for drop in self.drops:
+            live += 1
+            peak = max(peak, live)
+            live -= len(drop)
+        if 1 not in self.targets and not self.steps:
+            live -= 1  # the base is dropped unread
+        return max(peak, live + (0 in self.targets))
+
+    def fill(self, powers: dict) -> dict:
+        """Add every target power to ``powers``, which holds only the base W at key 1.
+
+        The dict is the only reference the chain keeps to each matrix, so a
+        dropped power is freed at once if the caller holds no other.
+        """
+        dim = powers[1].shape[0]
+        for (e, a, b), drop in zip(self.steps, self.drops):
+            powers[e] = powers[a] @ powers[b]
+            for f in drop:
+                del powers[f]
+        if 1 not in self.targets:
+            powers.pop(1, None)
+        if 0 in self.targets:
+            powers[0] = np.eye(dim, dtype=complex)
+        return powers
+
+
+def kick_layout(spec: MonopoleSpec) -> dict[bool, dict[int, tuple]]:
+    """Gamma-free factors of every readout step, keyed by ``include_half`` and block sign.
+
+    A step is ``(e,)`` for the plain power W^e of the spin-lock cycle operator,
+    or ``(a, b)`` for W^a · G(W^b), with G the kick's gate layer.  Whole blocks
+    are one step each; with the half-period sample the kick-free half of a
+    block is a plain power.
+    """
+    n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
+    h = half_sample_slot(spec)
+    if not n_minus < h <= n_plus:
+        raise ValueError(
+            "half-period sample does not separate the two blocks; "
+            "need kick_minus < half slot <= kick_plus"
+        )
+    return {
+        False: {1: ((n + 1 - n_plus, n_plus),), -1: ((n + 1 - n_minus, n_minus),)},
+        True: {1: ((h,), (n + 1 - n_plus, n_plus - h)),
+               -1: ((h - n_minus, n_minus), (n + 1 - h,))},
+    }
 
 
 class BlockPropagatorFactory:
     """Dense block propagators for one (Hamiltonian, timing) setup.
 
-    Precomputes the spin-lock cycle operator and the train powers shared by
-    every kick angle; :meth:`block_set` then assembles the four per-sign
-    propagators for a given gamma_y with a handful of matrix products.
+    With W = U_free · X the spin-lock cycle operator (x pulse, then free
+    evolution), the kick cycle is U_free · Y = W · X^† · Y.  Every readout step
+    of a block is therefore a plain power W^e or a product A · G(B) of two
+    powers, A = W^a and B = W^b, where only the gate layer G = X^† · Y depends
+    on the kick angle (:func:`kick_layout` lists the exponents).  For the
+    whole + block, A = W^(N+1-n₊) and B = W^(n₊); for the whole - block,
+    A = W^(N+1-n₋) and B = W^(n₋).
+
+    The factory builds every power the layout names once, by one
+    :class:`PowerChain` that drops each intermediate after its last use;
+    :meth:`block_set` then costs the gate layers plus one dense product per
+    block sign.  The factory is read-only after construction, so threads may
+    share it.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec):
         self.hamiltonian = hamiltonian
         self.spec = spec
         self.num_spins = hamiltonian.num_spins
-        self.dim = 2**self.num_spins
-        self.half_slot = half_sample_slot(spec)
-        if not spec.kick_minus < self.half_slot <= spec.kick_plus:
-            raise ValueError(
-                "half-period sample does not separate the two blocks; "
-                "need kick_minus < half slot <= kick_plus"
-            )
+        self.layout = kick_layout(spec)
         u_free = free_propagator(hamiltonian, spec.tau)
         if u_free is None:
-            u_free = np.eye(self.dim, dtype=complex)
-        self.u_free = u_free
-        # spin-lock cycle operator: pulse first, then free evolution
-        x_gate = rotation_gate("x", spec.theta_x)
-        w = apply_gates(np.ascontiguousarray(u_free.T), x_gate.T, self.num_spins).T
-        self.cycle_op = np.ascontiguousarray(w)
-        n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
-        h = self.half_slot
-        self.powers = _matrix_powers(self.cycle_op, {
-            h, n_plus - h, n - n_plus, n_minus, h - n_minus - 1, n + 1 - h,
-        })
+            u_free = np.eye(2**self.num_spins, dtype=complex)
+        # W = U_free · X, the pulse first: X^T applied to the rows of U_free^T
+        x_halves = gate_halves(rotation_gate("x", spec.theta_x).T, self.num_spins)
+        powers = {1: np.ascontiguousarray(apply_halves(u_free.T, x_halves).T)}
+        del u_free
+        self.powers = PowerChain(self._exponents(self.layout)).fill(powers)
+
+    @staticmethod
+    def _exponents(layout) -> set[int]:
+        return {e for signs in layout.values() for steps in signs.values()
+                for factors in steps for e in factors}
+
+    @classmethod
+    def peak_matrices(cls, spec: MonopoleSpec) -> int:
+        """Most dense matrices a factory for ``spec``'s layout holds while it is built."""
+        # building W holds at most three: U_free, its transposed copy and W
+        return max(3, PowerChain(cls._exponents(kick_layout(spec))).peak)
 
     def block_set(self, gamma_y: float | None = None, include_half: bool = True,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -311,23 +424,22 @@ class BlockPropagatorFactory:
         """
         if gamma_y is None:
             gamma_y = self.spec.gamma_y
-        spec = self.spec
-        h = self.half_slot
+        spec = replace(self.spec, gamma_y=gamma_y)
+        x_inverse = rotation_gate("x", spec.theta_x).conj().T
+        kick = gate_halves(np.matmul(x_inverse, _kick_gates(
+            spec, self.num_spins, angle_spread, disorder_seed)), self.num_spins)
         p = self.powers
-        gates = _kick_gates(replace(spec, gamma_y=gamma_y), self.num_spins,
-                            angle_spread, disorder_seed)
-        # the kick cycle: y rotation, then its free slot
-        kick = lambda m: self.u_free @ apply_gates(m, gates, self.num_spins)
 
-        ops = {
-            1: (p[h], p[spec.pulses_per_block - spec.kick_plus] @ kick(p[spec.kick_plus - h])),
-            -1: (p[h - spec.kick_minus - 1] @ kick(p[spec.kick_minus]),
-                 p[spec.pulses_per_block + 1 - h]),
-        }
-        if not include_half:
-            ops = {s: (second @ first,) for s, (first, second) in ops.items()}
-        steps = {s: tuple(zip(readout_slots(spec, include_half), ops[s])) for s in ops}
-        return BlockPropagators(spec=replace(spec, gamma_y=gamma_y), steps=steps)
+        def step(factors):
+            if len(factors) == 1:
+                return p[factors[0]]
+            a, b = factors
+            return p[a] @ apply_halves(p[b], kick)
+
+        slots = readout_slots(spec, include_half)
+        steps = {s: tuple(zip(slots, map(step, layout)))
+                 for s, layout in self.layout[include_half].items()}
+        return BlockPropagators(spec=spec, steps=steps)
 
 
 @dataclass(frozen=True, eq=False)

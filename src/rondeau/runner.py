@@ -184,9 +184,10 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the dense 2^n x 2^n matrices a run holds at its peak.
 
     In complex matrices: the real Hamiltonian and its eigenvectors make one,
-    and the per-pulse trace adds u_free; the other full-engine kinds add the
-    factory's 8 per graph and a block set of up to 4 per thread.  The
-    dephasing engine, decode and the symbol spectrum build none.
+    and the per-pulse trace adds u_free; the other full-engine kinds add, per
+    graph, the peak of the factory's build (its addition chain's, see
+    `BlockPropagatorFactory.peak_matrices`), and a block set of up to 4 per
+    thread.  The dephasing engine, decode and the symbol spectrum build none.
     """
     if config.engine != "full" or config.kind == "decode" or (
             config.kind == "spectrum" and config.spectrum_kind == "symbol"):
@@ -195,7 +196,8 @@ def peak_matrix_bytes(config: RunConfig) -> int:
         matrices = 2
     else:
         graphs = config.graph_realizations if config.kind in _SWEEPS else 1
-        matrices = 9 * graphs + 4 * config.threads
+        factory = BlockPropagatorFactory.peak_matrices(config.spec())
+        matrices = (1 + factory) * graphs + 4 * config.threads
     return matrices * 16 * 4**config.num_spins
 
 

@@ -1,0 +1,146 @@
+"""The propagator factory's algebra: addition-chain powers, Kronecker-half gates, memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rondeau.evolution import (BlockPropagatorFactory, PowerChain, _kick_gates, apply_gates,
+                               kick_layout)
+from rondeau.runner import RunConfig, peak_matrix_bytes
+from rondeau.sequences import MonopoleSpec
+
+from conftest import rng
+
+DEFAULT_EXPONENTS = {50, 100, 101, 150, 151, 200, 201}
+
+
+def binary_products(exponents) -> int:
+    """Products of the binary method: shared squarings, then one per extra set bit."""
+    positive = [e for e in set(exponents) if e > 0]
+    if not positive:
+        return 0
+    return max(positive).bit_length() - 1 + sum(bin(e).count("1") - 1 for e in positive)
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    g = rng(seed)
+    q, r = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def gates_by_spin(state, gates, num_spins):
+    """Reference: each spin's 2x2 gate applied to its own axis, one spin at a time."""
+    if np.shape(gates) == (2, 2):
+        gates = [gates] * num_spins
+    out = np.array(state, dtype=complex)
+    for k, g in enumerate(gates):
+        out = np.einsum("ij,ajb->aib", g, out.reshape(2**k, 2, -1))
+    return out.reshape(np.shape(state))
+
+
+class TestPowerChain:
+    def test_default_layout_exponents(self):
+        exponents = BlockPropagatorFactory._exponents(kick_layout(MonopoleSpec()))
+        assert exponents == DEFAULT_EXPONENTS
+
+    @pytest.mark.parametrize("exponents", [
+        [0], [1], [0, 1], [2, 2, 3, 3], [17], [5, 64], [0, 1, 2, 3, 17], [49, 50, 100, 150, 151],
+        sorted(DEFAULT_EXPONENTS),
+    ])
+    def test_matches_matrix_power(self, exponents):
+        w = random_unitary(8, seed=5)
+        powers = PowerChain(exponents).fill({1: w.copy()})
+        assert set(powers) == set(exponents)
+        for e in exponents:
+            assert np.abs(powers[e] - np.linalg.matrix_power(w, e)).max() < 1e-12
+
+    @pytest.mark.parametrize("exponents, products, binary", [
+        (DEFAULT_EXPONENTS, 13, 26),
+        ({49, 50, 100, 150, 151}, 11, 20),
+    ])
+    def test_fewer_products_than_binary_on_layout_sets(self, exponents, products, binary):
+        assert binary_products(exponents) == binary
+        assert len(PowerChain(exponents).steps) == products
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 5000), max_size=8))
+    def test_never_more_products_than_binary(self, exponents):
+        chain = PowerChain(exponents)
+        assert len(chain.steps) <= binary_products(exponents)
+        built = {1}
+        for e, a, b in chain.steps:
+            assert a in built and b in built and e == a + b
+            built.add(e)
+        assert set(exponents) - {0} <= built
+
+    def test_intermediates_are_dropped_after_last_use(self):
+        chain = PowerChain(DEFAULT_EXPONENTS)
+        live = {1}
+        for i, ((e, a, b), drop) in enumerate(zip(chain.steps, chain.drops)):
+            live.add(e)
+            later = {f for step in chain.steps[i + 1:] for f in step[1:]}
+            assert set(drop) == {a, b} - later - DEFAULT_EXPONENTS
+            live -= set(drop)
+        assert live == DEFAULT_EXPONENTS
+
+    def test_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            PowerChain({3, -1})
+
+
+class TestKroneckerHalves:
+    @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("per_spin", [False, True])
+    def test_matches_per_spin_loop(self, num_spins, columns, per_spin):
+        g = rng(num_spins)
+        dim = 2**num_spins
+        shape = (dim,) if columns is None else (dim, columns)
+        state = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        gates = ([random_unitary(2, seed=k) for k in range(num_spins)] if per_spin
+                 else random_unitary(2, seed=num_spins))
+        out = apply_gates(state, gates, num_spins)
+        assert out.shape == shape
+        assert np.abs(out - gates_by_spin(state, gates, num_spins)).max() < 1e-12
+
+    @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
+    def test_angle_spread_gates(self, num_spins):
+        spec = MonopoleSpec(12, 8, 4, gamma_y=0.97 * math.pi)
+        gates = _kick_gates(spec, num_spins, angle_spread=0.018, disorder_seed=3)
+        state = random_unitary(2**num_spins, seed=num_spins)
+        assert np.abs(apply_gates(state, gates, num_spins)
+                      - gates_by_spin(state, gates, num_spins)).max() < 1e-12
+
+
+class TestFactoryMemory:
+    def test_build_peak_within_the_counted_matrices(self, small_system):
+        _, _, hamiltonian, _ = small_system
+        hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
+        spec = MonopoleSpec(tau=0.01)
+        matrix = 16 * 4**hamiltonian.num_spins
+        counted = BlockPropagatorFactory.peak_matrices(spec)
+        tracemalloc.start()
+        try:
+            factory = BlockPropagatorFactory(hamiltonian, spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
+        assert (counted - 1) * matrix < peak <= (counted + 0.25) * matrix
+        assert len(factory.powers) == 7
+        assert kept <= 7.25 * matrix
+
+    def test_run_estimate_counts_the_chain_peak(self):
+        def estimate(**layout):
+            return peak_matrix_bytes(RunConfig(kind="heating-eps", out_dir="x", num_spins=6,
+                                               eps_grid=(0.1,), graph_realizations=2,
+                                               **layout))
+        small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
+        chains = [BlockPropagatorFactory.peak_matrices(MonopoleSpec(**layout))
+                  for layout in ({}, small)]
+        assert chains == [8, 4]
+        assert estimate() - estimate(**small) == 2 * (8 - 4) * 16 * 4**6
