@@ -16,7 +16,7 @@ from .spins import (CouplingSet, Hamiltonian, SpinGraph, build_hamiltonian,
                     compute_couplings, generate_graph)
 from .evolution import (PulseProgram, SignalTrace, BlockPropagatorFactory,
                         compile_program, evolve, evolve_blockwise, initial_state)
-from .dephasing import DephasingParams, model_signal, predicted_rate
+from .dephasing import DephasingParams, model_signal
 from .analysis import (HeatingFit, PhaseDiagram, PowerLawFit, SpectrumResult,
                        dft_micromotion, dft_stroboscopic, fit_power_law,
                        half_frequency_contrast, lifetime, phase_diagram, symbol_dft)

@@ -69,15 +69,3 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
               "tau": spec.tau},
     )
 
-
-def predicted_rate(params: DephasingParams) -> float:
-    """Decay rate Gamma_e = Gamma_0 + eps**2 / (2 T) from the small-angle kick factor.
-
-    A deviation that tracks the period, eps = eps_offset + B*T, unfolds to
-    Gamma_0 + eps_offset**2/(2T) + B*eps_offset + B**2 T / 2, which bends up
-    again as T -> 0 whenever the calibration offset is nonzero.
-    """
-    eps = params.epsilon
-    if abs(eps) >= math.pi / 2:
-        raise ValueError(f"kick deviation {eps:.3f} outside the small-angle regime")
-    return params.gamma_0 + eps**2 / (2.0 * params.spec.block_duration)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rondeau.dephasing import DephasingParams
 from rondeau.evolution import apply_gates, rotation_gate
 from rondeau.spins import Hamiltonian
 
@@ -63,3 +64,16 @@ def total_iz_matrix(num_spins: int) -> np.ndarray:
     idx = np.arange(dim)
     bits = (idx[:, None] >> np.arange(num_spins - 1, -1, -1)[None, :]) & 1
     return 0.5 * (1.0 - 2.0 * bits).sum(axis=1)
+
+
+def predicted_rate(params: DephasingParams) -> float:
+    """Decay rate Gamma_e = Gamma_0 + eps**2 / (2 T) from the small-angle kick factor.
+
+    A deviation that tracks the period, eps = eps_offset + B*T, unfolds to
+    Gamma_0 + eps_offset**2/(2T) + B*eps_offset + B**2 T / 2, which bends up
+    again as T -> 0 whenever the calibration offset is nonzero.
+    """
+    eps = params.epsilon
+    if abs(eps) >= math.pi / 2:
+        raise ValueError(f"kick deviation {eps:.3f} outside the small-angle regime")
+    return params.gamma_0 + eps**2 / (2.0 * params.spec.block_duration)

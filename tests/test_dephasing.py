@@ -6,10 +6,10 @@ import pytest
 
 from rondeau.analysis import (dft_micromotion, fit_power_law, half_period_samples,
                               stroboscopic_samples, symbol_dft)
-from rondeau.dephasing import DephasingParams, model_signal, predicted_rate
+from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 
-from oracles import pi_shift_mirror
+from oracles import pi_shift_mirror, predicted_rate
 
 
 def params_for(spec, **kwargs):
