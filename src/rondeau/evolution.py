@@ -1,9 +1,11 @@
 """Exact state-vector evolution of driven spin networks.
 
 Pulses are instantaneous global rotations: layers of single-spin gates,
-applied as the Kronecker products of two halves of the spins; free evolution uses the cached dense eigendecomposition of the
-dipolar Hamiltonian.  Readout is the expectation value of total Ix after
-every pulse's free-evolution slot.
+applied as the Kronecker products of two halves of the spins.  The dipolar
+Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
+n + 1 magnetization sectors: its propagator is one block per sector, built
+from the Hamiltonian's cached sector-wise eigendecomposition.  Readout is
+the expectation value of total Ix after every pulse's free-evolution slot.
 
 :func:`evolve` walks the unrolled pulse program one pulse at a time (full
 quasi-continuous readout).  :func:`evolve_blockwise`, the one blockwise
@@ -162,16 +164,34 @@ def total_ix(state: np.ndarray, num_spins: int) -> float:
     return total
 
 
-def free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarray | None:
-    """Dense exp(-i * duration * H) via the cached eigendecomposition.
+def free_propagator(hamiltonian: Hamiltonian, duration: float) -> tuple:
+    """exp(-i * duration * H) as one ``(indices, block)`` pair per total-Iz sector.
 
-    Returns None for the non-interacting system (identity propagator).
+    ``block`` is V_k e^{-i duration Λ_k} V_k^† from the sector's cached
+    eigendecomposition and acts on the basis states ``indices``; the
+    propagator is zero between sectors.
     """
-    if hamiltonian.is_zero():
-        return None
-    eigvals, eigvecs = hamiltonian.eigensystem()
-    phases = np.exp(-1j * duration * eigvals)
-    return (eigvecs * phases[None, :]) @ eigvecs.conj().T
+    return tuple((idx, (vecs * np.exp(-1j * duration * vals)) @ vecs.conj().T)
+                 for idx, vals, vecs in hamiltonian.eigensystem())
+
+
+def apply_free(blocks, state: np.ndarray) -> np.ndarray:
+    """The vector ``state`` after the free step ``blocks`` of `free_propagator`.
+
+    One small mat-vec per sector, gathered from and scattered to its indices.
+    """
+    out = np.empty(state.shape, dtype=complex)
+    for idx, block in blocks:
+        out[idx] = block @ state[idx]
+    return out
+
+
+def dense_free(blocks, dim: int) -> np.ndarray:
+    """The blocks of `free_propagator` scattered into one dense (dim, dim) matrix."""
+    u_free = np.zeros((dim, dim), dtype=complex)
+    for idx, block in blocks:
+        u_free[np.ix_(idx, idx)] = block
+    return u_free
 
 
 # -- initial state ---------------------------------------------------------
@@ -188,9 +208,8 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
         raise ValueError(f"decay_time must be >= 0, got {decay_time}")
     dim = 2**num_spins
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    if decay_time > 0 and hamiltonian is not None and not hamiltonian.is_zero():
-        eigvals, eigvecs = hamiltonian.eigensystem()
-        psi = eigvecs @ (np.exp(-1j * decay_time * eigvals) * (eigvecs.conj().T @ psi))
+    if decay_time > 0 and hamiltonian is not None:
+        psi = apply_free(free_propagator(hamiltonian, decay_time), psi)
     return psi
 
 
@@ -229,7 +248,7 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
     if psi0.shape != (2**num_spins,):
         raise ValueError("state dimension does not match the Hamiltonian")
     spec = program.spec
-    u_free = free_propagator(hamiltonian, spec.tau)
+    blocks = free_propagator(hamiltonian, spec.tau)
     x_halves = gate_halves(rotation_gate("x", spec.theta_x), num_spins)
     y_halves = gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed), num_spins)
 
@@ -238,9 +257,7 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
     psi = np.array(psi0, dtype=complex)
     values[0] = total_ix(psi, num_spins)
     for i, kind in enumerate(program.kinds):
-        psi = apply_halves(psi, x_halves if kind == X_PULSE else y_halves)
-        if u_free is not None:
-            psi = u_free @ psi
+        psi = apply_free(blocks, apply_halves(psi, x_halves if kind == X_PULSE else y_halves))
         values[i + 1] = total_ix(psi, num_spins)
         if (i + 1) % norm_check_every == 0:
             _check_norm(psi, f"pulse {i + 1}")
@@ -350,13 +367,13 @@ class PowerChain:
         return powers
 
 
-def kick_layout(spec: MonopoleSpec) -> dict[bool, dict[int, tuple]]:
-    """Gamma-free factors of every readout step, keyed by ``include_half`` and block sign.
+def kick_layout(spec: MonopoleSpec, include_half: bool) -> dict[int, tuple]:
+    """Gamma-free factors of every readout step of one readout mode, keyed by block sign.
 
     A step is ``(e,)`` for the plain power W^e of the spin-lock cycle operator,
     or ``(a, b)`` for W^a · G(W^b), with G the kick's gate layer.  Whole blocks
-    are one step each; with the half-period sample the kick-free half of a
-    block is a plain power.
+    are one step each; with ``include_half`` (the half-period sample) the
+    kick-free half of a block is a plain power.
     """
     n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
     h = half_sample_slot(spec)
@@ -365,15 +382,14 @@ def kick_layout(spec: MonopoleSpec) -> dict[bool, dict[int, tuple]]:
             "half-period sample does not separate the two blocks; "
             "need kick_minus < half slot <= kick_plus"
         )
-    return {
-        False: {1: ((n + 1 - n_plus, n_plus),), -1: ((n + 1 - n_minus, n_minus),)},
-        True: {1: ((h,), (n + 1 - n_plus, n_plus - h)),
-               -1: ((h - n_minus, n_minus), (n + 1 - h,))},
-    }
+    if include_half:
+        return {1: ((h,), (n + 1 - n_plus, n_plus - h)),
+                -1: ((h - n_minus, n_minus), (n + 1 - h,))}
+    return {1: ((n + 1 - n_plus, n_plus),), -1: ((n + 1 - n_minus, n_minus),)}
 
 
 class BlockPropagatorFactory:
-    """Dense block propagators for one (Hamiltonian, timing) setup.
+    """Dense block propagators for one (Hamiltonian, timing, readout mode) setup.
 
     With W = U_free · X the spin-lock cycle operator (x pulse, then free
     evolution), the kick cycle is U_free · Y = W · X^† · Y.  Every readout step
@@ -383,21 +399,21 @@ class BlockPropagatorFactory:
     whole + block, A = W^(N+1-n₊) and B = W^(n₊); for the whole - block,
     A = W^(N+1-n₋) and B = W^(n₋).
 
-    The factory builds every power the layout names once, by one
-    :class:`PowerChain` that drops each intermediate after its last use;
-    :meth:`block_set` then costs the gate layers plus one dense product per
-    block sign.  The factory is read-only after construction, so threads may
-    share it.
+    The factory builds every power that the layout of its readout mode
+    (``include_half``) names once, by one :class:`PowerChain` that drops each
+    intermediate after its last use; :meth:`block_set` then costs the gate
+    layers plus one dense product per block sign.  U_free is block-diagonal in
+    total Iz but X mixes the sectors, so W and its powers are dense.  The
+    factory is read-only after construction, so threads may share it.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec):
+    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, include_half: bool = True):
         self.hamiltonian = hamiltonian
         self.spec = spec
+        self.include_half = include_half
         self.num_spins = hamiltonian.num_spins
-        self.layout = kick_layout(spec)
-        u_free = free_propagator(hamiltonian, spec.tau)
-        if u_free is None:
-            u_free = np.eye(2**self.num_spins, dtype=complex)
+        self.layout = kick_layout(spec, include_half)
+        u_free = dense_free(free_propagator(hamiltonian, spec.tau), 2**self.num_spins)
         # W = U_free · X, the pulse first: X^T applied to the rows of U_free^T
         x_halves = gate_halves(rotation_gate("x", spec.theta_x).T, self.num_spins)
         powers = {1: np.ascontiguousarray(apply_halves(u_free.T, x_halves).T)}
@@ -406,22 +422,27 @@ class BlockPropagatorFactory:
 
     @staticmethod
     def _exponents(layout) -> set[int]:
-        return {e for signs in layout.values() for steps in signs.values()
-                for factors in steps for e in factors}
+        return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec) -> int:
-        """Most dense matrices a factory for ``spec``'s layout holds while it is built."""
+    def peak_matrices(cls, spec: MonopoleSpec, include_half: bool) -> int:
+        """Most dense matrices a factory for ``spec``'s layout in one mode holds while built."""
         # building W holds at most three: U_free, its transposed copy and W
-        return max(3, PowerChain(cls._exponents(kick_layout(spec))).peak)
+        return max(3, PowerChain(cls._exponents(kick_layout(spec, include_half))).peak)
 
-    def block_set(self, gamma_y: float | None = None, include_half: bool = True,
+    def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
         """Readout steps of both block signs for the given kick angle.
 
         With ``include_half`` each block is two steps, to the half-period
-        slot and on to the block end; without it, one whole-block step.
+        slot and on to the block end; without it, one whole-block step.  The
+        mode must be the factory's own; None takes it.
         """
+        if include_half is None:
+            include_half = self.include_half
+        if include_half != self.include_half:
+            raise ValueError(f"factory built for include_half={self.include_half}, "
+                             f"asked for include_half={include_half}")
         if gamma_y is None:
             gamma_y = self.spec.gamma_y
         spec = replace(self.spec, gamma_y=gamma_y)
@@ -438,7 +459,7 @@ class BlockPropagatorFactory:
 
         slots = readout_slots(spec, include_half)
         steps = {s: tuple(zip(slots, map(step, layout)))
-                 for s, layout in self.layout[include_half].items()}
+                 for s, layout in self.layout.items()}
         return BlockPropagators(spec=spec, steps=steps)
 
 

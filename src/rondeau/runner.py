@@ -181,24 +181,35 @@ def _physical_memory() -> int:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Bytes of the dense 2^n x 2^n matrices a run holds at its peak.
+    """Bytes of the matrices a run holds at its peak.
 
-    In complex matrices: the real Hamiltonian and its eigenvectors make one,
-    and the per-pulse trace adds u_free; the other full-engine kinds add, per
-    graph, the peak of the factory's build (its addition chain's, see
-    `BlockPropagatorFactory.peak_matrices`), and a block set of up to 4 per
-    thread.  The dephasing engine, decode and the symbol spectrum build none.
+    Each graph holds its real 2^n x 2^n Hamiltonian and the real eigenvectors
+    of its total-Iz sectors, sum_k C(n, k)^2 = C(2n, n) entries.  The per-pulse
+    trace adds the complex free-step blocks, C(2n, n) entries again, and two
+    complex temporaries of the largest block while it is built; the other
+    full-engine kinds add, per graph, the peak of the factory's build for the
+    run's readout mode (its addition chain's, see
+    `BlockPropagatorFactory.peak_matrices`), in dense complex matrices, and a
+    block set of up to 4 of them per thread.  The dephasing engine, decode and
+    the symbol spectrum build none.
     """
     if config.engine != "full" or config.kind == "decode" or (
             config.kind == "spectrum" and config.spectrum_kind == "symbol"):
         return 0
+    n = config.num_spins
+    matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
+    hamiltonian = (matrix + sectors) // 2
     if config.kind == "trace":
-        matrices = 2
-    else:
-        graphs = config.graph_realizations if config.kind in _SWEEPS else 1
-        factory = BlockPropagatorFactory.peak_matrices(config.spec())
-        matrices = (1 + factory) * graphs + 4 * config.threads
-    return matrices * 16 * 4**config.num_spins
+        return hamiltonian + sectors + 2 * 16 * math.comb(n, n // 2)**2
+    graphs = config.graph_realizations if config.kind in _SWEEPS else 1
+    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
+    return (hamiltonian + factory * matrix) * graphs + 4 * config.threads * matrix
+
+
+def _reads_half_period(config: RunConfig) -> bool:
+    """Whether the run's block sets read the half-period sample besides the block end."""
+    return config.kind == "encode" or (
+        config.kind == "spectrum" and config.spectrum_kind == "micromotion")
 
 
 def _parse_order(label) -> int | float:
@@ -253,9 +264,9 @@ def _parallel_map(fn, items, threads: int):
 class FullSystem:
     """Graph, Hamiltonian, initial state, and the propagator factory of one run.
 
-    Only the factory of the most recent tau is kept, since a sweep uses each
-    tau for one point; the cache is safe to share between the threads of
-    `_parallel_map`.
+    Only the factory of the most recent tau and readout mode is kept, since a
+    sweep uses each tau for one point and a run reads out in one mode; the
+    cache is safe to share between the threads of `_parallel_map`.
     """
 
     def __init__(self, config: RunConfig):
@@ -271,15 +282,16 @@ class FullSystem:
         self.hamiltonian = build_hamiltonian(self.couplings)
         self.psi0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
-        self._factory: tuple[float, BlockPropagatorFactory] | None = None
+        self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
         self._lock = threading.Lock()
 
-    def factory(self, spec: MonopoleSpec) -> BlockPropagatorFactory:
+    def factory(self, spec: MonopoleSpec, include_half: bool) -> BlockPropagatorFactory:
+        key = (spec.tau, include_half)
         with self._lock:
-            if self._factory is None or self._factory[0] != spec.tau:
+            if self._factory is None or self._factory[0] != key:
                 self._factory = None  # release the old factory before building
-                self._factory = (spec.tau, BlockPropagatorFactory(
-                    self.hamiltonian, replace(spec, gamma_y=math.pi)))
+                self._factory = (key, BlockPropagatorFactory(
+                    self.hamiltonian, replace(spec, gamma_y=math.pi), include_half))
             return self._factory[1]
 
 
@@ -293,18 +305,19 @@ def _systems_for(config: RunConfig, graphs: int = 1) -> list:
 
 # -- the engine seam: only these two functions know which engine runs ---------
 
-def _block_set(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
-               include_half: bool = False) -> BlockPropagators | DephasingParams:
+def _block_set(system: FullSystem | None, config: RunConfig,
+               spec: MonopoleSpec) -> BlockPropagators | DephasingParams:
     """What `_drive_trace` evolves under at ``spec``.
 
     The full engine's block propagators on ``system``, or the dephasing
     model's parameters when ``system`` is None; both read out the
-    `readout_slots` (the half-period slot too with ``include_half``).
+    `readout_slots` (the half-period slot too when `_reads_half_period`).
     """
+    include_half = _reads_half_period(config)
     if system is None:
         return DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0,
                                readout=readout_slots(spec, include_half))
-    return system.factory(spec).block_set(spec.gamma_y, include_half=include_half)
+    return system.factory(spec, include_half).block_set(spec.gamma_y, include_half=include_half)
 
 
 def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
@@ -381,8 +394,7 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
     system = props = None
     if config.spectrum_kind != "symbol":
         (system,) = _systems_for(config)
-        props = _block_set(system, config, spec,
-                           include_half=config.spectrum_kind == "micromotion")
+        props = _block_set(system, config, spec)
 
     def one(r: int):
         stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, r))
@@ -510,7 +522,7 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     stream = encode(message)
     serialize.write_stream(out / "stream.txt", stream)
     (system,) = _systems_for(config)
-    props = _block_set(system, config, config.spec(), include_half=True)
+    props = _block_set(system, config, config.spec())
     trace = _drive_trace(system, props, stream).with_noise(
         config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_trace(out / "trace.csv", trace)

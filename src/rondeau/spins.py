@@ -74,12 +74,19 @@ class CouplingSet:
         return float(np.mean(np.abs(self.couplings[iu])))
 
 
+def sector_indices(num_spins: int) -> tuple[np.ndarray, ...]:
+    """Basis indices of each total-Iz sector, by the number k = 0..n of down spins."""
+    popcount = ((np.arange(1 << num_spins)[:, None] >> np.arange(num_spins)) & 1).sum(axis=1)
+    return tuple(np.flatnonzero(popcount == k) for k in range(num_spins + 1))
+
+
 @dataclass(eq=False)
 class Hamiltonian:
-    """Dense secular dipolar Hamiltonian with a lazy eigendecomposition.
+    """Dense secular dipolar Hamiltonian with a lazy sector-wise eigendecomposition.
 
-    The eigendecomposition is computed once even when threads ask for it
-    concurrently.
+    The Hamiltonian conserves total Iz, so it is block-diagonal in the n + 1
+    sectors of `sector_indices`.  The eigendecomposition is computed once,
+    even when threads ask for it concurrently.
     """
 
     matrix: np.ndarray
@@ -91,15 +98,18 @@ class Hamiltonian:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """One-time dense diagonalization, cached for reuse."""
+    def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """One-time diagonalization of each sector, cached for reuse.
+
+        Returns ``(indices, eigvals, eigvecs)`` per sector: the sector's basis
+        indices and the `np.linalg.eigh` of ``matrix`` restricted to them.
+        """
         with self._lock:
             if self._eigensystem is None:
-                self._eigensystem = np.linalg.eigh(self.matrix)
+                self._eigensystem = tuple(
+                    (idx, *np.linalg.eigh(self.matrix[np.ix_(idx, idx)]))
+                    for idx in sector_indices(self.num_spins))
             return self._eigensystem
-
-    def is_zero(self) -> bool:
-        return not np.any(self.matrix)
 
 
 def generate_graph(num_spins: int,

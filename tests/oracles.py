@@ -58,6 +58,12 @@ def zero_hamiltonian(num_spins: int) -> Hamiltonian:
     return Hamiltonian(matrix=np.zeros((dim, dim)), num_spins=num_spins)
 
 
+def dense_free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarray:
+    """exp(-i * duration * H) as V e^{-i duration Λ} V^† from one dense eigh of the matrix."""
+    eigvals, eigvecs = np.linalg.eigh(hamiltonian.matrix)
+    return (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
+
+
 def total_iz_matrix(num_spins: int) -> np.ndarray:
     """Diagonal of the total Iz operator in the computational basis."""
     dim = 1 << num_spins

@@ -14,8 +14,8 @@ from tracing import Tracer, instrument
 instrument(Tracer())
 """
 
-# A tiny full-engine heating sweep (3 eps points, 2 realizations) and an encode,
-# run after instrumenting; prints the per-layer metrics of their spans.
+# A tiny full-engine heating sweep (3 eps points, 2 realizations), an encode and a
+# per-pulse trace, run after instrumenting; prints the per-layer metrics of their spans.
 RUN_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -28,6 +28,7 @@ small = dict(engine="full", num_spins=4, pulses_per_block=12, kick_plus=8, kick_
 run(RunConfig(kind="heating-eps", out_dir=sys.argv[3] + "/heat", eps_grid=(0.3, 0.5, 0.7),
               max_cycles=64, **small))
 run(RunConfig(kind="encode", out_dir=sys.argv[3] + "/encode", text="Hi", **small))
+run(RunConfig(kind="trace", out_dir=sys.argv[3] + "/trace", cycles=2, **small))
 print(json.dumps(layer_metrics([tracer.spans])))
 """
 
@@ -50,3 +51,7 @@ def test_runs_go_through_the_traced_names(tmp_path):
     assert metrics["runner.measure_rate_calls"] == (3 + 1) * 2
     assert metrics["runner.rundown_cycles"] > 0
     assert metrics["evolution.blockwise_cycles"] > 0
+    # 2 cycles of 12 spin-lock pulses and a kick
+    assert metrics["evolution.pulses"] == 2 * 13
+    # one Hamiltonian per run, diagonalized in one traced call
+    assert metrics["spins.eigensystem_calls"] == 3

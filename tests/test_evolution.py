@@ -7,12 +7,14 @@ from scipy.linalg import expm
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
-                               PulseProgram, X_PULSE, Y_PULSE, compile_program,
-                               evolve, evolve_blockwise, half_sample_slot,
-                               initial_state, total_ix)
+                               PulseProgram, X_PULSE, Y_PULSE, apply_gates, compile_program,
+                               dense_free, evolve, evolve_blockwise, free_propagator,
+                               half_sample_slot, initial_state, rotation_gate, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
+from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from oracles import global_rotation_matrix, zero_hamiltonian
+from oracles import (dense_free_propagator, global_rotation_matrix, total_iz_matrix,
+                     zero_hamiltonian)
 
 
 def stream_of(text):
@@ -165,6 +167,50 @@ class TestEvolveEngine:
         assert trace.cycle_index[slots + 1] == 1
 
 
+def dense_evolve_values(program: PulseProgram, hamiltonian, psi0) -> np.ndarray:
+    """Reference per-pulse readout: each pulse's gate layer, then the dense free propagator."""
+    spec, n = program.spec, hamiltonian.num_spins
+    u_free = dense_free_propagator(hamiltonian, spec.tau)
+    gates = {X_PULSE: rotation_gate("x", spec.theta_x), Y_PULSE: rotation_gate("y", spec.gamma_y)}
+    psi, values = psi0, [total_ix(psi0, n)]
+    for kind in program.kinds:
+        psi = u_free @ apply_gates(psi, gates[kind], n)
+        values.append(total_ix(psi, n))
+    return np.array(values)
+
+
+class TestSectorFreeEvolution:
+    """Free evolution runs per total-Iz sector; the dense eigh of the whole matrix is the gate."""
+
+    @pytest.fixture(params=[(3, 2), (5, 0), (8, 4)], ids=lambda p: f"n{p[0]}-graph{p[1]}")
+    def hamiltonian(self, request):
+        num_spins, seed = request.param
+        return build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=seed)))
+
+    def test_trace_matches_dense_engine(self, hamiltonian):
+        spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
+                            gamma_y=0.97 * math.pi)
+        program = compile_program(sample_rmd(1, 4, seed=3), spec)
+        psi0 = initial_state(hamiltonian.num_spins)
+        trace = evolve(program, hamiltonian, psi0)
+        assert np.abs(trace.values - dense_evolve_values(program, hamiltonian, psi0)).max() < 1e-10
+
+    def test_decayed_initial_state_matches_dense(self, hamiltonian):
+        n = hamiltonian.num_spins
+        decayed = initial_state(n, hamiltonian, decay_time=0.3)
+        reference = dense_free_propagator(hamiltonian, 0.3) @ initial_state(n)
+        assert np.abs(decayed - reference).max() < 1e-10
+
+    def test_assembled_u_free_has_no_entry_between_sectors(self, hamiltonian):
+        n = hamiltonian.num_spins
+        blocks = free_propagator(hamiltonian, 0.05)
+        assert [idx.size for idx, _ in blocks] == [math.comb(n, k) for k in range(n + 1)]
+        u_free = dense_free(blocks, 2**n)
+        iz = total_iz_matrix(n)
+        assert np.all(u_free[iz[:, None] != iz[None, :]] == 0)
+        assert np.abs(u_free - dense_free_propagator(hamiltonian, 0.05)).max() < 1e-12
+
+
 class TestBlockwiseEngine:
     def test_matches_per_pulse_engine(self, small_system):
         _, _, hamiltonian, psi0 = small_system
@@ -181,26 +227,33 @@ class TestBlockwiseEngine:
     def test_strobo_only_mode(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
         stream = sample_rmd(0, 6, seed=8)
-        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set(include_half=False)
+        props = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False).block_set()
         trace = evolve_blockwise(stream, props, psi0)
         assert len(trace) == 7
         assert np.allclose(np.diff(trace.times), short_spec.block_duration)
 
     def test_micromotion_of_a_strobo_only_trace_rejected(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set(include_half=False)
+        props = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False).block_set()
         trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, psi0)
         with pytest.raises(ValueError, match=r"slot 6 sample in cycles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
             dft_micromotion(trace)
 
     def test_block_propagators_unitary(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system
-        factory = BlockPropagatorFactory(hamiltonian, short_spec)
-        props = factory.block_set(0.95 * math.pi, include_half=False)
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False)
+        props = factory.block_set(0.95 * math.pi)
         for sign in (1, -1):
             (_, u), = props.steps[sign]
             deviation = u.conj().T @ u - np.eye(u.shape[0])
             assert np.abs(deviation).max() < 1e-10
+
+    def test_block_set_only_in_the_factorys_readout_mode(self, small_system, short_spec):
+        _, _, hamiltonian, _ = small_system
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False)
+        assert factory.block_set().steps.keys() == {1, -1}
+        with pytest.raises(ValueError, match="include_half"):
+            factory.block_set(include_half=True)
 
     def test_half_slot_positions(self):
         assert half_sample_slot(MonopoleSpec(300, 200, 100)) == 150
@@ -249,8 +302,7 @@ class TestInitialStateIndependence:
             traces = []
             for hamiltonian in hamiltonians:
                 psi0 = initial_state(8, hamiltonian, decay_time=decay_time)
-                props = BlockPropagatorFactory(hamiltonian, spec).block_set(
-                    include_half=False)
+                props = BlockPropagatorFactory(hamiltonian, spec, include_half=False).block_set()
                 trace = evolve_blockwise(stream, props, psi0)
                 _, values = stroboscopic_samples(trace)
                 traces.append(values)

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rondeau.evolution import (BlockPropagatorFactory, PowerChain, _kick_gates, apply_gates,
-                               kick_layout)
+                               compile_program, evolve, initial_state, kick_layout)
 from rondeau.runner import RunConfig, peak_matrix_bytes
-from rondeau.sequences import MonopoleSpec
+from rondeau.sequences import MonopoleSpec, sample_rmd
+from rondeau.spins import build_hamiltonian
 
 from conftest import rng
 
-DEFAULT_EXPONENTS = {50, 100, 101, 150, 151, 200, 201}
+#: Powers the default layout reads, by readout mode (``include_half``).
+MODE_EXPONENTS = {False: {100, 101, 200, 201}, True: {50, 100, 101, 150, 151}}
+DEFAULT_EXPONENTS = MODE_EXPONENTS[False] | MODE_EXPONENTS[True]
 
 
 def binary_products(exponents) -> int:
@@ -44,8 +47,9 @@ def gates_by_spin(state, gates, num_spins):
 
 class TestPowerChain:
     def test_default_layout_exponents(self):
-        exponents = BlockPropagatorFactory._exponents(kick_layout(MonopoleSpec()))
-        assert exponents == DEFAULT_EXPONENTS
+        for include_half, exponents in MODE_EXPONENTS.items():
+            layout = kick_layout(MonopoleSpec(), include_half)
+            assert BlockPropagatorFactory._exponents(layout) == exponents
 
     @pytest.mark.parametrize("exponents", [
         [0], [1], [0, 1], [2, 2, 3, 3], [17], [5, 64], [0, 1, 2, 3, 17], [49, 50, 100, 150, 151],
@@ -60,6 +64,8 @@ class TestPowerChain:
 
     @pytest.mark.parametrize("exponents, products, binary", [
         (DEFAULT_EXPONENTS, 13, 26),
+        (MODE_EXPONENTS[False], 11, 17),
+        (MODE_EXPONENTS[True], 11, 21),
         ({49, 50, 100, 150, 151}, 11, 20),
     ])
     def test_fewer_products_than_binary_on_layout_sets(self, exponents, products, binary):
@@ -122,17 +128,37 @@ class TestFactoryMemory:
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**hamiltonian.num_spins
-        counted = BlockPropagatorFactory.peak_matrices(spec)
+        for include_half, exponents in MODE_EXPONENTS.items():
+            counted = BlockPropagatorFactory.peak_matrices(spec, include_half)
+            tracemalloc.start()
+            try:
+                factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
+            assert (counted - 1) * matrix < peak <= (counted + 0.25) * matrix
+            # only the powers of the factory's own readout mode are kept
+            assert set(factory.powers) == exponents
+            assert kept <= (len(exponents) + 0.25) * matrix
+            del factory
+
+    def test_trace_estimate_counts_the_sector_engine(self, small_system):
+        """A per-pulse trace holds the real H, its sector eigenvectors and the free-step blocks."""
+        _, couplings, _, _ = small_system
+        config = RunConfig(kind="trace", out_dir="x", num_spins=couplings.num_spins,
+                           pulses_per_block=12, kick_plus=8, kick_minus=4)
+        program = compile_program(sample_rmd(0, 2, seed=1), config.spec())
+        psi0 = initial_state(config.num_spins)
+        matrix = 16 * 4**config.num_spins
         tracemalloc.start()
         try:
-            factory = BlockPropagatorFactory(hamiltonian, spec)
-            kept, peak = tracemalloc.get_traced_memory()
+            evolve(program, build_hamiltonian(couplings), psi0)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
-        assert (counted - 1) * matrix < peak <= (counted + 0.25) * matrix
-        assert len(factory.powers) == 7
-        assert kept <= 7.25 * matrix
+        estimate = peak_matrix_bytes(config)
+        assert estimate - 0.25 * matrix < peak <= estimate + 0.25 * matrix
 
     def test_run_estimate_counts_the_chain_peak(self):
         def estimate(**layout):
@@ -140,7 +166,8 @@ class TestFactoryMemory:
                                                eps_grid=(0.1,), graph_realizations=2,
                                                **layout))
         small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
-        chains = [BlockPropagatorFactory.peak_matrices(MonopoleSpec(**layout))
+        # a heating run reads whole blocks only
+        chains = [BlockPropagatorFactory.peak_matrices(MonopoleSpec(**layout), False)
                   for layout in ({}, small)]
-        assert chains == [8, 4]
-        assert estimate() - estimate(**small) == 2 * (8 - 4) * 16 * 4**6
+        assert chains == [5, 3]
+        assert estimate() - estimate(**small) == 2 * (5 - 3) * 16 * 4**6

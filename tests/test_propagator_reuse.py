@@ -25,7 +25,7 @@ def block_set_keys(monkeypatch):
     keys = []
     real = BlockPropagatorFactory.block_set
 
-    def counted(self, gamma_y=None, include_half=True, angle_spread=0.0, disorder_seed=None):
+    def counted(self, gamma_y=None, include_half=None, angle_spread=0.0, disorder_seed=None):
         keys.append((id(self), gamma_y, include_half, angle_spread, disorder_seed))
         return real(self, gamma_y, include_half, angle_spread, disorder_seed)
 
@@ -78,7 +78,7 @@ def test_shared_block_set_gives_identical_rates(order):
     rates = []
     for gi, system in enumerate(systems):
         for r in range(config.realizations):
-            props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
+            props = system.factory(spec, False).block_set(spec.gamma_y, include_half=False)
             seed = derive_seed(config.seed, 5, gi, r)
             offset = r if order == "inf" else 0
             rates.append(measure_rate(system, props, config, order, seed,
@@ -126,11 +126,13 @@ def _slow_counter(build, calls):
 
 
 def test_eigensystem_is_computed_once_under_threads(monkeypatch):
-    hamiltonian = build_hamiltonian(compute_couplings(generate_graph(3, seed=1)))
+    """Racing threads cause one sector pass, an eigh per total-Iz sector, and share it."""
+    num_spins = 3
+    hamiltonian = build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=1)))
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", _slow_counter(np.linalg.eigh, calls))
     results = _race(hamiltonian.eigensystem)
-    assert len(calls) == 1
+    assert len(calls) == num_spins + 1
     assert all(r is results[0] for r in results)
 
 
@@ -144,7 +146,7 @@ def test_factory_matches_each_callers_tau_under_threads():
     def call():
         with lock:
             tau = taus.pop()
-        return tau, system.factory(dataclasses.replace(spec, tau=tau))
+        return tau, system.factory(dataclasses.replace(spec, tau=tau), False)
 
     results = _race(call, workers=8)
     assert all(factory.spec.tau == tau for tau, factory in results)
@@ -154,8 +156,8 @@ def test_factory_is_built_once_under_threads(monkeypatch):
     system = FullSystem(RunConfig(kind="spectrum", out_dir="x", **SMALL))
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _slow_counter(lambda hamiltonian, spec: object(), calls))
+                        _slow_counter(lambda hamiltonian, spec, include_half: object(), calls))
     spec = system.config.spec()
-    results = _race(lambda: system.factory(spec))
+    results = _race(lambda: system.factory(spec, False))
     assert len(calls) == 1
     assert all(r is results[0] for r in results)

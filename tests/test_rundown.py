@@ -51,7 +51,7 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
                        eps_grid=(eps,))
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
     system = FullSystem(config)
-    props = system.factory(spec).block_set(spec.gamma_y, include_half=False)
+    props = system.factory(spec, False).block_set(spec.gamma_y, include_half=False)
     traces = []
     rundown = runner.stroboscopic_rundown
 

@@ -96,6 +96,11 @@ class TestRunConfig:
         assert str(runner.peak_matrix_bytes(config)) in str(err.value)
         assert str(8 * 2**30) in str(err.value)
 
+    def test_trace_counts_the_sectors_not_dense_propagators(self, monkeypatch):
+        # n = 14: two dense complex matrices take 8 GiB, the sector engine about 3.2 GiB
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 7 * 2**30)
+        RunConfig(kind="trace", out_dir="x", num_spins=14).validate()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_dephasing_engine_never_rejected_for_memory(self, monkeypatch, kind):
         monkeypatch.setattr(runner, "_physical_memory", lambda: 0)

@@ -134,5 +134,5 @@ class TestBuildHamiltonian:
 
     def test_zero_hamiltonian(self):
         h = zero_hamiltonian(4)
-        assert h.is_zero()
+        assert not np.any(h.matrix)
         assert h.dimension == 16
