@@ -31,7 +31,7 @@ from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
-from .spins import build_hamiltonian, compute_couplings, generate_graph
+from .spins import DEFAULT_SPIN_CAP, build_hamiltonian, compute_couplings, generate_graph
 from . import serialize
 
 KINDS = ("trace", "phase-diagram", "heating-eps", "heating-period",
@@ -154,10 +154,13 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
+        if _builds_systems(self) and self.num_spins > DEFAULT_SPIN_CAP:
+            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
+                              f"exceeds the cap of {DEFAULT_SPIN_CAP} spins")
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
         if estimate > memory:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs about {estimate} bytes of dense matrices, more than the "
+                              f"needs about {estimate} bytes of matrices, more than the "
                               f"{memory} bytes of physical memory")
 
     def spec(self) -> MonopoleSpec:
@@ -180,30 +183,36 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _builds_systems(config: RunConfig) -> bool:
+    """Whether the run builds spin systems: the dephasing engine, decode and the
+    symbol spectrum build none.
+    """
+    return config.engine == "full" and config.kind != "decode" and not (
+        config.kind == "spectrum" and config.spectrum_kind == "symbol")
+
+
 def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the matrices a run holds at its peak.
 
-    Each graph holds its real 2^n x 2^n Hamiltonian and the real eigenvectors
-    of its total-Iz sectors, sum_k C(n, k)^2 = C(2n, n) entries.  The per-pulse
-    trace adds the complex free-step blocks, C(2n, n) entries again, and two
-    complex temporaries of the largest block while it is built; the other
-    full-engine kinds add, per graph, the peak of the factory's build for the
-    run's readout mode (its addition chain's, see
+    Each graph holds the real blocks of its Hamiltonian and their real
+    eigenvectors, one per total-Iz sector, sum_k C(n, k)^2 = C(2n, n) entries
+    each.  The per-pulse trace adds the complex free-step blocks, C(2n, n)
+    entries again, and two complex temporaries of the largest block while it
+    is built; the other full-engine kinds add, per graph, the peak of the
+    factory's build for the run's readout mode (its addition chain's, see
     `BlockPropagatorFactory.peak_matrices`), in dense complex matrices, and a
-    block set of up to 4 of them per thread.  The dephasing engine, decode and
-    the symbol spectrum build none.
+    block set of up to 4 of them per thread.  Runs that build no system hold
+    none.
     """
-    if config.engine != "full" or config.kind == "decode" or (
-            config.kind == "spectrum" and config.spectrum_kind == "symbol"):
+    if not _builds_systems(config):
         return 0
     n = config.num_spins
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
-    hamiltonian = (matrix + sectors) // 2
     if config.kind == "trace":
-        return hamiltonian + sectors + 2 * 16 * math.comb(n, n // 2)**2
+        return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
     graphs = config.graph_realizations if config.kind in _SWEEPS else 1
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
-    return (hamiltonian + factory * matrix) * graphs + 4 * config.threads * matrix
+    return (sectors + factory * matrix) * graphs + 4 * config.threads * matrix
 
 
 def _reads_half_period(config: RunConfig) -> bool:

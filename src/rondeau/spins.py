@@ -3,7 +3,9 @@
 Spins are placed at random in a cube under a minimum-distance and a
 nearest-neighbor constraint, coupled by 1/r**3 dipolar interactions, and
 assembled into the z-conserving (secular) many-body Hamiltonian
-``sum_{k<l} B_kl [3 Iz_k Iz_l - I_k . I_l]`` on spin-1/2 sites.
+``sum_{k<l} B_kl [3 Iz_k Iz_l - I_k . I_l]`` on spin-1/2 sites.  It conserves
+total Iz, so it is built and kept as one real block per total-Iz sector; the
+dense 2^n x 2^n matrix is never formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 ISOTROPIC = "isotropic"
 ANGULAR = "angular"
 
-#: Largest spin count for which a dense Hamiltonian is built by default.
+#: Largest spin count for which a Hamiltonian is built by default.
 DEFAULT_SPIN_CAP = 14
 
 #: Placement proposals per spin before giving up.
@@ -82,33 +84,35 @@ def sector_indices(num_spins: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(eq=False)
 class Hamiltonian:
-    """Dense secular dipolar Hamiltonian with a lazy sector-wise eigendecomposition.
+    """Secular dipolar Hamiltonian as its total-Iz sector blocks, with a lazy eigensystem.
 
     The Hamiltonian conserves total Iz, so it is block-diagonal in the n + 1
-    sectors of `sector_indices`.  The eigendecomposition is computed once,
-    even when threads ask for it concurrently.
+    sectors of `sector_indices`: ``blocks`` holds one ``(indices, block)``
+    pair per sector, the sector's basis indices and the real symmetric matrix
+    restricted to them, and every entry between sectors is zero.  The
+    eigendecomposition is computed once, even when threads ask for it
+    concurrently.
     """
 
-    matrix: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     num_spins: int
     _eigensystem: tuple | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return 1 << self.num_spins
 
     def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """One-time diagonalization of each sector, cached for reuse.
 
         Returns ``(indices, eigvals, eigvecs)`` per sector: the sector's basis
-        indices and the `np.linalg.eigh` of ``matrix`` restricted to them.
+        indices and the `np.linalg.eigh` of its block.
         """
         with self._lock:
             if self._eigensystem is None:
-                self._eigensystem = tuple(
-                    (idx, *np.linalg.eigh(self.matrix[np.ix_(idx, idx)]))
-                    for idx in sector_indices(self.num_spins))
+                self._eigensystem = tuple((idx, *np.linalg.eigh(block))
+                                          for idx, block in self.blocks)
             return self._eigensystem
 
 
@@ -198,18 +202,18 @@ def _pair_term_indices(num_spins: int, k: int, l: int):
 
 
 def build_hamiltonian(couplings: CouplingSet, spin_cap: int = DEFAULT_SPIN_CAP) -> Hamiltonian:
-    """Assemble the dense secular Hamiltonian with I = sigma/2 spins.
+    """Assemble the secular Hamiltonian with I = sigma/2 spins, sector by sector.
 
     Diagonal part (1/2) sum B_kl z_k z_l with z = +-1; flip-flop part
-    -B_kl/2 between |...up,down...> and |...down,up...>.  Real symmetric,
-    traceless, and commuting with total Iz by construction.
+    -B_kl/2 between |...up,down...> and |...down,up...>, which preserves the
+    number of down spins and so lands inside one sector block.  Real
+    symmetric, traceless, and commuting with total Iz by construction.
     """
     n = couplings.num_spins
     if n > spin_cap:
         raise ValueError(f"{n} spins exceeds the cap of {spin_cap}")
     dim = 1 << n
     B = couplings.couplings
-    H = np.zeros((dim, dim))
 
     idx = np.arange(dim)
     z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
@@ -217,13 +221,28 @@ def build_hamiltonian(couplings: CouplingSet, spin_cap: int = DEFAULT_SPIN_CAP) 
     for k in range(n):
         for l in range(k + 1, n):
             diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
-    H[idx, idx] = diag
 
+    # All blocks share one flat buffer: entry (i, j) of a sector, for basis
+    # indices i and j, sits at flat[row[i] + col[j]].
+    sectors = sector_indices(n)
+    flat = np.zeros(sum(sector.size**2 for sector in sectors))
+    row, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    blocks, start = [], 0
+    for sector in sectors:
+        size = sector.size
+        col[sector] = np.arange(size)
+        row[sector] = start + size * col[sector]
+        blocks.append((sector, flat[start:start + size * size].reshape(size, size)))
+        start += size * size
+    flat[row + col] = diag
+
+    # the two basis states of a flip-flop differ in two bits, so no other
+    # pair writes their entries
     for k in range(n):
         for l in range(k + 1, n):
             if B[k, l] == 0.0:
                 continue
             src, dst = _pair_term_indices(n, k, l)
-            H[dst, src] += -0.5 * B[k, l]
-            H[src, dst] += -0.5 * B[k, l]
-    return Hamiltonian(matrix=H, num_spins=n)
+            flat[row[dst] + col[src]] = -0.5 * B[k, l]
+            flat[row[src] + col[dst]] = -0.5 * B[k, l]
+    return Hamiltonian(blocks=tuple(blocks), num_spins=n)

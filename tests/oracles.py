@@ -9,7 +9,7 @@ import numpy as np
 
 from rondeau.dephasing import DephasingParams
 from rondeau.evolution import apply_gates, rotation_gate
-from rondeau.spins import Hamiltonian
+from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +52,53 @@ def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarra
                        rotation_gate(axis, angle), num_spins)
 
 
+def dense_hamiltonian(couplings: CouplingSet) -> np.ndarray:
+    """The whole real 2^n x 2^n secular Hamiltonian, assembled densely with I = sigma/2 spins.
+
+    Diagonal part (1/2) sum B_kl z_k z_l with z = +-1; flip-flop part
+    -B_kl/2 between |...up,down...> and |...down,up...>.
+    """
+    n = couplings.num_spins
+    dim = 1 << n
+    B = couplings.couplings
+    H = np.zeros((dim, dim))
+
+    idx = np.arange(dim)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
+    diag = np.zeros(dim)
+    for k in range(n):
+        for l in range(k + 1, n):
+            diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
+    H[idx, idx] = diag
+
+    for k in range(n):
+        for l in range(k + 1, n):
+            if B[k, l] == 0.0:
+                continue
+            src, dst = _pair_term_indices(n, k, l)
+            H[dst, src] += -0.5 * B[k, l]
+            H[src, dst] += -0.5 * B[k, l]
+    return H
+
+
+def scattered_matrix(hamiltonian: Hamiltonian) -> np.ndarray:
+    """The Hamiltonian's sector blocks scattered into one dense 2^n x 2^n matrix."""
+    H = np.zeros((hamiltonian.dimension, hamiltonian.dimension))
+    for idx, block in hamiltonian.blocks:
+        H[np.ix_(idx, idx)] = block
+    return H
+
+
 def zero_hamiltonian(num_spins: int) -> Hamiltonian:
     """Non-interacting reference system (all couplings off)."""
-    dim = 1 << num_spins
-    return Hamiltonian(matrix=np.zeros((dim, dim)), num_spins=num_spins)
+    return Hamiltonian(blocks=tuple((idx, np.zeros((idx.size, idx.size)))
+                                    for idx in sector_indices(num_spins)),
+                       num_spins=num_spins)
 
 
 def dense_free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarray:
     """exp(-i * duration * H) as V e^{-i duration Λ} V^† from one dense eigh of the matrix."""
-    eigvals, eigvecs = np.linalg.eigh(hamiltonian.matrix)
+    eigvals, eigvecs = np.linalg.eigh(scattered_matrix(hamiltonian))
     return (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
 
 

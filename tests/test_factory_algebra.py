@@ -144,7 +144,7 @@ class TestFactoryMemory:
             del factory
 
     def test_trace_estimate_counts_the_sector_engine(self, small_system):
-        """A per-pulse trace holds the real H, its sector eigenvectors and the free-step blocks."""
+        """A per-pulse trace holds H's sector blocks, their eigenvectors and the free-step blocks."""
         _, couplings, _, _ = small_system
         config = RunConfig(kind="trace", out_dir="x", num_spins=couplings.num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)

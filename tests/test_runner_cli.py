@@ -97,9 +97,28 @@ class TestRunConfig:
         assert str(8 * 2**30) in str(err.value)
 
     def test_trace_counts_the_sectors_not_dense_propagators(self, monkeypatch):
-        # n = 14: two dense complex matrices take 8 GiB, the sector engine about 3.2 GiB
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 7 * 2**30)
+        # n = 14: two dense complex matrices take 8 GiB, the sector engine about 1.5 GiB
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 2 * 2**30)
         RunConfig(kind="trace", out_dir="x", num_spins=14).validate()
+
+    def test_full_engine_rejected_above_the_spin_cap(self, tmp_path, monkeypatch):
+        # n = 15: the trace estimate (about 6.3 GB) fits, but build_hamiltonian refuses it
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 64 * 2**30)
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        config = RunConfig(kind="trace", out_dir=str(tmp_path), num_spins=15)
+        assert runner.peak_matrix_bytes(config) < 64 * 2**30
+        with pytest.raises(ConfigError, match="cap of 14 spins"):
+            run(config)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(engine="dephasing", kind="trace"),
+        dict(kind="decode", trace_file="trace.csv"),
+        dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=4),
+    ])
+    def test_spin_cap_spares_runs_that_build_no_system(self, monkeypatch, overrides):
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 64 * 2**30)
+        RunConfig(out_dir="x", num_spins=15, **overrides).validate()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dephasing_engine_never_rejected_for_memory(self, monkeypatch, kind):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from rondeau.spins import (ANGULAR, ISOTROPIC, CouplingSet, NormalizationError,
                            PackingInfeasibleError, SpinGraph, build_hamiltonian,
-                           compute_couplings, generate_graph)
+                           compute_couplings, generate_graph, sector_indices)
 
-from oracles import total_iz_matrix, zero_hamiltonian
+from oracles import dense_hamiltonian, scattered_matrix, total_iz_matrix, zero_hamiltonian
 
 
 def line_graph(*zs):
@@ -111,20 +113,51 @@ class TestBuildHamiltonian:
         j = 0.66
         couplings = compute_couplings(line_graph(0.0, 1.0), coupling_median=j)
         h = build_hamiltonian(couplings)
-        eigvals = np.sort(np.linalg.eigvalsh(h.matrix))
+        eigvals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in h.blocks]))
         assert np.allclose(eigvals, [-j, 0.0, j / 2, j / 2], atol=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=10, deadline=None)
     def test_secular_structure(self, seed):
         couplings = compute_couplings(generate_graph(5, seed=seed), 1.0)
-        h = build_hamiltonian(couplings)
-        norm = np.abs(h.matrix).max()
-        assert np.abs(h.matrix - h.matrix.T).max() < 1e-12 * norm
+        matrix = scattered_matrix(build_hamiltonian(couplings))
+        norm = np.abs(matrix).max()
+        assert np.abs(matrix - matrix.T).max() < 1e-12 * norm
         iz = total_iz_matrix(5)
-        commutator = h.matrix * (iz[None, :] - iz[:, None])
+        commutator = matrix * (iz[None, :] - iz[:, None])
         assert np.abs(commutator).max() < 1e-12 * norm
-        assert abs(np.trace(h.matrix)) < 1e-12 * norm * 32
+        assert abs(np.trace(matrix)) < 1e-12 * norm * 32
+
+    @given(num_spins=st.integers(min_value=2, max_value=8),
+           seed=st.integers(min_value=0, max_value=10**6),
+           model=st.sampled_from([ISOTROPIC, ANGULAR]))
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_equal_dense_oracle(self, num_spins, seed, model):
+        couplings = compute_couplings(generate_graph(num_spins, seed=seed), 1.0, model=model)
+        h = build_hamiltonian(couplings)
+        dense = dense_hamiltonian(couplings)
+        assert len(h.blocks) == num_spins + 1
+        for (idx, block), sector in zip(h.blocks, sector_indices(num_spins)):
+            assert np.array_equal(idx, sector)
+            assert np.array_equal(block, dense[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("model", [ISOTROPIC, ANGULAR])
+    def test_dense_oracle_is_zero_between_sectors(self, model):
+        dense = dense_hamiltonian(compute_couplings(generate_graph(6, seed=2), 1.0, model=model))
+        iz = total_iz_matrix(6)
+        assert np.any(dense)
+        assert np.all(dense[iz[:, None] != iz[None, :]] == 0)
+
+    def test_build_never_holds_a_dense_matrix(self):
+        # blocks plus eigenvectors are 16 C(20, 10) bytes, 35 % of one dense real matrix
+        couplings = compute_couplings(generate_graph(10, seed=0), 1.0)
+        tracemalloc.start()
+        try:
+            build_hamiltonian(couplings).eigensystem()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 8 * 4**10
 
     def test_dimension_cap(self):
         fake = CouplingSet(couplings=np.zeros((15, 15)), median_coupling=1.0,
@@ -134,5 +167,5 @@ class TestBuildHamiltonian:
 
     def test_zero_hamiltonian(self):
         h = zero_hamiltonian(4)
-        assert not np.any(h.matrix)
+        assert not any(np.any(block) for _, block in h.blocks)
         assert h.dimension == 16
