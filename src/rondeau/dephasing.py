@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SignalTrace, half_sample_slot
+from .evolution import SignalTrace, check_kick_layout
 from .sequences import MonopoleSpec, SymbolStream, order_label
 
 
@@ -46,8 +46,7 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     half-period sample this reproduces the sign law (-1)**cycle * symbol for eps = 0.
     """
     spec = params.spec
-    if not spec.kick_minus < half_sample_slot(spec) <= spec.kick_plus:
-        raise ValueError("half-period readout does not distinguish the blocks")
+    check_kick_layout(spec)
     per_block = spec.slots_per_block
     slots = np.arange(1, per_block + 1) if params.readout is None else np.array(params.readout)
     cycle_index = np.repeat(np.arange(len(stream)), slots.size)

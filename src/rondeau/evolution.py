@@ -9,10 +9,13 @@ the expectation value of total Ix after every pulse's free-evolution slot.
 
 :func:`evolve` walks the unrolled pulse program one pulse at a time (full
 quasi-continuous readout).  :func:`evolve_blockwise`, the one blockwise
-stepper, applies a dense propagator per readout step of a
+stepper, applies one operator per readout step of a
 :class:`BlockPropagators` set, records stroboscopic and optionally
-half-period samples, and can stop early past 1/e.  The engines are built
-independently, so each checks the other.
+half-period samples, and can stop early past 1/e.  The spin-lock cycle
+operator and its powers commute with the global spin flip, so they are kept
+as their two half-size parity blocks (:class:`ParityPair`); only a step
+holding the kick, which breaks that symmetry, is a dense matrix.  The
+engines are built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -186,14 +189,6 @@ def apply_free(blocks, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_free(blocks, dim: int) -> np.ndarray:
-    """The blocks of `free_propagator` scattered into one dense (dim, dim) matrix."""
-    u_free = np.zeros((dim, dim), dtype=complex)
-    for idx, block in blocks:
-        u_free[np.ix_(idx, idx)] = block
-    return u_free
-
-
 # -- initial state ---------------------------------------------------------
 
 def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
@@ -286,10 +281,106 @@ def half_sample_slot(layout: MonopoleSpec | SignalTrace) -> int:
     return max(layout.slots_per_block // 2, 1)
 
 
+def check_kick_layout(spec: MonopoleSpec):
+    """Raise ValueError unless the half-period sample separates the blocks' kicks.
+
+    Both engines read a block's sign off that sample, so it must fall after
+    the - block's kick and no later than the + block's.
+    """
+    h = half_sample_slot(spec)
+    if not spec.kick_minus < h <= spec.kick_plus:
+        raise ValueError(
+            f"half-period sample (slot {h}) does not separate the two blocks; need "
+            f"kick_minus ({spec.kick_minus}) < half slot <= kick_plus ({spec.kick_plus})")
+
+
 def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
     """Per-cycle readout slots: the half-period slot with ``include_half``, then the block end."""
     end = spec.slots_per_block
     return (half_sample_slot(spec), end) if include_half else (end,)
+
+
+# -- spin-flip parity ------------------------------------------------------
+
+def _join_parities(plus: np.ndarray, minus: np.ndarray, out: np.ndarray | None = None):
+    """The rows plus + minus, then plus - minus in reverse order, into ``out``.
+
+    This takes the P = ±1 coordinates x[H₀] + x[F(H₀)] and x[H₀] - x[F(H₀)]
+    of :class:`ParityPair` back to 2x: row i of H₀ first, then row F(i) at
+    position 2^n - 1 - i.
+    """
+    h = plus.shape[0]
+    if out is None:
+        out = np.empty((2 * h,) + plus.shape[1:], dtype=complex)
+    np.add(plus, minus, out=out[:h])
+    np.subtract(plus, minus, out=out[h:][::-1])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ParityPair:
+    """An operator M that commutes with the global spin flip P = Π σx, as its P = ±1 blocks.
+
+    H₀ is the set of basis states whose spin 0 is up, the indices below
+    2^(n-1), and F(i) = 2^n - 1 - i flips every spin.  P M = M P means
+    M[F(i), F(j)] = M[i, j], so M is block-diagonal in the coordinates
+    x[H₀] ± x[F(H₀)], with the blocks ``plus`` = M[H₀, H₀] + M[H₀, F(H₀)] and
+    ``minus`` = M[H₀, H₀] - M[H₀, F(H₀)], each 2^(n-1) square.  ``pair @ x``
+    applies M to the leading axis of a vector or a matrix x as two half-size
+    products, half the flops of the dense product.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = 2 * self.plus.shape[0]
+        return dim, dim
+
+    def __matmul__(self, state: np.ndarray) -> np.ndarray:
+        out = self.doubled(state)
+        out *= 0.5
+        return out
+
+    def doubled(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """2 M x for ``x = state``, written into ``out`` if given."""
+        h = self.plus.shape[0]
+        top, flipped = state[:h], state[h:][::-1]
+        plus = self.plus @ (top + flipped)
+        return _join_parities(plus, self.minus @ (top - flipped), out)
+
+
+def cycle_parities(hamiltonian: Hamiltonian, spec: MonopoleSpec) -> list[np.ndarray]:
+    """[W₊, W₋], the parity blocks of the spin-lock cycle operator W = U_free · X.
+
+    Built from the sector blocks of U_free, never from a dense 2^n x 2^n
+    matrix.  With spin 0 the most significant bit, the x pulse has
+    X[H₀, H₀] = x₀₀ X' and X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on
+    the other n - 1 spins and R reverses the 2^(n-1) indices; so
+    W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
+    """
+    n = hamiltonian.num_spins
+    dim, h = 1 << n, 1 << (n - 1)
+    same = np.zeros((h, h), dtype=complex)      # U_free[H₀, H₀]
+    flipped = np.zeros((h, h), dtype=complex)   # U_free[H₀, F(H₀)]
+    for idx, block in free_propagator(hamiltonian, spec.tau):
+        low = idx < h
+        top = block[low]
+        same[np.ix_(idx[low], idx[low])] = top[:, low]
+        flipped[np.ix_(idx[low], dim - 1 - idx[~low])] = top[:, ~low]
+    unpulsed = [same + flipped, np.subtract(same, flipped, out=same)]   # U₊, U₋
+    del same, flipped
+    x = rotation_gate("x", spec.theta_x)
+    # U± X' with X' applied to the columns: X'^T on the rows of U±^T
+    x_rest = gate_halves(x.T, n - 1)
+    bases = []
+    for sign in (1, -1):
+        u_x = apply_halves(unpulsed.pop(0).T, x_rest).T
+        w = x[0, 0] * u_x
+        w += sign * x[0, 1] * u_x[:, ::-1]
+        bases.append(w)
+    return bases
 
 
 class PowerChain:
@@ -375,13 +466,9 @@ def kick_layout(spec: MonopoleSpec, include_half: bool) -> dict[int, tuple]:
     are one step each; with ``include_half`` (the half-period sample) the
     kick-free half of a block is a plain power.
     """
+    check_kick_layout(spec)
     n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
     h = half_sample_slot(spec)
-    if not n_minus < h <= n_plus:
-        raise ValueError(
-            "half-period sample does not separate the two blocks; "
-            "need kick_minus < half slot <= kick_plus"
-        )
     if include_half:
         return {1: ((h,), (n + 1 - n_plus, n_plus - h)),
                 -1: ((h - n_minus, n_minus), (n + 1 - h,))}
@@ -389,7 +476,7 @@ def kick_layout(spec: MonopoleSpec, include_half: bool) -> dict[int, tuple]:
 
 
 class BlockPropagatorFactory:
-    """Dense block propagators for one (Hamiltonian, timing, readout mode) setup.
+    """Block propagators for one (Hamiltonian, timing, readout mode) setup.
 
     With W = U_free · X the spin-lock cycle operator (x pulse, then free
     evolution), the kick cycle is U_free · Y = W · X^† · Y.  Every readout step
@@ -399,13 +486,23 @@ class BlockPropagatorFactory:
     whole + block, A = W^(N+1-n₊) and B = W^(n₊); for the whole - block,
     A = W^(N+1-n₋) and B = W^(n₋).
 
-    The factory builds every power that the layout of its readout mode
-    (``include_half``) names once, by one :class:`PowerChain` that drops each
-    intermediate after its last use; :meth:`block_set` then costs the gate
-    layers plus one dense product per block sign.  U_free is block-diagonal in
-    total Iz but X mixes the sectors, so W and its powers are dense.  The
-    factory is read-only after construction, so threads may share it.
+    The secular dipolar Hamiltonian and the x pulse both commute with the
+    global spin flip P, so W and its powers are :class:`ParityPair` s of
+    2^(n-1)-square blocks (`cycle_parities`).  The factory builds every power
+    that the layout of its readout mode (``include_half``) names once, by one
+    :class:`PowerChain` run per parity that drops each intermediate after its
+    last use: a chain product is two half-size products, a quarter of the
+    dense flops.  G breaks P, so :meth:`block_set` makes each kick step a dense
+    matrix, with A applied as a pair; a plain step stays a pair.  The factory
+    is read-only after construction, so threads may share it.
     """
+
+    #: Most half-size matrices `cycle_parities` holds while it builds W₊ and W₋.
+    BUILD_HALVES = 5
+    #: Most dense matrices a block set holds while built: one kick step kept,
+    #: the next one, and per half of its columns a quarter matrix of B's
+    #: columns and three quarters of temporaries.
+    BLOCK_SET_MATRICES = 3
 
     def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, include_half: bool = True):
         self.hamiltonian = hamiltonian
@@ -413,22 +510,25 @@ class BlockPropagatorFactory:
         self.include_half = include_half
         self.num_spins = hamiltonian.num_spins
         self.layout = kick_layout(spec, include_half)
-        u_free = dense_free(free_propagator(hamiltonian, spec.tau), 2**self.num_spins)
-        # W = U_free · X, the pulse first: X^T applied to the rows of U_free^T
-        x_halves = gate_halves(rotation_gate("x", spec.theta_x).T, self.num_spins)
-        powers = {1: np.ascontiguousarray(apply_halves(u_free.T, x_halves).T)}
-        del u_free
-        self.powers = PowerChain(self._exponents(self.layout)).fill(powers)
+        chain = PowerChain(self._exponents(self.layout))
+        bases = cycle_parities(hamiltonian, spec)
+        plus = chain.fill({1: bases.pop(0)})
+        minus = chain.fill({1: bases.pop(0)})
+        self.powers = {e: ParityPair(plus[e], minus[e]) for e in plus}
 
     @staticmethod
     def _exponents(layout) -> set[int]:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, include_half: bool) -> int:
-        """Most dense matrices a factory for ``spec``'s layout in one mode holds while built."""
-        # building W holds at most three: U_free, its transposed copy and W
-        return max(3, PowerChain(cls._exponents(kick_layout(spec, include_half))).peak)
+    def peak_matrices(cls, spec: MonopoleSpec, include_half: bool) -> float:
+        """Most matrices a factory for ``spec``'s layout in one mode holds while built.
+
+        Counted in dense 2^n x 2^n matrices, of which a half-size block is a
+        quarter.  The P = -1 chain runs while the P = +1 powers are kept.
+        """
+        chain = PowerChain(cls._exponents(kick_layout(spec, include_half)))
+        return max(cls.BUILD_HALVES, len(chain.targets) + chain.peak) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -447,15 +547,28 @@ class BlockPropagatorFactory:
             gamma_y = self.spec.gamma_y
         spec = replace(self.spec, gamma_y=gamma_y)
         x_inverse = rotation_gate("x", spec.theta_x).conj().T
-        kick = gate_halves(np.matmul(x_inverse, _kick_gates(
-            spec, self.num_spins, angle_spread, disorder_seed)), self.num_spins)
+        kick = np.matmul(x_inverse, _kick_gates(spec, self.num_spins, angle_spread, disorder_seed))
+        # G for B's columns H₀, and G · P for its columns F(H₀): every gate
+        # times sigma_x, its two columns swapped.  The factor 1/4 undoes the two
+        # doubling joins below, exactly, being a power of 2.
+        kicks = [gate_halves(gates, self.num_spins) for gates in (kick, kick[..., ::-1])]
+        kicks = [(first / 4, second) for first, second in kicks]
         p = self.powers
 
         def step(factors):
             if len(factors) == 1:
                 return p[factors[0]]
-            a, b = factors
-            return p[a] @ apply_halves(p[b], kick)
+            a, b = (p[f] for f in factors)
+            h = b.plus.shape[0]
+            op = np.empty(b.shape, dtype=complex)
+            # B's columns j in H₀ are joined from its blocks; its columns F(j), at
+            # 2^n - 1 - j, are P times those, so G · P applies to the same ones.
+            # Half of H₀ at a time bounds the temporaries.
+            for cols in (slice(0, h // 2), slice(h // 2, h)):
+                left = _join_parities(b.plus[:, cols], b.minus[:, cols])
+                for halves, out in zip(kicks, (op[:, cols], op[:, ::-1][:, cols])):
+                    a.doubled(apply_halves(left, halves), out)
+            return op
 
         slots = readout_slots(spec, include_half)
         steps = {s: tuple(zip(slots, map(step, layout)))
@@ -470,7 +583,8 @@ class BlockPropagators:
     ``steps[s]`` is the block of sign ``s`` as a tuple of ``(slot, operator)``
     pairs: each operator carries the state from the previous readout to the
     readout after pulse slot ``slot``, and the last step ends the block at
-    ``spec.slots_per_block``.
+    ``spec.slots_per_block``.  An operator is a dense matrix for a step that
+    holds the kick and a :class:`ParityPair` for a plain power of the cycle.
     """
 
     spec: MonopoleSpec
@@ -481,11 +595,12 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
                      stop_factor: float | None = None, norm_check_every: int = 64) -> SignalTrace:
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
-    Costs one dense matrix-vector product per step of ``props``: one or two
-    per drive cycle.  With ``stop_factor`` the run ends at the first block-end
-    sample below ``stop_factor / e`` of the initial magnitude, since later
-    cycles cannot move the lifetime argmin; ``num_cycles`` counts the cycles
-    evolved.
+    Costs one matrix-vector product per step of ``props``, one or two per
+    drive cycle: a dense one for a kick step, two half-size ones for a plain
+    step kept as a :class:`ParityPair`.  With ``stop_factor`` the run ends at
+    the first block-end sample below ``stop_factor / e`` of the initial
+    magnitude, since later cycles cannot move the lifetime argmin;
+    ``num_cycles`` counts the cycles evolved.
     """
     spec = props.spec
     dim = props.steps[1][0][1].shape[0]

@@ -27,7 +27,8 @@ from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_powe
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
-                        compile_program, evolve, evolve_blockwise, initial_state, readout_slots)
+                        check_kick_layout, compile_program, evolve, evolve_blockwise,
+                        initial_state, readout_slots)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
@@ -154,6 +155,11 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
+        if _evolves_blocks(self):
+            try:
+                check_kick_layout(self.spec())
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if _builds_systems(self) and self.num_spins > DEFAULT_SPIN_CAP:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
                               f"exceeds the cap of {DEFAULT_SPIN_CAP} spins")
@@ -191,6 +197,15 @@ def _builds_systems(config: RunConfig) -> bool:
         config.kind == "spectrum" and config.spectrum_kind == "symbol")
 
 
+def _evolves_blocks(config: RunConfig) -> bool:
+    """Whether the run evolves block sets or the dephasing model, which need a
+    kick layout that the half-period sample separates (`check_kick_layout`).
+    """
+    return config.kind != "decode" and not (
+        config.kind == "spectrum" and config.spectrum_kind == "symbol") and not (
+        config.kind == "trace" and config.engine == "full")
+
+
 def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the matrices a run holds at its peak.
 
@@ -198,11 +213,12 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     eigenvectors, one per total-Iz sector, sum_k C(n, k)^2 = C(2n, n) entries
     each.  The per-pulse trace adds the complex free-step blocks, C(2n, n)
     entries again, and two complex temporaries of the largest block while it
-    is built; the other full-engine kinds add, per graph, the peak of the
-    factory's build for the run's readout mode (its addition chain's, see
-    `BlockPropagatorFactory.peak_matrices`), in dense complex matrices, and a
-    block set of up to 4 of them per thread.  Runs that build no system hold
-    none.
+    is built.  The other full-engine kinds add, per graph, the peak of the
+    factory's build for the run's readout mode: its parity blocks, each a
+    quarter of a dense complex matrix, counted by
+    `BlockPropagatorFactory.peak_matrices`.  Each thread adds a block set while
+    it is built, `BlockPropagatorFactory.BLOCK_SET_MATRICES` dense complex
+    matrices.  Runs that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -212,7 +228,8 @@ def peak_matrix_bytes(config: RunConfig) -> int:
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
     graphs = config.graph_realizations if config.kind in _SWEEPS else 1
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
-    return (sectors + factory * matrix) * graphs + 4 * config.threads * matrix
+    block_sets = BlockPropagatorFactory.BLOCK_SET_MATRICES * config.threads
+    return int((sectors + factory * matrix) * graphs + block_sets * matrix)
 
 
 def _reads_half_period(config: RunConfig) -> bool:

@@ -17,10 +17,18 @@ replaced, and name each of them, with its reason, in CHANGES.md.  A changed
 file is reported as ``floats only`` with the largest |delta| of its float
 tokens when nothing else in it moved (a reassociated matrix product), and as
 ``content`` otherwise: a count, an integer, a word or a line that changed.
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check
+
+runs the cases into a temporary directory instead, writes nothing under
+``expected/``, prints the same lines, and exits 1 on an added or removed
+file, a content change, or a float token that moved by more than
+``CHECK_RTOL`` of its magnitude.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -28,6 +36,7 @@ import os
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -36,6 +45,9 @@ EXPECTED = HERE / "expected"
 
 #: A decimal number token; a float token is one written with a point or an exponent.
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+#: Largest move of a float token, relative to its magnitude, that ``--check`` accepts.
+CHECK_RTOL = 1e-12
 
 
 def normalized(path: Path) -> bytes:
@@ -81,8 +93,12 @@ def changes(before: dict[str, bytes], after: dict[str, bytes]) -> dict[str, list
             "removed": sorted(before.keys() - after.keys())}
 
 
-def float_drift(before: bytes, after: bytes) -> float | None:
-    """Largest |delta| between two texts that differ only in float tokens, else None."""
+def float_drift(before: bytes, after: bytes, relative: bool = False) -> float | None:
+    """Largest |delta| between two texts that differ only in float tokens, else None.
+
+    With ``relative`` each token's |delta| is divided by the larger of its two
+    magnitudes.
+    """
     old, new = (NUMBER.split(text.decode()) for text in (before, after))
     if len(old) != len(new) or old[::2] != new[::2]:
         return None
@@ -91,7 +107,11 @@ def float_drift(before: bytes, after: bytes) -> float | None:
         if a != b:
             if not (set(a) & set(".eE") and set(b) & set(".eE")):
                 return None
-            drift = max(drift, abs(float(a) - float(b)))
+            x, y = float(a), float(b)
+            delta = abs(x - y)
+            if relative and delta:
+                delta /= max(abs(x), abs(y))
+            drift = max(drift, delta)
     return drift
 
 
@@ -101,18 +121,41 @@ def describe(before: bytes, after: bytes) -> str:
     return "content" if drift is None else f"floats only, max |delta| {drift:.3g}"
 
 
-def main() -> int:
+def check_failures(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
+    """Files that ``--check`` rejects: added, removed, or changed beyond ``CHECK_RTOL``."""
+    moved = changes(before, after)
+    drifts = {name: float_drift(before[name], after[name], relative=True)
+              for name in moved["changed"]}
+    return sorted(moved["added"] + moved["removed"]
+                  + [name for name, drift in drifts.items()
+                     if drift is None or drift > CHECK_RTOL])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden outputs.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare against expected/ without writing it; exit 1 on a "
+                             f"change beyond floats that moved by {CHECK_RTOL:g} relative")
+    check = parser.parse_args(argv).check
     before = output_files(EXPECTED) if EXPECTED.exists() else {}
-    shutil.rmtree(EXPECTED, ignore_errors=True)
-    EXPECTED.mkdir()
-    run_cases(EXPECTED)
-    for path in EXPECTED.rglob("manifest.json"):
-        path.write_bytes(normalized(path))
-    after = output_files(EXPECTED)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        run_cases(root)
+        for path in root.rglob("manifest.json"):
+            path.write_bytes(normalized(path))
+        after = output_files(root)
+        if not check:
+            shutil.rmtree(EXPECTED, ignore_errors=True)
+            shutil.copytree(root, EXPECTED)
     for change, names in changes(before, after).items():
         for name in names:
             how = f" ({describe(before[name], after[name])})" if change == "changed" else ""
             print(f"{change} {name}{how}")
+    if check:
+        failures = check_failures(before, after)
+        print(f"checked {len(after)} files for {len(CASES)} cases against {EXPECTED}: "
+              f"{len(failures)} beyond floats within {CHECK_RTOL:g} relative", file=sys.stderr)
+        return 1 if failures else 0
     print(f"wrote {len(after)} files for {len(CASES)} cases "
           f"into {EXPECTED}", file=sys.stderr)
     return 0

@@ -9,6 +9,7 @@ import numpy as np
 
 from rondeau.dephasing import DephasingParams
 from rondeau.evolution import apply_gates, rotation_gate
+from rondeau.sequences import MonopoleSpec
 from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
 
 
@@ -100,6 +101,36 @@ def dense_free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarr
     """exp(-i * duration * H) as V e^{-i duration Λ} V^† from one dense eigh of the matrix."""
     eigvals, eigvecs = np.linalg.eigh(scattered_matrix(hamiltonian))
     return (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
+
+
+def dense_free(blocks, dim: int) -> np.ndarray:
+    """The ``(indices, block)`` pairs of `free_propagator` scattered into one dense matrix."""
+    u_free = np.zeros((dim, dim), dtype=complex)
+    for idx, block in blocks:
+        u_free[np.ix_(idx, idx)] = block
+    return u_free
+
+
+def dense_cycle_powers(hamiltonian: Hamiltonian, spec: MonopoleSpec, exponents) -> dict:
+    """W^e for every e of ``exponents``, with W = U_free · X one dense 2^n x 2^n matrix.
+
+    The dense chain the parity-split factory is checked against: the free step
+    from one dense eigh, the x pulse as a dense rotation, numpy's matrix powers.
+    """
+    w = dense_free_propagator(hamiltonian, spec.tau) @ global_rotation_matrix(
+        "x", spec.theta_x, hamiltonian.num_spins)
+    return {e: np.linalg.matrix_power(w, e) for e in exponents}
+
+
+def dense_kick_gate(spec: MonopoleSpec, num_spins: int) -> np.ndarray:
+    """G = X^† · Y(gamma_y), the gate layer of a kick step A · G · B, as a dense matrix."""
+    return (global_rotation_matrix("x", spec.theta_x, num_spins).conj().T
+            @ global_rotation_matrix("y", spec.gamma_y, num_spins))
+
+
+def spin_flip(num_spins: int) -> np.ndarray:
+    """The global spin flip P = prod sigma_x: basis index i goes to 2^n - 1 - i."""
+    return np.eye(1 << num_spins)[::-1]
 
 
 def total_iz_matrix(num_spins: int) -> np.ndarray:

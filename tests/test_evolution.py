@@ -8,13 +8,13 @@ from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
                                PulseProgram, X_PULSE, Y_PULSE, apply_gates, compile_program,
-                               dense_free, evolve, evolve_blockwise, free_propagator,
+                               evolve, evolve_blockwise, free_propagator,
                                half_sample_slot, initial_state, rotation_gate, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from oracles import (dense_free_propagator, global_rotation_matrix, total_iz_matrix,
-                     zero_hamiltonian)
+from oracles import (dense_free, dense_free_propagator, global_rotation_matrix,
+                     total_iz_matrix, zero_hamiltonian)
 
 
 def stream_of(text):
@@ -211,18 +211,33 @@ class TestSectorFreeEvolution:
         assert np.abs(u_free - dense_free_propagator(hamiltonian, 0.05)).max() < 1e-12
 
 
+def blockwise_deviation(hamiltonian, psi0, spec, include_half=True) -> float:
+    """Largest gap between the blockwise and the per-pulse trace at their shared samples."""
+    stream = sample_rmd(1, 8, seed=3)
+    full = evolve(compile_program(stream, spec), hamiltonian, psi0)
+    props = BlockPropagatorFactory(hamiltonian, spec, include_half).block_set()
+    block = evolve_blockwise(stream, props, psi0)
+    by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
+    at_shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
+    return float(np.abs(at_shared - block.values).max())
+
+
 class TestBlockwiseEngine:
     def test_matches_per_pulse_engine(self, small_system):
         _, _, hamiltonian, psi0 = small_system
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4,
                             tau=0.05, gamma_y=0.97 * math.pi)
-        stream = sample_rmd(1, 8, seed=3)
-        full = evolve(compile_program(stream, spec), hamiltonian, psi0)
-        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
-        block = evolve_blockwise(stream, props, psi0)
-        by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
-        at_shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
-        assert np.abs(at_shared - block.values).max() < 1e-10
+        assert blockwise_deviation(hamiltonian, psi0, spec) < 1e-10
+
+    @pytest.mark.parametrize("include_half", [True, False])
+    def test_matches_per_pulse_engine_with_the_kick_at_the_half_slot(self, small_system,
+                                                                      include_half):
+        """kick_plus == half slot: the + block's first step is A · G(W^0), B the identity."""
+        _, _, hamiltonian, psi0 = small_system
+        spec = MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4,
+                            tau=0.05, gamma_y=1.03 * math.pi)
+        assert half_sample_slot(spec) == spec.kick_plus
+        assert blockwise_deviation(hamiltonian, psi0, spec, include_half) < 1e-10
 
     def test_strobo_only_mode(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system

@@ -1,4 +1,5 @@
-"""The propagator factory's algebra: addition-chain powers, Kronecker-half gates, memory."""
+"""The propagator factory's algebra: addition-chain powers, Kronecker-half gates, the
+spin-flip parity split, memory."""
 
 import math
 import tracemalloc
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rondeau.evolution import (BlockPropagatorFactory, PowerChain, _kick_gates, apply_gates,
-                               compile_program, evolve, initial_state, kick_layout)
+from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, _kick_gates,
+                               apply_gates, compile_program, evolve, initial_state, kick_layout)
 from rondeau.runner import RunConfig, peak_matrix_bytes
 from rondeau.sequences import MonopoleSpec, sample_rmd
-from rondeau.spins import build_hamiltonian
+from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
+from oracles import dense_cycle_powers, dense_kick_gate, spin_flip
 
 #: Powers the default layout reads, by readout mode (``include_half``).
 MODE_EXPONENTS = {False: {100, 101, 200, 201}, True: {50, 100, 101, 150, 151}}
@@ -122,6 +124,65 @@ class TestKroneckerHalves:
                       - gates_by_spin(state, gates, num_spins)).max() < 1e-12
 
 
+def system(num_spins: int):
+    """Hamiltonian of a disordered n-spin graph."""
+    return build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=7), 1.0))
+
+
+def dense(op) -> np.ndarray:
+    """A step operator as a dense matrix: a ParityPair applied to the identity."""
+    return op @ np.eye(op.shape[0], dtype=complex)
+
+
+class TestParitySplit:
+    """W = U_free · X commutes with P = prod sigma_x, so the factory keeps its powers as pairs."""
+
+    SPEC = MonopoleSpec(tau=0.01, gamma_y=0.93 * math.pi)
+
+    @pytest.mark.parametrize("num_spins", [5, 6])
+    def test_cycle_powers_commute_with_the_spin_flip(self, num_spins):
+        flip = spin_flip(num_spins)
+        for e, power in dense_cycle_powers(system(num_spins), self.SPEC,
+                                           DEFAULT_EXPONENTS | {0, 1}).items():
+            assert np.abs(flip @ power @ flip - power).max() < 1e-12
+
+    def test_pair_of_a_flip_symmetric_matrix(self):
+        """A pair applied to vectors and matrices equals its dense matrix."""
+        g, h = rng(3), 8
+        plus, minus = (random_unitary(h, seed) for seed in (1, 2))
+        pair = ParityPair(plus, minus)
+        matrix = dense(pair)
+        flip = spin_flip(4)
+        assert np.abs(flip @ matrix @ flip - matrix).max() < 1e-15
+        assert np.abs(matrix[:h, :h] + matrix[:h, h:][:, ::-1] - plus).max() < 1e-15
+        for shape in [(2 * h,), (2 * h, 3)]:
+            state = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+            assert np.abs(pair @ state - matrix @ state).max() < 1e-14
+
+    @pytest.mark.parametrize("num_spins", [3, 5, 8])
+    @pytest.mark.parametrize("include_half", [False, True])
+    def test_split_powers_and_steps_match_the_dense_chain(self, num_spins, include_half):
+        hamiltonian = system(num_spins)
+        factory = BlockPropagatorFactory(hamiltonian, self.SPEC, include_half)
+        assert all(isinstance(p, ParityPair) for p in factory.powers.values())
+        assert all(p.plus.shape == (2**(num_spins - 1),) * 2 for p in factory.powers.values())
+        reference = dense_cycle_powers(hamiltonian, self.SPEC, MODE_EXPONENTS[include_half])
+        assert factory.powers.keys() == reference.keys()
+        for e, pair in factory.powers.items():
+            assert np.abs(dense(pair) - reference[e]).max() < 1e-12
+        gate = dense_kick_gate(self.SPEC, num_spins)
+        props = factory.block_set()
+        for sign, layout in factory.layout.items():
+            for (_, op), factors in zip(props.steps[sign], layout):
+                if len(factors) == 1:
+                    assert isinstance(op, ParityPair)
+                    expected = reference[factors[0]]
+                else:
+                    a, b = factors
+                    expected = reference[a] @ gate @ reference[b]
+                assert np.abs(dense(op) - expected).max() < 1e-12
+
+
 class TestFactoryMemory:
     def test_build_peak_within_the_counted_matrices(self, small_system):
         _, _, hamiltonian, _ = small_system
@@ -137,11 +198,31 @@ class TestFactoryMemory:
             finally:
                 tracemalloc.stop()
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
-            assert (counted - 1) * matrix < peak <= (counted + 0.25) * matrix
-            # only the powers of the factory's own readout mode are kept
+            assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
+            # only the powers of the factory's own readout mode are kept, each a
+            # pair of half-size blocks: half a dense matrix
             assert set(factory.powers) == exponents
-            assert kept <= (len(exponents) + 0.25) * matrix
+            assert kept <= (len(exponents) / 2 + 0.25) * matrix
             del factory
+
+    def test_block_set_peak_within_the_counted_matrices(self):
+        """A block set keeps its two dense kick steps and peaks at BLOCK_SET_MATRICES."""
+        hamiltonian = system(8)
+        spec = MonopoleSpec(tau=0.01)
+        matrix = 16 * 4**8
+        for include_half in (False, True):
+            factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+            tracemalloc.start()
+            try:
+                props = factory.block_set(0.95 * math.pi)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the plain steps are the factory's own pairs, not copies
+            assert 2 * matrix < kept <= 2.05 * matrix
+            counted = BlockPropagatorFactory.BLOCK_SET_MATRICES
+            assert (counted - 0.25) * matrix < peak <= counted * matrix
+            del factory, props
 
     def test_trace_estimate_counts_the_sector_engine(self, small_system):
         """A per-pulse trace holds H's sector blocks, their eigenvectors and the free-step blocks."""
@@ -167,7 +248,8 @@ class TestFactoryMemory:
                                                **layout))
         small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
         # a heating run reads whole blocks only
+        # in dense matrices: 4 kept and 5 live half-size blocks, against 3 and 3
         chains = [BlockPropagatorFactory.peak_matrices(MonopoleSpec(**layout), False)
                   for layout in ({}, small)]
-        assert chains == [5, 3]
-        assert estimate() - estimate(**small) == 2 * (5 - 3) * 16 * 4**6
+        assert chains == [2.25, 1.5]
+        assert estimate() - estimate(**small) == 2 * (2.25 - 1.5) * 16 * 4**6

@@ -6,8 +6,9 @@ The cases and their outputs live in ``tests/golden``; see
 
 import pytest
 
-from golden.regenerate import (CASES, EXPECTED, changes, describe, float_drift, output_files,
-                               run_cases)
+import golden.regenerate as regenerate
+from golden.regenerate import (CASES, EXPECTED, changes, check_failures, describe, float_drift,
+                               output_files, run_cases)
 
 
 def test_cli_outputs_match_golden_files(tmp_path):
@@ -47,3 +48,39 @@ def test_regeneration_tells_float_drift_from_content_changes():
                   b"slot,value\n1,0.25\n", b"slot,value\n1,nan\n2,-1.5e-03\n"):
         assert float_drift(before, after) is None
         assert describe(before, after) == "content"
+
+
+def test_check_bounds_float_drift_relative_to_each_token():
+    # a contrast of about 30 moving by 1.1e-11 is 3.7e-13 of itself
+    before = {"contrast.json": b'{"3.1": 30.0}\n', "trace.csv": b"1,-1.5e-03\n"}
+    drifted = {"contrast.json": b'{"3.1": 30.000000000011}\n', "trace.csv": b"1,-1.5e-03\n"}
+    assert float_drift(before["contrast.json"], drifted["contrast.json"]) > 1e-12
+    assert float_drift(before["contrast.json"], drifted["contrast.json"],
+                       relative=True) == pytest.approx(1.1e-11 / 30.000000000011, rel=1e-3)
+    assert check_failures(before, drifted) == []
+    # 1e-13 absolute on a token of 1.5e-3 is 6.7e-11 of it
+    small = dict(before, **{"trace.csv": b"1,-1.5000000001e-03\n"})
+    assert check_failures(before, small) == ["trace.csv"]
+    # content changes, added and removed files always fail
+    moved = {"contrast.json": b'{"3.2": 30.0}\n', "new.csv": b"1\n"}
+    assert check_failures(before, moved) == ["contrast.json", "new.csv", "trace.csv"]
+
+
+def test_check_writes_nothing_and_exits_1_on_a_failure(tmp_path, monkeypatch):
+    expected = tmp_path / "expected"
+    (expected / "case").mkdir(parents=True)
+    (expected / "case" / "out.csv").write_text("1,30.0\n")
+    written = {"value": "1,30.000000000011\n"}
+
+    def fake_run(root):
+        (root / "case").mkdir()
+        (root / "case" / "out.csv").write_text(written["value"])
+
+    monkeypatch.setattr(regenerate, "EXPECTED", expected)
+    monkeypatch.setattr(regenerate, "run_cases", fake_run)
+    assert regenerate.main(["--check"]) == 0
+    written["value"] = "2,30.0\n"
+    assert regenerate.main(["--check"]) == 1
+    assert (expected / "case" / "out.csv").read_text() == "1,30.0\n"
+    assert regenerate.main([]) == 0
+    assert (expected / "case" / "out.csv").read_text() == "2,30.0\n"

@@ -10,7 +10,7 @@ import pytest
 import rondeau.runner as runner
 from rondeau.cli import load_config_file, main
 from rondeau.codec import decode
-from rondeau.runner import KINDS, ConfigError, RunConfig, derive_seed, run
+from rondeau.runner import ENGINES, KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.serialize import read_trace
 
 
@@ -86,7 +86,8 @@ class TestRunConfig:
 
     def test_full_engine_rejected_before_any_system_when_memory_is_short(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 8 * 2**30)
+        # n = 13 heating needs about 5.4 GiB: parity-split powers and block sets
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 4 * 2**30)
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
         config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), num_spins=13,
@@ -94,7 +95,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             run(config)
         assert str(runner.peak_matrix_bytes(config)) in str(err.value)
-        assert str(8 * 2**30) in str(err.value)
+        assert str(4 * 2**30) in str(err.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="heating-eps", eps_grid=(0.1,)),
+        dict(kind="encode", text="Hi"),
+    ])
+    def test_layout_the_half_sample_cannot_separate_rejected_before_any_system(
+            self, tmp_path, monkeypatch, engine, overrides):
+        # 13 slots put the half-period sample at slot 6, before both kicks
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        config = RunConfig(out_dir=str(tmp_path), engine=engine, num_spins=4,
+                           pulses_per_block=12, kick_plus=10, kick_minus=7, **overrides)
+        with pytest.raises(ConfigError, match="half-period sample"):
+            run(config)
+
+    def test_per_pulse_trace_needs_no_separating_layout(self):
+        RunConfig(kind="trace", out_dir="x", num_spins=4, pulses_per_block=12,
+                  kick_plus=10, kick_minus=7).validate()
 
     def test_trace_counts_the_sectors_not_dense_propagators(self, monkeypatch):
         # n = 14: two dense complex matrices take 8 GiB, the sector engine about 1.5 GiB
