@@ -14,8 +14,8 @@ from .sequences import (MonopoleSpec, SymbolStream, THUE_MORSE, sample_rmd,
                         thue_morse_stream, unroll_multipole)
 from .spins import (CouplingSet, Hamiltonian, SpinGraph, build_hamiltonian,
                     compute_couplings, generate_graph)
-from .evolution import (PulseProgram, SignalTrace, BlockPropagatorFactory,
-                        compile_program, evolve, evolve_blockwise, initial_state)
+from .evolution import (PulseProgram, SignalTrace, BlockPropagatorFactory, evolve,
+                        evolve_blockwise, initial_state)
 from .dephasing import DephasingParams, model_signal
 from .analysis import (HeatingFit, PhaseDiagram, PowerLawFit, SpectrumResult,
                        dft_micromotion, dft_stroboscopic, fit_power_law,

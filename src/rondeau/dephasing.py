@@ -42,8 +42,10 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     """Noise-free trace at the ``params.readout`` slots of every cycle.
 
     The value after slot j of cycle l is amplitude * (-cos eps)**kicks *
-    exp(-Gamma_0 * t) with kicks = l + (j > the block's kick slot); at the
-    half-period sample this reproduces the sign law (-1)**cycle * symbol for eps = 0.
+    exp(-Gamma_0 * t) with kicks = l + (j > the block's kick slot) and t the
+    sample time of `SignalTrace.at_slots`, the same as the full engines'; at
+    the half-period sample this reproduces the sign law (-1)**cycle * symbol
+    for eps = 0.
     """
     spec = params.spec
     check_kick_layout(spec)
@@ -53,18 +55,14 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     pulse_index = np.tile(slots, len(stream))
     kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle_index]
     kicks = cycle_index + (pulse_index > kick_slots)
-    slot_times = spec.tau * (cycle_index * per_block + pulse_index)
-    values = amplitude * np.power(-math.cos(params.epsilon), kicks) \
-        * np.exp(-params.gamma_0 * slot_times)
-    return SignalTrace(
-        times=np.concatenate([[0.0], slot_times]),
-        values=np.concatenate([[amplitude], values]),
-        cycle_index=np.concatenate([[0], cycle_index]),
-        pulse_index=np.concatenate([[0], pulse_index]),
-        block_duration=spec.block_duration, num_cycles=len(stream), slots_per_block=per_block,
+    kicked = amplitude * np.power(-math.cos(params.epsilon), kicks)
+    trace = SignalTrace.at_slots(
+        spec, np.concatenate([[amplitude], kicked]),
+        np.concatenate([[0], cycle_index]), np.concatenate([[0], pulse_index]),
+        num_cycles=len(stream),
         meta={"engine": "dephasing", "stream_seed": stream.seed,
               "n_order": order_label(stream), "gamma_y": spec.gamma_y,
               "epsilon": params.epsilon, "gamma_0": params.gamma_0,
-              "tau": spec.tau},
-    )
-
+              "tau": spec.tau})
+    trace.values *= np.exp(-params.gamma_0 * trace.times)
+    return trace

@@ -5,17 +5,20 @@ applied as the Kronecker products of two halves of the spins.  The dipolar
 Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
 n + 1 magnetization sectors: its propagator is one block per sector, built
 from the Hamiltonian's cached sector-wise eigendecomposition.  Readout is
-the expectation value of total Ix after every pulse's free-evolution slot.
+the expectation value of total Ix after a step's free-evolution slot.
 
-:func:`evolve` walks the unrolled pulse program one pulse at a time (full
-quasi-continuous readout).  :func:`evolve_blockwise`, the one blockwise
-stepper, applies one operator per readout step of a
-:class:`BlockPropagators` set, records stroboscopic and optionally
-half-period samples, and can stop early past 1/e.  The spin-lock cycle
-operator and its powers commute with the global spin flip, so they are kept
-as their two half-size parity blocks (:class:`ParityPair`); only a step
-holding the kick, which breaks that symmetry, is a dense matrix.  The
-engines are built independently, so each checks the other.
+:func:`evolve_blockwise` is the one stepper: it applies one operator per
+readout step of a :class:`BlockPropagators` set, records Ix after each,
+checks the norm after every cycle and can stop early past 1/e.
+:func:`evolve` is its per-pulse readout, a set whose steps are single
+pulses (:class:`PulseStep`); the factory's sets step to the half-period
+slot and the block end.  :meth:`SignalTrace.at_slots` is the one rule that
+maps a sample's (cycle, slot) to its time, for every engine.  The
+spin-lock cycle operator and its powers commute with the global spin flip,
+so they are kept as their two half-size parity blocks (:class:`ParityPair`);
+only a step holding the kick, which breaks that symmetry, is a dense
+matrix.  The per-pulse and blockwise operators are built independently, so
+each checks the other.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ import numpy as np
 from .sequences import MonopoleSpec, SymbolStream, order_label
 from .spins import Hamiltonian
 
-X_PULSE = 0
-Y_PULSE = 1
-
 #: Relative norm drift beyond which the evolution is aborted.
 NORM_DRIFT_LIMIT = 1e-8
 
@@ -42,16 +42,19 @@ class NumericalIntegrityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PulseProgram:
-    """Fully unrolled drive: one entry per pulse, free slot of tau after each."""
+    """A symbol stream on ``spec``'s block layout, to be read out after every pulse.
 
-    kinds: np.ndarray          # int8, X_PULSE or Y_PULSE
-    times: np.ndarray          # instant each pulse is applied
-    spec: MonopoleSpec
+    Each block is ``spec.slots_per_block`` pulses, each followed by a free
+    slot of tau: x pulses, and the y-kick at slot ``kick_plus + 1`` of a +
+    block or ``kick_minus + 1`` of a - block.
+    """
+
     stream: SymbolStream
+    spec: MonopoleSpec
 
     @property
     def num_pulses(self) -> int:
-        return self.kinds.size
+        return len(self.stream) * self.spec.slots_per_block
 
     @property
     def num_cycles(self) -> int:
@@ -83,27 +86,29 @@ class SignalTrace:
     def __len__(self) -> int:
         return self.times.size
 
+    @classmethod
+    def at_slots(cls, spec: MonopoleSpec, values, cycle_index, pulse_index,
+                 num_cycles: int, meta: dict) -> "SignalTrace":
+        """Trace of samples at (cycle l, slot) of ``spec``'s blocks: the one sample-time rule.
+
+        A block end is at exactly (l + 1) T, which the slot sum can miss by an
+        ulp; every other sample is at l T + slot tau, the pre-drive (0, 0) at t = 0.
+        """
+        cycle_index = np.asarray(cycle_index, dtype=np.int64)
+        pulse_index = np.asarray(pulse_index, dtype=np.int64)
+        T = spec.block_duration
+        times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
+                         cycle_index * T + pulse_index * spec.tau)
+        return cls(times=times, values=np.asarray(values, dtype=float),
+                   cycle_index=cycle_index, pulse_index=pulse_index, block_duration=T,
+                   num_cycles=num_cycles, slots_per_block=spec.slots_per_block, meta=meta)
+
     def with_noise(self, readout_noise: float, noise_seed: int | None) -> "SignalTrace":
         """This trace plus Gaussian read-out noise: std ``readout_noise``, PCG64 ``noise_seed``."""
         if readout_noise <= 0.0:
             return self
         rng = np.random.Generator(np.random.PCG64(noise_seed))
         return replace(self, values=self.values + readout_noise * rng.standard_normal(len(self)))
-
-
-def compile_program(stream: SymbolStream, spec: MonopoleSpec) -> PulseProgram:
-    """Unroll a symbol stream into the timed pulse list.
-
-    A +1 block is ``kick_plus`` spin-lock cycles, the y-kick with its own
-    free slot, then the remaining cycles; the -1 block uses ``kick_minus``.
-    """
-    per_block = spec.slots_per_block
-    kinds = np.zeros(len(stream) * per_block, dtype=np.int8)
-    for i, sym in enumerate(stream.symbols):
-        kick = spec.kick_plus if sym > 0 else spec.kick_minus
-        kinds[i * per_block + kick] = Y_PULSE
-    times = np.arange(kinds.size) * spec.tau
-    return PulseProgram(kinds=kinds, times=times, spec=spec, stream=stream)
 
 
 # -- gate helpers ----------------------------------------------------------
@@ -228,53 +233,7 @@ def _check_norm(state: np.ndarray, context: str):
         raise NumericalIntegrityError(f"norm drift {drift:.3e} during {context}")
 
 
-# -- per-pulse engine ------------------------------------------------------
-
-def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
-           angle_spread: float = 0.0, disorder_seed: int | None = None,
-           norm_check_every: int = 256) -> SignalTrace:
-    """Walk the pulse program one pulse at a time, recording Ix after each.
-
-    The first sample is the pre-drive value at t=0, then one sample per
-    pulse at the end of its free-evolution slot.  The samples are exact
-    expectation values, free of read-out noise.
-    """
-    num_spins = hamiltonian.num_spins
-    if psi0.shape != (2**num_spins,):
-        raise ValueError("state dimension does not match the Hamiltonian")
-    spec = program.spec
-    blocks = free_propagator(hamiltonian, spec.tau)
-    x_halves = gate_halves(rotation_gate("x", spec.theta_x), num_spins)
-    y_halves = gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed), num_spins)
-
-    n = program.num_pulses
-    values = np.empty(n + 1)
-    psi = np.array(psi0, dtype=complex)
-    values[0] = total_ix(psi, num_spins)
-    for i, kind in enumerate(program.kinds):
-        psi = apply_free(blocks, apply_halves(psi, x_halves if kind == X_PULSE else y_halves))
-        values[i + 1] = total_ix(psi, num_spins)
-        if (i + 1) % norm_check_every == 0:
-            _check_norm(psi, f"pulse {i + 1}")
-    if n:
-        _check_norm(psi, "final state")
-
-    times = np.concatenate([[0.0], program.times + spec.tau])
-    slots = np.arange(n + 1)
-    per_block = spec.slots_per_block
-    cycle_index = np.maximum(slots - 1, 0) // per_block
-    pulse_index = np.where(slots == 0, 0, (slots - 1) % per_block + 1)
-    return SignalTrace(
-        times=times, values=values, cycle_index=cycle_index,
-        pulse_index=pulse_index, block_duration=spec.block_duration,
-        num_cycles=program.num_cycles, slots_per_block=per_block,
-        meta={"engine": "full", "num_spins": num_spins,
-              "stream_seed": program.stream.seed, "n_order": order_label(program.stream),
-              "gamma_y": spec.gamma_y, "tau": spec.tau},
-    )
-
-
-# -- blockwise engine ------------------------------------------------------
+# -- readout slots ---------------------------------------------------------
 
 def half_sample_slot(layout: MonopoleSpec | SignalTrace) -> int:
     """Readout slot nearest the half-period instant of a spec's or a trace's blocks."""
@@ -576,29 +535,55 @@ class BlockPropagatorFactory:
         return BlockPropagators(spec=spec, steps=steps)
 
 
+# -- the stepper -----------------------------------------------------------
+
 @dataclass(frozen=True, eq=False)
 class BlockPropagators:
-    """Blockwise evolution of both block signs at one kick angle.
+    """The readout steps of both block signs at one kick angle.
 
     ``steps[s]`` is the block of sign ``s`` as a tuple of ``(slot, operator)``
     pairs: each operator carries the state from the previous readout to the
     readout after pulse slot ``slot``, and the last step ends the block at
-    ``spec.slots_per_block``.  An operator is a dense matrix for a step that
-    holds the kick and a :class:`ParityPair` for a plain power of the cycle.
+    ``spec.slots_per_block``.  An operator is anything with ``shape`` and
+    ``@``: a dense matrix for a factory step that holds the kick, a
+    :class:`ParityPair` for a plain power of the cycle, or one
+    :class:`PulseStep` per slot for the per-pulse readout.
     """
 
     spec: MonopoleSpec
     steps: dict
 
 
+@dataclass(frozen=True, eq=False)
+class PulseStep:
+    """One pulse and its free slot: ``step @ psi`` applies the gate layer, then U_free.
+
+    ``halves`` is the pulse's gate layer from `gate_halves`, ``blocks`` the
+    free step of one slot from `free_propagator`.
+    """
+
+    halves: tuple
+    blocks: tuple
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = self.halves[0].shape[0] * self.halves[1].shape[0]
+        return dim, dim
+
+    def __matmul__(self, state: np.ndarray) -> np.ndarray:
+        return apply_free(self.blocks, apply_halves(state, self.halves))
+
+
 def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.ndarray,
-                     stop_factor: float | None = None, norm_check_every: int = 64) -> SignalTrace:
+                     stop_factor: float | None = None) -> SignalTrace:
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
-    Costs one matrix-vector product per step of ``props``, one or two per
-    drive cycle: a dense one for a kick step, two half-size ones for a plain
-    step kept as a :class:`ParityPair`.  With ``stop_factor`` the run ends at
-    the first block-end sample below ``stop_factor / e`` of the initial
+    This is the one stepping loop of every engine.  It costs one operator
+    application per step of ``props``: a dense mat-vec for a kick step, two
+    half-size ones for a plain step kept as a :class:`ParityPair`, a gate
+    layer and the sector mat-vecs for a :class:`PulseStep`.  The state's norm
+    is checked after every cycle, one vdot.  With ``stop_factor`` the run ends
+    at the first block-end sample below ``stop_factor / e`` of the initial
     magnitude, since later cycles cannot move the lifetime argmin;
     ``num_cycles`` counts the cycles evolved.
     """
@@ -619,24 +604,33 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
             cycle_index.append(ell)
             pulse_index.append(slot)
         cycles = ell + 1
-        if cycles % norm_check_every == 0:
-            _check_norm(psi, f"cycle {cycles}")
+        _check_norm(psi, f"cycle {cycles}")
         if abs(values[-1]) < target:
             break
-    if cycles:
-        _check_norm(psi, "final state")
-
-    values = np.array(values)
-    cycle_index = np.array(cycle_index, dtype=np.int64)
-    pulse_index = np.array(pulse_index, dtype=np.int64)
-    T = spec.block_duration
-    # block ends sit on exact multiples of T, which the slot sum can miss by an ulp
-    times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
-                     cycle_index * T + pulse_index * spec.tau)
-    return SignalTrace(
-        times=times, values=values, cycle_index=cycle_index, pulse_index=pulse_index,
-        block_duration=T, num_cycles=cycles, slots_per_block=spec.slots_per_block,
+    return SignalTrace.at_slots(
+        spec, values, cycle_index, pulse_index, num_cycles=cycles,
         meta={"engine": "full-blockwise", "num_spins": num_spins,
               "stream_seed": stream.seed, "n_order": order_label(stream),
-              "gamma_y": spec.gamma_y, "tau": spec.tau},
-    )
+              "gamma_y": spec.gamma_y, "tau": spec.tau})
+
+
+def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
+           angle_spread: float = 0.0, disorder_seed: int | None = None) -> SignalTrace:
+    """The quasi-continuous readout: `evolve_blockwise` with one :class:`PulseStep` per slot.
+
+    Every slot of a block is an x pulse except the kick's, slot
+    ``kick_plus + 1`` or ``kick_minus + 1``.  The first sample is the
+    pre-drive value at t = 0, then one follows each pulse's free slot.  The
+    samples are exact expectation values, free of read-out noise.
+    """
+    spec, num_spins = program.spec, hamiltonian.num_spins
+    blocks = free_propagator(hamiltonian, spec.tau)
+    x = PulseStep(gate_halves(rotation_gate("x", spec.theta_x), num_spins), blocks)
+    kick = PulseStep(gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed),
+                                 num_spins), blocks)
+    slots = range(1, spec.slots_per_block + 1)
+    steps = {sign: tuple((slot, kick if slot == kick_slot + 1 else x) for slot in slots)
+             for sign, kick_slot in ((1, spec.kick_plus), (-1, spec.kick_minus))}
+    trace = evolve_blockwise(program.stream, BlockPropagators(spec, steps), psi0)
+    trace.meta["engine"] = "full"
+    return trace

@@ -26,9 +26,9 @@ from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_powe
                        dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
-from .evolution import (BlockPropagatorFactory, BlockPropagators, SignalTrace,
-                        check_kick_layout, compile_program, evolve, evolve_blockwise,
-                        initial_state, readout_slots)
+from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
+                        check_kick_layout, evolve, evolve_blockwise, initial_state,
+                        readout_slots)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
@@ -118,14 +118,17 @@ class RunConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.cycles < 1:
-            raise ConfigError("cycles must be >= 1")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.readout_noise < 0:
-            raise ConfigError("readout_noise must be >= 0")
+        for name in ("cycles", "realizations", "threads", "graph_realizations", "max_cycles"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("readout_noise", "gamma_0"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for grid in ("gamma_grid", "eps_grid", "tau_grid"):
+            if not all(math.isfinite(x) for x in getattr(self, grid)):
+                raise ConfigError(f"{grid} entries must be finite")
+        if any(tau <= 0 for tau in self.tau_grid):
+            raise ConfigError("tau_grid entries must be > 0")
         if self.readout_noise > 0 and self.kind not in ("trace", "encode"):
             raise ConfigError(f"readout_noise is seeded only by trace and encode, not {self.kind}")
         if self.spectrum_kind not in SPECTRUM_KINDS:
@@ -401,7 +404,7 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
     if config.engine == "full":
         # the per-pulse reference engine, for the quasi-continuous readout
         system = FullSystem(config)
-        trace = evolve(compile_program(stream, spec), system.hamiltonian, system.psi0)
+        trace = evolve(PulseProgram(stream, spec), system.hamiltonian, system.psi0)
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
     else:

@@ -50,7 +50,8 @@ def test_runs_go_through_the_traced_names(tmp_path):
     # (3 eps points + the reference at gamma = pi) x 2 realizations
     assert metrics["runner.measure_rate_calls"] == (3 + 1) * 2
     assert metrics["runner.rundown_cycles"] > 0
-    assert metrics["evolution.blockwise_cycles"] > 0
+    # the 14 cycles of "Hi": the per-pulse trace's steps are no blockwise cycles
+    assert metrics["evolution.blockwise_cycles"] == 14
     # 2 cycles of 12 spin-lock pulses and a kick
     assert metrics["evolution.pulses"] == 2 * 13
     # one Hamiltonian per run, diagonalized in one traced call

@@ -7,9 +7,9 @@ from scipy.linalg import expm
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
-                               PulseProgram, X_PULSE, Y_PULSE, apply_gates, compile_program,
-                               evolve, evolve_blockwise, free_propagator,
-                               half_sample_slot, initial_state, rotation_gate, total_ix)
+                               PulseProgram, apply_gates, evolve, evolve_blockwise,
+                               free_propagator, half_sample_slot, initial_state,
+                               rotation_gate, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -19,31 +19,6 @@ from oracles import (dense_free, dense_free_propagator, global_rotation_matrix,
 
 def stream_of(text):
     return SymbolStream.from_text(text)
-
-
-class TestCompileProgram:
-    def test_single_plus_block_layout(self):
-        spec = MonopoleSpec(pulses_per_block=300, kick_plus=200, kick_minus=100,
-                            tau=1.0)
-        program = compile_program(stream_of("+"), spec)
-        assert program.num_pulses == 301
-        kinds = program.kinds
-        assert (kinds == Y_PULSE).sum() == 1
-        assert kinds[200] == Y_PULSE            # 200 spin-lock pulses, kick, 100 more
-        assert (kinds[:200] == X_PULSE).all()
-        assert (kinds[201:] == X_PULSE).all()
-
-    def test_blocks_share_duration(self, short_spec):
-        program = compile_program(stream_of("+-"), short_spec)
-        slots = short_spec.slots_per_block
-        assert program.num_pulses == 2 * slots
-        # one kick per block, at sign-dependent positions
-        assert program.kinds[short_spec.kick_plus] == Y_PULSE
-        assert program.kinds[slots + short_spec.kick_minus] == Y_PULSE
-
-    def test_empty_stream(self, short_spec):
-        program = compile_program(stream_of(""), short_spec)
-        assert program.num_pulses == 0
 
 
 class TestInitialState:
@@ -93,7 +68,7 @@ class TestNonInteractingLimits:
         h0 = zero_hamiltonian(4)
         psi0 = initial_state(4)
         stream = sample_rmd(0, 12, seed=2)
-        trace = evolve(compile_program(stream, short_spec), h0, psi0)
+        trace = evolve(PulseProgram(stream, short_spec), h0, psi0)
         times, values = stroboscopic_samples(trace)
         expected = values[0] * (-1.0) ** np.arange(13)
         assert np.abs(values - expected).max() < 1e-12
@@ -108,44 +83,59 @@ class TestNonInteractingLimits:
         for kick_plus in (8, 6):
             spec = MonopoleSpec(pulses_per_block=12, kick_plus=kick_plus, kick_minus=4,
                                 tau=0.05)
-            trace = evolve(compile_program(stream, spec), h0, psi0)
+            trace = evolve(PulseProgram(stream, spec), h0, psi0)
             assert np.allclose(half_period_samples(trace), expected, atol=1e-12)
 
-    def test_dephasing_model_equivalence_is_exact(self, short_spec):
+    def test_dephasing_model_equivalence_is_exact(self):
+        """One sample-time rule: the three engines agree bit for bit on every shared time.
+
+        30 pulses of tau = 0.05 over 16 cycles: the slot sum misses a block
+        end (l + 1) T by an ulp in several cycles.
+        """
+        spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10, tau=0.05)
         h0 = zero_hamiltonian(4)
         psi0 = initial_state(4)
-        stream = sample_rmd(0, 8, seed=5)
-        trace = evolve(compile_program(stream, short_spec), h0, psi0)
-        params = DephasingParams(spec=short_spec, epsilon=0.0, gamma_0=0.0)
+        stream = sample_rmd(0, 16, seed=5)
+        trace = evolve(PulseProgram(stream, spec), h0, psi0)
+        params = DephasingParams(spec=spec, epsilon=0.0, gamma_0=0.0)
         model = model_signal(stream, params, amplitude=total_ix(psi0, 4))
-        assert np.allclose(model.times, trace.times)
+        assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12
+        props = BlockPropagatorFactory(h0, spec).block_set()
+        block = evolve_blockwise(stream, props, psi0)
+        by_slot = dict(zip(zip(trace.cycle_index, trace.pulse_index), trace.times))
+        shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
+        assert np.array_equal(shared, block.times)
+        for t in (trace, model, block):
+            ends = t.pulse_index == spec.slots_per_block
+            assert np.array_equal(t.times[ends], (t.cycle_index[ends] + 1) * spec.block_duration)
+            assert ends.sum() == 16
 
 
 class TestEvolveEngine:
     def test_norm_preserved_over_many_pulses(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
         stream = sample_rmd(0, 64, seed=9)
-        program = compile_program(stream, short_spec)
+        program = PulseProgram(stream, short_spec)
         trace = evolve(program, hamiltonian, psi0)
         assert len(trace) == program.num_pulses + 1
 
     def test_norm_check_catches_bad_state(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        program = compile_program(sample_rmd(0, 2, seed=1), short_spec)
+        program = PulseProgram(sample_rmd(0, 2, seed=1), short_spec)
         with pytest.raises(NumericalIntegrityError):
-            evolve(program, hamiltonian, 1.5 * psi0, norm_check_every=4)
+            evolve(program, hamiltonian, 1.5 * psi0)
 
     def test_readout_noise_reproducible(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        program = compile_program(sample_rmd(0, 2, seed=1), short_spec)
+        program = PulseProgram(sample_rmd(0, 2, seed=1), short_spec)
         a = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
         b = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
         assert np.array_equal(a.values, b.values)
 
     def test_angle_disorder_reproducible_and_small(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        program = compile_program(sample_rmd(0, 4, seed=1), short_spec)
+        program = PulseProgram(sample_rmd(0, 4, seed=1), short_spec)
         base = evolve(program, hamiltonian, psi0)
         a = evolve(program, hamiltonian, psi0, angle_spread=0.018, disorder_seed=3)
         b = evolve(program, hamiltonian, psi0, angle_spread=0.018, disorder_seed=3)
@@ -154,9 +144,27 @@ class TestEvolveEngine:
         # 1.8% inhomogeneity perturbs the trace only weakly
         assert np.abs(a.values - base.values).max() < 0.05 * abs(base.values[0])
 
+    def test_empty_stream_gives_the_pre_drive_sample(self, small_system, short_spec):
+        _, _, hamiltonian, psi0 = small_system
+        program = PulseProgram(stream_of(""), short_spec)
+        assert program.num_pulses == 0
+        trace = evolve(program, hamiltonian, psi0)
+        assert len(trace) == 1 and trace.num_cycles == 0
+        assert trace.values[0] == total_ix(psi0, hamiltonian.num_spins)
+
+    def test_both_engines_reject_a_state_of_the_wrong_dimension(self, small_system, short_spec):
+        _, _, hamiltonian, psi0 = small_system
+        stream = sample_rmd(0, 2, seed=1)
+        short = psi0[:-1]
+        with pytest.raises(ValueError, match="state dimension"):
+            evolve(PulseProgram(stream, short_spec), hamiltonian, short)
+        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set()
+        with pytest.raises(ValueError, match="state dimension"):
+            evolve_blockwise(stream, props, short)
+
     def test_trace_timing_layout(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        program = compile_program(sample_rmd(0, 3, seed=4), short_spec)
+        program = PulseProgram(sample_rmd(0, 3, seed=4), short_spec)
         trace = evolve(program, hamiltonian, psi0)
         assert trace.times[0] == 0.0
         assert trace.pulse_index[0] == 0
@@ -168,14 +176,20 @@ class TestEvolveEngine:
 
 
 def dense_evolve_values(program: PulseProgram, hamiltonian, psi0) -> np.ndarray:
-    """Reference per-pulse readout: each pulse's gate layer, then the dense free propagator."""
+    """Reference per-pulse readout: each pulse's gate layer, then the dense free propagator.
+
+    Places each block's kick itself: ``kick_plus`` (``kick_minus``) x pulses,
+    the y-kick, then x pulses to the block's end.
+    """
     spec, n = program.spec, hamiltonian.num_spins
     u_free = dense_free_propagator(hamiltonian, spec.tau)
-    gates = {X_PULSE: rotation_gate("x", spec.theta_x), Y_PULSE: rotation_gate("y", spec.gamma_y)}
+    x, y = rotation_gate("x", spec.theta_x), rotation_gate("y", spec.gamma_y)
     psi, values = psi0, [total_ix(psi0, n)]
-    for kind in program.kinds:
-        psi = u_free @ apply_gates(psi, gates[kind], n)
-        values.append(total_ix(psi, n))
+    for sym in program.stream.symbols:
+        kick = spec.kick_plus if sym > 0 else spec.kick_minus
+        for i in range(spec.slots_per_block):
+            psi = u_free @ apply_gates(psi, y if i == kick else x, n)
+            values.append(total_ix(psi, n))
     return np.array(values)
 
 
@@ -190,7 +204,7 @@ class TestSectorFreeEvolution:
     def test_trace_matches_dense_engine(self, hamiltonian):
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
                             gamma_y=0.97 * math.pi)
-        program = compile_program(sample_rmd(1, 4, seed=3), spec)
+        program = PulseProgram(sample_rmd(1, 4, seed=3), spec)
         psi0 = initial_state(hamiltonian.num_spins)
         trace = evolve(program, hamiltonian, psi0)
         assert np.abs(trace.values - dense_evolve_values(program, hamiltonian, psi0)).max() < 1e-10
@@ -214,7 +228,7 @@ class TestSectorFreeEvolution:
 def blockwise_deviation(hamiltonian, psi0, spec, include_half=True) -> float:
     """Largest gap between the blockwise and the per-pulse trace at their shared samples."""
     stream = sample_rmd(1, 8, seed=3)
-    full = evolve(compile_program(stream, spec), hamiltonian, psi0)
+    full = evolve(PulseProgram(stream, spec), hamiltonian, psi0)
     props = BlockPropagatorFactory(hamiltonian, spec, include_half).block_set()
     block = evolve_blockwise(stream, props, psi0)
     by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
@@ -284,16 +298,13 @@ class TestBlockwiseEngine:
 
 class TestSpinLockConservation:
     def test_polarization_leak_shrinks_with_tau(self, small_system):
-        # pure spin-lock train: no kicks at all
+        # pure spin-lock train: one 200-pulse block whose kick is the identity (gamma_y = 0)
         _, _, hamiltonian, psi0 = small_system
         losses = []
         for tau in (0.02, 0.05, 0.1):
-            spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4,
-                                tau=tau)
-            kinds = np.zeros(200, dtype=np.int8)
-            program = PulseProgram(kinds=kinds, times=np.arange(200) * tau,
-                                   spec=spec, stream=stream_of(""))
-            trace = evolve(program, hamiltonian, psi0)
+            spec = MonopoleSpec(pulses_per_block=199, kick_plus=150, kick_minus=50,
+                                tau=tau, gamma_y=0.0)
+            trace = evolve(PulseProgram(stream_of("+"), spec), hamiltonian, psi0)
             losses.append(1.0 - trace.values[-1] / trace.values[0])
         assert losses[0] < losses[1] < losses[2]
 

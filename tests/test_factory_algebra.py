@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, _kick_gates,
-                               apply_gates, compile_program, evolve, initial_state, kick_layout)
+from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, PulseProgram,
+                               _kick_gates, apply_gates, evolve, initial_state, kick_layout)
 from rondeau.runner import RunConfig, peak_matrix_bytes
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
@@ -229,7 +229,7 @@ class TestFactoryMemory:
         _, couplings, _, _ = small_system
         config = RunConfig(kind="trace", out_dir="x", num_spins=couplings.num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
-        program = compile_program(sample_rmd(0, 2, seed=1), config.spec())
+        program = PulseProgram(sample_rmd(0, 2, seed=1), config.spec())
         psi0 = initial_state(config.num_spins)
         matrix = 16 * 4**config.num_spins
         tracemalloc.start()

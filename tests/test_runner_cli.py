@@ -112,6 +112,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="half-period sample"):
             run(config)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(kind="heating-eps", eps_grid=(0.1,), graph_realizations=0), "graph_realizations"),
+        (dict(kind="heating-eps", eps_grid=(0.1,), max_cycles=0), "max_cycles"),
+        (dict(kind="heating-period", tau_grid=(0.05, 0.0)), "tau_grid entries must be > 0"),
+        (dict(kind="heating-highfreq", tau_grid=(-0.05,)), "tau_grid entries must be > 0"),
+        (dict(kind="heating-period", tau_grid=(0.05, math.inf)), "tau_grid entries must be finite"),
+        (dict(kind="heating-eps", eps_grid=(0.1, math.nan)), "eps_grid entries must be finite"),
+        (dict(kind="phase-diagram", gamma_grid=(math.nan,)), "gamma_grid entries must be finite"),
+        (dict(kind="heating-eps", eps_grid=(0.1,), gamma_0=-0.01), "gamma_0"),
+    ])
+    def test_out_of_range_sweep_input_rejected_before_any_system(self, tmp_path, monkeypatch,
+                                                                 overrides, message):
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        config = RunConfig(out_dir=str(tmp_path), num_spins=4, pulses_per_block=12,
+                           kick_plus=8, kick_minus=4, cycles=64, **overrides)
+        with pytest.raises(ConfigError, match=message):
+            run(config)
+        assert not any(tmp_path.iterdir())
+
     def test_per_pulse_trace_needs_no_separating_layout(self):
         RunConfig(kind="trace", out_dir="x", num_spins=4, pulses_per_block=12,
                   kick_plus=10, kick_minus=7).validate()
