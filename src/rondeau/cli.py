@@ -44,7 +44,7 @@ def _parse_config_value(key: str, raw: str):
 
 def load_config_file(path: str) -> dict:
     """Flatten an INI file into RunConfig field values; unknown keys fail."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -64,7 +64,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--engine", choices=["full", "dephasing"])
-    p.add_argument("--threads", type=int)
 
 
 def _add_system(p: argparse.ArgumentParser):

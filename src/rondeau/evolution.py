@@ -452,8 +452,7 @@ class BlockPropagatorFactory:
     :class:`PowerChain` run per parity that drops each intermediate after its
     last use: a chain product is two half-size products, a quarter of the
     dense flops.  G breaks P, so :meth:`block_set` makes each kick step a dense
-    matrix, with A applied as a pair; a plain step stays a pair.  The factory
-    is read-only after construction, so threads may share it.
+    matrix, with A applied as a pair; a plain step stays a pair.
     """
 
     #: Most half-size matrices `cycle_parities` holds while it builds W₊ and W₋.

@@ -13,8 +13,6 @@ import hashlib
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,7 +72,7 @@ class RunConfig:
     out_dir: str
     engine: str = "full"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # must be 1; still a key because existing config files set it
     # spin system
     num_spins: int = 10
     edge_length: float | None = None
@@ -118,10 +116,12 @@ class RunConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        for name in ("cycles", "realizations", "threads", "graph_realizations", "max_cycles"):
+        if self.threads != 1:
+            raise ConfigError("threads must be 1: every run is single-threaded")
+        for name in ("cycles", "realizations", "graph_realizations", "max_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("readout_noise", "gamma_0"):
+        for name in ("readout_noise", "gamma_0", "decay_time"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for grid in ("gamma_grid", "eps_grid", "tau_grid"):
@@ -180,7 +180,10 @@ class RunConfig:
         )
 
     def hash(self) -> str:
-        """Content hash of the fields that affect outputs (not out_dir or threads)."""
+        """Content hash of the fields that affect outputs (not out_dir or threads).
+
+        ``threads`` can only be 1; leaving it out keeps the hashes of earlier runs.
+        """
         fields = dataclasses.asdict(self)
         del fields["out_dir"], fields["threads"]
         payload = json.dumps(fields, sort_keys=True, default=str)
@@ -219,9 +222,9 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     is built.  The other full-engine kinds add, per graph, the peak of the
     factory's build for the run's readout mode: its parity blocks, each a
     quarter of a dense complex matrix, counted by
-    `BlockPropagatorFactory.peak_matrices`.  Each thread adds a block set while
-    it is built, `BlockPropagatorFactory.BLOCK_SET_MATRICES` dense complex
-    matrices.  Runs that build no system hold none.
+    `BlockPropagatorFactory.peak_matrices`, and one block set while it is
+    built, `BlockPropagatorFactory.BLOCK_SET_MATRICES` dense complex matrices.
+    Runs that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -231,8 +234,8 @@ def peak_matrix_bytes(config: RunConfig) -> int:
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
     graphs = config.graph_realizations if config.kind in _SWEEPS else 1
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
-    block_sets = BlockPropagatorFactory.BLOCK_SET_MATRICES * config.threads
-    return int((sectors + factory * matrix) * graphs + block_sets * matrix)
+    block_set = BlockPropagatorFactory.BLOCK_SET_MATRICES
+    return int((sectors + factory * matrix) * graphs + block_set * matrix)
 
 
 def _reads_half_period(config: RunConfig) -> bool:
@@ -282,20 +285,11 @@ def _drive_realizations(config: RunConfig) -> int:
     return 1 if _parse_order(config.n_order) == math.inf else config.realizations
 
 
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map; results independent of worker scheduling."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 class FullSystem:
     """Graph, Hamiltonian, initial state, and the propagator factory of one run.
 
     Only the factory of the most recent tau and readout mode is kept, since a
-    sweep uses each tau for one point and a run reads out in one mode; the
-    cache is safe to share between the threads of `_parallel_map`.
+    sweep uses each tau for one point and a run reads out in one mode.
     """
 
     def __init__(self, config: RunConfig):
@@ -312,16 +306,14 @@ class FullSystem:
         self.psi0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
-        self._lock = threading.Lock()
 
     def factory(self, spec: MonopoleSpec, include_half: bool) -> BlockPropagatorFactory:
         key = (spec.tau, include_half)
-        with self._lock:
-            if self._factory is None or self._factory[0] != key:
-                self._factory = None  # release the old factory before building
-                self._factory = (key, BlockPropagatorFactory(
-                    self.hamiltonian, replace(spec, gamma_y=math.pi), include_half))
-            return self._factory[1]
+        if self._factory is None or self._factory[0] != key:
+            self._factory = None  # release the old factory before building
+            self._factory = (key, BlockPropagatorFactory(
+                self.hamiltonian, replace(spec, gamma_y=math.pi), include_half))
+        return self._factory[1]
 
 
 def _systems_for(config: RunConfig, graphs: int = 1) -> list:
@@ -435,7 +427,7 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
         return dft_stroboscopic(trace)
 
     reps = _drive_realizations(config)
-    spectra = _parallel_map(one, list(range(reps)), config.threads)
+    spectra = [one(r) for r in range(reps)]
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
                           kind=spectra[0].kind, std=amps.std(axis=0), meta={
@@ -454,17 +446,13 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
     (system,) = _systems_for(config)
     reps = _drive_realizations(config)
-
-    def one(i: int) -> list:
-        """(gamma, trace) of every realization at the i-th kick angle."""
-        gamma = config.gamma_grid[i]
+    sweep = []
+    for i, gamma in enumerate(config.gamma_grid):
         props = _block_set(system, config, replace(spec, gamma_y=gamma))
-        return [(gamma, _drive_trace(system, props, make_stream(
-                    config.n_order, config.cycles, derive_seed(config.seed, i, r))))
-                for r in range(reps)]
-
-    per_gamma = _parallel_map(one, list(range(len(config.gamma_grid))), config.threads)
-    sweep = [pair for pairs in per_gamma for pair in pairs]
+        sweep += [(gamma, _drive_trace(system, props, make_stream(
+                      config.n_order, config.cycles, derive_seed(config.seed, i, r))))
+                  for r in range(reps)]
+        del props  # release this angle's block set before the next is built
     diagram = phase_diagram(sweep, n_order=config.n_order,
                             normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
@@ -510,9 +498,8 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
         specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
                  for s in specs]
         xs = np.array([s.block_duration for s in specs])
-    points = _parallel_map(
-        lambda j: point_rates(systems, config, specs[j], orders, [s + j for s in starts]),
-        list(range(len(specs))), config.threads)
+    points = [point_rates(systems, config, spec, orders, [s + j for s in starts])
+              for j, spec in enumerate(specs)]
 
     rows, fits = [], {}
     for k, order in enumerate(orders):

@@ -147,8 +147,15 @@ def write_trace(path, trace: SignalTrace):
 
 
 def read_trace(path) -> SignalTrace:
+    """Trace written by `write_trace`; a missing header key or a short row is a ValueError."""
     meta, body = _read_header(Path(path).read_text().splitlines())
+    missing = [k for k in ("pulses_per_block", "block_duration", "num_cycles") if k not in meta]
+    if missing:
+        raise ValueError(f"trace file {path} lacks the header key(s) {', '.join(missing)}")
     rows = [line.split(",") for line in body[1:]]
+    for i, row in enumerate(rows, 1):
+        if len(row) != 4:
+            raise ValueError(f"trace file {path}: data row {i} has {len(row)} columns, not 4")
     times = np.array([float(r[0]) for r in rows])
     cycles = np.array([int(r[1]) for r in rows], dtype=np.int64)
     pulses = np.array([int(r[2]) for r in rows], dtype=np.int64)

@@ -10,7 +10,6 @@ dense 2^n x 2^n matrix is never formed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,14 +89,12 @@ class Hamiltonian:
     sectors of `sector_indices`: ``blocks`` holds one ``(indices, block)``
     pair per sector, the sector's basis indices and the real symmetric matrix
     restricted to them, and every entry between sectors is zero.  The
-    eigendecomposition is computed once, even when threads ask for it
-    concurrently.
+    eigendecomposition is computed once, on first use.
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     num_spins: int
     _eigensystem: tuple | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -109,11 +106,10 @@ class Hamiltonian:
         Returns ``(indices, eigvals, eigvecs)`` per sector: the sector's basis
         indices and the `np.linalg.eigh` of its block.
         """
-        with self._lock:
-            if self._eigensystem is None:
-                self._eigensystem = tuple((idx, *np.linalg.eigh(block))
-                                          for idx, block in self.blocks)
-            return self._eigensystem
+        if self._eigensystem is None:
+            self._eigensystem = tuple((idx, *np.linalg.eigh(block))
+                                      for idx, block in self.blocks)
+        return self._eigensystem
 
 
 def generate_graph(num_spins: int,

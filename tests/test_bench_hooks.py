@@ -1,4 +1,5 @@
-"""The benchmark wraps package functions by name; a rename must fail fast here."""
+"""The benchmark wraps package functions by name and writes INI configs; a rename
+or a config key dropped while the benchmark still writes it must fail fast here."""
 
 import json
 import subprocess
@@ -32,6 +33,29 @@ run(RunConfig(kind="trace", out_dir=sys.argv[3] + "/trace", cycles=2, **small))
 print(json.dumps(layer_metrics([tracer.spans])))
 """
 
+# Every INI the benchmark writes, for each workload in full and smoke size, read
+# through the CLI's config path and validated without running; prints their kinds.
+INI_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from run import WORKLOADS, steps, write_ini
+from rondeau.cli import _config_from_args, build_parser
+work = Path(sys.argv[3])
+kinds = []
+for workload in WORKLOADS:
+    for smoke in (False, True):
+        for i, (command, values) in enumerate(steps(workload, 0, smoke, work)):
+            ini = work / f"{workload}-{int(smoke)}-{i}.ini"
+            write_ini(ini, values)
+            args = build_parser().parse_args(
+                command + ["--config", str(ini), "--out", str(work / "out")])
+            config = _config_from_args(args)
+            config.validate()
+            kinds.append(config.kind)
+print(json.dumps(kinds))
+"""
+
 
 def test_bench_tracing_instruments_current_names():
     proc = subprocess.run(
@@ -56,3 +80,14 @@ def test_runs_go_through_the_traced_names(tmp_path):
     assert metrics["evolution.pulses"] == 2 * 13
     # one Hamiltonian per run, diagonalized in one traced call
     assert metrics["spins.eigensystem_calls"] == 3
+
+
+def test_bench_configs_pass_the_cli(tmp_path):
+    """A key the benchmark writes (``threads`` today) must stay a valid config key."""
+    proc = subprocess.run(
+        [sys.executable, "-c", INI_SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
+         str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    kinds = json.loads(proc.stdout.splitlines()[-1])
+    assert kinds == ["heating-eps", "heating-eps", "trace", "trace",
+                     "encode", "decode", "encode", "decode"]

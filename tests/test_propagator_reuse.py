@@ -1,10 +1,8 @@
-"""Block propagators are built once per kick angle and shared; lazy caches are thread-safe."""
+"""Block propagators are built once per kick angle and shared; lazy caches build once."""
 
 import dataclasses
 import gc
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -87,77 +85,40 @@ def test_shared_block_set_gives_identical_rates(order):
     assert (mean, std) == (float(np.mean(rates)), float(np.std(rates)))
 
 
-def _race(call, workers=4):
-    """Call `call` from `workers` threads released together; returns their results."""
-    barrier = threading.Barrier(workers, timeout=5)
-    results = []
-
-    def worker():
-        barrier.wait()
-        results.append(call())
-
-    threads = [threading.Thread(target=worker) for _ in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == workers
-    return results
-
-
-def _slow_counter(build, calls):
-    """`build` that records each call and lingers until a second call arrives."""
-    both = threading.Event()
-
-    def slow(*args):
+def _counter(build, calls):
+    """`build` that records the arguments of each call."""
+    def counted(*args):
         calls.append(args)
-        if len(calls) == 2:
-            both.set()
-        both.wait(timeout=0.5)
         return build(*args)
 
-    return slow
+    return counted
 
 
-def test_eigensystem_is_computed_once_under_threads(monkeypatch):
-    """Racing threads cause one sector pass, an eigh per total-Iz sector, and share it."""
+def test_eigensystem_is_computed_once(monkeypatch):
+    """Repeated calls run one eigh per total-Iz sector and share its result."""
     num_spins = 3
     hamiltonian = build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=1)))
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", _slow_counter(np.linalg.eigh, calls))
-    results = _race(hamiltonian.eigensystem)
+    monkeypatch.setattr(np.linalg, "eigh", _counter(np.linalg.eigh, calls))
+    results = [hamiltonian.eigensystem() for _ in range(3)]
     assert len(calls) == num_spins + 1
     assert all(r is results[0] for r in results)
 
 
-def test_factory_matches_each_callers_tau_under_threads():
-    """Callers sweeping different taus each get the factory of their own tau."""
+def test_factory_matches_each_callers_tau():
+    """Callers alternating between taus each get the factory of their own tau."""
     system = FullSystem(RunConfig(kind="heating-period", out_dir="x", **SMALL))
     spec = system.config.spec()
-    taus = [0.05, 0.04, 0.03, 0.02] * 2
-    lock = threading.Lock()
-
-    def call():
-        with lock:
-            tau = taus.pop()
-        return tau, system.factory(dataclasses.replace(spec, tau=tau), False)
-
-    results = _race(call, workers=8)
-    assert all(factory.spec.tau == tau for tau, factory in results)
+    for tau in [0.05, 0.04, 0.05, 0.03, 0.03, 0.02]:
+        assert system.factory(dataclasses.replace(spec, tau=tau), False).spec.tau == tau
 
 
-def test_factory_is_built_once_under_threads(monkeypatch):
+def test_factory_is_built_once(monkeypatch):
     system = FullSystem(RunConfig(kind="spectrum", out_dir="x", **SMALL))
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _slow_counter(lambda hamiltonian, spec, include_half: object(), calls))
+                        _counter(lambda hamiltonian, spec, include_half: object(), calls))
     spec = system.config.spec()
-    results = _race(lambda: system.factory(spec, False))
+    results = [system.factory(spec, False) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)

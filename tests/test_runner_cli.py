@@ -40,9 +40,9 @@ class TestRunConfig:
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
 
-    def test_hash_ignores_out_dir_and_threads(self):
-        a = RunConfig(kind="spectrum", out_dir="a", threads=1, seed=1)
-        b = RunConfig(kind="spectrum", out_dir="b", threads=2, seed=1)
+    def test_hash_ignores_out_dir(self):
+        a = RunConfig(kind="spectrum", out_dir="a", seed=1)
+        b = RunConfig(kind="spectrum", out_dir="b", seed=1)
         assert a.hash() == b.hash()
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -121,6 +121,8 @@ class TestRunConfig:
         (dict(kind="heating-eps", eps_grid=(0.1, math.nan)), "eps_grid entries must be finite"),
         (dict(kind="phase-diagram", gamma_grid=(math.nan,)), "gamma_grid entries must be finite"),
         (dict(kind="heating-eps", eps_grid=(0.1,), gamma_0=-0.01), "gamma_0"),
+        (dict(kind="trace", decay_time=-0.1), "decay_time"),
+        (dict(kind="spectrum", threads=2), "threads must be 1"),
     ])
     def test_out_of_range_sweep_input_rejected_before_any_system(self, tmp_path, monkeypatch,
                                                                  overrides, message):
@@ -257,17 +259,6 @@ class TestRunSweeps:
         for order in ("0", "inf"):
             assert summary["fits"][order]["exponent"] == pytest.approx(1.0, abs=0.15)
 
-    def test_parallel_determinism(self, tmp_path):
-        base = dict(
-            kind="spectrum", engine="dephasing", seed=9, spectrum_kind="micromotion",
-            pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
-            cycles=64, realizations=4, n_order="1",
-        )
-        run(RunConfig(out_dir=str(tmp_path / "t1"), threads=1, **base))
-        run(RunConfig(out_dir=str(tmp_path / "t2"), threads=2, **base))
-        assert (tmp_path / "t1" / "spectrum.csv").read_bytes() == \
-            (tmp_path / "t2" / "spectrum.csv").read_bytes()
-
 
 class TestCodecPipeline:
     def test_encode_decode_files(self, tmp_path):
@@ -283,12 +274,16 @@ class TestCodecPipeline:
         assert len(decoded["margins"]) == 14
 
     @staticmethod
-    def trace_without_row(tmp_path, cycle, slot):
-        """An encoded dephasing trace.csv with the (cycle, slot) row deleted."""
+    def encoded_trace(tmp_path):
+        """The trace.csv of a dephasing encode of "Hi"."""
         out = tmp_path / "enc"
         assert main(["encode", "--engine", "dephasing", "--text", "Hi", "--out", str(out),
                      "--pulses", "12", "--kick-plus", "8", "--kick-minus", "4"]) == 0
-        path = out / "trace.csv"
+        return out / "trace.csv"
+
+    def trace_without_row(self, tmp_path, cycle, slot):
+        """An encoded dephasing trace.csv with the (cycle, slot) row deleted."""
+        path = self.encoded_trace(tmp_path)
         lines = path.read_text().splitlines()
         kept = [line for line in lines if line.split(",")[1:3] != [str(cycle), str(slot)]]
         assert len(kept) == len(lines) - 1
@@ -307,6 +302,25 @@ class TestCodecPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "cycles [3]" in err["message"]
+
+    @pytest.mark.parametrize("damage, problem", [
+        ("header", "lacks the header key(s) num_cycles"),
+        ("row", "has 3 columns, not 4"),
+    ])
+    def test_decode_reports_malformed_trace_as_json_error(self, tmp_path, capsys, damage,
+                                                          problem):
+        path = self.encoded_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        if damage == "header":
+            lines = [line for line in lines if not line.startswith("# num_cycles=")]
+        else:
+            lines[-1] = lines[-1].rsplit(",", 1)[0]  # drop the signal column
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["decode", "--trace", str(path), "--out", str(tmp_path / "dec")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert str(path) in err["message"] and problem in err["message"]
 
 
 class TestCli:
@@ -344,16 +358,33 @@ class TestCli:
             "[run]\n"
             "engine = dephasing\n"
             "seed = 4\n"
+            "threads = 1\n"
+            "[codec]\n"
+            "text = 50% off\n"
         )
         values = load_config_file(config_file)
         assert values["pulses_per_block"] == 12
         assert values["tau"] == 0.05
         assert values["engine"] == "dephasing"
+        assert values["text"] == "50% off"
         out = tmp_path / "via-config"
         assert main(["trace", "--config", str(config_file),
                      "--out", str(out)]) == 0
         trace = read_trace(out / "trace.csv")
         assert trace.num_cycles == 16
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["text"] == "50% off"
+
+    def test_threads_other_than_one_rejected(self, tmp_path, capsys):
+        config_file = tmp_path / "run.ini"
+        config_file.write_text("[run]\nthreads = 2\n")
+        assert main(["trace", "--config", str(config_file), "--engine", "dephasing",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "threads must be 1" in err["message"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["phase-diagram", "--threads", "2", "--out", str(tmp_path / "p")])
+        assert exit_.value.code == 2
 
     def test_unknown_config_key_is_hard_error(self, tmp_path):
         config_file = tmp_path / "bad.ini"
