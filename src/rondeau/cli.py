@@ -55,7 +55,11 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             if key in values:
                 raise ConfigError(f"duplicate config key {key}")
-            values[key] = _parse_config_value(key, raw)
+            try:
+                values[key] = _parse_config_value(key, raw)
+            except ValueError:
+                raise ConfigError(f"config file {path}: [{section}] {key} = {raw!r} is not "
+                                  f"a valid {_FIELD_TYPES[key]}") from None
     return values
 
 

@@ -15,10 +15,11 @@ pulses (:class:`PulseStep`); the factory's sets step to the half-period
 slot and the block end.  :meth:`SignalTrace.at_slots` is the one rule that
 maps a sample's (cycle, slot) to its time, for every engine.  The
 spin-lock cycle operator and its powers commute with the global spin flip,
-so they are kept as their two half-size parity blocks (:class:`ParityPair`);
-only a step holding the kick, which breaks that symmetry, is a dense
-matrix.  The per-pulse and blockwise operators are built independently, so
-each checks the other.
+so they are kept as their two half-size parity blocks (:class:`ParityPair`).
+A step holding the kick, which breaks that symmetry, is applied as its
+factors, two such powers around the kick's gate layer (:class:`KickStep`):
+no 2^n x 2^n matrix is built.  The per-pulse and blockwise operators are
+built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -261,21 +262,6 @@ def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
 
 # -- spin-flip parity ------------------------------------------------------
 
-def _join_parities(plus: np.ndarray, minus: np.ndarray, out: np.ndarray | None = None):
-    """The rows plus + minus, then plus - minus in reverse order, into ``out``.
-
-    This takes the P = ±1 coordinates x[H₀] + x[F(H₀)] and x[H₀] - x[F(H₀)]
-    of :class:`ParityPair` back to 2x: row i of H₀ first, then row F(i) at
-    position 2^n - 1 - i.
-    """
-    h = plus.shape[0]
-    if out is None:
-        out = np.empty((2 * h,) + plus.shape[1:], dtype=complex)
-    np.add(plus, minus, out=out[:h])
-    np.subtract(plus, minus, out=out[h:][::-1])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ParityPair:
     """An operator M that commutes with the global spin flip P = Π σx, as its P = ±1 blocks.
@@ -298,16 +284,15 @@ class ParityPair:
         return dim, dim
 
     def __matmul__(self, state: np.ndarray) -> np.ndarray:
-        out = self.doubled(state)
-        out *= 0.5
-        return out
-
-    def doubled(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """2 M x for ``x = state``, written into ``out`` if given."""
         h = self.plus.shape[0]
         top, flipped = state[:h], state[h:][::-1]
-        plus = self.plus @ (top + flipped)
-        return _join_parities(plus, self.minus @ (top - flipped), out)
+        plus, minus = self.plus @ (top + flipped), self.minus @ (top - flipped)
+        # back from the P = ±1 coordinates: row i of H₀, row F(i) at 2^n - 1 - i
+        out = np.empty(state.shape, dtype=complex)
+        np.add(plus, minus, out=out[:h])
+        np.subtract(plus, minus, out=out[h:][::-1])
+        out *= 0.5
+        return out
 
 
 def cycle_parities(hamiltonian: Hamiltonian, spec: MonopoleSpec) -> list[np.ndarray]:
@@ -451,16 +436,13 @@ class BlockPropagatorFactory:
     that the layout of its readout mode (``include_half``) names once, by one
     :class:`PowerChain` run per parity that drops each intermediate after its
     last use: a chain product is two half-size products, a quarter of the
-    dense flops.  G breaks P, so :meth:`block_set` makes each kick step a dense
-    matrix, with A applied as a pair; a plain step stays a pair.
+    dense flops.  G breaks P, so :meth:`block_set` keeps a kick step as its
+    factors, a :class:`KickStep` applied one state at a time; a plain step
+    stays a pair.  A block set therefore builds only the gate halves.
     """
 
     #: Most half-size matrices `cycle_parities` holds while it builds W₊ and W₋.
     BUILD_HALVES = 5
-    #: Most dense matrices a block set holds while built: one kick step kept,
-    #: the next one, and per half of its columns a quarter matrix of B's
-    #: columns and three quarters of temporaries.
-    BLOCK_SET_MATRICES = 3
 
     def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, include_half: bool = True):
         self.hamiltonian = hamiltonian
@@ -506,27 +488,14 @@ class BlockPropagatorFactory:
         spec = replace(self.spec, gamma_y=gamma_y)
         x_inverse = rotation_gate("x", spec.theta_x).conj().T
         kick = np.matmul(x_inverse, _kick_gates(spec, self.num_spins, angle_spread, disorder_seed))
-        # G for B's columns H₀, and G · P for its columns F(H₀): every gate
-        # times sigma_x, its two columns swapped.  The factor 1/4 undoes the two
-        # doubling joins below, exactly, being a power of 2.
-        kicks = [gate_halves(gates, self.num_spins) for gates in (kick, kick[..., ::-1])]
-        kicks = [(first / 4, second) for first, second in kicks]
+        halves = gate_halves(kick, self.num_spins)
         p = self.powers
 
         def step(factors):
             if len(factors) == 1:
                 return p[factors[0]]
-            a, b = (p[f] for f in factors)
-            h = b.plus.shape[0]
-            op = np.empty(b.shape, dtype=complex)
-            # B's columns j in H₀ are joined from its blocks; its columns F(j), at
-            # 2^n - 1 - j, are P times those, so G · P applies to the same ones.
-            # Half of H₀ at a time bounds the temporaries.
-            for cols in (slice(0, h // 2), slice(h // 2, h)):
-                left = _join_parities(b.plus[:, cols], b.minus[:, cols])
-                for halves, out in zip(kicks, (op[:, cols], op[:, ::-1][:, cols])):
-                    a.doubled(apply_halves(left, halves), out)
-            return op
+            a, b = factors
+            return KickStep(p[a], halves, p[b])
 
         slots = readout_slots(spec, include_half)
         steps = {s: tuple(zip(slots, map(step, layout)))
@@ -544,13 +513,34 @@ class BlockPropagators:
     pairs: each operator carries the state from the previous readout to the
     readout after pulse slot ``slot``, and the last step ends the block at
     ``spec.slots_per_block``.  An operator is anything with ``shape`` and
-    ``@``: a dense matrix for a factory step that holds the kick, a
+    ``@``: a :class:`KickStep` for a factory step that holds the kick, a
     :class:`ParityPair` for a plain power of the cycle, or one
     :class:`PulseStep` per slot for the per-pulse readout.
     """
 
     spec: MonopoleSpec
     steps: dict
+
+
+@dataclass(frozen=True, eq=False)
+class KickStep:
+    """A factory step A · G(B) holding the kick: ``step @ psi`` is ``a @ G(b @ psi)``.
+
+    ``a`` and ``b`` are the step's :class:`ParityPair` powers, ``halves`` the
+    kick's gate layer G from `gate_halves`.  Nothing of size 2^n x 2^n is
+    built: a step costs four half-size mat-vecs and the gate layer.
+    """
+
+    a: ParityPair
+    halves: tuple
+    b: ParityPair
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape
+
+    def __matmul__(self, state: np.ndarray) -> np.ndarray:
+        return self.a @ apply_halves(self.b @ state, self.halves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,13 +568,13 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
     This is the one stepping loop of every engine.  It costs one operator
-    application per step of ``props``: a dense mat-vec for a kick step, two
-    half-size ones for a plain step kept as a :class:`ParityPair`, a gate
-    layer and the sector mat-vecs for a :class:`PulseStep`.  The state's norm
-    is checked after every cycle, one vdot.  With ``stop_factor`` the run ends
-    at the first block-end sample below ``stop_factor / e`` of the initial
-    magnitude, since later cycles cannot move the lifetime argmin;
-    ``num_cycles`` counts the cycles evolved.
+    application per step of ``props``: two half-size mat-vecs for a plain
+    step kept as a :class:`ParityPair`, four and a gate layer for a
+    :class:`KickStep`, a gate layer and the sector mat-vecs for a
+    :class:`PulseStep`.  The state's norm is checked after every cycle, one
+    vdot.  With ``stop_factor`` the run ends at the first block-end sample
+    below ``stop_factor / e`` of the initial magnitude, since later cycles
+    cannot move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
     """
     spec = props.spec
     dim = props.steps[1][0][1].shape[0]

@@ -222,9 +222,9 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     is built.  The other full-engine kinds add, per graph, the peak of the
     factory's build for the run's readout mode: its parity blocks, each a
     quarter of a dense complex matrix, counted by
-    `BlockPropagatorFactory.peak_matrices`, and one block set while it is
-    built, `BlockPropagatorFactory.BLOCK_SET_MATRICES` dense complex matrices.
-    Runs that build no system hold none.
+    `BlockPropagatorFactory.peak_matrices`.  A block set adds only its gate
+    halves, and its steps only state vectors.  Runs that build no system
+    hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -234,8 +234,7 @@ def peak_matrix_bytes(config: RunConfig) -> int:
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
     graphs = config.graph_realizations if config.kind in _SWEEPS else 1
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
-    block_set = BlockPropagatorFactory.BLOCK_SET_MATRICES
-    return int((sectors + factory * matrix) * graphs + block_set * matrix)
+    return int((sectors + factory * matrix) * graphs)
 
 
 def _reads_half_period(config: RunConfig) -> bool:
@@ -369,8 +368,7 @@ def point_rates(systems: list, config: RunConfig, spec: MonopoleSpec, orders,
 
     Returns (mean, std, all_crossed) for each order; ``indices[k]`` is the
     seed index of the k-th order.  Each system's block set is built once and
-    shared by every order and realization; it is released before the next
-    system's.
+    shared by every order and realization.
     """
     fits = [[] for _ in orders]
     for gi, system in enumerate(systems):
@@ -382,7 +380,6 @@ def point_rates(systems: list, config: RunConfig, spec: MonopoleSpec, orders,
                 order_fits.append(measure_rate(system, props, config, order,
                                                derive_seed(config.seed, index, gi, r),
                                                offset=r if inf else 0))
-        del props
     rates = [np.array([f.rate for f in order_fits]) for order_fits in fits]
     return [(float(r.mean()), float(r.std()), all(f.crossed for f in order_fits))
             for r, order_fits in zip(rates, fits)]
@@ -452,7 +449,6 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
         sweep += [(gamma, _drive_trace(system, props, make_stream(
                       config.n_order, config.cycles, derive_seed(config.seed, i, r))))
                   for r in range(reps)]
-        del props  # release this angle's block set before the next is built
     diagram = phase_diagram(sweep, n_order=config.n_order,
                             normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)

@@ -147,19 +147,27 @@ def write_trace(path, trace: SignalTrace):
 
 
 def read_trace(path) -> SignalTrace:
-    """Trace written by `write_trace`; a missing header key or a short row is a ValueError."""
+    """Trace written by `write_trace`; a missing header key, a short row or a cell that
+    is not a number is a ValueError naming the file.
+    """
     meta, body = _read_header(Path(path).read_text().splitlines())
     missing = [k for k in ("pulses_per_block", "block_duration", "num_cycles") if k not in meta]
     if missing:
         raise ValueError(f"trace file {path} lacks the header key(s) {', '.join(missing)}")
-    rows = [line.split(",") for line in body[1:]]
-    for i, row in enumerate(rows, 1):
+    columns = (("time", float, []), ("cycle", int, []), ("pulse", int, []),
+               ("signal", float, []))
+    for i, line in enumerate(body[1:], 1):
+        row = line.split(",")
         if len(row) != 4:
             raise ValueError(f"trace file {path}: data row {i} has {len(row)} columns, not 4")
-    times = np.array([float(r[0]) for r in rows])
-    cycles = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    pulses = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    values = np.array([float(r[3]) for r in rows])
+        for (name, kind, cells), cell in zip(columns, row):
+            try:
+                cells.append(kind(cell))
+            except ValueError:
+                raise ValueError(f"trace file {path}: data row {i} has the {name} cell "
+                                 f"{cell!r}, not a valid {kind.__name__}") from None
+    times, cycles, pulses, values = (np.array(cells, dtype=float if kind is float else np.int64)
+                                     for _, kind, cells in columns)
     block_duration = meta.pop("block_duration")
     num_cycles = meta.pop("num_cycles")
     slots_per_block = meta.pop("pulses_per_block") + 1

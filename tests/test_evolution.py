@@ -273,7 +273,8 @@ class TestBlockwiseEngine:
         factory = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False)
         props = factory.block_set(0.95 * math.pi)
         for sign in (1, -1):
-            (_, u), = props.steps[sign]
+            (_, op), = props.steps[sign]
+            u = op @ np.eye(op.shape[0])
             deviation = u.conj().T @ u - np.eye(u.shape[0])
             assert np.abs(deviation).max() < 1e-10
 

@@ -3,6 +3,7 @@ spin-flip parity split, memory."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, PulseProgram,
-                               _kick_gates, apply_gates, evolve, initial_state, kick_layout)
-from rondeau.runner import RunConfig, peak_matrix_bytes
+                               _kick_gates, apply_gates, evolve, evolve_blockwise,
+                               initial_state, kick_layout)
+from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -130,7 +132,7 @@ def system(num_spins: int):
 
 
 def dense(op) -> np.ndarray:
-    """A step operator as a dense matrix: a ParityPair applied to the identity."""
+    """A step operator (ParityPair or KickStep) as a dense matrix: applied to the identity."""
     return op @ np.eye(op.shape[0], dtype=complex)
 
 
@@ -205,8 +207,8 @@ class TestFactoryMemory:
             assert kept <= (len(exponents) / 2 + 0.25) * matrix
             del factory
 
-    def test_block_set_peak_within_the_counted_matrices(self):
-        """A block set keeps its two dense kick steps and peaks at BLOCK_SET_MATRICES."""
+    def test_block_set_builds_no_dense_matrix(self):
+        """A block set keeps the factory's pairs and builds only the kick's gate halves."""
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**8
@@ -218,11 +220,45 @@ class TestFactoryMemory:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # the plain steps are the factory's own pairs, not copies
-            assert 2 * matrix < kept <= 2.05 * matrix
-            counted = BlockPropagatorFactory.BLOCK_SET_MATRICES
-            assert (counted - 0.25) * matrix < peak <= counted * matrix
+            assert kept <= peak < 0.05 * matrix
             del factory, props
+
+    def test_blockwise_steps_hold_only_state_vectors(self):
+        hamiltonian = system(8)
+        spec = MonopoleSpec(tau=0.01)
+        matrix = 16 * 4**8
+        for include_half in (False, True):
+            factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+            props, stream = factory.block_set(0.95 * math.pi), sample_rmd(1, 4, seed=3)
+            psi0 = initial_state(8)
+            tracemalloc.start()
+            try:
+                evolve_blockwise(stream, props, psi0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * matrix
+
+    def test_heating_run_peak_within_the_estimate(self, tmp_path):
+        """A whole full-engine heating-eps run holds no matrix beyond `peak_matrix_bytes`.
+
+        The estimate counts matrices only.  The run also holds its drive
+        streams, under 25 bytes a cycle while drawn, and at n = 6 about a
+        quarter matrix of gates, graph and bookkeeping.  A short ``max_cycles``
+        keeps the streams small next to one dense matrix, which a block set
+        built densely would add.
+        """
+        config = RunConfig(kind="heating-eps", out_dir=str(tmp_path / "run"), num_spins=6,
+                           eps_grid=(0.1, 0.2), realizations=2, max_cycles=1024)
+        run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        streams, bookkeeping = 25 * config.max_cycles, 0.25 * 16 * 4**6
+        assert peak <= peak_matrix_bytes(config) + streams + bookkeeping
 
     def test_trace_estimate_counts_the_sector_engine(self, small_system):
         """A per-pulse trace holds H's sector blocks, their eigenvectors and the free-step blocks."""

@@ -86,8 +86,8 @@ class TestRunConfig:
 
     def test_full_engine_rejected_before_any_system_when_memory_is_short(
             self, tmp_path, monkeypatch):
-        # n = 13 heating needs about 5.4 GiB: parity-split powers and block sets
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 4 * 2**30)
+        # n = 13 heating needs about 2.4 GiB: the parity-split powers' build
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 2 * 2**30)
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
         config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), num_spins=13,
@@ -95,7 +95,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             run(config)
         assert str(runner.peak_matrix_bytes(config)) in str(err.value)
-        assert str(4 * 2**30) in str(err.value)
+        assert str(2 * 2**30) in str(err.value)
+
+    def test_full_engine_heating_at_13_spins_fits_in_7_gib(self, monkeypatch):
+        # about 2.4 GiB: the factory's half-size powers, no dense 2^n x 2^n block set
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 7 * 2**30)
+        config = RunConfig(kind="heating-eps", out_dir="x", num_spins=13, eps_grid=(0.1,))
+        config.validate()
+        assert runner.peak_matrix_bytes(config) < 2.5 * 2**30
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
@@ -323,6 +330,20 @@ class TestCodecPipeline:
         assert str(path) in err["message"] and problem in err["message"]
 
 
+    def test_decode_reports_non_numeric_cell_as_json_error(self, tmp_path, capsys):
+        path = self.encoded_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"
+        rows = sum(1 for line in lines if line and not line.startswith("#")) - 1
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["decode", "--trace", str(path), "--out", str(tmp_path / "dec")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert str(path) in err["message"]
+        assert f"data row {rows} has the signal cell 'abc'" in err["message"]
+
+
 class TestCli:
     def test_import_leaves_scipy_optimize_unloaded(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -391,6 +412,17 @@ class TestCli:
         config_file.write_text("[drive]\npulses_per_blok = 12\n")
         with pytest.raises(ConfigError):
             load_config_file(config_file)
+
+    def test_malformed_config_value_names_file_key_and_value(self, tmp_path, capsys):
+        config_file = tmp_path / "bad.ini"
+        config_file.write_text("[system]\nnum_spins = 4.5\n")
+        capsys.readouterr()
+        assert main(["trace", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(config_file) in err["message"]
+        assert "num_spins = '4.5'" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_flag_overrides_config_file(self, tmp_path):
         config_file = tmp_path / "run.ini"
