@@ -152,7 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="read a message back from a trace file")
     _add_common(p)
-    p.add_argument("--trace", dest="trace_file", help="trace CSV to decode")
+    p.add_argument("--trace", dest="trace_file",
+                   help="trace.csv to decode, as encode writes it: '# key=<JSON>' header "
+                        "lines with the ints pulses_per_block and num_cycles and the number "
+                        "block_duration, each once, the column line "
+                        "time,cycle,pulse_index,signal, then rows of four numbers; any "
+                        "other line, key type or cell is an error naming the file")
     p.add_argument("--threshold", type=float,
                    help="minimum half-period magnitude accepted")
 

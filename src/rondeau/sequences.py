@@ -156,9 +156,9 @@ def sample_rmd(n: int, cycles: int, seed: int,
         )
     _check_capacity(cycles, max_symbols)
     rng = np.random.Generator(np.random.PCG64(seed))
-    signs = np.where(rng.integers(0, 2, size=cycles // chunk) == 0, 1, -1)
+    signs = 1 - 2 * rng.integers(0, 2, size=cycles // chunk).astype(np.int8)
     base = unroll_multipole(n, 1, max_symbols=max_symbols).symbols
-    symbols = (signs[:, None] * base[None, :]).reshape(-1).astype(np.int8)
+    symbols = (signs[:, None] * base[None, :]).reshape(-1)
     return SymbolStream(symbols=symbols, n_order=n, seed=seed)
 
 

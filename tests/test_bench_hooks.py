@@ -80,6 +80,10 @@ def test_runs_go_through_the_traced_names(tmp_path):
     assert metrics["evolution.pulses"] == 2 * 13
     # one Hamiltonian per run, diagonalized in one traced call
     assert metrics["spins.eigensystem_calls"] == 3
+    # every file is written once through one traced writer: a wrapped name nested in
+    # another would count its bytes twice
+    written = sum(f.stat().st_size for f in tmp_path.rglob("*") if f.is_file())
+    assert metrics["serialize.bytes_written"] == written
 
 
 def test_bench_configs_pass_the_cli(tmp_path):

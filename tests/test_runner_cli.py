@@ -313,15 +313,29 @@ class TestCodecPipeline:
     @pytest.mark.parametrize("damage, problem", [
         ("header", "lacks the header key(s) num_cycles"),
         ("row", "has 3 columns, not 4"),
+        ("not-json", "header line '# num_cycles=abc' is not '# key=<JSON>'"),
+        ("string-count", "header key num_cycles has the wrong type: '14'"),
+        ("float-pulses", "header key pulses_per_block has the wrong type: 12.5"),
+        ("repeated-key", "header key num_cycles is repeated"),
+        ("swapped-columns", "column line 'time,signal,pulse_index,cycle', not "
+                            "time,cycle,pulse_index,signal"),
     ])
     def test_decode_reports_malformed_trace_as_json_error(self, tmp_path, capsys, damage,
                                                           problem):
         path = self.encoded_trace(tmp_path)
         lines = path.read_text().splitlines()
-        if damage == "header":
-            lines = [line for line in lines if not line.startswith("# num_cycles=")]
-        else:
-            lines[-1] = lines[-1].rsplit(",", 1)[0]  # drop the signal column
+        # the first line starting with the first string is replaced by the others
+        start, *new = {
+            "header": ("# num_cycles=",),
+            "row": (lines[-1], lines[-1].rsplit(",", 1)[0]),  # drop the signal column
+            "not-json": ("# num_cycles=", "# num_cycles=abc"),
+            "string-count": ("# num_cycles=", '# num_cycles="14"'),
+            "float-pulses": ("# pulses_per_block=", "# pulses_per_block=12.5"),
+            "repeated-key": ("# num_cycles=", "# num_cycles=14", "# num_cycles=3"),
+            "swapped-columns": ("time,", "time,signal,pulse_index,cycle"),
+        }[damage]
+        at = next(i for i, line in enumerate(lines) if line.startswith(start))
+        lines[at:at + 1] = new
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["decode", "--trace", str(path), "--out", str(tmp_path / "dec")]) == 1

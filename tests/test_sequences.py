@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ class TestSampleRmd:
         plus = unroll_multipole(2, 1).symbols
         for chunk in stream.symbols.reshape(-1, 4):
             assert np.array_equal(chunk, plus) or np.array_equal(chunk, -plus)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_symbols_match_the_int64_sign_product(self, n):
+        """The int8 sign arithmetic keeps the draw, so the symbols are the old ones."""
+        for seed in (0, 7, 2**63 - 1):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            signs = np.where(rng.integers(0, 2, size=64) == 0, 1, -1)
+            old = (signs[:, None] * unroll_multipole(n, 1).symbols[None, :]).reshape(-1)
+            new = sample_rmd(n, 64 * 2**n, seed).symbols
+            assert new.dtype == np.int8 and np.array_equal(new, old.astype(np.int8))
+
+    def test_draw_holds_no_wide_transients(self):
+        sample_rmd(0, 2, 7)  # the first draw in a process sets up about 0.7 MB once
+        tracemalloc.start()
+        try:
+            sample_rmd(0, 32768, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20  # a 32 KB stream; int64 sign arithmetic peaked at 578 KB
 
     def test_rejects_unaligned_cycles(self):
         with pytest.raises(ValueError):
