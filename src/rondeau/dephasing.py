@@ -22,13 +22,12 @@ from .sequences import MonopoleSpec, SymbolStream, order_label
 class DephasingParams:
     """Inputs of the dephasing model.
 
-    ``epsilon`` is the kick deviation gamma_y - pi; ``gamma_0`` the
+    The kick deviation is ``spec.epsilon`` (gamma_y - pi); ``gamma_0`` the
     intrinsic decay rate (measured, not predicted); ``readout`` the slots
     sampled in each cycle, as `readout_slots` gives them, or None for every slot.
     """
 
     spec: MonopoleSpec
-    epsilon: float = 0.0
     gamma_0: float = 0.0
     readout: tuple[int, ...] | None = None
 
@@ -55,14 +54,14 @@ def model_signal(stream: SymbolStream, params: DephasingParams,
     pulse_index = np.tile(slots, len(stream))
     kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle_index]
     kicks = cycle_index + (pulse_index > kick_slots)
-    kicked = amplitude * np.power(-math.cos(params.epsilon), kicks)
+    kicked = amplitude * np.power(-math.cos(spec.epsilon), kicks)
     trace = SignalTrace.at_slots(
         spec, np.concatenate([[amplitude], kicked]),
         np.concatenate([[0], cycle_index]), np.concatenate([[0], pulse_index]),
         num_cycles=len(stream),
         meta={"engine": "dephasing", "stream_seed": stream.seed,
               "n_order": order_label(stream), "gamma_y": spec.gamma_y,
-              "epsilon": params.epsilon, "gamma_0": params.gamma_0,
+              "epsilon": spec.epsilon, "gamma_0": params.gamma_0,
               "tau": spec.tau})
     trace.values *= np.exp(-params.gamma_0 * trace.times)
     return trace

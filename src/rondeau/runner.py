@@ -196,9 +196,7 @@ def _physical_memory() -> int:
 
 
 def _builds_systems(config: RunConfig) -> bool:
-    """Whether the run builds spin systems: the dephasing engine, decode and the
-    symbol spectrum build none.
-    """
+    """Whether the run builds a spin system; dephasing, decode and symbol spectra build none."""
     return config.engine == "full" and config.kind != "decode" and not (
         config.kind == "spectrum" and config.spectrum_kind == "symbol")
 
@@ -213,18 +211,17 @@ def _evolves_blocks(config: RunConfig) -> bool:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Bytes of the matrices a run holds at its peak.
+    """Bytes of the matrices a run holds at its peak: one graph's system at a time.
 
-    Each graph holds the real blocks of its Hamiltonian and their real
+    A system holds the real blocks of its Hamiltonian and their real
     eigenvectors, one per total-Iz sector, sum_k C(n, k)^2 = C(2n, n) entries
     each.  The per-pulse trace adds the complex free-step blocks, C(2n, n)
     entries again, and two complex temporaries of the largest block while it
-    is built.  The other full-engine kinds add, per graph, the peak of the
-    factory's build for the run's readout mode: its parity blocks, each a
-    quarter of a dense complex matrix, counted by
-    `BlockPropagatorFactory.peak_matrices`.  A block set adds only its gate
-    halves, and its steps only state vectors.  Runs that build no system
-    hold none.
+    is built.  The other full-engine kinds add the peak of the factory's build
+    for the run's readout mode: its parity blocks, each a quarter of a dense
+    complex matrix, counted by `BlockPropagatorFactory.peak_matrices`.  A
+    block set adds only its gate halves, and its steps only state vectors.
+    Runs that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -232,9 +229,8 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
     if config.kind == "trace":
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
-    graphs = config.graph_realizations if config.kind in _SWEEPS else 1
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
-    return int((sectors + factory * matrix) * graphs)
+    return int(sectors + factory * matrix)
 
 
 def _reads_half_period(config: RunConfig) -> bool:
@@ -315,12 +311,9 @@ class FullSystem:
         return self._factory[1]
 
 
-def _systems_for(config: RunConfig, graphs: int = 1) -> list:
-    """A FullSystem for each of ``graphs`` graph seeds, or [None] for the dephasing engine."""
-    if config.engine != "full":
-        return [None]
-    return [FullSystem(replace(config, graph_seed=config.graph_seed + g))
-            for g in range(graphs)]
+def _system_for(config: RunConfig) -> FullSystem | None:
+    """The run's FullSystem, or None for the dephasing engine."""
+    return FullSystem(config) if config.engine == "full" else None
 
 
 # -- the engine seam: only these two functions know which engine runs ---------
@@ -335,7 +328,7 @@ def _block_set(system: FullSystem | None, config: RunConfig,
     """
     include_half = _reads_half_period(config)
     if system is None:
-        return DephasingParams(spec=spec, epsilon=spec.epsilon, gamma_0=config.gamma_0,
+        return DephasingParams(spec=spec, gamma_0=config.gamma_0,
                                readout=readout_slots(spec, include_half))
     return system.factory(spec, include_half).block_set(spec.gamma_y, include_half=include_half)
 
@@ -362,30 +355,13 @@ def measure_rate(system: FullSystem | None, props, config: RunConfig, order, see
     return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 
-def point_rates(systems: list, config: RunConfig, spec: MonopoleSpec, orders,
-                indices) -> list[tuple[float, float, bool]]:
-    """Per order, the rate at ``spec`` over graph and drive realizations.
-
-    Returns (mean, std, all_crossed) for each order; ``indices[k]`` is the
-    seed index of the k-th order.  Each system's block set is built once and
-    shared by every order and realization.
-    """
-    fits = [[] for _ in orders]
-    for gi, system in enumerate(systems):
-        props = _block_set(system, config, spec)
-        for order, index, order_fits in zip(orders, indices, fits):
-            # deterministic drives vary by window offset instead of seed
-            inf = _parse_order(order) == math.inf
-            for r in range(config.realizations):
-                order_fits.append(measure_rate(system, props, config, order,
-                                               derive_seed(config.seed, index, gi, r),
-                                               offset=r if inf else 0))
-    rates = [np.array([f.rate for f in order_fits]) for order_fits in fits]
-    return [(float(r.mean()), float(r.std()), all(f.crossed for f in order_fits))
-            for r, order_fits in zip(rates, fits)]
-
-
 # -- experiment handlers ----------------------------------------------------
+
+def _pooled(fits) -> tuple[float, float, bool]:
+    """Mean and std of the rates of ``fits``, and whether every one crossed 1/e."""
+    rates = np.array([f.rate for f in fits])
+    return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
+
 
 def _run_trace(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
@@ -411,7 +387,7 @@ def _run_spectrum(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
     system = props = None
     if config.spectrum_kind != "symbol":
-        (system,) = _systems_for(config)
+        system = _system_for(config)
         props = _block_set(system, config, spec)
 
     def one(r: int):
@@ -441,7 +417,7 @@ def _json_number(x: float) -> float | str | None:
 
 def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     spec = config.spec()
-    (system,) = _systems_for(config)
+    system = _system_for(config)
     reps = _drive_realizations(config)
     sweep = []
     for i, gamma in enumerate(config.gamma_grid):
@@ -465,50 +441,58 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     ``heating-eps`` sweeps the kick-angle deviation and fits the rate in
     excess of the rate at gamma = pi against |eps|; ``heating-period`` and
     ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
-    the rate against the period T.  Each point, the eps reference included,
-    is measured for every order under one block set per system.  Only points
-    whose realizations all crossed 1/e and whose fitted (excess) rate is
-    positive enter a fit; an eps order whose reference realizations never
-    crossed is not fitted, and its reference rate, only the argmin fallback,
-    is NaN.  Every ``fits.json`` entry carries ``points_used`` and
-    ``uncrossed``, then ``exponent``/``stderr`` or an ``error``; eps entries
-    add ``rate_at_pi`` (``null`` when NaN) and ``reference_crossed``,
-    tau-sweep entries ``smallest_period_rate``.
+    the rate against the period T.  One loop measures every rate: graph g (one
+    on the dephasing engine) -> point j -> one block set -> order k ->
+    realization r, seeded by ``derive_seed(seed, seed_block * k + j, g, r)``
+    (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference and eps i
+    is point 1 + i; a tau point is its grid index.  One graph's system is alive
+    at a time.  A point pools its (g, r) rates and is fitted if all crossed 1/e
+    and its (excess) rate is positive; an eps order whose reference never
+    crossed fits nothing, and its ``rate_at_pi`` is NaN.  Each ``fits.json``
+    entry has ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or an
+    ``error``; eps entries add ``rate_at_pi`` (``null`` when NaN) and
+    ``reference_crossed``, tau-sweep entries ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
     base = config.spec()
-    systems = _systems_for(config, config.graph_realizations)
     grid = getattr(config, sweep.grid)
     orders = config.n_orders or sweep.orders or (config.n_order,)
-    # the k-th order's point indices start at seed_block * k
-    starts = [sweep.seed_block * k for k in range(len(orders))]
-    if sweep.grid == "eps_grid":
-        references = point_rates(systems, config, replace(base, gamma_y=math.pi),
-                                 orders, starts)
-        starts = [s + 1 for s in starts]  # the reference holds each order's first index
-        specs = [replace(base, gamma_y=math.pi + eps) for eps in grid]
+    eps_sweep = sweep.grid == "eps_grid"
+    if eps_sweep:
+        specs = [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *grid)]
         xs = np.array(grid, dtype=float)
     else:
-        references = [(0.0, 0.0, True)] * len(orders)
         specs = [replace(base, tau=tau) for tau in grid]
         specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
                  for s in specs]
         xs = np.array([s.block_duration for s in specs])
-    points = [point_rates(systems, config, spec, orders, [s + j for s in starts])
-              for j, spec in enumerate(specs)]
+    measured = [[[] for _ in specs] for _ in orders]  # [k][j]: fits over (g, r)
+    for g in range(config.graph_realizations if config.engine == "full" else 1):
+        system = _system_for(replace(config, graph_seed=config.graph_seed + g))
+        for j, spec in enumerate(specs):
+            props = _block_set(system, config, spec)
+            for k, order in enumerate(orders):
+                inf = _parse_order(order) == math.inf
+                for r in range(config.realizations):
+                    seed = derive_seed(config.seed, sweep.seed_block * k + j, g, r)
+                    measured[k][j].append(measure_rate(system, props, config, order, seed,
+                                                       offset=r if inf else 0))
+            del props  # before the next block set is built
+        del system  # before the next graph's Hamiltonian is built
 
     rows, fits = [], {}
     for k, order in enumerate(orders):
-        reference, _, reference_crossed = references[k]
-        if not reference_crossed:
-            reference = math.nan
-        results = [point[k] for point in points]
+        results = [_pooled(point) for point in measured[k]]
+        reference, reference_crossed = 0.0, True
+        if eps_sweep:
+            (reference, _, reference_crossed), *results = results
+            reference = reference if reference_crossed else math.nan
         rates = np.array([r[0] for r in results])
         crossed = np.array([r[2] for r in results], dtype=bool)
         ys = rates - reference
         use = crossed & (ys > 0) & reference_crossed
         entry = {"points_used": int(use.sum()), "uncrossed": int((~crossed).sum())}
-        if sweep.grid == "eps_grid":
+        if eps_sweep:
             entry.update(rate_at_pi=_json_number(reference),
                          reference_crossed=reference_crossed)
         else:
@@ -533,7 +517,7 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     message = Message(config.text)
     stream = encode(message)
     serialize.write_stream(out / "stream.txt", stream)
-    (system,) = _systems_for(config)
+    system = _system_for(config)
     props = _block_set(system, config, config.spec())
     trace = _drive_trace(system, props, stream).with_noise(
         config.readout_noise, derive_seed(config.seed, 0, 1))

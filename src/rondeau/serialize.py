@@ -148,12 +148,16 @@ def write_trace(path, trace: SignalTrace):
 
 
 def read_trace(path) -> SignalTrace:
-    """Trace written by `write_trace`: the header needs the ints ``pulses_per_block``
-    and ``num_cycles`` and the number ``block_duration``; the columns must be
-    ``time,cycle,pulse_index,signal``, float, int, int, float.  Anything else is a
-    ValueError naming the file and the key, row or column at fault."""
+    """Trace written by `write_trace`: the header needs the ints ``pulses_per_block`` and
+    ``num_cycles`` and the number ``block_duration``; the columns are float ``time``, int
+    ``cycle`` and ``pulse_index``, float ``signal``, the rows past the pre-drive one spanning
+    cycles 0 ... num_cycles - 1.  Else a ValueError names the file and what is at fault."""
     meta, (times, cycles, pulses, values) = _read(
         path, {"pulses_per_block": int, "block_duration": _NUMBER, "num_cycles": int}, _TRACE)
+    spanned = np.unique(cycles[1:])
+    if not np.array_equal(spanned, np.arange(meta["num_cycles"])):
+        raise ValueError(f"{path}: header num_cycles={meta['num_cycles']}, but the rows "
+                         f"span {spanned.size} cycles")
     return SignalTrace(times=times, values=values, cycle_index=cycles, pulse_index=pulses,
                        block_duration=meta.pop("block_duration"),
                        num_cycles=meta.pop("num_cycles"),

@@ -148,7 +148,7 @@ def predicted_rate(params: DephasingParams) -> float:
     Gamma_0 + eps_offset**2/(2T) + B*eps_offset + B**2 T / 2, which bends up
     again as T -> 0 whenever the calibration offset is nonzero.
     """
-    eps = params.epsilon
+    eps = params.spec.epsilon
     if abs(eps) >= math.pi / 2:
         raise ValueError(f"kick deviation {eps:.3f} outside the small-angle regime")
     return params.gamma_0 + eps**2 / (2.0 * params.spec.block_duration)

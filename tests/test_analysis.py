@@ -33,7 +33,7 @@ def strobo_trace(values, block_duration=1.0):
 
 def model_trace(stream, spec, epsilon=0.0, gamma_0=0.0, **kwargs):
     params = DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon),
-                             epsilon=epsilon, gamma_0=gamma_0)
+                             gamma_0=gamma_0)
     return model_signal(stream, params, **kwargs)
 
 

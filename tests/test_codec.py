@@ -19,7 +19,7 @@ printable_7bit = st.text(alphabet=string.printable, min_size=1, max_size=64)
 
 def channel(stream, spec, epsilon=0.0, gamma_0=0.0, **kwargs):
     params = DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon),
-                             epsilon=epsilon, gamma_0=gamma_0)
+                             gamma_0=gamma_0)
     return model_signal(stream, params, **kwargs)
 
 

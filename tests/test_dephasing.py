@@ -12,15 +12,16 @@ from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse
 from oracles import pi_shift_mirror, predicted_rate
 
 
-def params_for(spec, **kwargs):
-    return DephasingParams(spec=spec, **kwargs)
+def params_for(spec, epsilon=0.0, **kwargs):
+    """Model parameters with the kick deviation ``epsilon`` set through ``spec.gamma_y``."""
+    return DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon), **kwargs)
 
 
 def swept_params(spec, period, offset=0.0, slope=0.0):
     """Parameters at block duration ``period`` with epsilon = offset + slope * period."""
     epsilon = offset + slope * period
-    return params_for(dataclasses.replace(spec, tau=period / spec.slots_per_block,
-                                          gamma_y=math.pi + epsilon), epsilon=epsilon)
+    return params_for(dataclasses.replace(spec, tau=period / spec.slots_per_block),
+                      epsilon=epsilon)
 
 
 class TestModelSignal:
@@ -39,17 +40,14 @@ class TestModelSignal:
 
     def test_kick_factor_accumulates(self, short_spec):
         eps = 0.2
-        spec = dataclasses.replace(short_spec, gamma_y=math.pi + eps)
         stream = SymbolStream.from_text("++++")
-        trace = model_signal(stream, params_for(spec, epsilon=eps))
+        trace = model_signal(stream, params_for(short_spec, epsilon=eps))
         _, strobo = stroboscopic_samples(trace)
         assert np.allclose(strobo, (-math.cos(eps)) ** np.arange(5))
 
     def test_envelope_depends_only_on_length(self, short_spec):
         # stroboscopic envelope counts kicks, never which block delivered them
-        eps = 0.11
-        spec = dataclasses.replace(short_spec, gamma_y=math.pi + eps)
-        p = params_for(spec, epsilon=eps, gamma_0=0.05)
+        p = params_for(short_spec, epsilon=0.11, gamma_0=0.05)
         a = model_signal(sample_rmd(0, 16, seed=1), p)
         b = model_signal(thue_morse_stream(16), p)
         _, sa = stroboscopic_samples(a)

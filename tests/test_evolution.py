@@ -97,7 +97,7 @@ class TestNonInteractingLimits:
         psi0 = initial_state(4)
         stream = sample_rmd(0, 16, seed=5)
         trace = evolve(PulseProgram(stream, spec), h0, psi0)
-        params = DephasingParams(spec=spec, epsilon=0.0, gamma_0=0.0)
+        params = DephasingParams(spec=spec, gamma_0=0.0)
         model = model_signal(stream, params, amplitude=total_ix(psi0, 4))
         assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12

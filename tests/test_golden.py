@@ -16,8 +16,10 @@ def test_cli_outputs_match_golden_files(tmp_path):
     actual = output_files(tmp_path)
     expected = output_files(EXPECTED)
     assert sorted(actual) == sorted(expected)
-    changed = [name for name in expected if actual[name] != expected[name]]
-    assert not changed, f"outputs differ from tests/golden/expected: {changed}"
+    # each changed file with its verdict: "floats only, max |delta| ..." or "content"
+    changed = [f"{name}: {describe(expected[name], actual[name])}" for name in expected
+               if actual[name] != expected[name]]
+    assert not changed, "outputs differ from tests/golden/expected:\n" + "\n".join(changed)
 
 
 def test_every_cli_kind_is_covered():

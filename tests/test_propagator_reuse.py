@@ -10,7 +10,7 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.evolution import BlockPropagatorFactory
-from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, point_rates, run
+from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, run
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 SMALL = dict(num_spins=4, engine="full", pulses_per_block=12, kick_plus=8, kick_minus=4,
@@ -44,44 +44,65 @@ def test_one_block_set_per_kick_angle(tmp_path, block_set_keys, overrides, disti
     assert len(block_set_keys) == distinct
 
 
-def test_tau_sweep_keeps_one_factory_alive(tmp_path, monkeypatch):
-    """Each tau's factory is released once the sweep moves on to the next tau."""
-    live = weakref.WeakSet()
-    counts = []
+@pytest.mark.parametrize("graphs", [1, 3])
+@pytest.mark.parametrize("overrides, points", [
+    (dict(kind="heating-highfreq", sweep_slope=0.5, tau_grid=(0.05, 0.04, 0.03, 0.02)), 4),
+    (dict(kind="heating-eps", eps_grid=(0.2, 0.4)), 3),  # and the gamma = pi reference
+])
+def test_sweep_keeps_one_spin_system_alive(tmp_path, monkeypatch, graphs, overrides, points):
+    """Each block set is built with one factory and no older block set alive, and each
+    graph's Hamiltonian with neither: a sweep releases each tau's factory and each
+    graph's system before it builds the next."""
+    factories, block_sets, seen = weakref.WeakSet(), weakref.WeakSet(), []
     init, block_set = BlockPropagatorFactory.__init__, BlockPropagatorFactory.block_set
+    build_hamiltonian = runner.build_hamiltonian
+
+    def record(event):
+        gc.collect()
+        seen.append((event, len(factories), len(block_sets)))
 
     def tracked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        live.add(self)
+        factories.add(self)
 
-    def counted_block_set(self, *args, **kwargs):
-        gc.collect()
-        counts.append(len(live))
-        return block_set(self, *args, **kwargs)
+    def tracked_block_set(self, *args, **kwargs):
+        record("block_set")
+        props = block_set(self, *args, **kwargs)
+        block_sets.add(props)
+        return props
+
+    def tracked_build(couplings):
+        record("hamiltonian")
+        return build_hamiltonian(couplings)
 
     monkeypatch.setattr(BlockPropagatorFactory, "__init__", tracked_init)
-    monkeypatch.setattr(BlockPropagatorFactory, "block_set", counted_block_set)
-    # every default order of the high-frequency sweep at each of 4 periods
-    run(RunConfig(kind="heating-highfreq", out_dir=str(tmp_path), sweep_slope=0.5,
-                  tau_grid=(0.05, 0.04, 0.03, 0.02), max_cycles=64, **SMALL))
-    assert counts == [1, 1, 1, 1]
+    monkeypatch.setattr(BlockPropagatorFactory, "block_set", tracked_block_set)
+    monkeypatch.setattr(runner, "build_hamiltonian", tracked_build)
+    # heating-highfreq evolves its four default orders under each block set
+    run(RunConfig(out_dir=str(tmp_path), graph_realizations=graphs, max_cycles=64,
+                  **SMALL, **overrides))
+    assert seen == ([("hamiltonian", 0, 0)] + [("block_set", 1, 0)] * points) * graphs
 
 
 @pytest.mark.parametrize("order", ["1", "inf"])
-def test_shared_block_set_gives_identical_rates(order):
-    config = RunConfig(kind="heating-eps", out_dir="x", graph_realizations=2,
-                       max_cycles=256, seed=7, **SMALL)
+def test_shared_block_set_gives_identical_rates(tmp_path, order):
+    """A G = 2 sweep's row pools every (graph, realization) rate, each measured here
+    under a block set of its own."""
+    config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), graph_realizations=2,
+                       eps_grid=(0.3,), n_orders=(order,), max_cycles=256, seed=7, **SMALL)
+    run(config)
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.3)
-    systems = runner._systems_for(config, config.graph_realizations)
     rates = []
-    for gi, system in enumerate(systems):
+    for g in range(config.graph_realizations):
+        system = FullSystem(dataclasses.replace(config, graph_seed=g))
         for r in range(config.realizations):
             props = system.factory(spec, False).block_set(spec.gamma_y, include_half=False)
-            seed = derive_seed(config.seed, 5, gi, r)
+            seed = derive_seed(config.seed, 1, g, r)  # eps point 0 follows the reference
             offset = r if order == "inf" else 0
             rates.append(measure_rate(system, props, config, order, seed,
                                       offset=offset).rate)
-    ((mean, std, _),) = point_rates(systems, config, spec, [order], [5])
+    _, row = (tmp_path / "heating_eps.csv").read_text().splitlines()
+    mean, std = map(float, row.split(",")[2:4])
     assert (mean, std) == (float(np.mean(rates)), float(np.std(rates)))
 
 

@@ -319,6 +319,9 @@ class TestCodecPipeline:
         ("repeated-key", "header key num_cycles is repeated"),
         ("swapped-columns", "column line 'time,signal,pulse_index,cycle', not "
                             "time,cycle,pulse_index,signal"),
+        # a well-formed header count that the rows (cycles 0 ... 13) disagree with
+        ("fewer-cycles", "header num_cycles=3, but the rows span 14 cycles"),
+        ("more-cycles", "header num_cycles=20, but the rows span 14 cycles"),
     ])
     def test_decode_reports_malformed_trace_as_json_error(self, tmp_path, capsys, damage,
                                                           problem):
@@ -333,6 +336,8 @@ class TestCodecPipeline:
             "float-pulses": ("# pulses_per_block=", "# pulses_per_block=12.5"),
             "repeated-key": ("# num_cycles=", "# num_cycles=14", "# num_cycles=3"),
             "swapped-columns": ("time,", "time,signal,pulse_index,cycle"),
+            "fewer-cycles": ("# num_cycles=", "# num_cycles=3"),
+            "more-cycles": ("# num_cycles=", "# num_cycles=20"),
         }[damage]
         at = next(i for i, line in enumerate(lines) if line.startswith(start))
         lines[at:at + 1] = new

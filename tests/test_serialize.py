@@ -29,8 +29,9 @@ def test_thue_morse_stream_round_trip(tmp_path):
 
 
 def test_trace_round_trip_bit_exact(tmp_path):
-    spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
-    params = DephasingParams(spec=spec, epsilon=0.123456789, gamma_0=0.01)
+    spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
+                        gamma_y=math.pi + 0.123456789)
+    params = DephasingParams(spec=spec, gamma_0=0.01)
     trace = model_signal(sample_rmd(0, 4, seed=5), params)
     path = tmp_path / "trace.csv"
     serialize.write_trace(path, trace)
