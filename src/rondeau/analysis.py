@@ -230,29 +230,28 @@ def phase_diagram(sweep, n_order=None, normalization: str = "row") -> PhaseDiagr
                         normalization=normalization)
 
 
-def _background_bins(m: int, exclude: int) -> np.ndarray:
-    """Mask of the bins more than `exclude` bins away from omega = pi, DC left out."""
+def _background_bins(m: int) -> np.ndarray:
+    """Mask of the bins more than `CONTRAST_EXCLUDE` bins away from omega = pi, DC left out."""
     center = m // 2
     mask = np.ones(m, dtype=bool)
-    mask[max(center - exclude, 0):center + exclude + 1] = False
+    mask[max(center - CONTRAST_EXCLUDE, 0):center + CONTRAST_EXCLUDE + 1] = False
     mask[0] = False
     return mask
 
 
 def min_contrast_cycles() -> int:
     """Fewest cycles (DFT bins) for which `half_frequency_contrast` has a background."""
-    return next(m for m in itertools.count(1) if _background_bins(m, CONTRAST_EXCLUDE).any())
+    return next(m for m in itertools.count(1) if _background_bins(m).any())
 
 
-def half_frequency_contrast(intensity_row: np.ndarray,
-                            exclude: int = CONTRAST_EXCLUDE) -> float:
+def half_frequency_contrast(intensity_row: np.ndarray) -> float:
     """Peak-to-background ratio of the period-doubling line.
 
-    Peak is the bin at omega = pi; background the median over bins at least
-    `exclude` bins away from it (DC excluded as well); NaN if no such bin exists.
+    Peak is the bin at omega = pi; background the median over bins more than
+    `CONTRAST_EXCLUDE` bins away from it (DC excluded as well); NaN if no such bin exists.
     """
     peak = intensity_row[intensity_row.size // 2]
-    mask = _background_bins(intensity_row.size, exclude)
+    mask = _background_bins(intensity_row.size)
     if not mask.any():
         return math.nan
     background = float(np.median(intensity_row[mask]))

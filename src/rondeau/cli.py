@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deviation per unit period for eps = B*T sweeps")
     p.add_argument("--max-cycles", type=int, dest="max_cycles")
     p.add_argument("--n-orders", dest="n_orders",
-                   help="comma-separated multipole orders")
+                   type=lambda raw: _parse_config_value("n_orders", raw),
+                   help="comma-separated multipole orders, parsed as the INI key")
 
     p = sub.add_parser("spectrum", help="seed-averaged DFT amplitudes")
     _add_common(p); _add_system(p); _add_drive(p)
@@ -197,8 +198,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             values["eps_grid"] = _geomspace(args.eps_min, args.eps_max, args.eps_points)
         if args.sweep in ("period", "highfreq") and "tau_grid" not in values:
             values["tau_grid"] = _geomspace(args.tau_min, args.tau_max, args.tau_points)
-        if isinstance(values.get("n_orders"), str):
-            values["n_orders"] = tuple(x.strip() for x in values["n_orders"].split(","))
     elif command == "phase-diagram":
         values["kind"] = "phase-diagram"
         if "gamma_grid" not in values:

@@ -68,16 +68,15 @@ class Message:
         return cls(text="".join(chars))
 
 
-def encode(message: Message | str, start_cycle: int = 0) -> SymbolStream:
+def encode(message: Message | str) -> SymbolStream:
     """Monopole arrangement whose micromotion signs spell the message bits."""
     if isinstance(message, str):
         message = Message(message)
     if not message.text:
         raise ValueError("cannot encode an empty message")
     bits = message.bits
-    cycles = start_cycle + np.arange(bits.size)
     wanted_signs = np.where(bits == 1, 1, -1)
-    parity = np.where(cycles % 2 == 0, 1, -1)
+    parity = np.where(np.arange(bits.size) % 2 == 0, 1, -1)
     symbols = (parity * wanted_signs).astype(np.int8)
     return SymbolStream(symbols=symbols, n_order=None, seed=None)
 
@@ -87,20 +86,20 @@ def decode_margins(trace: SignalTrace) -> np.ndarray:
     return half_period_samples(trace)
 
 
-def decode(trace: SignalTrace, threshold: float = 0.0, start_cycle: int = 0) -> Message:
+def decode(trace: SignalTrace, threshold: float = 0.0) -> Message:
     """Read the message back from a trace's half-period samples.
 
     Samples with magnitude at or below `threshold` abort the decode with
     the affected cycle numbers; a trailing partial character is dropped.
     """
-    samples = decode_margins(trace)[start_cycle:]
+    samples = decode_margins(trace)
     weak = np.nonzero(np.abs(samples) <= threshold)[0]
     usable = samples.size - samples.size % BITS_PER_CHAR
     if usable == 0:
         raise ValueError("trace spans fewer cycles than one encoded character")
     weak = weak[weak < usable]
     if weak.size:
-        raise LowConfidenceError((weak + start_cycle).tolist())
+        raise LowConfidenceError(weak.tolist())
     bits = (samples[:usable] > 0).astype(np.int8)
     return Message.from_bits(bits)
 

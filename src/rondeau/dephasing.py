@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SignalTrace, check_kick_layout
+from .evolution import SignalTrace
 from .sequences import MonopoleSpec, SymbolStream, order_label
 
 
@@ -36,27 +36,25 @@ class DephasingParams:
             raise ValueError(f"gamma_0 must be >= 0, got {self.gamma_0}")
 
 
-def model_signal(stream: SymbolStream, params: DephasingParams,
-                 amplitude: float = 1.0) -> SignalTrace:
-    """Noise-free trace at the ``params.readout`` slots of every cycle.
+def model_signal(stream: SymbolStream, params: DephasingParams) -> SignalTrace:
+    """Noise-free trace at the ``params.readout`` slots of every cycle, normalized to 1 at t = 0.
 
-    The value after slot j of cycle l is amplitude * (-cos eps)**kicks *
+    The value after slot j of cycle l is (-cos eps)**kicks *
     exp(-Gamma_0 * t) with kicks = l + (j > the block's kick slot) and t the
     sample time of `SignalTrace.at_slots`, the same as the full engines'; at
-    the half-period sample this reproduces the sign law (-1)**cycle * symbol
-    for eps = 0.
+    a half-period sample that `check_kick_layout` accepts, this gives the sign
+    law (-1)**cycle * symbol for eps = 0.
     """
     spec = params.spec
-    check_kick_layout(spec)
     per_block = spec.slots_per_block
     slots = np.arange(1, per_block + 1) if params.readout is None else np.array(params.readout)
     cycle_index = np.repeat(np.arange(len(stream)), slots.size)
     pulse_index = np.tile(slots, len(stream))
     kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle_index]
     kicks = cycle_index + (pulse_index > kick_slots)
-    kicked = amplitude * np.power(-math.cos(spec.epsilon), kicks)
+    kicked = np.power(-math.cos(spec.epsilon), kicks)
     trace = SignalTrace.at_slots(
-        spec, np.concatenate([[amplitude], kicked]),
+        spec, np.concatenate([[1.0], kicked]),
         np.concatenate([[0], cycle_index]), np.concatenate([[0], pulse_index]),
         num_cycles=len(stream),
         meta={"engine": "dephasing", "stream_seed": stream.seed,

@@ -57,10 +57,6 @@ class PulseProgram:
     def num_pulses(self) -> int:
         return len(self.stream) * self.spec.slots_per_block
 
-    @property
-    def num_cycles(self) -> int:
-        return len(self.stream)
-
 
 @dataclass(eq=False)
 class SignalTrace:
@@ -154,16 +150,6 @@ def apply_halves(state: np.ndarray, halves: tuple[np.ndarray, np.ndarray]) -> np
     return out.reshape(state.shape)
 
 
-def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
-    """Apply one 2x2 gate per spin to the leading axis of `state`.
-
-    Works on vectors (dim,) and on matrices (dim, m): trailing axes are a
-    flat batch.  `gates` is a single gate shared by all spins or a list of
-    per-spin gates.
-    """
-    return apply_halves(state, gate_halves(gates, num_spins))
-
-
 def total_ix(state: np.ndarray, num_spins: int) -> float:
     """Expectation of total Ix; spin flips are index permutations."""
     total = 0.0
@@ -201,15 +187,17 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
                   decay_time: float = 0.0) -> np.ndarray:
     """All-spins-along-x product state, optionally pre-decayed.
 
-    A positive ``decay_time`` evolves the product state under the dipolar
-    Hamiltonian first, lowering the initial polarization (free induction
-    decay) without touching the subsequent dynamics.
+    A positive ``decay_time`` evolves the product state under ``hamiltonian``
+    first, lowering the initial polarization (free induction decay) without
+    touching the subsequent dynamics.
     """
     if decay_time < 0:
         raise ValueError(f"decay_time must be >= 0, got {decay_time}")
     dim = 2**num_spins
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    if decay_time > 0 and hamiltonian is not None:
+    if decay_time > 0:
+        if hamiltonian is None:
+            raise ValueError(f"decay_time = {decay_time} needs a hamiltonian to decay under")
         psi = apply_free(free_propagator(hamiltonian, decay_time), psi)
     return psi
 
@@ -244,8 +232,8 @@ def half_sample_slot(layout: MonopoleSpec | SignalTrace) -> int:
 def check_kick_layout(spec: MonopoleSpec):
     """Raise ValueError unless the half-period sample separates the blocks' kicks.
 
-    Both engines read a block's sign off that sample, so it must fall after
-    the - block's kick and no later than the + block's.
+    A run that reads that sample reads a block's sign off it, so it must fall
+    after the - block's kick and no later than the + block's.
     """
     h = half_sample_slot(spec)
     if not spec.kick_minus < h <= spec.kick_plus:
@@ -255,9 +243,15 @@ def check_kick_layout(spec: MonopoleSpec):
 
 
 def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
-    """Per-cycle readout slots: the half-period slot with ``include_half``, then the block end."""
+    """Per-cycle readout slots: the half-period slot with ``include_half``, then the block end.
+
+    With ``include_half``, a ``spec`` that `check_kick_layout` rejects raises its ValueError.
+    """
     end = spec.slots_per_block
-    return (half_sample_slot(spec), end) if include_half else (end,)
+    if not include_half:
+        return (end,)
+    check_kick_layout(spec)
+    return half_sample_slot(spec), end
 
 
 # -- spin-flip parity ------------------------------------------------------
@@ -407,13 +401,12 @@ def kick_layout(spec: MonopoleSpec, include_half: bool) -> dict[int, tuple]:
 
     A step is ``(e,)`` for the plain power W^e of the spin-lock cycle operator,
     or ``(a, b)`` for W^a · G(W^b), with G the kick's gate layer.  Whole blocks
-    are one step each; with ``include_half`` (the half-period sample) the
-    kick-free half of a block is a plain power.
+    are one step each; with ``include_half`` (the half-period sample, see
+    `readout_slots`) the kick-free half of a block is a plain power.
     """
-    check_kick_layout(spec)
     n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
-    h = half_sample_slot(spec)
     if include_half:
+        h, _ = readout_slots(spec, True)
         return {1: ((h,), (n + 1 - n_plus, n_plus - h)),
                 -1: ((h - n_minus, n_minus), (n + 1 - h,))}
     return {1: ((n + 1 - n_plus, n_plus),), -1: ((n + 1 - n_minus, n_minus),)}

@@ -158,7 +158,7 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
-        if _evolves_blocks(self):
+        if _reads_half_period(self):
             try:
                 check_kick_layout(self.spec())
             except ValueError as exc:
@@ -199,15 +199,6 @@ def _builds_systems(config: RunConfig) -> bool:
     """Whether the run builds a spin system; dephasing, decode and symbol spectra build none."""
     return config.engine == "full" and config.kind != "decode" and not (
         config.kind == "spectrum" and config.spectrum_kind == "symbol")
-
-
-def _evolves_blocks(config: RunConfig) -> bool:
-    """Whether the run evolves block sets or the dephasing model, which need a
-    kick layout that the half-period sample separates (`check_kick_layout`).
-    """
-    return config.kind != "decode" and not (
-        config.kind == "spectrum" and config.spectrum_kind == "symbol") and not (
-        config.kind == "trace" and config.engine == "full")
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
@@ -288,7 +279,6 @@ class FullSystem:
     """
 
     def __init__(self, config: RunConfig):
-        self.config = config
         self.graph = generate_graph(
             config.num_spins, edge_length=config.edge_length,
             r_min=config.r_min, r_max=config.r_max, seed=config.graph_seed,

@@ -22,7 +22,7 @@ THUE_MORSE = math.inf
 
 
 class StreamCapacityError(ValueError):
-    """Requested stream would exceed the configured symbol cap."""
+    """Requested stream would exceed the symbol cap `DEFAULT_MAX_SYMBOLS`."""
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,14 @@ class SymbolStream:
         return cls(symbols=symbols, n_order=n_order, seed=seed)
 
 
-def _check_capacity(length: int, max_symbols: int):
-    if length > max_symbols:
+def _check_capacity(length: int):
+    if length > DEFAULT_MAX_SYMBOLS:
         raise StreamCapacityError(
-            f"stream of {length} symbols exceeds cap of {max_symbols}"
+            f"stream of {length} symbols exceeds cap of {DEFAULT_MAX_SYMBOLS}"
         )
 
 
-def unroll_multipole(n: int, sign: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> SymbolStream:
+def unroll_multipole(n: int, sign: int) -> SymbolStream:
     """Unroll the order-n multipole into its time-ordered symbol list.
 
     The recursion anti-aligns the two order-(n-1) blocks; written as an
@@ -132,7 +132,7 @@ def unroll_multipole(n: int, sign: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) 
         raise ValueError(f"multipole order must be >= 0, got {n}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_capacity(2**n, max_symbols)
+    _check_capacity(2**n)
     block = np.array([1], dtype=np.int8)
     for _ in range(n):
         block = np.concatenate([block, -block])
@@ -140,8 +140,7 @@ def unroll_multipole(n: int, sign: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) 
     return SymbolStream(symbols=symbols, n_order=n, seed=None)
 
 
-def sample_rmd(n: int, cycles: int, seed: int,
-               max_symbols: int = DEFAULT_MAX_SYMBOLS) -> SymbolStream:
+def sample_rmd(n: int, cycles: int, seed: int) -> SymbolStream:
     """Draw a random multipolar drive of order n spanning `cycles` blocks.
 
     Each aligned chunk of 2**n cycles is a fair-coin choice between the
@@ -154,16 +153,15 @@ def sample_rmd(n: int, cycles: int, seed: int,
         raise ValueError(
             f"cycles ({cycles}) must be a positive multiple of 2**n ({chunk})"
         )
-    _check_capacity(cycles, max_symbols)
+    _check_capacity(cycles)
     rng = np.random.Generator(np.random.PCG64(seed))
     signs = 1 - 2 * rng.integers(0, 2, size=cycles // chunk).astype(np.int8)
-    base = unroll_multipole(n, 1, max_symbols=max_symbols).symbols
+    base = unroll_multipole(n, 1).symbols
     symbols = (signs[:, None] * base[None, :]).reshape(-1)
     return SymbolStream(symbols=symbols, n_order=n, seed=seed)
 
 
-def thue_morse_stream(cycles: int, offset: int = 0,
-                      max_symbols: int = DEFAULT_MAX_SYMBOLS) -> SymbolStream:
+def thue_morse_stream(cycles: int, offset: int = 0) -> SymbolStream:
     """`cycles` symbols of the deterministic n -> infinity stream.
 
     Built by repeated doubling (block followed by its negation), which
@@ -175,7 +173,7 @@ def thue_morse_stream(cycles: int, offset: int = 0,
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    _check_capacity(cycles + offset, max_symbols)
+    _check_capacity(cycles + offset)
     block = np.array([1], dtype=np.int8)
     while block.size < cycles + offset:
         block = np.concatenate([block, -block])

@@ -17,7 +17,7 @@ import numpy as np
 ISOTROPIC = "isotropic"
 ANGULAR = "angular"
 
-#: Largest spin count for which a Hamiltonian is built by default.
+#: Largest spin count for which a Hamiltonian is built.
 DEFAULT_SPIN_CAP = 14
 
 #: Placement proposals per spin before giving up.
@@ -96,10 +96,6 @@ class Hamiltonian:
     num_spins: int
     _eigensystem: tuple | None = None
 
-    @property
-    def dimension(self) -> int:
-        return 1 << self.num_spins
-
     def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """One-time diagonalization of each sector, cached for reuse.
 
@@ -116,8 +112,7 @@ def generate_graph(num_spins: int,
                    edge_length: float | None = None,
                    r_min: float = 0.9,
                    r_max: float = 1.1,
-                   seed: int = 0,
-                   proposal_budget: int = DEFAULT_PLACEMENT_BUDGET) -> SpinGraph:
+                   seed: int = 0) -> SpinGraph:
     """Place spins one by one, accept-rejecting against both constraints.
 
     A proposal is accepted if it keeps at least r_min from every placed
@@ -137,7 +132,7 @@ def generate_graph(num_spins: int,
     positions[0] = rng.uniform(0.0, edge_length, size=3)
     for k in range(1, num_spins):
         placed = positions[:k]
-        for _ in range(proposal_budget):
+        for _ in range(DEFAULT_PLACEMENT_BUDGET):
             candidate = rng.uniform(0.0, edge_length, size=3)
             dist = np.sqrt(((placed - candidate) ** 2).sum(axis=1))
             if dist.min() >= r_min and dist.min() <= r_max:
@@ -145,7 +140,7 @@ def generate_graph(num_spins: int,
                 break
         else:
             raise PackingInfeasibleError(
-                f"could not place spin {k} after {proposal_budget} proposals "
+                f"could not place spin {k} after {DEFAULT_PLACEMENT_BUDGET} proposals "
                 f"(edge={edge_length:.3f}, r_min={r_min}, r_max={r_max})"
             )
     return SpinGraph(positions=positions, edge_length=edge_length,
@@ -197,7 +192,7 @@ def _pair_term_indices(num_spins: int, k: int, l: int):
     return src, dst
 
 
-def build_hamiltonian(couplings: CouplingSet, spin_cap: int = DEFAULT_SPIN_CAP) -> Hamiltonian:
+def build_hamiltonian(couplings: CouplingSet) -> Hamiltonian:
     """Assemble the secular Hamiltonian with I = sigma/2 spins, sector by sector.
 
     Diagonal part (1/2) sum B_kl z_k z_l with z = +-1; flip-flop part
@@ -206,8 +201,8 @@ def build_hamiltonian(couplings: CouplingSet, spin_cap: int = DEFAULT_SPIN_CAP) 
     symmetric, traceless, and commuting with total Iz by construction.
     """
     n = couplings.num_spins
-    if n > spin_cap:
-        raise ValueError(f"{n} spins exceeds the cap of {spin_cap}")
+    if n > DEFAULT_SPIN_CAP:
+        raise ValueError(f"{n} spins exceeds the cap of {DEFAULT_SPIN_CAP}")
     dim = 1 << n
     B = couplings.couplings
 

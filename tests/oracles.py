@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rondeau.dephasing import DephasingParams
-from rondeau.evolution import apply_gates, rotation_gate
+from rondeau.evolution import apply_halves, gate_halves, rotation_gate
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
 
@@ -45,6 +45,16 @@ def pi_shift_mirror(amplitudes: np.ndarray) -> np.ndarray:
     if m % 2:
         raise ValueError("pi-shift mirror needs an even number of cycles")
     return amplitudes[(m // 2 - np.arange(m)) % m]
+
+
+def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
+    """Apply one 2x2 gate per spin to the leading axis of `state`.
+
+    Works on vectors (dim,) and on matrices (dim, m): trailing axes are a
+    flat batch.  `gates` is a single gate shared by all spins or a list of
+    per-spin gates.
+    """
+    return apply_halves(state, gate_halves(gates, num_spins))
 
 
 def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarray:
@@ -84,7 +94,8 @@ def dense_hamiltonian(couplings: CouplingSet) -> np.ndarray:
 
 def scattered_matrix(hamiltonian: Hamiltonian) -> np.ndarray:
     """The Hamiltonian's sector blocks scattered into one dense 2^n x 2^n matrix."""
-    H = np.zeros((hamiltonian.dimension, hamiltonian.dimension))
+    dim = 1 << hamiltonian.num_spins
+    H = np.zeros((dim, dim))
     for idx, block in hamiltonian.blocks:
         H[np.ix_(idx, idx)] = block
     return H

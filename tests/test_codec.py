@@ -44,11 +44,6 @@ class TestEncode:
     def test_leading_one_bit_is_plus(self):
         assert encode(Message("D")).symbols[0] == 1
 
-    def test_offset_shifts_parity(self):
-        base = encode(Message("D"), start_cycle=0).symbols
-        shifted = encode(Message("D"), start_cycle=1).symbols
-        assert np.array_equal(shifted, -base)
-
     def test_rejects_empty_message(self):
         with pytest.raises(ValueError):
             encode(Message.from_bits([]))

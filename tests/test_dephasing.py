@@ -7,6 +7,7 @@ import pytest
 from rondeau.analysis import (dft_micromotion, fit_power_law, half_period_samples,
                               stroboscopic_samples, symbol_dft)
 from rondeau.dephasing import DephasingParams, model_signal
+from rondeau.evolution import readout_slots
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 
 from oracles import pi_shift_mirror, predicted_rate
@@ -56,8 +57,9 @@ class TestModelSignal:
 
     def test_rejects_uninformative_layout(self):
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=11, kick_minus=9)
-        with pytest.raises(ValueError):
-            model_signal(SymbolStream.from_text("+"), params_for(spec))
+        with pytest.raises(ValueError, match="half-period sample"):
+            readout_slots(spec, True)
+        assert readout_slots(spec, False) == (13,)
 
     def test_pi_shift_identity_exact(self, short_spec):
         stream = sample_rmd(2, 64, seed=9)

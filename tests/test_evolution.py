@@ -7,13 +7,13 @@ from scipy.linalg import expm
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
-                               PulseProgram, apply_gates, evolve, evolve_blockwise,
+                               PulseProgram, evolve, evolve_blockwise,
                                free_propagator, half_sample_slot, initial_state,
                                rotation_gate, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from oracles import (dense_free, dense_free_propagator, global_rotation_matrix,
+from oracles import (apply_gates, dense_free, dense_free_propagator, global_rotation_matrix,
                      total_iz_matrix, zero_hamiltonian)
 
 
@@ -38,6 +38,10 @@ class TestInitialState:
                 for k in range(3)
             )
             assert abs(np.vdot(psi, total @ psi)) < 1e-12
+
+    def test_decay_time_without_a_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match="decay_time"):
+            initial_state(4, decay_time=0.5)
 
     def test_decay_time_reduces_polarization(self, small_system):
         _, _, hamiltonian, _ = small_system
@@ -98,7 +102,8 @@ class TestNonInteractingLimits:
         stream = sample_rmd(0, 16, seed=5)
         trace = evolve(PulseProgram(stream, spec), h0, psi0)
         params = DephasingParams(spec=spec, gamma_0=0.0)
-        model = model_signal(stream, params, amplitude=total_ix(psi0, 4))
+        model = model_signal(stream, params)
+        model.values *= total_ix(psi0, 4)
         assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12
         props = BlockPropagatorFactory(h0, spec).block_set()
@@ -237,11 +242,14 @@ def blockwise_deviation(hamiltonian, psi0, spec, include_half=True) -> float:
 
 
 class TestBlockwiseEngine:
-    def test_matches_per_pulse_engine(self, small_system):
+    @pytest.mark.parametrize("kicks, gamma_y, include_half", [
+        ((8, 4), 0.97 * math.pi, True),
+        ((10, 7), math.pi + 0.3, False),  # half slot 6 precedes both kicks; never read
+    ])
+    def test_matches_per_pulse_engine(self, small_system, kicks, gamma_y, include_half):
         _, _, hamiltonian, psi0 = small_system
-        spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4,
-                            tau=0.05, gamma_y=0.97 * math.pi)
-        assert blockwise_deviation(hamiltonian, psi0, spec) < 1e-10
+        spec = MonopoleSpec(12, *kicks, tau=0.05, gamma_y=gamma_y)
+        assert blockwise_deviation(hamiltonian, psi0, spec, include_half) < 1e-10
 
     @pytest.mark.parametrize("include_half", [True, False])
     def test_matches_per_pulse_engine_with_the_kick_at_the_half_slot(self, small_system,

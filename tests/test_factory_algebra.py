@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, PulseProgram,
-                               _kick_gates, apply_gates, evolve, evolve_blockwise,
+                               _kick_gates, evolve, evolve_blockwise,
                                initial_state, kick_layout)
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
-from oracles import dense_cycle_powers, dense_kick_gate, spin_flip
+from oracles import apply_gates, dense_cycle_powers, dense_kick_gate, spin_flip
 
 #: Powers the default layout reads, by readout mode (``include_half``).
 MODE_EXPONENTS = {False: {100, 101, 200, 201}, True: {50, 100, 101, 150, 151}}

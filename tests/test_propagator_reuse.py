@@ -128,18 +128,19 @@ def test_eigensystem_is_computed_once(monkeypatch):
 
 def test_factory_matches_each_callers_tau():
     """Callers alternating between taus each get the factory of their own tau."""
-    system = FullSystem(RunConfig(kind="heating-period", out_dir="x", **SMALL))
-    spec = system.config.spec()
+    config = RunConfig(kind="heating-period", out_dir="x", **SMALL)
+    system, spec = FullSystem(config), config.spec()
     for tau in [0.05, 0.04, 0.05, 0.03, 0.03, 0.02]:
         assert system.factory(dataclasses.replace(spec, tau=tau), False).spec.tau == tau
 
 
 def test_factory_is_built_once(monkeypatch):
-    system = FullSystem(RunConfig(kind="spectrum", out_dir="x", **SMALL))
+    config = RunConfig(kind="spectrum", out_dir="x", **SMALL)
+    system = FullSystem(config)
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
                         _counter(lambda hamiltonian, spec, include_half: object(), calls))
-    spec = system.config.spec()
+    spec = config.spec()
     results = [system.factory(spec, False) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -106,8 +107,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
-        dict(kind="heating-eps", eps_grid=(0.1,)),
         dict(kind="encode", text="Hi"),
+        dict(kind="spectrum", spectrum_kind="micromotion"),
     ])
     def test_layout_the_half_sample_cannot_separate_rejected_before_any_system(
             self, tmp_path, monkeypatch, engine, overrides):
@@ -141,9 +142,32 @@ class TestRunConfig:
             run(config)
         assert not any(tmp_path.iterdir())
 
-    def test_per_pulse_trace_needs_no_separating_layout(self):
-        RunConfig(kind="trace", out_dir="x", num_spins=4, pulses_per_block=12,
-                  kick_plus=10, kick_minus=7).validate()
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="trace"),
+        dict(kind="phase-diagram", gamma_grid=(math.pi,)),
+        dict(kind="spectrum", spectrum_kind="stroboscopic"),
+        dict(kind="heating-period", tau_grid=(0.05,)),
+    ])
+    def test_runs_reading_only_block_ends_need_no_separating_layout(self, engine, overrides):
+        RunConfig(out_dir="x", engine=engine, num_spins=4, pulses_per_block=12,
+                  kick_plus=10, kick_minus=7, **overrides).validate()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_heating_eps_runs_with_a_layout_the_half_sample_cannot_separate(self, tmp_path,
+                                                                            engine):
+        # whole-block steps (N + 1 - n±, n±) never read the half-period slot 6
+        config = RunConfig(kind="heating-eps", out_dir=str(tmp_path / "a"), engine=engine,
+                           seed=1, num_spins=4, pulses_per_block=12, kick_plus=10,
+                           kick_minus=7, tau=0.05, gamma_0=0.01, eps_grid=(0.2, 0.4, 0.8),
+                           max_cycles=512)
+        fit = run(config)["fits"]["0"]
+        assert fit["points_used"] == 3 and fit["exponent"] == pytest.approx(2.0, abs=0.3)
+        if engine == "dephasing":
+            # the model's block ends count kicks, wherever they sit in the block
+            moved = dataclasses.replace(config, out_dir=str(tmp_path / "b"),
+                                        kick_plus=8, kick_minus=4)
+            assert run(moved)["fits"]["0"] == fit
 
     def test_trace_counts_the_sectors_not_dense_propagators(self, monkeypatch):
         # n = 14: two dense complex matrices take 8 GiB, the sector engine about 1.5 GiB
@@ -442,6 +466,16 @@ class TestCli:
         assert str(config_file) in err["message"]
         assert "num_spins = '4.5'" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_n_orders_flag_parses_as_the_config_key(self, tmp_path, monkeypatch):
+        configs = []
+        monkeypatch.setattr("rondeau.cli.run", lambda config: configs.append(config) or {})
+        config_file = tmp_path / "run.ini"
+        config_file.write_text("[sweep]\nn_orders = 0, 1,\n")
+        common = ["heating", "--engine", "dephasing", "--out", str(tmp_path / "o")]
+        assert main(common + ["--n-orders", "0, 1,"]) == 0
+        assert main(common + ["--config", str(config_file)]) == 0
+        assert configs[0] == configs[1] and configs[0].n_orders == ("0", "1")
 
     def test_flag_overrides_config_file(self, tmp_path):
         config_file = tmp_path / "run.ini"

@@ -33,7 +33,7 @@ class TestUnroll:
 
     def test_capacity_error(self):
         with pytest.raises(StreamCapacityError):
-            unroll_multipole(12, 1, max_symbols=2**10)
+            unroll_multipole(21, 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
