@@ -5,21 +5,20 @@ applied as the Kronecker products of two halves of the spins.  The dipolar
 Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
 n + 1 magnetization sectors: its propagator is one block per sector, built
 from the Hamiltonian's cached sector-wise eigendecomposition.  Readout is
-the expectation value of total Ix after a step's free-evolution slot.
+the expectation value of total Ix after a slot's free evolution.
 
-:func:`evolve_blockwise` is the one stepper: it applies one operator per
-readout step of a :class:`BlockPropagators` set, records Ix after each,
-checks the norm after every cycle and can stop early past 1/e.
-:func:`evolve` is its per-pulse readout, a set whose steps are single
-pulses (:class:`PulseStep`); the factory's sets step to the half-period
-slot and the block end.  :meth:`SignalTrace.at_slots` is the one rule that
-maps a sample's (cycle, slot) to its time, for every engine.  The
-spin-lock cycle operator and its powers commute with the global spin flip,
-so they are kept as their two half-size parity blocks (:class:`ParityPair`).
-A step holding the kick, which breaks that symmetry, is applied as its
-factors, two such powers around the kick's gate layer (:class:`KickStep`):
-no 2^n x 2^n matrix is built.  The per-pulse and blockwise operators are
-built independently, so each checks the other.
+A run reads every block at one increasing tuple of readout slots that ends
+at the block end.  :class:`BlockPropagators` holds one operator per step
+between them; :func:`evolve_blockwise`, the one stepper, applies them and
+records Ix after each, and :meth:`SignalTrace.at_slots` places the samples
+in time.  :func:`evolve` steps pulse by pulse (:class:`PulseStep`).  The
+factory steps between any slots by the interval rule of :func:`kick_layout`:
+powers of the spin-lock cycle operator, kept as their two half-size parity
+blocks under the global spin flip (:class:`ParityPair`), and for a step
+holding the kick, which breaks that symmetry, two powers around the kick's
+gate layer (:class:`KickStep`).  No 2^n x 2^n matrix is built.  The
+per-pulse and blockwise operators are built independently, so each checks
+the other.
 """
 
 from __future__ import annotations
@@ -84,15 +83,19 @@ class SignalTrace:
         return self.times.size
 
     @classmethod
-    def at_slots(cls, spec: MonopoleSpec, values, cycle_index, pulse_index,
-                 num_cycles: int, meta: dict) -> "SignalTrace":
-        """Trace of samples at (cycle l, slot) of ``spec``'s blocks: the one sample-time rule.
+    def at_slots(cls, spec: MonopoleSpec, slots, values, meta: dict) -> "SignalTrace":
+        """Trace of ``values`` read at the pre-drive (0, 0), then at ``slots`` of every cycle.
 
-        A block end is at exactly (l + 1) T, which the slot sum can miss by an
-        ulp; every other sample is at l T + slot tau, the pre-drive (0, 0) at t = 0.
+        The one sample-time rule: a block end is at exactly (l + 1) T, which
+        the slot sum can miss by an ulp; every other sample of cycle l is at
+        l T + slot tau, the pre-drive one at t = 0.
         """
-        cycle_index = np.asarray(cycle_index, dtype=np.int64)
-        pulse_index = np.asarray(pulse_index, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        num_cycles, partial = divmod(len(values) - 1, slots.size)
+        if partial:
+            raise ValueError(f"{len(values)} values do not fill whole cycles of slots {slots}")
+        cycle_index = np.concatenate([[0], np.repeat(np.arange(num_cycles), slots.size)])
+        pulse_index = np.concatenate([[0], np.tile(slots, num_cycles)])
         T = spec.block_duration
         times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
                          cycle_index * T + pulse_index * spec.tau)
@@ -242,18 +245,6 @@ def check_kick_layout(spec: MonopoleSpec):
             f"kick_minus ({spec.kick_minus}) < half slot <= kick_plus ({spec.kick_plus})")
 
 
-def readout_slots(spec: MonopoleSpec, include_half: bool) -> tuple[int, ...]:
-    """Per-cycle readout slots: the half-period slot with ``include_half``, then the block end.
-
-    With ``include_half``, a ``spec`` that `check_kick_layout` rejects raises its ValueError.
-    """
-    end = spec.slots_per_block
-    if not include_half:
-        return (end,)
-    check_kick_layout(spec)
-    return half_sample_slot(spec), end
-
-
 # -- spin-flip parity ------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -396,37 +387,36 @@ class PowerChain:
         return powers
 
 
-def kick_layout(spec: MonopoleSpec, include_half: bool) -> dict[int, tuple]:
-    """Gamma-free factors of every readout step of one readout mode, keyed by block sign.
+def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
+    """Gamma-free factors of the steps between the readout ``slots``, keyed by block sign.
 
-    A step is ``(e,)`` for the plain power W^e of the spin-lock cycle operator,
-    or ``(a, b)`` for W^a · G(W^b), with G the kick's gate layer.  Whole blocks
-    are one step each; with ``include_half`` (the half-period sample, see
-    `readout_slots`) the kick-free half of a block is a plain power.
+    The step from slot p to slot s (p = 0 at the block start) is ``(s - p,)``,
+    the plain power W^(s-p) of the spin-lock cycle operator, if the block's
+    kick, pulse k + 1, lies outside (p, s]; otherwise ``(s - k, k - p)``,
+    W^(s-k) · G(W^(k-p)) with G the kick's gate layer.
     """
-    n, n_plus, n_minus = spec.pulses_per_block, spec.kick_plus, spec.kick_minus
-    if include_half:
-        h, _ = readout_slots(spec, True)
-        return {1: ((h,), (n + 1 - n_plus, n_plus - h)),
-                -1: ((h - n_minus, n_minus), (n + 1 - h,))}
-    return {1: ((n + 1 - n_plus, n_plus),), -1: ((n + 1 - n_minus, n_minus),)}
+    slots = tuple(slots)
+    if slots[-1:] != (spec.slots_per_block,) or slots[0] < 1 or list(slots) != sorted(set(slots)):
+        raise ValueError(f"readout slots {slots} must increase from 1 to {spec.slots_per_block}")
+    intervals = tuple(zip((0, *slots), slots))
+    return {sign: tuple((s - k, k - p) if p <= k < s else (s - p,) for p, s in intervals)
+            for sign, k in ((1, spec.kick_plus), (-1, spec.kick_minus))}
 
 
 class BlockPropagatorFactory:
-    """Block propagators for one (Hamiltonian, timing, readout mode) setup.
+    """Block propagators for one (Hamiltonian, timing, readout slots) setup.
 
     With W = U_free · X the spin-lock cycle operator (x pulse, then free
     evolution), the kick cycle is U_free · Y = W · X^† · Y.  Every readout step
     of a block is therefore a plain power W^e or a product A · G(B) of two
     powers, A = W^a and B = W^b, where only the gate layer G = X^† · Y depends
-    on the kick angle (:func:`kick_layout` lists the exponents).  For the
-    whole + block, A = W^(N+1-n₊) and B = W^(n₊); for the whole - block,
-    A = W^(N+1-n₋) and B = W^(n₋).
+    on the kick angle (:func:`kick_layout` derives the exponents from the
+    slots).  For the whole + block, A = W^(N+1-n₊) and B = W^(n₊).
 
     The secular dipolar Hamiltonian and the x pulse both commute with the
     global spin flip P, so W and its powers are :class:`ParityPair` s of
     2^(n-1)-square blocks (`cycle_parities`).  The factory builds every power
-    that the layout of its readout mode (``include_half``) names once, by one
+    that the layout of its readout ``slots`` names once, by one
     :class:`PowerChain` run per parity that drops each intermediate after its
     last use: a chain product is two half-size products, a quarter of the
     dense flops.  G breaks P, so :meth:`block_set` keeps a kick step as its
@@ -437,12 +427,12 @@ class BlockPropagatorFactory:
     #: Most half-size matrices `cycle_parities` holds while it builds W₊ and W₋.
     BUILD_HALVES = 5
 
-    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, include_half: bool = True):
+    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
         self.hamiltonian = hamiltonian
         self.spec = spec
-        self.include_half = include_half
+        self.slots = tuple(slots)
         self.num_spins = hamiltonian.num_spins
-        self.layout = kick_layout(spec, include_half)
+        self.layout = kick_layout(spec, self.slots)
         chain = PowerChain(self._exponents(self.layout))
         bases = cycle_parities(hamiltonian, spec)
         plus = chain.fill({1: bases.pop(0)})
@@ -454,27 +444,26 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, include_half: bool) -> float:
-        """Most matrices a factory for ``spec``'s layout in one mode holds while built.
+    def peak_matrices(cls, spec: MonopoleSpec, slots) -> float:
+        """Most matrices a factory for ``spec``'s layout at ``slots`` holds while built.
 
         Counted in dense 2^n x 2^n matrices, of which a half-size block is a
         quarter.  The P = -1 chain runs while the P = +1 powers are kept.
         """
-        chain = PowerChain(cls._exponents(kick_layout(spec, include_half)))
+        chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
         return max(cls.BUILD_HALVES, len(chain.targets) + chain.peak) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
-        """Readout steps of both block signs for the given kick angle.
+        """Readout steps of both block signs at kick angle ``gamma_y`` (None: the factory's).
 
-        With ``include_half`` each block is two steps, to the half-period
-        slot and on to the block end; without it, one whole-block step.  The
-        mode must be the factory's own; None takes it.
+        A given ``include_half`` must name the factory's slots: the half-period
+        slot and the block end, or the block end alone.
         """
-        if include_half is None:
-            include_half = self.include_half
-        if include_half != self.include_half:
-            raise ValueError(f"factory built for include_half={self.include_half}, "
+        end = self.spec.slots_per_block
+        if include_half is not None and self.slots != (
+                (half_sample_slot(self.spec), end) if include_half else (end,)):
+            raise ValueError(f"factory built for slots {self.slots}, "
                              f"asked for include_half={include_half}")
         if gamma_y is None:
             gamma_y = self.spec.gamma_y
@@ -483,17 +472,9 @@ class BlockPropagatorFactory:
         kick = np.matmul(x_inverse, _kick_gates(spec, self.num_spins, angle_spread, disorder_seed))
         halves = gate_halves(kick, self.num_spins)
         p = self.powers
-
-        def step(factors):
-            if len(factors) == 1:
-                return p[factors[0]]
-            a, b = factors
-            return KickStep(p[a], halves, p[b])
-
-        slots = readout_slots(spec, include_half)
-        steps = {s: tuple(zip(slots, map(step, layout)))
-                 for s, layout in self.layout.items()}
-        return BlockPropagators(spec=spec, steps=steps)
+        step = lambda f: p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
+        steps = {sign: tuple(map(step, layout)) for sign, layout in self.layout.items()}
+        return BlockPropagators(spec, self.slots, steps)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -502,16 +483,16 @@ class BlockPropagatorFactory:
 class BlockPropagators:
     """The readout steps of both block signs at one kick angle.
 
-    ``steps[s]`` is the block of sign ``s`` as a tuple of ``(slot, operator)``
-    pairs: each operator carries the state from the previous readout to the
-    readout after pulse slot ``slot``, and the last step ends the block at
-    ``spec.slots_per_block``.  An operator is anything with ``shape`` and
-    ``@``: a :class:`KickStep` for a factory step that holds the kick, a
-    :class:`ParityPair` for a plain power of the cycle, or one
-    :class:`PulseStep` per slot for the per-pulse readout.
+    ``steps[s]`` is the block of sign ``s`` as a tuple of operators, one per
+    readout slot of ``slots``: each carries the state from the previous
+    readout to the one after its slot, and the last slot is the block end.
+    An operator is anything with ``shape`` and ``@``: a :class:`KickStep`
+    for a factory step that holds the kick, a :class:`ParityPair` for a plain
+    power of the cycle, or a :class:`PulseStep` for the per-pulse readout.
     """
 
     spec: MonopoleSpec
+    slots: tuple
     steps: dict
 
 
@@ -570,27 +551,23 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
     cannot move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
     """
     spec = props.spec
-    dim = props.steps[1][0][1].shape[0]
+    dim = props.steps[1][0].shape[0]
     if psi0.shape != (dim,):
         raise ValueError("state dimension does not match the propagators")
     num_spins = dim.bit_length() - 1
     psi = np.array(psi0, dtype=complex)
-    values, cycle_index, pulse_index = [total_ix(psi, num_spins)], [0], [0]
+    values = [total_ix(psi, num_spins)]
     # without stop_factor the target is 0, which no magnitude falls below
     target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
-    cycles = 0
-    for ell, sym in enumerate(stream.symbols):
-        for slot, op in props.steps[int(sym)]:
+    for cycle, sym in enumerate(stream.symbols, start=1):
+        for op in props.steps[int(sym)]:
             psi = op @ psi
             values.append(total_ix(psi, num_spins))
-            cycle_index.append(ell)
-            pulse_index.append(slot)
-        cycles = ell + 1
-        _check_norm(psi, f"cycle {cycles}")
+        _check_norm(psi, f"cycle {cycle}")
         if abs(values[-1]) < target:
             break
     return SignalTrace.at_slots(
-        spec, values, cycle_index, pulse_index, num_cycles=cycles,
+        spec, props.slots, values,
         meta={"engine": "full-blockwise", "num_spins": num_spins,
               "stream_seed": stream.seed, "n_order": order_label(stream),
               "gamma_y": spec.gamma_y, "tau": spec.tau})
@@ -610,9 +587,9 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
     x = PulseStep(gate_halves(rotation_gate("x", spec.theta_x), num_spins), blocks)
     kick = PulseStep(gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed),
                                  num_spins), blocks)
-    slots = range(1, spec.slots_per_block + 1)
-    steps = {sign: tuple((slot, kick if slot == kick_slot + 1 else x) for slot in slots)
+    slots = tuple(range(1, spec.slots_per_block + 1))
+    steps = {sign: tuple(kick if slot == kick_slot + 1 else x for slot in slots)
              for sign, kick_slot in ((1, spec.kick_plus), (-1, spec.kick_minus))}
-    trace = evolve_blockwise(program.stream, BlockPropagators(spec, steps), psi0)
+    trace = evolve_blockwise(program.stream, BlockPropagators(spec, slots, steps), psi0)
     trace.meta["engine"] = "full"
     return trace

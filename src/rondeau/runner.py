@@ -25,8 +25,8 @@ from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_powe
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
-                        check_kick_layout, evolve, evolve_blockwise, initial_state,
-                        readout_slots)
+                        check_kick_layout, evolve, evolve_blockwise, half_sample_slot,
+                        initial_state)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
@@ -158,7 +158,8 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
-        if _reads_half_period(self):
+        if self.kind != "trace" and len(_readout_slots(self)) > 1:
+            # the run reads each block's sign off its half-period sample
             try:
                 check_kick_layout(self.spec())
             except ValueError as exc:
@@ -209,7 +210,7 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     each.  The per-pulse trace adds the complex free-step blocks, C(2n, n)
     entries again, and two complex temporaries of the largest block while it
     is built.  The other full-engine kinds add the peak of the factory's build
-    for the run's readout mode: its parity blocks, each a quarter of a dense
+    for the run's readout slots: its parity blocks, each a quarter of a dense
     complex matrix, counted by `BlockPropagatorFactory.peak_matrices`.  A
     block set adds only its gate halves, and its steps only state vectors.
     Runs that build no system hold none.
@@ -220,14 +221,20 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
     if config.kind == "trace":
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
-    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _reads_half_period(config))
+    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config))
     return int(sectors + factory * matrix)
 
 
-def _reads_half_period(config: RunConfig) -> bool:
-    """Whether the run's block sets read the half-period sample besides the block end."""
-    return config.kind == "encode" or (
-        config.kind == "spectrum" and config.spectrum_kind == "micromotion")
+def _readout_slots(config: RunConfig) -> tuple[int, ...]:
+    """Slots of each block the run reads: every slot for a trace, the half-period slot
+    and the block end for encode and micromotion spectra, else the block end alone."""
+    end = config.pulses_per_block + 1
+    if config.kind == "trace":
+        return tuple(range(1, end + 1))
+    if config.kind == "encode" or (config.kind == "spectrum"
+                                   and config.spectrum_kind == "micromotion"):
+        return half_sample_slot(config.spec()), end
+    return (end,)
 
 
 def _parse_order(label) -> int | float:
@@ -274,8 +281,8 @@ def _drive_realizations(config: RunConfig) -> int:
 class FullSystem:
     """Graph, Hamiltonian, initial state, and the propagator factory of one run.
 
-    Only the factory of the most recent tau and readout mode is kept, since a
-    sweep uses each tau for one point and a run reads out in one mode.
+    Only the factory of the most recent tau and readout slots is kept, since a
+    sweep uses each tau for one point and a run reads one slot tuple.
     """
 
     def __init__(self, config: RunConfig):
@@ -292,12 +299,12 @@ class FullSystem:
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
 
-    def factory(self, spec: MonopoleSpec, include_half: bool) -> BlockPropagatorFactory:
-        key = (spec.tau, include_half)
+    def factory(self, spec: MonopoleSpec, slots: tuple) -> BlockPropagatorFactory:
+        key = (spec.tau, slots)
         if self._factory is None or self._factory[0] != key:
             self._factory = None  # release the old factory before building
             self._factory = (key, BlockPropagatorFactory(
-                self.hamiltonian, replace(spec, gamma_y=math.pi), include_half))
+                self.hamiltonian, replace(spec, gamma_y=math.pi), slots))
         return self._factory[1]
 
 
@@ -313,14 +320,13 @@ def _block_set(system: FullSystem | None, config: RunConfig,
     """What `_drive_trace` evolves under at ``spec``.
 
     The full engine's block propagators on ``system``, or the dephasing
-    model's parameters when ``system`` is None; both read out the
-    `readout_slots` (the half-period slot too when `_reads_half_period`).
+    model's parameters when ``system`` is None; both read the run's
+    `_readout_slots`.
     """
-    include_half = _reads_half_period(config)
+    slots = _readout_slots(config)
     if system is None:
-        return DephasingParams(spec=spec, gamma_0=config.gamma_0,
-                               readout=readout_slots(spec, include_half))
-    return system.factory(spec, include_half).block_set(spec.gamma_y, include_half=include_half)
+        return DephasingParams(spec=spec, gamma_0=config.gamma_0, readout=slots)
+    return system.factory(spec, slots).block_set(spec.gamma_y)
 
 
 def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
@@ -363,8 +369,7 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
     else:
-        trace = _drive_trace(None, replace(_block_set(None, config, spec), readout=None),
-                             stream)
+        trace = _drive_trace(None, _block_set(None, config, spec), stream)
     trace = trace.with_noise(config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_stream(out / "stream.txt", stream)
     serialize.write_trace(out / "trace.csv", trace)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rondeau.evolution import initial_state
+from rondeau.evolution import half_sample_slot, initial_state
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -27,3 +27,13 @@ def short_spec():
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def half_period(spec):
+    """Readout slots of the micromotion runs: the half-period slot, then the block end."""
+    return half_sample_slot(spec), spec.slots_per_block
+
+
+def block_end(spec):
+    """Readout slots of the stroboscopic runs: the block end alone."""
+    return (spec.slots_per_block,)

@@ -133,6 +133,26 @@ def dense_cycle_powers(hamiltonian: Hamiltonian, spec: MonopoleSpec, exponents) 
     return {e: np.linalg.matrix_power(w, e) for e in exponents}
 
 
+def dense_slot_steps(hamiltonian: Hamiltonian, spec: MonopoleSpec, kick: int, slots) -> list:
+    """Dense per-pulse products over each interval (p, s] of the readout ``slots``.
+
+    Pulse j of a block is followed by its free slot, U_free · R_j, with R_j the
+    y-kick for j = ``kick`` + 1 and the x pulse otherwise; the step from slot p
+    to slot s (p = 0 at the block start) applies pulses p + 1, ..., s in turn.
+    """
+    n = hamiltonian.num_spins
+    u_free = dense_free_propagator(hamiltonian, spec.tau)
+    x = u_free @ global_rotation_matrix("x", spec.theta_x, n)
+    y = u_free @ global_rotation_matrix("y", spec.gamma_y, n)
+    steps = []
+    for p, s in zip((0, *slots), slots):
+        step = np.eye(1 << n, dtype=complex)
+        for j in range(p + 1, s + 1):
+            step = (y if j == kick + 1 else x) @ step
+        steps.append(step)
+    return steps
+
+
 def dense_kick_gate(spec: MonopoleSpec, num_spins: int) -> np.ndarray:
     """G = X^† · Y(gamma_y), the gate layer of a kick step A · G · B, as a dense matrix."""
     return (global_rotation_matrix("x", spec.theta_x, num_spins).conj().T

@@ -14,6 +14,8 @@ from rondeau.evolution import BlockPropagatorFactory, evolve_blockwise, initial_
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
+from conftest import half_period
+
 printable_7bit = st.text(alphabet=string.printable, min_size=1, max_size=64)
 
 
@@ -87,7 +89,7 @@ class TestDecode:
         psi0 = initial_state(8, hamiltonian)
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=math.pi)
-        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
+        props = BlockPropagatorFactory(hamiltonian, spec, half_period(spec)).block_set()
         trace = evolve_blockwise(encode(Message("Hi")), props, psi0)
         assert decode(trace).text == "Hi"
 

@@ -7,7 +7,6 @@ import pytest
 from rondeau.analysis import (dft_micromotion, fit_power_law, half_period_samples,
                               stroboscopic_samples, symbol_dft)
 from rondeau.dephasing import DephasingParams, model_signal
-from rondeau.evolution import readout_slots
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 
 from oracles import pi_shift_mirror, predicted_rate
@@ -55,11 +54,15 @@ class TestModelSignal:
         _, sb = stroboscopic_samples(b)
         assert np.allclose(sa, sb)
 
-    def test_rejects_uninformative_layout(self):
-        spec = MonopoleSpec(pulses_per_block=12, kick_plus=11, kick_minus=9)
-        with pytest.raises(ValueError, match="half-period sample"):
-            readout_slots(spec, True)
-        assert readout_slots(spec, False) == (13,)
+    def test_readout_slots_pick_samples_of_the_every_slot_trace(self, short_spec):
+        stream = sample_rmd(1, 8, seed=2)
+        params = params_for(short_spec, epsilon=0.1, gamma_0=0.05)
+        every = model_signal(stream, params)
+        read = model_signal(stream, dataclasses.replace(params, readout=(3, 6, 13)))
+        keep = np.isin(every.pulse_index, (0, 3, 6, 13))
+        for name in ("times", "values", "cycle_index", "pulse_index"):
+            assert np.array_equal(getattr(read, name), getattr(every, name)[keep])
+        assert read.num_cycles == every.num_cycles == 8
 
     def test_pi_shift_identity_exact(self, short_spec):
         stream = sample_rmd(2, 64, seed=9)

@@ -13,6 +13,7 @@ from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
+from conftest import block_end, half_period
 from oracles import (apply_gates, dense_free, dense_free_propagator, global_rotation_matrix,
                      total_iz_matrix, zero_hamiltonian)
 
@@ -106,7 +107,7 @@ class TestNonInteractingLimits:
         model.values *= total_ix(psi0, 4)
         assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12
-        props = BlockPropagatorFactory(h0, spec).block_set()
+        props = BlockPropagatorFactory(h0, spec, half_period(spec)).block_set()
         block = evolve_blockwise(stream, props, psi0)
         by_slot = dict(zip(zip(trace.cycle_index, trace.pulse_index), trace.times))
         shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
@@ -163,7 +164,7 @@ class TestEvolveEngine:
         short = psi0[:-1]
         with pytest.raises(ValueError, match="state dimension"):
             evolve(PulseProgram(stream, short_spec), hamiltonian, short)
-        props = BlockPropagatorFactory(hamiltonian, short_spec).block_set()
+        props = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec)).block_set()
         with pytest.raises(ValueError, match="state dimension"):
             evolve_blockwise(stream, props, short)
 
@@ -230,11 +231,11 @@ class TestSectorFreeEvolution:
         assert np.abs(u_free - dense_free_propagator(hamiltonian, 0.05)).max() < 1e-12
 
 
-def blockwise_deviation(hamiltonian, psi0, spec, include_half=True) -> float:
+def blockwise_deviation(hamiltonian, psi0, spec, slots) -> float:
     """Largest gap between the blockwise and the per-pulse trace at their shared samples."""
     stream = sample_rmd(1, 8, seed=3)
     full = evolve(PulseProgram(stream, spec), hamiltonian, psi0)
-    props = BlockPropagatorFactory(hamiltonian, spec, include_half).block_set()
+    props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
     block = evolve_blockwise(stream, props, psi0)
     by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
     at_shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
@@ -242,54 +243,58 @@ def blockwise_deviation(hamiltonian, psi0, spec, include_half=True) -> float:
 
 
 class TestBlockwiseEngine:
-    @pytest.mark.parametrize("kicks, gamma_y, include_half", [
-        ((8, 4), 0.97 * math.pi, True),
-        ((10, 7), math.pi + 0.3, False),  # half slot 6 precedes both kicks; never read
+    @pytest.mark.parametrize("kicks, gamma_y, slots", [
+        ((8, 4), 0.97 * math.pi, (6, 13)),
+        ((10, 7), math.pi + 0.3, (13,)),  # half slot 6 precedes both kicks; never read
+        ((10, 7), math.pi + 0.3, (6, 13)),  # both kicks in the second step
+        ((8, 4), 0.97 * math.pi, tuple(range(1, 14))),  # every slot, as the per-pulse trace
+        ((8, 4), 1.02 * math.pi, (4, 5, 9, 13)),  # each kick alone in a one-slot step
     ])
-    def test_matches_per_pulse_engine(self, small_system, kicks, gamma_y, include_half):
+    def test_matches_per_pulse_engine(self, small_system, kicks, gamma_y, slots):
         _, _, hamiltonian, psi0 = small_system
         spec = MonopoleSpec(12, *kicks, tau=0.05, gamma_y=gamma_y)
-        assert blockwise_deviation(hamiltonian, psi0, spec, include_half) < 1e-10
+        assert blockwise_deviation(hamiltonian, psi0, spec, slots) < 1e-10
 
-    @pytest.mark.parametrize("include_half", [True, False])
+    @pytest.mark.parametrize("slots", [half_period, block_end])
     def test_matches_per_pulse_engine_with_the_kick_at_the_half_slot(self, small_system,
-                                                                      include_half):
+                                                                      slots):
         """kick_plus == half slot: the + block's first step is A · G(W^0), B the identity."""
         _, _, hamiltonian, psi0 = small_system
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4,
                             tau=0.05, gamma_y=1.03 * math.pi)
         assert half_sample_slot(spec) == spec.kick_plus
-        assert blockwise_deviation(hamiltonian, psi0, spec, include_half) < 1e-10
+        assert blockwise_deviation(hamiltonian, psi0, spec, slots(spec)) < 1e-10
 
     def test_strobo_only_mode(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
         stream = sample_rmd(0, 6, seed=8)
-        props = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False).block_set()
+        props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
         trace = evolve_blockwise(stream, props, psi0)
         assert len(trace) == 7
         assert np.allclose(np.diff(trace.times), short_spec.block_duration)
 
     def test_micromotion_of_a_strobo_only_trace_rejected(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
-        props = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False).block_set()
+        props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
         trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, psi0)
         with pytest.raises(ValueError, match=r"slot 6 sample in cycles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
             dft_micromotion(trace)
 
     def test_block_propagators_unitary(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system
-        factory = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False)
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
         props = factory.block_set(0.95 * math.pi)
         for sign in (1, -1):
-            (_, op), = props.steps[sign]
+            op, = props.steps[sign]
             u = op @ np.eye(op.shape[0])
             deviation = u.conj().T @ u - np.eye(u.shape[0])
             assert np.abs(deviation).max() < 1e-10
 
     def test_block_set_only_in_the_factorys_readout_mode(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system
-        factory = BlockPropagatorFactory(hamiltonian, short_spec, include_half=False)
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
         assert factory.block_set().steps.keys() == {1, -1}
+        assert factory.block_set(include_half=False).slots == (13,)
         with pytest.raises(ValueError, match="include_half"):
             factory.block_set(include_half=True)
 
@@ -297,12 +302,12 @@ class TestBlockwiseEngine:
         assert half_sample_slot(MonopoleSpec(300, 200, 100)) == 150
         assert half_sample_slot(MonopoleSpec(15, 10, 5)) == 8
 
-    def test_rejects_uninformative_kick_layout(self, small_system):
+    @pytest.mark.parametrize("slots", [(), (6,), (0, 13), (6, 6, 13), (8, 6, 13), (13, 14)])
+    def test_rejects_slots_that_do_not_step_to_the_block_end(self, small_system, short_spec,
+                                                              slots):
         _, _, hamiltonian, _ = small_system
-        spec = MonopoleSpec(pulses_per_block=12, kick_plus=11, kick_minus=9,
-                            tau=0.05)
-        with pytest.raises(ValueError):
-            BlockPropagatorFactory(hamiltonian, spec)
+        with pytest.raises(ValueError, match="readout slots"):
+            BlockPropagatorFactory(hamiltonian, short_spec, slots)
 
 
 class TestSpinLockConservation:
@@ -337,7 +342,7 @@ class TestInitialStateIndependence:
             traces = []
             for hamiltonian in hamiltonians:
                 psi0 = initial_state(8, hamiltonian, decay_time=decay_time)
-                props = BlockPropagatorFactory(hamiltonian, spec, include_half=False).block_set()
+                props = BlockPropagatorFactory(hamiltonian, spec, block_end(spec)).block_set()
                 trace = evolve_blockwise(stream, props, psi0)
                 _, values = stroboscopic_samples(trace)
                 traces.append(values)
@@ -356,7 +361,7 @@ class TestRondeauPhenomenology:
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=0.98 * math.pi)
         stream = sample_rmd(0, 40, seed=12)
-        props = BlockPropagatorFactory(hamiltonian, spec).block_set()
+        props = BlockPropagatorFactory(hamiltonian, spec, half_period(spec)).block_set()
         trace = evolve_blockwise(stream, props, psi0)
         _, values = stroboscopic_samples(trace)
         signs = np.sign(values)

@@ -1,6 +1,7 @@
 """The propagator factory's algebra: addition-chain powers, Kronecker-half gates, the
 spin-flip parity split, memory."""
 
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,11 +19,14 @@ from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
-from oracles import apply_gates, dense_cycle_powers, dense_kick_gate, spin_flip
+from oracles import (apply_gates, dense_cycle_powers, dense_kick_gate, dense_slot_steps,
+                     spin_flip)
 
-#: Powers the default layout reads, by readout mode (``include_half``).
-MODE_EXPONENTS = {False: {100, 101, 200, 201}, True: {50, 100, 101, 150, 151}}
-DEFAULT_EXPONENTS = MODE_EXPONENTS[False] | MODE_EXPONENTS[True]
+#: Powers the default layout (301 slots, kicks after pulses 200 and 100) reads at the
+#: block end alone and at the half-period slot and the block end.
+LAYOUT_EXPONENTS = {(301,): {100, 101, 200, 201}, (150, 301): {50, 100, 101, 150, 151}}
+#: Every power of both: an exponent set for the chain tests.
+BOTH_LAYOUTS = {50, 100, 101, 150, 151, 200, 201}
 
 
 def binary_products(exponents) -> int:
@@ -51,13 +55,13 @@ def gates_by_spin(state, gates, num_spins):
 
 class TestPowerChain:
     def test_default_layout_exponents(self):
-        for include_half, exponents in MODE_EXPONENTS.items():
-            layout = kick_layout(MonopoleSpec(), include_half)
+        for slots, exponents in LAYOUT_EXPONENTS.items():
+            layout = kick_layout(MonopoleSpec(), slots)
             assert BlockPropagatorFactory._exponents(layout) == exponents
 
     @pytest.mark.parametrize("exponents", [
         [0], [1], [0, 1], [2, 2, 3, 3], [17], [5, 64], [0, 1, 2, 3, 17], [49, 50, 100, 150, 151],
-        sorted(DEFAULT_EXPONENTS),
+        sorted(BOTH_LAYOUTS),
     ])
     def test_matches_matrix_power(self, exponents):
         w = random_unitary(8, seed=5)
@@ -67,9 +71,9 @@ class TestPowerChain:
             assert np.abs(powers[e] - np.linalg.matrix_power(w, e)).max() < 1e-12
 
     @pytest.mark.parametrize("exponents, products, binary", [
-        (DEFAULT_EXPONENTS, 13, 26),
-        (MODE_EXPONENTS[False], 11, 17),
-        (MODE_EXPONENTS[True], 11, 21),
+        (BOTH_LAYOUTS, 13, 26),
+        (LAYOUT_EXPONENTS[301,], 11, 17),
+        (LAYOUT_EXPONENTS[150, 301], 11, 21),
         ({49, 50, 100, 150, 151}, 11, 20),
     ])
     def test_fewer_products_than_binary_on_layout_sets(self, exponents, products, binary):
@@ -88,14 +92,14 @@ class TestPowerChain:
         assert set(exponents) - {0} <= built
 
     def test_intermediates_are_dropped_after_last_use(self):
-        chain = PowerChain(DEFAULT_EXPONENTS)
+        chain = PowerChain(BOTH_LAYOUTS)
         live = {1}
         for i, ((e, a, b), drop) in enumerate(zip(chain.steps, chain.drops)):
             live.add(e)
             later = {f for step in chain.steps[i + 1:] for f in step[1:]}
-            assert set(drop) == {a, b} - later - DEFAULT_EXPONENTS
+            assert set(drop) == {a, b} - later - BOTH_LAYOUTS
             live -= set(drop)
-        assert live == DEFAULT_EXPONENTS
+        assert live == BOTH_LAYOUTS
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -145,7 +149,7 @@ class TestParitySplit:
     def test_cycle_powers_commute_with_the_spin_flip(self, num_spins):
         flip = spin_flip(num_spins)
         for e, power in dense_cycle_powers(system(num_spins), self.SPEC,
-                                           DEFAULT_EXPONENTS | {0, 1}).items():
+                                           BOTH_LAYOUTS | {0, 1}).items():
             assert np.abs(flip @ power @ flip - power).max() < 1e-12
 
     def test_pair_of_a_flip_symmetric_matrix(self):
@@ -162,20 +166,20 @@ class TestParitySplit:
             assert np.abs(pair @ state - matrix @ state).max() < 1e-14
 
     @pytest.mark.parametrize("num_spins", [3, 5, 8])
-    @pytest.mark.parametrize("include_half", [False, True])
-    def test_split_powers_and_steps_match_the_dense_chain(self, num_spins, include_half):
+    @pytest.mark.parametrize("slots", LAYOUT_EXPONENTS)
+    def test_split_powers_and_steps_match_the_dense_chain(self, num_spins, slots):
         hamiltonian = system(num_spins)
-        factory = BlockPropagatorFactory(hamiltonian, self.SPEC, include_half)
+        factory = BlockPropagatorFactory(hamiltonian, self.SPEC, slots)
         assert all(isinstance(p, ParityPair) for p in factory.powers.values())
         assert all(p.plus.shape == (2**(num_spins - 1),) * 2 for p in factory.powers.values())
-        reference = dense_cycle_powers(hamiltonian, self.SPEC, MODE_EXPONENTS[include_half])
+        reference = dense_cycle_powers(hamiltonian, self.SPEC, LAYOUT_EXPONENTS[slots])
         assert factory.powers.keys() == reference.keys()
         for e, pair in factory.powers.items():
             assert np.abs(dense(pair) - reference[e]).max() < 1e-12
         gate = dense_kick_gate(self.SPEC, num_spins)
         props = factory.block_set()
         for sign, layout in factory.layout.items():
-            for (_, op), factors in zip(props.steps[sign], layout):
+            for op, factors in zip(props.steps[sign], layout, strict=True):
                 if len(factors) == 1:
                     assert isinstance(op, ParityPair)
                     expected = reference[factors[0]]
@@ -185,23 +189,52 @@ class TestParitySplit:
                 assert np.abs(dense(op) - expected).max() < 1e-12
 
 
+@functools.cache
+def cached_system(num_spins: int):
+    return system(num_spins)
+
+
+class TestLayoutRule:
+    """Each factory step is the per-pulse product over its interval of readout slots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_steps_match_the_per_pulse_products(self, data):
+        num_spins = data.draw(st.integers(2, 4), label="num_spins")
+        pulses = data.draw(st.integers(3, 9), label="pulses_per_block")
+        kick_minus = data.draw(st.integers(1, pulses - 2), label="kick_minus")
+        kick_plus = data.draw(st.integers(kick_minus + 1, pulses - 1), label="kick_plus")
+        reads = data.draw(st.sets(st.integers(1, pulses)), label="slots before the end")
+        spec = MonopoleSpec(pulses, kick_plus, kick_minus,
+                            tau=data.draw(st.floats(0.01, 0.3), label="tau"),
+                            gamma_y=data.draw(st.floats(0.0, 2 * math.pi), label="gamma_y"))
+        slots = (*sorted(reads), spec.slots_per_block)
+        hamiltonian = cached_system(num_spins)
+        props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
+        assert props.slots == slots
+        for sign, kick in ((1, kick_plus), (-1, kick_minus)):
+            expected = dense_slot_steps(hamiltonian, spec, kick, slots)
+            for op, step in zip(props.steps[sign], expected, strict=True):
+                assert np.abs(dense(op) - step).max() < 1e-12
+
+
 class TestFactoryMemory:
     def test_build_peak_within_the_counted_matrices(self, small_system):
         _, _, hamiltonian, _ = small_system
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**hamiltonian.num_spins
-        for include_half, exponents in MODE_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, include_half)
+        for slots, exponents in LAYOUT_EXPONENTS.items():
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots)
             tracemalloc.start()
             try:
-                factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
-            # only the powers of the factory's own readout mode are kept, each a
+            # only the powers of the factory's own readout slots are kept, each a
             # pair of half-size blocks: half a dense matrix
             assert set(factory.powers) == exponents
             assert kept <= (len(exponents) / 2 + 0.25) * matrix
@@ -212,8 +245,8 @@ class TestFactoryMemory:
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**8
-        for include_half in (False, True):
-            factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+        for slots in LAYOUT_EXPONENTS:
+            factory = BlockPropagatorFactory(hamiltonian, spec, slots)
             tracemalloc.start()
             try:
                 props = factory.block_set(0.95 * math.pi)
@@ -227,8 +260,8 @@ class TestFactoryMemory:
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**8
-        for include_half in (False, True):
-            factory = BlockPropagatorFactory(hamiltonian, spec, include_half)
+        for slots in LAYOUT_EXPONENTS:
+            factory = BlockPropagatorFactory(hamiltonian, spec, slots)
             props, stream = factory.block_set(0.95 * math.pi), sample_rmd(1, 4, seed=3)
             psi0 = initial_state(8)
             tracemalloc.start()
@@ -287,8 +320,8 @@ class TestFactoryMemory:
         small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
         # a heating run reads whole blocks only
         # in dense matrices: 4 kept and 5 live half-size blocks, against 3 and 3
-        chains = [BlockPropagatorFactory.peak_matrices(MonopoleSpec(**layout), False)
-                  for layout in ({}, small)]
+        specs = [MonopoleSpec(**layout) for layout in ({}, small)]
+        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,)) for s in specs]
         assert chains == [2.25, 1.5]
         # the two graphs are built one after another, so their peaks do not add
         assert estimate() - estimate(**small) == (2.25 - 1.5) * 16 * 4**6

@@ -96,7 +96,7 @@ def test_shared_block_set_gives_identical_rates(tmp_path, order):
     for g in range(config.graph_realizations):
         system = FullSystem(dataclasses.replace(config, graph_seed=g))
         for r in range(config.realizations):
-            props = system.factory(spec, False).block_set(spec.gamma_y, include_half=False)
+            props = system.factory(spec, (spec.slots_per_block,)).block_set(spec.gamma_y)
             seed = derive_seed(config.seed, 1, g, r)  # eps point 0 follows the reference
             offset = r if order == "inf" else 0
             rates.append(measure_rate(system, props, config, order, seed,
@@ -131,7 +131,7 @@ def test_factory_matches_each_callers_tau():
     config = RunConfig(kind="heating-period", out_dir="x", **SMALL)
     system, spec = FullSystem(config), config.spec()
     for tau in [0.05, 0.04, 0.05, 0.03, 0.03, 0.02]:
-        assert system.factory(dataclasses.replace(spec, tau=tau), False).spec.tau == tau
+        assert system.factory(dataclasses.replace(spec, tau=tau), (13,)).spec.tau == tau
 
 
 def test_factory_is_built_once(monkeypatch):
@@ -139,8 +139,8 @@ def test_factory_is_built_once(monkeypatch):
     system = FullSystem(config)
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _counter(lambda hamiltonian, spec, include_half: object(), calls))
+                        _counter(lambda hamiltonian, spec, slots: object(), calls))
     spec = config.spec()
-    results = [system.factory(spec, False) for _ in range(3)]
+    results = [system.factory(spec, (13,)) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)

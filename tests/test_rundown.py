@@ -16,7 +16,7 @@ def reference_rundown(symbols, props, psi0, max_cycles, stop_factor=0.8):
     """Standalone stroboscopic loop: stop at the first sample below stop_factor/e."""
     spec = props.spec
     T = spec.block_duration
-    full = {s: op for s, ((_, op),) in props.steps.items()}
+    full = {s: op for s, (op,) in props.steps.items()}
     num_spins = int(round(math.log2(psi0.size)))
     psi = np.array(psi0, dtype=complex)
     values = [total_ix(psi, num_spins)]
@@ -51,7 +51,7 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
                        eps_grid=(eps,))
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
     system = FullSystem(config)
-    props = system.factory(spec, False).block_set(spec.gamma_y, include_half=False)
+    props = system.factory(spec, (spec.slots_per_block,)).block_set(spec.gamma_y)
     traces = []
     rundown = runner.stroboscopic_rundown
 

@@ -110,13 +110,15 @@ class TestRunConfig:
         dict(kind="encode", text="Hi"),
         dict(kind="spectrum", spectrum_kind="micromotion"),
     ])
+    # 13 slots put the half-period sample at slot 6: before both kicks, or after both
+    @pytest.mark.parametrize("kicks", [(10, 7), (11, 9), (5, 3)])
     def test_layout_the_half_sample_cannot_separate_rejected_before_any_system(
-            self, tmp_path, monkeypatch, engine, overrides):
-        # 13 slots put the half-period sample at slot 6, before both kicks
+            self, tmp_path, monkeypatch, engine, overrides, kicks):
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
         config = RunConfig(out_dir=str(tmp_path), engine=engine, num_spins=4,
-                           pulses_per_block=12, kick_plus=10, kick_minus=7, **overrides)
+                           pulses_per_block=12, kick_plus=kicks[0], kick_minus=kicks[1],
+                           **overrides)
         with pytest.raises(ConfigError, match="half-period sample"):
             run(config)
 
