@@ -55,8 +55,8 @@ def model_signal(stream: SymbolStream, params: DephasingParams) -> SignalTrace:
               "n_order": order_label(stream), "gamma_y": spec.gamma_y,
               "epsilon": spec.epsilon, "gamma_0": params.gamma_0,
               "tau": spec.tau})
-    cycles = trace.cycle_index
-    kick_slots = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycles]
-    kicks = cycles + (trace.pulse_index > kick_slots)
+    cycle, slot = trace.cycle_index[1:], trace.pulse_index[1:]  # after the pre-drive one
+    kick_slot = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle]
+    kicks = np.concatenate([[0], cycle + (slot > kick_slot)])
     trace.values = np.power(-math.cos(spec.epsilon), kicks) * np.exp(-params.gamma_0 * trace.times)
     return trace

@@ -91,9 +91,7 @@ class SignalTrace:
         l T + slot tau, the pre-drive one at t = 0.
         """
         slots = np.asarray(slots, dtype=np.int64)
-        num_cycles, partial = divmod(len(values) - 1, slots.size)
-        if partial:
-            raise ValueError(f"{len(values)} values do not fill whole cycles of slots {slots}")
+        num_cycles = (len(values) - 1) // slots.size
         cycle_index = np.concatenate([[0], np.repeat(np.arange(num_cycles), slots.size)])
         pulse_index = np.concatenate([[0], np.tile(slots, num_cycles)])
         T = spec.block_duration
@@ -465,9 +463,7 @@ class BlockPropagatorFactory:
                 (half_sample_slot(self.spec), end) if include_half else (end,)):
             raise ValueError(f"factory built for slots {self.slots}, "
                              f"asked for include_half={include_half}")
-        if gamma_y is None:
-            gamma_y = self.spec.gamma_y
-        spec = replace(self.spec, gamma_y=gamma_y)
+        spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
         x_inverse = rotation_gate("x", spec.theta_x).conj().T
         kick = np.matmul(x_inverse, _kick_gates(spec, self.num_spins, angle_spread, disorder_seed))
         halves = gate_halves(kick, self.num_spins)

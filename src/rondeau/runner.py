@@ -29,7 +29,8 @@ from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, 
                         initial_state)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
-from .sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
+from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
+                        thue_morse_stream)
 from .spins import DEFAULT_SPIN_CAP, build_hamiltonian, compute_couplings, generate_graph
 from . import serialize
 
@@ -135,6 +136,8 @@ class RunConfig:
             raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
             raise ConfigError("phase-diagram requires a gamma_grid")
+        if len(set(self.gamma_grid)) < len(self.gamma_grid):
+            raise ConfigError(f"gamma_grid {self.gamma_grid} repeats a kick angle")
         order = _parse_order(self.n_order)
         if self.kind in ("trace", "spectrum", "phase-diagram") and order != math.inf \
                 and self.cycles % 2**order:
@@ -158,8 +161,16 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
+        # a stream is rounded up to its order's 2**n; a sweep's Thue-Morse windows shift by r
+        cycles = self.max_cycles if sweep else self.cycles
+        for label in _orders(self) if self.kind not in ("encode", "decode") else ():
+            order = _parse_order(label)
+            length = (cycles + (self.realizations - 1 if sweep else 0) if order == math.inf
+                      else -(-cycles // 2**order) * 2**order)
+            if length > DEFAULT_MAX_SYMBOLS:
+                raise ConfigError(f"order {label} draws a stream of {length} symbols for "
+                                  f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
         if self.kind != "trace" and len(_readout_slots(self)) > 1:
-            # the run reads each block's sign off its half-period sample
             try:
                 check_kick_layout(self.spec())
             except ValueError as exc:
@@ -273,6 +284,12 @@ def make_stream(order, cycles: int, seed: int, offset: int = 0) -> SymbolStream:
     return sample_rmd(order, -(-cycles // chunk) * chunk, seed)
 
 
+def _orders(config: RunConfig) -> tuple:
+    """Multipole orders the run draws streams of: a heating sweep's, else ``n_order``."""
+    sweep = _SWEEPS.get(config.kind)
+    return (sweep and config.n_orders) or (sweep and sweep.orders) or (config.n_order,)
+
+
 def _drive_realizations(config: RunConfig) -> int:
     """Drive realizations a spectrum or phase diagram evolves; one for Thue-Morse."""
     return 1 if _parse_order(config.n_order) == math.inf else config.realizations
@@ -320,8 +337,7 @@ def _block_set(system: FullSystem | None, config: RunConfig,
     """What `_drive_trace` evolves under at ``spec``.
 
     The full engine's block propagators on ``system``, or the dephasing
-    model's parameters when ``system`` is None; both read the run's
-    `_readout_slots`.
+    model's parameters when ``system`` is None; both read `_readout_slots`.
     """
     slots = _readout_slots(config)
     if system is None:
@@ -441,17 +457,17 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     realization r, seeded by ``derive_seed(seed, seed_block * k + j, g, r)``
     (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference and eps i
     is point 1 + i; a tau point is its grid index.  One graph's system is alive
-    at a time.  A point pools its (g, r) rates and is fitted if all crossed 1/e
-    and its (excess) rate is positive; an eps order whose reference never
-    crossed fits nothing, and its ``rate_at_pi`` is NaN.  Each ``fits.json``
-    entry has ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or an
-    ``error``; eps entries add ``rate_at_pi`` (``null`` when NaN) and
-    ``reference_crossed``, tau-sweep entries ``smallest_period_rate``.
+    at a time.  A point pools its (g, r) rates and is used if all crossed 1/e
+    and its (excess) rate is positive; an order whose used points share one
+    rate, or an eps order whose reference never crossed (``rate_at_pi`` NaN),
+    is not fitted.  Each ``fits.json`` entry has ``points_used``, ``uncrossed``,
+    then ``exponent``/``stderr`` or an ``error``; eps entries add ``rate_at_pi``
+    (``null`` when NaN) and ``reference_crossed``, tau sweeps ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
     base = config.spec()
     grid = getattr(config, sweep.grid)
-    orders = config.n_orders or sweep.orders or (config.n_order,)
+    orders = _orders(config)
     eps_sweep = sweep.grid == "eps_grid"
     if eps_sweep:
         specs = [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *grid)]
@@ -494,6 +510,9 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
             entry["smallest_period_rate"] = float(rates[np.argmin(xs)])
         if not reference_crossed:
             entry["error"] = "no fit: the reference rate at gamma = pi never crossed 1/e"
+        elif use.sum() > 1 and np.ptp(rates[use]) == 0:
+            entry["error"] = (f"no fit: the {entry['points_used']} crossed points share the rate "
+                              f"{float(rates[use][0])!r}, unresolved below whole blocks")
         else:
             try:
                 fit = fit_power_law(np.abs(xs[use]), ys[use])

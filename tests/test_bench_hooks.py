@@ -16,7 +16,8 @@ instrument(Tracer())
 """
 
 # A tiny full-engine heating sweep (3 eps points, 2 realizations), an encode and a
-# per-pulse trace, run after instrumenting; prints the per-layer metrics of their spans.
+# per-pulse trace, run after instrumenting; prints the per-layer metrics of the heating
+# run's spans, then of all spans.
 RUN_SCRIPT = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -28,6 +29,7 @@ small = dict(engine="full", num_spins=4, pulses_per_block=12, kick_plus=8, kick_
              tau=0.05, realizations=2)
 run(RunConfig(kind="heating-eps", out_dir=sys.argv[3] + "/heat", eps_grid=(0.3, 0.5, 0.7),
               max_cycles=64, **small))
+print(json.dumps(layer_metrics([list(tracer.spans)])))
 run(RunConfig(kind="encode", out_dir=sys.argv[3] + "/encode", text="Hi", **small))
 run(RunConfig(kind="trace", out_dir=sys.argv[3] + "/trace", cycles=2, **small))
 print(json.dumps(layer_metrics([tracer.spans])))
@@ -70,7 +72,11 @@ def test_runs_go_through_the_traced_names(tmp_path):
         [sys.executable, "-c", RUN_SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
          str(tmp_path)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
+    heating, metrics = map(json.loads, proc.stdout.splitlines()[-2:])
+    # one block set per kick angle, each under its own key: the runner passes no
+    # include_half, which the benchmark's key still reads
+    assert heating["evolution.block_set_calls"] == 4
+    assert heating["evolution.block_set_distinct"] == 4
     # (3 eps points + the reference at gamma = pi) x 2 realizations
     assert metrics["runner.measure_rate_calls"] == (3 + 1) * 2
     assert metrics["runner.rundown_cycles"] > 0

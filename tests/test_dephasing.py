@@ -64,6 +64,10 @@ class TestModelSignal:
             assert np.array_equal(getattr(read, name), getattr(every, name)[keep])
         assert read.num_cycles == every.num_cycles == 8
 
+    def test_empty_stream_gives_the_pre_drive_sample(self, short_spec):
+        trace = model_signal(SymbolStream.from_text(""), params_for(short_spec, gamma_0=0.1))
+        assert (trace.values.tolist(), trace.times.tolist(), trace.num_cycles) == ([1.0], [0.0], 0)
+
     def test_pi_shift_identity_exact(self, short_spec):
         stream = sample_rmd(2, 64, seed=9)
         trace = model_signal(stream, params_for(short_spec))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from rondeau.analysis import fit_power_law
-from rondeau.runner import ConfigError, RunConfig, _block_set, derive_seed, measure_rate, run
+from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set, derive_seed,
+                            measure_rate, run)
 
 SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
 EPS_GRID = tuple(float(e) for e in np.geomspace(0.02, 0.2, 6) * math.pi)
@@ -81,7 +82,7 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
         use = [r for r in mine if r["crossed"] and r["y"] > 0
                and entry.get("reference_crossed", True)]
         assert entry["points_used"] == len(use)
-        if len(use) >= 3:
+        if len(use) >= 3 and len({r["rate"] for r in use}) > 1:
             fit = fit_power_law([abs(r["x"]) for r in use], [r["y"] for r in use])
             assert (entry["exponent"], entry["stderr"]) == (fit.exponent, fit.stderr)
         else:
@@ -116,6 +117,45 @@ def test_eps_sweep_fits_nothing_without_a_crossed_reference(tmp_path):
     assert full["reference_crossed"] is True
     assert full["points_used"] == 6
     assert full["exponent"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_eps_sweep_does_not_fit_rates_unresolved_below_one_block(tmp_path):
+    """Kicks that each keep less than 1/e of the polarization decay within the first block
+    at every eps: one rate, 1/T, whose power law would read exponent 0."""
+    config = heating_config(tmp_path, "heating-eps", eps_grid=(1.25, 1.35, 1.45),
+                            gamma_0=0.05)
+    entry = run(config)["fits"]["0"]
+    rows = read_heating(tmp_path / "heating_eps.csv", "epsilon")
+    assert [r["rate"] for r in rows] == [1.0 / config.spec().block_duration] * 3
+    assert entry["reference_crossed"] and entry["points_used"] == 3
+    assert "exponent" not in entry and "share the rate" in entry["error"]
+
+
+def test_full_engine_sweep_pools_every_graph(tmp_path):
+    """A G = 2 full-engine row pools the rates of graphs graph_seed + g, realization r of
+    point j of order k seeded derive_seed(seed, 1000 k + j, g, r), j = 0 the reference."""
+    config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), engine="full", num_spins=4,
+                       seed=3, graph_seed=5, graph_realizations=2, realizations=2, tau=0.1,
+                       eps_grid=(0.3, 0.6), n_orders=("0", "inf"), max_cycles=256, **SMALL)
+    fits = run(config)["fits"]
+    rows = read_heating(tmp_path / "heating_eps.csv", "epsilon")
+    specs = [dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
+             for eps in (0.0, *config.eps_grid)]
+    for k, order in enumerate(config.n_orders):
+        rates = [[] for _ in specs]
+        for g in range(config.graph_realizations):
+            system = FullSystem(dataclasses.replace(config, graph_seed=config.graph_seed + g))
+            for j, spec in enumerate(specs):
+                props = _block_set(system, config, spec)
+                for r in range(config.realizations):
+                    seed = derive_seed(config.seed, 1000 * k + j, g, r)
+                    rates[j].append(measure_rate(system, props, config, order, seed,
+                                                 offset=r if order == "inf" else 0).rate)
+        (reference, *points), mine = rates, [r for r in rows if r["order"] == order]
+        assert fits[order]["reference_crossed"]
+        assert fits[order]["rate_at_pi"] == float(np.mean(reference))
+        for row, point in zip(mine, points, strict=True):
+            assert (row["rate"], row["std"]) == (float(np.mean(point)), float(np.std(point)))
 
 
 @pytest.mark.parametrize("orders", [("0", "0"), ("inf", "tm"), ("1", "3", " 1")])

@@ -133,6 +133,14 @@ class TestRunConfig:
         (dict(kind="heating-eps", eps_grid=(0.1,), gamma_0=-0.01), "gamma_0"),
         (dict(kind="trace", decay_time=-0.1), "decay_time"),
         (dict(kind="spectrum", threads=2), "threads must be 1"),
+        (dict(kind="phase-diagram", gamma_grid=(3.0, 3.0, 2.5)), "repeats a kick angle"),
+        # streams are rounded up to 2**21 symbols, or shifted by the Thue-Morse offsets
+        (dict(kind="heating-eps", eps_grid=(0.1,), n_orders=("0", "21")),
+         "order 21 draws a stream of 2097152 symbols for 32768 cycles"),
+        (dict(kind="heating-eps", eps_grid=(0.1,), n_orders=("inf",), max_cycles=2**20,
+              realizations=2), "order inf draws a stream of 1048577 symbols"),
+        (dict(kind="heating-period", tau_grid=(0.05,), max_cycles=2**20 + 1),
+         "order 0 draws a stream of 1048577 symbols"),
     ])
     def test_out_of_range_sweep_input_rejected_before_any_system(self, tmp_path, monkeypatch,
                                                                  overrides, message):
@@ -143,6 +151,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             run(config)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="heating-eps", eps_grid=(0.1,), n_orders=("20",), max_cycles=1),
+        dict(kind="heating-eps", eps_grid=(0.1,), n_orders=("inf",), max_cycles=2**20 - 2,
+             realizations=3),
+        # a spectrum evolves one Thue-Morse window, at offset 0
+        dict(kind="spectrum", spectrum_kind="symbol", n_order="inf", cycles=2**20,
+             realizations=5),
+    ])
+    def test_streams_of_exactly_the_symbol_cap_are_accepted(self, overrides):
+        RunConfig(out_dir="x", num_spins=4, **overrides).validate()
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
