@@ -192,31 +192,20 @@ def fit_power_law(xs, ys) -> PowerLawFit:
                        prefactor=float(math.exp(intercept)))
 
 
-def phase_diagram(sweep, n_order=None, normalization: str = "row") -> PhaseDiagram:
-    """Aggregate (gamma_y, trace) pairs into an intensity map.
+def phase_diagram(gammas, rows, block_duration: float, n_order=None, realizations: int = 1,
+                  normalization: str = "row") -> PhaseDiagram:
+    """Intensity map of the stroboscopic |DFT|**2 ``rows`` at kick angles ``gammas``.
 
-    Traces sharing a kick angle are treated as drive realizations and their
-    stroboscopic |DFT|**2 rows averaged.  ``normalization`` scales rows to
-    unit maximum ("row"), the whole map ("global"), or not at all ("none").
+    Row i, over the same cycles as every other, is the mean over
+    ``realizations`` drives at ``gammas[i]``; the map sorts rows by angle.
+    ``normalization`` scales rows to unit maximum ("row"), the whole map
+    ("global"), or not at all ("none").
     """
     if normalization not in ("row", "global", "none"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    groups: dict[float, list] = {}
-    shapes = set()
-    for gamma, trace in sweep:
-        spectrum = dft_stroboscopic(trace)
-        groups.setdefault(float(gamma), []).append(spectrum)
-        shapes.add((spectrum.num_cycles, round(trace.block_duration, 12)))
-    if not groups:
-        raise ValueError("empty sweep")
-    if len(shapes) > 1:
-        raise ValueError(f"inconsistent trace shapes in sweep: {sorted(shapes)}")
-    m, T = shapes.pop()
-    gammas = np.array(sorted(groups))
-    rows = np.vstack([
-        np.mean([s.amplitudes**2 for s in groups[g]], axis=0) for g in gammas
-    ])
-    realizations = max(len(v) for v in groups.values())
+    gammas = np.asarray(gammas, dtype=float)
+    order = np.argsort(gammas)
+    rows = np.vstack(rows)[order]  # a ValueError unless the rows are equally long
     if normalization == "row":
         peaks = rows.max(axis=1, keepdims=True)
         rows = np.where(peaks > 0, rows / np.where(peaks > 0, peaks, 1.0), rows)
@@ -224,8 +213,9 @@ def phase_diagram(sweep, n_order=None, normalization: str = "row") -> PhaseDiagr
         peak = rows.max()
         if peak > 0:
             rows = rows / peak
-    nu_grid = 2.0 * np.pi * np.arange(m) / (m * T)
-    return PhaseDiagram(gamma_grid=gammas, nu_grid=nu_grid, intensity=rows,
+    m = rows.shape[1]
+    nu_grid = 2.0 * np.pi * np.arange(m) / (m * round(block_duration, 12))
+    return PhaseDiagram(gamma_grid=gammas[order], nu_grid=nu_grid, intensity=rows,
                         n_order=n_order, realizations=realizations,
                         normalization=normalization)
 

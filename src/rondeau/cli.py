@@ -157,8 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace.csv to decode, as encode writes it: '# key=<JSON>' header "
                         "lines with the ints pulses_per_block and num_cycles and the number "
                         "block_duration, each once, the column line "
-                        "time,cycle,pulse_index,signal, then rows of four numbers; any "
-                        "other line, key type or cell is an error naming the file")
+                        "time,cycle,pulse_index,signal, then rows of four numbers: the "
+                        "pre-drive row (cycle 0, slot 0), then cycle 0's slots, increasing "
+                        "within 1 ... pulses_per_block + 1, in each cycle up to num_cycles - 1; "
+                        "any other line, row, key type or cell is an error naming the file")
     p.add_argument("--threshold", type=float,
                    help="minimum half-period magnitude accepted")
 

@@ -90,16 +90,20 @@ class SignalTrace:
         the slot sum can miss by an ulp; every other sample of cycle l is at
         l T + slot tau, the pre-drive one at t = 0.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        num_cycles = (len(values) - 1) // slots.size
-        cycle_index = np.concatenate([[0], np.repeat(np.arange(num_cycles), slots.size)])
-        pulse_index = np.concatenate([[0], np.tile(slots, num_cycles)])
+        num_cycles = (len(values) - 1) // len(slots)
+        cycle_index, pulse_index = cls.slot_layout(slots, num_cycles)
         T = spec.block_duration
         times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
                          cycle_index * T + pulse_index * spec.tau)
         return cls(times=times, values=np.asarray(values, dtype=float),
                    cycle_index=cycle_index, pulse_index=pulse_index, block_duration=T,
                    num_cycles=num_cycles, slots_per_block=spec.slots_per_block, meta=meta)
+
+    @staticmethod
+    def slot_layout(slots, num_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cycle and slot indices: the pre-drive (0, 0), then ``slots`` in each cycle."""
+        return (np.concatenate([[0], np.repeat(np.arange(num_cycles), len(slots))]),
+                np.concatenate([[0], np.tile(np.asarray(slots, dtype=np.int64), num_cycles)]))
 
     def with_noise(self, readout_noise: float, noise_seed: int | None) -> "SignalTrace":
         """This trace plus Gaussian read-out noise: std ``readout_noise``, PCG64 ``noise_seed``."""

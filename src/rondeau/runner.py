@@ -170,14 +170,15 @@ class RunConfig:
             if length > DEFAULT_MAX_SYMBOLS:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
-        if self.kind != "trace" and len(_readout_slots(self)) > 1:
-            try:
-                check_kick_layout(self.spec())
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if _builds_systems(self) and self.num_spins > DEFAULT_SPIN_CAP:
+        try:  # a decode reads its drive layout from the trace file
+            spec = self.spec() if self.kind != "decode" else None
+            if self.kind != "trace" and len(_readout_slots(self)) > 1:
+                check_kick_layout(spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if _builds_systems(self) and not 2 <= self.num_spins <= DEFAULT_SPIN_CAP:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"exceeds the cap of {DEFAULT_SPIN_CAP} spins")
+                              f"needs between 2 spins and the cap of {DEFAULT_SPIN_CAP} spins")
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
         if estimate > memory:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
@@ -326,8 +327,8 @@ class FullSystem:
 
 
 def _system_for(config: RunConfig) -> FullSystem | None:
-    """The run's FullSystem, or None for the dephasing engine."""
-    return FullSystem(config) if config.engine == "full" else None
+    """The run's FullSystem, or None if it builds none (`_builds_systems`)."""
+    return FullSystem(config) if _builds_systems(config) else None
 
 
 # -- the engine seam: only these two functions know which engine runs ---------
@@ -367,6 +368,20 @@ def measure_rate(system: FullSystem | None, props, config: RunConfig, order, see
     return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 
+def _realization_spectra(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
+                         i: int) -> list[SpectrumResult]:
+    """DFTs of the `_drive_realizations` streams of sweep point ``i``, stream r seeded
+    ``derive_seed(seed, i, r)``: of the stream itself for a symbol spectrum, else of its
+    trace under `_block_set` at ``spec``, micromotion where the run reads two slots."""
+    streams = (make_stream(config.n_order, config.cycles, derive_seed(config.seed, i, r))
+               for r in range(_drive_realizations(config)))
+    if config.kind == "spectrum" and config.spectrum_kind == "symbol":
+        return [symbol_dft(stream) for stream in streams]
+    props = _block_set(system, config, spec)
+    dft = dft_micromotion if len(_readout_slots(config)) > 1 else dft_stroboscopic
+    return [dft(_drive_trace(system, props, stream)) for stream in streams]
+
+
 # -- experiment handlers ----------------------------------------------------
 
 def _pooled(fits) -> tuple[float, float, bool]:
@@ -395,23 +410,8 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
 
 
 def _run_spectrum(config: RunConfig, out: Path) -> dict:
-    spec = config.spec()
-    system = props = None
-    if config.spectrum_kind != "symbol":
-        system = _system_for(config)
-        props = _block_set(system, config, spec)
-
-    def one(r: int):
-        stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, r))
-        if props is None:
-            return symbol_dft(stream)
-        trace = _drive_trace(system, props, stream)
-        if config.spectrum_kind == "micromotion":
-            return dft_micromotion(trace)
-        return dft_stroboscopic(trace)
-
-    reps = _drive_realizations(config)
-    spectra = [one(r) for r in range(reps)]
+    spectra = _realization_spectra(_system_for(config), config, config.spec(), 0)
+    reps = len(spectra)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
                           kind=spectra[0].kind, std=amps.std(axis=0), meta={
@@ -427,17 +427,13 @@ def _json_number(x: float) -> float | str | None:
 
 
 def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
-    spec = config.spec()
-    system = _system_for(config)
+    spec, system = config.spec(), _system_for(config)
     reps = _drive_realizations(config)
-    sweep = []
-    for i, gamma in enumerate(config.gamma_grid):
-        props = _block_set(system, config, replace(spec, gamma_y=gamma))
-        sweep += [(gamma, _drive_trace(system, props, make_stream(
-                      config.n_order, config.cycles, derive_seed(config.seed, i, r))))
-                  for r in range(reps)]
-    diagram = phase_diagram(sweep, n_order=config.n_order,
-                            normalization=config.normalization)
+    rows = [np.mean([s.amplitudes**2 for s in _realization_spectra(
+                system, config, replace(spec, gamma_y=gamma), i)], axis=0)
+            for i, gamma in enumerate(config.gamma_grid)]
+    diagram = phase_diagram(config.gamma_grid, rows, spec.block_duration, n_order=config.n_order,
+                            realizations=reps, normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
     contrasts = {repr(float(g)): _json_number(half_frequency_contrast(row))
                  for g, row in zip(diagram.gamma_grid, diagram.intensity)}

@@ -150,14 +150,17 @@ def write_trace(path, trace: SignalTrace):
 def read_trace(path) -> SignalTrace:
     """Trace written by `write_trace`: the header needs the ints ``pulses_per_block`` and
     ``num_cycles`` and the number ``block_duration``; the columns are float ``time``, int
-    ``cycle`` and ``pulse_index``, float ``signal``, the rows past the pre-drive one spanning
-    cycles 0 ... num_cycles - 1.  Else a ValueError names the file and what is at fault."""
+    ``cycle`` and ``pulse_index``, float ``signal``.  The rows are the pre-drive one (cycle 0,
+    slot 0), then cycle 0's slots, increasing within 1 ... pulses_per_block + 1, in each cycle
+    0 ... num_cycles - 1.  Else a ValueError names the file and what is at fault."""
     meta, (times, cycles, pulses, values) = _read(
         path, {"pulses_per_block": int, "block_duration": _NUMBER, "num_cycles": int}, _TRACE)
-    spanned = np.unique(cycles[1:])
-    if not np.array_equal(spanned, np.arange(meta["num_cycles"])):
-        raise ValueError(f"{path}: header num_cycles={meta['num_cycles']}, but the rows "
-                         f"span {spanned.size} cycles")
+    slots, n, end = pulses[1:][cycles[1:] == 0], meta["num_cycles"], meta["pulses_per_block"] + 1
+    if not (np.all(np.diff([0, *slots, end + 1]) > 0) and n >= 0 and (slots.size or n == 0)
+            and all(map(np.array_equal, SignalTrace.slot_layout(slots, n), (cycles, pulses)))):
+        raise ValueError(f"{path}: the rows are not the pre-drive one, then cycle 0's slots "
+                         f"(here {slots.size}), increasing within 1 ... {end}, in each of "
+                         f"num_cycles={n} cycles")
     return SignalTrace(times=times, values=values, cycle_index=cycles, pulse_index=pulses,
                        block_duration=meta.pop("block_duration"),
                        num_cycles=meta.pop("num_cycles"),

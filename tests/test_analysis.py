@@ -183,37 +183,43 @@ class TestFitPowerLaw:
 
 
 class TestPhaseDiagram:
-    def build_sweep(self, spec, gammas, cycles=16):
-        sweep = []
-        for i, gamma in enumerate(gammas):
-            for r in range(2):
-                stream = sample_rmd(0, cycles, seed=10 * i + r)
-                sweep.append((gamma, model_trace(stream, spec,
-                                                 epsilon=gamma - math.pi)))
-        return sweep
+    def build_rows(self, spec, gammas, cycles=16):
+        """Per angle, the mean stroboscopic |DFT|**2 of two drive realizations."""
+        return [np.mean([dft_stroboscopic(model_trace(sample_rmd(0, cycles, seed=10 * i + r),
+                                                      spec, epsilon=gamma - math.pi)
+                                          ).amplitudes**2 for r in range(2)], axis=0)
+                for i, gamma in enumerate(gammas)]
 
     def test_perfect_kick_column_peaks_at_half_frequency(self, short_spec):
-        diagram = phase_diagram(self.build_sweep(short_spec, [math.pi]))
+        diagram = phase_diagram([math.pi], self.build_rows(short_spec, [math.pi]),
+                                short_spec.block_duration)
         row = diagram.intensity[0]
         peak_index = int(np.argmax(row))
         assert diagram.nu_grid[peak_index] == pytest.approx(
             math.pi / short_spec.block_duration)
 
     def test_row_normalization(self, short_spec):
-        diagram = phase_diagram(self.build_sweep(short_spec, [0.9 * math.pi, math.pi]))
+        gammas = [math.pi, 0.9 * math.pi]
+        rows = self.build_rows(short_spec, gammas)
+        diagram = phase_diagram(gammas, rows, short_spec.block_duration, realizations=2)
         assert diagram.intensity.shape == (2, 16)
         assert np.allclose(diagram.intensity.max(axis=1), 1.0)
+        # rows follow their angles into ascending order
+        assert diagram.gamma_grid.tolist() == [0.9 * math.pi, math.pi]
+        assert np.array_equal(diagram.intensity[1], rows[0] / rows[0].max())
+        assert diagram.realizations == 2
 
     def test_global_normalization(self, short_spec):
-        diagram = phase_diagram(self.build_sweep(short_spec, [0.9 * math.pi, math.pi]),
-                                normalization="global")
+        gammas = [0.9 * math.pi, math.pi]
+        diagram = phase_diagram(gammas, self.build_rows(short_spec, gammas),
+                                short_spec.block_duration, normalization="global")
         assert diagram.intensity.max() == pytest.approx(1.0)
 
     def test_inconsistent_traces_rejected(self, short_spec):
-        a = model_trace(sample_rmd(0, 16, seed=1), short_spec)
-        b = model_trace(sample_rmd(0, 32, seed=2), short_spec)
+        rows = [*self.build_rows(short_spec, [math.pi], cycles=16),
+                *self.build_rows(short_spec, [0.9 * math.pi], cycles=32)]
         with pytest.raises(ValueError):
-            phase_diagram([(math.pi, a), (math.pi, b)])
+            phase_diagram([math.pi, 0.9 * math.pi], rows, short_spec.block_duration)
 
     def test_contrast_metric(self):
         row = np.full(120, 0.01)

@@ -6,6 +6,8 @@ The cases and their outputs live in ``tests/golden``; see
 
 import pytest
 
+from rondeau import serialize
+
 import golden.regenerate as regenerate
 from golden.regenerate import (CASES, EXPECTED, changes, check_failures, describe, float_drift,
                                output_files, run_cases)
@@ -86,3 +88,17 @@ def test_check_writes_nothing_and_exits_1_on_a_failure(tmp_path, monkeypatch):
     assert (expected / "case" / "out.csv").read_text() == "1,30.0\n"
     assert regenerate.main([]) == 0
     assert (expected / "case" / "out.csv").read_text() == "2,30.0\n"
+
+
+_READERS = {"trace.csv": (serialize.read_trace, serialize.write_trace),
+            "stream.txt": (serialize.read_stream, serialize.write_stream),
+            "spectrum.csv": (serialize.read_spectrum, serialize.write_spectrum),
+            "graph.csv": (serialize.read_graph, serialize.write_graph)}
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(EXPECTED) for name in _READERS
+                                        for p in EXPECTED.glob(f"*/{name}")), ids=str)
+def test_golden_files_read_back_and_rewrite_byte_for_byte(tmp_path, path):
+    read, write = _READERS[path.name]
+    write(tmp_path / path.name, read(EXPECTED / path))
+    assert (tmp_path / path.name).read_bytes() == (EXPECTED / path).read_bytes()

@@ -205,6 +205,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="cap of 14 spins"):
             run(config)
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["trace", "--spins", "1"], "needs between 2 spins and the cap of 14 spins"),
+        (["heating", "--sweep", "eps", "--spins", "1"], "needs between 2 spins"),
+        (["trace", "--spins", "-3"], "at n = -3 needs between 2 spins"),
+        (["trace", "--pulses", "12", "--kick-plus", "12", "--kick-minus", "4", "--spins", "4"],
+         "kick positions must satisfy"),
+        (["phase-diagram", "--engine", "dephasing", "--pulses", "12", "--kick-plus", "12",
+          "--kick-minus", "4"], "kick positions must satisfy"),
+    ])
+    def test_bad_spins_or_kicks_rejected_before_the_output_directory(self, tmp_path, capsys,
+                                                                      argv, problem):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and problem in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [
         dict(engine="dephasing", kind="trace"),
         dict(kind="decode", trace_file="trace.csv"),
@@ -343,9 +360,13 @@ class TestCodecPipeline:
         return path
 
     def test_missing_half_period_row_rejected(self, tmp_path):
-        path = self.trace_without_row(tmp_path, cycle=3, slot=6)
+        # read_trace rejects such a file, so the row is dropped from the read trace
+        trace = read_trace(self.encoded_trace(tmp_path))
+        keep = (trace.cycle_index != 3) | (trace.pulse_index != 6)
+        trace = dataclasses.replace(trace, **{name: getattr(trace, name)[keep] for name in (
+            "times", "values", "cycle_index", "pulse_index")})
         with pytest.raises(ValueError, match=r"cycles \[3\]"):
-            decode(read_trace(path))
+            decode(trace)
 
     def test_decode_reports_missing_row_as_json_error(self, tmp_path, capsys):
         path = self.trace_without_row(tmp_path, cycle=3, slot=6)
@@ -353,7 +374,8 @@ class TestCodecPipeline:
         assert main(["decode", "--trace", str(path), "--out", str(tmp_path / "dec")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "cycles [3]" in err["message"]
+        assert str(path) in err["message"]
+        assert "the rows are not the pre-drive one" in err["message"]
 
     @pytest.mark.parametrize("damage, problem", [
         ("header", "lacks the header key(s) num_cycles"),
@@ -365,13 +387,21 @@ class TestCodecPipeline:
         ("swapped-columns", "column line 'time,signal,pulse_index,cycle', not "
                             "time,cycle,pulse_index,signal"),
         # a well-formed header count that the rows (cycles 0 ... 13) disagree with
-        ("fewer-cycles", "header num_cycles=3, but the rows span 14 cycles"),
-        ("more-cycles", "header num_cycles=20, but the rows span 14 cycles"),
+        ("fewer-cycles", "in each of num_cycles=3 cycles"),
+        ("more-cycles", "in each of num_cycles=20 cycles"),
+        # rows off the layout of cycle 0's slots (6, 13); a block has 13 slots
+        ("repeated-slot", "cycle 0's slots (here 3), increasing within 1 ... 13"),
+        ("slot-past-block-in-cycle-0", "cycle 0's slots (here 3), increasing within 1 ... 13"),
+        ("slot-past-block-in-cycle-1", "cycle 0's slots (here 2), increasing within 1 ... 13, "
+                                       "in each of num_cycles=14 cycles"),
+        ("no-pre-drive-row", "not the pre-drive one, then cycle 0's slots (here 1)"),
     ])
     def test_decode_reports_malformed_trace_as_json_error(self, tmp_path, capsys, damage,
                                                           problem):
         path = self.encoded_trace(tmp_path)
         lines = path.read_text().splitlines()
+        end_0, end_1 = (next(line for line in lines if line.split(",")[1:3] == [str(c), "13"])
+                        for c in (0, 1))  # the rows of slot 13 at t = 0.65 and 1.3
         # the first line starting with the first string is replaced by the others
         start, *new = {
             "header": ("# num_cycles=",),
@@ -383,6 +413,10 @@ class TestCodecPipeline:
             "swapped-columns": ("time,", "time,signal,pulse_index,cycle"),
             "fewer-cycles": ("# num_cycles=", "# num_cycles=3"),
             "more-cycles": ("# num_cycles=", "# num_cycles=20"),
+            "repeated-slot": (end_0, end_0, "0.7,0,6,-1.0"),
+            "slot-past-block-in-cycle-0": (end_0, end_0, "0.7,0,999,-1.0"),
+            "slot-past-block-in-cycle-1": (end_1, end_1, "1.4,1,999,-1.0"),
+            "no-pre-drive-row": ("0.0,0,0,",),
         }[damage]
         at = next(i for i, line in enumerate(lines) if line.startswith(start))
         lines[at:at + 1] = new

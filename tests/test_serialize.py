@@ -7,7 +7,7 @@ import pytest
 from rondeau import serialize
 from rondeau.analysis import symbol_dft
 from rondeau.dephasing import DephasingParams, model_signal
-from rondeau.sequences import MonopoleSpec, sample_rmd, thue_morse_stream
+from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 from rondeau.spins import compute_couplings, generate_graph
 
 
@@ -43,6 +43,19 @@ def test_trace_round_trip_bit_exact(tmp_path):
     assert again.block_duration == trace.block_duration
     assert again.num_cycles == trace.num_cycles
     assert again.meta["engine"] == "dephasing"
+
+
+@pytest.mark.parametrize("num_cycles", [0, 2, -1])
+def test_trace_of_only_the_pre_drive_row_reads_as_zero_cycles(tmp_path, num_cycles):
+    spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
+    trace = model_signal(SymbolStream.from_text(""), DephasingParams(spec=spec, gamma_0=0.01))
+    path = tmp_path / "trace.csv"
+    serialize.write_trace(path, dataclasses.replace(trace, num_cycles=num_cycles))
+    if num_cycles == 0:
+        assert serialize.read_trace(path).num_cycles == 0
+    else:
+        with pytest.raises(ValueError, match=f"{path}: the rows are not"):
+            serialize.read_trace(path)
 
 
 def test_spectrum_round_trip(tmp_path):

@@ -1,5 +1,7 @@
-"""Strict read-back of spectrum.csv and phase_diagram.csv against the results written."""
+"""Strict read-back of spectrum.csv and phase_diagram.csv against the results written,
+and the seed layout of a phase diagram's rows."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +10,9 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau import serialize
-from rondeau.runner import RunConfig, run
+from rondeau.analysis import dft_stroboscopic
+from rondeau.evolution import evolve_blockwise
+from rondeau.runner import RunConfig, derive_seed, run
 
 SMALL = dict(engine="full", num_spins=4, pulses_per_block=12, kick_plus=8, kick_minus=4,
              tau=0.05, seed=4, cycles=16)
@@ -103,3 +107,21 @@ def test_thue_morse_spectrum_evolves_its_single_drive_once(tmp_path, monkeypatch
     assert len(evolved) == 1
     assert meta["realizations"] == summary["realizations"] == 1
     assert np.all(rows[:, 2] == 0.0)
+
+
+def test_phase_diagram_row_i_averages_the_drives_seeded_by_point_i(tmp_path, written):
+    """Row i is the mean stroboscopic |DFT|**2 of drives r seeded derive_seed(seed, i, r),
+    with i the angle's place in gamma_grid, not in the sorted map."""
+    gammas = (1.1 * math.pi, 0.9 * math.pi, math.pi)
+    config = RunConfig(kind="phase-diagram", out_dir=str(tmp_path), n_order="1",
+                       realizations=2, normalization="none", gamma_grid=gammas, **SMALL)
+    run(config)
+    (_, diagram), _ = written["write_phase_diagram"]
+    system = runner.FullSystem(config)
+    for i, gamma in enumerate(gammas):
+        props = runner._block_set(system, config, dataclasses.replace(config.spec(),
+                                                                      gamma_y=gamma))
+        traces = [evolve_blockwise(runner.make_stream("1", 16, derive_seed(4, i, r)), props,
+                                   system.psi0) for r in range(2)]
+        row = np.mean([dft_stroboscopic(t).amplitudes**2 for t in traces], axis=0)
+        assert np.array_equal(diagram.intensity[sorted(gammas).index(gamma)], row), i
