@@ -2,7 +2,8 @@
 
 Every analysis picks a trace's samples by pulse slot, never by time: the
 stroboscopic ones (t = 0, then each cycle's block end) and the half-period
-ones (each cycle's `half_sample_slot`); a trace lacking one is rejected.
+ones (each cycle's `half_sample_slot`); a trace that does not read the slot
+is rejected.
 
 All discrete Fourier transforms use the 1/M normalization on the grid
 omega_k = 2 pi k / M, where M is the number of drive cycles the trace
@@ -98,27 +99,14 @@ def symbol_dft(stream: SymbolStream) -> SpectrumResult:
     return SpectrumResult(omegas=omegas, amplitudes=amps, kind=SYMBOL)
 
 
-def _slot_samples(trace: SignalTrace, slot: int) -> np.ndarray:
-    """Value after slot ``slot`` of each cycle; a ValueError names the cycles lacking one."""
-    rows = np.flatnonzero((trace.pulse_index == slot) & (trace.cycle_index < trace.num_cycles))
-    pick = np.full(trace.num_cycles, -1)
-    pick[trace.cycle_index[rows]] = rows
-    missing = np.flatnonzero(pick < 0)
-    if missing.size:
-        raise ValueError(f"trace has no slot {slot} sample in cycles {missing.tolist()}")
-    return trace.values[pick]
-
-
 def half_period_samples(trace: SignalTrace) -> np.ndarray:
     """Micromotion samples: the `half_sample_slot` sample of each cycle."""
-    return _slot_samples(trace, half_sample_slot(trace))
+    return trace.slot_values(half_sample_slot(trace))
 
 
 def stroboscopic_samples(trace: SignalTrace) -> tuple[np.ndarray, np.ndarray]:
     """(l*T, value) for l = 0 .. cycles: the t = 0 sample, then each block-end sample."""
-    if not len(trace) or trace.pulse_index[0] != 0:
-        raise ValueError("trace has no t = 0 sample")
-    values = np.concatenate([trace.values[:1], _slot_samples(trace, trace.slots_per_block)])
+    values = np.concatenate([trace.values[:1], trace.slot_values(trace.slots_per_block)])
     return trace.block_duration * np.arange(trace.num_cycles + 1), values
 
 

@@ -6,7 +6,7 @@ away before the next kick and is dropped.  An intrinsic rate Gamma_0
 accounts for the residual decay of the spin-locked polarization.  The model
 is read at the same readout slots as the full engines, placed in time by the
 same `SignalTrace.at_slots`, and counts the kicks before each sample from
-the trace's own cycle and slot indices.  It is the fast oracle the exact
+the trace's slots.  It is the fast oracle the exact
 simulator and the codec are validated against.
 """
 
@@ -26,13 +26,13 @@ class DephasingParams:
     """Inputs of the dephasing model.
 
     The kick deviation is ``spec.epsilon`` (gamma_y - pi); ``gamma_0`` the
-    intrinsic decay rate (measured, not predicted); ``readout`` the increasing
-    slots read in each cycle, ending at the block end, or None for every slot.
+    intrinsic decay rate (measured, not predicted); ``slots`` the increasing
+    slots read in each cycle, ending at the block end.
     """
 
     spec: MonopoleSpec
+    slots: tuple[int, ...]
     gamma_0: float = 0.0
-    readout: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.gamma_0 < 0:
@@ -40,7 +40,7 @@ class DephasingParams:
 
 
 def model_signal(stream: SymbolStream, params: DephasingParams) -> SignalTrace:
-    """Noise-free trace at the ``params.readout`` slots of every cycle, normalized to 1 at t = 0.
+    """Noise-free trace at the ``params.slots`` of every cycle, normalized to 1 at t = 0.
 
     The value after slot j of cycle l is (-cos eps)**kicks *
     exp(-Gamma_0 * t) with kicks = l + (j > the block's kick slot); at a
@@ -48,15 +48,14 @@ def model_signal(stream: SymbolStream, params: DephasingParams) -> SignalTrace:
     law (-1)**cycle * symbol for eps = 0.
     """
     spec = params.spec
-    slots = params.readout or range(1, spec.slots_per_block + 1)
     trace = SignalTrace.at_slots(
-        spec, slots, np.empty(1 + len(stream) * len(slots)),
+        spec, params.slots, np.empty(1 + len(stream) * len(params.slots)),
         meta={"engine": "dephasing", "stream_seed": stream.seed,
               "n_order": order_label(stream), "gamma_y": spec.gamma_y,
               "epsilon": spec.epsilon, "gamma_0": params.gamma_0,
               "tau": spec.tau})
-    cycle, slot = trace.cycle_index[1:], trace.pulse_index[1:]  # after the pre-drive one
-    kick_slot = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[cycle]
-    kicks = np.concatenate([[0], cycle + (slot > kick_slot)])
+    kick_slot = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[:, None]
+    kicks = np.arange(len(stream))[:, None] + (np.array(trace.slots) > kick_slot)
+    kicks = np.concatenate([[0], kicks.ravel()])  # the pre-drive sample first
     trace.values = np.power(-math.cos(spec.epsilon), kicks) * np.exp(-params.gamma_0 * trace.times)
     return trace

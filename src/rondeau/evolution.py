@@ -59,19 +59,17 @@ class PulseProgram:
 
 @dataclass(eq=False)
 class SignalTrace:
-    """Per-readout total-Ix record with timing metadata.
+    """Total-Ix record: the pre-drive sample at t = 0, then ``slots`` of every cycle.
 
-    ``pulse_index`` is the 1-based slot within the block, up to ``slots_per_block``
-    (0 marks the pre-drive sample at t=0); ``cycle_index`` is the block number.  The
+    ``slots`` are the increasing 1-based slots read in each block, up to
+    ``slots_per_block``; a trace of no cycle may read the block end alone.  The
     engines record noise-free values; :meth:`with_noise` adds read-out noise.
     """
 
     times: np.ndarray
     values: np.ndarray
-    cycle_index: np.ndarray
-    pulse_index: np.ndarray
+    slots: tuple
     block_duration: float
-    num_cycles: int
     slots_per_block: int
     meta: dict = field(default_factory=dict)
 
@@ -82,6 +80,16 @@ class SignalTrace:
     def __len__(self) -> int:
         return self.times.size
 
+    @property
+    def num_cycles(self) -> int:
+        return (len(self.values) - 1) // len(self.slots)
+
+    def slot_values(self, slot: int) -> np.ndarray:
+        """The value read after ``slot`` in each cycle: a strided slice of ``values``."""
+        if slot not in self.slots:
+            raise ValueError(f"the trace reads slots {self.slots}, not slot {slot}")
+        return self.values[1 + self.slots.index(slot)::len(self.slots)]
+
     @classmethod
     def at_slots(cls, spec: MonopoleSpec, slots, values, meta: dict) -> "SignalTrace":
         """Trace of ``values`` read at the pre-drive (0, 0), then at ``slots`` of every cycle.
@@ -90,14 +98,13 @@ class SignalTrace:
         the slot sum can miss by an ulp; every other sample of cycle l is at
         l T + slot tau, the pre-drive one at t = 0.
         """
-        num_cycles = (len(values) - 1) // len(slots)
-        cycle_index, pulse_index = cls.slot_layout(slots, num_cycles)
+        slots = tuple(slots)
+        cycle_index, pulse_index = cls.slot_layout(slots, (len(values) - 1) // len(slots))
         T = spec.block_duration
         times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
                          cycle_index * T + pulse_index * spec.tau)
-        return cls(times=times, values=np.asarray(values, dtype=float),
-                   cycle_index=cycle_index, pulse_index=pulse_index, block_duration=T,
-                   num_cycles=num_cycles, slots_per_block=spec.slots_per_block, meta=meta)
+        return cls(times=times, values=np.asarray(values, dtype=float), slots=slots,
+                   block_duration=T, slots_per_block=spec.slots_per_block, meta=meta)
 
     @staticmethod
     def slot_layout(slots, num_cycles: int) -> tuple[np.ndarray, np.ndarray]:

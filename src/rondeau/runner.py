@@ -342,7 +342,7 @@ def _block_set(system: FullSystem | None, config: RunConfig,
     """
     slots = _readout_slots(config)
     if system is None:
-        return DephasingParams(spec=spec, gamma_0=config.gamma_0, readout=slots)
+        return DephasingParams(spec=spec, slots=slots, gamma_0=config.gamma_0)
     return system.factory(spec, slots).block_set(spec.gamma_y)
 
 
@@ -372,14 +372,14 @@ def _realization_spectra(system: FullSystem | None, config: RunConfig, spec: Mon
                          i: int) -> list[SpectrumResult]:
     """DFTs of the `_drive_realizations` streams of sweep point ``i``, stream r seeded
     ``derive_seed(seed, i, r)``: of the stream itself for a symbol spectrum, else of its
-    trace under `_block_set` at ``spec``, micromotion where the run reads two slots."""
+    trace under `_block_set` at ``spec``, micromotion where the trace reads two slots."""
     streams = (make_stream(config.n_order, config.cycles, derive_seed(config.seed, i, r))
                for r in range(_drive_realizations(config)))
     if config.kind == "spectrum" and config.spectrum_kind == "symbol":
         return [symbol_dft(stream) for stream in streams]
     props = _block_set(system, config, spec)
-    dft = dft_micromotion if len(_readout_slots(config)) > 1 else dft_stroboscopic
-    return [dft(_drive_trace(system, props, stream)) for stream in streams]
+    traces = (_drive_trace(system, props, stream) for stream in streams)
+    return [(dft_micromotion if len(t.slots) > 1 else dft_stroboscopic)(t) for t in traces]
 
 
 # -- experiment handlers ----------------------------------------------------

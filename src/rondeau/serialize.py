@@ -144,7 +144,8 @@ def write_trace(path, trace: SignalTrace):
     """Trace table; its header carries ``slots_per_block`` as ``pulses_per_block``."""
     meta = {**trace.meta, "pulses_per_block": trace.slots_per_block - 1,
             "block_duration": trace.block_duration, "num_cycles": trace.num_cycles}
-    _write(path, meta, _TRACE, trace.times, trace.cycle_index, trace.pulse_index, trace.values)
+    _write(path, meta, _TRACE, trace.times,
+           *SignalTrace.slot_layout(trace.slots, trace.num_cycles), trace.values)
 
 
 def read_trace(path) -> SignalTrace:
@@ -152,7 +153,8 @@ def read_trace(path) -> SignalTrace:
     ``num_cycles`` and the number ``block_duration``; the columns are float ``time``, int
     ``cycle`` and ``pulse_index``, float ``signal``.  The rows are the pre-drive one (cycle 0,
     slot 0), then cycle 0's slots, increasing within 1 ... pulses_per_block + 1, in each cycle
-    0 ... num_cycles - 1.  Else a ValueError names the file and what is at fault."""
+    0 ... num_cycles - 1; a file of the pre-drive row alone reads the block end.  Else a
+    ValueError names the file and what is at fault."""
     meta, (times, cycles, pulses, values) = _read(
         path, {"pulses_per_block": int, "block_duration": _NUMBER, "num_cycles": int}, _TRACE)
     slots, n, end = pulses[1:][cycles[1:] == 0], meta["num_cycles"], meta["pulses_per_block"] + 1
@@ -161,10 +163,9 @@ def read_trace(path) -> SignalTrace:
         raise ValueError(f"{path}: the rows are not the pre-drive one, then cycle 0's slots "
                          f"(here {slots.size}), increasing within 1 ... {end}, in each of "
                          f"num_cycles={n} cycles")
-    return SignalTrace(times=times, values=values, cycle_index=cycles, pulse_index=pulses,
-                       block_duration=meta.pop("block_duration"),
-                       num_cycles=meta.pop("num_cycles"),
-                       slots_per_block=meta.pop("pulses_per_block") + 1, meta=meta)
+    del meta["num_cycles"], meta["pulses_per_block"]  # the rows per slot, end - 1
+    return SignalTrace(times=times, values=values, slots=tuple(slots.tolist()) or (end,),
+                       block_duration=meta.pop("block_duration"), slots_per_block=end, meta=meta)
 
 
 def write_phase_diagram(path, diagram: PhaseDiagram):

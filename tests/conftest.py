@@ -37,3 +37,8 @@ def half_period(spec):
 def block_end(spec):
     """Readout slots of the stroboscopic runs: the block end alone."""
     return (spec.slots_per_block,)
+
+
+def every_slot(spec):
+    """Readout slots of the per-pulse trace: every slot of the block."""
+    return tuple(range(1, spec.slots_per_block + 1))

@@ -13,27 +13,19 @@ from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import SignalTrace
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 
+from conftest import half_period
 from oracles import pi_shift_mirror
 
 
 def strobo_trace(values, block_duration=1.0):
     """Trace of purely stroboscopic samples at t = 0, T, 2T, ..."""
-    values = np.asarray(values, dtype=float)
-    m = values.size - 1
-    return SignalTrace(
-        times=block_duration * np.arange(m + 1),
-        values=values,
-        cycle_index=np.maximum(np.arange(m + 1) - 1, 0),
-        pulse_index=np.where(np.arange(m + 1) == 0, 0, 13),
-        block_duration=block_duration,
-        num_cycles=m,
-        slots_per_block=13,
-    )
+    return SignalTrace(times=block_duration * np.arange(len(values)), values=np.asarray(
+        values, dtype=float), slots=(13,), block_duration=block_duration, slots_per_block=13)
 
 
 def model_trace(stream, spec, epsilon=0.0, gamma_0=0.0, **kwargs):
     params = DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon),
-                             gamma_0=gamma_0)
+                             slots=half_period(spec), gamma_0=gamma_0)
     return model_signal(stream, params, **kwargs)
 
 

@@ -21,7 +21,7 @@ printable_7bit = st.text(alphabet=string.printable, min_size=1, max_size=64)
 
 def channel(stream, spec, epsilon=0.0, gamma_0=0.0, **kwargs):
     params = DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon),
-                             gamma_0=gamma_0)
+                             slots=half_period(spec), gamma_0=gamma_0)
     return model_signal(stream, params, **kwargs)
 
 
@@ -105,8 +105,7 @@ class TestDecode:
         # force one half-period sample to zero magnitude
         from rondeau.evolution import half_sample_slot
         h = half_sample_slot(short_spec)
-        mask = (trace.pulse_index == h) & (trace.cycle_index == 3)
-        trace.values[mask] = 0.0
+        trace.slot_values(h)[3] = 0.0  # a view of trace.values
         with pytest.raises(LowConfidenceError) as err:
             decode(trace)
         assert err.value.cycles == [3]

@@ -7,14 +7,18 @@ import pytest
 from rondeau.analysis import (dft_micromotion, fit_power_law, half_period_samples,
                               stroboscopic_samples, symbol_dft)
 from rondeau.dephasing import DephasingParams, model_signal
+from rondeau.evolution import SignalTrace
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 
+from conftest import every_slot
 from oracles import pi_shift_mirror, predicted_rate
 
 
 def params_for(spec, epsilon=0.0, **kwargs):
-    """Model parameters with the kick deviation ``epsilon`` set through ``spec.gamma_y``."""
-    return DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon), **kwargs)
+    """Model parameters read at every slot, with the kick deviation ``epsilon`` set
+    through ``spec.gamma_y``."""
+    return DephasingParams(spec=dataclasses.replace(spec, gamma_y=math.pi + epsilon),
+                           slots=every_slot(spec), **kwargs)
 
 
 def swept_params(spec, period, offset=0.0, slope=0.0):
@@ -58,11 +62,14 @@ class TestModelSignal:
         stream = sample_rmd(1, 8, seed=2)
         params = params_for(short_spec, epsilon=0.1, gamma_0=0.05)
         every = model_signal(stream, params)
-        read = model_signal(stream, dataclasses.replace(params, readout=(3, 6, 13)))
-        keep = np.isin(every.pulse_index, (0, 3, 6, 13))
-        for name in ("times", "values", "cycle_index", "pulse_index"):
+        read = model_signal(stream, dataclasses.replace(params, slots=(3, 6, 13)))
+        keep = np.isin(SignalTrace.slot_layout(every.slots, 8)[1], (0, 3, 6, 13))
+        for name in ("times", "values"):
             assert np.array_equal(getattr(read, name), getattr(every, name)[keep])
+        assert read.slots == (3, 6, 13)
         assert read.num_cycles == every.num_cycles == 8
+        for slot in read.slots:
+            assert np.array_equal(read.slot_values(slot), every.slot_values(slot))
 
     def test_empty_stream_gives_the_pre_drive_sample(self, short_spec):
         trace = model_signal(SymbolStream.from_text(""), params_for(short_spec, gamma_0=0.1))

@@ -7,19 +7,45 @@ from scipy.linalg import expm
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
-                               PulseProgram, evolve, evolve_blockwise,
+                               PulseProgram, SignalTrace, evolve, evolve_blockwise,
                                free_propagator, half_sample_slot, initial_state,
                                rotation_gate, total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from conftest import block_end, half_period
+from conftest import block_end, every_slot, half_period
 from oracles import (apply_gates, dense_free, dense_free_propagator, global_rotation_matrix,
                      total_iz_matrix, zero_hamiltonian)
 
 
 def stream_of(text):
     return SymbolStream.from_text(text)
+
+
+def rows(trace):
+    """The (cycle, slot) of each sample of ``trace``."""
+    return zip(*SignalTrace.slot_layout(trace.slots, trace.num_cycles))
+
+
+class TestSignalTrace:
+    def test_slot_values_are_the_samples_of_that_slot(self, short_spec):
+        trace = SignalTrace.at_slots(short_spec, range(4, 14, 3), np.arange(1.0, 18.0), {})
+        assert trace.slots == (4, 7, 10, 13) and trace.num_cycles == 4
+        _, slot = SignalTrace.slot_layout(trace.slots, 4)
+        for s in trace.slots:
+            assert np.array_equal(trace.slot_values(s), trace.values[slot == s])
+        assert trace.slot_values(13).tolist() == [5.0, 9.0, 13.0, 17.0]
+
+    def test_slot_values_reject_a_slot_not_read(self, short_spec):
+        trace = SignalTrace.at_slots(short_spec, (6, 13), np.ones(5), {})
+        for slot in (0, 5, 14):
+            with pytest.raises(ValueError, match=rf"reads slots \(6, 13\), not slot {slot}$"):
+                trace.slot_values(slot)
+
+    def test_pre_drive_sample_alone_is_no_cycle(self, short_spec):
+        trace = SignalTrace.at_slots(short_spec, (13,), [2.0], {})
+        assert (trace.num_cycles, trace.times.tolist()) == (0, [0.0])
+        assert trace.slot_values(13).size == 0
 
 
 class TestInitialState:
@@ -102,19 +128,18 @@ class TestNonInteractingLimits:
         psi0 = initial_state(4)
         stream = sample_rmd(0, 16, seed=5)
         trace = evolve(PulseProgram(stream, spec), h0, psi0)
-        params = DephasingParams(spec=spec, gamma_0=0.0)
-        model = model_signal(stream, params)
+        model = model_signal(stream, DephasingParams(spec=spec, slots=every_slot(spec)))
         model.values *= total_ix(psi0, 4)
         assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12
         props = BlockPropagatorFactory(h0, spec, half_period(spec)).block_set()
         block = evolve_blockwise(stream, props, psi0)
-        by_slot = dict(zip(zip(trace.cycle_index, trace.pulse_index), trace.times))
-        shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
-        assert np.array_equal(shared, block.times)
+        by_slot = dict(zip(rows(trace), trace.times))
+        assert np.array_equal([by_slot[key] for key in rows(block)], block.times)
         for t in (trace, model, block):
-            ends = t.pulse_index == spec.slots_per_block
-            assert np.array_equal(t.times[ends], (t.cycle_index[ends] + 1) * spec.block_duration)
+            cycle, slot = SignalTrace.slot_layout(t.slots, t.num_cycles)
+            ends = slot == spec.slots_per_block
+            assert np.array_equal(t.times[ends], (cycle[ends] + 1) * spec.block_duration)
             assert ends.sum() == 16
 
 
@@ -173,12 +198,10 @@ class TestEvolveEngine:
         program = PulseProgram(sample_rmd(0, 3, seed=4), short_spec)
         trace = evolve(program, hamiltonian, psi0)
         assert trace.times[0] == 0.0
-        assert trace.pulse_index[0] == 0
         slots = short_spec.slots_per_block
+        assert trace.slots == tuple(range(1, slots + 1)) and trace.num_cycles == 3
         assert trace.times[slots] == pytest.approx(short_spec.block_duration)
-        assert trace.pulse_index[slots] == slots
-        assert trace.cycle_index[slots] == 0
-        assert trace.cycle_index[slots + 1] == 1
+        assert trace.times[slots + 1] == pytest.approx(short_spec.block_duration + short_spec.tau)
 
 
 def dense_evolve_values(program: PulseProgram, hamiltonian, psi0) -> np.ndarray:
@@ -237,8 +260,8 @@ def blockwise_deviation(hamiltonian, psi0, spec, slots) -> float:
     full = evolve(PulseProgram(stream, spec), hamiltonian, psi0)
     props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
     block = evolve_blockwise(stream, props, psi0)
-    by_slot = dict(zip(zip(full.cycle_index, full.pulse_index), full.values))
-    at_shared = [by_slot[key] for key in zip(block.cycle_index, block.pulse_index)]
+    by_slot = dict(zip(rows(full), full.values))
+    at_shared = [by_slot[key] for key in rows(block)]
     return float(np.abs(at_shared - block.values).max())
 
 
@@ -277,7 +300,7 @@ class TestBlockwiseEngine:
         _, _, hamiltonian, psi0 = small_system
         props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
         trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, psi0)
-        with pytest.raises(ValueError, match=r"slot 6 sample in cycles \[0, 1, 2, 3, 4, 5, 6, 7\]"):
+        with pytest.raises(ValueError, match=r"the trace reads slots \(13,\), not slot 6"):
             dft_micromotion(trace)
 
     def test_block_propagators_unitary(self, small_system, short_spec):

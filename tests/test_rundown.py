@@ -29,15 +29,9 @@ def reference_rundown(symbols, props, psi0, max_cycles, stop_factor=0.8):
             _check_norm(psi, f"cycle {ell + 1}")
         if abs(values[-1]) < target:
             break
-    m = len(values) - 1
-    times = T * np.arange(m + 1)
-    per_block = spec.slots_per_block
-    return SignalTrace(
-        times=times, values=np.array(values),
-        cycle_index=np.maximum(np.arange(m + 1) - 1, 0),
-        pulse_index=np.where(np.arange(m + 1) == 0, 0, per_block),
-        block_duration=T, num_cycles=m, slots_per_block=per_block,
-    )
+    return SignalTrace(times=T * np.arange(len(values)), values=np.array(values),
+                       slots=(spec.slots_per_block,), block_duration=T,
+                       slots_per_block=spec.slots_per_block)
 
 
 @pytest.mark.parametrize("tau, eps, order, max_cycles, outcome", [
@@ -68,8 +62,7 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
     assert trace.num_cycles == expected.num_cycles
     assert np.array_equal(trace.values, expected.values)
     assert np.array_equal(trace.times, expected.times)
-    assert np.array_equal(trace.cycle_index, expected.cycle_index)
-    assert np.array_equal(trace.pulse_index, expected.pulse_index)
+    assert trace.slots == expected.slots
     assert fit == lifetime(expected)
     if outcome == "crossed":
         assert expected.num_cycles < max_cycles

@@ -10,7 +10,6 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.cli import load_config_file, main
-from rondeau.codec import decode
 from rondeau.runner import ENGINES, KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.serialize import read_trace
 
@@ -358,15 +357,6 @@ class TestCodecPipeline:
         assert len(kept) == len(lines) - 1
         path.write_text("\n".join(kept) + "\n")
         return path
-
-    def test_missing_half_period_row_rejected(self, tmp_path):
-        # read_trace rejects such a file, so the row is dropped from the read trace
-        trace = read_trace(self.encoded_trace(tmp_path))
-        keep = (trace.cycle_index != 3) | (trace.pulse_index != 6)
-        trace = dataclasses.replace(trace, **{name: getattr(trace, name)[keep] for name in (
-            "times", "values", "cycle_index", "pulse_index")})
-        with pytest.raises(ValueError, match=r"cycles \[3\]"):
-            decode(trace)
 
     def test_decode_reports_missing_row_as_json_error(self, tmp_path, capsys):
         path = self.trace_without_row(tmp_path, cycle=3, slot=6)
