@@ -31,6 +31,9 @@ MIN_SPECTRUM_CYCLES = 8
 #: Bins on either side of omega = pi kept out of the contrast's background.
 CONTRAST_EXCLUDE = 3
 
+#: Phase-diagram scalings: rows to unit maximum, the whole map, or none.
+NORMALIZATIONS = ("row", "global", "none")
+
 
 class InsufficientDataError(ValueError):
     """Trace does not span enough cycles for the requested analysis."""
@@ -85,18 +88,18 @@ class PhaseDiagram:
     normalization: str = "row"
 
 
-def _dft_amplitudes(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dft(samples: np.ndarray, kind: str, least: int = MIN_SPECTRUM_CYCLES) -> SpectrumResult:
+    """Spectrum of ``samples``, one per cycle; InsufficientDataError for fewer than ``least``."""
     m = samples.size
-    omegas = 2.0 * np.pi * np.arange(m) / m
-    return omegas, np.abs(np.fft.fft(samples)) / m
+    if m < least:
+        raise InsufficientDataError(f"a {kind} spectrum needs {least} or more cycles, got {m}")
+    return SpectrumResult(omegas=2.0 * np.pi * np.arange(m) / m,
+                          amplitudes=np.abs(np.fft.fft(samples)) / m, kind=kind)
 
 
 def symbol_dft(stream: SymbolStream) -> SpectrumResult:
     """Spectrum of the drive itself, symbols mapped to +-1."""
-    if len(stream) == 0:
-        raise InsufficientDataError("empty stream has no spectrum")
-    omegas, amps = _dft_amplitudes(stream.symbols.astype(float))
-    return SpectrumResult(omegas=omegas, amplitudes=amps, kind=SYMBOL)
+    return _dft(stream.symbols.astype(float), SYMBOL, least=1)
 
 
 def half_period_samples(trace: SignalTrace) -> np.ndarray:
@@ -117,24 +120,12 @@ def digitize(values: np.ndarray) -> np.ndarray:
 
 def dft_micromotion(trace: SignalTrace) -> SpectrumResult:
     """Spectrum of the digitized half-period micromotion."""
-    if trace.num_cycles < MIN_SPECTRUM_CYCLES:
-        raise InsufficientDataError(
-            f"need at least {MIN_SPECTRUM_CYCLES} cycles, got {trace.num_cycles}"
-        )
-    signs = digitize(half_period_samples(trace))
-    omegas, amps = _dft_amplitudes(signs)
-    return SpectrumResult(omegas=omegas, amplitudes=amps, kind=MICROMOTION)
+    return _dft(digitize(half_period_samples(trace)), MICROMOTION)
 
 
 def dft_stroboscopic(trace: SignalTrace) -> SpectrumResult:
     """Spectrum of the raw signal at stroboscopic times l*T, l = 0 .. M-1."""
-    if trace.num_cycles < MIN_SPECTRUM_CYCLES:
-        raise InsufficientDataError(
-            f"need at least {MIN_SPECTRUM_CYCLES} cycles, got {trace.num_cycles}"
-        )
-    _, values = stroboscopic_samples(trace)
-    omegas, amps = _dft_amplitudes(values[:-1])
-    return SpectrumResult(omegas=omegas, amplitudes=amps, kind=STROBOSCOPIC)
+    return _dft(stroboscopic_samples(trace)[1][:-1], STROBOSCOPIC)
 
 
 def lifetime(trace: SignalTrace) -> HeatingFit:
@@ -189,7 +180,7 @@ def phase_diagram(gammas, rows, block_duration: float, n_order=None, realization
     ``normalization`` scales rows to unit maximum ("row"), the whole map
     ("global"), or not at all ("none").
     """
-    if normalization not in ("row", "global", "none"):
+    if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     gammas = np.asarray(gammas, dtype=float)
     order = np.argsort(gammas)

@@ -20,9 +20,11 @@ import sys
 
 import numpy as np
 
+from .analysis import NORMALIZATIONS
 from .codec import capacity
-from .runner import ConfigError, RunConfig, run
+from .runner import ENGINES, SPECTRUM_KINDS, ConfigError, RunConfig, run
 from .sequences import MonopoleSpec
+from .spins import COUPLING_MODELS
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _TUPLE_FLOAT_FIELDS = {"gamma_grid", "eps_grid", "tau_grid"}
@@ -67,15 +69,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="INI config file")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--engine", choices=["full", "dephasing"])
+    p.add_argument("--engine", choices=ENGINES)
 
 
 def _add_system(p: argparse.ArgumentParser):
     p.add_argument("--spins", type=int, dest="num_spins")
     p.add_argument("--graph-seed", type=int, dest="graph_seed")
     p.add_argument("--coupling-median", type=float, dest="coupling_median")
-    p.add_argument("--coupling-model", choices=["isotropic", "angular"],
-                   dest="coupling_model")
+    p.add_argument("--coupling-model", choices=COUPLING_MODELS, dest="coupling_model")
     p.add_argument("--decay-time", type=float, dest="decay_time")
     p.add_argument("--gamma-0", type=float, dest="gamma_0",
                    help="intrinsic rate for the dephasing engine")
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=0.5 * math.pi)
     p.add_argument("--gamma-max", type=float, default=1.15 * math.pi)
     p.add_argument("--gamma-points", type=int, default=14)
-    p.add_argument("--normalization", choices=["row", "global", "none"])
+    p.add_argument("--normalization", choices=NORMALIZATIONS)
 
     p = sub.add_parser(
         "heating", help="decay-rate scaling sweeps",
@@ -143,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="seed-averaged DFT amplitudes")
     _add_common(p); _add_system(p); _add_drive(p)
-    p.add_argument("--kind", choices=["symbol", "micromotion", "stroboscopic"],
-                   dest="spectrum_kind")
+    p.add_argument("--kind", choices=SPECTRUM_KINDS, dest="spectrum_kind")
 
     p = sub.add_parser("encode", help="encode text into a drive and its trace")
     _add_common(p); _add_system(p); _add_drive(p)

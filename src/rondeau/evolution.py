@@ -85,7 +85,7 @@ class SignalTrace:
         return (len(self.values) - 1) // len(self.slots)
 
     def slot_values(self, slot: int) -> np.ndarray:
-        """The value read after ``slot`` in each cycle: a strided slice of ``values``."""
+        """The value read after ``slot`` in each cycle: a strided view of ``values``."""
         if slot not in self.slots:
             raise ValueError(f"the trace reads slots {self.slots}, not slot {slot}")
         return self.values[1 + self.slots.index(slot)::len(self.slots)]

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (MIN_SPECTRUM_CYCLES, HeatingFit, SpectrumResult, fit_power_law,
-                       half_frequency_contrast, lifetime, min_contrast_cycles, phase_diagram,
-                       dft_micromotion, dft_stroboscopic, symbol_dft)
+from .analysis import (MIN_SPECTRUM_CYCLES, NORMALIZATIONS, HeatingFit, SpectrumResult,
+                       fit_power_law, half_frequency_contrast, lifetime, min_contrast_cycles,
+                       phase_diagram, dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
@@ -31,7 +31,8 @@ from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, 
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
                         thue_morse_stream)
-from .spins import DEFAULT_SPIN_CAP, build_hamiltonian, compute_couplings, generate_graph
+from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, build_hamiltonian, compute_couplings,
+                    cube_edge, generate_graph)
 from . import serialize
 
 KINDS = ("trace", "phase-diagram", "heating-eps", "heating-period",
@@ -113,10 +114,11 @@ class RunConfig:
     threshold: float = 0.0
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}")
+        for name, known in (("kind", KINDS), ("engine", ENGINES),
+                            ("spectrum_kind", SPECTRUM_KINDS), ("normalization", NORMALIZATIONS),
+                            ("coupling_model", COUPLING_MODELS)):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, not one of {known}")
         if self.threads != 1:
             raise ConfigError("threads must be 1: every run is single-threaded")
         for name in ("cycles", "realizations", "graph_realizations", "max_cycles"):
@@ -132,8 +134,6 @@ class RunConfig:
             raise ConfigError("tau_grid entries must be > 0")
         if self.readout_noise > 0 and self.kind not in ("trace", "encode"):
             raise ConfigError(f"readout_noise is seeded only by trace and encode, not {self.kind}")
-        if self.spectrum_kind not in SPECTRUM_KINDS:
-            raise ConfigError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
             raise ConfigError("phase-diagram requires a gamma_grid")
         if len(set(self.gamma_grid)) < len(self.gamma_grid):
@@ -170,15 +170,19 @@ class RunConfig:
             if length > DEFAULT_MAX_SYMBOLS:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
+        if _builds_systems(self) and not 2 <= self.num_spins <= DEFAULT_SPIN_CAP:
+            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
+                              f"needs between 2 spins and the cap of {DEFAULT_SPIN_CAP} spins")
         try:  # a decode reads its drive layout from the trace file
             spec = self.spec() if self.kind != "decode" else None
             if self.kind != "trace" and len(_readout_slots(self)) > 1:
                 check_kick_layout(spec)
+            if _builds_systems(self):
+                cube_edge(self.num_spins, self.edge_length, self.r_min, self.r_max)
+            if self.kind == "encode":
+                Message(self.text)  # an EncodingError for text outside 7 bits
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if _builds_systems(self) and not 2 <= self.num_spins <= DEFAULT_SPIN_CAP:
-            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs between 2 spins and the cap of {DEFAULT_SPIN_CAP} spins")
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
         if estimate > memory:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "

@@ -140,6 +140,18 @@ def write_couplings(path, couplings: CouplingSet):
            _COUPLINGS, k, l, couplings.couplings[k, l])
 
 
+def read_couplings(path) -> CouplingSet:
+    """Couplings written by `write_couplings`: the rows must be the pairs k < l in order."""
+    meta, (k, l, values) = _read(path, {"median_coupling": _NUMBER, "mean_coupling": _NUMBER,
+                                        "model": str}, _COUPLINGS)
+    n = math.isqrt(2 * k.size) + 1  # k.size = n (n - 1) / 2 pairs
+    if not all(map(np.array_equal, np.triu_indices(n, k=1), (k, l))):
+        raise ValueError(f"{path}: the rows are not the pairs k < l of {n} spins in order")
+    couplings = np.zeros((n, n))
+    couplings[k, l] = couplings[l, k] = values
+    return CouplingSet(couplings, median_coupling=meta["median_coupling"], model=meta["model"])
+
+
 def write_trace(path, trace: SignalTrace):
     """Trace table; its header carries ``slots_per_block`` as ``pulses_per_block``."""
     meta = {**trace.meta, "pulses_per_block": trace.slots_per_block - 1,
@@ -163,7 +175,7 @@ def read_trace(path) -> SignalTrace:
         raise ValueError(f"{path}: the rows are not the pre-drive one, then cycle 0's slots "
                          f"(here {slots.size}), increasing within 1 ... {end}, in each of "
                          f"num_cycles={n} cycles")
-    del meta["num_cycles"], meta["pulses_per_block"]  # the rows per slot, end - 1
+    del meta["num_cycles"], meta["pulses_per_block"]  # the trace derives both
     return SignalTrace(times=times, values=values, slots=tuple(slots.tolist()) or (end,),
                        block_duration=meta.pop("block_duration"), slots_per_block=end, meta=meta)
 

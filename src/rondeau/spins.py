@@ -16,6 +16,7 @@ import numpy as np
 
 ISOTROPIC = "isotropic"
 ANGULAR = "angular"
+COUPLING_MODELS = (ISOTROPIC, ANGULAR)
 
 #: Largest spin count for which a Hamiltonian is built.
 DEFAULT_SPIN_CAP = 14
@@ -35,6 +36,15 @@ class NormalizationError(ValueError):
 def default_edge_length(num_spins: int) -> float:
     """Cube edge giving unit number density, i.e. spacing of order one."""
     return float(num_spins) ** (1.0 / 3.0)
+
+
+def cube_edge(num_spins: int, edge_length: float | None, r_min: float, r_max: float) -> float:
+    """``edge_length``, by default `default_edge_length`; a ValueError unless
+    0 < r_min < r_max < edge_length."""
+    edge = default_edge_length(num_spins) if edge_length is None else edge_length
+    if not (0 < r_min < r_max < edge):
+        raise ValueError(f"need 0 < r_min < r_max < edge_length, got {r_min}, {r_max}, {edge}")
+    return edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +131,7 @@ def generate_graph(num_spins: int,
     """
     if num_spins < 2:
         raise ValueError(f"need at least 2 spins, got {num_spins}")
-    if edge_length is None:
-        edge_length = default_edge_length(num_spins)
-    if not (0 < r_min < r_max < edge_length):
-        raise ValueError(
-            f"need 0 < r_min < r_max < edge_length, got {r_min}, {r_max}, {edge_length}"
-        )
+    edge_length = cube_edge(num_spins, edge_length, r_min, r_max)
     rng = np.random.Generator(np.random.PCG64(seed))
     positions = np.empty((num_spins, 3))
     positions[0] = rng.uniform(0.0, edge_length, size=3)
@@ -155,7 +160,7 @@ def compute_couplings(graph: SpinGraph, coupling_median: float = 1.0,
     ANGULAR keeps it explicit, B = C (3 cos**2 theta - 1) / (2 r**3) with
     theta measured from the z-axis.
     """
-    if model not in (ISOTROPIC, ANGULAR):
+    if model not in COUPLING_MODELS:
         raise ValueError(f"unknown coupling model {model!r}")
     n = graph.num_spins
     dist = graph.distances()

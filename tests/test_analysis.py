@@ -19,8 +19,9 @@ from oracles import pi_shift_mirror
 
 def strobo_trace(values, block_duration=1.0):
     """Trace of purely stroboscopic samples at t = 0, T, 2T, ..."""
-    return SignalTrace(times=block_duration * np.arange(len(values)), values=np.asarray(
-        values, dtype=float), slots=(13,), block_duration=block_duration, slots_per_block=13)
+    values = np.asarray(values, dtype=float)
+    return SignalTrace(times=block_duration * np.arange(values.size), values=values, slots=(13,),
+                       block_duration=block_duration, slots_per_block=13)
 
 
 def model_trace(stream, spec, epsilon=0.0, gamma_0=0.0, **kwargs):

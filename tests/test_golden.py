@@ -93,7 +93,8 @@ def test_check_writes_nothing_and_exits_1_on_a_failure(tmp_path, monkeypatch):
 _READERS = {"trace.csv": (serialize.read_trace, serialize.write_trace),
             "stream.txt": (serialize.read_stream, serialize.write_stream),
             "spectrum.csv": (serialize.read_spectrum, serialize.write_spectrum),
-            "graph.csv": (serialize.read_graph, serialize.write_graph)}
+            "graph.csv": (serialize.read_graph, serialize.write_graph),
+            "couplings.csv": (serialize.read_couplings, serialize.write_couplings)}
 
 
 @pytest.mark.parametrize("path", sorted(p.relative_to(EXPECTED) for name in _READERS

@@ -221,14 +221,39 @@ class TestRunConfig:
         assert err["error"] == "ConfigError" and problem in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("ini, argv, problem", [
+        ("normalization = foo", ["phase-diagram", "--spins", "4"],
+         "unknown normalization 'foo', not one of ('row', 'global', 'none')"),
+        ("normalization = foo", ["phase-diagram", "--engine", "dephasing"],
+         "unknown normalization 'foo'"),
+        ("coupling_model = foo", ["trace", "--spins", "4"],
+         "unknown coupling_model 'foo', not one of ('isotropic', 'angular')"),
+        ("r_min = 1.5", ["trace", "--spins", "4"],
+         "need 0 < r_min < r_max < edge_length, got 1.5, 1.1, "),
+        ("", ["encode", "--text", "h\u00e9llo"], "characters not 7-bit encodable: ['\u00e9']"),
+    ], ids=["normalization-full", "normalization-dephasing", "coupling-model", "r-min",
+            "encode-text"])
+    def test_bad_config_values_rejected_before_the_output_directory(
+            self, tmp_path, capsys, monkeypatch, ini, argv, problem):
+        monkeypatch.setattr(runner, "FullSystem",
+                            lambda *a: pytest.fail("built a system for a bad config"))
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(f"[run]\n{ini}\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config_file), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and problem in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [
         dict(engine="dephasing", kind="trace"),
         dict(kind="decode", trace_file="trace.csv"),
         dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=4),
     ])
-    def test_spin_cap_spares_runs_that_build_no_system(self, monkeypatch, overrides):
+    def test_spin_cap_and_geometry_spare_runs_that_build_no_system(self, monkeypatch,
+                                                                   overrides):
         monkeypatch.setattr(runner, "_physical_memory", lambda: 64 * 2**30)
-        RunConfig(out_dir="x", num_spins=15, **overrides).validate()
+        RunConfig(out_dir="x", num_spins=15, r_min=1.5, **overrides).validate()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dephasing_engine_never_rejected_for_memory(self, monkeypatch, kind):

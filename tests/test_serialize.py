@@ -82,22 +82,21 @@ def test_graph_round_trip(tmp_path):
     assert again.r_min == graph.r_min
 
 
-def test_couplings_file_lists_all_pairs(tmp_path):
-    couplings = compute_couplings(generate_graph(5, seed=3), 1.0)
+def test_couplings_file_lists_all_pairs_and_reads_back(tmp_path):
+    couplings = compute_couplings(generate_graph(5, seed=3), 1.0, model="angular")
     path = tmp_path / "couplings.csv"
     serialize.write_couplings(path, couplings)
     lines = path.read_text().splitlines()
     data = [line for line in lines if line and not line.startswith("#")]
     assert data[0] == "k,l,coupling"
     assert len(data) - 1 == 10  # 5 choose 2
-    # no public reader: the CLI never reads it back, but it parses strictly and bit-exactly
-    meta, (k, l, values) = serialize._read(path, {"median_coupling": float, "model": str},
-                                           serialize._COUPLINGS)
-    assert np.array_equal(np.stack([k, l]), np.triu_indices(5, k=1))
-    assert np.array_equal(values, couplings.couplings[k, l])
-    assert np.array_equal(values, couplings.couplings[l, k])
-    assert meta["model"] == couplings.model
-    assert meta["median_coupling"] == couplings.median_coupling
+    again = serialize.read_couplings(path)
+    assert np.array_equal(again.couplings, couplings.couplings)
+    assert (again.model, again.median_coupling, again.mean_coupling) == (
+        couplings.model, couplings.median_coupling, couplings.mean_coupling)
+    path.write_text("\n".join(lines[:-1]) + "\n")  # 9 rows are no n (n - 1) / 2 pairs
+    with pytest.raises(ValueError, match="the rows are not the pairs k < l of 5 spins"):
+        serialize.read_couplings(path)
 
 
 def _write_stream(path):
@@ -110,6 +109,10 @@ def _write_spectrum(path):
 
 def _write_graph(path):
     serialize.write_graph(path, generate_graph(4, seed=9))
+
+
+def _write_couplings(path):
+    serialize.write_couplings(path, compute_couplings(generate_graph(4, seed=9), 1.0))
 
 
 @pytest.mark.parametrize("write, read, old, new, problem", [
@@ -128,8 +131,15 @@ def _write_graph(path):
      "data row 1 has the index cell '0.0', not a valid int"),
     (_write_graph, serialize.read_graph, "# r_max=", "# r_min=1.0\n# r_max=",
      "header key r_min is repeated"),
+    (_write_couplings, serialize.read_couplings, "0,1,", "1,0,",
+     "the rows are not the pairs k < l of 4 spins in order"),
+    (_write_couplings, serialize.read_couplings, "0,2,", "0,1,",
+     "the rows are not the pairs k < l of 4 spins in order"),
+    (_write_couplings, serialize.read_couplings, "# model=", "# mode=",
+     "lacks the header key(s) model"),
 ], ids=["stream-symbol", "stream-key", "spectrum-columns", "spectrum-cell", "spectrum-key",
-        "graph-columns", "graph-cell", "graph-key"])
+        "graph-columns", "graph-cell", "graph-key", "couplings-lower-pair",
+        "couplings-repeated-pair", "couplings-key"])
 def test_readers_name_the_file_and_the_defect(tmp_path, write, read, old, new, problem):
     """A bad cell, a wrong column (or symbol) line and a repeated header key: the first
     line starting with ``old`` starts with ``new`` instead."""
