@@ -14,11 +14,11 @@ records Ix after each, and :meth:`SignalTrace.at_slots` places the samples
 in time.  :func:`evolve` steps pulse by pulse (:class:`PulseStep`).  The
 factory steps between any slots by the interval rule of :func:`kick_layout`:
 powers of the spin-lock cycle operator, kept as their two half-size parity
-blocks under the global spin flip (:class:`ParityPair`), and for a step
+blocks under the global spin flip P (:class:`ParityPair`), and for a step
 holding the kick, which breaks that symmetry, two powers around the kick's
-gate layer (:class:`KickStep`).  No 2^n x 2^n matrix is built.  The
-per-pulse and blockwise operators are built independently, so each checks
-the other.
+gate layer (:class:`KickStep`); at gamma = pi, one parity component
+(:class:`ComponentStep`).  No 2^n x 2^n matrix is built.  The per-pulse and
+blockwise operators are built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .spins import Hamiltonian
 
 #: Relative norm drift beyond which the evolution is aborted.
 NORM_DRIFT_LIMIT = 1e-8
+#: Largest P = -1 weight w gamma = pi steps drop: Ix moves by <= n w / 2; rounding leaves 1e-25.
+PARITY_LEAK_LIMIT = 1e-20
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -289,36 +291,33 @@ class ParityPair:
         return out
 
 
-def cycle_parities(hamiltonian: Hamiltonian, spec: MonopoleSpec) -> list[np.ndarray]:
-    """[W₊, W₋], the parity blocks of the spin-lock cycle operator W = U_free · X.
+def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
+    """W₊ (``sign`` 1) or W₋ (-1), a parity block of the spin-lock cycle operator W = U_free · X.
 
-    Built from the sector blocks of U_free, never from a dense 2^n x 2^n
-    matrix.  With spin 0 the most significant bit, the x pulse has
+    Built sector by sector from the Hamiltonian's ``eigensystem``, never from
+    a dense 2^n x 2^n matrix.  With spin 0 the most significant bit, the x pulse has
     X[H₀, H₀] = x₀₀ X' and X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on
     the other n - 1 spins and R reverses the 2^(n-1) indices; so
     W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
     """
-    n = hamiltonian.num_spins
+    n = len(eigensystem) - 1
     dim, h = 1 << n, 1 << (n - 1)
     same = np.zeros((h, h), dtype=complex)      # U_free[H₀, H₀]
     flipped = np.zeros((h, h), dtype=complex)   # U_free[H₀, F(H₀)]
-    for idx, block in free_propagator(hamiltonian, spec.tau):
+    for idx, vals, vecs in eigensystem:
         low = idx < h
-        top = block[low]
+        top = ((vecs * np.exp(-1j * spec.tau * vals)) @ vecs.conj().T)[low]
         same[np.ix_(idx[low], idx[low])] = top[:, low]
         flipped[np.ix_(idx[low], dim - 1 - idx[~low])] = top[:, ~low]
-    unpulsed = [same + flipped, np.subtract(same, flipped, out=same)]   # U₊, U₋
-    del same, flipped
+    (np.add if sign > 0 else np.subtract)(same, flipped, out=same)   # U±
+    del flipped
     x = rotation_gate("x", spec.theta_x)
     # U± X' with X' applied to the columns: X'^T on the rows of U±^T
-    x_rest = gate_halves(x.T, n - 1)
-    bases = []
-    for sign in (1, -1):
-        u_x = apply_halves(unpulsed.pop(0).T, x_rest).T
-        w = x[0, 0] * u_x
-        w += sign * x[0, 1] * u_x[:, ::-1]
-        bases.append(w)
-    return bases
+    u_x = apply_halves(same.T, gate_halves(x.T, n - 1)).T
+    del same
+    w = x[0, 0] * u_x
+    w += sign * x[0, 1] * u_x[:, ::-1]
+    return w
 
 
 class PowerChain:
@@ -420,21 +419,16 @@ class BlockPropagatorFactory:
     of a block is therefore a plain power W^e or a product A · G(B) of two
     powers, A = W^a and B = W^b, where only the gate layer G = X^† · Y depends
     on the kick angle (:func:`kick_layout` derives the exponents from the
-    slots).  For the whole + block, A = W^(N+1-n₊) and B = W^(n₊).
-
-    The secular dipolar Hamiltonian and the x pulse both commute with the
-    global spin flip P, so W and its powers are :class:`ParityPair` s of
-    2^(n-1)-square blocks (`cycle_parities`).  The factory builds every power
-    that the layout of its readout ``slots`` names once, by one
-    :class:`PowerChain` run per parity that drops each intermediate after its
-    last use: a chain product is two half-size products, a quarter of the
-    dense flops.  G breaks P, so :meth:`block_set` keeps a kick step as its
-    factors, a :class:`KickStep` applied one state at a time; a plain step
-    stays a pair.  A block set therefore builds only the gate halves.
+    slots).  W commutes with the global spin flip P: ``blocks[s]`` holds the
+    P = s block of every power the layout names, built by one
+    :class:`PowerChain` run when first needed (P = +1 at once).  G breaks P,
+    so :meth:`block_set` keeps a kick step as a :class:`KickStep` of
+    :class:`ParityPair` powers, or at gamma = pi, where G keeps P eigenstates,
+    as a :class:`ComponentStep`: an even-n factory then never builds P = -1.
     """
 
-    #: Most half-size matrices `cycle_parities` holds while it builds W₊ and W₋.
-    BUILD_HALVES = 5
+    #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
+    BUILD_HALVES = 3
 
     def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
         self.hamiltonian = hamiltonian
@@ -442,25 +436,32 @@ class BlockPropagatorFactory:
         self.slots = tuple(slots)
         self.num_spins = hamiltonian.num_spins
         self.layout = kick_layout(spec, self.slots)
-        chain = PowerChain(self._exponents(self.layout))
-        bases = cycle_parities(hamiltonian, spec)
-        plus = chain.fill({1: bases.pop(0)})
-        minus = chain.fill({1: bases.pop(0)})
-        self.powers = {e: ParityPair(plus[e], minus[e]) for e in plus}
+        self._eigensystem = hamiltonian.eigensystem()
+        self.blocks: dict[int, dict] = {}
+        self.parity(1)
+
+    def parity(self, sign: int) -> dict:
+        """The P = ``sign`` blocks of the layout's powers, built the first time they are asked."""
+        if sign not in self.blocks:
+            base = cycle_parity(self._eigensystem, self.spec, sign)
+            self.blocks[sign] = PowerChain(self._exponents(self.layout)).fill({1: base})
+        return self.blocks[sign]
+
+    @property
+    def powers(self) -> dict[int, ParityPair]:
+        """Every power of the layout as a :class:`ParityPair`, building P = -1 if needed."""
+        return {e: ParityPair(plus, self.parity(-1)[e]) for e, plus in self.parity(1).items()}
 
     @staticmethod
     def _exponents(layout) -> set[int]:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, slots) -> float:
-        """Most matrices a factory for ``spec``'s layout at ``slots`` holds while built.
-
-        Counted in dense 2^n x 2^n matrices, of which a half-size block is a
-        quarter.  The P = -1 chain runs while the P = +1 powers are kept.
-        """
+    def peak_matrices(cls, spec: MonopoleSpec, slots, chains: int = 2) -> float:
+        """Most dense 2^n x 2^n matrices (a half-size block is a quarter) a factory for
+        ``spec``'s layout at ``slots`` holds while it builds ``chains`` parities in turn."""
         chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
-        return max(cls.BUILD_HALVES, len(chain.targets) + chain.peak) / 4
+        return ((chains - 1) * len(chain.targets) + max(cls.BUILD_HALVES, chain.peak)) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -469,17 +470,22 @@ class BlockPropagatorFactory:
         A given ``include_half`` must name the factory's slots: the half-period
         slot and the block end, or the block end alone.
         """
-        end = self.spec.slots_per_block
+        end, n = self.spec.slots_per_block, self.num_spins
         if include_half is not None and self.slots != (
                 (half_sample_slot(self.spec), end) if include_half else (end,)):
             raise ValueError(f"factory built for slots {self.slots}, "
                              f"asked for include_half={include_half}")
         spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
         x_inverse = rotation_gate("x", spec.theta_x).conj().T
-        kick = np.matmul(x_inverse, _kick_gates(spec, self.num_spins, angle_spread, disorder_seed))
-        halves = gate_halves(kick, self.num_spins)
-        p = self.powers
-        step = lambda f: p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
+        kick = np.matmul(x_inverse, _kick_gates(spec, n, angle_spread, disorder_seed))
+        if spec.gamma_y == math.pi and angle_spread == 0.0:
+            blocks = {s: self.parity(s) for s in ((1,) if n % 2 == 0 else (1, -1))}
+            power = lambda e: {s: b[e] for s, b in blocks.items()}
+            step = lambda f: (ComponentStep(power(f[0])) if len(f) == 1 else ComponentStep(
+                power(f[0]), power(f[1]), kick, gate_halves(kick, n - 1), n % 2 == 1))
+        else:
+            halves, p = gate_halves(kick, n), self.powers
+            step = lambda f: p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
         steps = {sign: tuple(map(step, layout)) for sign, layout in self.layout.items()}
         return BlockPropagators(spec, self.slots, steps)
 
@@ -493,9 +499,9 @@ class BlockPropagators:
     ``steps[s]`` is the block of sign ``s`` as a tuple of operators, one per
     readout slot of ``slots``: each carries the state from the previous
     readout to the one after its slot, and the last slot is the block end.
-    An operator is anything with ``shape`` and ``@``: a :class:`KickStep`
-    for a factory step that holds the kick, a :class:`ParityPair` for a plain
-    power of the cycle, or a :class:`PulseStep` for the per-pulse readout.
+    An operator is anything with ``shape`` and ``@``: a :class:`ParityPair`
+    (plain power), a :class:`KickStep` (a step holding the kick), a
+    :class:`ComponentStep` (either, at gamma = pi) or a :class:`PulseStep`.
     """
 
     spec: MonopoleSpec
@@ -525,6 +531,34 @@ class KickStep:
 
 
 @dataclass(frozen=True, eq=False)
+class ComponentStep:
+    """A factory step at gamma = pi on the component (c, s), c = √2 ψ[H₀], of a P = s state ψ.
+
+    ``a`` and ``b`` map a parity to a power's block.  A plain step is (a[s] c, s); a kick step
+    applies b[s], the kick folded onto H₀, (G ψ)[H₀] = G'(g₀₀ c + s g₀₁ c[::-1]) with ``gate`` g
+    on spin 0 and ``rest`` G' on the others, then a[s'], s' = -s if it ``flips`` (odd n), else s.
+    """
+
+    a: dict
+    b: dict | None = None
+    gate: np.ndarray | None = None
+    rest: tuple = ()
+    flips: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (2 * self.a[1].shape[0],) * 2
+
+    def __matmul__(self, state: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+        c, s = state
+        if self.b is not None:
+            c = self.b[s] @ c
+            c = apply_halves(self.gate[0, 0] * c + s * self.gate[0, 1] * c[::-1], self.rest)
+            s = -s if self.flips else s
+        return self.a[s] @ c, s
+
+
+@dataclass(frozen=True, eq=False)
 class PulseStep:
     """One pulse and its free slot: ``step @ psi`` applies the gate layer, then U_free.
 
@@ -549,13 +583,14 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
     This is the one stepping loop of every engine.  It costs one operator
-    application per step of ``props``: two half-size mat-vecs for a plain
-    step kept as a :class:`ParityPair`, four and a gate layer for a
-    :class:`KickStep`, a gate layer and the sector mat-vecs for a
-    :class:`PulseStep`.  The state's norm is checked after every cycle, one
-    vdot.  With ``stop_factor`` the run ends at the first block-end sample
-    below ``stop_factor / e`` of the initial magnitude, since later cycles
-    cannot move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
+    application per step of ``props``: two half-size mat-vecs for a
+    :class:`ParityPair`, four and a gate layer for a :class:`KickStep`, half
+    that on the P = +1 component of `psi0` for a :class:`ComponentStep`, a gate
+    layer and the sector mat-vecs for a :class:`PulseStep`.  The norm is
+    checked after every cycle, one vdot.  With ``stop_factor`` the run ends at
+    the first block-end sample below ``stop_factor / e`` of the initial
+    magnitude, since later cycles cannot move the lifetime argmin;
+    ``num_cycles`` counts the cycles evolved.
     """
     spec = props.spec
     dim = props.steps[1][0].shape[0]
@@ -563,14 +598,23 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
         raise ValueError("state dimension does not match the propagators")
     num_spins = dim.bit_length() - 1
     psi = np.array(psi0, dtype=complex)
-    values = [total_ix(psi, num_spins)]
+    read = lambda state: total_ix(state, num_spins)
+    if isinstance(props.steps[1][0], ComponentStep):
+        top, flipped = psi[:dim // 2], psi[dim // 2:][::-1]
+        if (leak := np.vdot(top - flipped, top - flipped).real / 2) > PARITY_LEAK_LIMIT:
+            raise ValueError(f"gamma = pi steps would drop a P = -1 part of weight {leak:.3e}")
+        psi = (top + flipped) / math.sqrt(2), 1
+        # spins 1..n-1 of a P = s state read c = √2 ψ[H₀], spin 0 reads s Re<c, c[::-1]> / 2
+        read = lambda c_s: (total_ix(c_s[0], num_spins - 1)
+                            + c_s[1] * float(np.vdot(c_s[0], c_s[0][::-1]).real) / 2)
+    values = [read(psi)]
     # without stop_factor the target is 0, which no magnitude falls below
     target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
     for cycle, sym in enumerate(stream.symbols, start=1):
         for op in props.steps[int(sym)]:
             psi = op @ psi
-            values.append(total_ix(psi, num_spins))
-        _check_norm(psi, f"cycle {cycle}")
+            values.append(read(psi))
+        _check_norm(psi[0] if isinstance(psi, tuple) else psi, f"cycle {cycle}")
         if abs(values[-1]) < target:
             break
     return SignalTrace.at_slots(

@@ -227,9 +227,9 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     entries again, and two complex temporaries of the largest block while it
     is built.  The other full-engine kinds add the peak of the factory's build
     for the run's readout slots: its parity blocks, each a quarter of a dense
-    complex matrix, counted by `BlockPropagatorFactory.peak_matrices`.  A
-    block set adds only its gate halves, and its steps only state vectors.
-    Runs that build no system hold none.
+    complex matrix, counted by `BlockPropagatorFactory.peak_matrices` for the
+    run's `_parities`.  A block set adds only gate halves, its steps state
+    vectors.  Runs that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -237,8 +237,28 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
     if config.kind == "trace":
         return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
-    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config))
+    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config),
+                                                   _parities(config))
     return int(sectors + factory * matrix)
+
+
+def _parities(config: RunConfig) -> int:
+    """Parity chains a run's factories build: 1 if n is even and every block set at pi, else 2."""
+    one = config.num_spins % 2 == 0 and all(s.gamma_y == math.pi for s in _point_specs(config))
+    return 1 if one else 2
+
+
+def _point_specs(config: RunConfig) -> list[MonopoleSpec]:
+    """Each point's drive in sweep order; an eps sweep starts at the gamma = pi reference."""
+    base = config.spec()
+    if config.kind == "phase-diagram":
+        return [replace(base, gamma_y=gamma) for gamma in config.gamma_grid]
+    if config.kind == "heating-eps":
+        return [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *config.eps_grid)]
+    if config.kind not in _SWEEPS:
+        return [base]
+    specs = [replace(base, tau=tau) for tau in config.tau_grid]
+    return [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration) for s in specs]
 
 
 def _readout_slots(config: RunConfig) -> tuple[int, ...]:
@@ -320,6 +340,7 @@ class FullSystem:
         self.psi0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
+        self._parities = _parities(config)
 
     def factory(self, spec: MonopoleSpec, slots: tuple) -> BlockPropagatorFactory:
         key = (spec.tau, slots)
@@ -327,6 +348,8 @@ class FullSystem:
             self._factory = None  # release the old factory before building
             self._factory = (key, BlockPropagatorFactory(
                 self.hamiltonian, replace(spec, gamma_y=math.pi), slots))
+            if self._parities == 2:  # P = -1 before rundowns fragment the heap under it
+                self._factory[1].parity(-1)
         return self._factory[1]
 
 
@@ -433,9 +456,8 @@ def _json_number(x: float) -> float | str | None:
 def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
     spec, system = config.spec(), _system_for(config)
     reps = _drive_realizations(config)
-    rows = [np.mean([s.amplitudes**2 for s in _realization_spectra(
-                system, config, replace(spec, gamma_y=gamma), i)], axis=0)
-            for i, gamma in enumerate(config.gamma_grid)]
+    rows = [np.mean([s.amplitudes**2 for s in _realization_spectra(system, config, p, i)], axis=0)
+            for i, p in enumerate(_point_specs(config))]
     diagram = phase_diagram(config.gamma_grid, rows, spec.block_duration, n_order=config.n_order,
                             realizations=reps, normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
@@ -465,18 +487,10 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     (``null`` when NaN) and ``reference_crossed``, tau sweeps ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
-    base = config.spec()
-    grid = getattr(config, sweep.grid)
     orders = _orders(config)
     eps_sweep = sweep.grid == "eps_grid"
-    if eps_sweep:
-        specs = [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *grid)]
-        xs = np.array(grid, dtype=float)
-    else:
-        specs = [replace(base, tau=tau) for tau in grid]
-        specs = [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration)
-                 for s in specs]
-        xs = np.array([s.block_duration for s in specs])
+    specs = _point_specs(config)
+    xs = np.array(config.eps_grid if eps_sweep else [s.block_duration for s in specs], dtype=float)
     measured = [[[] for _ in specs] for _ in orders]  # [k][j]: fits over (g, r)
     for g in range(config.graph_realizations if config.engine == "full" else 1):
         system = _system_for(replace(config, graph_seed=config.graph_seed + g))
@@ -521,7 +535,7 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
                 entry["error"] = f"fit over {entry['points_used']} crossed points failed: {exc}"
         fits[str(order)] = entry
         rows += [(str(order), xs[j], rates[j], results[j][1], ys[j], crossed[j])
-                 for j in range(len(grid))]
+                 for j in range(len(xs))]
     serialize.write_heating(out / f"{config.kind.replace('-', '_')}.csv", sweep.xname, rows)
     serialize.write_json(out / "fits.json", fits)
     return {"fits": fits}

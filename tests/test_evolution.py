@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,14 +7,15 @@ from scipy.linalg import expm
 
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
-from rondeau.evolution import (BlockPropagatorFactory, NumericalIntegrityError,
-                               PulseProgram, SignalTrace, evolve, evolve_blockwise,
-                               free_propagator, half_sample_slot, initial_state,
-                               rotation_gate, total_ix)
+from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, ComponentStep,
+                               KickStep, NumericalIntegrityError, ParityPair, PulseProgram,
+                               SignalTrace, evolve, evolve_blockwise, free_propagator,
+                               gate_halves, half_sample_slot, initial_state, rotation_gate,
+                               total_ix)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from conftest import block_end, every_slot, half_period
+from conftest import block_end, every_slot, half_period, rng
 from oracles import (apply_gates, dense_free, dense_free_propagator, global_rotation_matrix,
                      total_iz_matrix, zero_hamiltonian)
 
@@ -265,16 +267,29 @@ def blockwise_deviation(hamiltonian, psi0, spec, slots) -> float:
     return float(np.abs(at_shared - block.values).max())
 
 
+@functools.cache
+def graph_system(num_spins: int):
+    """Hamiltonian of the n-spin graph of seed 11: the small_system one at n = 6."""
+    return build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=11),
+                                               coupling_median=1.0))
+
+
 class TestBlockwiseEngine:
-    @pytest.mark.parametrize("kicks, gamma_y, slots", [
-        ((8, 4), 0.97 * math.pi, (6, 13)),
-        ((10, 7), math.pi + 0.3, (13,)),  # half slot 6 precedes both kicks; never read
-        ((10, 7), math.pi + 0.3, (6, 13)),  # both kicks in the second step
-        ((8, 4), 0.97 * math.pi, tuple(range(1, 14))),  # every slot, as the per-pulse trace
-        ((8, 4), 1.02 * math.pi, (4, 5, 9, 13)),  # each kick alone in a one-slot step
+    @pytest.mark.parametrize("kicks, gamma_y, slots, num_spins", [
+        ((8, 4), 0.97 * math.pi, (6, 13), 6),
+        ((10, 7), math.pi + 0.3, (13,), 6),  # half slot 6 precedes both kicks; never read
+        ((10, 7), math.pi + 0.3, (6, 13), 6),  # both kicks in the second step
+        ((8, 4), 0.97 * math.pi, tuple(range(1, 14)), 6),  # every slot, as the per-pulse trace
+        ((8, 4), 1.02 * math.pi, (4, 5, 9, 13), 6),  # each kick alone in a one-slot step
+        # gamma = pi: the steps carry the P = +1 component; at odd n its parity flips
+        ((8, 4), math.pi, (6, 13), 5),
+        ((8, 4), math.pi, (4, 5, 9, 13), 5),
+        ((8, 4), math.pi, (6, 13), 6),
+        ((10, 7), math.pi, (13,), 6),
     ])
-    def test_matches_per_pulse_engine(self, small_system, kicks, gamma_y, slots):
-        _, _, hamiltonian, psi0 = small_system
+    def test_matches_per_pulse_engine(self, kicks, gamma_y, slots, num_spins):
+        hamiltonian = graph_system(num_spins)
+        psi0 = initial_state(num_spins, hamiltonian)
         spec = MonopoleSpec(12, *kicks, tau=0.05, gamma_y=gamma_y)
         assert blockwise_deviation(hamiltonian, psi0, spec, slots) < 1e-10
 
@@ -331,6 +346,79 @@ class TestBlockwiseEngine:
         _, _, hamiltonian, _ = small_system
         with pytest.raises(ValueError, match="readout slots"):
             BlockPropagatorFactory(hamiltonian, short_spec, slots)
+
+
+def two_block_set(factory: BlockPropagatorFactory) -> BlockPropagators:
+    """The factory's block set at its own angle built from both parity blocks of every
+    power: a ParityPair per plain step, a KickStep per kick step."""
+    spec, n, p = factory.spec, factory.num_spins, factory.powers
+    kick = rotation_gate("x", spec.theta_x).conj().T @ rotation_gate("y", spec.gamma_y)
+    halves = gate_halves(kick, n)
+    steps = {sign: tuple(p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
+                         for f in layout)
+             for sign, layout in factory.layout.items()}
+    return BlockPropagators(spec, factory.slots, steps)
+
+
+def flip_odd(psi: np.ndarray, weight: float) -> np.ndarray:
+    """``psi`` plus a P = -1 part of the given weight, normalized."""
+    g = rng(4)
+    v = g.standard_normal(psi.size) + 1j * g.standard_normal(psi.size)
+    odd = v - v[::-1]  # P reverses the basis indices
+    out = psi + math.sqrt(weight) * odd / np.linalg.norm(odd)
+    return out / np.linalg.norm(out)
+
+
+class TestParityComponent:
+    """At gamma = pi the factory's steps evolve one spin-flip parity component."""
+
+    @pytest.mark.parametrize("num_spins", [5, 6])
+    @pytest.mark.parametrize("decay_time", [0.0, 0.3])
+    @pytest.mark.parametrize("slots", [block_end, half_period])
+    def test_matches_the_two_block_steps(self, short_spec, num_spins, decay_time, slots):
+        hamiltonian = graph_system(num_spins)
+        psi0 = initial_state(num_spins, hamiltonian, decay_time)
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
+        one = factory.block_set()
+        assert all(isinstance(op, ComponentStep) for ops in one.steps.values() for op in ops)
+        stream = sample_rmd(1, 16, seed=3)
+        a = evolve_blockwise(stream, one, psi0)
+        b = evolve_blockwise(stream, two_block_set(factory), psi0)
+        assert np.array_equal(a.times, b.times)
+        assert np.abs(a.values - b.values).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma_y, angle_spread", [
+        (np.nextafter(math.pi, 4), 0.0), (math.pi, 0.018), (0.95 * math.pi, 0.0)])
+    def test_only_exactly_pi_without_spread_takes_one_block(self, small_system, short_spec,
+                                                            gamma_y, angle_spread):
+        _, _, hamiltonian, _ = small_system
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
+        props = factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
+        assert all(isinstance(op, (ParityPair, KickStep))
+                   for ops in props.steps.values() for op in ops)
+
+    @pytest.mark.parametrize("num_spins", [5, 6])
+    def test_a_p_odd_initial_state_is_rejected_at_pi_only(self, short_spec, num_spins):
+        hamiltonian = graph_system(num_spins)
+        psi0 = flip_odd(initial_state(num_spins, hamiltonian), 1e-6)
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
+        stream = sample_rmd(0, 4, seed=1)
+        with pytest.raises(ValueError, match="P = -1 part of weight 1.000e-06"):
+            evolve_blockwise(stream, factory.block_set(), psi0)
+        trace = evolve_blockwise(stream, factory.block_set(0.95 * math.pi), psi0)
+        assert trace.num_cycles == 4
+
+    def test_even_n_builds_the_odd_chain_only_off_pi(self, small_system, short_spec):
+        _, _, hamiltonian, _ = small_system
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
+        factory.block_set()
+        assert list(factory.blocks) == [1]
+        factory.block_set(0.95 * math.pi)
+        assert list(factory.blocks) == [1, -1]
+        odd = BlockPropagatorFactory(graph_system(5), short_spec, block_end(short_spec))
+        assert list(odd.blocks) == [1]
+        odd.block_set()
+        assert list(odd.blocks) == [1, -1]
 
 
 class TestSpinLockConservation:

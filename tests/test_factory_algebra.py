@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, PulseProgram,
                                _kick_gates, evolve, evolve_blockwise,
                                initial_state, kick_layout)
+import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
@@ -219,37 +220,48 @@ class TestLayoutRule:
 
 
 class TestFactoryMemory:
-    def test_build_peak_within_the_counted_matrices(self, small_system):
-        _, _, hamiltonian, _ = small_system
+    # a gamma = pi block set at even n reads one parity's chain, any other both
+    @pytest.mark.parametrize("num_spins, gammas, chains", [
+        (6, (math.pi,), 1), (6, (math.pi, 0.95 * math.pi), 2),
+        (8, (math.pi,), 1), (8, (math.pi, 0.95 * math.pi), 2), (7, (math.pi,), 2),
+    ])
+    def test_build_peak_within_the_counted_matrices(self, num_spins, gammas, chains):
+        hamiltonian = system(num_spins)
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
-        matrix = 16 * 4**hamiltonian.num_spins
+        matrix = 16 * 4**num_spins
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, slots)
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots, chains)
             tracemalloc.start()
             try:
                 factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+                for gamma in gammas:
+                    factory.block_set(gamma)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
-            # only the powers of the factory's own readout slots are kept, each a
-            # pair of half-size blocks: half a dense matrix
-            assert set(factory.powers) == exponents
-            assert kept <= (len(exponents) / 2 + 0.25) * matrix
+            # only the powers of the factory's own readout slots are kept, each
+            # parity's block a quarter of a dense matrix
+            assert list(factory.blocks) == [1, -1][:chains]
+            assert all(set(blocks) == exponents for blocks in factory.blocks.values())
+            assert kept <= (chains * len(exponents) / 4 + 0.25) * matrix
             del factory
 
-    def test_block_set_builds_no_dense_matrix(self):
-        """A block set keeps the factory's pairs and builds only the kick's gate halves."""
+    @pytest.mark.parametrize("gamma_y", [math.pi, 0.95 * math.pi])
+    def test_block_set_builds_no_dense_matrix(self, gamma_y):
+        """Once both chains are built, a block set keeps the factory's blocks and builds
+        only the kick's gate halves."""
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**8
         for slots in LAYOUT_EXPONENTS:
             factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+            factory.powers  # builds the P = -1 chain
             tracemalloc.start()
             try:
-                props = factory.block_set(0.95 * math.pi)
+                props = factory.block_set(gamma_y)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -311,6 +323,40 @@ class TestFactoryMemory:
             tracemalloc.stop()
         estimate = peak_matrix_bytes(config)
         assert estimate - 0.25 * matrix < peak <= estimate + 0.25 * matrix
+
+    @pytest.mark.parametrize("num_spins, overrides, chains", [
+        (8, dict(kind="encode", text="Hi"), 1),
+        (9, dict(kind="encode", text="Hi"), 2),
+        (8, dict(kind="spectrum"), 1),
+        (8, dict(kind="spectrum", gamma_y=3.0), 2),
+        (8, dict(kind="phase-diagram", gamma_grid=(math.pi,)), 1),
+        (8, dict(kind="phase-diagram", gamma_grid=(math.pi, 3.0)), 2),
+        (8, dict(kind="heating-eps", eps_grid=(0.1,)), 2),
+        (8, dict(kind="heating-period", tau_grid=(0.05, 0.02)), 1),
+        (8, dict(kind="heating-highfreq", tau_grid=(0.05, 0.02), sweep_slope=0.1), 2),
+    ])
+    def test_run_estimate_follows_the_chains(self, num_spins, overrides, chains):
+        config = RunConfig(out_dir="x", num_spins=num_spins, **overrides)
+        matrix, sectors = 16 * 4**num_spins, 16 * math.comb(2 * num_spins, num_spins)
+        factory = BlockPropagatorFactory.peak_matrices(
+            config.spec(), runner._readout_slots(config), chains)
+        assert peak_matrix_bytes(config) == int(sectors + factory * matrix)
+
+    @pytest.mark.parametrize("text, num_spins", [("Hi", 8), ("Hi", 9)])
+    def test_encode_run_peak_within_the_estimate(self, tmp_path, text, num_spins):
+        """An encode at gamma = pi holds one parity's chain at even n and both at odd n."""
+        config = RunConfig(kind="encode", out_dir=str(tmp_path / "run"), num_spins=num_spins,
+                           pulses_per_block=60, kick_plus=40, kick_minus=20, text=text)
+        run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = 16 * 4**num_spins
+        assert peak_matrix_bytes(config) - 0.25 * matrix < peak
+        assert peak <= peak_matrix_bytes(config) + 0.25 * matrix
 
     def test_run_estimate_counts_the_chain_peak(self):
         def estimate(**layout):

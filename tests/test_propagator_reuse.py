@@ -144,3 +144,16 @@ def test_factory_is_built_once(monkeypatch):
     results = [system.factory(spec, (13,)) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
+
+
+@pytest.mark.parametrize("overrides, parities", [
+    (dict(kind="encode", text="Hi"), [1]),
+    (dict(kind="heating-period", tau_grid=(0.05,)), [1]),
+    (dict(kind="heating-eps", eps_grid=(0.1,)), [1, -1]),
+    (dict(kind="encode", text="Hi", num_spins=5), [1, -1]),
+])
+def test_factory_holds_the_parities_its_run_needs(overrides, parities):
+    """A run that needs P = -1 gets it with the factory, before any rundown allocates."""
+    config = RunConfig(out_dir="x", **{**SMALL, **overrides})
+    factory = FullSystem(config).factory(config.spec(), (13,))
+    assert list(factory.blocks) == parities
