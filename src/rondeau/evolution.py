@@ -3,22 +3,25 @@
 Pulses are instantaneous global rotations: layers of single-spin gates,
 applied as the Kronecker products of two halves of the spins.  The dipolar
 Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
-n + 1 magnetization sectors: its propagator is one block per sector, built
-from the Hamiltonian's cached sector-wise eigendecomposition.  Readout is
-the expectation value of total Ix after a slot's free evolution.
+n + 1 magnetization sectors, built from the Hamiltonian's cached sector-wise
+eigendecomposition.  Readout is the expectation value of total Ix after a
+slot's free evolution.
+
+Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx,
+and the initial state has P = +1.  Every engine therefore carries its state
+as parity rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 (:func:`parity_rows`), with H₀
+the basis states whose spin 0 is up and F the flip of every spin: one row
+where the kick keeps P eigenstates (:func:`kick_parity`, exactly gamma = pi),
+else two.
 
 A run reads every block at one increasing tuple of readout slots that ends
-at the block end.  :class:`BlockPropagators` holds one operator per step
-between them; :func:`evolve_blockwise`, the one stepper, applies them and
-records Ix after each, and :meth:`SignalTrace.at_slots` places the samples
-in time.  :func:`evolve` steps pulse by pulse (:class:`PulseStep`).  The
-factory steps between any slots by the interval rule of :func:`kick_layout`:
-powers of the spin-lock cycle operator, kept as their two half-size parity
-blocks under the global spin flip P (:class:`ParityPair`), and for a step
-holding the kick, which breaks that symmetry, two powers around the kick's
-gate layer (:class:`KickStep`); at gamma = pi, one parity component
-(:class:`ComponentStep`).  No 2^n x 2^n matrix is built.  The per-pulse and
-blockwise operators are built independently, so each checks the other.
+at the block end.  :class:`BlockPropagators` holds one step per readout: b,
+then a :class:`GateLayer`, then a, with a and b per-parity operators, the
+factory's powers of the spin-lock cycle operator (:class:`Power`, placed by
+:func:`kick_layout`) or the per-pulse free step (:class:`FreeStep`).
+:func:`evolve_blockwise`, the one stepper, applies them and records Ix after
+each.  No 2^n x 2^n matrix is built.  The per-pulse and blockwise operators
+are built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -164,35 +167,121 @@ def apply_halves(state: np.ndarray, halves: tuple[np.ndarray, np.ndarray]) -> np
     return out.reshape(state.shape)
 
 
-def total_ix(state: np.ndarray, num_spins: int) -> float:
-    """Expectation of total Ix; spin flips are index permutations."""
+# -- spin-flip parity rows -------------------------------------------------
+
+def kick_parity(gamma_y: float, num_spins: int, angle_spread: float = 0.0) -> int:
+    """How the kick maps a P eigenstate: 1 keeps its parity, -1 flips it, 0 mixes P = ±1.
+
+    The one gamma = pi rule, from the angle exactly, never from the numbers:
+    Y(pi) = -i σy anticommutes with σx, so Y(pi)^⊗n P = (-1)^n P Y(pi)^⊗n.
+    """
+    if gamma_y != math.pi or angle_spread != 0.0:
+        return 0
+    return -1 if num_spins % 2 else 1
+
+
+def parity_rows(psi: np.ndarray) -> np.ndarray:
+    """The P = +1 and P = -1 rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 of the vector ``psi``.
+
+    H₀ holds the indices below 2^(n-1) and F(i) = 2^n - 1 - i reverses them.
+    """
+    h = psi.shape[0] // 2
+    top, flipped = psi[:h], psi[h:][::-1]
+    return np.stack((top + flipped, top - flipped)) / math.sqrt(2)
+
+
+def join_rows(rows: np.ndarray, signs) -> np.ndarray:
+    """The vector ψ of parity ``rows`` of ``signs``: ψ[H₀] = Σ c_s / √2, ψ[F(H₀)] = Σ s c_s / √2."""
+    return np.concatenate((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1])) / math.sqrt(2)
+
+
+def parity_ix(rows: np.ndarray, signs) -> float:
+    """Total Ix of parity ``rows``; Ix commutes with P, so each row reads its own part.
+
+    A row c of parity s is c / √2 on H₀ and s c[::-1] / √2 on F(H₀): spins 1 ... n-1
+    read n - 1 strided vdots of the stacked rows, spin 0 s Re<c, c[::-1]> / 2 per row.
+    """
     total = 0.0
-    for k in range(num_spins):
-        v = state.reshape(2**k, 2, -1)
+    for k in range(rows.shape[1].bit_length() - 1):
+        v = rows.reshape(len(rows) << k, 2, -1)
         total += float(np.real(np.vdot(v[:, 0, :], v[:, 1, :])))
+    for c, s in zip(rows, signs):
+        total += s * float(np.vdot(c, c[::-1]).real) / 2
     return total
 
 
-def free_propagator(hamiltonian: Hamiltonian, duration: float) -> tuple:
-    """exp(-i * duration * H) as one ``(indices, block)`` pair per total-Iz sector.
+def free_rows(eigensystem, duration: float):
+    """H₀'s rows of exp(-i duration H), one ``(rows, cols, block)`` triple per total-Iz sector.
 
     ``block`` is V_k e^{-i duration Λ_k} V_k^† from the sector's cached
-    eigendecomposition and acts on the basis states ``indices``; the
-    propagator is zero between sectors.
+    eigensystem on its ``rows``, the sector's states in H₀: first on its H₀
+    columns, then on its H₁ columns j, which a P = s state holds as s ψ[F(j)].
+    ``cols`` lists the H₀ indices read, the rows and then those F(j); a sector
+    that F maps onto itself (n even) lists its H₀ indices twice.
     """
-    return tuple((idx, (vecs * np.exp(-1j * duration * vals)) @ vecs.conj().T)
-                 for idx, vals, vecs in hamiltonian.eigensystem())
+    dim = 1 << (len(eigensystem) - 1)
+    for idx, vals, vecs in eigensystem:
+        low = idx < dim // 2
+        if low.any():
+            top = ((vecs * np.exp(-1j * duration * vals)) @ vecs.conj().T)[low]
+            order = np.argsort(~low, kind="stable")  # H₀ columns first
+            yield idx[low], np.where(low, idx, dim - 1 - idx)[order], np.take(top, order, axis=1)
 
 
-def apply_free(blocks, state: np.ndarray) -> np.ndarray:
-    """The vector ``state`` after the free step ``blocks`` of `free_propagator`.
+@dataclass(frozen=True, eq=False)
+class FreeStep:
+    """A per-parity operator, free evolution: per sector of `free_rows`, a row c of parity s
+    gathers x = (c[rows], s c[F(j)]) and gets block @ x on its rows, one mat-vec."""
 
-    One small mat-vec per sector, gathered from and scattered to its indices.
+    sectors: tuple
+
+    def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
+        out = np.empty_like(rows)
+        for c, s, row in zip(rows, signs, out):
+            for idx, cols, block in self.sectors:
+                x = c[cols]
+                if s < 0:
+                    x[idx.size:] *= -1.0
+                row[idx] = block @ x
+        return out, signs
+
+
+@dataclass(frozen=True, eq=False)
+class Power:
+    """A per-parity operator, a power of the spin-lock cycle operator W as its half-size
+    parity ``blocks``: W commutes with P, so a row c of parity s becomes blocks[s] @ c."""
+
+    blocks: dict
+
+    def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
+        out = np.empty_like(rows)
+        for c, s, row in zip(rows, signs, out):
+            np.matmul(self.blocks[s], c, out=row)
+        return out, signs
+
+
+class GateLayer:
+    """A layer of single-spin ``gates`` on parity rows, acting by its `kick_parity` ``parity``.
+
+    Parity ±1: one 2x2 gate g on every spin maps P = s to P = parity · s.  With
+    spin 0 the most significant bit, (G ψ)[H₀] = G'(g₀₀ ψ[H₀] + g₀₁ ψ[H₁]), G' the
+    layer on the other spins, and ψ[H₁] = s ψ[H₀][::-1]: the layer folds onto each
+    row as G'(g₀₀ c + s g₀₁ c[::-1]).  Parity 0: the rows are joined into ψ, the
+    layer on all n spins is applied, and the result is split once.
     """
-    out = np.empty(state.shape, dtype=complex)
-    for idx, block in blocks:
-        out[idx] = block @ state[idx]
-    return out
+
+    def __init__(self, gates, num_spins: int, parity: int):
+        self.gates, self.parity = gates, parity
+        self.halves = gate_halves(gates, num_spins - (parity != 0))
+
+    def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
+        if not self.parity:
+            return parity_rows(apply_halves(join_rows(rows, signs), self.halves)), (1, -1)
+        (first, second), g = self.halves, self.gates
+        folded = g[0, 0] * rows + np.asarray(signs)[:, None] * g[0, 1] * rows[:, ::-1]
+        # G' on each row as `apply_halves` on a vector, batched over the rows
+        out = (first @ folded.reshape(len(rows), first.shape[0], -1)) @ second.T
+        return out.reshape(rows.shape), tuple(self.parity * s for s in signs)
 
 
 # -- initial state ---------------------------------------------------------
@@ -203,7 +292,8 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
 
     A positive ``decay_time`` evolves the product state under ``hamiltonian``
     first, lowering the initial polarization (free induction decay) without
-    touching the subsequent dynamics.
+    touching the subsequent dynamics.  The product state has P = +1, and so
+    has the decayed one: only its P = +1 row is evolved.
     """
     if decay_time < 0:
         raise ValueError(f"decay_time must be >= 0, got {decay_time}")
@@ -212,7 +302,8 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
     if decay_time > 0:
         if hamiltonian is None:
             raise ValueError(f"decay_time = {decay_time} needs a hamiltonian to decay under")
-        psi = apply_free(free_propagator(hamiltonian, decay_time), psi)
+        free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), decay_time)))
+        psi = join_rows(free(parity_rows(psi)[:1], (1,))[0], (1,))
     return psi
 
 
@@ -256,65 +347,29 @@ def check_kick_layout(spec: MonopoleSpec):
             f"kick_minus ({spec.kick_minus}) < half slot <= kick_plus ({spec.kick_plus})")
 
 
-# -- spin-flip parity ------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ParityPair:
-    """An operator M that commutes with the global spin flip P = Π σx, as its P = ±1 blocks.
-
-    H₀ is the set of basis states whose spin 0 is up, the indices below
-    2^(n-1), and F(i) = 2^n - 1 - i flips every spin.  P M = M P means
-    M[F(i), F(j)] = M[i, j], so M is block-diagonal in the coordinates
-    x[H₀] ± x[F(H₀)], with the blocks ``plus`` = M[H₀, H₀] + M[H₀, F(H₀)] and
-    ``minus`` = M[H₀, H₀] - M[H₀, F(H₀)], each 2^(n-1) square.  ``pair @ x``
-    applies M to the leading axis of a vector or a matrix x as two half-size
-    products, half the flops of the dense product.
-    """
-
-    plus: np.ndarray
-    minus: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        dim = 2 * self.plus.shape[0]
-        return dim, dim
-
-    def __matmul__(self, state: np.ndarray) -> np.ndarray:
-        h = self.plus.shape[0]
-        top, flipped = state[:h], state[h:][::-1]
-        plus, minus = self.plus @ (top + flipped), self.minus @ (top - flipped)
-        # back from the P = ±1 coordinates: row i of H₀, row F(i) at 2^n - 1 - i
-        out = np.empty(state.shape, dtype=complex)
-        np.add(plus, minus, out=out[:h])
-        np.subtract(plus, minus, out=out[h:][::-1])
-        out *= 0.5
-        return out
-
+# -- the propagator factory ------------------------------------------------
 
 def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
     """W₊ (``sign`` 1) or W₋ (-1), a parity block of the spin-lock cycle operator W = U_free · X.
 
-    Built sector by sector from the Hamiltonian's ``eigensystem``, never from
-    a dense 2^n x 2^n matrix.  With spin 0 the most significant bit, the x pulse has
-    X[H₀, H₀] = x₀₀ X' and X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on
-    the other n - 1 spins and R reverses the 2^(n-1) indices; so
-    W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
+    A parity block of M, which commutes with P, is M[H₀, H₀] ± M[H₀, F(H₀)], the
+    half-size matrix that maps a row of that parity.  U± is scattered from the
+    sector blocks of `free_rows`, never from a dense 2^n x 2^n matrix.  With
+    spin 0 the most significant bit, the x pulse has X[H₀, H₀] = x₀₀ X' and
+    X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on the other n - 1 spins and
+    R reverses the 2^(n-1) indices; so W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
     """
     n = len(eigensystem) - 1
-    dim, h = 1 << n, 1 << (n - 1)
-    same = np.zeros((h, h), dtype=complex)      # U_free[H₀, H₀]
-    flipped = np.zeros((h, h), dtype=complex)   # U_free[H₀, F(H₀)]
-    for idx, vals, vecs in eigensystem:
-        low = idx < h
-        top = ((vecs * np.exp(-1j * spec.tau * vals)) @ vecs.conj().T)[low]
-        same[np.ix_(idx[low], idx[low])] = top[:, low]
-        flipped[np.ix_(idx[low], dim - 1 - idx[~low])] = top[:, ~low]
-    (np.add if sign > 0 else np.subtract)(same, flipped, out=same)   # U±
-    del flipped
+    h = 1 << (n - 1)
+    u = np.zeros((h, h), dtype=complex)      # U±
+    for rows, cols, block in free_rows(eigensystem, spec.tau):
+        k = rows.size
+        u[np.ix_(rows, cols[:k])] = block[:, :k]
+        u[np.ix_(rows, cols[k:])] += sign * block[:, k:]
     x = rotation_gate("x", spec.theta_x)
     # U± X' with X' applied to the columns: X'^T on the rows of U±^T
-    u_x = apply_halves(same.T, gate_halves(x.T, n - 1)).T
-    del same
+    u_x = apply_halves(u.T, gate_halves(x.T, n - 1)).T
+    del u
     w = x[0, 0] * u_x
     w += sign * x[0, 1] * u_x[:, ::-1]
     return w
@@ -421,10 +476,9 @@ class BlockPropagatorFactory:
     on the kick angle (:func:`kick_layout` derives the exponents from the
     slots).  W commutes with the global spin flip P: ``blocks[s]`` holds the
     P = s block of every power the layout names, built by one
-    :class:`PowerChain` run when first needed (P = +1 at once).  G breaks P,
-    so :meth:`block_set` keeps a kick step as a :class:`KickStep` of
-    :class:`ParityPair` powers, or at gamma = pi, where G keeps P eigenstates,
-    as a :class:`ComponentStep`: an even-n factory then never builds P = -1.
+    :class:`PowerChain` run when first needed (P = +1 at once).  A block set
+    reads the chains its rows reach: at gamma = pi and even n, where G keeps
+    P = +1, the P = +1 chain alone, so such a factory never builds P = -1.
     """
 
     #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
@@ -447,11 +501,6 @@ class BlockPropagatorFactory:
             self.blocks[sign] = PowerChain(self._exponents(self.layout)).fill({1: base})
         return self.blocks[sign]
 
-    @property
-    def powers(self) -> dict[int, ParityPair]:
-        """Every power of the layout as a :class:`ParityPair`, building P = -1 if needed."""
-        return {e: ParityPair(plus, self.parity(-1)[e]) for e, plus in self.parity(1).items()}
-
     @staticmethod
     def _exponents(layout) -> set[int]:
         return {e for steps in layout.values() for factors in steps for e in factors}
@@ -467,7 +516,9 @@ class BlockPropagatorFactory:
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
         """Readout steps of both block signs at kick angle ``gamma_y`` (None: the factory's).
 
-        A given ``include_half`` must name the factory's slots: the half-period
+        A step is (W^e,) or (W^b, G, W^a), each power a :class:`Power` of the
+        chains the rows reach: P = +1 alone if the kick keeps it, else both.  A
+        given ``include_half`` must name the factory's slots: the half-period
         slot and the block end, or the block end alone.
         """
         end, n = self.spec.slots_per_block, self.num_spins
@@ -476,145 +527,67 @@ class BlockPropagatorFactory:
             raise ValueError(f"factory built for slots {self.slots}, "
                              f"asked for include_half={include_half}")
         spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
-        x_inverse = rotation_gate("x", spec.theta_x).conj().T
-        kick = np.matmul(x_inverse, _kick_gates(spec, n, angle_spread, disorder_seed))
-        if spec.gamma_y == math.pi and angle_spread == 0.0:
-            blocks = {s: self.parity(s) for s in ((1,) if n % 2 == 0 else (1, -1))}
-            power = lambda e: {s: b[e] for s, b in blocks.items()}
-            step = lambda f: (ComponentStep(power(f[0])) if len(f) == 1 else ComponentStep(
-                power(f[0]), power(f[1]), kick, gate_halves(kick, n - 1), n % 2 == 1))
-        else:
-            halves, p = gate_halves(kick, n), self.powers
-            step = lambda f: p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
-        steps = {sign: tuple(map(step, layout)) for sign, layout in self.layout.items()}
-        return BlockPropagators(spec, self.slots, steps)
+        parity = kick_parity(spec.gamma_y, n, angle_spread)
+        kick = GateLayer(np.matmul(rotation_gate("x", spec.theta_x).conj().T,
+                                   _kick_gates(spec, n, angle_spread, disorder_seed)), n, parity)
+        chains = {s: self.parity(s) for s in ((1,) if parity == 1 else (1, -1))}
+        power = lambda e: Power({s: blocks[e] for s, blocks in chains.items()})
+        steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
+                             for f in layout)
+                 for sign, layout in self.layout.items()}
+        return BlockPropagators(spec, self.slots, steps, n, (1,) if parity else (1, -1))
 
 
 # -- the stepper -----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class BlockPropagators:
-    """The readout steps of both block signs at one kick angle.
+    """The readout steps of both block signs at one kick angle on ``num_spins`` spins.
 
-    ``steps[s]`` is the block of sign ``s`` as a tuple of operators, one per
+    ``steps[s]`` is the block of sign ``s`` as a tuple of steps, one per
     readout slot of ``slots``: each carries the state from the previous
-    readout to the one after its slot, and the last slot is the block end.
-    An operator is anything with ``shape`` and ``@``: a :class:`ParityPair`
-    (plain power), a :class:`KickStep` (a step holding the kick), a
-    :class:`ComponentStep` (either, at gamma = pi) or a :class:`PulseStep`.
+    readout to the one after its slot, and the last slot is the block end.  A
+    step is a tuple of factors applied in turn, each mapping (rows, signs) to
+    (rows, signs): b, a :class:`GateLayer`, a.  The state starts as the rows
+    of ``signs``: (1,) where the kick keeps P eigenstates, else (1, -1).
     """
 
     spec: MonopoleSpec
     slots: tuple
     steps: dict
-
-
-@dataclass(frozen=True, eq=False)
-class KickStep:
-    """A factory step A · G(B) holding the kick: ``step @ psi`` is ``a @ G(b @ psi)``.
-
-    ``a`` and ``b`` are the step's :class:`ParityPair` powers, ``halves`` the
-    kick's gate layer G from `gate_halves`.  Nothing of size 2^n x 2^n is
-    built: a step costs four half-size mat-vecs and the gate layer.
-    """
-
-    a: ParityPair
-    halves: tuple
-    b: ParityPair
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __matmul__(self, state: np.ndarray) -> np.ndarray:
-        return self.a @ apply_halves(self.b @ state, self.halves)
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentStep:
-    """A factory step at gamma = pi on the component (c, s), c = √2 ψ[H₀], of a P = s state ψ.
-
-    ``a`` and ``b`` map a parity to a power's block.  A plain step is (a[s] c, s); a kick step
-    applies b[s], the kick folded onto H₀, (G ψ)[H₀] = G'(g₀₀ c + s g₀₁ c[::-1]) with ``gate`` g
-    on spin 0 and ``rest`` G' on the others, then a[s'], s' = -s if it ``flips`` (odd n), else s.
-    """
-
-    a: dict
-    b: dict | None = None
-    gate: np.ndarray | None = None
-    rest: tuple = ()
-    flips: bool = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (2 * self.a[1].shape[0],) * 2
-
-    def __matmul__(self, state: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
-        c, s = state
-        if self.b is not None:
-            c = self.b[s] @ c
-            c = apply_halves(self.gate[0, 0] * c + s * self.gate[0, 1] * c[::-1], self.rest)
-            s = -s if self.flips else s
-        return self.a[s] @ c, s
-
-
-@dataclass(frozen=True, eq=False)
-class PulseStep:
-    """One pulse and its free slot: ``step @ psi`` applies the gate layer, then U_free.
-
-    ``halves`` is the pulse's gate layer from `gate_halves`, ``blocks`` the
-    free step of one slot from `free_propagator`.
-    """
-
-    halves: tuple
-    blocks: tuple
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        dim = self.halves[0].shape[0] * self.halves[1].shape[0]
-        return dim, dim
-
-    def __matmul__(self, state: np.ndarray) -> np.ndarray:
-        return apply_free(self.blocks, apply_halves(state, self.halves))
+    num_spins: int
+    signs: tuple
 
 
 def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.ndarray,
                      stop_factor: float | None = None) -> SignalTrace:
     """Evolve `psi0` block by block under `stream`, recording Ix after every step.
 
-    This is the one stepping loop of every engine.  It costs one operator
-    application per step of ``props``: two half-size mat-vecs for a
-    :class:`ParityPair`, four and a gate layer for a :class:`KickStep`, half
-    that on the P = +1 component of `psi0` for a :class:`ComponentStep`, a gate
-    layer and the sector mat-vecs for a :class:`PulseStep`.  The norm is
-    checked after every cycle, one vdot.  With ``stop_factor`` the run ends at
-    the first block-end sample below ``stop_factor / e`` of the initial
-    magnitude, since later cycles cannot move the lifetime argmin;
-    ``num_cycles`` counts the cycles evolved.
+    This is the one stepping loop of every engine.  It splits `psi0` into
+    parity rows once; a dropped P = -1 row may weigh ``PARITY_LEAK_LIMIT``.  A
+    step costs, per row, a half-size mat-vec per :class:`Power`, the sector
+    mat-vecs per :class:`FreeStep` and an (n - 1)-spin layer per folding
+    :class:`GateLayer`, then `parity_ix`; the norm is checked once a cycle.
+    With ``stop_factor`` the run ends at the first block-end sample below
+    ``stop_factor / e`` of the initial magnitude, since later cycles cannot
+    move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
     """
-    spec = props.spec
-    dim = props.steps[1][0].shape[0]
-    if psi0.shape != (dim,):
+    spec, num_spins, signs = props.spec, props.num_spins, props.signs
+    if psi0.shape != (1 << num_spins,):
         raise ValueError("state dimension does not match the propagators")
-    num_spins = dim.bit_length() - 1
-    psi = np.array(psi0, dtype=complex)
-    read = lambda state: total_ix(state, num_spins)
-    if isinstance(props.steps[1][0], ComponentStep):
-        top, flipped = psi[:dim // 2], psi[dim // 2:][::-1]
-        if (leak := np.vdot(top - flipped, top - flipped).real / 2) > PARITY_LEAK_LIMIT:
-            raise ValueError(f"gamma = pi steps would drop a P = -1 part of weight {leak:.3e}")
-        psi = (top + flipped) / math.sqrt(2), 1
-        # spins 1..n-1 of a P = s state read c = √2 ψ[H₀], spin 0 reads s Re<c, c[::-1]> / 2
-        read = lambda c_s: (total_ix(c_s[0], num_spins - 1)
-                            + c_s[1] * float(np.vdot(c_s[0], c_s[0][::-1]).real) / 2)
-    values = [read(psi)]
+    rows = parity_rows(np.asarray(psi0, dtype=complex))
+    if (leak := float(np.vdot(rows[len(signs):], rows[len(signs):]).real)) > PARITY_LEAK_LIMIT:
+        raise ValueError(f"gamma = pi steps would drop a P = -1 part of weight {leak:.3e}")
+    rows = rows[:len(signs)]
+    values = [parity_ix(rows, signs)]
     # without stop_factor the target is 0, which no magnitude falls below
     target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
     for cycle, sym in enumerate(stream.symbols, start=1):
-        for op in props.steps[int(sym)]:
-            psi = op @ psi
-            values.append(read(psi))
-        _check_norm(psi[0] if isinstance(psi, tuple) else psi, f"cycle {cycle}")
+        for step in props.steps[int(sym)]:
+            for factor in step:
+                rows, signs = factor(rows, signs)
+            values.append(parity_ix(rows, signs))
+        _check_norm(rows, f"cycle {cycle}")
         if abs(values[-1]) < target:
             break
     return SignalTrace.at_slots(
@@ -626,21 +599,24 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
 
 def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
            angle_spread: float = 0.0, disorder_seed: int | None = None) -> SignalTrace:
-    """The quasi-continuous readout: `evolve_blockwise` with one :class:`PulseStep` per slot.
+    """The quasi-continuous readout: `evolve_blockwise` with one step per slot.
 
     Every slot of a block is an x pulse except the kick's, slot
-    ``kick_plus + 1`` or ``kick_minus + 1``.  The first sample is the
-    pre-drive value at t = 0, then one follows each pulse's free slot.  The
+    ``kick_plus + 1`` or ``kick_minus + 1``; a step is its pulse's
+    :class:`GateLayer`, then one slot's :class:`FreeStep`.  The first sample is
+    the pre-drive value at t = 0, then one follows each pulse's free slot.  The
     samples are exact expectation values, free of read-out noise.
     """
     spec, num_spins = program.spec, hamiltonian.num_spins
-    blocks = free_propagator(hamiltonian, spec.tau)
-    x = PulseStep(gate_halves(rotation_gate("x", spec.theta_x), num_spins), blocks)
-    kick = PulseStep(gate_halves(_kick_gates(spec, num_spins, angle_spread, disorder_seed),
-                                 num_spins), blocks)
+    free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
+    parity = kick_parity(spec.gamma_y, num_spins, angle_spread)
+    x = (GateLayer(rotation_gate("x", spec.theta_x), num_spins, 1), free)
+    kick = (GateLayer(_kick_gates(spec, num_spins, angle_spread, disorder_seed),
+                      num_spins, parity), free)
     slots = tuple(range(1, spec.slots_per_block + 1))
     steps = {sign: tuple(kick if slot == kick_slot + 1 else x for slot in slots)
              for sign, kick_slot in ((1, spec.kick_plus), (-1, spec.kick_minus))}
-    trace = evolve_blockwise(program.stream, BlockPropagators(spec, slots, steps), psi0)
+    props = BlockPropagators(spec, slots, steps, num_spins, (1,) if parity else (1, -1))
+    trace = evolve_blockwise(program.stream, props, psi0)
     trace.meta["engine"] = "full"
     return trace

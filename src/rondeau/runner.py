@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .codec import Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
                         check_kick_layout, evolve, evolve_blockwise, half_sample_slot,
-                        initial_state)
+                        initial_state, kick_parity)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
@@ -223,9 +224,9 @@ def peak_matrix_bytes(config: RunConfig) -> int:
 
     A system holds the real blocks of its Hamiltonian and their real
     eigenvectors, one per total-Iz sector, sum_k C(n, k)^2 = C(2n, n) entries
-    each.  The per-pulse trace adds the complex free-step blocks, C(2n, n)
-    entries again, and two complex temporaries of the largest block while it
-    is built.  The other full-engine kinds add the peak of the factory's build
+    each.  The per-pulse trace adds the free step's complex rows in H₀, half
+    as many entries, and three complex temporaries of the largest block while
+    it is built.  The other full-engine kinds add the peak of the factory's build
     for the run's readout slots: its parity blocks, each a quarter of a dense
     complex matrix, counted by `BlockPropagatorFactory.peak_matrices` for the
     run's `_parities`.  A block set adds only gate halves, its steps state
@@ -236,16 +237,16 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     n = config.num_spins
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
     if config.kind == "trace":
-        return 2 * sectors + 2 * 16 * math.comb(n, n // 2)**2
+        return sectors + sectors // 2 + 3 * 16 * math.comb(n, n // 2)**2
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config),
                                                    _parities(config))
     return int(sectors + factory * matrix)
 
 
 def _parities(config: RunConfig) -> int:
-    """Parity chains a run's factories build: 1 if n is even and every block set at pi, else 2."""
-    one = config.num_spins % 2 == 0 and all(s.gamma_y == math.pi for s in _point_specs(config))
-    return 1 if one else 2
+    """Parity chains a run's factories build: 1 if every block set's kick keeps P = +1, else 2."""
+    return 1 if all(kick_parity(s.gamma_y, config.num_spins) == 1
+                    for s in _point_specs(config)) else 2
 
 
 def _point_specs(config: RunConfig) -> list[MonopoleSpec]:
@@ -553,8 +554,8 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     return {"characters": len(message.text), "cycles": len(stream)}
 
 
-def _run_decode(config: RunConfig, out: Path) -> dict:
-    trace = serialize.read_trace(config.trace_file)
+def _run_decode(config: RunConfig, out: Path, trace: SignalTrace) -> dict:
+    """Decode ``trace``, which `run` reads and checks before the output directory exists."""
     message = decode(trace, threshold=config.threshold)
     margins = decode_margins(trace)
     serialize.write_json(out / "decoded.json", {
@@ -573,16 +574,22 @@ _HANDLERS = {
     "heating-highfreq": _run_heating,
     "spectrum": _run_spectrum,
     "encode": _run_encode,
-    "decode": _run_decode,
 }
 
 
 def run(config: RunConfig) -> dict:
     """Validate, execute, and write the manifest; returns a summary dict."""
     config.validate()
+    handler = _HANDLERS.get(config.kind)
+    if handler is None:  # a decode: its trace is read once, checked before --out exists
+        trace = serialize.read_trace(config.trace_file)
+        if half_sample_slot(trace) not in trace.slots:
+            raise ValueError(f"{config.trace_file} reads slots {trace.slots}, not the "
+                             f"half-period slot {half_sample_slot(trace)} a decode reads")
+        handler = partial(_run_decode, trace=trace)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _HANDLERS[config.kind](config, out)
+    summary = handler(config, out)
     manifest = {
         "config": dataclasses.asdict(config),
         "config_hash": config.hash(),

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rondeau.dephasing import DephasingParams
-from rondeau.evolution import apply_halves, gate_halves, rotation_gate
+from rondeau.evolution import apply_halves, gate_halves, join_rows, parity_rows, rotation_gate
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
 
@@ -55,6 +55,15 @@ def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     per-spin gates.
     """
     return apply_halves(state, gate_halves(gates, num_spins))
+
+
+def total_ix(state: np.ndarray, num_spins: int) -> float:
+    """Expectation of total Ix of the vector ``state``; spin flips are index permutations."""
+    total = 0.0
+    for k in range(num_spins):
+        v = state.reshape(2**k, 2, -1)
+        total += float(np.real(np.vdot(v[:, 0, :], v[:, 1, :])))
+    return total
 
 
 def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarray:
@@ -108,18 +117,39 @@ def zero_hamiltonian(num_spins: int) -> Hamiltonian:
                        num_spins=num_spins)
 
 
+def dense_step(step, num_spins: int, signs=(1, -1)) -> np.ndarray:
+    """A readout step, a tuple of factors, as a dense matrix: its action on each basis state.
+
+    The state enters as its parity rows of ``signs``: with (1,) alone the
+    matrix is the step times the projector (1 + P) / 2.
+    """
+    columns = []
+    for state in np.eye(1 << num_spins, dtype=complex):
+        rows, out = parity_rows(state)[:len(signs)], signs
+        for factor in step:
+            rows, out = factor(rows, out)
+        columns.append(join_rows(rows, out))
+    return np.array(columns).T
+
+
 def dense_free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarray:
     """exp(-i * duration * H) as V e^{-i duration Λ} V^† from one dense eigh of the matrix."""
     eigvals, eigvecs = np.linalg.eigh(scattered_matrix(hamiltonian))
     return (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
 
 
-def dense_free(blocks, dim: int) -> np.ndarray:
-    """The ``(indices, block)`` pairs of `free_propagator` scattered into one dense matrix."""
-    u_free = np.zeros((dim, dim), dtype=complex)
-    for idx, block in blocks:
-        u_free[np.ix_(idx, idx)] = block
-    return u_free
+def dense_free_rows(sectors, num_spins: int) -> np.ndarray:
+    """The H₀ rows of U_free, 2^(n-1) x 2^n, scattered from the sectors of `free_rows`.
+
+    A block's columns are its H₀ columns, then its H₁ columns j listed by
+    their mirrors 2^n - 1 - j.
+    """
+    dim = 1 << num_spins
+    rows_of = np.zeros((dim // 2, dim), dtype=complex)
+    for rows, cols, block in sectors:
+        k = rows.size
+        rows_of[np.ix_(rows, np.concatenate((cols[:k], dim - 1 - cols[k:])))] = block
+    return rows_of
 
 
 def dense_cycle_powers(hamiltonian: Hamiltonian, spec: MonopoleSpec, exponents) -> dict:

@@ -7,17 +7,16 @@ from scipy.linalg import expm
 
 from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_samples
 from rondeau.dephasing import DephasingParams, model_signal
-from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, ComponentStep,
-                               KickStep, NumericalIntegrityError, ParityPair, PulseProgram,
-                               SignalTrace, evolve, evolve_blockwise, free_propagator,
-                               gate_halves, half_sample_slot, initial_state, rotation_gate,
-                               total_ix)
+from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, GateLayer,
+                               NumericalIntegrityError, Power, PulseProgram, SignalTrace,
+                               evolve, evolve_blockwise, free_rows, half_sample_slot,
+                               initial_state, rotation_gate)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import block_end, every_slot, half_period, rng
-from oracles import (apply_gates, dense_free, dense_free_propagator, global_rotation_matrix,
-                     total_iz_matrix, zero_hamiltonian)
+from oracles import (apply_gates, dense_free_propagator, dense_free_rows, dense_step,
+                     global_rotation_matrix, total_iz_matrix, total_ix, zero_hamiltonian)
 
 
 def stream_of(text):
@@ -183,7 +182,10 @@ class TestEvolveEngine:
         assert program.num_pulses == 0
         trace = evolve(program, hamiltonian, psi0)
         assert len(trace) == 1 and trace.num_cycles == 0
-        assert trace.values[0] == total_ix(psi0, hamiltonian.num_spins)
+        # both engines read the same parity rows; on ψ the sum runs in another order
+        props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
+        assert trace.values[0] == evolve_blockwise(program.stream, props, psi0).values[0]
+        assert trace.values[0] == pytest.approx(total_ix(psi0, hamiltonian.num_spins), rel=1e-15)
 
     def test_both_engines_reject_a_state_of_the_wrong_dimension(self, small_system, short_spec):
         _, _, hamiltonian, psi0 = small_system
@@ -227,14 +229,16 @@ def dense_evolve_values(program: PulseProgram, hamiltonian, psi0) -> np.ndarray:
 class TestSectorFreeEvolution:
     """Free evolution runs per total-Iz sector; the dense eigh of the whole matrix is the gate."""
 
-    @pytest.fixture(params=[(3, 2), (5, 0), (8, 4)], ids=lambda p: f"n{p[0]}-graph{p[1]}")
+    # at n = 2 the half-up sector maps onto itself under the spin flip
+    @pytest.fixture(params=[(2, 1), (3, 2), (5, 0), (8, 4)], ids=lambda p: f"n{p[0]}-graph{p[1]}")
     def hamiltonian(self, request):
         num_spins, seed = request.param
         return build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=seed)))
 
-    def test_trace_matches_dense_engine(self, hamiltonian):
+    @pytest.mark.parametrize("gamma_y", [0.97 * math.pi, math.pi], ids=["0.97pi", "pi"])
+    def test_trace_matches_dense_engine(self, hamiltonian, gamma_y):
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
-                            gamma_y=0.97 * math.pi)
+                            gamma_y=gamma_y)
         program = PulseProgram(sample_rmd(1, 4, seed=3), spec)
         psi0 = initial_state(hamiltonian.num_spins)
         trace = evolve(program, hamiltonian, psi0)
@@ -246,14 +250,17 @@ class TestSectorFreeEvolution:
         reference = dense_free_propagator(hamiltonian, 0.3) @ initial_state(n)
         assert np.abs(decayed - reference).max() < 1e-10
 
-    def test_assembled_u_free_has_no_entry_between_sectors(self, hamiltonian):
+    def test_free_rows_are_the_h0_rows_of_u_free_with_no_entry_between_sectors(self,
+                                                                                hamiltonian):
         n = hamiltonian.num_spins
-        blocks = free_propagator(hamiltonian, 0.05)
-        assert [idx.size for idx, _ in blocks] == [math.comb(n, k) for k in range(n + 1)]
-        u_free = dense_free(blocks, 2**n)
+        sectors = tuple(free_rows(hamiltonian.eigensystem(), 0.05))
+        # sectors k = 0 ... n - 1 have states in H₀; sector n is the all-down state alone
+        assert [cols.size for _, cols, _ in sectors] == [math.comb(n, k) for k in range(n)]
+        rows_of = dense_free_rows(sectors, n)
         iz = total_iz_matrix(n)
-        assert np.all(u_free[iz[:, None] != iz[None, :]] == 0)
-        assert np.abs(u_free - dense_free_propagator(hamiltonian, 0.05)).max() < 1e-12
+        assert np.all(rows_of[iz[:2**(n - 1), None] != iz[None, :]] == 0)
+        u_free = dense_free_propagator(hamiltonian, 0.05)
+        assert np.abs(rows_of - u_free[:2**(n - 1)]).max() < 1e-12
 
 
 def blockwise_deviation(hamiltonian, psi0, spec, slots) -> float:
@@ -323,8 +330,8 @@ class TestBlockwiseEngine:
         factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
         props = factory.block_set(0.95 * math.pi)
         for sign in (1, -1):
-            op, = props.steps[sign]
-            u = op @ np.eye(op.shape[0])
+            step, = props.steps[sign]
+            u = dense_step(step, hamiltonian.num_spins)
             deviation = u.conj().T @ u - np.eye(u.shape[0])
             assert np.abs(deviation).max() < 1e-10
 
@@ -349,15 +356,29 @@ class TestBlockwiseEngine:
 
 
 def two_block_set(factory: BlockPropagatorFactory) -> BlockPropagators:
-    """The factory's block set at its own angle built from both parity blocks of every
-    power: a ParityPair per plain step, a KickStep per kick step."""
-    spec, n, p = factory.spec, factory.num_spins, factory.powers
-    kick = rotation_gate("x", spec.theta_x).conj().T @ rotation_gate("y", spec.gamma_y)
-    halves = gate_halves(kick, n)
-    steps = {sign: tuple(p[f[0]] if len(f) == 1 else KickStep(p[f[0]], halves, p[f[1]])
+    """The factory's block set at its own angle on both parity rows: every power holds both
+    parity blocks, and the kick joins the rows, applies its layer to ψ and splits it."""
+    spec, n = factory.spec, factory.num_spins
+    power = lambda e: Power({s: factory.parity(s)[e] for s in (1, -1)})
+    kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
+                        @ rotation_gate("y", spec.gamma_y), n, 0)
+    steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
                          for f in layout)
              for sign, layout in factory.layout.items()}
-    return BlockPropagators(spec, factory.slots, steps)
+    return BlockPropagators(spec, factory.slots, steps, n, (1, -1))
+
+
+def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
+    """The per-pulse steps of `evolve` on both parity rows: the kick joins the rows,
+    applies its layer to ψ and splits it."""
+    n = hamiltonian.num_spins
+    free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
+    x = (GateLayer(rotation_gate("x", spec.theta_x), n, 1), free)
+    kick = (GateLayer(rotation_gate("y", spec.gamma_y), n, 0), free)
+    slots = tuple(range(1, spec.slots_per_block + 1))
+    steps = {sign: tuple(kick if slot == k + 1 else x for slot in slots)
+             for sign, k in ((1, spec.kick_plus), (-1, spec.kick_minus))}
+    return BlockPropagators(spec, slots, steps, n, (1, -1))
 
 
 def flip_odd(psi: np.ndarray, weight: float) -> np.ndarray:
@@ -370,7 +391,7 @@ def flip_odd(psi: np.ndarray, weight: float) -> np.ndarray:
 
 
 class TestParityComponent:
-    """At gamma = pi the factory's steps evolve one spin-flip parity component."""
+    """At gamma = pi every engine's steps evolve one spin-flip parity component."""
 
     @pytest.mark.parametrize("num_spins", [5, 6])
     @pytest.mark.parametrize("decay_time", [0.0, 0.3])
@@ -380,10 +401,21 @@ class TestParityComponent:
         psi0 = initial_state(num_spins, hamiltonian, decay_time)
         factory = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
         one = factory.block_set()
-        assert all(isinstance(op, ComponentStep) for ops in one.steps.values() for op in ops)
+        assert one.signs == (1,)
         stream = sample_rmd(1, 16, seed=3)
         a = evolve_blockwise(stream, one, psi0)
         b = evolve_blockwise(stream, two_block_set(factory), psi0)
+        assert np.array_equal(a.times, b.times)
+        assert np.abs(a.values - b.values).max() < 1e-12
+
+    @pytest.mark.parametrize("num_spins", [5, 6])
+    @pytest.mark.parametrize("decay_time", [0.0, 0.3])
+    def test_per_pulse_matches_the_two_row_steps(self, short_spec, num_spins, decay_time):
+        hamiltonian = graph_system(num_spins)
+        psi0 = initial_state(num_spins, hamiltonian, decay_time)
+        stream = sample_rmd(1, 4, seed=3)
+        a = evolve(PulseProgram(stream, short_spec), hamiltonian, psi0)
+        b = evolve_blockwise(stream, two_row_pulses(hamiltonian, short_spec), psi0)
         assert np.array_equal(a.times, b.times)
         assert np.abs(a.values - b.values).max() < 1e-12
 
@@ -393,9 +425,9 @@ class TestParityComponent:
                                                             gamma_y, angle_spread):
         _, _, hamiltonian, _ = small_system
         factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
+        assert factory.block_set().signs == (1,)
         props = factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
-        assert all(isinstance(op, (ParityPair, KickStep))
-                   for ops in props.steps.values() for op in ops)
+        assert props.signs == (1, -1)
 
     @pytest.mark.parametrize("num_spins", [5, 6])
     def test_a_p_odd_initial_state_is_rejected_at_pi_only(self, short_spec, num_spins):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rondeau.evolution import (BlockPropagatorFactory, ParityPair, PowerChain, PulseProgram,
-                               _kick_gates, evolve, evolve_blockwise,
-                               initial_state, kick_layout)
+from rondeau.evolution import (BlockPropagatorFactory, Power, PowerChain, PulseProgram,
+                               _kick_gates, evolve, evolve_blockwise, free_rows,
+                               initial_state, join_rows, kick_layout, parity_rows)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
@@ -21,7 +21,7 @@ from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
 from oracles import (apply_gates, dense_cycle_powers, dense_kick_gate, dense_slot_steps,
-                     spin_flip)
+                     dense_step, spin_flip)
 
 #: Powers the default layout (301 slots, kicks after pulses 200 and 100) reads at the
 #: block end alone and at the half-period slot and the block end.
@@ -136,13 +136,9 @@ def system(num_spins: int):
     return build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=7), 1.0))
 
 
-def dense(op) -> np.ndarray:
-    """A step operator (ParityPair or KickStep) as a dense matrix: applied to the identity."""
-    return op @ np.eye(op.shape[0], dtype=complex)
-
-
 class TestParitySplit:
-    """W = U_free · X commutes with P = prod sigma_x, so the factory keeps its powers as pairs."""
+    """W = U_free · X commutes with P = prod sigma_x, so the factory keeps each power as its
+    two parity blocks."""
 
     SPEC = MonopoleSpec(tau=0.01, gamma_y=0.93 * math.pi)
 
@@ -153,41 +149,43 @@ class TestParitySplit:
                                            BOTH_LAYOUTS | {0, 1}).items():
             assert np.abs(flip @ power @ flip - power).max() < 1e-12
 
-    def test_pair_of_a_flip_symmetric_matrix(self):
-        """A pair applied to vectors and matrices equals its dense matrix."""
+    def test_power_of_a_flip_symmetric_matrix(self):
+        """A power applied to the parity rows of a vector equals its dense matrix."""
         g, h = rng(3), 8
         plus, minus = (random_unitary(h, seed) for seed in (1, 2))
-        pair = ParityPair(plus, minus)
-        matrix = dense(pair)
+        power = Power({1: plus, -1: minus})
+        matrix = dense_step((power,), 4)
         flip = spin_flip(4)
         assert np.abs(flip @ matrix @ flip - matrix).max() < 1e-15
         assert np.abs(matrix[:h, :h] + matrix[:h, h:][:, ::-1] - plus).max() < 1e-15
-        for shape in [(2 * h,), (2 * h, 3)]:
-            state = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-            assert np.abs(pair @ state - matrix @ state).max() < 1e-14
+        for _ in range(3):
+            state = g.standard_normal(2 * h) + 1j * g.standard_normal(2 * h)
+            rows, signs = power(parity_rows(state), (1, -1))
+            assert np.abs(join_rows(rows, signs) - matrix @ state).max() < 1e-14
 
     @pytest.mark.parametrize("num_spins", [3, 5, 8])
     @pytest.mark.parametrize("slots", LAYOUT_EXPONENTS)
     def test_split_powers_and_steps_match_the_dense_chain(self, num_spins, slots):
         hamiltonian = system(num_spins)
         factory = BlockPropagatorFactory(hamiltonian, self.SPEC, slots)
-        assert all(isinstance(p, ParityPair) for p in factory.powers.values())
-        assert all(p.plus.shape == (2**(num_spins - 1),) * 2 for p in factory.powers.values())
+        blocks = {s: factory.parity(s) for s in (1, -1)}
+        assert all(b.shape == (2**(num_spins - 1),) * 2 for p in blocks.values() for b in p.values())
         reference = dense_cycle_powers(hamiltonian, self.SPEC, LAYOUT_EXPONENTS[slots])
-        assert factory.powers.keys() == reference.keys()
-        for e, pair in factory.powers.items():
-            assert np.abs(dense(pair) - reference[e]).max() < 1e-12
+        assert blocks[1].keys() == blocks[-1].keys() == reference.keys()
+        for e in reference:
+            power = Power({s: blocks[s][e] for s in (1, -1)})
+            assert np.abs(dense_step((power,), num_spins) - reference[e]).max() < 1e-12
         gate = dense_kick_gate(self.SPEC, num_spins)
         props = factory.block_set()
         for sign, layout in factory.layout.items():
-            for op, factors in zip(props.steps[sign], layout, strict=True):
+            for step, factors in zip(props.steps[sign], layout, strict=True):
                 if len(factors) == 1:
-                    assert isinstance(op, ParityPair)
+                    assert len(step) == 1
                     expected = reference[factors[0]]
                 else:
                     a, b = factors
                     expected = reference[a] @ gate @ reference[b]
-                assert np.abs(dense(op) - expected).max() < 1e-12
+                assert np.abs(dense_step(step, num_spins) - expected).max() < 1e-12
 
 
 @functools.cache
@@ -213,10 +211,13 @@ class TestLayoutRule:
         hamiltonian = cached_system(num_spins)
         props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
         assert props.slots == slots
+        # a step on the P = +1 row alone acts on the P = +1 part of a state
+        identity = np.eye(1 << num_spins)
+        part = (identity + spin_flip(num_spins)) / 2 if props.signs == (1,) else identity
         for sign, kick in ((1, kick_plus), (-1, kick_minus)):
             expected = dense_slot_steps(hamiltonian, spec, kick, slots)
             for op, step in zip(props.steps[sign], expected, strict=True):
-                assert np.abs(dense(op) - step).max() < 1e-12
+                assert np.abs(dense_step(op, num_spins, props.signs) - step @ part).max() < 1e-12
 
 
 class TestFactoryMemory:
@@ -258,7 +259,7 @@ class TestFactoryMemory:
         matrix = 16 * 4**8
         for slots in LAYOUT_EXPONENTS:
             factory = BlockPropagatorFactory(hamiltonian, spec, slots)
-            factory.powers  # builds the P = -1 chain
+            factory.parity(-1)
             tracemalloc.start()
             try:
                 props = factory.block_set(gamma_y)
@@ -307,10 +308,12 @@ class TestFactoryMemory:
         streams, bookkeeping = 25 * config.max_cycles, 0.25 * 16 * 4**6
         assert peak <= peak_matrix_bytes(config) + streams + bookkeeping
 
-    def test_trace_estimate_counts_the_sector_engine(self, small_system):
-        """A per-pulse trace holds H's sector blocks, their eigenvectors and the free-step blocks."""
-        _, couplings, _, _ = small_system
-        config = RunConfig(kind="trace", out_dir="x", num_spins=couplings.num_spins,
+    @pytest.mark.parametrize("num_spins", [6, 7, 8])
+    def test_trace_estimate_counts_the_sector_engine(self, num_spins):
+        """A per-pulse trace holds H's sector blocks, their eigenvectors and the free step's
+        rows in H₀."""
+        couplings = compute_couplings(generate_graph(num_spins, seed=11), 1.0)
+        config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
         program = PulseProgram(sample_rmd(0, 2, seed=1), config.spec())
         psi0 = initial_state(config.num_spins)
@@ -323,6 +326,9 @@ class TestFactoryMemory:
             tracemalloc.stop()
         estimate = peak_matrix_bytes(config)
         assert estimate - 0.25 * matrix < peak <= estimate + 0.25 * matrix
+        # the free step's rows in H₀ are half the C(2n, n) complex entries of U_free's blocks
+        rows = free_rows(build_hamiltonian(couplings).eigensystem(), config.tau)
+        assert sum(block.nbytes for _, _, block in rows) == 8 * math.comb(2 * num_spins, num_spins)
 
     @pytest.mark.parametrize("num_spins, overrides, chains", [
         (8, dict(kind="encode", text="Hi"), 1),

@@ -8,25 +8,26 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.analysis import lifetime
-from rondeau.evolution import SignalTrace, _check_norm, total_ix
+from rondeau.evolution import SignalTrace, _check_norm, parity_ix, parity_rows
 from rondeau.runner import FullSystem, RunConfig, make_stream, measure_rate
 
 
 def reference_rundown(symbols, props, psi0, max_cycles, stop_factor=0.8):
-    """Standalone stroboscopic loop: stop at the first sample below stop_factor/e."""
+    """Standalone stroboscopic loop off pi, on both parity rows: stop at the first sample
+    below stop_factor/e."""
     spec = props.spec
     T = spec.block_duration
-    full = {s: op for s, (op,) in props.steps.items()}
-    num_spins = int(round(math.log2(psi0.size)))
-    psi = np.array(psi0, dtype=complex)
-    values = [total_ix(psi, num_spins)]
+    full = {s: step for s, (step,) in props.steps.items()}
+    rows, signs = parity_rows(psi0), (1, -1)
+    values = [parity_ix(rows, signs)]
     target = abs(values[0]) * stop_factor / math.e
     limit = min(max_cycles, symbols.size)
     for ell in range(limit):
-        psi = full[int(symbols[ell])] @ psi
-        values.append(total_ix(psi, num_spins))
+        for factor in full[int(symbols[ell])]:
+            rows, signs = factor(rows, signs)
+        values.append(parity_ix(rows, signs))
         if (ell + 1) % 64 == 0:
-            _check_norm(psi, f"cycle {ell + 1}")
+            _check_norm(rows, f"cycle {ell + 1}")
         if abs(values[-1]) < target:
             break
     return SignalTrace(times=T * np.arange(len(values)), values=np.array(values),

@@ -10,8 +10,10 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.cli import load_config_file, main
+from rondeau.evolution import SignalTrace
 from rondeau.runner import ENGINES, KINDS, ConfigError, RunConfig, derive_seed, run
-from rondeau.serialize import read_trace
+from rondeau.sequences import MonopoleSpec
+from rondeau.serialize import read_trace, write_trace
 
 
 def dephasing_trace_config(out_dir, **overrides):
@@ -455,6 +457,29 @@ class TestCodecPipeline:
         assert err["error"] == "ValueError"
         assert str(path) in err["message"]
         assert f"data row {rows} has the signal cell 'abc'" in err["message"]
+
+
+    @pytest.mark.parametrize("case, problem", [
+        ("missing", "No such file or directory"),
+        ("malformed", "lacks the header key(s) num_cycles"),
+        ("one-slot", "reads slots (13,), not the half-period slot 6 a decode reads"),
+    ], ids=["missing", "malformed", "one-slot"])
+    def test_decode_of_a_bad_trace_leaves_no_output_directory(self, tmp_path, capsys, case,
+                                                             problem):
+        path = tmp_path / "trace.csv"
+        if case == "malformed":
+            lines = self.encoded_trace(tmp_path).read_text().splitlines()
+            path.write_text("\n".join(line for line in lines
+                                      if not line.startswith("# num_cycles=")) + "\n")
+        elif case == "one-slot":
+            spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
+            write_trace(path, SignalTrace.at_slots(spec, (13,), (-1.0) ** np.arange(15), {}))
+        out = tmp_path / "dec"
+        capsys.readouterr()
+        assert main(["decode", "--trace", str(path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert str(path) in err["message"] and problem in err["message"]
+        assert not out.exists()
 
 
 class TestCli:
