@@ -10,9 +10,10 @@ slot's free evolution.
 Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx,
 and the initial state has P = +1.  Every engine therefore carries its state
 as parity rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 (:func:`parity_rows`), with H₀
-the basis states whose spin 0 is up and F the flip of every spin: one row
-where the kick keeps P eigenstates (:func:`kick_parity`, exactly gamma = pi),
-else two.
+the basis states whose spin 0 is up and F the flip of every spin.  A run
+starts from the one P = +1 row of :func:`initial_state`; a kick that keeps P
+eigenstates (:func:`kick_parity`, exactly gamma = pi) keeps one row, and the
+first kick that mixes P creates the P = -1 row.
 
 A run reads every block at one increasing tuple of readout slots that ends
 at the block end.  :class:`BlockPropagators` holds one step per readout: b,
@@ -37,8 +38,6 @@ from .spins import Hamiltonian
 
 #: Relative norm drift beyond which the evolution is aborted.
 NORM_DRIFT_LIMIT = 1e-8
-#: Largest P = -1 weight w gamma = pi steps drop: Ix moves by <= n w / 2; rounding leaves 1e-25.
-PARITY_LEAK_LIMIT = 1e-20
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -288,23 +287,24 @@ class GateLayer:
 
 def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
                   decay_time: float = 0.0) -> np.ndarray:
-    """All-spins-along-x product state, optionally pre-decayed.
+    """The P = +1 row c = (ψ₀[H₀] + ψ₀[F(H₀)]) / √2 of the all-spins-along-x state ψ₀.
 
-    A positive ``decay_time`` evolves the product state under ``hamiltonian``
-    first, lowering the initial polarization (free induction decay) without
-    touching the subsequent dynamics.  The product state has P = +1, and so
-    has the decayed one: only its P = +1 row is evolved.
+    ψ₀ is 2^(-n/2) on every basis state and has P = +1, so this one row of
+    2^(n-1) entries is the whole state.  A positive ``decay_time`` evolves it
+    under ``hamiltonian`` first, lowering the initial polarization (free
+    induction decay) without touching the subsequent dynamics; free
+    evolution keeps P = +1.
     """
     if decay_time < 0:
         raise ValueError(f"decay_time must be >= 0, got {decay_time}")
     dim = 2**num_spins
-    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    row = np.full(dim // 2, 2 / math.sqrt(dim), dtype=complex) / math.sqrt(2)
     if decay_time > 0:
         if hamiltonian is None:
             raise ValueError(f"decay_time = {decay_time} needs a hamiltonian to decay under")
         free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), decay_time)))
-        psi = join_rows(free(parity_rows(psi)[:1], (1,))[0], (1,))
-    return psi
+        row = free(row[None], (1,))[0][0]
+    return row
 
 
 def _kick_gates(spec: MonopoleSpec, num_spins: int,
@@ -535,7 +535,7 @@ class BlockPropagatorFactory:
         steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
                              for f in layout)
                  for sign, layout in self.layout.items()}
-        return BlockPropagators(spec, self.slots, steps, n, (1,) if parity else (1, -1))
+        return BlockPropagators(spec, self.slots, steps, n)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -548,37 +548,35 @@ class BlockPropagators:
     readout slot of ``slots``: each carries the state from the previous
     readout to the one after its slot, and the last slot is the block end.  A
     step is a tuple of factors applied in turn, each mapping (rows, signs) to
-    (rows, signs): b, a :class:`GateLayer`, a.  The state starts as the rows
-    of ``signs``: (1,) where the kick keeps P eigenstates, else (1, -1).
+    (rows, signs): b, a :class:`GateLayer`, a.  How many rows a state carries
+    comes from the factors it passes through, not from the block set.
     """
 
     spec: MonopoleSpec
     slots: tuple
     steps: dict
     num_spins: int
-    signs: tuple
 
 
-def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.ndarray,
+def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
                      stop_factor: float | None = None) -> SignalTrace:
-    """Evolve `psi0` block by block under `stream`, recording Ix after every step.
+    """Evolve the P = +1 ``row`` of `initial_state` block by block under `stream`,
+    recording Ix after every step.
 
-    This is the one stepping loop of every engine.  It splits `psi0` into
-    parity rows once; a dropped P = -1 row may weigh ``PARITY_LEAK_LIMIT``.  A
-    step costs, per row, a half-size mat-vec per :class:`Power`, the sector
-    mat-vecs per :class:`FreeStep` and an (n - 1)-spin layer per folding
-    :class:`GateLayer`, then `parity_ix`; the norm is checked once a cycle.
+    This is the one stepping loop of every engine.  The state starts as that
+    one row, signs (1,); the first :class:`GateLayer` that mixes P turns it
+    into the two rows of signs (1, -1).  A step costs, per row, a half-size
+    mat-vec per :class:`Power`, the sector mat-vecs per :class:`FreeStep` and
+    an (n - 1)-spin layer per folding :class:`GateLayer`, then `parity_ix`;
+    the norm is checked once a cycle.
     With ``stop_factor`` the run ends at the first block-end sample below
     ``stop_factor / e`` of the initial magnitude, since later cycles cannot
     move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
     """
-    spec, num_spins, signs = props.spec, props.num_spins, props.signs
-    if psi0.shape != (1 << num_spins,):
+    spec, num_spins = props.spec, props.num_spins
+    if row.shape != (1 << (num_spins - 1),):
         raise ValueError("state dimension does not match the propagators")
-    rows = parity_rows(np.asarray(psi0, dtype=complex))
-    if (leak := float(np.vdot(rows[len(signs):], rows[len(signs):]).real)) > PARITY_LEAK_LIMIT:
-        raise ValueError(f"gamma = pi steps would drop a P = -1 part of weight {leak:.3e}")
-    rows = rows[:len(signs)]
+    rows, signs = np.asarray(row, dtype=complex)[None], (1,)
     values = [parity_ix(rows, signs)]
     # without stop_factor the target is 0, which no magnitude falls below
     target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
@@ -597,26 +595,25 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, psi0: np.nda
               "gamma_y": spec.gamma_y, "tau": spec.tau})
 
 
-def evolve(program: PulseProgram, hamiltonian: Hamiltonian, psi0: np.ndarray,
-           angle_spread: float = 0.0, disorder_seed: int | None = None) -> SignalTrace:
+def evolve(program: PulseProgram, hamiltonian: Hamiltonian, row: np.ndarray) -> SignalTrace:
     """The quasi-continuous readout: `evolve_blockwise` with one step per slot.
 
     Every slot of a block is an x pulse except the kick's, slot
     ``kick_plus + 1`` or ``kick_minus + 1``; a step is its pulse's
     :class:`GateLayer`, then one slot's :class:`FreeStep`.  The first sample is
     the pre-drive value at t = 0, then one follows each pulse's free slot.  The
-    samples are exact expectation values, free of read-out noise.
+    samples are exact expectation values, free of read-out noise.  ``row`` is
+    the P = +1 row of `initial_state`.
     """
     spec, num_spins = program.spec, hamiltonian.num_spins
     free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
-    parity = kick_parity(spec.gamma_y, num_spins, angle_spread)
     x = (GateLayer(rotation_gate("x", spec.theta_x), num_spins, 1), free)
-    kick = (GateLayer(_kick_gates(spec, num_spins, angle_spread, disorder_seed),
-                      num_spins, parity), free)
+    kick = (GateLayer(_kick_gates(spec, num_spins), num_spins,
+                      kick_parity(spec.gamma_y, num_spins)), free)
     slots = tuple(range(1, spec.slots_per_block + 1))
     steps = {sign: tuple(kick if slot == kick_slot + 1 else x for slot in slots)
              for sign, kick_slot in ((1, spec.kick_plus), (-1, spec.kick_minus))}
-    props = BlockPropagators(spec, slots, steps, num_spins, (1,) if parity else (1, -1))
-    trace = evolve_blockwise(program.stream, props, psi0)
+    props = BlockPropagators(spec, slots, steps, num_spins)
+    trace = evolve_blockwise(program.stream, props, row)
     trace.meta["engine"] = "full"
     return trace

@@ -32,8 +32,8 @@ from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, 
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
                         thue_morse_stream)
-from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, build_hamiltonian, compute_couplings,
-                    cube_edge, generate_graph)
+from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, PackingInfeasibleError,
+                    build_hamiltonian, compute_couplings, generate_graph)
 from . import serialize
 
 KINDS = ("trace", "phase-diagram", "heating-eps", "heating-period",
@@ -178,11 +178,13 @@ class RunConfig:
             spec = self.spec() if self.kind != "decode" else None
             if self.kind != "trace" and len(_readout_slots(self)) > 1:
                 check_kick_layout(spec)
-            if _builds_systems(self):
-                cube_edge(self.num_spins, self.edge_length, self.r_min, self.r_max)
             if self.kind == "encode":
                 Message(self.text)  # an EncodingError for text outside 7 bits
-        except ValueError as exc:
+            if _builds_systems(self):  # place each graph: graph_seed + g for a heating sweep's g
+                for g in range(self.graph_realizations if self.kind in _SWEEPS else 1):
+                    generate_graph(self.num_spins, edge_length=self.edge_length,
+                                   r_min=self.r_min, r_max=self.r_max, seed=self.graph_seed + g)
+        except (ValueError, PackingInfeasibleError) as exc:
             raise ConfigError(str(exc)) from None
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
         if estimate > memory:
@@ -322,7 +324,7 @@ def _drive_realizations(config: RunConfig) -> int:
 
 
 class FullSystem:
-    """Graph, Hamiltonian, initial state, and the propagator factory of one run.
+    """Graph, Hamiltonian, initial P = +1 row, and the propagator factory of one run.
 
     Only the factory of the most recent tau and readout slots is kept, since a
     sweep uses each tau for one point and a run reads one slot tuple.
@@ -338,7 +340,7 @@ class FullSystem:
             model=config.coupling_model,
         )
         self.hamiltonian = build_hamiltonian(self.couplings)
-        self.psi0 = initial_state(config.num_spins, self.hamiltonian,
+        self.row0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
         self._parities = _parities(config)
@@ -384,8 +386,8 @@ def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
     if system is None:
         return model_signal(stream, props)
     if stop_factor is None:
-        return evolve_blockwise(stream, props, system.psi0)
-    return stroboscopic_rundown(stream, props, system.psi0, stop_factor=stop_factor)
+        return evolve_blockwise(stream, props, system.row0)
+    return stroboscopic_rundown(stream, props, system.row0, stop_factor=stop_factor)
 
 
 def measure_rate(system: FullSystem | None, props, config: RunConfig, order, seed: int,
@@ -424,7 +426,7 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
     if config.engine == "full":
         # the per-pulse reference engine, for the quasi-continuous readout
         system = FullSystem(config)
-        trace = evolve(PulseProgram(stream, spec), system.hamiltonian, system.psi0)
+        trace = evolve(PulseProgram(stream, spec), system.hamiltonian, system.row0)
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
     else:
@@ -554,10 +556,8 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     return {"characters": len(message.text), "cycles": len(stream)}
 
 
-def _run_decode(config: RunConfig, out: Path, trace: SignalTrace) -> dict:
-    """Decode ``trace``, which `run` reads and checks before the output directory exists."""
-    message = decode(trace, threshold=config.threshold)
-    margins = decode_margins(trace)
+def _run_decode(config: RunConfig, out: Path, message: Message, margins: np.ndarray) -> dict:
+    """Write the ``message`` and ``margins`` that `run` decoded before creating ``out``."""
     serialize.write_json(out / "decoded.json", {
         "text": message.text,
         "margins": [float(m) for m in margins],
@@ -581,12 +581,13 @@ def run(config: RunConfig) -> dict:
     """Validate, execute, and write the manifest; returns a summary dict."""
     config.validate()
     handler = _HANDLERS.get(config.kind)
-    if handler is None:  # a decode: its trace is read once, checked before --out exists
+    if handler is None:  # a decode: its trace is read, checked and decoded before --out exists
         trace = serialize.read_trace(config.trace_file)
         if half_sample_slot(trace) not in trace.slots:
             raise ValueError(f"{config.trace_file} reads slots {trace.slots}, not the "
                              f"half-period slot {half_sample_slot(trace)} a decode reads")
-        handler = partial(_run_decode, trace=trace)
+        handler = partial(_run_decode, message=decode(trace, threshold=config.threshold),
+                          margins=decode_margins(trace))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = handler(config, out)

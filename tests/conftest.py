@@ -14,8 +14,8 @@ def small_system():
     graph = generate_graph(6, seed=11)
     couplings = compute_couplings(graph, coupling_median=1.0)
     hamiltonian = build_hamiltonian(couplings)
-    psi0 = initial_state(6, hamiltonian)
-    return graph, couplings, hamiltonian, psi0
+    row0 = initial_state(6, hamiltonian)
+    return graph, couplings, hamiltonian, row0
 
 
 @pytest.fixture()

@@ -13,7 +13,9 @@ that moves outputs on purpose, regenerate the committed copy with
     PYTHONPATH=src python tests/golden/regenerate.py
 
 which prints every file it added, changed or removed relative to the copy it
-replaced, and name each of them, with its reason, in CHANGES.md.  A changed
+replaced, and name each of them, with its reason, in CHANGES.md.  It also
+writes ``blas.json`` next to ``expected/``: the BLAS the outputs were made
+with (`blas_info`), since another GEMM kernel sums in another order.  A changed
 file is reported as ``floats only`` with the largest |delta| of its float
 tokens when nothing else in it moved (a reassociated matrix product), and as
 ``content`` otherwise: a count, an integer, a word or a line that changed.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -58,6 +61,31 @@ def normalized(path: Path) -> bytes:
     manifest.pop("versions", None)
     manifest["config"].pop("out_dir", None)
     return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+
+
+def blas_info() -> dict[str, str]:
+    """numpy's bundled OpenBLAS: its build ``config`` and the ``core`` kernel it picked at
+    run time, read through ctypes; "unknown" where the library cannot be read."""
+    import numpy as np
+
+    getters = {"config": "scipy_openblas_get_config64_", "core": "scipy_openblas_get_corename64_"}
+    info = dict.fromkeys(getters, "unknown")
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+            for key, name in getters.items():
+                getter = getattr(lib, name)
+                getter.restype = ctypes.c_char_p
+                info[key] = getter().decode()
+        except (OSError, AttributeError):
+            pass
+    return info
+
+
+def recorded_blas() -> dict[str, str] | str:
+    """The ``blas.json`` written with ``expected/``, or a note that there is none."""
+    path = EXPECTED.parent / "blas.json"
+    return json.loads(path.read_text()) if path.exists() else f"no {path}"
 
 
 def run_cases(root: Path) -> None:
@@ -147,6 +175,8 @@ def main(argv=None) -> int:
         if not check:
             shutil.rmtree(EXPECTED, ignore_errors=True)
             shutil.copytree(root, EXPECTED)
+            (EXPECTED.parent / "blas.json").write_text(
+                json.dumps(blas_info(), indent=2, sort_keys=True) + "\n")
     for change, names in changes(before, after).items():
         for name in names:
             how = f" ({describe(before[name], after[name])})" if change == "changed" else ""

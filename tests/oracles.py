@@ -57,6 +57,11 @@ def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     return apply_halves(state, gate_halves(gates, num_spins))
 
 
+def state_vector(row: np.ndarray) -> np.ndarray:
+    """The 2^n vector ψ of the P = +1 parity ``row`` that `initial_state` returns."""
+    return join_rows(row[None], (1,))
+
+
 def total_ix(state: np.ndarray, num_spins: int) -> float:
     """Expectation of total Ix of the vector ``state``; spin flips are index permutations."""
     total = 0.0

@@ -86,11 +86,11 @@ class TestDecode:
     def test_full_simulator_round_trip(self):
         graph = generate_graph(8, seed=3)
         hamiltonian = build_hamiltonian(compute_couplings(graph, 1.0))
-        psi0 = initial_state(8, hamiltonian)
+        row0 = initial_state(8, hamiltonian)
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=math.pi)
         props = BlockPropagatorFactory(hamiltonian, spec, half_period(spec)).block_set()
-        trace = evolve_blockwise(encode(Message("Hi")), props, psi0)
+        trace = evolve_blockwise(encode(Message("Hi")), props, row0)
         assert decode(trace).text == "Hi"
 
     def test_trailing_partial_group_dropped(self, short_spec):

@@ -10,13 +10,14 @@ from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, GateLayer,
                                NumericalIntegrityError, Power, PulseProgram, SignalTrace,
                                evolve, evolve_blockwise, free_rows, half_sample_slot,
-                               initial_state, rotation_gate)
+                               initial_state, parity_rows, rotation_gate)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from conftest import block_end, every_slot, half_period, rng
+from conftest import block_end, every_slot, half_period
 from oracles import (apply_gates, dense_free_propagator, dense_free_rows, dense_step,
-                     global_rotation_matrix, total_iz_matrix, total_ix, zero_hamiltonian)
+                     global_rotation_matrix, state_vector, total_iz_matrix, total_ix,
+                     zero_hamiltonian)
 
 
 def stream_of(text):
@@ -50,12 +51,18 @@ class TestSignalTrace:
 
 
 class TestInitialState:
+    def test_row_is_the_p_plus_row_of_the_product_state(self):
+        """Bit for bit (ψ₀[H₀] + ψ₀[F(H₀)]) / √2; at odd n 1 / √2^(n-1) is an ulp off it."""
+        for n in range(2, 15):
+            psi = np.full(2**n, 1 / math.sqrt(2**n), dtype=complex)
+            assert np.array_equal(initial_state(n), parity_rows(psi)[0])
+
     def test_product_state_polarization(self):
-        psi = initial_state(4)
+        psi = state_vector(initial_state(4))
         assert total_ix(psi, 4) == pytest.approx(2.0)
 
     def test_transverse_components_vanish(self):
-        psi = initial_state(3)
+        psi = state_vector(initial_state(3))
         # <Iy> and <Iz> via explicit small operators
         dim = 8
         sy = np.array([[0, -1j], [1j, 0]]) / 2
@@ -75,7 +82,7 @@ class TestInitialState:
         _, _, hamiltonian, _ = small_system
         fresh = initial_state(6, hamiltonian, decay_time=0.0)
         decayed = initial_state(6, hamiltonian, decay_time=0.5)
-        assert total_ix(decayed, 6) < total_ix(fresh, 6)
+        assert total_ix(state_vector(decayed), 6) < total_ix(state_vector(fresh), 6)
 
 
 class TestRotationFactorization:
@@ -98,9 +105,9 @@ class TestRotationFactorization:
 class TestNonInteractingLimits:
     def test_perfect_kicks_give_exact_period_doubling(self, short_spec):
         h0 = zero_hamiltonian(4)
-        psi0 = initial_state(4)
+        row0 = initial_state(4)
         stream = sample_rmd(0, 12, seed=2)
-        trace = evolve(PulseProgram(stream, short_spec), h0, psi0)
+        trace = evolve(PulseProgram(stream, short_spec), h0, row0)
         times, values = stroboscopic_samples(trace)
         expected = values[0] * (-1.0) ** np.arange(13)
         assert np.abs(values - expected).max() < 1e-12
@@ -109,13 +116,13 @@ class TestNonInteractingLimits:
         # the - block kicks before the half sample, the + block after it; the
         # second layout puts the + kick directly after the half-period slot
         h0 = zero_hamiltonian(3)
-        psi0 = initial_state(3)
+        row0 = initial_state(3)
         stream = sample_rmd(0, 64, seed=14)
-        expected = total_ix(psi0, 3) * (-1.0) ** np.arange(64) * stream.symbols
+        expected = total_ix(state_vector(row0), 3) * (-1.0) ** np.arange(64) * stream.symbols
         for kick_plus in (8, 6):
             spec = MonopoleSpec(pulses_per_block=12, kick_plus=kick_plus, kick_minus=4,
                                 tau=0.05)
-            trace = evolve(PulseProgram(stream, spec), h0, psi0)
+            trace = evolve(PulseProgram(stream, spec), h0, row0)
             assert np.allclose(half_period_samples(trace), expected, atol=1e-12)
 
     def test_dephasing_model_equivalence_is_exact(self):
@@ -126,15 +133,15 @@ class TestNonInteractingLimits:
         """
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10, tau=0.05)
         h0 = zero_hamiltonian(4)
-        psi0 = initial_state(4)
+        row0 = initial_state(4)
         stream = sample_rmd(0, 16, seed=5)
-        trace = evolve(PulseProgram(stream, spec), h0, psi0)
+        trace = evolve(PulseProgram(stream, spec), h0, row0)
         model = model_signal(stream, DephasingParams(spec=spec, slots=every_slot(spec)))
-        model.values *= total_ix(psi0, 4)
+        model.values *= total_ix(state_vector(row0), 4)
         assert np.array_equal(model.times, trace.times)
         assert np.abs(model.values - trace.values).max() < 1e-12
         props = BlockPropagatorFactory(h0, spec, half_period(spec)).block_set()
-        block = evolve_blockwise(stream, props, psi0)
+        block = evolve_blockwise(stream, props, row0)
         by_slot = dict(zip(rows(trace), trace.times))
         assert np.array_equal([by_slot[key] for key in rows(block)], block.times)
         for t in (trace, model, block):
@@ -146,51 +153,53 @@ class TestNonInteractingLimits:
 
 class TestEvolveEngine:
     def test_norm_preserved_over_many_pulses(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         stream = sample_rmd(0, 64, seed=9)
         program = PulseProgram(stream, short_spec)
-        trace = evolve(program, hamiltonian, psi0)
+        trace = evolve(program, hamiltonian, row0)
         assert len(trace) == program.num_pulses + 1
 
     def test_norm_check_catches_bad_state(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         program = PulseProgram(sample_rmd(0, 2, seed=1), short_spec)
         with pytest.raises(NumericalIntegrityError):
-            evolve(program, hamiltonian, 1.5 * psi0)
+            evolve(program, hamiltonian, 1.5 * row0)
 
     def test_readout_noise_reproducible(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         program = PulseProgram(sample_rmd(0, 2, seed=1), short_spec)
-        a = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
-        b = evolve(program, hamiltonian, psi0).with_noise(0.1, 7)
+        a = evolve(program, hamiltonian, row0).with_noise(0.1, 7)
+        b = evolve(program, hamiltonian, row0).with_noise(0.1, 7)
         assert np.array_equal(a.values, b.values)
 
     def test_angle_disorder_reproducible_and_small(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
-        program = PulseProgram(sample_rmd(0, 4, seed=1), short_spec)
-        base = evolve(program, hamiltonian, psi0)
-        a = evolve(program, hamiltonian, psi0, angle_spread=0.018, disorder_seed=3)
-        b = evolve(program, hamiltonian, psi0, angle_spread=0.018, disorder_seed=3)
+        _, _, hamiltonian, row0 = small_system
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
+        stream = sample_rmd(0, 4, seed=1)
+        base = evolve_blockwise(stream, factory.block_set(), row0)
+        a, b = (evolve_blockwise(stream, factory.block_set(angle_spread=0.018, disorder_seed=3),
+                                 row0) for _ in range(2))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, base.values)
         # 1.8% inhomogeneity perturbs the trace only weakly
         assert np.abs(a.values - base.values).max() < 0.05 * abs(base.values[0])
 
     def test_empty_stream_gives_the_pre_drive_sample(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         program = PulseProgram(stream_of(""), short_spec)
         assert program.num_pulses == 0
-        trace = evolve(program, hamiltonian, psi0)
+        trace = evolve(program, hamiltonian, row0)
         assert len(trace) == 1 and trace.num_cycles == 0
         # both engines read the same parity rows; on ψ the sum runs in another order
         props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
-        assert trace.values[0] == evolve_blockwise(program.stream, props, psi0).values[0]
+        assert trace.values[0] == evolve_blockwise(program.stream, props, row0).values[0]
+        psi0 = state_vector(row0)
         assert trace.values[0] == pytest.approx(total_ix(psi0, hamiltonian.num_spins), rel=1e-15)
 
     def test_both_engines_reject_a_state_of_the_wrong_dimension(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         stream = sample_rmd(0, 2, seed=1)
-        short = psi0[:-1]
+        short = row0[:-1]
         with pytest.raises(ValueError, match="state dimension"):
             evolve(PulseProgram(stream, short_spec), hamiltonian, short)
         props = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec)).block_set()
@@ -198,9 +207,9 @@ class TestEvolveEngine:
             evolve_blockwise(stream, props, short)
 
     def test_trace_timing_layout(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         program = PulseProgram(sample_rmd(0, 3, seed=4), short_spec)
-        trace = evolve(program, hamiltonian, psi0)
+        trace = evolve(program, hamiltonian, row0)
         assert trace.times[0] == 0.0
         slots = short_spec.slots_per_block
         assert trace.slots == tuple(range(1, slots + 1)) and trace.num_cycles == 3
@@ -240,14 +249,15 @@ class TestSectorFreeEvolution:
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05,
                             gamma_y=gamma_y)
         program = PulseProgram(sample_rmd(1, 4, seed=3), spec)
-        psi0 = initial_state(hamiltonian.num_spins)
-        trace = evolve(program, hamiltonian, psi0)
-        assert np.abs(trace.values - dense_evolve_values(program, hamiltonian, psi0)).max() < 1e-10
+        row0 = initial_state(hamiltonian.num_spins)
+        trace = evolve(program, hamiltonian, row0)
+        reference = dense_evolve_values(program, hamiltonian, state_vector(row0))
+        assert np.abs(trace.values - reference).max() < 1e-10
 
     def test_decayed_initial_state_matches_dense(self, hamiltonian):
         n = hamiltonian.num_spins
-        decayed = initial_state(n, hamiltonian, decay_time=0.3)
-        reference = dense_free_propagator(hamiltonian, 0.3) @ initial_state(n)
+        decayed = state_vector(initial_state(n, hamiltonian, decay_time=0.3))
+        reference = dense_free_propagator(hamiltonian, 0.3) @ state_vector(initial_state(n))
         assert np.abs(decayed - reference).max() < 1e-10
 
     def test_free_rows_are_the_h0_rows_of_u_free_with_no_entry_between_sectors(self,
@@ -263,12 +273,12 @@ class TestSectorFreeEvolution:
         assert np.abs(rows_of - u_free[:2**(n - 1)]).max() < 1e-12
 
 
-def blockwise_deviation(hamiltonian, psi0, spec, slots) -> float:
+def blockwise_deviation(hamiltonian, row0, spec, slots) -> float:
     """Largest gap between the blockwise and the per-pulse trace at their shared samples."""
     stream = sample_rmd(1, 8, seed=3)
-    full = evolve(PulseProgram(stream, spec), hamiltonian, psi0)
+    full = evolve(PulseProgram(stream, spec), hamiltonian, row0)
     props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
-    block = evolve_blockwise(stream, props, psi0)
+    block = evolve_blockwise(stream, props, row0)
     by_slot = dict(zip(rows(full), full.values))
     at_shared = [by_slot[key] for key in rows(block)]
     return float(np.abs(at_shared - block.values).max())
@@ -296,32 +306,32 @@ class TestBlockwiseEngine:
     ])
     def test_matches_per_pulse_engine(self, kicks, gamma_y, slots, num_spins):
         hamiltonian = graph_system(num_spins)
-        psi0 = initial_state(num_spins, hamiltonian)
+        row0 = initial_state(num_spins, hamiltonian)
         spec = MonopoleSpec(12, *kicks, tau=0.05, gamma_y=gamma_y)
-        assert blockwise_deviation(hamiltonian, psi0, spec, slots) < 1e-10
+        assert blockwise_deviation(hamiltonian, row0, spec, slots) < 1e-10
 
     @pytest.mark.parametrize("slots", [half_period, block_end])
     def test_matches_per_pulse_engine_with_the_kick_at_the_half_slot(self, small_system,
                                                                       slots):
         """kick_plus == half slot: the + block's first step is A · G(W^0), B the identity."""
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         spec = MonopoleSpec(pulses_per_block=12, kick_plus=6, kick_minus=4,
                             tau=0.05, gamma_y=1.03 * math.pi)
         assert half_sample_slot(spec) == spec.kick_plus
-        assert blockwise_deviation(hamiltonian, psi0, spec, slots(spec)) < 1e-10
+        assert blockwise_deviation(hamiltonian, row0, spec, slots(spec)) < 1e-10
 
     def test_strobo_only_mode(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         stream = sample_rmd(0, 6, seed=8)
         props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
-        trace = evolve_blockwise(stream, props, psi0)
+        trace = evolve_blockwise(stream, props, row0)
         assert len(trace) == 7
         assert np.allclose(np.diff(trace.times), short_spec.block_duration)
 
     def test_micromotion_of_a_strobo_only_trace_rejected(self, small_system, short_spec):
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         props = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec)).block_set()
-        trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, psi0)
+        trace = evolve_blockwise(sample_rmd(0, 8, seed=8), props, row0)
         with pytest.raises(ValueError, match=r"the trace reads slots \(13,\), not slot 6"):
             dft_micromotion(trace)
 
@@ -356,8 +366,9 @@ class TestBlockwiseEngine:
 
 
 def two_block_set(factory: BlockPropagatorFactory) -> BlockPropagators:
-    """The factory's block set at its own angle on both parity rows: every power holds both
-    parity blocks, and the kick joins the rows, applies its layer to ψ and splits it."""
+    """The factory's block set at its own angle with a mixing kick: every power holds both
+    parity blocks, and the kick joins the rows, applies its layer to ψ and splits it, so
+    the state is two rows from the first kick on."""
     spec, n = factory.spec, factory.num_spins
     power = lambda e: Power({s: factory.parity(s)[e] for s in (1, -1)})
     kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
@@ -365,12 +376,12 @@ def two_block_set(factory: BlockPropagatorFactory) -> BlockPropagators:
     steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
                          for f in layout)
              for sign, layout in factory.layout.items()}
-    return BlockPropagators(spec, factory.slots, steps, n, (1, -1))
+    return BlockPropagators(spec, factory.slots, steps, n)
 
 
 def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
-    """The per-pulse steps of `evolve` on both parity rows: the kick joins the rows,
-    applies its layer to ψ and splits it."""
+    """The per-pulse steps of `evolve` with a mixing kick: the kick joins the rows, applies
+    its layer to ψ and splits it, so the state is two rows from the first kick on."""
     n = hamiltonian.num_spins
     free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
     x = (GateLayer(rotation_gate("x", spec.theta_x), n, 1), free)
@@ -378,16 +389,22 @@ def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
     slots = tuple(range(1, spec.slots_per_block + 1))
     steps = {sign: tuple(kick if slot == k + 1 else x for slot in slots)
              for sign, k in ((1, spec.kick_plus), (-1, spec.kick_minus))}
-    return BlockPropagators(spec, slots, steps, n, (1, -1))
+    return BlockPropagators(spec, slots, steps, n)
 
 
-def flip_odd(psi: np.ndarray, weight: float) -> np.ndarray:
-    """``psi`` plus a P = -1 part of the given weight, normalized."""
-    g = rng(4)
-    v = g.standard_normal(psi.size) + 1j * g.standard_normal(psi.size)
-    odd = v - v[::-1]  # P reverses the basis indices
-    out = psi + math.sqrt(weight) * odd / np.linalg.norm(odd)
-    return out / np.linalg.norm(out)
+def kick_of(props: BlockPropagators) -> GateLayer:
+    """The kick's gate layer in the + block's steps."""
+    return next(f for step in props.steps[1] for f in step if isinstance(f, GateLayer))
+
+
+def step_signs(props: BlockPropagators, row: np.ndarray) -> list[tuple]:
+    """The signs of the state's rows after each step of the + block, from the one ``row``."""
+    rows, signs, out = row[None], (1,), []
+    for step in props.steps[1]:
+        for factor in step:
+            rows, signs = factor(rows, signs)
+        out.append(signs)
+    return out
 
 
 class TestParityComponent:
@@ -398,13 +415,14 @@ class TestParityComponent:
     @pytest.mark.parametrize("slots", [block_end, half_period])
     def test_matches_the_two_block_steps(self, short_spec, num_spins, decay_time, slots):
         hamiltonian = graph_system(num_spins)
-        psi0 = initial_state(num_spins, hamiltonian, decay_time)
+        row0 = initial_state(num_spins, hamiltonian, decay_time)
         factory = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
         one = factory.block_set()
-        assert one.signs == (1,)
+        assert kick_of(one).parity == (-1) ** num_spins
+        assert list(factory.blocks) == [1, -1][:1 + num_spins % 2]
         stream = sample_rmd(1, 16, seed=3)
-        a = evolve_blockwise(stream, one, psi0)
-        b = evolve_blockwise(stream, two_block_set(factory), psi0)
+        a = evolve_blockwise(stream, one, row0)
+        b = evolve_blockwise(stream, two_block_set(factory), row0)
         assert np.array_equal(a.times, b.times)
         assert np.abs(a.values - b.values).max() < 1e-12
 
@@ -412,10 +430,10 @@ class TestParityComponent:
     @pytest.mark.parametrize("decay_time", [0.0, 0.3])
     def test_per_pulse_matches_the_two_row_steps(self, short_spec, num_spins, decay_time):
         hamiltonian = graph_system(num_spins)
-        psi0 = initial_state(num_spins, hamiltonian, decay_time)
+        row0 = initial_state(num_spins, hamiltonian, decay_time)
         stream = sample_rmd(1, 4, seed=3)
-        a = evolve(PulseProgram(stream, short_spec), hamiltonian, psi0)
-        b = evolve_blockwise(stream, two_row_pulses(hamiltonian, short_spec), psi0)
+        a = evolve(PulseProgram(stream, short_spec), hamiltonian, row0)
+        b = evolve_blockwise(stream, two_row_pulses(hamiltonian, short_spec), row0)
         assert np.array_equal(a.times, b.times)
         assert np.abs(a.values - b.values).max() < 1e-12
 
@@ -423,22 +441,16 @@ class TestParityComponent:
         (np.nextafter(math.pi, 4), 0.0), (math.pi, 0.018), (0.95 * math.pi, 0.0)])
     def test_only_exactly_pi_without_spread_takes_one_block(self, small_system, short_spec,
                                                             gamma_y, angle_spread):
-        _, _, hamiltonian, _ = small_system
+        """The state is one row until the first kick that mixes P creates the P = -1 row."""
+        _, _, hamiltonian, row0 = small_system
         factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
-        assert factory.block_set().signs == (1,)
+        one = factory.block_set()
+        assert kick_of(one).parity == 1 and list(factory.blocks) == [1]
+        assert step_signs(one, row0) == [(1,), (1,)]
         props = factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
-        assert props.signs == (1, -1)
-
-    @pytest.mark.parametrize("num_spins", [5, 6])
-    def test_a_p_odd_initial_state_is_rejected_at_pi_only(self, short_spec, num_spins):
-        hamiltonian = graph_system(num_spins)
-        psi0 = flip_odd(initial_state(num_spins, hamiltonian), 1e-6)
-        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
-        stream = sample_rmd(0, 4, seed=1)
-        with pytest.raises(ValueError, match="P = -1 part of weight 1.000e-06"):
-            evolve_blockwise(stream, factory.block_set(), psi0)
-        trace = evolve_blockwise(stream, factory.block_set(0.95 * math.pi), psi0)
-        assert trace.num_cycles == 4
+        assert kick_of(props).parity == 0 and list(factory.blocks) == [1, -1]
+        # the + block kicks at slot 9, in its second step (6, 13]
+        assert step_signs(props, row0) == [(1,), (1, -1)]
 
     def test_even_n_builds_the_odd_chain_only_off_pi(self, small_system, short_spec):
         _, _, hamiltonian, _ = small_system
@@ -456,12 +468,12 @@ class TestParityComponent:
 class TestSpinLockConservation:
     def test_polarization_leak_shrinks_with_tau(self, small_system):
         # pure spin-lock train: one 200-pulse block whose kick is the identity (gamma_y = 0)
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         losses = []
         for tau in (0.02, 0.05, 0.1):
             spec = MonopoleSpec(pulses_per_block=199, kick_plus=150, kick_minus=50,
                                 tau=tau, gamma_y=0.0)
-            trace = evolve(PulseProgram(stream_of("+"), spec), hamiltonian, psi0)
+            trace = evolve(PulseProgram(stream_of("+"), spec), hamiltonian, row0)
             losses.append(1.0 - trace.values[-1] / trace.values[0])
         assert losses[0] < losses[1] < losses[2]
 
@@ -484,9 +496,9 @@ class TestInitialStateIndependence:
         for decay_time in (0.0, 0.05, 0.1):
             traces = []
             for hamiltonian in hamiltonians:
-                psi0 = initial_state(8, hamiltonian, decay_time=decay_time)
+                row0 = initial_state(8, hamiltonian, decay_time=decay_time)
                 props = BlockPropagatorFactory(hamiltonian, spec, block_end(spec)).block_set()
-                trace = evolve_blockwise(stream, props, psi0)
+                trace = evolve_blockwise(stream, props, row0)
                 _, values = stroboscopic_samples(trace)
                 traces.append(values)
             mean = np.mean(traces, axis=0)
@@ -500,12 +512,12 @@ class TestRondeauPhenomenology:
     def test_long_lived_order_with_disordered_micromotion(self, small_system):
         # stroboscopic period doubling survives while half-period signs
         # inherit the randomness of the drive
-        _, _, hamiltonian, psi0 = small_system
+        _, _, hamiltonian, row0 = small_system
         spec = MonopoleSpec(pulses_per_block=30, kick_plus=20, kick_minus=10,
                             tau=0.02, gamma_y=0.98 * math.pi)
         stream = sample_rmd(0, 40, seed=12)
         props = BlockPropagatorFactory(hamiltonian, spec, half_period(spec)).block_set()
-        trace = evolve_blockwise(stream, props, psi0)
+        trace = evolve_blockwise(stream, props, row0)
         _, values = stroboscopic_samples(trace)
         signs = np.sign(values)
         assert np.array_equal(signs, signs[0] * (-1.0) ** np.arange(values.size))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from rondeau.evolution import (BlockPropagatorFactory, Power, PowerChain, PulseProgram,
                                _kick_gates, evolve, evolve_blockwise, free_rows,
-                               initial_state, join_rows, kick_layout, parity_rows)
+                               initial_state, join_rows, kick_layout, kick_parity,
+                               parity_rows)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
@@ -209,15 +210,19 @@ class TestLayoutRule:
                             gamma_y=data.draw(st.floats(0.0, 2 * math.pi), label="gamma_y"))
         slots = (*sorted(reads), spec.slots_per_block)
         hamiltonian = cached_system(num_spins)
-        props = BlockPropagatorFactory(hamiltonian, spec, slots).block_set()
+        factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+        props = factory.block_set()
         assert props.slots == slots
-        # a step on the P = +1 row alone acts on the P = +1 part of a state
+        # the steps hold the P = -1 blocks unless the kick keeps P = +1; a step on the
+        # P = +1 row alone acts on the P = +1 part of a state
+        signs = tuple(factory.blocks)
+        assert (signs == (1,)) == (kick_parity(spec.gamma_y, num_spins) == 1)
         identity = np.eye(1 << num_spins)
-        part = (identity + spin_flip(num_spins)) / 2 if props.signs == (1,) else identity
+        part = (identity + spin_flip(num_spins)) / 2 if signs == (1,) else identity
         for sign, kick in ((1, kick_plus), (-1, kick_minus)):
             expected = dense_slot_steps(hamiltonian, spec, kick, slots)
             for op, step in zip(props.steps[sign], expected, strict=True):
-                assert np.abs(dense_step(op, num_spins, props.signs) - step @ part).max() < 1e-12
+                assert np.abs(dense_step(op, num_spins, signs) - step @ part).max() < 1e-12
 
 
 class TestFactoryMemory:
@@ -276,10 +281,10 @@ class TestFactoryMemory:
         for slots in LAYOUT_EXPONENTS:
             factory = BlockPropagatorFactory(hamiltonian, spec, slots)
             props, stream = factory.block_set(0.95 * math.pi), sample_rmd(1, 4, seed=3)
-            psi0 = initial_state(8)
+            row0 = initial_state(8)
             tracemalloc.start()
             try:
-                evolve_blockwise(stream, props, psi0)
+                evolve_blockwise(stream, props, row0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -316,11 +321,11 @@ class TestFactoryMemory:
         config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
         program = PulseProgram(sample_rmd(0, 2, seed=1), config.spec())
-        psi0 = initial_state(config.num_spins)
+        row0 = initial_state(config.num_spins)
         matrix = 16 * 4**config.num_spins
         tracemalloc.start()
         try:
-            evolve(program, build_hamiltonian(couplings), psi0)
+            evolve(program, build_hamiltonian(couplings), row0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

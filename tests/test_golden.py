@@ -4,13 +4,15 @@ The cases and their outputs live in ``tests/golden``; see
 ``tests/golden/regenerate.py`` for how they run and how to regenerate them.
 """
 
+import json
+
 import pytest
 
 from rondeau import serialize
 
 import golden.regenerate as regenerate
-from golden.regenerate import (CASES, EXPECTED, changes, check_failures, describe, float_drift,
-                               output_files, run_cases)
+from golden.regenerate import (CASES, EXPECTED, blas_info, changes, check_failures, describe,
+                               float_drift, output_files, recorded_blas, run_cases)
 
 
 def test_cli_outputs_match_golden_files(tmp_path):
@@ -21,7 +23,8 @@ def test_cli_outputs_match_golden_files(tmp_path):
     # each changed file with its verdict: "floats only, max |delta| ..." or "content"
     changed = [f"{name}: {describe(expected[name], actual[name])}" for name in expected
                if actual[name] != expected[name]]
-    assert not changed, "outputs differ from tests/golden/expected:\n" + "\n".join(changed)
+    assert not changed, (f"outputs differ from tests/golden/expected, recorded under BLAS "
+                         f"{recorded_blas()} and run under {blas_info()}:\n" + "\n".join(changed))
 
 
 def test_every_cli_kind_is_covered():
@@ -86,8 +89,19 @@ def test_check_writes_nothing_and_exits_1_on_a_failure(tmp_path, monkeypatch):
     written["value"] = "2,30.0\n"
     assert regenerate.main(["--check"]) == 1
     assert (expected / "case" / "out.csv").read_text() == "1,30.0\n"
+    assert not (tmp_path / "blas.json").exists()
     assert regenerate.main([]) == 0
     assert (expected / "case" / "out.csv").read_text() == "2,30.0\n"
+    # the BLAS record sits next to expected/, outside the compared files
+    assert json.loads((tmp_path / "blas.json").read_text()) == blas_info() == recorded_blas()
+
+
+def test_blas_info_reads_unknown_without_the_library(monkeypatch):
+    def unreadable(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(regenerate.ctypes, "CDLL", unreadable)
+    assert blas_info() == {"config": "unknown", "core": "unknown"}
 
 
 _READERS = {"trace.csv": (serialize.read_trace, serialize.write_trace),

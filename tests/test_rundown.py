@@ -8,17 +8,17 @@ import pytest
 
 import rondeau.runner as runner
 from rondeau.analysis import lifetime
-from rondeau.evolution import SignalTrace, _check_norm, parity_ix, parity_rows
+from rondeau.evolution import SignalTrace, _check_norm, parity_ix
 from rondeau.runner import FullSystem, RunConfig, make_stream, measure_rate
 
 
-def reference_rundown(symbols, props, psi0, max_cycles, stop_factor=0.8):
-    """Standalone stroboscopic loop off pi, on both parity rows: stop at the first sample
-    below stop_factor/e."""
+def reference_rundown(symbols, props, row0, max_cycles, stop_factor=0.8):
+    """Standalone stroboscopic loop off pi, on both parity rows from the first cycle: the
+    P = +1 ``row0`` and a zero P = -1 row.  Stop at the first sample below stop_factor/e."""
     spec = props.spec
     T = spec.block_duration
     full = {s: step for s, (step,) in props.steps.items()}
-    rows, signs = parity_rows(psi0), (1, -1)
+    rows, signs = np.stack((row0, np.zeros_like(row0))), (1, -1)
     values = [parity_ix(rows, signs)]
     target = abs(values[0]) * stop_factor / math.e
     limit = min(max_cycles, symbols.size)
@@ -58,7 +58,7 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
     fit = measure_rate(system, props, config, order, seed=5)
 
     stream = make_stream(order, max_cycles, 5)
-    expected = reference_rundown(stream.symbols, props, system.psi0, max_cycles)
+    expected = reference_rundown(stream.symbols, props, system.row0, max_cycles)
     (trace,) = traces
     assert trace.num_cycles == expected.num_cycles
     assert np.array_equal(trace.values, expected.values)

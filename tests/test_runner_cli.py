@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rondeau.runner as runner
+import rondeau.spins as spins
 from rondeau.cli import load_config_file, main
 from rondeau.evolution import SignalTrace
 from rondeau.runner import ENGINES, KINDS, ConfigError, RunConfig, derive_seed, run
@@ -247,6 +248,36 @@ class TestRunConfig:
         assert err["error"] == "ConfigError" and problem in err["message"]
         assert not out.exists()
 
+    def test_a_graph_that_cannot_be_placed_is_rejected_before_the_output_directory(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spins, "DEFAULT_PLACEMENT_BUDGET", 200)
+        config_file = tmp_path / "run.ini"
+        config_file.write_text("[run]\nr_min = 0.9\nr_max = 0.95\nedge_length = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["trace", "--spins", "8", "--cycles", "2", "--pulses", "12",
+                     "--kick-plus", "8", "--kick-minus", "4",
+                     "--config", str(config_file), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "could not place spin" in err["message"] and "after 200 proposals" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, seeds", [
+        (dict(kind="trace"), [3]),
+        (dict(kind="spectrum"), [3]),
+        (dict(kind="heating-eps", eps_grid=(0.1,)), [3, 4, 5]),
+        (dict(kind="heating-period", tau_grid=(0.05,)), [3, 4, 5]),
+        (dict(kind="heating-eps", eps_grid=(0.1,), engine="dephasing"), []),
+        (dict(kind="spectrum", spectrum_kind="symbol"), []),
+    ], ids=["trace", "spectrum", "heating-eps", "heating-period", "dephasing", "symbol-spectrum"])
+    def test_validate_places_each_graph_the_run_builds(self, monkeypatch, overrides, seeds):
+        placed, real = [], runner.generate_graph
+        monkeypatch.setattr(runner, "generate_graph",
+                            lambda *a, seed, **k: placed.append(seed) or real(*a, seed=seed, **k))
+        RunConfig(out_dir="x", num_spins=4, graph_seed=3, graph_realizations=3,
+                  pulses_per_block=12, kick_plus=8, kick_minus=4, **overrides).validate()
+        assert placed == seeds
+
     @pytest.mark.parametrize("overrides", [
         dict(engine="dephasing", kind="trace"),
         dict(kind="decode", trace_file="trace.csv"),
@@ -463,22 +494,30 @@ class TestCodecPipeline:
         ("missing", "No such file or directory"),
         ("malformed", "lacks the header key(s) num_cycles"),
         ("one-slot", "reads slots (13,), not the half-period slot 6 a decode reads"),
-    ], ids=["missing", "malformed", "one-slot"])
+        ("short", "trace spans fewer cycles than one encoded character"),
+        ("weak", "low-confidence micromotion samples at cycles [0, 1, 2,"),
+    ], ids=["missing", "malformed", "one-slot", "short", "weak"])
     def test_decode_of_a_bad_trace_leaves_no_output_directory(self, tmp_path, capsys, case,
                                                              problem):
-        path = tmp_path / "trace.csv"
+        path, options = tmp_path / "trace.csv", []
+        spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
         if case == "malformed":
             lines = self.encoded_trace(tmp_path).read_text().splitlines()
             path.write_text("\n".join(line for line in lines
                                       if not line.startswith("# num_cycles=")) + "\n")
         elif case == "one-slot":
-            spec = MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
             write_trace(path, SignalTrace.at_slots(spec, (13,), (-1.0) ** np.arange(15), {}))
+        elif case == "short":  # a valid trace of 3 cycles, fewer than one 7-bit character
+            write_trace(path, SignalTrace.at_slots(spec, (6, 13), (-1.0) ** np.arange(7), {}))
+        elif case == "weak":  # every |half-period sample| of the trace is below 5
+            path, options = self.encoded_trace(tmp_path), ["--threshold", "5"]
         out = tmp_path / "dec"
         capsys.readouterr()
-        assert main(["decode", "--trace", str(path), "--out", str(out)]) == 1
+        assert main(["decode", "--trace", str(path), "--out", str(out), *options]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert str(path) in err["message"] and problem in err["message"]
+        assert problem in err["message"]
+        # a trace that reads back fine fails in the decode, whose message names no file
+        assert (str(path) in err["message"]) == (case not in ("short", "weak"))
         assert not out.exists()
 
 

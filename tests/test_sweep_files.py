@@ -122,6 +122,6 @@ def test_phase_diagram_row_i_averages_the_drives_seeded_by_point_i(tmp_path, wri
         props = runner._block_set(system, config, dataclasses.replace(config.spec(),
                                                                       gamma_y=gamma))
         traces = [evolve_blockwise(runner.make_stream("1", 16, derive_seed(4, i, r)), props,
-                                   system.psi0) for r in range(2)]
+                                   system.row0) for r in range(2)]
         row = np.mean([dft_stroboscopic(t).amplitudes**2 for t in traces], axis=0)
         assert np.array_equal(diagram.intensity[sorted(gammas).index(gamma)], row), i
