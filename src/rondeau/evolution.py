@@ -19,17 +19,21 @@ A run reads every block at one increasing tuple of readout slots that ends
 at the block end.  :class:`BlockPropagators` holds one step per readout: b,
 then a :class:`GateLayer`, then a, with a and b per-parity operators, the
 factory's powers of the spin-lock cycle operator (:class:`Power`, placed by
-:func:`kick_layout`) or the per-pulse free step (:class:`FreeStep`).
-:func:`evolve_blockwise`, the one stepper, applies them and records Ix after
-each.  No 2^n x 2^n matrix is built.  The per-pulse and blockwise operators
-are built independently, so each checks the other.
+:func:`kick_layout`) or the per-pulse free step (:class:`FreeStep`).  At a
+kick that keeps P the factory multiplies the three into one half-size
+matrix per row sign (:func:`fuse_kick`), so such a step is one
+:class:`Power`, one mat-vec per row.  :func:`evolve_blockwise`, the one
+stepper, applies the steps and records Ix after each.  No 2^n x 2^n matrix
+is built.  The per-pulse and blockwise operators are built independently,
+so each checks the other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -194,19 +198,35 @@ def join_rows(rows: np.ndarray, signs) -> np.ndarray:
     return np.concatenate((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1])) / math.sqrt(2)
 
 
+@cache
+def _sum_sigma_x(bits: int) -> np.ndarray:
+    """Σ_k σx_k over ``bits`` spins as a dense real 2^bits x 2^bits matrix, read-only."""
+    index = np.arange(1 << bits)
+    total = np.zeros((1 << bits, 1 << bits))
+    for k in range(bits):
+        total[index, index ^ (1 << k)] = 1.0
+    total.setflags(write=False)
+    return total
+
+
 def parity_ix(rows: np.ndarray, signs) -> float:
     """Total Ix of parity ``rows``; Ix commutes with P, so each row reads its own part.
 
-    A row c of parity s is c / √2 on H₀ and s c[::-1] / √2 on F(H₀): spins 1 ... n-1
-    read n - 1 strided vdots of the stacked rows, spin 0 s Re<c, c[::-1]> / 2 per row.
+    A row c of parity s is c / √2 on H₀ and s c[::-1] / √2 on F(H₀).  Spins 1 ... n-1
+    read two Gram matrices of each row reshaped to C, 2^a x 2^b: C C^† for its first a
+    spins and C^T C̄ for its last b, each against the cached Σσx of those spins.  Spin 0
+    reads s Re<c, c[::-1]> / 2 per row.
     """
-    total = 0.0
-    for k in range(rows.shape[1].bit_length() - 1):
-        v = rows.reshape(len(rows) << k, 2, -1)
-        total += float(np.real(np.vdot(v[:, 0, :], v[:, 1, :])))
-    for c, s in zip(rows, signs):
-        total += s * float(np.vdot(c, c[::-1]).real) / 2
-    return total
+    bits = rows.shape[1].bit_length() - 1
+    a = bits // 2
+    c = rows.reshape(len(rows), 1 << a, -1)
+    first = (c @ c.conj().swapaxes(1, 2)).sum(axis=0)
+    x = rows.reshape(-1, c.shape[2])
+    rest = x.T @ x.conj()
+    total = (np.vdot(_sum_sigma_x(a), first) + np.vdot(_sum_sigma_x(bits - a), rest)).real / 2
+    for row, s in zip(rows, signs):
+        total += s * float(np.vdot(row, row[::-1]).real) / 2
+    return float(total)
 
 
 def free_rows(eigensystem, duration: float):
@@ -247,16 +267,18 @@ class FreeStep:
 
 @dataclass(frozen=True, eq=False)
 class Power:
-    """A per-parity operator, a power of the spin-lock cycle operator W as its half-size
-    parity ``blocks``: W commutes with P, so a row c of parity s becomes blocks[s] @ c."""
+    """A per-parity operator as its half-size ``blocks``: a row c of parity s becomes
+    blocks[s] @ c, of parity ``parity`` · s.  A power of the spin-lock cycle operator W,
+    which commutes with P, keeps the parity; a fused kick step may flip it."""
 
     blocks: dict
+    parity: int = 1
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
         out = np.empty_like(rows)
         for c, s, row in zip(rows, signs, out):
             np.matmul(self.blocks[s], c, out=row)
-        return out, signs
+        return out, signs if self.parity == 1 else tuple(self.parity * s for s in signs)
 
 
 class GateLayer:
@@ -281,6 +303,12 @@ class GateLayer:
         # G' on each row as `apply_halves` on a vector, batched over the rows
         out = (first @ folded.reshape(len(rows), first.shape[0], -1)) @ second.T
         return out.reshape(rows.shape), tuple(self.parity * s for s in signs)
+
+    def fold(self, x: np.ndarray, sign: int) -> np.ndarray:
+        """L_s x = G'(g₀₀ x + s g₀₁ x[::-1]) on the leading axis of ``x``, s = ``sign``: the
+        folding layer on the H₀ part of a P = s state, as a half-size matrix L_s."""
+        g = self.gates
+        return apply_halves(g[0, 0] * x + (sign * g[0, 1]) * x[::-1], self.halves)
 
 
 # -- initial state ---------------------------------------------------------
@@ -466,6 +494,58 @@ def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
             for sign, k in ((1, spec.kick_plus), (-1, spec.kick_minus))}
 
 
+#: Column blocks a fused kick step is built in, so that no full-size temporary is made.
+FUSE_COLUMN_BLOCKS = 8
+
+
+def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Write F = a · L · b into ``out``, L the ``kick``'s fold on a P = ``sign`` row.
+
+    F is built column block by column block; block J reads only b[:, J], so ``out``
+    may be ``b`` itself.
+    """
+    width = -(-b.shape[1] // FUSE_COLUMN_BLOCKS)
+    for j in range(0, b.shape[1], width):
+        np.matmul(a, kick.fold(b[:, j:j + width], sign), out=out[:, j:j + width])
+    return out
+
+
+def kick_steps(layout: dict) -> list[tuple]:
+    """The distinct kick steps (a, b) of a `kick_layout`; both block signs may share one."""
+    return sorted({f for steps in layout.values() for f in steps if len(f) == 2})
+
+
+def fusion_plan(layout: dict, parity: int) -> list[tuple]:
+    """How a factory whose every kick keeps P fuses its kick steps into the powers they read.
+
+    One job per kick step (a, b) of `kick_steps` and row sign s: F_s = A_{p s} · L_s · B_s,
+    with A = W^a, B = W^b and p = ``parity``, read from the P = p s and P = s chains.
+    A job is ``((s, (a, b)), in_place, drops)``: F_s is written into B_s's storage if
+    nothing else reads B_s, and afterwards the powers ``drops``, (sign, exponent) keys,
+    have no reader left.  Jobs that can write in place go first, and a plain step
+    reads its power in every cycle, so no job drops it.
+    """
+    signs = (1,) if parity == 1 else (1, -1)
+    readers, jobs = Counter(), [(s, f) for f in kick_steps(layout) for s in signs]
+    for s, (a, b) in jobs:
+        readers[s, b] += 1
+        readers[parity * s, a] += 1
+    for e in {f[0] for steps in layout.values() for f in steps if len(f) == 1}:
+        readers.update((s, e) for s in signs)
+    plan = []
+    while jobs:
+        job = next((j for j in jobs if readers[j[0], j[1][1]] == 1), jobs[0])
+        jobs.remove(job)
+        s, (a, b) = job
+        in_place = readers[s, b] == 1
+        readers[s, b] -= 1
+        readers[parity * s, a] -= 1
+        freed = {(parity * s, a)} | (set() if in_place else {(s, b)})
+        plan.append((job, in_place, tuple(sorted(k for k in freed if not readers[k]))))
+    return plan
+
+
 class BlockPropagatorFactory:
     """Block propagators for one (Hamiltonian, timing, readout slots) setup.
 
@@ -479,17 +559,28 @@ class BlockPropagatorFactory:
     :class:`PowerChain` run when first needed (P = +1 at once).  A block set
     reads the chains its rows reach: at gamma = pi and even n, where G keeps
     P = +1, the P = +1 chain alone, so such a factory never builds P = -1.
+
+    A kick that keeps P (`kick_parity` ±1) makes each kick step one fixed
+    half-size matrix per row sign, built by :func:`fuse_kick`.  A factory built
+    with ``keeps_parity``, for a run whose every block set keeps P, fuses them
+    once into ``blocks`` by :func:`fusion_plan`, in the storage of the powers
+    that no later step reads, and refuses a kick that mixes P.  Any other
+    factory fuses a block set that keeps P = +1 into new matrices that the
+    block set owns, while it holds no P = -1 chain; so fused matrices never sit
+    next to both chains, and the P = -1 build stays the peak of a mixing run.
     """
 
     #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
     BUILD_HALVES = 3
 
-    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
+    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots,
+                 keeps_parity: bool = False):
         self.hamiltonian = hamiltonian
         self.spec = spec
         self.slots = tuple(slots)
         self.num_spins = hamiltonian.num_spins
         self.layout = kick_layout(spec, self.slots)
+        self.keeps_parity = keeps_parity
         self._eigensystem = hamiltonian.eigensystem()
         self.blocks: dict[int, dict] = {}
         self.parity(1)
@@ -506,20 +597,43 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, slots, chains: int = 2) -> float:
+    def peak_matrices(cls, spec: MonopoleSpec, slots, kicks) -> float:
         """Most dense 2^n x 2^n matrices (a half-size block is a quarter) a factory for
-        ``spec``'s layout at ``slots`` holds while it builds ``chains`` parities in turn."""
-        chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
-        return ((chains - 1) * len(chain.targets) + max(cls.BUILD_HALVES, chain.peak)) / 4
+        ``spec``'s layout at ``slots`` holds while it serves block sets of the `kick_parity`
+        values ``kicks`` in turn, each block set dropped before the next.
+
+        It holds the chains its block sets reach, each built once, and the fused kick
+        steps of the block sets `block_set` fuses: new matrices at a kick that keeps
+        P = +1, or, when every kick keeps P, the `fusion_plan` steps in the powers
+        they consume.
+        """
+        layout = kick_layout(spec, slots)
+        chain = PowerChain(cls._exponents(layout))
+        build, size = max(cls.BUILD_HALVES, chain.peak), len(chain.targets)
+        live, peak, built, fused, keeps = size, build, {1}, False, all(kicks)
+        for parity in kicks:
+            if parity != 1 and -1 not in built:
+                peak, live = max(peak, live + build), live + size
+                built.add(-1)
+            if keeps and not fused:
+                for _, in_place, drops in fusion_plan(layout, parity):
+                    live += not in_place
+                    peak = max(peak, live)
+                    live -= len(drops)
+                fused = True
+            elif not keeps and parity == 1 and -1 not in built:
+                peak = max(peak, live + len(kick_steps(layout)))
+        return peak / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
         """Readout steps of both block signs at kick angle ``gamma_y`` (None: the factory's).
 
-        A step is (W^e,) or (W^b, G, W^a), each power a :class:`Power` of the
-        chains the rows reach: P = +1 alone if the kick keeps it, else both.  A
-        given ``include_half`` must name the factory's slots: the half-period
-        slot and the block end, or the block end alone.
+        A step is a :class:`Power` of the chains the rows reach: P = +1 alone if
+        the kick keeps it, else both.  A plain step is (W^e,).  A kick step is one
+        fused Power where the class docstring says so, else (W^b, G, W^a).  A given
+        ``include_half`` must name the factory's slots: the half-period slot and
+        the block end, or the block end alone.
         """
         end, n = self.spec.slots_per_block, self.num_spins
         if include_half is not None and self.slots != (
@@ -528,14 +642,39 @@ class BlockPropagatorFactory:
                              f"asked for include_half={include_half}")
         spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
         parity = kick_parity(spec.gamma_y, n, angle_spread)
+        if self.keeps_parity and not parity:
+            raise ValueError(f"factory built for kicks that keep P, asked for gamma_y = "
+                             f"{spec.gamma_y} with angle_spread {angle_spread}")
         kick = GateLayer(np.matmul(rotation_gate("x", spec.theta_x).conj().T,
                                    _kick_gates(spec, n, angle_spread, disorder_seed)), n, parity)
-        chains = {s: self.parity(s) for s in ((1,) if parity == 1 else (1, -1))}
-        power = lambda e: Power({s: blocks[e] for s, blocks in chains.items()})
-        steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
+        signs = (1,) if parity == 1 else (1, -1)
+        chains = {s: self.parity(s) for s in signs}
+        fused = (self._fuse(kick) if self.keeps_parity or parity == 1 and -1 not in self.blocks
+                 else None)
+        power = lambda blocks, key, p=1: Power({s: blocks[s][key] for s in signs}, p)
+        steps = {sign: tuple((power(chains, f[0]),) if len(f) == 1
+                             else (power(fused, f, parity),) if fused is not None
+                             else (power(chains, f[1]), kick, power(chains, f[0]))
                              for f in layout)
                  for sign, layout in self.layout.items()}
         return BlockPropagators(spec, self.slots, steps, n)
+
+    def _fuse(self, kick: GateLayer) -> dict:
+        """The fused kick steps F_s = A_{p s} · L_s · B_s, keyed by row sign s, then (a, b)."""
+        p, blocks = kick.parity, self.blocks
+        if not self.keeps_parity:  # p = 1 and the P = +1 chain alone
+            plus = blocks[1]
+            return {1: {(a, b): fuse_kick(plus[a], kick, 1, plus[b], np.empty_like(plus[b]))
+                        for a, b in kick_steps(self.layout)}}
+        for (s, (a, b)), in_place, drops in fusion_plan(self.layout, p):
+            if (a, b) in blocks[s]:
+                break  # fused by an earlier block set
+            into = blocks[s].pop(b) if in_place else blocks[s][b]
+            blocks[s][a, b] = fuse_kick(blocks[p * s][a], kick, s, into,
+                                        into if in_place else np.empty_like(into))
+            for t, e in drops:
+                del blocks[t][e]
+        return blocks
 
 
 # -- the stepper -----------------------------------------------------------
@@ -548,7 +687,8 @@ class BlockPropagators:
     readout slot of ``slots``: each carries the state from the previous
     readout to the one after its slot, and the last slot is the block end.  A
     step is a tuple of factors applied in turn, each mapping (rows, signs) to
-    (rows, signs): b, a :class:`GateLayer`, a.  How many rows a state carries
+    (rows, signs): b, a :class:`GateLayer`, a; or one :class:`Power`, a plain
+    power or a kick step the factory fused.  How many rows a state carries
     comes from the factors it passes through, not from the block set.
     """
 
@@ -568,7 +708,8 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndar
     into the two rows of signs (1, -1).  A step costs, per row, a half-size
     mat-vec per :class:`Power`, the sector mat-vecs per :class:`FreeStep` and
     an (n - 1)-spin layer per folding :class:`GateLayer`, then `parity_ix`;
-    the norm is checked once a cycle.
+    a plain or fused factory step is one mat-vec per row.  The norm is checked
+    once a cycle.
     With ``stop_factor`` the run ends at the first block-end sample below
     ``stop_factor / e`` of the initial magnitude, since later cycles cannot
     move the lifetime argmin; ``num_cycles`` counts the cycles evolved.

@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import (MIN_SPECTRUM_CYCLES, NORMALIZATIONS, HeatingFit, SpectrumResult,
                        fit_power_law, half_frequency_contrast, lifetime, min_contrast_cycles,
                        phase_diagram, dft_micromotion, dft_stroboscopic, symbol_dft)
-from .codec import Message, decode, decode_margins, encode
+from .codec import LowConfidenceError, Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
                         check_kick_layout, evolve, evolve_blockwise, half_sample_slot,
@@ -32,7 +32,7 @@ from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, 
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
                         thue_morse_stream)
-from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, PackingInfeasibleError,
+from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, PackingInfeasibleError, SpinGraph,
                     build_hamiltonian, compute_couplings, generate_graph)
 from . import serialize
 
@@ -114,7 +114,13 @@ class RunConfig:
     trace_file: str = ""
     threshold: float = 0.0
 
-    def validate(self):
+    def validate(self) -> tuple[SpinGraph, ...]:
+        """Raise ConfigError unless the run can go ahead; return the graphs it builds.
+
+        A full-engine run's graphs are placed here, where a packing failure is a
+        ConfigError, and handed to the run: graph g of a heating sweep has seed
+        ``graph_seed + g``.  A run that builds no system (`_builds_systems`) has none.
+        """
         for name, known in (("kind", KINDS), ("engine", ENGINES),
                             ("spectrum_kind", SPECTRUM_KINDS), ("normalization", NORMALIZATIONS),
                             ("coupling_model", COUPLING_MODELS)):
@@ -180,10 +186,13 @@ class RunConfig:
                 check_kick_layout(spec)
             if self.kind == "encode":
                 Message(self.text)  # an EncodingError for text outside 7 bits
-            if _builds_systems(self):  # place each graph: graph_seed + g for a heating sweep's g
-                for g in range(self.graph_realizations if self.kind in _SWEEPS else 1):
-                    generate_graph(self.num_spins, edge_length=self.edge_length,
-                                   r_min=self.r_min, r_max=self.r_max, seed=self.graph_seed + g)
+            graphs = ()
+            if _builds_systems(self):  # graph g of a heating sweep has seed graph_seed + g
+                graphs = tuple(generate_graph(self.num_spins, edge_length=self.edge_length,
+                                              r_min=self.r_min, r_max=self.r_max,
+                                              seed=self.graph_seed + g)
+                               for g in range(self.graph_realizations if self.kind in _SWEEPS
+                                              else 1))
         except (ValueError, PackingInfeasibleError) as exc:
             raise ConfigError(str(exc)) from None
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
@@ -191,6 +200,7 @@ class RunConfig:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
                               f"needs about {estimate} bytes of matrices, more than the "
                               f"{memory} bytes of physical memory")
+        return graphs
 
     def spec(self) -> MonopoleSpec:
         return MonopoleSpec(
@@ -230,9 +240,10 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     as many entries, and three complex temporaries of the largest block while
     it is built.  The other full-engine kinds add the peak of the factory's build
     for the run's readout slots: its parity blocks, each a quarter of a dense
-    complex matrix, counted by `BlockPropagatorFactory.peak_matrices` for the
-    run's `_parities`.  A block set adds only gate halves, its steps state
-    vectors.  Runs that build no system hold none.
+    complex matrix, and the fused kick steps of its block sets that keep P,
+    counted by `BlockPropagatorFactory.peak_matrices` for the run's `_kicks`.
+    A block set adds only those and gate halves, its steps state vectors.  Runs
+    that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -241,14 +252,13 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     if config.kind == "trace":
         return sectors + sectors // 2 + 3 * 16 * math.comb(n, n // 2)**2
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config),
-                                                   _parities(config))
+                                                   _kicks(config))
     return int(sectors + factory * matrix)
 
 
-def _parities(config: RunConfig) -> int:
-    """Parity chains a run's factories build: 1 if every block set's kick keeps P = +1, else 2."""
-    return 1 if all(kick_parity(s.gamma_y, config.num_spins) == 1
-                    for s in _point_specs(config)) else 2
+def _kicks(config: RunConfig) -> tuple[int, ...]:
+    """The `kick_parity` of each block set of a run, in sweep order."""
+    return tuple(kick_parity(s.gamma_y, config.num_spins) for s in _point_specs(config))
 
 
 def _point_specs(config: RunConfig) -> list[MonopoleSpec]:
@@ -326,15 +336,13 @@ def _drive_realizations(config: RunConfig) -> int:
 class FullSystem:
     """Graph, Hamiltonian, initial P = +1 row, and the propagator factory of one run.
 
-    Only the factory of the most recent tau and readout slots is kept, since a
-    sweep uses each tau for one point and a run reads one slot tuple.
+    ``graph`` is one that `RunConfig.validate` placed.  Only the factory of the
+    most recent tau and readout slots is kept, since a sweep uses each tau for
+    one point and a run reads one slot tuple.
     """
 
-    def __init__(self, config: RunConfig):
-        self.graph = generate_graph(
-            config.num_spins, edge_length=config.edge_length,
-            r_min=config.r_min, r_max=config.r_max, seed=config.graph_seed,
-        )
+    def __init__(self, config: RunConfig, graph: SpinGraph):
+        self.graph = graph
         self.couplings = compute_couplings(
             self.graph, coupling_median=config.coupling_median,
             model=config.coupling_model,
@@ -343,22 +351,25 @@ class FullSystem:
         self.row0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
-        self._parities = _parities(config)
+        self._keeps_parity = all(_kicks(config))
 
     def factory(self, spec: MonopoleSpec, slots: tuple) -> BlockPropagatorFactory:
         key = (spec.tau, slots)
         if self._factory is None or self._factory[0] != key:
             self._factory = None  # release the old factory before building
+            # P = -1 is built by the first block set that reads it, so a gamma = pi
+            # block set of a mixing run fuses its steps next to the P = +1 chain alone;
+            # a run whose every kick keeps P fuses them into the powers they consume
             self._factory = (key, BlockPropagatorFactory(
-                self.hamiltonian, replace(spec, gamma_y=math.pi), slots))
-            if self._parities == 2:  # P = -1 before rundowns fragment the heap under it
-                self._factory[1].parity(-1)
+                self.hamiltonian, replace(spec, gamma_y=math.pi), slots,
+                keeps_parity=self._keeps_parity))
         return self._factory[1]
 
 
-def _system_for(config: RunConfig) -> FullSystem | None:
-    """The run's FullSystem, or None if it builds none (`_builds_systems`)."""
-    return FullSystem(config) if _builds_systems(config) else None
+def _system_for(config: RunConfig, graphs: tuple, g: int = 0) -> FullSystem | None:
+    """The run's FullSystem on graph g of `RunConfig.validate`'s ``graphs``, or None if it
+    builds none (no graphs)."""
+    return FullSystem(config, graphs[g]) if graphs else None
 
 
 # -- the engine seam: only these two functions know which engine runs ---------
@@ -420,12 +431,12 @@ def _pooled(fits) -> tuple[float, float, bool]:
     return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
 
 
-def _run_trace(config: RunConfig, out: Path) -> dict:
+def _run_trace(config: RunConfig, out: Path, graphs: tuple) -> dict:
     spec = config.spec()
     stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, 0))
     if config.engine == "full":
         # the per-pulse reference engine, for the quasi-continuous readout
-        system = FullSystem(config)
+        system = FullSystem(config, graphs[0])
         trace = evolve(PulseProgram(stream, spec), system.hamiltonian, system.row0)
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
@@ -439,8 +450,8 @@ def _run_trace(config: RunConfig, out: Path) -> dict:
             "rate": fit.rate, "crossed": fit.crossed}
 
 
-def _run_spectrum(config: RunConfig, out: Path) -> dict:
-    spectra = _realization_spectra(_system_for(config), config, config.spec(), 0)
+def _run_spectrum(config: RunConfig, out: Path, graphs: tuple) -> dict:
+    spectra = _realization_spectra(_system_for(config, graphs), config, config.spec(), 0)
     reps = len(spectra)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
@@ -456,8 +467,8 @@ def _json_number(x: float) -> float | str | None:
     return None if math.isnan(x) else "inf" if math.isinf(x) else x
 
 
-def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
-    spec, system = config.spec(), _system_for(config)
+def _run_phase_diagram(config: RunConfig, out: Path, graphs: tuple) -> dict:
+    spec, system = config.spec(), _system_for(config, graphs)
     reps = _drive_realizations(config)
     rows = [np.mean([s.amplitudes**2 for s in _realization_spectra(system, config, p, i)], axis=0)
             for i, p in enumerate(_point_specs(config))]
@@ -471,7 +482,7 @@ def _run_phase_diagram(config: RunConfig, out: Path) -> dict:
             "cycles": config.cycles}
 
 
-def _run_heating(config: RunConfig, out: Path) -> dict:
+def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
     """Heating-rate power law along one swept axis, per multipole order.
 
     ``heating-eps`` sweeps the kick-angle deviation and fits the rate in
@@ -496,7 +507,7 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     xs = np.array(config.eps_grid if eps_sweep else [s.block_duration for s in specs], dtype=float)
     measured = [[[] for _ in specs] for _ in orders]  # [k][j]: fits over (g, r)
     for g in range(config.graph_realizations if config.engine == "full" else 1):
-        system = _system_for(replace(config, graph_seed=config.graph_seed + g))
+        system = _system_for(config, graphs, g)
         for j, spec in enumerate(specs):
             props = _block_set(system, config, spec)
             for k, order in enumerate(orders):
@@ -544,11 +555,11 @@ def _run_heating(config: RunConfig, out: Path) -> dict:
     return {"fits": fits}
 
 
-def _run_encode(config: RunConfig, out: Path) -> dict:
+def _run_encode(config: RunConfig, out: Path, graphs: tuple) -> dict:
     message = Message(config.text)
     stream = encode(message)
     serialize.write_stream(out / "stream.txt", stream)
-    system = _system_for(config)
+    system = _system_for(config, graphs)
     props = _block_set(system, config, config.spec())
     trace = _drive_trace(system, props, stream).with_noise(
         config.readout_noise, derive_seed(config.seed, 0, 1))
@@ -556,8 +567,10 @@ def _run_encode(config: RunConfig, out: Path) -> dict:
     return {"characters": len(message.text), "cycles": len(stream)}
 
 
-def _run_decode(config: RunConfig, out: Path, message: Message, margins: np.ndarray) -> dict:
-    """Write the ``message`` and ``margins`` that `run` decoded before creating ``out``."""
+def _run_decode(config: RunConfig, out: Path, graphs: tuple, message: Message,
+                margins: np.ndarray) -> dict:
+    """Write the ``message`` and ``margins`` that `run` decoded before creating ``out``; a
+    decode builds no system, so ``graphs`` is empty."""
     serialize.write_json(out / "decoded.json", {
         "text": message.text,
         "margins": [float(m) for m in margins],
@@ -579,18 +592,22 @@ _HANDLERS = {
 
 def run(config: RunConfig) -> dict:
     """Validate, execute, and write the manifest; returns a summary dict."""
-    config.validate()
+    graphs = config.validate()
     handler = _HANDLERS.get(config.kind)
     if handler is None:  # a decode: its trace is read, checked and decoded before --out exists
         trace = serialize.read_trace(config.trace_file)
         if half_sample_slot(trace) not in trace.slots:
             raise ValueError(f"{config.trace_file} reads slots {trace.slots}, not the "
                              f"half-period slot {half_sample_slot(trace)} a decode reads")
-        handler = partial(_run_decode, message=decode(trace, threshold=config.threshold),
-                          margins=decode_margins(trace))
+        try:
+            message = decode(trace, threshold=config.threshold)
+        except (ValueError, LowConfidenceError) as exc:
+            exc.args = (f"{config.trace_file}: {exc}",)  # name the file, keep the type
+            raise
+        handler = partial(_run_decode, message=message, margins=decode_margins(trace))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = handler(config, out)
+    summary = handler(config, out, graphs)
     manifest = {
         "config": dataclasses.asdict(config),
         "config_hash": config.hash(),

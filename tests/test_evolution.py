@@ -10,7 +10,8 @@ from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, GateLayer,
                                NumericalIntegrityError, Power, PulseProgram, SignalTrace,
                                evolve, evolve_blockwise, free_rows, half_sample_slot,
-                               initial_state, parity_rows, rotation_gate)
+                               initial_state, join_rows, parity_ix, parity_rows,
+                               rotation_gate)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -48,6 +49,18 @@ class TestSignalTrace:
         trace = SignalTrace.at_slots(short_spec, (13,), [2.0], {})
         assert (trace.num_cycles, trace.times.tolist()) == (0, [0.0])
         assert trace.slot_values(13).size == 0
+
+
+class TestParityReadout:
+    @pytest.mark.parametrize("num_spins", range(2, 13))
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+    def test_gram_readout_matches_the_vector_oracle(self, num_spins, signs):
+        """Total Ix of parity rows from their Gram matrices equals that of the joined ψ."""
+        g = np.random.default_rng(num_spins)
+        shape = (len(signs), 1 << (num_spins - 1))
+        rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        expected = total_ix(join_rows(rows, signs), num_spins)
+        assert abs(parity_ix(rows, signs) - expected) <= 1e-12 * abs(expected)
 
 
 class TestInitialState:
@@ -365,14 +378,15 @@ class TestBlockwiseEngine:
             BlockPropagatorFactory(hamiltonian, short_spec, slots)
 
 
-def two_block_set(factory: BlockPropagatorFactory) -> BlockPropagators:
-    """The factory's block set at its own angle with a mixing kick: every power holds both
-    parity blocks, and the kick joins the rows, applies its layer to ψ and splits it, so
-    the state is two rows from the first kick on."""
+def factored_block_set(factory: BlockPropagatorFactory, parity: int) -> BlockPropagators:
+    """The factory's block set at its own angle with each kick step left as its factors
+    (W^b, G, W^a), every power holding both parity blocks.  The kick's layer G acts by
+    ``parity``: ±1 folds it onto each row; 0 joins the rows, applies it to ψ and splits
+    it, so the state is two rows from the first kick on."""
     spec, n = factory.spec, factory.num_spins
     power = lambda e: Power({s: factory.parity(s)[e] for s in (1, -1)})
     kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
-                        @ rotation_gate("y", spec.gamma_y), n, 0)
+                        @ rotation_gate("y", spec.gamma_y), n, parity)
     steps = {sign: tuple((power(f[0]),) if len(f) == 1 else (power(f[1]), kick, power(f[0]))
                          for f in layout)
              for sign, layout in factory.layout.items()}
@@ -393,7 +407,7 @@ def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
 
 
 def kick_of(props: BlockPropagators) -> GateLayer:
-    """The kick's gate layer in the + block's steps."""
+    """The kick's gate layer in the + block's steps, where the kick step is not fused."""
     return next(f for step in props.steps[1] for f in step if isinstance(f, GateLayer))
 
 
@@ -413,18 +427,32 @@ class TestParityComponent:
     @pytest.mark.parametrize("num_spins", [5, 6])
     @pytest.mark.parametrize("decay_time", [0.0, 0.3])
     @pytest.mark.parametrize("slots", [block_end, half_period])
-    def test_matches_the_two_block_steps(self, short_spec, num_spins, decay_time, slots):
+    def test_fused_steps_match_the_factored_steps(self, short_spec, num_spins, decay_time,
+                                                  slots):
+        """A factory whose every kick keeps P fuses each kick step into one matrix per row
+        sign.  Its trace matches the factored (W^b, G, W^a) steps, with G folded onto the
+        rows or mixing them, and a default factory's block set: fused at even n, where it
+        holds P = +1 alone, and factored at odd n."""
         hamiltonian = graph_system(num_spins)
         row0 = initial_state(num_spins, hamiltonian, decay_time)
+        parity = (-1) ** num_spins
+        kept = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec),
+                                      keeps_parity=True).block_set()
+        assert all(len(step) == 1 for steps in kept.steps.values() for step in steps)
+        assert math.prod(f.parity for f, in kept.steps[1]) == parity
         factory = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
         one = factory.block_set()
-        assert kick_of(one).parity == (-1) ** num_spins
         assert list(factory.blocks) == [1, -1][:1 + num_spins % 2]
+        if parity == 1:
+            assert all(len(step) == 1 for steps in one.steps.values() for step in steps)
+        else:
+            assert kick_of(one).parity == -1
         stream = sample_rmd(1, 16, seed=3)
-        a = evolve_blockwise(stream, one, row0)
-        b = evolve_blockwise(stream, two_block_set(factory), row0)
-        assert np.array_equal(a.times, b.times)
-        assert np.abs(a.values - b.values).max() < 1e-12
+        a = evolve_blockwise(stream, kept, row0)
+        for other in (one, factored_block_set(factory, parity), factored_block_set(factory, 0)):
+            b = evolve_blockwise(stream, other, row0)
+            assert np.array_equal(a.times, b.times)
+            assert np.abs(a.values - b.values).max() < 1e-12
 
     @pytest.mark.parametrize("num_spins", [5, 6])
     @pytest.mark.parametrize("decay_time", [0.0, 0.3])
@@ -445,7 +473,7 @@ class TestParityComponent:
         _, _, hamiltonian, row0 = small_system
         factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
         one = factory.block_set()
-        assert kick_of(one).parity == 1 and list(factory.blocks) == [1]
+        assert all(len(step) == 1 for step in one.steps[1]) and list(factory.blocks) == [1]
         assert step_signs(one, row0) == [(1,), (1,)]
         props = factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
         assert kick_of(props).parity == 0 and list(factory.blocks) == [1, -1]

@@ -210,7 +210,11 @@ class TestLayoutRule:
                             gamma_y=data.draw(st.floats(0.0, 2 * math.pi), label="gamma_y"))
         slots = (*sorted(reads), spec.slots_per_block)
         hamiltonian = cached_system(num_spins)
-        factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+        # a factory told that every kick keeps P fuses its kick steps in place
+        keeps_parity = data.draw(st.booleans(), label="keeps_parity")
+        if keeps_parity:
+            spec = replace(spec, gamma_y=math.pi)
+        factory = BlockPropagatorFactory(hamiltonian, spec, slots, keeps_parity)
         props = factory.block_set()
         assert props.slots == slots
         # the steps hold the P = -1 blocks unless the kick keeps P = +1; a step on the
@@ -236,11 +240,12 @@ class TestFactoryMemory:
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**num_spins
+        kicks = [kick_parity(gamma, num_spins) for gamma in gammas]
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, slots, chains)
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots, kicks)
             tracemalloc.start()
-            try:
-                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+            try:  # built as a run builds it: told when every kick keeps P
+                factory = BlockPropagatorFactory(hamiltonian, spec, slots, all(kicks))
                 for gamma in gammas:
                     factory.block_set(gamma)
                 kept, peak = tracemalloc.get_traced_memory()
@@ -249,11 +254,45 @@ class TestFactoryMemory:
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
             # only the powers of the factory's own readout slots are kept, each
-            # parity's block a quarter of a dense matrix
+            # parity's block a quarter of a dense matrix; where every kick keeps P,
+            # fused kick steps hold the place of the powers they consumed
             assert list(factory.blocks) == [1, -1][:chains]
-            assert all(set(blocks) == exponents for blocks in factory.blocks.values())
+            for blocks in factory.blocks.values():
+                assert set(blocks) == exponents if not all(kicks) else len(blocks) < len(exponents)
             assert kept <= (chains * len(exponents) / 4 + 0.25) * matrix
             del factory
+
+    @pytest.mark.parametrize("num_spins", [8, 9])
+    def test_factory_that_keeps_parity_fuses_into_the_powers_it_consumes(self, num_spins):
+        """A factory whose every kick keeps P ends holding fewer half-size blocks than its
+        layout's powers: each fused kick step takes the storage of a power it consumed."""
+        hamiltonian = system(num_spins)
+        hamiltonian.eigensystem()
+        spec = MonopoleSpec(tau=0.01)
+        matrix, parity = 16 * 4**num_spins, kick_parity(math.pi, num_spins)
+        for slots, exponents in LAYOUT_EXPONENTS.items():
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots, (parity,))
+            tracemalloc.start()
+            try:
+                factory = BlockPropagatorFactory(hamiltonian, spec, slots, keeps_parity=True)
+                props = factory.block_set()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
+            # per chain: 2 fused steps of 4 powers, or 2 fused and 2 plain of 5
+            assert list(factory.blocks) == [1, -1][:1 + num_spins % 2]
+            held = {(301,): 2, (150, 301): 4}[slots]
+            assert all(len(blocks) == held < len(exponents) for blocks in factory.blocks.values())
+            assert kept <= (len(factory.blocks) * held / 4 + 0.25) * matrix
+            # a second block set reads the same fused steps
+            again = factory.block_set()
+            assert all(f.blocks[s] is g.blocks[s] for sign in (1, -1)
+                       for (f,), (g,) in zip(props.steps[sign], again.steps[sign])
+                       for s in f.blocks)
+            with pytest.raises(ValueError, match="keep P"):
+                factory.block_set(0.95 * math.pi)
+            del factory, props, again
 
     @pytest.mark.parametrize("gamma_y", [math.pi, 0.95 * math.pi])
     def test_block_set_builds_no_dense_matrix(self, gamma_y):
@@ -347,10 +386,13 @@ class TestFactoryMemory:
         (8, dict(kind="heating-highfreq", tau_grid=(0.05, 0.02), sweep_slope=0.1), 2),
     ])
     def test_run_estimate_follows_the_chains(self, num_spins, overrides, chains):
+        """The fused kick steps add nothing to a run's peak: it is the build of its chains."""
         config = RunConfig(out_dir="x", num_spins=num_spins, **overrides)
         matrix, sectors = 16 * 4**num_spins, 16 * math.comb(2 * num_spins, num_spins)
-        factory = BlockPropagatorFactory.peak_matrices(
-            config.spec(), runner._readout_slots(config), chains)
+        chain = PowerChain(BlockPropagatorFactory._exponents(
+            kick_layout(config.spec(), runner._readout_slots(config))))
+        factory = ((chains - 1) * len(chain.targets)
+                   + max(BlockPropagatorFactory.BUILD_HALVES, chain.peak)) / 4
         assert peak_matrix_bytes(config) == int(sectors + factory * matrix)
 
     @pytest.mark.parametrize("text, num_spins", [("Hi", 8), ("Hi", 9)])
@@ -378,7 +420,8 @@ class TestFactoryMemory:
         # a heating run reads whole blocks only
         # in dense matrices: 4 kept and 5 live half-size blocks, against 3 and 3
         specs = [MonopoleSpec(**layout) for layout in ({}, small)]
-        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,)) for s in specs]
+        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,), (1, 0))
+                  for s in specs]
         assert chains == [2.25, 1.5]
         # the two graphs are built one after another, so their peaks do not add
         assert estimate() - estimate(**small) == (2.25 - 1.5) * 16 * 4**6

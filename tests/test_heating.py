@@ -141,10 +141,11 @@ def test_full_engine_sweep_pools_every_graph(tmp_path):
     rows = read_heating(tmp_path / "heating_eps.csv", "epsilon")
     specs = [dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
              for eps in (0.0, *config.eps_grid)]
+    graphs = config.validate()
     for k, order in enumerate(config.n_orders):
         rates = [[] for _ in specs]
         for g in range(config.graph_realizations):
-            system = FullSystem(dataclasses.replace(config, graph_seed=config.graph_seed + g))
+            system = FullSystem(config, graphs[g])
             for j, spec in enumerate(specs):
                 props = _block_set(system, config, spec)
                 for r in range(config.realizations):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rondeau.runner as runner
-from rondeau.evolution import BlockPropagatorFactory
+from rondeau.evolution import BlockPropagatorFactory, Power
 from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, run
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -92,9 +92,9 @@ def test_shared_block_set_gives_identical_rates(tmp_path, order):
                        eps_grid=(0.3,), n_orders=(order,), max_cycles=256, seed=7, **SMALL)
     run(config)
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.3)
-    rates = []
+    rates, graphs = [], config.validate()
     for g in range(config.graph_realizations):
-        system = FullSystem(dataclasses.replace(config, graph_seed=g))
+        system = FullSystem(config, graphs[g])
         for r in range(config.realizations):
             props = system.factory(spec, (spec.slots_per_block,)).block_set(spec.gamma_y)
             seed = derive_seed(config.seed, 1, g, r)  # eps point 0 follows the reference
@@ -108,9 +108,9 @@ def test_shared_block_set_gives_identical_rates(tmp_path, order):
 
 def _counter(build, calls):
     """`build` that records the arguments of each call."""
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args)
+        return build(*args, **kwargs)
 
     return counted
 
@@ -128,32 +128,65 @@ def test_eigensystem_is_computed_once(monkeypatch):
 
 def test_factory_matches_each_callers_tau():
     """Callers alternating between taus each get the factory of their own tau."""
-    config = RunConfig(kind="heating-period", out_dir="x", **SMALL)
-    system, spec = FullSystem(config), config.spec()
+    config = RunConfig(kind="heating-period", out_dir="x", tau_grid=(0.05, 0.04, 0.03, 0.02),
+                       **SMALL)
+    system, spec = FullSystem(config, *config.validate()), config.spec()
     for tau in [0.05, 0.04, 0.05, 0.03, 0.03, 0.02]:
         assert system.factory(dataclasses.replace(spec, tau=tau), (13,)).spec.tau == tau
 
 
 def test_factory_is_built_once(monkeypatch):
     config = RunConfig(kind="spectrum", out_dir="x", **SMALL)
-    system = FullSystem(config)
+    system = FullSystem(config, *config.validate())
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _counter(lambda hamiltonian, spec, slots: object(), calls))
+                        _counter(lambda hamiltonian, spec, slots, keeps_parity: object(), calls))
     spec = config.spec()
     results = [system.factory(spec, (13,)) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
 
 
-@pytest.mark.parametrize("overrides, parities", [
-    (dict(kind="encode", text="Hi"), [1]),
-    (dict(kind="heating-period", tau_grid=(0.05,)), [1]),
-    (dict(kind="heating-eps", eps_grid=(0.1,)), [1, -1]),
-    (dict(kind="encode", text="Hi", num_spins=5), [1, -1]),
+@pytest.mark.parametrize("overrides, keeps_parity, parities", [
+    (dict(kind="encode", text="Hi"), True, [[1]]),
+    (dict(kind="heating-period", tau_grid=(0.05,)), True, [[1]]),
+    (dict(kind="heating-eps", eps_grid=(0.1,)), False, [[1], [1, -1]]),
+    (dict(kind="encode", text="Hi", num_spins=5), True, [[1, -1]]),
 ])
-def test_factory_holds_the_parities_its_run_needs(overrides, parities):
-    """A run that needs P = -1 gets it with the factory, before any rundown allocates."""
+def test_factory_builds_each_parity_at_its_first_block_set(overrides, keeps_parity, parities):
+    """A factory starts with P = +1 alone, and the first block set that reads P = -1 builds
+    it: a heating-eps reference at gamma = pi runs next to P = +1 alone."""
     config = RunConfig(out_dir="x", **{**SMALL, **overrides})
-    factory = FullSystem(config).factory(config.spec(), (13,))
-    assert list(factory.blocks) == parities
+    factory = FullSystem(config, *config.validate()).factory(config.spec(), (13,))
+    assert factory.keeps_parity == keeps_parity
+    assert list(factory.blocks) == [1]
+    for spec, expected in zip(runner._point_specs(config), parities, strict=True):
+        factory.block_set(spec.gamma_y)
+        assert list(factory.blocks) == expected
+
+
+def test_heating_eps_frees_the_fused_reference_before_building_p_minus(tmp_path, monkeypatch):
+    """The gamma = pi reference's fused kick steps are matrices its block set owns: they are
+    freed with it, before the first eps point's block set builds the P = -1 chain."""
+    fused, alive_at_build = [], []
+    real_block_set, real_parity = BlockPropagatorFactory.block_set, BlockPropagatorFactory.parity
+
+    def block_set(self, *args, **kwargs):
+        props = real_block_set(self, *args, **kwargs)
+        chains = {id(m) for blocks in self.blocks.values() for m in blocks.values()}
+        fused.extend(weakref.ref(f.blocks[s]) for steps in props.steps.values()
+                     for step in steps for f in step if isinstance(f, Power)
+                     for s in f.blocks if id(f.blocks[s]) not in chains)
+        return props
+
+    def parity(self, sign):
+        if sign not in self.blocks:
+            alive_at_build.append((sign, sum(ref() is not None for ref in fused)))
+        return real_parity(self, sign)
+
+    monkeypatch.setattr(BlockPropagatorFactory, "block_set", block_set)
+    monkeypatch.setattr(BlockPropagatorFactory, "parity", parity)
+    run(RunConfig(kind="heating-eps", out_dir=str(tmp_path), eps_grid=(0.1, 0.2),
+                  max_cycles=64, **SMALL))
+    assert len(fused) == 2  # the reference's two kick steps, one per block sign
+    assert alive_at_build == [(1, 0), (-1, 0)]

@@ -45,7 +45,7 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
                        kick_plus=8, kick_minus=4, tau=tau, max_cycles=max_cycles,
                        eps_grid=(eps,))
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
-    system = FullSystem(config)
+    system = FullSystem(config, *config.validate())
     props = system.factory(spec, (spec.slots_per_block,)).block_set(spec.gamma_y)
     traces = []
     rundown = runner.stroboscopic_rundown

@@ -279,6 +279,19 @@ class TestRunConfig:
         assert placed == seeds
 
     @pytest.mark.parametrize("overrides", [
+        dict(kind="trace", cycles=2),
+        dict(kind="heating-eps", eps_grid=(0.1,), max_cycles=64),
+    ])
+    def test_run_places_each_graph_once(self, tmp_path, monkeypatch, overrides):
+        """The run builds its systems on the graphs `validate` placed."""
+        placed, real = [], runner.generate_graph
+        monkeypatch.setattr(runner, "generate_graph",
+                            lambda *a, seed, **k: placed.append(seed) or real(*a, seed=seed, **k))
+        run(RunConfig(out_dir=str(tmp_path), num_spins=4, graph_seed=3, graph_realizations=2,
+                      pulses_per_block=12, kick_plus=8, kick_minus=4, **overrides))
+        assert placed == ([3] if overrides["kind"] == "trace" else [3, 4])
+
+    @pytest.mark.parametrize("overrides", [
         dict(engine="dephasing", kind="trace"),
         dict(kind="decode", trace_file="trace.csv"),
         dict(kind="spectrum", spectrum_kind="symbol", n_order="2", cycles=4),
@@ -516,8 +529,11 @@ class TestCodecPipeline:
         assert main(["decode", "--trace", str(path), "--out", str(out), *options]) == 1
         err = json.loads(capsys.readouterr().err)
         assert problem in err["message"]
-        # a trace that reads back fine fails in the decode, whose message names no file
-        assert (str(path) in err["message"]) == (case not in ("short", "weak"))
+        # a trace that reads back fine and fails in the decode is named too, and the
+        # decode's error keeps its type
+        assert str(path) in err["message"]
+        if case in ("short", "weak"):
+            assert err["error"] == ("ValueError" if case == "short" else "LowConfidenceError")
         assert not out.exists()
 
 

@@ -117,7 +117,7 @@ def test_phase_diagram_row_i_averages_the_drives_seeded_by_point_i(tmp_path, wri
                        realizations=2, normalization="none", gamma_grid=gammas, **SMALL)
     run(config)
     (_, diagram), _ = written["write_phase_diagram"]
-    system = runner.FullSystem(config)
+    system = runner.FullSystem(config, *config.validate())
     for i, gamma in enumerate(gammas):
         props = runner._block_set(system, config, dataclasses.replace(config.spec(),
                                                                       gamma_y=gamma))
