@@ -21,11 +21,11 @@ then a :class:`GateLayer`, then a, with a and b per-parity operators, the
 factory's powers of the spin-lock cycle operator (:class:`Power`, placed by
 :func:`kick_layout`) or the per-pulse free step (:class:`FreeStep`).  At a
 kick that keeps P the factory multiplies the three into one half-size
-matrix per row sign (:func:`fuse_kick`), so such a step is one
-:class:`Power`, one mat-vec per row.  :func:`evolve_blockwise`, the one
-stepper, applies the steps and records Ix after each.  No 2^n x 2^n matrix
-is built.  The per-pulse and blockwise operators are built independently,
-so each checks the other.
+matrix per row sign (:func:`fuse_kick`), written over a power it consumes,
+so such a step is one :class:`Power`, one mat-vec per row.
+:func:`evolve_blockwise`, the one stepper, applies the steps and records Ix
+after each.  No 2^n x 2^n matrix is built.  The per-pulse and blockwise
+operators are built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -511,38 +511,30 @@ def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
     return out
 
 
-def kick_steps(layout: dict) -> list[tuple]:
-    """The distinct kick steps (a, b) of a `kick_layout`; both block signs may share one."""
-    return sorted({f for steps in layout.values() for f in steps if len(f) == 2})
-
-
 def fusion_plan(layout: dict, parity: int) -> list[tuple]:
-    """How a factory whose every kick keeps P fuses its kick steps into the powers they read.
+    """The kick steps a factory fuses in place at a kick of `kick_parity` ``parity``, ±1.
 
-    One job per kick step (a, b) of `kick_steps` and row sign s: F_s = A_{p s} · L_s · B_s,
-    with A = W^a, B = W^b and p = ``parity``, read from the P = p s and P = s chains.
-    A job is ``((s, (a, b)), in_place, drops)``: F_s is written into B_s's storage if
-    nothing else reads B_s, and afterwards the powers ``drops``, (sign, exponent) keys,
-    have no reader left.  Jobs that can write in place go first, and a plain step
-    reads its power in every cycle, so no job drops it.
+    A kick step (a, b) fuses into F_s = A_{p s} · L_s · B_s for every row sign s, with
+    A = W^a, B = W^b and p = ``parity``, read from the P = p s and P = s chains, and each
+    F_s is written into the storage of the B_s it consumes.  So a step fuses once no step
+    left unfused reads any of its B_s; a step whose B a plain or an unfused step reads
+    stays (W^b, G, W^a).  A job is ``((a, b), drops)``, in order: after it the powers
+    ``drops``, (sign, exponent) keys, have no reader left.  A plain step reads its power
+    in every cycle, so no job drops it.
     """
-    signs = (1,) if parity == 1 else (1, -1)
-    readers, jobs = Counter(), [(s, f) for f in kick_steps(layout) for s in signs]
-    for s, (a, b) in jobs:
-        readers[s, b] += 1
-        readers[parity * s, a] += 1
-    for e in {f[0] for steps in layout.values() for f in steps if len(f) == 1}:
-        readers.update((s, e) for s in signs)
+    p, signs = parity, (1,) if parity == 1 else (1, -1)
+    steps = {f for block in layout.values() for f in block}
+    kicks = sorted(f for f in steps if len(f) == 2)
+    reads = lambda a, b: [(s, b) for s in signs] + [(p * s, a) for s in signs]
+    readers = Counter((s, f[0]) for f in steps if len(f) == 1 for s in signs)
+    for f in kicks:
+        readers.update(reads(*f))
     plan = []
-    while jobs:
-        job = next((j for j in jobs if readers[j[0], j[1][1]] == 1), jobs[0])
-        jobs.remove(job)
-        s, (a, b) = job
-        in_place = readers[s, b] == 1
-        readers[s, b] -= 1
-        readers[parity * s, a] -= 1
-        freed = {(parity * s, a)} | (set() if in_place else {(s, b)})
-        plan.append((job, in_place, tuple(sorted(k for k in freed if not readers[k]))))
+    while fusable := [f for f in kicks if all(readers[s, f[1]] == 1 for s in signs)]:
+        a, b = fusable[0]
+        kicks.remove((a, b))
+        readers.subtract(reads(a, b))
+        plan.append(((a, b), tuple((p * s, a) for s in signs if not readers[p * s, a])))
     return plan
 
 
@@ -561,28 +553,26 @@ class BlockPropagatorFactory:
     P = +1, the P = +1 chain alone, so such a factory never builds P = -1.
 
     A kick that keeps P (`kick_parity` ±1) makes each kick step one fixed
-    half-size matrix per row sign, built by :func:`fuse_kick`.  A factory built
-    with ``keeps_parity``, for a run whose every block set keeps P, fuses them
-    once into ``blocks`` by :func:`fusion_plan`, in the storage of the powers
-    that no later step reads, and refuses a kick that mixes P.  Any other
-    factory fuses a block set that keeps P = +1 into new matrices that the
-    block set owns, while it holds no P = -1 chain; so fused matrices never sit
-    next to both chains, and the P = -1 build stays the peak of a mixing run.
+    half-size matrix per row sign, built by :func:`fuse_kick`.  The first block
+    set at such a kick fuses the steps of :func:`fusion_plan` in place: F_s is
+    held under the key (a, b) in the storage of the B_s it consumed, and powers
+    left without a reader are dropped.  Later such block sets read the same
+    matrices.  The chains are then incomplete, so the factory refuses a kick
+    that mixes P; a run visits the points whose kick keeps P last.
     """
 
     #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
     BUILD_HALVES = 3
 
-    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots,
-                 keeps_parity: bool = False):
+    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
         self.hamiltonian = hamiltonian
         self.spec = spec
         self.slots = tuple(slots)
         self.num_spins = hamiltonian.num_spins
         self.layout = kick_layout(spec, self.slots)
-        self.keeps_parity = keeps_parity
         self._eigensystem = hamiltonian.eigensystem()
         self.blocks: dict[int, dict] = {}
+        self.fused = False
         self.parity(1)
 
     def parity(self, sign: int) -> dict:
@@ -597,43 +587,24 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, slots, kicks) -> float:
+    def peak_matrices(cls, spec: MonopoleSpec, slots, chains: int) -> float:
         """Most dense 2^n x 2^n matrices (a half-size block is a quarter) a factory for
-        ``spec``'s layout at ``slots`` holds while it serves block sets of the `kick_parity`
-        values ``kicks`` in turn, each block set dropped before the next.
+        ``spec``'s layout at ``slots`` holds while it builds ``chains`` parities in turn.
 
-        It holds the chains its block sets reach, each built once, and the fused kick
-        steps of the block sets `block_set` fuses: new matrices at a kick that keeps
-        P = +1, or, when every kick keeps P, the `fusion_plan` steps in the powers
-        they consume.
+        Fusing adds none: each fused kick step is written into a power it consumes.
         """
-        layout = kick_layout(spec, slots)
-        chain = PowerChain(cls._exponents(layout))
-        build, size = max(cls.BUILD_HALVES, chain.peak), len(chain.targets)
-        live, peak, built, fused, keeps = size, build, {1}, False, all(kicks)
-        for parity in kicks:
-            if parity != 1 and -1 not in built:
-                peak, live = max(peak, live + build), live + size
-                built.add(-1)
-            if keeps and not fused:
-                for _, in_place, drops in fusion_plan(layout, parity):
-                    live += not in_place
-                    peak = max(peak, live)
-                    live -= len(drops)
-                fused = True
-            elif not keeps and parity == 1 and -1 not in built:
-                peak = max(peak, live + len(kick_steps(layout)))
-        return peak / 4
+        chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
+        return ((chains - 1) * len(chain.targets) + max(cls.BUILD_HALVES, chain.peak)) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
         """Readout steps of both block signs at kick angle ``gamma_y`` (None: the factory's).
 
         A step is a :class:`Power` of the chains the rows reach: P = +1 alone if
-        the kick keeps it, else both.  A plain step is (W^e,).  A kick step is one
-        fused Power where the class docstring says so, else (W^b, G, W^a).  A given
-        ``include_half`` must name the factory's slots: the half-period slot and
-        the block end, or the block end alone.
+        the kick keeps it, else both.  A plain step is (W^e,), a fused kick step
+        (F,) and any other kick step (W^b, G, W^a).  A given ``include_half``
+        must name the factory's slots: the half-period slot and the block end, or
+        the block end alone.
         """
         end, n = self.spec.slots_per_block, self.num_spins
         if include_half is not None and self.slots != (
@@ -642,39 +613,28 @@ class BlockPropagatorFactory:
                              f"asked for include_half={include_half}")
         spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
         parity = kick_parity(spec.gamma_y, n, angle_spread)
-        if self.keeps_parity and not parity:
-            raise ValueError(f"factory built for kicks that keep P, asked for gamma_y = "
-                             f"{spec.gamma_y} with angle_spread {angle_spread}")
+        if self.fused and not parity:
+            raise ValueError(f"factory fused its kick steps for kicks that keep P, asked for "
+                             f"gamma_y = {spec.gamma_y} with angle_spread {angle_spread}")
         kick = GateLayer(np.matmul(rotation_gate("x", spec.theta_x).conj().T,
                                    _kick_gates(spec, n, angle_spread, disorder_seed)), n, parity)
         signs = (1,) if parity == 1 else (1, -1)
         chains = {s: self.parity(s) for s in signs}
-        fused = (self._fuse(kick) if self.keeps_parity or parity == 1 and -1 not in self.blocks
-                 else None)
-        power = lambda blocks, key, p=1: Power({s: blocks[s][key] for s in signs}, p)
-        steps = {sign: tuple((power(chains, f[0]),) if len(f) == 1
-                             else (power(fused, f, parity),) if fused is not None
-                             else (power(chains, f[1]), kick, power(chains, f[0]))
+        if parity and not self.fused:  # F_s = A_{p s} · L_s · B_s, written over B_s
+            for (a, b), drops in fusion_plan(self.layout, parity):
+                for s in signs:
+                    into = chains[s].pop(b)
+                    chains[s][a, b] = fuse_kick(chains[parity * s][a], kick, s, into, into)
+                for t, e in drops:
+                    del chains[t][e]
+            self.fused = True
+        power = lambda key, p=1: Power({s: chains[s][key] for s in signs}, p)
+        steps = {sign: tuple((power(f[0]),) if len(f) == 1
+                             else (power(f, parity),) if f in chains[1]
+                             else (power(f[1]), kick, power(f[0]))
                              for f in layout)
                  for sign, layout in self.layout.items()}
         return BlockPropagators(spec, self.slots, steps, n)
-
-    def _fuse(self, kick: GateLayer) -> dict:
-        """The fused kick steps F_s = A_{p s} · L_s · B_s, keyed by row sign s, then (a, b)."""
-        p, blocks = kick.parity, self.blocks
-        if not self.keeps_parity:  # p = 1 and the P = +1 chain alone
-            plus = blocks[1]
-            return {1: {(a, b): fuse_kick(plus[a], kick, 1, plus[b], np.empty_like(plus[b]))
-                        for a, b in kick_steps(self.layout)}}
-        for (s, (a, b)), in_place, drops in fusion_plan(self.layout, p):
-            if (a, b) in blocks[s]:
-                break  # fused by an earlier block set
-            into = blocks[s].pop(b) if in_place else blocks[s][b]
-            blocks[s][a, b] = fuse_kick(blocks[p * s][a], kick, s, into,
-                                        into if in_place else np.empty_like(into))
-            for t, e in drops:
-                del blocks[t][e]
-        return blocks
 
 
 # -- the stepper -----------------------------------------------------------

@@ -127,7 +127,8 @@ class RunConfig:
             if getattr(self, name) not in known:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}, not one of {known}")
         if self.threads != 1:
-            raise ConfigError("threads must be 1: every run is single-threaded")
+            raise ConfigError("threads must be 1: a run starts no threads of its own, "
+                              "and its BLAS library sets its own thread count")
         for name in ("cycles", "realizations", "graph_realizations", "max_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -240,10 +241,10 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     as many entries, and three complex temporaries of the largest block while
     it is built.  The other full-engine kinds add the peak of the factory's build
     for the run's readout slots: its parity blocks, each a quarter of a dense
-    complex matrix, and the fused kick steps of its block sets that keep P,
-    counted by `BlockPropagatorFactory.peak_matrices` for the run's `_kicks`.
-    A block set adds only those and gate halves, its steps state vectors.  Runs
-    that build no system hold none.
+    complex matrix, counted by `BlockPropagatorFactory.peak_matrices` for one
+    chain if every kick of the run keeps P = +1, else two.  A block set fuses
+    its kick steps in place and adds only gate halves, its steps state vectors.
+    Runs that build no system hold none.
     """
     if not _builds_systems(config):
         return 0
@@ -251,14 +252,16 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
     if config.kind == "trace":
         return sectors + sectors // 2 + 3 * 16 * math.comb(n, n // 2)**2
-    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config),
-                                                   _kicks(config))
+    chains = 1 + any(kick_parity(s.gamma_y, n) != 1 for s in _point_specs(config))
+    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), chains)
     return int(sectors + factory * matrix)
 
 
-def _kicks(config: RunConfig) -> tuple[int, ...]:
-    """The `kick_parity` of each block set of a run, in sweep order."""
-    return tuple(kick_parity(s.gamma_y, config.num_spins) for s in _point_specs(config))
+def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:
+    """The points (index, spec) of `_point_specs` in the order a run visits them: the points
+    whose kick keeps P last, since their block set fuses the factory's chains in place."""
+    return sorted(enumerate(_point_specs(config)),
+                  key=lambda point: kick_parity(point[1].gamma_y, config.num_spins) != 0)
 
 
 def _point_specs(config: RunConfig) -> list[MonopoleSpec]:
@@ -351,18 +354,13 @@ class FullSystem:
         self.row0 = initial_state(config.num_spins, self.hamiltonian,
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
-        self._keeps_parity = all(_kicks(config))
 
     def factory(self, spec: MonopoleSpec, slots: tuple) -> BlockPropagatorFactory:
         key = (spec.tau, slots)
         if self._factory is None or self._factory[0] != key:
             self._factory = None  # release the old factory before building
-            # P = -1 is built by the first block set that reads it, so a gamma = pi
-            # block set of a mixing run fuses its steps next to the P = +1 chain alone;
-            # a run whose every kick keeps P fuses them into the powers they consume
             self._factory = (key, BlockPropagatorFactory(
-                self.hamiltonian, replace(spec, gamma_y=math.pi), slots,
-                keeps_parity=self._keeps_parity))
+                self.hamiltonian, replace(spec, gamma_y=math.pi), slots))
         return self._factory[1]
 
 
@@ -470,9 +468,11 @@ def _json_number(x: float) -> float | str | None:
 def _run_phase_diagram(config: RunConfig, out: Path, graphs: tuple) -> dict:
     spec, system = config.spec(), _system_for(config, graphs)
     reps = _drive_realizations(config)
-    rows = [np.mean([s.amplitudes**2 for s in _realization_spectra(system, config, p, i)], axis=0)
-            for i, p in enumerate(_point_specs(config))]
-    diagram = phase_diagram(config.gamma_grid, rows, spec.block_duration, n_order=config.n_order,
+    rows = {i: np.mean([s.amplitudes**2 for s in _realization_spectra(system, config, p, i)],
+                       axis=0)
+            for i, p in _visits(config)}
+    diagram = phase_diagram(config.gamma_grid, [rows[i] for i in sorted(rows)],
+                            spec.block_duration, n_order=config.n_order,
                             realizations=reps, normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
     contrasts = {repr(float(g)): _json_number(half_frequency_contrast(row))
@@ -489,16 +489,17 @@ def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
     excess of the rate at gamma = pi against |eps|; ``heating-period`` and
     ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
     the rate against the period T.  One loop measures every rate: graph g (one
-    on the dephasing engine) -> point j -> one block set -> order k ->
-    realization r, seeded by ``derive_seed(seed, seed_block * k + j, g, r)``
-    (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference and eps i
-    is point 1 + i; a tau point is its grid index.  One graph's system is alive
-    at a time.  A point pools its (g, r) rates and is used if all crossed 1/e
-    and its (excess) rate is positive; an order whose used points share one
-    rate, or an eps order whose reference never crossed (``rate_at_pi`` NaN),
-    is not fitted.  Each ``fits.json`` entry has ``points_used``, ``uncrossed``,
-    then ``exponent``/``stderr`` or an ``error``; eps entries add ``rate_at_pi``
-    (``null`` when NaN) and ``reference_crossed``, tau sweeps ``smallest_period_rate``.
+    on the dephasing engine) -> point j, in `_visits` order -> one block set ->
+    order k -> realization r, seeded by ``derive_seed(seed, seed_block * k + j,
+    g, r)`` (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference,
+    visited last, and eps i is point 1 + i; a tau point is its grid index.  One
+    graph's system is alive at a time.  A point pools its (g, r) rates and is
+    used if all crossed 1/e and its (excess) rate is positive; an order whose
+    used points share one rate, or an eps order whose reference never crossed
+    (``rate_at_pi`` NaN), is not fitted.  Each ``fits.json`` entry has
+    ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or an ``error``;
+    eps entries add ``rate_at_pi`` (``null`` when NaN) and ``reference_crossed``,
+    tau sweeps ``smallest_period_rate``.
     """
     sweep = _SWEEPS[config.kind]
     orders = _orders(config)
@@ -508,7 +509,7 @@ def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
     measured = [[[] for _ in specs] for _ in orders]  # [k][j]: fits over (g, r)
     for g in range(config.graph_realizations if config.engine == "full" else 1):
         system = _system_for(config, graphs, g)
-        for j, spec in enumerate(specs):
+        for j, spec in _visits(config):
             props = _block_set(system, config, spec)
             for k, order in enumerate(orders):
                 inf = _parse_order(order) == math.inf

@@ -189,9 +189,10 @@ class TestEvolveEngine:
         _, _, hamiltonian, row0 = small_system
         factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
         stream = sample_rmd(0, 4, seed=1)
-        base = evolve_blockwise(stream, factory.block_set(), row0)
+        # the mixing kicks first: the gamma = pi block set fuses the factory's chains
         a, b = (evolve_blockwise(stream, factory.block_set(angle_spread=0.018, disorder_seed=3),
                                  row0) for _ in range(2))
+        base = evolve_blockwise(stream, factory.block_set(), row0)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, base.values)
         # 1.8% inhomogeneity perturbs the trace only weakly
@@ -429,27 +430,21 @@ class TestParityComponent:
     @pytest.mark.parametrize("slots", [block_end, half_period])
     def test_fused_steps_match_the_factored_steps(self, short_spec, num_spins, decay_time,
                                                   slots):
-        """A factory whose every kick keeps P fuses each kick step into one matrix per row
-        sign.  Its trace matches the factored (W^b, G, W^a) steps, with G folded onto the
-        rows or mixing them, and a default factory's block set: fused at even n, where it
-        holds P = +1 alone, and factored at odd n."""
+        """A gamma = pi block set fuses each kick step into one matrix per row sign, on
+        P = +1 alone at even n.  Its trace matches the factored (W^b, G, W^a) steps of a
+        second factory, with G folded onto the rows or mixing them."""
         hamiltonian = graph_system(num_spins)
         row0 = initial_state(num_spins, hamiltonian, decay_time)
         parity = (-1) ** num_spins
-        kept = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec),
-                                      keeps_parity=True).block_set()
-        assert all(len(step) == 1 for steps in kept.steps.values() for step in steps)
-        assert math.prod(f.parity for f, in kept.steps[1]) == parity
         factory = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
-        one = factory.block_set()
+        fused = factory.block_set()
         assert list(factory.blocks) == [1, -1][:1 + num_spins % 2]
-        if parity == 1:
-            assert all(len(step) == 1 for steps in one.steps.values() for step in steps)
-        else:
-            assert kick_of(one).parity == -1
+        assert all(len(step) == 1 for steps in fused.steps.values() for step in steps)
+        assert math.prod(f.parity for f, in fused.steps[1]) == parity
+        reference = BlockPropagatorFactory(hamiltonian, short_spec, slots(short_spec))
         stream = sample_rmd(1, 16, seed=3)
-        a = evolve_blockwise(stream, kept, row0)
-        for other in (one, factored_block_set(factory, parity), factored_block_set(factory, 0)):
+        a = evolve_blockwise(stream, fused, row0)
+        for other in (factored_block_set(reference, parity), factored_block_set(reference, 0)):
             b = evolve_blockwise(stream, other, row0)
             assert np.array_equal(a.times, b.times)
             assert np.abs(a.values - b.values).max() < 1e-12
@@ -475,6 +470,7 @@ class TestParityComponent:
         one = factory.block_set()
         assert all(len(step) == 1 for step in one.steps[1]) and list(factory.blocks) == [1]
         assert step_signs(one, row0) == [(1,), (1,)]
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, half_period(short_spec))
         props = factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
         assert kick_of(props).parity == 0 and list(factory.blocks) == [1, -1]
         # the + block kicks at slot 9, in its second step (6, 13]
@@ -485,12 +481,30 @@ class TestParityComponent:
         factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
         factory.block_set()
         assert list(factory.blocks) == [1]
+        factory = BlockPropagatorFactory(hamiltonian, short_spec, block_end(short_spec))
         factory.block_set(0.95 * math.pi)
         assert list(factory.blocks) == [1, -1]
         odd = BlockPropagatorFactory(graph_system(5), short_spec, block_end(short_spec))
         assert list(odd.blocks) == [1]
         odd.block_set()
         assert list(odd.blocks) == [1, -1]
+
+    @pytest.mark.parametrize("num_spins", [5, 6])
+    @pytest.mark.parametrize("gamma_y, angle_spread", [(0.95 * math.pi, 0.0), (math.pi, 0.018)])
+    def test_fused_factory_refuses_a_mixing_kick(self, short_spec, num_spins, gamma_y,
+                                                 angle_spread):
+        """Fusing consumes powers of the chains, so once a block set has fused the kick steps
+        a kick that mixes P cannot be served; another gamma = pi block set still can."""
+        factory = BlockPropagatorFactory(graph_system(num_spins), short_spec,
+                                         half_period(short_spec))
+        factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)  # not fused yet
+        first = factory.block_set()
+        with pytest.raises(ValueError, match="keep P"):
+            factory.block_set(gamma_y, angle_spread=angle_spread, disorder_seed=3)
+        again = factory.block_set()
+        assert all(f.blocks[s] is g.blocks[s] for sign in (1, -1)
+                   for (f, *_), (g, *_) in zip(first.steps[sign], again.steps[sign])
+                   for s in f.blocks)
 
 
 class TestSpinLockConservation:

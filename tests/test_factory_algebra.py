@@ -208,13 +208,25 @@ class TestLayoutRule:
         spec = MonopoleSpec(pulses, kick_plus, kick_minus,
                             tau=data.draw(st.floats(0.01, 0.3), label="tau"),
                             gamma_y=data.draw(st.floats(0.0, 2 * math.pi), label="gamma_y"))
-        slots = (*sorted(reads), spec.slots_per_block)
-        hamiltonian = cached_system(num_spins)
-        # a factory told that every kick keeps P fuses its kick steps in place
-        keeps_parity = data.draw(st.booleans(), label="keeps_parity")
-        if keeps_parity:
+        # at gamma = pi the factory fuses the kick steps whose B no other step reads
+        if data.draw(st.booleans(), label="gamma_y = pi"):
             spec = replace(spec, gamma_y=math.pi)
-        factory = BlockPropagatorFactory(hamiltonian, spec, slots, keeps_parity)
+        self.check_steps(spec, (*sorted(reads), spec.slots_per_block), num_spins)
+
+    @pytest.mark.parametrize("num_spins", [3, 4])
+    def test_a_kick_step_whose_power_another_reads_stays_factored(self, num_spins):
+        """Slots (2, 10), kicks after pulses 6 and 3: the + block's kick step W^4 G W^4
+        reads W^4 twice, so it stays factored; the - block's W^7 G W^1 fuses into W^1."""
+        props = self.check_steps(MonopoleSpec(9, 6, 3, tau=0.1, gamma_y=math.pi), (2, 10),
+                                 num_spins)
+        assert [len(step) for step in props.steps[1]] == [1, 3]
+        assert [len(step) for step in props.steps[-1]] == [1, 1]
+
+    @staticmethod
+    def check_steps(spec: MonopoleSpec, slots: tuple, num_spins: int):
+        """Assert that a fresh factory's block set at ``slots`` has the per-pulse steps."""
+        hamiltonian = cached_system(num_spins)
+        factory = BlockPropagatorFactory(hamiltonian, spec, slots)
         props = factory.block_set()
         assert props.slots == slots
         # the steps hold the P = -1 blocks unless the kick keeps P = +1; a step on the
@@ -223,29 +235,30 @@ class TestLayoutRule:
         assert (signs == (1,)) == (kick_parity(spec.gamma_y, num_spins) == 1)
         identity = np.eye(1 << num_spins)
         part = (identity + spin_flip(num_spins)) / 2 if signs == (1,) else identity
-        for sign, kick in ((1, kick_plus), (-1, kick_minus)):
+        for sign, kick in ((1, spec.kick_plus), (-1, spec.kick_minus)):
             expected = dense_slot_steps(hamiltonian, spec, kick, slots)
             for op, step in zip(props.steps[sign], expected, strict=True):
                 assert np.abs(dense_step(op, num_spins, signs) - step @ part).max() < 1e-12
+        return props
 
 
 class TestFactoryMemory:
-    # a gamma = pi block set at even n reads one parity's chain, any other both
+    # a gamma = pi block set at even n reads one parity's chain, any other both; as in a
+    # run, the gamma = pi block set comes last
     @pytest.mark.parametrize("num_spins, gammas, chains", [
-        (6, (math.pi,), 1), (6, (math.pi, 0.95 * math.pi), 2),
-        (8, (math.pi,), 1), (8, (math.pi, 0.95 * math.pi), 2), (7, (math.pi,), 2),
+        (6, (math.pi,), 1), (6, (0.95 * math.pi, math.pi), 2),
+        (8, (math.pi,), 1), (8, (0.95 * math.pi, math.pi), 2), (7, (math.pi,), 2),
     ])
     def test_build_peak_within_the_counted_matrices(self, num_spins, gammas, chains):
         hamiltonian = system(num_spins)
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**num_spins
-        kicks = [kick_parity(gamma, num_spins) for gamma in gammas]
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, slots, kicks)
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots, chains)
             tracemalloc.start()
-            try:  # built as a run builds it: told when every kick keeps P
-                factory = BlockPropagatorFactory(hamiltonian, spec, slots, all(kicks))
+            try:
+                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
                 for gamma in gammas:
                     factory.block_set(gamma)
                 kept, peak = tracemalloc.get_traced_memory()
@@ -254,50 +267,56 @@ class TestFactoryMemory:
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
             # only the powers of the factory's own readout slots are kept, each
-            # parity's block a quarter of a dense matrix; where every kick keeps P,
-            # fused kick steps hold the place of the powers they consumed
+            # parity's block a quarter of a dense matrix; in the chains the gamma = pi
+            # block set read, fused kick steps hold the place of the powers they consumed
             assert list(factory.blocks) == [1, -1][:chains]
-            for blocks in factory.blocks.values():
-                assert set(blocks) == exponents if not all(kicks) else len(blocks) < len(exponents)
+            read = (1,) if kick_parity(math.pi, num_spins) == 1 else (1, -1)
+            for s, blocks in factory.blocks.items():
+                assert len(blocks) < len(exponents) if s in read else set(blocks) == exponents
             assert kept <= (chains * len(exponents) / 4 + 0.25) * matrix
             del factory
 
     @pytest.mark.parametrize("num_spins", [8, 9])
-    def test_factory_that_keeps_parity_fuses_into_the_powers_it_consumes(self, num_spins):
-        """A factory whose every kick keeps P ends holding fewer half-size blocks than its
+    def test_factory_fuses_into_the_powers_it_consumes(self, num_spins):
+        """A factory whose block set keeps P ends holding fewer half-size blocks than its
         layout's powers: each fused kick step takes the storage of a power it consumed."""
         hamiltonian = system(num_spins)
         hamiltonian.eigensystem()
         spec = MonopoleSpec(tau=0.01)
-        matrix, parity = 16 * 4**num_spins, kick_parity(math.pi, num_spins)
+        matrix, chains = 16 * 4**num_spins, 1 + num_spins % 2
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, slots, (parity,))
+            counted = BlockPropagatorFactory.peak_matrices(spec, slots, chains)
             tracemalloc.start()
             try:
-                factory = BlockPropagatorFactory(hamiltonian, spec, slots, keeps_parity=True)
+                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
                 props = factory.block_set()
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
             # per chain: 2 fused steps of 4 powers, or 2 fused and 2 plain of 5
-            assert list(factory.blocks) == [1, -1][:1 + num_spins % 2]
+            assert list(factory.blocks) == [1, -1][:chains]
             held = {(301,): 2, (150, 301): 4}[slots]
             assert all(len(blocks) == held < len(exponents) for blocks in factory.blocks.values())
             assert kept <= (len(factory.blocks) * held / 4 + 0.25) * matrix
-            # a second block set reads the same fused steps
-            again = factory.block_set()
+            # a second block set reads the same fused steps and builds no dense matrix
+            tracemalloc.start()
+            try:
+                again = factory.block_set()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept <= peak < 0.05 * matrix
             assert all(f.blocks[s] is g.blocks[s] for sign in (1, -1)
                        for (f,), (g,) in zip(props.steps[sign], again.steps[sign])
                        for s in f.blocks)
-            with pytest.raises(ValueError, match="keep P"):
-                factory.block_set(0.95 * math.pi)
             del factory, props, again
 
-    @pytest.mark.parametrize("gamma_y", [math.pi, 0.95 * math.pi])
+    @pytest.mark.parametrize("gamma_y", [0.95 * math.pi])
     def test_block_set_builds_no_dense_matrix(self, gamma_y):
-        """Once both chains are built, a block set keeps the factory's blocks and builds
-        only the kick's gate halves."""
+        """Once both chains are built, a mixing block set keeps the factory's blocks and
+        builds only the kick's gate halves; a gamma = pi one fuses its kick steps, which
+        `test_factory_fuses_into_the_powers_it_consumes` bounds."""
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
         matrix = 16 * 4**8
@@ -381,7 +400,10 @@ class TestFactoryMemory:
         (8, dict(kind="spectrum", gamma_y=3.0), 2),
         (8, dict(kind="phase-diagram", gamma_grid=(math.pi,)), 1),
         (8, dict(kind="phase-diagram", gamma_grid=(math.pi, 3.0)), 2),
+        (8, dict(kind="phase-diagram", gamma_grid=(3.0, math.pi)), 2),
+        (9, dict(kind="phase-diagram", gamma_grid=(3.0, math.pi)), 2),
         (8, dict(kind="heating-eps", eps_grid=(0.1,)), 2),
+        (9, dict(kind="heating-eps", eps_grid=(0.1,)), 2),
         (8, dict(kind="heating-period", tau_grid=(0.05, 0.02)), 1),
         (8, dict(kind="heating-highfreq", tau_grid=(0.05, 0.02), sweep_slope=0.1), 2),
     ])
@@ -420,7 +442,7 @@ class TestFactoryMemory:
         # a heating run reads whole blocks only
         # in dense matrices: 4 kept and 5 live half-size blocks, against 3 and 3
         specs = [MonopoleSpec(**layout) for layout in ({}, small)]
-        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,), (1, 0))
+        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,), 2)
                   for s in specs]
         assert chains == [2.25, 1.5]
         # the two graphs are built one after another, so their peaks do not add

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rondeau.analysis import fit_power_law
-from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set, derive_seed,
-                            measure_rate, run)
+from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set, _visits,
+                            derive_seed, measure_rate, run)
 
 SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
 EPS_GRID = tuple(float(e) for e in np.geomspace(0.02, 0.2, 6) * math.pi)
@@ -146,7 +146,7 @@ def test_full_engine_sweep_pools_every_graph(tmp_path):
         rates = [[] for _ in specs]
         for g in range(config.graph_realizations):
             system = FullSystem(config, graphs[g])
-            for j, spec in enumerate(specs):
+            for j, spec in _visits(config):  # the reference j = 0 last
                 props = _block_set(system, config, spec)
                 for r in range(config.realizations):
                     seed = derive_seed(config.seed, 1000 * k + j, g, r)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rondeau.runner as runner
-from rondeau.evolution import BlockPropagatorFactory, Power
+from rondeau.evolution import BlockPropagatorFactory
 from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, run
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -140,53 +140,51 @@ def test_factory_is_built_once(monkeypatch):
     system = FullSystem(config, *config.validate())
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _counter(lambda hamiltonian, spec, slots, keeps_parity: object(), calls))
+                        _counter(lambda hamiltonian, spec, slots: object(), calls))
     spec = config.spec()
     results = [system.factory(spec, (13,)) for _ in range(3)]
     assert len(calls) == 1
     assert all(r is results[0] for r in results)
 
 
-@pytest.mark.parametrize("overrides, keeps_parity, parities", [
-    (dict(kind="encode", text="Hi"), True, [[1]]),
-    (dict(kind="heating-period", tau_grid=(0.05,)), True, [[1]]),
-    (dict(kind="heating-eps", eps_grid=(0.1,)), False, [[1], [1, -1]]),
-    (dict(kind="encode", text="Hi", num_spins=5), True, [[1, -1]]),
+@pytest.mark.parametrize("overrides, parities", [
+    (dict(kind="encode", text="Hi"), [[1]]),
+    (dict(kind="heating-period", tau_grid=(0.05,)), [[1]]),
+    (dict(kind="heating-eps", eps_grid=(0.1,)), [[1, -1], [1, -1]]),
+    (dict(kind="encode", text="Hi", num_spins=5), [[1, -1]]),
 ])
-def test_factory_builds_each_parity_at_its_first_block_set(overrides, keeps_parity, parities):
+def test_factory_builds_each_parity_at_its_first_block_set(overrides, parities):
     """A factory starts with P = +1 alone, and the first block set that reads P = -1 builds
-    it: a heating-eps reference at gamma = pi runs next to P = +1 alone."""
+    it; block sets come in the run's visiting order."""
     config = RunConfig(out_dir="x", **{**SMALL, **overrides})
     factory = FullSystem(config, *config.validate()).factory(config.spec(), (13,))
-    assert factory.keeps_parity == keeps_parity
     assert list(factory.blocks) == [1]
-    for spec, expected in zip(runner._point_specs(config), parities, strict=True):
+    for (_, spec), expected in zip(runner._visits(config), parities, strict=True):
         factory.block_set(spec.gamma_y)
         assert list(factory.blocks) == expected
 
 
-def test_heating_eps_frees_the_fused_reference_before_building_p_minus(tmp_path, monkeypatch):
-    """The gamma = pi reference's fused kick steps are matrices its block set owns: they are
-    freed with it, before the first eps point's block set builds the P = -1 chain."""
-    fused, alive_at_build = [], []
-    real_block_set, real_parity = BlockPropagatorFactory.block_set, BlockPropagatorFactory.parity
+def test_heating_eps_builds_p_minus_first_and_fuses_the_reference_last(tmp_path, monkeypatch):
+    """A heating-eps run builds P = -1 at its first eps point's block set, before any rundown,
+    and fuses the kick steps at its gamma = pi reference, the last block set."""
+    events = []
+    real_block_set = BlockPropagatorFactory.block_set
+    real_rundown = runner.stroboscopic_rundown
 
-    def block_set(self, *args, **kwargs):
-        props = real_block_set(self, *args, **kwargs)
-        chains = {id(m) for blocks in self.blocks.values() for m in blocks.values()}
-        fused.extend(weakref.ref(f.blocks[s]) for steps in props.steps.values()
-                     for step in steps for f in step if isinstance(f, Power)
-                     for s in f.blocks if id(f.blocks[s]) not in chains)
+    def block_set(self, gamma_y=None, *args, **kwargs):
+        props = real_block_set(self, gamma_y, *args, **kwargs)
+        events.append((gamma_y - math.pi, list(self.blocks), self.fused))
         return props
 
-    def parity(self, sign):
-        if sign not in self.blocks:
-            alive_at_build.append((sign, sum(ref() is not None for ref in fused)))
-        return real_parity(self, sign)
+    def rundown(*args, **kwargs):
+        events.append("rundown")
+        return real_rundown(*args, **kwargs)
 
     monkeypatch.setattr(BlockPropagatorFactory, "block_set", block_set)
-    monkeypatch.setattr(BlockPropagatorFactory, "parity", parity)
+    monkeypatch.setattr(runner, "stroboscopic_rundown", rundown)
     run(RunConfig(kind="heating-eps", out_dir=str(tmp_path), eps_grid=(0.1, 0.2),
                   max_cycles=64, **SMALL))
-    assert len(fused) == 2  # the reference's two kick steps, one per block sign
-    assert alive_at_build == [(1, 0), (-1, 0)]
+    sets = [e for e in events if e != "rundown"]
+    assert events[0] == sets[0] and events.index("rundown") == 1
+    assert sets == [(pytest.approx(0.1), [1, -1], False), (pytest.approx(0.2), [1, -1], False),
+                    (0.0, [1, -1], True)]
