@@ -9,11 +9,12 @@ slot's free evolution.
 
 Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx,
 and the initial state has P = +1.  Every engine therefore carries its state
-as parity rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 (:func:`parity_rows`), with H₀
-the basis states whose spin 0 is up and F the flip of every spin.  A run
-starts from the one P = +1 row of :func:`initial_state`; a kick that keeps P
-eigenstates (:func:`kick_parity`, exactly gamma = pi) keeps one row, and the
-first kick that mixes P creates the P = -1 row.
+as parity rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2, with H₀ the basis states whose
+spin 0 is up, the indices below 2^(n-1), and F the flip of every spin, which
+maps index i to 2^n - 1 - i.  A run starts from the one P = +1 row of
+:func:`initial_state`; a kick that keeps P eigenstates (:func:`kick_parity`,
+exactly gamma = pi) keeps one row, and the first kick that mixes P creates
+the P = -1 row.  Every operator acts on the rows, a gate layer included.
 
 A run reads every block at one increasing tuple of readout slots that ends
 at the block end.  :class:`BlockPropagators` holds one step per readout: b,
@@ -24,8 +25,8 @@ kick that keeps P the factory multiplies the three into one half-size
 matrix per row sign (:func:`fuse_kick`), written over a power it consumes,
 so such a step is one :class:`Power`, one mat-vec per row.
 :func:`evolve_blockwise`, the one stepper, applies the steps and records Ix
-after each.  No 2^n x 2^n matrix is built.  The per-pulse and blockwise
-operators are built independently, so each checks the other.
+after each.  No 2^n vector and no 2^n x 2^n matrix is built.  The per-pulse
+and blockwise operators are built independently, so each checks the other.
 """
 
 from __future__ import annotations
@@ -183,21 +184,6 @@ def kick_parity(gamma_y: float, num_spins: int, angle_spread: float = 0.0) -> in
     return -1 if num_spins % 2 else 1
 
 
-def parity_rows(psi: np.ndarray) -> np.ndarray:
-    """The P = +1 and P = -1 rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 of the vector ``psi``.
-
-    H₀ holds the indices below 2^(n-1) and F(i) = 2^n - 1 - i reverses them.
-    """
-    h = psi.shape[0] // 2
-    top, flipped = psi[:h], psi[h:][::-1]
-    return np.stack((top + flipped, top - flipped)) / math.sqrt(2)
-
-
-def join_rows(rows: np.ndarray, signs) -> np.ndarray:
-    """The vector ψ of parity ``rows`` of ``signs``: ψ[H₀] = Σ c_s / √2, ψ[F(H₀)] = Σ s c_s / √2."""
-    return np.concatenate((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1])) / math.sqrt(2)
-
-
 @cache
 def _sum_sigma_x(bits: int) -> np.ndarray:
     """Σ_k σx_k over ``bits`` spins as a dense real 2^bits x 2^bits matrix, read-only."""
@@ -284,30 +270,40 @@ class Power:
 class GateLayer:
     """A layer of single-spin ``gates`` on parity rows, acting by its `kick_parity` ``parity``.
 
-    Parity ±1: one 2x2 gate g on every spin maps P = s to P = parity · s.  With
-    spin 0 the most significant bit, (G ψ)[H₀] = G'(g₀₀ ψ[H₀] + g₀₁ ψ[H₁]), G' the
-    layer on the other spins, and ψ[H₁] = s ψ[H₀][::-1]: the layer folds onto each
-    row as G'(g₀₀ c + s g₀₁ c[::-1]).  Parity 0: the rows are joined into ψ, the
-    layer on all n spins is applied, and the result is split once.
+    With spin 0 the most significant bit the layer is g ⊗ G', g spin 0's gate and
+    G' (``halves``) the layer on the other n - 1 spins; a P = s state has
+    ψ[H₁] = s ψ[H₀][::-1].  Parity ±1: the layer folds onto each row c as
+    x = g₀₀ c + s g₀₁ c[::-1], and G' x is a row of parity ``parity`` · s.  Parity 0:
+    the rows give y₀ = Σ c_s = √2 ψ[H₀] and y₁ = (Σ s c_s)[::-1] = √2 ψ[H₁], so with
+    x = g y / 2 the rows z = G' x are (G ψ)[H₀] / √2 and (G ψ)[H₁] / √2, and the new
+    rows of signs (1, -1) are z₀ ± z₁[::-1].
     """
 
     def __init__(self, gates, num_spins: int, parity: int):
-        self.gates, self.parity = gates, parity
-        self.halves = gate_halves(gates, num_spins - (parity != 0))
+        shared = np.shape(gates) == (2, 2)
+        self.gate, self.parity = gates if shared else gates[0], parity
+        self.halves = gate_halves(gates if shared else gates[1:], num_spins - 1)
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
-        if not self.parity:
-            return parity_rows(apply_halves(join_rows(rows, signs), self.halves)), (1, -1)
-        (first, second), g = self.halves, self.gates
-        folded = g[0, 0] * rows + np.asarray(signs)[:, None] * g[0, 1] * rows[:, ::-1]
-        # G' on each row as `apply_halves` on a vector, batched over the rows
-        out = (first @ folded.reshape(len(rows), first.shape[0], -1)) @ second.T
-        return out.reshape(rows.shape), tuple(self.parity * s for s in signs)
+        g = self.gate
+        if self.parity:
+            x = g[0, 0] * rows + np.asarray(signs)[:, None] * g[0, 1] * rows[:, ::-1]
+        else:
+            x = g / 2 @ np.stack((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1]))
+        # G' on each row of x as `apply_halves` on a vector, batched over the rows
+        first, second = self.halves
+        z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
+        if self.parity:
+            return z, tuple(self.parity * s for s in signs)
+        flipped = z[1, ::-1]
+        return np.stack((z[0] + flipped, z[0] - flipped)), (1, -1)
 
     def fold(self, x: np.ndarray, sign: int) -> np.ndarray:
         """L_s x = G'(g₀₀ x + s g₀₁ x[::-1]) on the leading axis of ``x``, s = ``sign``: the
-        folding layer on the H₀ part of a P = s state, as a half-size matrix L_s."""
-        g = self.gates
+        folding layer on the H₀ part of a P = s state, as a half-size matrix L_s.  G' acts
+        on x's columns at once; on a block of `fuse_kick` one or two columns wide (n ≤ 5)
+        the row-wise G' of a call would round differently."""
+        g = self.gate
         return apply_halves(g[0, 0] * x + (sign * g[0, 1]) * x[::-1], self.halves)
 
 
@@ -558,7 +554,8 @@ class BlockPropagatorFactory:
     held under the key (a, b) in the storage of the B_s it consumed, and powers
     left without a reader are dropped.  Later such block sets read the same
     matrices.  The chains are then incomplete, so the factory refuses a kick
-    that mixes P; a run visits the points whose kick keeps P last.
+    that mixes P; a run visits the points whose kick keeps P last.  At even n
+    such block sets read P = +1 alone, so fusing drops a P = -1 chain.
     """
 
     #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
@@ -627,6 +624,8 @@ class BlockPropagatorFactory:
                     chains[s][a, b] = fuse_kick(chains[parity * s][a], kick, s, into, into)
                 for t, e in drops:
                     del chains[t][e]
+            if parity == 1:  # no block set reads P = -1 again
+                self.blocks.pop(-1, None)
             self.fused = True
         power = lambda key, p=1: Power({s: chains[s][key] for s in signs}, p)
         steps = {sign: tuple((power(f[0]),) if len(f) == 1
@@ -667,9 +666,9 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndar
     one row, signs (1,); the first :class:`GateLayer` that mixes P turns it
     into the two rows of signs (1, -1).  A step costs, per row, a half-size
     mat-vec per :class:`Power`, the sector mat-vecs per :class:`FreeStep` and
-    an (n - 1)-spin layer per folding :class:`GateLayer`, then `parity_ix`;
-    a plain or fused factory step is one mat-vec per row.  The norm is checked
-    once a cycle.
+    an (n - 1)-spin layer per :class:`GateLayer`, then `parity_ix`; a mixing
+    layer costs two, whatever it is given.  A plain or fused factory step is
+    one mat-vec per row.  The norm is checked once a cycle.
     With ``stop_factor`` the run ends at the first block-end sample below
     ``stop_factor / e`` of the initial magnitude, since later cycles cannot
     move the lifetime argmin; ``num_cycles`` counts the cycles evolved.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rondeau.dephasing import DephasingParams
-from rondeau.evolution import apply_halves, gate_halves, join_rows, parity_rows, rotation_gate
+from rondeau.evolution import apply_halves, gate_halves, rotation_gate
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
 
@@ -55,6 +55,21 @@ def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
     per-spin gates.
     """
     return apply_halves(state, gate_halves(gates, num_spins))
+
+
+def parity_rows(psi: np.ndarray) -> np.ndarray:
+    """The P = +1 and P = -1 rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2 of the vector ``psi``.
+
+    H₀ holds the indices below 2^(n-1) and F(i) = 2^n - 1 - i reverses them.
+    """
+    h = psi.shape[0] // 2
+    top, flipped = psi[:h], psi[h:][::-1]
+    return np.stack((top + flipped, top - flipped)) / math.sqrt(2)
+
+
+def join_rows(rows: np.ndarray, signs) -> np.ndarray:
+    """The vector ψ of parity ``rows`` of ``signs``: ψ[H₀] = Σ c_s / √2, ψ[F(H₀)] = Σ s c_s / √2."""
+    return np.concatenate((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1])) / math.sqrt(2)
 
 
 def state_vector(row: np.ndarray) -> np.ndarray:

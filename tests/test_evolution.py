@@ -9,16 +9,15 @@ from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, GateLayer,
                                NumericalIntegrityError, Power, PulseProgram, SignalTrace,
-                               evolve, evolve_blockwise, free_rows, half_sample_slot,
-                               initial_state, join_rows, parity_ix, parity_rows,
-                               rotation_gate)
+                               _kick_gates, evolve, evolve_blockwise, free_rows,
+                               half_sample_slot, initial_state, parity_ix, rotation_gate)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import block_end, every_slot, half_period
 from oracles import (apply_gates, dense_free_propagator, dense_free_rows, dense_step,
-                     global_rotation_matrix, state_vector, total_iz_matrix, total_ix,
-                     zero_hamiltonian)
+                     global_rotation_matrix, join_rows, parity_rows, state_vector,
+                     total_iz_matrix, total_ix, zero_hamiltonian)
 
 
 def stream_of(text):
@@ -61,6 +60,28 @@ class TestParityReadout:
         rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
         expected = total_ix(join_rows(rows, signs), num_spins)
         assert abs(parity_ix(rows, signs) - expected) <= 1e-12 * abs(expected)
+
+
+class TestMixingLayer:
+    @pytest.mark.parametrize("num_spins", range(2, 10))
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    @pytest.mark.parametrize("gamma_y, spread", [
+        (0.95 * math.pi, 0.0), (2.0, 0.0), (math.pi, 0.0), (math.pi, 0.018)])
+    def test_row_space_layer_matches_the_layer_on_the_joined_state(self, num_spins, signs,
+                                                                   gamma_y, spread):
+        """A mixing kick layer on the rows equals the n-spin layer on their joined ψ, split
+        into rows again: one row or two, shared gates (at pi forced to mix) or per-spin."""
+        spec = MonopoleSpec(gamma_y=gamma_y)
+        gates = np.matmul(rotation_gate("x", spec.theta_x).conj().T,
+                          _kick_gates(spec, num_spins, spread, disorder_seed=num_spins))
+        g = np.random.default_rng(num_spins)
+        shape = (len(signs), 1 << (num_spins - 1))
+        rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        rows /= np.linalg.norm(rows)
+        out, out_signs = GateLayer(gates, num_spins, 0)(rows, signs)
+        expected = parity_rows(apply_gates(join_rows(rows, signs), gates, num_spins))
+        assert out_signs == (1, -1)
+        assert np.abs(out - expected).max() < 1e-13
 
 
 class TestInitialState:
@@ -382,8 +403,8 @@ class TestBlockwiseEngine:
 def factored_block_set(factory: BlockPropagatorFactory, parity: int) -> BlockPropagators:
     """The factory's block set at its own angle with each kick step left as its factors
     (W^b, G, W^a), every power holding both parity blocks.  The kick's layer G acts by
-    ``parity``: ±1 folds it onto each row; 0 joins the rows, applies it to ψ and splits
-    it, so the state is two rows from the first kick on."""
+    ``parity``: ±1 folds it onto each row; 0 mixes the rows into the P = ±1 rows, so the
+    state is two rows from the first kick on."""
     spec, n = factory.spec, factory.num_spins
     power = lambda e: Power({s: factory.parity(s)[e] for s in (1, -1)})
     kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
@@ -395,8 +416,8 @@ def factored_block_set(factory: BlockPropagatorFactory, parity: int) -> BlockPro
 
 
 def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
-    """The per-pulse steps of `evolve` with a mixing kick: the kick joins the rows, applies
-    its layer to ψ and splits it, so the state is two rows from the first kick on."""
+    """The per-pulse steps of `evolve` with a mixing kick: the kick's layer mixes the rows
+    into the P = ±1 rows, so the state is two rows from the first kick on."""
     n = hamiltonian.num_spins
     free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
     x = (GateLayer(rotation_gate("x", spec.theta_x), n, 1), free)

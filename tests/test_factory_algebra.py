@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from rondeau.evolution import (BlockPropagatorFactory, Power, PowerChain, PulseProgram,
                                _kick_gates, evolve, evolve_blockwise, free_rows,
-                               initial_state, join_rows, kick_layout, kick_parity,
-                               parity_rows)
+                               initial_state, kick_layout, kick_parity)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
@@ -22,7 +21,7 @@ from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
 from oracles import (apply_gates, dense_cycle_powers, dense_kick_gate, dense_slot_steps,
-                     dense_step, spin_flip)
+                     dense_step, join_rows, parity_rows, spin_flip)
 
 #: Powers the default layout (301 slots, kicks after pulses 200 and 100) reads at the
 #: block end alone and at the half-period slot and the block end.
@@ -266,14 +265,13 @@ class TestFactoryMemory:
                 tracemalloc.stop()
             # a quarter matrix (16 KB at n = 6) covers the gates and bookkeeping objects
             assert (counted - 0.25) * matrix < peak <= (counted + 0.25) * matrix
-            # only the powers of the factory's own readout slots are kept, each
-            # parity's block a quarter of a dense matrix; in the chains the gamma = pi
-            # block set read, fused kick steps hold the place of the powers they consumed
-            assert list(factory.blocks) == [1, -1][:chains]
+            # only the chains the gamma = pi block set read are kept, each parity's block
+            # a quarter of a dense matrix, and fused kick steps hold the place of the
+            # powers they consumed: at even n fusing drops a P = -1 chain built earlier
             read = (1,) if kick_parity(math.pi, num_spins) == 1 else (1, -1)
-            for s, blocks in factory.blocks.items():
-                assert len(blocks) < len(exponents) if s in read else set(blocks) == exponents
-            assert kept <= (chains * len(exponents) / 4 + 0.25) * matrix
+            assert tuple(factory.blocks) == read
+            assert all(len(blocks) < len(exponents) for blocks in factory.blocks.values())
+            assert kept <= (len(read) * len(exponents) / 4 + 0.25) * matrix
             del factory
 
     @pytest.mark.parametrize("num_spins", [8, 9])

@@ -150,12 +150,13 @@ def test_factory_is_built_once(monkeypatch):
 @pytest.mark.parametrize("overrides, parities", [
     (dict(kind="encode", text="Hi"), [[1]]),
     (dict(kind="heating-period", tau_grid=(0.05,)), [[1]]),
-    (dict(kind="heating-eps", eps_grid=(0.1,)), [[1, -1], [1, -1]]),
+    (dict(kind="heating-eps", eps_grid=(0.1,)), [[1, -1], [1]]),
     (dict(kind="encode", text="Hi", num_spins=5), [[1, -1]]),
 ])
 def test_factory_builds_each_parity_at_its_first_block_set(overrides, parities):
     """A factory starts with P = +1 alone, and the first block set that reads P = -1 builds
-    it; block sets come in the run's visiting order."""
+    it; block sets come in the run's visiting order.  At even n the fusing gamma = pi
+    block set drops P = -1, which no later block set reads."""
     config = RunConfig(out_dir="x", **{**SMALL, **overrides})
     factory = FullSystem(config, *config.validate()).factory(config.spec(), (13,))
     assert list(factory.blocks) == [1]
@@ -166,7 +167,8 @@ def test_factory_builds_each_parity_at_its_first_block_set(overrides, parities):
 
 def test_heating_eps_builds_p_minus_first_and_fuses_the_reference_last(tmp_path, monkeypatch):
     """A heating-eps run builds P = -1 at its first eps point's block set, before any rundown,
-    and fuses the kick steps at its gamma = pi reference, the last block set."""
+    and fuses the kick steps at its gamma = pi reference, the last block set, which at
+    even n drops P = -1."""
     events = []
     real_block_set = BlockPropagatorFactory.block_set
     real_rundown = runner.stroboscopic_rundown
@@ -187,4 +189,4 @@ def test_heating_eps_builds_p_minus_first_and_fuses_the_reference_last(tmp_path,
     sets = [e for e in events if e != "rundown"]
     assert events[0] == sets[0] and events.index("rundown") == 1
     assert sets == [(pytest.approx(0.1), [1, -1], False), (pytest.approx(0.2), [1, -1], False),
-                    (0.0, [1, -1], True)]
+                    (0.0, [1], True)]
