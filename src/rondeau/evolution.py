@@ -218,19 +218,25 @@ def parity_ix(rows: np.ndarray, signs) -> float:
 def free_rows(eigensystem, duration: float):
     """H₀'s rows of exp(-i duration H), one ``(rows, cols, block)`` triple per total-Iz sector.
 
-    ``block`` is V_k e^{-i duration Λ_k} V_k^† from the sector's cached
+    ``block`` is V_k e^{-i duration Λ_k} V_k^T from the sector's cached real
     eigensystem on its ``rows``, the sector's states in H₀: first on its H₀
     columns, then on its H₁ columns j, which a P = s state holds as s ψ[F(j)].
     ``cols`` lists the H₀ indices read, the rows and then those F(j); a sector
-    that F maps onto itself (n even) lists its H₀ indices twice.
+    that F maps onto itself (n even) lists its H₀ indices twice.  Its real and
+    imaginary parts are the real products (L cos) R and -(L sin) R of L = V_k[rows]
+    and R = V_k[cols]^T.
     """
     dim = 1 << (len(eigensystem) - 1)
     for idx, vals, vecs in eigensystem:
         low = idx < dim // 2
         if low.any():
-            top = ((vecs * np.exp(-1j * duration * vals)) @ vecs.conj().T)[low]
             order = np.argsort(~low, kind="stable")  # H₀ columns first
-            yield idx[low], np.where(low, idx, dim - 1 - idx)[order], np.take(top, order, axis=1)
+            left, right = vecs[low], vecs[order].T
+            block = np.empty((left.shape[0], idx.size), dtype=complex)
+            np.matmul(left * np.cos(duration * vals), right, out=block.real)
+            np.matmul(left * -np.sin(duration * vals), right, out=block.imag)
+            del left, right  # before the next sector's are made
+            yield idx[low], np.where(low, idx, dim - 1 - idx)[order], block
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,9 +296,7 @@ class GateLayer:
             x = g[0, 0] * rows + np.asarray(signs)[:, None] * g[0, 1] * rows[:, ::-1]
         else:
             x = g / 2 @ np.stack((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1]))
-        # G' on each row of x as `apply_halves` on a vector, batched over the rows
-        first, second = self.halves
-        z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
+        z = self._layer(x)
         if self.parity:
             return z, tuple(self.parity * s for s in signs)
         flipped = z[1, ::-1]
@@ -301,10 +305,14 @@ class GateLayer:
     def fold(self, x: np.ndarray, sign: int) -> np.ndarray:
         """L_s x = G'(g₀₀ x + s g₀₁ x[::-1]) on the leading axis of ``x``, s = ``sign``: the
         folding layer on the H₀ part of a P = s state, as a half-size matrix L_s.  G' acts
-        on x's columns at once; on a block of `fuse_kick` one or two columns wide (n ≤ 5)
-        the row-wise G' of a call would round differently."""
+        on each column of x as on a row of a call, through the same batch."""
         g = self.gate
-        return apply_halves(g[0, 0] * x + (sign * g[0, 1]) * x[::-1], self.halves)
+        return self._layer((g[0, 0] * x + (sign * g[0, 1]) * x[::-1]).T).T
+
+    def _layer(self, x: np.ndarray) -> np.ndarray:
+        """G' on each row of x, as `apply_halves` on a vector, batched over the rows."""
+        first, second = self.halves
+        return ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
 
 
 # -- initial state ---------------------------------------------------------
@@ -402,59 +410,63 @@ def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
 class PowerChain:
     """Addition chain building W^e for every exponent e of a set.
 
-    Exponents are built in increasing order.  Each one is a single product
-    W^a · W^(e-a) of two powers already built when such a pair exists (the
-    largest such a is taken).  Otherwise it is the binary method's product of
-    the squares W^(2^j) of its set bits, highest first, building only the
-    squares not yet built.  A chain therefore never needs more products than
-    the binary method with shared squares, and far fewer when the exponents
-    are sums of one another.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b,
-    and ``drops[i]`` names the powers that are no target and that no later
-    step reads.
+    Exponents are built in increasing order, each as one product W^a · W^(e-a)
+    of two built powers, the largest a, when such a pair exists; otherwise as
+    the product of the squares W^(2^j) of e's set bits, building only the squares
+    not yet built.  So a chain never needs more products than the binary method
+    with shared squares.  A lean rule squares-and-multiplies from the top bit and
+    pairs the largest a without W, so W is dropped early (201 = 101 + 100, not
+    200 + 1); its chain is kept if it needs no more products and has a lower
+    ``peak``, the most matrices `fill` holds at once: the base, built powers, the
+    identity.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, and ``drops[i]``
+    names the powers that are no target and that no later step reads.
     """
 
     def __init__(self, exponents):
         self.targets = frozenset(int(e) for e in exponents)
         if any(e < 0 for e in self.targets):
             raise ValueError(f"negative exponent in {sorted(self.targets)}")
+        binary, lean = self._chain(lean=False), self._chain(lean=True)
+        fewer = len(lean[0]) <= len(binary[0]) and lean[2] < binary[2]
+        self.steps, self.drops, self.peak = lean if fewer else binary
+
+    def _chain(self, lean: bool) -> tuple[tuple, tuple, int]:
+        """Steps, drops and peak of the binary rule, or of the lean rule."""
         built, steps = {1}, []
 
-        def product(a: int, b: int):
-            steps.append((a + b, a, b))
-            built.add(a + b)
+        def product(a: int, b: int) -> int:
+            if a + b not in built:
+                steps.append((a + b, a, b))
+                built.add(a + b)
+            return a + b
 
-        for e in sorted(self.targets - {0}):
-            if e in built:
-                continue
-            a = next((a for a in sorted(built, reverse=True) if e - a in built), None)
-            if a is not None:
-                product(a, e - a)
-                continue
-            for j in range(1, e.bit_length()):
-                if 1 << j not in built:
+        for e in sorted(self.targets - {0, 1}):
+            pairs = sorted((a for a in built if e - a in built),
+                           key=lambda a: (lean and 1 in (a, e - a), -a))
+            if pairs:  # an e already built has one, and `product` skips it
+                product(pairs[0], e - pairs[0])
+            elif lean:
+                partial = 1
+                for j in reversed(range(e.bit_length() - 1)):
+                    partial = product(partial, partial)
+                    partial = product(partial, 1) if e >> j & 1 else partial
+            else:
+                for j in range(1, e.bit_length()):
                     product(1 << j - 1, 1 << j - 1)
-            bits = [1 << j for j in reversed(range(e.bit_length())) if e >> j & 1]
-            partial = bits[0]
-            for bit in bits[1:]:
-                if partial + bit not in built:
-                    product(partial, bit)
-                partial += bit
-        self.steps = tuple(steps)
+                partial = 1 << e.bit_length() - 1
+                for j in reversed(range(e.bit_length() - 1)):
+                    partial = product(partial, 1 << j) if e >> j & 1 else partial
         last = {f: i for i, step in enumerate(steps) for f in step[1:]}
-        self.drops = tuple(tuple(sorted({f for f in (a, b) if last[f] == i} - self.targets))
-                           for i, (_, a, b) in enumerate(steps))
-
-    @property
-    def peak(self) -> int:
-        """Most matrices `fill` holds at once: the base, built powers, the identity."""
+        drops = tuple(tuple(sorted({f for f in (a, b) if last[f] == i} - self.targets))
+                      for i, (_, a, b) in enumerate(steps))
         live = peak = 1
-        for drop in self.drops:
+        for drop in drops:
             live += 1
             peak = max(peak, live)
             live -= len(drop)
-        if 1 not in self.targets and not self.steps:
+        if 1 not in self.targets and not steps:
             live -= 1  # the base is dropped unread
-        return max(peak, live + (0 in self.targets))
+        return tuple(steps), drops, max(peak, live + (0 in self.targets))
 
     def fill(self, powers: dict) -> dict:
         """Add every target power to ``powers``, which holds only the base W at key 1.
@@ -491,7 +503,7 @@ def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
 
 
 #: Column blocks a fused kick step is built in, so that no full-size temporary is made.
-FUSE_COLUMN_BLOCKS = 8
+FUSE_COLUMN_BLOCKS = 32
 
 
 def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
@@ -574,9 +586,9 @@ class BlockPropagatorFactory:
 
     def parity(self, sign: int) -> dict:
         """The P = ``sign`` blocks of the layout's powers, built the first time they are asked."""
-        if sign not in self.blocks:
-            base = cycle_parity(self._eigensystem, self.spec, sign)
-            self.blocks[sign] = PowerChain(self._exponents(self.layout)).fill({1: base})
+        if sign not in self.blocks:  # the chain's dict holds the only reference to W
+            self.blocks[sign] = PowerChain(self._exponents(self.layout)).fill(
+                {1: cycle_parity(self._eigensystem, self.spec, sign)})
         return self.blocks[sign]
 
     @staticmethod
@@ -584,14 +596,17 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, slots, chains: int) -> float:
+    def peak_matrices(cls, spec: MonopoleSpec, slots, parities: set) -> float:
         """Most dense 2^n x 2^n matrices (a half-size block is a quarter) a factory for
-        ``spec``'s layout at ``slots`` holds while it builds ``chains`` parities in turn.
-
-        Fusing adds none: each fused kick step is written into a power it consumes.
+        ``spec``'s layout at ``slots`` holds for block sets at kicks of `kick_parity`
+        ``parities``: the build of the P = +1 chain and, unless every kick keeps P = +1,
+        the P = -1 chain, or the first fusion of the chains a kick that keeps P reads
+        (P = +1 alone at parity 1) with `fuse_kick`'s three column-block temporaries.
         """
         chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
-        return ((chains - 1) * len(chain.targets) + max(cls.BUILD_HALVES, chain.peak)) / 4
+        t = len(chain.targets)
+        fuse = ((1 + (-1 in parities)) * t + 3 / FUSE_COLUMN_BLOCKS) * bool(parities - {0})
+        return max((parities != {1}) * t + max(cls.BUILD_HALVES, chain.peak), fuse) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -618,14 +633,14 @@ class BlockPropagatorFactory:
         signs = (1,) if parity == 1 else (1, -1)
         chains = {s: self.parity(s) for s in signs}
         if parity and not self.fused:  # F_s = A_{p s} · L_s · B_s, written over B_s
+            if parity == 1:  # no block set reads P = -1 again: free it before fusing
+                self.blocks.pop(-1, None)
             for (a, b), drops in fusion_plan(self.layout, parity):
                 for s in signs:
                     into = chains[s].pop(b)
                     chains[s][a, b] = fuse_kick(chains[parity * s][a], kick, s, into, into)
                 for t, e in drops:
                     del chains[t][e]
-            if parity == 1:  # no block set reads P = -1 again
-                self.blocks.pop(-1, None)
             self.fused = True
         power = lambda key, p=1: Power({s: chains[s][key] for s in signs}, p)
         steps = {sign: tuple((power(f[0]),) if len(f) == 1

@@ -235,26 +235,27 @@ def _builds_systems(config: RunConfig) -> bool:
 def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the matrices a run holds at its peak: one graph's system at a time.
 
-    A system holds the real blocks of its Hamiltonian and their real
-    eigenvectors, one per total-Iz sector, sum_k C(n, k)^2 = C(2n, n) entries
-    each.  The per-pulse trace adds the free step's complex rows in H₀, half
-    as many entries, and three complex temporaries of the largest block while
-    it is built.  The other full-engine kinds add the peak of the factory's build
-    for the run's readout slots: its parity blocks, each a quarter of a dense
-    complex matrix, counted by `BlockPropagatorFactory.peak_matrices` for one
-    chain if every kick of the run keeps P = +1, else two.  A block set fuses
-    its kick steps in place and adds only gate halves, its steps state vectors.
-    Runs that build no system hold none.
+    A system holds the real blocks of its Hamiltonian, one per total-Iz sector,
+    sum_k C(n, k)^2 = C(2n, n) entries, and the real eigenvectors of the sectors
+    k <= n/2 (`Hamiltonian.eigensystem`).  The per-pulse trace adds the free
+    step's complex rows in H₀, half as many entries as the blocks, and two real
+    temporaries of the largest block while they are built.  The other full-engine
+    kinds add the peak of the factory for the run's readout slots: its parity
+    blocks, each a quarter of a dense complex matrix, counted by
+    `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's
+    points.  A block set adds only gate halves, its steps state vectors.  Runs that
+    build no system hold none.
     """
     if not _builds_systems(config):
         return 0
     n = config.num_spins
-    matrix, sectors = 16 * 4**n, 16 * math.comb(2 * n, n)
+    entries, largest = math.comb(2 * n, n), math.comb(n, n // 2)**2
+    system = 8 * entries + 4 * (entries + (n % 2 == 0) * largest)
     if config.kind == "trace":
-        return sectors + sectors // 2 + 3 * 16 * math.comb(n, n // 2)**2
-    chains = 1 + any(kick_parity(s.gamma_y, n) != 1 for s in _point_specs(config))
-    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), chains)
-    return int(sectors + factory * matrix)
+        return system + 8 * entries + 16 * largest
+    parities = {kick_parity(s.gamma_y, n) for s in _point_specs(config)}
+    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), parities)
+    return int(system + factory * 16 * 4**n)
 
 
 def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:

@@ -109,12 +109,15 @@ class Hamiltonian:
     def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """One-time diagonalization of each sector, cached for reuse.
 
-        Returns ``(indices, eigvals, eigvecs)`` per sector: the sector's basis
-        indices and the `np.linalg.eigh` of its block.
+        Returns ``(indices, eigvals, eigvecs)`` per sector.  P = Πσx commutes with H and
+        maps sector k onto sector n - k with reversed indices, so H_{n-k} = J H_k J:
+        `np.linalg.eigh` runs on the sectors k <= n/2, and sector n - k gets sector k's
+        eigenvalues and the view ``vecs_k[::-1]``.
         """
         if self._eigensystem is None:
-            self._eigensystem = tuple((idx, *np.linalg.eigh(block))
-                                      for idx, block in self.blocks)
+            own = [np.linalg.eigh(block) for _, block in self.blocks[:self.num_spins // 2 + 1]]
+            own += [(vals, vecs[::-1]) for vals, vecs in own[:(self.num_spins + 1) // 2][::-1]]
+            self._eigensystem = tuple((idx, *pair) for (idx, _), pair in zip(self.blocks, own))
         return self._eigensystem
 
 

@@ -116,13 +116,14 @@ def _counter(build, calls):
 
 
 def test_eigensystem_is_computed_once(monkeypatch):
-    """Repeated calls run one eigh per total-Iz sector and share its result."""
+    """Repeated calls run one eigh per total-Iz sector k <= n/2 and share its result; the
+    sectors k > n/2 mirror them."""
     num_spins = 3
     hamiltonian = build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=1)))
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", _counter(np.linalg.eigh, calls))
     results = [hamiltonian.eigensystem() for _ in range(3)]
-    assert len(calls) == num_spins + 1
+    assert len(calls) == num_spins // 2 + 1
     assert all(r is results[0] for r in results)
 
 
