@@ -221,22 +221,23 @@ def free_rows(eigensystem, duration: float):
     ``block`` is V_k e^{-i duration Λ_k} V_k^T from the sector's cached real
     eigensystem on its ``rows``, the sector's states in H₀: first on its H₀
     columns, then on its H₁ columns j, which a P = s state holds as s ψ[F(j)].
-    ``cols`` lists the H₀ indices read, the rows and then those F(j); a sector
-    that F maps onto itself (n even) lists its H₀ indices twice.  Its real and
-    imaginary parts are the real products (L cos) R and -(L sin) R of L = V_k[rows]
-    and R = V_k[cols]^T.
+    The H₀ states are a prefix of the sector's ascending indices, so ``cols``
+    lists the rows and then the F(j) of the rest; a sector that F maps onto
+    itself (n even) lists its H₀ indices twice.  Its real and imaginary parts are
+    the real products (L cos) R and -(L sin) R of the views L = V_k[:h] and
+    R = V_k^T, h the number of rows.  A mirror sector's reversed V_k is copied
+    first, as numpy would otherwise copy it itself, or multiply a single row
+    outside BLAS.
     """
     dim = 1 << (len(eigensystem) - 1)
     for idx, vals, vecs in eigensystem:
-        low = idx < dim // 2
-        if low.any():
-            order = np.argsort(~low, kind="stable")  # H₀ columns first
-            left, right = vecs[low], vecs[order].T
-            block = np.empty((left.shape[0], idx.size), dtype=complex)
-            np.matmul(left * np.cos(duration * vals), right, out=block.real)
-            np.matmul(left * -np.sin(duration * vals), right, out=block.imag)
-            del left, right  # before the next sector's are made
-            yield idx[low], np.where(low, idx, dim - 1 - idx)[order], block
+        h = int(np.searchsorted(idx, dim // 2))
+        if h:
+            vecs = np.ascontiguousarray(vecs)
+            block = np.empty((h, idx.size), dtype=complex)
+            np.matmul(vecs[:h] * np.cos(duration * vals), vecs.T, out=block.real)
+            np.matmul(vecs[:h] * -np.sin(duration * vals), vecs.T, out=block.imag)
+            yield idx[:h], np.where(idx < dim // 2, idx, dim - 1 - idx), block
 
 
 @dataclass(frozen=True, eq=False)

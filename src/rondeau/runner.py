@@ -235,13 +235,15 @@ def _builds_systems(config: RunConfig) -> bool:
 def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the matrices a run holds at its peak: one graph's system at a time.
 
-    A system holds the real blocks of its Hamiltonian, one per total-Iz sector,
-    sum_k C(n, k)^2 = C(2n, n) entries, and the real eigenvectors of the sectors
-    k <= n/2 (`Hamiltonian.eigensystem`).  The per-pulse trace adds the free
-    step's complex rows in H₀, half as many entries as the blocks, and two real
-    temporaries of the largest block while they are built.  The other full-engine
-    kinds add the peak of the factory for the run's readout slots: its parity
-    blocks, each a quarter of a dense complex matrix, counted by
+    A system holds the real eigenvectors of the sectors k <= n/2
+    (`Hamiltonian.eigensystem`), half of the C(2n, n) entries of all sector
+    blocks plus half the middle block's at even n, and, while they are built, one
+    sector block, at most the largest.  The per-pulse trace adds the free step's
+    complex rows in H₀, half as many entries as the blocks, and while they are
+    built a real temporary of half the largest block, next to a contiguous copy
+    of a mirror sector's eigenvectors in the place of the transient block.  The
+    other full-engine kinds add the peak of the factory for the run's readout
+    slots: its parity blocks, each a quarter of a dense complex matrix, counted by
     `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's
     points.  A block set adds only gate halves, its steps state vectors.  Runs that
     build no system hold none.
@@ -250,9 +252,9 @@ def peak_matrix_bytes(config: RunConfig) -> int:
         return 0
     n = config.num_spins
     entries, largest = math.comb(2 * n, n), math.comb(n, n // 2)**2
-    system = 8 * entries + 4 * (entries + (n % 2 == 0) * largest)
+    system = 4 * (entries + (n % 2 == 0) * largest) + 8 * largest
     if config.kind == "trace":
-        return system + 8 * entries + 16 * largest
+        return system + 8 * entries + 4 * largest
     parities = {kick_parity(s.gamma_y, n) for s in _point_specs(config)}
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), parities)
     return int(system + factory * 16 * 4**n)
@@ -340,9 +342,11 @@ def _drive_realizations(config: RunConfig) -> int:
 class FullSystem:
     """Graph, Hamiltonian, initial P = +1 row, and the propagator factory of one run.
 
-    ``graph`` is one that `RunConfig.validate` placed.  Only the factory of the
-    most recent tau and readout slots is kept, since a sweep uses each tau for
-    one point and a run reads one slot tuple.
+    ``graph`` is one that `RunConfig.validate` placed.  The Hamiltonian keeps
+    its couplings and, from its first use, its sector eigensystem; no sector
+    block outlives its diagonalization.  Only the factory of the most recent
+    tau and readout slots is kept, since a sweep uses each tau for one point
+    and a run reads one slot tuple.
     """
 
     def __init__(self, config: RunConfig, graph: SpinGraph):

@@ -4,8 +4,9 @@ Spins are placed at random in a cube under a minimum-distance and a
 nearest-neighbor constraint, coupled by 1/r**3 dipolar interactions, and
 assembled into the z-conserving (secular) many-body Hamiltonian
 ``sum_{k<l} B_kl [3 Iz_k Iz_l - I_k . I_l]`` on spin-1/2 sites.  It conserves
-total Iz, so it is built and kept as one real block per total-Iz sector; the
-dense 2^n x 2^n matrix is never formed.
+total Iz, so it is built one real block per total-Iz sector, a block at a time,
+and only the sectors' eigensystems are kept; the dense 2^n x 2^n matrix is never
+formed.
 """
 
 from __future__ import annotations
@@ -93,31 +94,64 @@ def sector_indices(num_spins: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(eq=False)
 class Hamiltonian:
-    """Secular dipolar Hamiltonian as its total-Iz sector blocks, with a lazy eigensystem.
+    """Secular dipolar Hamiltonian of the pair ``couplings`` B, with a lazy eigensystem.
 
     The Hamiltonian conserves total Iz, so it is block-diagonal in the n + 1
-    sectors of `sector_indices`: ``blocks`` holds one ``(indices, block)``
-    pair per sector, the sector's basis indices and the real symmetric matrix
-    restricted to them, and every entry between sectors is zero.  The
-    eigendecomposition is computed once, on first use.
+    sectors of `sector_indices`, every entry between sectors zero.  Only the
+    couplings are kept: `sector_block` builds the real symmetric matrix on one
+    sector's basis indices when asked, and `eigensystem` builds, diagonalizes
+    and drops one sector block at a time, once, on first use.
     """
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    num_spins: int
+    couplings: np.ndarray
     _eigensystem: tuple | None = None
+
+    @property
+    def num_spins(self) -> int:
+        return self.couplings.shape[0]
+
+    def sector_block(self, indices: np.ndarray) -> np.ndarray:
+        """H restricted to one sector's ascending basis ``indices``, with I = sigma/2 spins.
+
+        Diagonal part (1/2) sum B_kl z_k z_l with z = +-1, summed pair by pair;
+        flip-flop part -B_kl/2 between |...up,down...> and |...down,up...>, which
+        preserves the number of down spins and so stays inside the sector.  Bit 0
+        of a basis index is the last spin (kron ordering).
+        """
+        n, B = self.num_spins, self.couplings
+        shifts = np.arange(n - 1, -1, -1)
+        down = (indices[:, None] >> shifts) & 1
+        z = 1.0 - 2.0 * down
+        diag = np.zeros(indices.size)
+        for k in range(n):
+            for l in range(k + 1, n):
+                diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
+        block = np.diag(diag)
+        # every coupled pair (k, l) at once; the two basis states of a flip-flop
+        # differ in two bits, so no two pairs write the same entry
+        k, l = np.nonzero(np.triu(B, 1))
+        src, pair = np.nonzero(down[:, k] > down[:, l])
+        position = np.empty(1 << n, dtype=np.intp)
+        position[indices] = np.arange(indices.size)
+        dst = position[indices[src] ^ (1 << shifts[k] | 1 << shifts[l])[pair]]
+        block[dst, src] = block[src, dst] = -0.5 * B[k, l][pair]
+        return block
 
     def eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """One-time diagonalization of each sector, cached for reuse.
 
         Returns ``(indices, eigvals, eigvecs)`` per sector.  P = Πσx commutes with H and
         maps sector k onto sector n - k with reversed indices, so H_{n-k} = J H_k J:
-        `np.linalg.eigh` runs on the sectors k <= n/2, and sector n - k gets sector k's
-        eigenvalues and the view ``vecs_k[::-1]``.
+        `np.linalg.eigh` runs on the blocks of the sectors k <= n/2, each built just
+        before and freed just after, and sector n - k gets sector k's eigenvalues and
+        the view ``vecs_k[::-1]``.
         """
         if self._eigensystem is None:
-            own = [np.linalg.eigh(block) for _, block in self.blocks[:self.num_spins // 2 + 1]]
+            sectors = sector_indices(self.num_spins)
+            own = [np.linalg.eigh(self.sector_block(idx))
+                   for idx in sectors[:self.num_spins // 2 + 1]]
             own += [(vals, vecs[::-1]) for vals, vecs in own[:(self.num_spins + 1) // 2][::-1]]
-            self._eigensystem = tuple((idx, *pair) for (idx, _), pair in zip(self.blocks, own))
+            self._eigensystem = tuple((idx, *pair) for idx, pair in zip(sectors, own))
         return self._eigensystem
 
 
@@ -184,64 +218,13 @@ def compute_couplings(graph: SpinGraph, coupling_median: float = 1.0,
     return CouplingSet(couplings=couplings, median_coupling=coupling_median, model=model)
 
 
-def _pair_term_indices(num_spins: int, k: int, l: int):
-    """Basis indices coupled by the flip-flop between spins k and l.
-
-    Bit 0 of a basis index is the last spin (kron ordering); returns the
-    index array where spin k is up / spin l is down and its flip partner.
-    """
-    dim = 1 << num_spins
-    bit_k = 1 << (num_spins - 1 - k)
-    bit_l = 1 << (num_spins - 1 - l)
-    idx = np.arange(dim)
-    mask = ((idx & bit_k) != 0) & ((idx & bit_l) == 0)
-    src = idx[mask]
-    dst = src ^ bit_k ^ bit_l
-    return src, dst
-
-
 def build_hamiltonian(couplings: CouplingSet) -> Hamiltonian:
-    """Assemble the secular Hamiltonian with I = sigma/2 spins, sector by sector.
+    """The secular Hamiltonian of ``couplings``; a ValueError past `DEFAULT_SPIN_CAP` spins.
 
-    Diagonal part (1/2) sum B_kl z_k z_l with z = +-1; flip-flop part
-    -B_kl/2 between |...up,down...> and |...down,up...>, which preserves the
-    number of down spins and so lands inside one sector block.  Real
-    symmetric, traceless, and commuting with total Iz by construction.
+    Real symmetric, traceless, and commuting with total Iz by construction.
+    Nothing is assembled here: `Hamiltonian` builds its sector blocks on demand.
     """
     n = couplings.num_spins
     if n > DEFAULT_SPIN_CAP:
         raise ValueError(f"{n} spins exceeds the cap of {DEFAULT_SPIN_CAP}")
-    dim = 1 << n
-    B = couplings.couplings
-
-    idx = np.arange(dim)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
-    diag = np.zeros(dim)
-    for k in range(n):
-        for l in range(k + 1, n):
-            diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
-
-    # All blocks share one flat buffer: entry (i, j) of a sector, for basis
-    # indices i and j, sits at flat[row[i] + col[j]].
-    sectors = sector_indices(n)
-    flat = np.zeros(sum(sector.size**2 for sector in sectors))
-    row, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    blocks, start = [], 0
-    for sector in sectors:
-        size = sector.size
-        col[sector] = np.arange(size)
-        row[sector] = start + size * col[sector]
-        blocks.append((sector, flat[start:start + size * size].reshape(size, size)))
-        start += size * size
-    flat[row + col] = diag
-
-    # the two basis states of a flip-flop differ in two bits, so no other
-    # pair writes their entries
-    for k in range(n):
-        for l in range(k + 1, n):
-            if B[k, l] == 0.0:
-                continue
-            src, dst = _pair_term_indices(n, k, l)
-            flat[row[dst] + col[src]] = -0.5 * B[k, l]
-            flat[row[src] + col[dst]] = -0.5 * B[k, l]
-    return Hamiltonian(blocks=tuple(blocks), num_spins=n)
+    return Hamiltonian(couplings.couplings)

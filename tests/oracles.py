@@ -10,7 +10,7 @@ import numpy as np
 from rondeau.dephasing import DephasingParams
 from rondeau.evolution import apply_halves, gate_halves, rotation_gate
 from rondeau.sequences import MonopoleSpec
-from rondeau.spins import CouplingSet, Hamiltonian, _pair_term_indices, sector_indices
+from rondeau.spins import Hamiltonian, sector_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,25 +92,45 @@ def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarra
                        rotation_gate(axis, angle), num_spins)
 
 
-def dense_hamiltonian(couplings: CouplingSet) -> np.ndarray:
-    """The whole real 2^n x 2^n secular Hamiltonian, assembled densely with I = sigma/2 spins.
+def _pair_term_indices(num_spins: int, k: int, l: int):
+    """Basis indices coupled by the flip-flop between spins k and l.
+
+    Bit 0 of a basis index is the last spin (kron ordering); returns the
+    index array where spin k is up / spin l is down and its flip partner.
+    """
+    dim = 1 << num_spins
+    bit_k = 1 << (num_spins - 1 - k)
+    bit_l = 1 << (num_spins - 1 - l)
+    idx = np.arange(dim)
+    mask = ((idx & bit_k) != 0) & ((idx & bit_l) == 0)
+    src = idx[mask]
+    dst = src ^ bit_k ^ bit_l
+    return src, dst
+
+
+def _diagonal(hamiltonian: Hamiltonian) -> np.ndarray:
+    """H's diagonal (1/2) sum B_kl z_k z_l with z = +-1 over all 2^n basis states, pair by pair."""
+    n, B = hamiltonian.num_spins, hamiltonian.couplings
+    idx = np.arange(1 << n)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
+    diag = np.zeros(1 << n)
+    for k in range(n):
+        for l in range(k + 1, n):
+            diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
+    return diag
+
+
+def dense_hamiltonian(hamiltonian: Hamiltonian) -> np.ndarray:
+    """The whole real 2^n x 2^n secular Hamiltonian of ``hamiltonian``'s couplings,
+    assembled densely with I = sigma/2 spins.
 
     Diagonal part (1/2) sum B_kl z_k z_l with z = +-1; flip-flop part
     -B_kl/2 between |...up,down...> and |...down,up...>.
     """
-    n = couplings.num_spins
+    n, B = hamiltonian.num_spins, hamiltonian.couplings
     dim = 1 << n
-    B = couplings.couplings
     H = np.zeros((dim, dim))
-
-    idx = np.arange(dim)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
-    diag = np.zeros(dim)
-    for k in range(n):
-        for l in range(k + 1, n):
-            diag += 0.5 * B[k, l] * z[:, k] * z[:, l]
-    H[idx, idx] = diag
-
+    H[np.arange(dim), np.arange(dim)] = _diagonal(hamiltonian)
     for k in range(n):
         for l in range(k + 1, n):
             if B[k, l] == 0.0:
@@ -121,20 +141,48 @@ def dense_hamiltonian(couplings: CouplingSet) -> np.ndarray:
     return H
 
 
+def flat_buffer_blocks(hamiltonian: Hamiltonian) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every sector's ``(indices, block)``, all blocks views of one flat buffer.
+
+    The whole-space build `Hamiltonian.sector_block` must equal bit for bit:
+    the diagonal of all 2^n states at once, then each pair's flip-flop entries
+    written through the map flat[row[i] + col[j]] of basis indices i, j.
+    """
+    n, B = hamiltonian.num_spins, hamiltonian.couplings
+    dim = 1 << n
+    sectors = sector_indices(n)
+    flat = np.zeros(sum(sector.size**2 for sector in sectors))
+    row, col = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    blocks, start = [], 0
+    for sector in sectors:
+        size = sector.size
+        col[sector] = np.arange(size)
+        row[sector] = start + size * col[sector]
+        blocks.append((sector, flat[start:start + size * size].reshape(size, size)))
+        start += size * size
+    flat[row + col] = _diagonal(hamiltonian)
+    for k in range(n):
+        for l in range(k + 1, n):
+            if B[k, l] == 0.0:
+                continue
+            src, dst = _pair_term_indices(n, k, l)
+            flat[row[dst] + col[src]] = -0.5 * B[k, l]
+            flat[row[src] + col[dst]] = -0.5 * B[k, l]
+    return tuple(blocks)
+
+
 def scattered_matrix(hamiltonian: Hamiltonian) -> np.ndarray:
     """The Hamiltonian's sector blocks scattered into one dense 2^n x 2^n matrix."""
     dim = 1 << hamiltonian.num_spins
     H = np.zeros((dim, dim))
-    for idx, block in hamiltonian.blocks:
-        H[np.ix_(idx, idx)] = block
+    for idx in sector_indices(hamiltonian.num_spins):
+        H[np.ix_(idx, idx)] = hamiltonian.sector_block(idx)
     return H
 
 
 def zero_hamiltonian(num_spins: int) -> Hamiltonian:
     """Non-interacting reference system (all couplings off)."""
-    return Hamiltonian(blocks=tuple((idx, np.zeros((idx.size, idx.size)))
-                                    for idx in sector_indices(num_spins)),
-                       num_spins=num_spins)
+    return Hamiltonian(np.zeros((num_spins, num_spins)))
 
 
 def dense_step(step, num_spins: int, signs=(1, -1)) -> np.ndarray:

@@ -460,11 +460,10 @@ class TestFactoryMemory:
 
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_trace_estimate_counts_the_sector_engine(self, num_spins):
-        """A per-pulse trace holds H's sector blocks, the eigenvectors of the sectors
-        k <= n/2, the free step's rows in H₀ and, while they are built, two real
-        temporaries of the largest block: within 10 % of the estimate.  The complex
-        temporaries of building V e^{-i tau Λ} V^T in complex add 33-42 % here, and the
-        eigenvectors of the sectors k > n/2 add 8-18 %."""
+        """A per-pulse trace holds the eigenvectors of the sectors k <= n/2, no sector
+        block, the free step's rows in H₀ and, while they are built, a real temporary
+        and a mirror sector's contiguous eigenvectors: within 10 % of the estimate.
+        Keeping H's sector blocks would add 44-50 % here."""
         couplings = compute_couplings(generate_graph(num_spins, seed=11), 1.0)
         config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
@@ -501,10 +500,10 @@ class TestFactoryMemory:
         kick that keeps P reads, whichever holds more; P = -1 is dropped before P = +1
         fuses."""
         config = RunConfig(out_dir="x", num_spins=num_spins, **overrides)
-        entries, matrix = math.comb(2 * num_spins, num_spins), 16 * 4**num_spins
-        # the real blocks, and the eigenvectors of the sectors k <= n/2
-        system = 8 * entries + 8 * sum(math.comb(num_spins, k)**2
-                                       for k in range(num_spins // 2 + 1))
+        matrix = 16 * 4**num_spins
+        # the eigenvectors of the sectors k <= n/2, and one transient largest block
+        system = 8 * math.comb(num_spins, num_spins // 2)**2 + 8 * sum(
+            math.comb(num_spins, k)**2 for k in range(num_spins // 2 + 1))
         chain = PowerChain(BlockPropagatorFactory._exponents(
             kick_layout(config.spec(), runner._readout_slots(config))))
         targets = len(chain.targets)

@@ -89,7 +89,7 @@ class TestRunConfig:
 
     def test_full_engine_rejected_before_any_system_when_memory_is_short(
             self, tmp_path, monkeypatch):
-        # n = 13 heating needs about 2.4 GiB: the parity-split powers' build
+        # n = 13 heating needs about 2.1 GiB: the parity-split powers' build
         monkeypatch.setattr(runner, "_physical_memory", lambda: 2 * 2**30)
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
@@ -101,7 +101,7 @@ class TestRunConfig:
         assert str(2 * 2**30) in str(err.value)
 
     def test_full_engine_heating_at_13_spins_fits_in_7_gib(self, monkeypatch):
-        # about 2.4 GiB: the factory's half-size powers, no dense 2^n x 2^n block set
+        # about 2.1 GiB: the factory's half-size powers, no dense 2^n x 2^n block set
         monkeypatch.setattr(runner, "_physical_memory", lambda: 7 * 2**30)
         config = RunConfig(kind="heating-eps", out_dir="x", num_spins=13, eps_grid=(0.1,))
         config.validate()
@@ -193,12 +193,12 @@ class TestRunConfig:
             assert run(moved)["fits"]["0"] == fit
 
     def test_trace_counts_the_sectors_not_dense_propagators(self, monkeypatch):
-        # n = 14: two dense complex matrices take 8 GiB, the sector engine about 1.5 GiB
+        # n = 14: two dense complex matrices take 8 GiB, the sector engine about 0.6 GiB
         monkeypatch.setattr(runner, "_physical_memory", lambda: 2 * 2**30)
         RunConfig(kind="trace", out_dir="x", num_spins=14).validate()
 
     def test_full_engine_rejected_above_the_spin_cap(self, tmp_path, monkeypatch):
-        # n = 15: the trace estimate (about 6.3 GB) fits, but build_hamiltonian refuses it
+        # n = 15: the trace estimate (about 2.2 GiB) fits, but build_hamiltonian refuses it
         monkeypatch.setattr(runner, "_physical_memory", lambda: 64 * 2**30)
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from rondeau.spins import (ANGULAR, ISOTROPIC, CouplingSet, NormalizationError,
                            PackingInfeasibleError, SpinGraph, build_hamiltonian,
                            compute_couplings, generate_graph, sector_indices)
 
-from oracles import dense_hamiltonian, scattered_matrix, total_iz_matrix, zero_hamiltonian
+from oracles import (dense_hamiltonian, flat_buffer_blocks, scattered_matrix, total_iz_matrix,
+                     zero_hamiltonian)
 
 
 def line_graph(*zs):
@@ -114,7 +116,8 @@ class TestBuildHamiltonian:
         j = 0.66
         couplings = compute_couplings(line_graph(0.0, 1.0), coupling_median=j)
         h = build_hamiltonian(couplings)
-        eigvals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in h.blocks]))
+        eigvals = np.sort(np.concatenate([np.linalg.eigvalsh(h.sector_block(idx))
+                                          for idx in sector_indices(2)]))
         assert np.allclose(eigvals, [-j, 0.0, j / 2, j / 2], atol=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -136,15 +139,30 @@ class TestBuildHamiltonian:
     def test_blocks_equal_dense_oracle(self, num_spins, seed, model):
         couplings = compute_couplings(generate_graph(num_spins, seed=seed), 1.0, model=model)
         h = build_hamiltonian(couplings)
-        dense = dense_hamiltonian(couplings)
-        assert len(h.blocks) == num_spins + 1
-        for (idx, block), sector in zip(h.blocks, sector_indices(num_spins)):
+        dense = dense_hamiltonian(h)
+        for idx in sector_indices(num_spins):
+            assert np.array_equal(h.sector_block(idx), dense[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("num_spins", range(2, 12))
+    def test_sector_build_equals_the_flat_buffer_build(self, num_spins):
+        """Each sector block, and so the eigensystem, is bit for bit the one-buffer build's:
+        the diagonal is summed pair by pair in the same order."""
+        h = build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=5), 1.0))
+        blocks = flat_buffer_blocks(h)
+        for (idx, block), sector in zip(blocks, sector_indices(num_spins), strict=True):
             assert np.array_equal(idx, sector)
-            assert np.array_equal(block, dense[np.ix_(idx, idx)])
+            assert np.array_equal(h.sector_block(idx), block)
+        own = [np.linalg.eigh(block) for _, block in blocks[:num_spins // 2 + 1]]
+        for k, (idx, vals, vecs) in enumerate(h.eigensystem()):
+            mirror = min(k, num_spins - k)
+            assert np.array_equal(idx, blocks[k][0])
+            assert np.array_equal(vals, own[mirror][0])
+            assert np.array_equal(vecs, own[mirror][1][::1 if k == mirror else -1])
 
     @pytest.mark.parametrize("model", [ISOTROPIC, ANGULAR])
     def test_dense_oracle_is_zero_between_sectors(self, model):
-        dense = dense_hamiltonian(compute_couplings(generate_graph(6, seed=2), 1.0, model=model))
+        dense = dense_hamiltonian(build_hamiltonian(
+            compute_couplings(generate_graph(6, seed=2), 1.0, model=model)))
         iz = total_iz_matrix(6)
         assert np.any(dense)
         assert np.all(dense[iz[:, None] != iz[None, :]] == 0)
@@ -155,27 +173,34 @@ class TestBuildHamiltonian:
         eigenvectors as a view of sector k's."""
         h = build_hamiltonian(compute_couplings(generate_graph(num_spins, seed=3), 1.0))
         system = h.eigensystem()
-        for (idx, block), (indices, vals, vecs), sector in zip(
-                h.blocks, system, sector_indices(num_spins), strict=True):
-            assert np.array_equal(indices, sector) and np.array_equal(idx, sector)
+        for (indices, vals, vecs), sector in zip(system, sector_indices(num_spins), strict=True):
+            assert np.array_equal(indices, sector)
+            block = h.sector_block(sector)
             norm = np.linalg.norm(block)
             assert np.linalg.norm(block @ vecs - vecs * vals) <= 1e-12 * norm
-            assert np.abs(vecs.T @ vecs - np.eye(idx.size)).max() <= 1e-12
+            assert np.abs(vecs.T @ vecs - np.eye(sector.size)).max() <= 1e-12
         for k in range(num_spins + 1):
             if 2 * k != num_spins:
                 assert np.shares_memory(system[k][2], system[num_spins - k][2])
 
-    def test_build_never_holds_a_dense_matrix(self):
-        # blocks plus the eigenvectors of the sectors k <= n/2 are 2.5 MB, 29 % of one
-        # dense real matrix
-        couplings = compute_couplings(generate_graph(10, seed=0), 1.0)
+    @pytest.mark.parametrize("num_spins", [8, 9, 10])
+    def test_eigensystem_holds_one_sector_block_at_a_time(self, num_spins):
+        """The built system keeps the eigenvectors of the sectors k <= n/2 and no block;
+        while it is built it adds at most one block, the largest, to them.  The slack
+        covers the sector indices and eigenvalues, under 2^n of each, and bookkeeping."""
+        couplings = compute_couplings(generate_graph(num_spins, seed=0), 1.0)
+        vecs = 8 * sum(math.comb(num_spins, k)**2 for k in range(num_spins // 2 + 1))
+        block = 8 * math.comb(num_spins, num_spins // 2)**2
+        slack = 16 * 2**num_spins + 16 * 1024
         tracemalloc.start()
         try:
-            build_hamiltonian(couplings).eigensystem()
-            _, peak = tracemalloc.get_traced_memory()
+            h = build_hamiltonian(couplings)
+            h.eigensystem()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.4 * 8 * 4**10
+        assert vecs < held <= vecs + slack
+        assert peak <= vecs + block + slack
 
     def test_dimension_cap(self):
         fake = CouplingSet(couplings=np.zeros((15, 15)), median_coupling=1.0,
@@ -185,5 +210,5 @@ class TestBuildHamiltonian:
 
     def test_zero_hamiltonian(self):
         h = zero_hamiltonian(4)
-        assert not any(np.any(block) for _, block in h.blocks)
-        assert sum(idx.size for idx, _ in h.blocks) == 16
+        assert not any(np.any(h.sector_block(idx)) for idx in sector_indices(4))
+        assert sum(idx.size for idx, _, _ in h.eigensystem()) == 16
