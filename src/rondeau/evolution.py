@@ -4,8 +4,8 @@ Pulses are instantaneous global rotations: layers of single-spin gates,
 applied as the Kronecker products of two halves of the spins.  The dipolar
 Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
 n + 1 magnetization sectors, built from the Hamiltonian's cached sector-wise
-eigendecomposition.  Readout is the expectation value of total Ix after a
-slot's free evolution.
+eigendecomposition, one block per mirror pair of sectors (:func:`free_blocks`).
+Readout is the expectation value of total Ix after a slot's free evolution.
 
 Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx,
 and the initial state has P = +1.  Every engine therefore carries its state
@@ -185,12 +185,12 @@ def kick_parity(gamma_y: float, num_spins: int, angle_spread: float = 0.0) -> in
 
 
 @cache
-def _sum_sigma_x(bits: int) -> np.ndarray:
-    """Σ_k σx_k over ``bits`` spins as a dense real 2^bits x 2^bits matrix, read-only."""
-    index = np.arange(1 << bits)
-    total = np.zeros((1 << bits, 1 << bits))
+def _sum_sigma_x(bits: int, width: int = 1) -> np.ndarray:
+    """Σ_k σx_k over ``bits`` spins ⊗ the identity on ``width`` (1 or 2), dense, read-only."""
+    index = np.arange(width << bits)
+    total = np.zeros((index.size, index.size))
     for k in range(bits):
-        total[index, index ^ (1 << k)] = 1.0
+        total[index, index ^ (width << k)] = 1.0
     total.setflags(write=False)
     return total
 
@@ -199,62 +199,74 @@ def parity_ix(rows: np.ndarray, signs) -> float:
     """Total Ix of parity ``rows``; Ix commutes with P, so each row reads its own part.
 
     A row c of parity s is c / √2 on H₀ and s c[::-1] / √2 on F(H₀).  Spins 1 ... n-1
-    read two Gram matrices of each row reshaped to C, 2^a x 2^b: C C^† for its first a
-    spins and C^T C̄ for its last b, each against the cached Σσx of those spins.  Spin 0
-    reads s Re<c, c[::-1]> / 2 per row.
+    read one real view v of the C-contiguous rows, each 2^a x 2^b, a = ⌈(n - 1)/2⌉, with
+    real and imaginary parts side by side, as vdot(v, A v + v (B ⊗ I₂)) / 2, A and B the
+    cached Σσx of the first a and the last b spins.  Spin 0 reads s Re<c, c[::-1]> / 2
+    per row.
     """
+    rows = np.ascontiguousarray(rows)
     bits = rows.shape[1].bit_length() - 1
-    a = bits // 2
-    c = rows.reshape(len(rows), 1 << a, -1)
-    first = (c @ c.conj().swapaxes(1, 2)).sum(axis=0)
-    x = rows.reshape(-1, c.shape[2])
-    rest = x.T @ x.conj()
-    total = (np.vdot(_sum_sigma_x(a), first) + np.vdot(_sum_sigma_x(bits - a), rest)).real / 2
+    a = (bits + 1) // 2
+    v = rows.view(float).reshape(len(rows), 1 << a, -1)
+    w = _sum_sigma_x(a) @ v
+    w += (v.reshape(-1, v.shape[2]) @ _sum_sigma_x(bits - a, 2)).reshape(v.shape)
+    total = np.vdot(v, w) / 2
     for row, s in zip(rows, signs):
-        total += s * float(np.vdot(row, row[::-1]).real) / 2
+        total += s * np.vdot(row, row[::-1]).real / 2
     return float(total)
 
 
-def free_rows(eigensystem, duration: float):
-    """H₀'s rows of exp(-i duration H), one ``(rows, cols, block)`` triple per total-Iz sector.
+def free_blocks(eigensystem, duration: float):
+    """exp(-i duration H) on parity rows, one ``(cols, h, block)`` triple per mirror pair of
+    total-Iz sectors (k, n - k), k < n/2, then at even n one for the middle sector n/2.
 
-    ``block`` is V_k e^{-i duration Λ_k} V_k^T from the sector's cached real
-    eigensystem on its ``rows``, the sector's states in H₀: first on its H₀
-    columns, then on its H₁ columns j, which a P = s state holds as s ψ[F(j)].
-    The H₀ states are a prefix of the sector's ascending indices, so ``cols``
-    lists the rows and then the F(j) of the rest; a sector that F maps onto
-    itself (n even) lists its H₀ indices twice.  Its real and imaginary parts are
-    the real products (L cos) R and -(L sin) R of the views L = V_k[:h] and
-    R = V_k^T, h the number of rows.  A mirror sector's reversed V_k is copied
-    first, as numpy would otherwise copy it itself, or multiply a single row
-    outside BLAS.
+    ``cols`` lists sector k's states as row entries: its h states in H₀, a prefix of its
+    ascending indices, then the F(j) of its states j in H₁, which a P = s state holds as
+    s c[F(j)]: sector n - k's states in H₀.  ``block`` is V_k e^{-i duration Λ_k} V_k^T
+    from sector k's cached real eigensystem on the entries ``cols[:len(block)]``: all of a
+    pair's, each F(j) written back with the sign it was read with, or the middle sector's
+    h in H₀.  Its real and imaginary parts are (L cos) R and -(L sin) R, R = V_k^T, built
+    in the row parts L = V_k[:h] and V_k[h:]; no mirror sector's eigenvectors are read.
     """
-    dim = 1 << (len(eigensystem) - 1)
-    for idx, vals, vecs in eigensystem:
+    n = len(eigensystem) - 1
+    dim = 1 << n
+    for k, (idx, vals, vecs) in enumerate(eigensystem[:n // 2 + 1]):
         h = int(np.searchsorted(idx, dim // 2))
-        if h:
-            vecs = np.ascontiguousarray(vecs)
-            block = np.empty((h, idx.size), dtype=complex)
-            np.matmul(vecs[:h] * np.cos(duration * vals), vecs.T, out=block.real)
-            np.matmul(vecs[:h] * -np.sin(duration * vals), vecs.T, out=block.imag)
-            yield idx[:h], np.where(idx < dim // 2, idx, dim - 1 - idx), block
+        block = np.empty((idx.size if 2 * k < n else h, idx.size), dtype=complex)
+        for part in (slice(0, h), slice(h, len(block))):
+            np.matmul(vecs[part] * np.cos(duration * vals), vecs.T, out=block.real[part])
+            np.matmul(vecs[part] * -np.sin(duration * vals), vecs.T, out=block.imag[part])
+        yield np.where(idx < dim // 2, idx, dim - 1 - idx), h, block
 
 
-@dataclass(frozen=True, eq=False)
 class FreeStep:
-    """A per-parity operator, free evolution: per sector of `free_rows`, a row c of parity s
-    gathers x = (c[rows], s c[F(j)]) and gets block @ x on its rows, one mat-vec."""
+    """A per-parity operator, free evolution by the `free_blocks` for ``duration``: a row c
+    of parity s is gathered once, x = c[gather] of every block's ``cols``, times s on the
+    H₁ entries (``flip``).  Each block maps its slice of x into the same slice of one
+    buffer y, the first 2^(n-1) entries, which list every row entry once; y gets s on its
+    H₁ entries and is scattered into the row at once."""
 
-    sectors: tuple
+    def __init__(self, eigensystem, duration: float):
+        blocks = tuple(free_blocks(eigensystem, duration))
+        self.gather = np.concatenate([cols for cols, _, _ in blocks])
+        self.flip = np.concatenate([np.arange(c.size) < h for c, h, _ in blocks]) * 2.0 - 1
+        start = np.cumsum([0] + [cols.size for cols, _, _ in blocks])
+        self.parts = tuple((block, slice(o, o + block.shape[1]), slice(o, o + len(block)))
+                           for (_, _, block), o in zip(blocks, start))
+        self.order = np.argsort(self.gather[:1 << (len(eigensystem) - 2)])  # y's scatter
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
         out = np.empty_like(rows)
+        y = np.empty(rows.shape[1], dtype=complex)
         for c, s, row in zip(rows, signs, out):
-            for idx, cols, block in self.sectors:
-                x = c[cols]
-                if s < 0:
-                    x[idx.size:] *= -1.0
-                row[idx] = block @ x
+            x = c[self.gather]
+            if s < 0:
+                x *= self.flip
+            for block, into, outof in self.parts:
+                np.matmul(block, x[into], out=y[outof])
+            if s < 0:
+                y *= self.flip[:y.size]
+            np.take(y, self.order, out=row)
         return out, signs
 
 
@@ -335,8 +347,7 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
     if decay_time > 0:
         if hamiltonian is None:
             raise ValueError(f"decay_time = {decay_time} needs a hamiltonian to decay under")
-        free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), decay_time)))
-        row = free(row[None], (1,))[0][0]
+        row = FreeStep(hamiltonian.eigensystem(), decay_time)(row[None], (1,))[0][0]
     return row
 
 
@@ -387,7 +398,7 @@ def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
 
     A parity block of M, which commutes with P, is M[H₀, H₀] ± M[H₀, F(H₀)], the
     half-size matrix that maps a row of that parity.  U± is scattered from the
-    sector blocks of `free_rows`, never from a dense 2^n x 2^n matrix.  With
+    pair blocks of `free_blocks`, never from a dense 2^n x 2^n matrix.  With
     spin 0 the most significant bit, the x pulse has X[H₀, H₀] = x₀₀ X' and
     X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on the other n - 1 spins and
     R reverses the 2^(n-1) indices; so W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
@@ -395,10 +406,12 @@ def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
     n = len(eigensystem) - 1
     h = 1 << (n - 1)
     u = np.zeros((h, h), dtype=complex)      # U±
-    for rows, cols, block in free_rows(eigensystem, spec.tau):
-        k = rows.size
-        u[np.ix_(rows, cols[:k])] = block[:, :k]
-        u[np.ix_(rows, cols[k:])] += sign * block[:, k:]
+    for cols, k, block in free_blocks(eigensystem, spec.tau):
+        if sign < 0:  # a P = -1 row reads and writes its H₁ entries negated
+            block[k:] *= -1.0
+            block[:, k:] *= -1.0
+        u[np.ix_(cols[:len(block)], cols[:k])] = block[:, :k]
+        u[np.ix_(cols[:len(block)], cols[k:])] += block[:, k:]
     x = rotation_gate("x", spec.theta_x)
     # U± X' with X' applied to the columns: X'^T on the rows of U±^T
     u_x = apply_halves(u.T, gate_halves(x.T, n - 1)).T
@@ -681,10 +694,11 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndar
     This is the one stepping loop of every engine.  The state starts as that
     one row, signs (1,); the first :class:`GateLayer` that mixes P turns it
     into the two rows of signs (1, -1).  A step costs, per row, a half-size
-    mat-vec per :class:`Power`, the sector mat-vecs per :class:`FreeStep` and
-    an (n - 1)-spin layer per :class:`GateLayer`, then `parity_ix`; a mixing
-    layer costs two, whatever it is given.  A plain or fused factory step is
-    one mat-vec per row.  The norm is checked once a cycle.
+    mat-vec per :class:`Power`, one gather, ⌊n/2⌋ + 1 pair mat-vecs and one
+    scatter per :class:`FreeStep` and an (n - 1)-spin layer per
+    :class:`GateLayer`, then `parity_ix`, a few real products on all rows at
+    once; a mixing layer costs two, whatever it is given.  A plain or fused
+    factory step is one mat-vec per row.  The norm is checked once a cycle.
     With ``stop_factor`` the run ends at the first block-end sample below
     ``stop_factor / e`` of the initial magnitude, since later cycles cannot
     move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
@@ -722,7 +736,7 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, row: np.ndarray) -> 
     the P = +1 row of `initial_state`.
     """
     spec, num_spins = program.spec, hamiltonian.num_spins
-    free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
+    free = FreeStep(hamiltonian.eigensystem(), spec.tau)
     x = (GateLayer(rotation_gate("x", spec.theta_x), num_spins, 1), free)
     kick = (GateLayer(_kick_gates(spec, num_spins), num_spins,
                       kick_parity(spec.gamma_y, num_spins)), free)

@@ -236,13 +236,13 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     """Bytes of the matrices a run holds at its peak: one graph's system at a time.
 
     A system holds the real eigenvectors of the sectors k <= n/2
-    (`Hamiltonian.eigensystem`), half of the C(2n, n) entries of all sector
-    blocks plus half the middle block's at even n, and, while they are built, one
-    sector block, at most the largest.  The per-pulse trace adds the free step's
-    complex rows in H₀, half as many entries as the blocks, and while they are
-    built a real temporary of half the largest block, next to a contiguous copy
-    of a mirror sector's eigenvectors in the place of the transient block.  The
-    other full-engine kinds add the peak of the factory for the run's readout
+    (`Hamiltonian.eigensystem`), half of the C(2n, n) entries of all sector blocks
+    plus half the middle block's at even n, and, while they are built, one sector
+    block, at most the largest.  The per-pulse trace adds, once that block is freed,
+    the free step's complex `free_blocks`, half as many entries as the sector blocks,
+    and while the last is built a real temporary of its rows in H₀, C(n - 1, n // 2)
+    x C(n, n // 2), scaled through a ufunc buffer of at most `np.getbufsize` entries.
+    The other full-engine kinds add the peak of the factory for the run's readout
     slots: its parity blocks, each a quarter of a dense complex matrix, counted by
     `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's
     points.  A block set adds only gate halves, its steps state vectors.  Runs that
@@ -251,13 +251,14 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     if not _builds_systems(config):
         return 0
     n = config.num_spins
-    entries, largest = math.comb(2 * n, n), math.comb(n, n // 2)**2
-    system = 4 * (entries + (n % 2 == 0) * largest) + 8 * largest
+    entries, middle = math.comb(2 * n, n), math.comb(n, n // 2)
+    eigenvectors = 4 * (entries + (n % 2 == 0) * middle**2)
     if config.kind == "trace":
-        return system + 8 * entries + 4 * largest
+        scaled = math.comb(n - 1, n // 2) * middle
+        return eigenvectors + 8 * (entries + scaled + min(scaled, np.getbufsize()))
     parities = {kick_parity(s.gamma_y, n) for s in _point_specs(config)}
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), parities)
-    return int(system + factory * 16 * 4**n)
+    return int(eigenvectors + 8 * middle**2 + factory * 16 * 4**n)
 
 
 def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:

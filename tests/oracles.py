@@ -206,18 +206,60 @@ def dense_free_propagator(hamiltonian: Hamiltonian, duration: float) -> np.ndarr
     return (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
 
 
-def dense_free_rows(sectors, num_spins: int) -> np.ndarray:
-    """The H₀ rows of U_free, 2^(n-1) x 2^n, scattered from the sectors of `free_rows`.
+def dense_free_rows(blocks, num_spins: int) -> np.ndarray:
+    """The H₀ rows of U_free, 2^(n-1) x 2^n, scattered from the `free_blocks` of a `FreeStep`.
 
-    A block's columns are its H₀ columns, then its H₁ columns j listed by
-    their mirrors 2^n - 1 - j.
+    A block's row i is sector k's state cols[i] for i < h, and otherwise the H₀ state
+    cols[i] = F(j) of sector n - k, whose row of U_free is the block's row for j read
+    through the flip F, which U_free commutes with.
     """
     dim = 1 << num_spins
     rows_of = np.zeros((dim // 2, dim), dtype=complex)
-    for rows, cols, block in sectors:
-        k = rows.size
-        rows_of[np.ix_(rows, np.concatenate((cols[:k], dim - 1 - cols[k:])))] = block
+    for cols, h, block in blocks:
+        states = np.concatenate((cols[:h], dim - 1 - cols[h:]))
+        rows_of[np.ix_(cols[:h], states)] = block[:h]
+        rows_of[np.ix_(cols[h:len(block)], dim - 1 - states)] = block[h:]
     return rows_of
+
+
+def sector_free_rows(eigensystem, duration: float):
+    """H₀'s rows of exp(-i duration H), one ``(rows, cols, block)`` triple per total-Iz sector.
+
+    The per-sector free step the paired `FreeStep` is checked against: ``block`` is
+    V_k e^{-i duration Λ_k} V_k^T on the sector's states in H₀, ``rows``, and on all its
+    states, ``cols``, which list the rows and then the F(j) of its states j in H₁.
+    """
+    dim = 1 << (len(eigensystem) - 1)
+    for idx, vals, vecs in eigensystem:
+        h = int(np.searchsorted(idx, dim // 2))
+        if h:
+            block = (vecs[:h] * np.exp(-1j * duration * vals)) @ vecs.T
+            yield idx[:h], np.where(idx < dim // 2, idx, dim - 1 - idx), block
+
+
+def sector_free_step(sectors, rows: np.ndarray, signs) -> np.ndarray:
+    """The rows after the per-sector free step of `sector_free_rows`: per sector, a row c
+    of parity s gathers x = (c[rows], s c[F(j)]) and gets block @ x on its rows."""
+    out = np.empty_like(rows)
+    for c, s, row in zip(rows, signs, out):
+        for idx, cols, block in sectors:
+            x = c[cols]
+            x[idx.size:] *= s
+            row[idx] = block @ x
+    return out
+
+
+def sector_cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
+    """W± of `cycle_parity` with U± scattered from the blocks of `sector_free_rows`."""
+    n = len(eigensystem) - 1
+    u = np.zeros((1 << (n - 1),) * 2, dtype=complex)
+    for rows, cols, block in sector_free_rows(eigensystem, spec.tau):
+        k = rows.size
+        u[np.ix_(rows, cols[:k])] = block[:, :k]
+        u[np.ix_(rows, cols[k:])] += sign * block[:, k:]
+    x = rotation_gate("x", spec.theta_x)
+    u_x = apply_halves(u.T, gate_halves(x.T, n - 1)).T
+    return x[0, 0] * u_x + sign * x[0, 1] * u_x[:, ::-1]
 
 
 def dense_cycle_powers(hamiltonian: Hamiltonian, spec: MonopoleSpec, exponents) -> dict:

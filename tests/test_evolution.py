@@ -9,15 +9,16 @@ from rondeau.analysis import dft_micromotion, half_period_samples, stroboscopic_
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, GateLayer,
                                NumericalIntegrityError, Power, PulseProgram, SignalTrace,
-                               _kick_gates, evolve, evolve_blockwise, free_rows,
+                               _kick_gates, cycle_parity, evolve, evolve_blockwise, free_blocks,
                                half_sample_slot, initial_state, parity_ix, rotation_gate)
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import block_end, every_slot, half_period
 from oracles import (apply_gates, dense_free_propagator, dense_free_rows, dense_step,
-                     global_rotation_matrix, join_rows, parity_rows, state_vector,
-                     total_iz_matrix, total_ix, zero_hamiltonian)
+                     global_rotation_matrix, join_rows, parity_rows, sector_cycle_parity,
+                     sector_free_rows, sector_free_step, state_vector, total_iz_matrix,
+                     total_ix, zero_hamiltonian)
 
 
 def stream_of(text):
@@ -53,13 +54,20 @@ class TestSignalTrace:
 class TestParityReadout:
     @pytest.mark.parametrize("num_spins", range(2, 13))
     @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
-    def test_gram_readout_matches_the_vector_oracle(self, num_spins, signs):
-        """Total Ix of parity rows from their Gram matrices equals that of the joined ψ."""
+    @pytest.mark.parametrize("layout", ["C", "reversed", "strided", "F"])
+    def test_readout_matches_the_vector_oracle(self, num_spins, signs, layout):
+        """Total Ix of parity rows equals that of the joined ψ, whatever the rows' memory
+        layout: the readout's real view is of C-contiguous rows."""
         g = np.random.default_rng(num_spins)
         shape = (len(signs), 1 << (num_spins - 1))
         rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
         expected = total_ix(join_rows(rows, signs), num_spins)
-        assert abs(parity_ix(rows, signs) - expected) <= 1e-12 * abs(expected)
+        wide = np.zeros((len(signs), 2 * shape[1]), dtype=complex)
+        wide[:, ::2] = rows
+        laid_out = {"C": rows, "reversed": rows[::-1, ::-1].copy()[::-1, ::-1],
+                    "strided": wide[:, ::2], "F": np.asfortranarray(rows)}[layout]
+        assert np.array_equal(laid_out, rows)
+        assert abs(parity_ix(laid_out, signs) - expected) <= 1e-12 * abs(expected)
 
 
 class TestMixingLayer:
@@ -295,17 +303,54 @@ class TestSectorFreeEvolution:
         reference = dense_free_propagator(hamiltonian, 0.3) @ state_vector(initial_state(n))
         assert np.abs(decayed - reference).max() < 1e-10
 
-    def test_free_rows_are_the_h0_rows_of_u_free_with_no_entry_between_sectors(self,
-                                                                                hamiltonian):
+    def test_free_blocks_are_the_h0_rows_of_u_free_with_no_entry_between_sectors(self,
+                                                                                  hamiltonian):
         n = hamiltonian.num_spins
-        sectors = tuple(free_rows(hamiltonian.eigensystem(), 0.05))
-        # sectors k = 0 ... n - 1 have states in H₀; sector n is the all-down state alone
-        assert [cols.size for _, cols, _ in sectors] == [math.comb(n, k) for k in range(n)]
-        rows_of = dense_free_rows(sectors, n)
+        blocks = tuple(free_blocks(hamiltonian.eigensystem(), 0.05))
+        # one block per mirror pair (k, n - k), k < n/2, on all of sector k's states, and at
+        # even n one on the middle sector's states in H₀
+        assert [block.shape for _, _, block in blocks] == [
+            (math.comb(n, k) // (1 + (2 * k == n)), math.comb(n, k)) for k in range(n // 2 + 1)]
+        rows_of = dense_free_rows(blocks, n)
         iz = total_iz_matrix(n)
         assert np.all(rows_of[iz[:2**(n - 1), None] != iz[None, :]] == 0)
         u_free = dense_free_propagator(hamiltonian, 0.05)
         assert np.abs(rows_of - u_free[:2**(n - 1)]).max() < 1e-12
+
+
+class TestPairedFreeStep:
+    """The free step applies one block per mirror pair of sectors to one gather of a row."""
+
+    @pytest.mark.parametrize("num_spins", range(2, 11))
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+    def test_matches_the_dense_free_propagator(self, num_spins, signs):
+        hamiltonian = graph_system(num_spins)
+        g = np.random.default_rng(num_spins)
+        shape = (len(signs), 1 << (num_spins - 1))
+        rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        rows /= np.linalg.norm(rows)
+        out, out_signs = FreeStep(hamiltonian.eigensystem(), 0.05)(rows, signs)
+        expected = dense_free_propagator(hamiltonian, 0.05) @ join_rows(rows, signs)
+        assert out_signs == signs
+        assert np.abs(join_rows(out, signs) - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+    def test_matches_the_per_sector_step_at_11_spins(self, signs):
+        eigensystem = graph_system(11).eigensystem()
+        g = np.random.default_rng(11)
+        rows = g.standard_normal((len(signs), 1024)) + 1j * g.standard_normal((len(signs), 1024))
+        rows /= np.linalg.norm(rows)
+        out, _ = FreeStep(eigensystem, 0.05)(rows, signs)
+        reference = sector_free_step(tuple(sector_free_rows(eigensystem, 0.05)), rows, signs)
+        assert np.abs(out - reference).max() < 1e-13
+
+    @pytest.mark.parametrize("num_spins", [2, 3, 6, 9, 10])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cycle_parity_matches_the_per_sector_scatter(self, num_spins, sign):
+        eigensystem = graph_system(num_spins).eigensystem()
+        spec = MonopoleSpec(tau=0.05)
+        assert np.abs(cycle_parity(eigensystem, spec, sign)
+                      - sector_cycle_parity(eigensystem, spec, sign)).max() < 1e-13
 
 
 def blockwise_deviation(hamiltonian, row0, spec, slots) -> float:
@@ -419,7 +464,7 @@ def two_row_pulses(hamiltonian, spec: MonopoleSpec) -> BlockPropagators:
     """The per-pulse steps of `evolve` with a mixing kick: the kick's layer mixes the rows
     into the P = ±1 rows, so the state is two rows from the first kick on."""
     n = hamiltonian.num_spins
-    free = FreeStep(tuple(free_rows(hamiltonian.eigensystem(), spec.tau)))
+    free = FreeStep(hamiltonian.eigensystem(), spec.tau)
     x = (GateLayer(rotation_gate("x", spec.theta_x), n, 1), free)
     kick = (GateLayer(rotation_gate("y", spec.gamma_y), n, 0), free)
     slots = tuple(range(1, spec.slots_per_block + 1))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rondeau.evolution import (FUSE_COLUMN_BLOCKS, BlockPropagatorFactory, Power, PowerChain,
                                PulseProgram, _kick_gates, evolve, evolve_blockwise,
-                               free_rows, initial_state, kick_layout, kick_parity)
+                               free_blocks, initial_state, kick_layout, kick_parity)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
@@ -461,9 +461,9 @@ class TestFactoryMemory:
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_trace_estimate_counts_the_sector_engine(self, num_spins):
         """A per-pulse trace holds the eigenvectors of the sectors k <= n/2, no sector
-        block, the free step's rows in H₀ and, while they are built, a real temporary
-        and a mirror sector's contiguous eigenvectors: within 10 % of the estimate.
-        Keeping H's sector blocks would add 44-50 % here."""
+        block, the free step's pair blocks and, while they are built, a real temporary of
+        a block's rows in H₀: within 10 % of the estimate.  Keeping H's sector blocks
+        would add 44-50 % here."""
         couplings = compute_couplings(generate_graph(num_spins, seed=11), 1.0)
         config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
@@ -477,9 +477,9 @@ class TestFactoryMemory:
             tracemalloc.stop()
         estimate = peak_matrix_bytes(config)
         assert abs(peak - estimate) <= 0.1 * estimate
-        # the free step's rows in H₀ are half the C(2n, n) complex entries of U_free's blocks
-        rows = free_rows(build_hamiltonian(couplings).eigensystem(), config.tau)
-        assert sum(block.nbytes for _, _, block in rows) == 8 * math.comb(2 * num_spins, num_spins)
+        # the free step's blocks are half the C(2n, n) complex entries of U_free's sectors
+        blocks = free_blocks(build_hamiltonian(couplings).eigensystem(), config.tau)
+        assert sum(b.nbytes for _, _, b in blocks) == 8 * math.comb(2 * num_spins, num_spins)
 
     @pytest.mark.parametrize("num_spins, overrides, parities", [
         (8, dict(kind="encode", text="Hi"), {1}),
