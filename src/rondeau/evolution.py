@@ -1,7 +1,8 @@
 """Exact state-vector evolution of driven spin networks.
 
 Pulses are instantaneous global rotations: layers of single-spin gates,
-applied as the Kronecker products of two halves of the spins.  The dipolar
+applied as the Kronecker products of two halves of the spins by
+:class:`GateLayer`'s call, the only code that applies a gate layer.  The dipolar
 Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
 n + 1 magnetization sectors, built from the Hamiltonian's cached sector-wise
 eigendecomposition, one block per mirror pair of sectors (:func:`free_blocks`).
@@ -26,7 +27,10 @@ matrix per row sign (:func:`fuse_kick`), written over a power it consumes,
 so such a step is one :class:`Power`, one mat-vec per row.
 :func:`evolve_blockwise`, the one stepper, applies the steps and records Ix
 after each.  No 2^n vector and no 2^n x 2^n matrix is built.  The per-pulse
-and blockwise operators are built independently, so each checks the other.
+and blockwise engines share `free_blocks` and the gate layer's call, and differ
+in how they combine them: pulse by pulse, or through powers of W.  The tests'
+dense oracles share only `rotation_gate` with this module: they apply gates spin
+by spin and build free evolution from one dense eigh.
 """
 
 from __future__ import annotations
@@ -139,36 +143,6 @@ def rotation_gate(axis: str, angle: float) -> np.ndarray:
     if axis == "y":
         return np.array([[c, -s], [s, c]], dtype=complex)
     raise ValueError(f"unsupported rotation axis {axis!r}")
-
-
-def gate_halves(gates, num_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker products of the first ``num_spins // 2`` per-spin gates and of the rest.
-
-    `gates` is a single 2x2 gate shared by all spins or a sequence of
-    per-spin gates; spin 0 is the most significant bit of a basis index.
-    """
-    if np.shape(gates) == (2, 2):
-        gates = [gates] * num_spins
-    k = num_spins // 2
-    kron = lambda part: reduce(np.kron, part, np.ones((1, 1), dtype=complex))
-    return kron(gates[:k]), kron(gates[k:])
-
-
-def apply_halves(state: np.ndarray, halves: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply the gate layer of `gate_halves` to the leading axis of `state`.
-
-    One GEMM with the first half on the (2^k, rest) view, then the second
-    half on each of its 2^k row blocks: a single GEMM for a vector, one
-    batched matmul for a (dim, m) matrix.
-    """
-    first, second = halves
-    state = np.asarray(state, dtype=complex)
-    out = first @ state.reshape(first.shape[0], -1)
-    if state.ndim == 1:
-        out = out @ second.T
-    else:
-        out = second @ out.reshape(first.shape[0], second.shape[0], -1)
-    return out.reshape(state.shape)
 
 
 # -- spin-flip parity rows -------------------------------------------------
@@ -296,36 +270,30 @@ class GateLayer:
     the rows give y₀ = Σ c_s = √2 ψ[H₀] and y₁ = (Σ s c_s)[::-1] = √2 ψ[H₁], so with
     x = g y / 2 the rows z = G' x are (G ψ)[H₀] / √2 and (G ψ)[H₁] / √2, and the new
     rows of signs (1, -1) are z₀ ± z₁[::-1].
+
+    A folding call takes any rows, strided too: a state's, U±'s (`cycle_parity`) or a
+    power's transposed columns (`fuse_kick`), and holds three temporaries of their size.
     """
 
     def __init__(self, gates, num_spins: int, parity: int):
-        shared = np.shape(gates) == (2, 2)
-        self.gate, self.parity = gates if shared else gates[0], parity
-        self.halves = gate_halves(gates if shared else gates[1:], num_spins - 1)
+        gates = [gates] * num_spins if np.shape(gates) == (2, 2) else gates
+        self.gate, self.parity = gates[0], parity
+        k = (num_spins + 1) // 2  # G' = (gates 1 ... k - 1) ⊗ (gates k ... n - 1)
+        kron = lambda part: reduce(np.kron, part, np.ones((1, 1), dtype=complex))
+        self.halves = kron(gates[1:k]), kron(gates[k:])
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
-        g = self.gate
+        g, (first, second) = self.gate, self.halves
         if self.parity:
-            x = g[0, 0] * rows + np.asarray(signs)[:, None] * g[0, 1] * rows[:, ::-1]
+            x = (np.asarray(signs)[:, None] * g[0, 1]) * rows[:, ::-1]
+            x += g[0, 0] * rows
         else:
             x = g / 2 @ np.stack((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1]))
-        z = self._layer(x)
-        if self.parity:
-            return z, tuple(self.parity * s for s in signs)
+        z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
+        if self.parity:  # a list, not a generator: CPython's free list keeps resized tuples
+            return z, tuple([self.parity * s for s in signs])
         flipped = z[1, ::-1]
         return np.stack((z[0] + flipped, z[0] - flipped)), (1, -1)
-
-    def fold(self, x: np.ndarray, sign: int) -> np.ndarray:
-        """L_s x = G'(g₀₀ x + s g₀₁ x[::-1]) on the leading axis of ``x``, s = ``sign``: the
-        folding layer on the H₀ part of a P = s state, as a half-size matrix L_s.  G' acts
-        on each column of x as on a row of a call, through the same batch."""
-        g = self.gate
-        return self._layer((g[0, 0] * x + (sign * g[0, 1]) * x[::-1]).T).T
-
-    def _layer(self, x: np.ndarray) -> np.ndarray:
-        """G' on each row of x, as `apply_halves` on a vector, batched over the rows."""
-        first, second = self.halves
-        return ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
 
 
 # -- initial state ---------------------------------------------------------
@@ -393,31 +361,36 @@ def check_kick_layout(spec: MonopoleSpec):
 
 # -- the propagator factory ------------------------------------------------
 
+#: Blocks of rows (`cycle_parity`) or columns (`fuse_kick`) in which a gate layer is applied
+#: to a half-size matrix in place, so that no full-size temporary is made.
+LAYER_BLOCKS = 32
+
+
 def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
     """W₊ (``sign`` 1) or W₋ (-1), a parity block of the spin-lock cycle operator W = U_free · X.
 
     A parity block of M, which commutes with P, is M[H₀, H₀] ± M[H₀, F(H₀)], the
     half-size matrix that maps a row of that parity.  U± is scattered from the
-    pair blocks of `free_blocks`, never from a dense 2^n x 2^n matrix.  With
-    spin 0 the most significant bit, the x pulse has X[H₀, H₀] = x₀₀ X' and
-    X[H₀, F(H₀)] = x₀₁ X' R, where X' is the pulse on the other n - 1 spins and
-    R reverses the 2^(n-1) indices; so W± = U± X± = x₀₀ U± X' ± x₀₁ (U± X') R.
+    pair blocks of `free_blocks`, one at a time, never from a dense 2^n x 2^n
+    matrix.  Then W± = U± X±, and X± = x₀₀ X' ± x₀₁ X' R is symmetric: x is, and
+    the pulse X' on spins 1 ... n-1 commutes with the reversal R of the 2^(n-1)
+    indices.  So row j of W± is X± applied to row j of U±, which is the x pulse's
+    `GateLayer` on that row as a row of parity ``sign``: applied in place, one
+    block of rows at a time.
     """
     n = len(eigensystem) - 1
     h = 1 << (n - 1)
-    u = np.zeros((h, h), dtype=complex)      # U±
+    w = np.zeros((h, h), dtype=complex)      # U±, then W±
     for cols, k, block in free_blocks(eigensystem, spec.tau):
         if sign < 0:  # a P = -1 row reads and writes its H₁ entries negated
             block[k:] *= -1.0
             block[:, k:] *= -1.0
-        u[np.ix_(cols[:len(block)], cols[:k])] = block[:, :k]
-        u[np.ix_(cols[:len(block)], cols[k:])] += block[:, k:]
-    x = rotation_gate("x", spec.theta_x)
-    # U± X' with X' applied to the columns: X'^T on the rows of U±^T
-    u_x = apply_halves(u.T, gate_halves(x.T, n - 1)).T
-    del u
-    w = x[0, 0] * u_x
-    w += sign * x[0, 1] * u_x[:, ::-1]
+        w[np.ix_(cols[:len(block)], cols[:k])] = block[:, :k]
+        w[np.ix_(cols[:len(block)], cols[k:])] += block[:, k:]
+    pulse = GateLayer(rotation_gate("x", spec.theta_x), n, 1)
+    width = -(-h // LAYER_BLOCKS)
+    for j in range(0, h, width):
+        w[j:j + width] = pulse(w[j:j + width], (sign,) * width)[0]
     return w
 
 
@@ -516,20 +489,17 @@ def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
             for sign, k in ((1, spec.kick_plus), (-1, spec.kick_minus))}
 
 
-#: Column blocks a fused kick step is built in, so that no full-size temporary is made.
-FUSE_COLUMN_BLOCKS = 32
-
-
 def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
               out: np.ndarray) -> np.ndarray:
-    """Write F = a · L · b into ``out``, L the ``kick``'s fold on a P = ``sign`` row.
+    """Write F = a · L · b into ``out``, L the ``kick``'s layer on a P = ``sign`` row.
 
-    F is built column block by column block; block J reads only b[:, J], so ``out``
-    may be ``b`` itself.
+    F is built in `LAYER_BLOCKS` column blocks.  Block J of L · b is the transpose of the
+    kick's call on the rows b[:, J].T, all of sign ``sign``, so block J reads only
+    b[:, J], ``out`` may be ``b``, and the call's temporaries are of a block's size.
     """
-    width = -(-b.shape[1] // FUSE_COLUMN_BLOCKS)
+    width = -(-b.shape[1] // LAYER_BLOCKS)
     for j in range(0, b.shape[1], width):
-        np.matmul(a, kick.fold(b[:, j:j + width], sign), out=out[:, j:j + width])
+        np.matmul(a, kick(b[:, j:j + width].T, (sign,) * width)[0].T, out=out[:, j:j + width])
     return out
 
 
@@ -584,9 +554,6 @@ class BlockPropagatorFactory:
     such block sets read P = +1 alone, so fusing drops a P = -1 chain.
     """
 
-    #: Most half-size matrices `cycle_parity` holds while it builds one block of W.
-    BUILD_HALVES = 3
-
     def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
         self.hamiltonian = hamiltonian
         self.spec = spec
@@ -615,12 +582,14 @@ class BlockPropagatorFactory:
         ``spec``'s layout at ``slots`` holds for block sets at kicks of `kick_parity`
         ``parities``: the build of the P = +1 chain and, unless every kick keeps P = +1,
         the P = -1 chain, or the first fusion of the chains a kick that keeps P reads
-        (P = +1 alone at parity 1) with `fuse_kick`'s three column-block temporaries.
+        (P = +1 alone at parity 1) with `fuse_kick`'s three column-block temporaries.  A
+        chain's build is its `PowerChain.peak`: `cycle_parity` holds at most 1.6
+        half-size matrices while it builds W, and every layout's chain peaks at 2 or more.
         """
         chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
         t = len(chain.targets)
-        fuse = ((1 + (-1 in parities)) * t + 3 / FUSE_COLUMN_BLOCKS) * bool(parities - {0})
-        return max((parities != {1}) * t + max(cls.BUILD_HALVES, chain.peak), fuse) / 4
+        fuse = ((1 + (-1 in parities)) * t + 3 / LAYER_BLOCKS) * bool(parities - {0})
+        return max((parities != {1}) * t + chain.peak, fuse) / 4
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":

@@ -233,32 +233,37 @@ def _builds_systems(config: RunConfig) -> bool:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Bytes of the matrices a run holds at its peak: one graph's system at a time.
+    """Bytes of the matrices and 2^n-sized arrays a run holds at its peak, one system at a time.
 
     A system holds the real eigenvectors of the sectors k <= n/2
     (`Hamiltonian.eigensystem`), half of the C(2n, n) entries of all sector blocks
     plus half the middle block's at even n, and, while they are built, one sector
-    block, at most the largest.  The per-pulse trace adds, once that block is freed,
-    the free step's complex `free_blocks`, half as many entries as the sector blocks,
-    and while the last is built a real temporary of its rows in H₀, C(n - 1, n // 2)
-    x C(n, n // 2), scaled through a ufunc buffer of at most `np.getbufsize` entries.
-    The other full-engine kinds add the peak of the factory for the run's readout
-    slots: its parity blocks, each a quarter of a dense complex matrix, counted by
-    `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's
-    points.  A block set adds only gate halves, its steps state vectors.  Runs that
-    build no system hold none.
+    block, at most the largest.  It also holds those sectors' eigenvalues, every
+    sector's indices and the readout's two Σσx caches (`parity_ix`).  The per-pulse
+    trace adds, once that block is freed, the free step's complex `free_blocks`, half
+    as many entries as the sector blocks, its index and sign arrays, and while the last
+    block is built a real temporary of its rows in H₀, C(n - 1, n // 2) x C(n, n // 2),
+    scaled through a ufunc buffer of at most `np.getbufsize` entries.  The other
+    full-engine kinds add the peak of the factory for the run's readout slots: its
+    parity blocks, each a quarter of a dense complex matrix, counted by
+    `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's points.
+    A block set adds only gate halves, its steps state vectors.  Runs that build no
+    system hold none.
     """
     if not _builds_systems(config):
         return 0
     n = config.num_spins
     entries, middle = math.comb(2 * n, n), math.comb(n, n // 2)
-    eigenvectors = 4 * (entries + (n % 2 == 0) * middle**2)
-    if config.kind == "trace":
+    own = sum(math.comb(n, k) for k in range(n // 2 + 1))  # the states of sectors k <= n/2
+    system = 4 * (entries + (n % 2 == 0) * middle**2) + 8 * (
+        own + 2**n + 4**(n // 2) + 4**(n - n // 2))
+    if config.kind == "trace":  # FreeStep's gather and flip hold `own` entries, its order 2^(n-1)
         scaled = math.comb(n - 1, n // 2) * middle
-        return eigenvectors + 8 * (entries + scaled + min(scaled, np.getbufsize()))
+        return system + 8 * (entries + scaled + min(scaled, np.getbufsize()) + 2 * own
+                             + 2**(n - 1))
     parities = {kick_parity(s.gamma_y, n) for s in _point_specs(config)}
     factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), parities)
-    return int(eigenvectors + 8 * middle**2 + factory * 16 * 4**n)
+    return int(system + 8 * middle**2 + factory * 16 * 4**n)
 
 
 def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rondeau.dephasing import DephasingParams
-from rondeau.evolution import apply_halves, gate_halves, rotation_gate
+from rondeau.evolution import rotation_gate
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import Hamiltonian, sector_indices
 
@@ -47,14 +47,19 @@ def pi_shift_mirror(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes[(m // 2 - np.arange(m)) % m]
 
 
-def apply_gates(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
-    """Apply one 2x2 gate per spin to the leading axis of `state`.
+def gates_by_spin(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
+    """Each spin's 2x2 gate applied to its own axis of `state`, one spin at a time.
 
     Works on vectors (dim,) and on matrices (dim, m): trailing axes are a
     flat batch.  `gates` is a single gate shared by all spins or a list of
-    per-spin gates.
+    per-spin gates; spin 0 is the most significant bit of a basis index.
     """
-    return apply_halves(state, gate_halves(gates, num_spins))
+    if np.shape(gates) == (2, 2):
+        gates = [gates] * num_spins
+    out = np.array(state, dtype=complex)
+    for k, g in enumerate(gates):
+        out = np.einsum("ij,ajb->aib", g, out.reshape(2**k, 2, -1))
+    return out.reshape(np.shape(state))
 
 
 def parity_rows(psi: np.ndarray) -> np.ndarray:
@@ -88,8 +93,8 @@ def total_ix(state: np.ndarray, num_spins: int) -> float:
 
 def global_rotation_matrix(axis: str, angle: float, num_spins: int) -> np.ndarray:
     """Dense matrix of the factored global rotation (for small-system checks)."""
-    return apply_gates(np.eye(2**num_spins, dtype=complex),
-                       rotation_gate(axis, angle), num_spins)
+    return gates_by_spin(np.eye(2**num_spins, dtype=complex),
+                         rotation_gate(axis, angle), num_spins)
 
 
 def _pair_term_indices(num_spins: int, k: int, l: int):
@@ -250,7 +255,8 @@ def sector_free_step(sectors, rows: np.ndarray, signs) -> np.ndarray:
 
 
 def sector_cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
-    """W± of `cycle_parity` with U± scattered from the blocks of `sector_free_rows`."""
+    """W± of `cycle_parity` with U± scattered from the blocks of `sector_free_rows`, then
+    W± = x₀₀ U± X' ± x₀₁ (U± X') R with the pulse X' on spins 1 ... n-1 by `gates_by_spin`."""
     n = len(eigensystem) - 1
     u = np.zeros((1 << (n - 1),) * 2, dtype=complex)
     for rows, cols, block in sector_free_rows(eigensystem, spec.tau):
@@ -258,7 +264,7 @@ def sector_cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarra
         u[np.ix_(rows, cols[:k])] = block[:, :k]
         u[np.ix_(rows, cols[k:])] += sign * block[:, k:]
     x = rotation_gate("x", spec.theta_x)
-    u_x = apply_halves(u.T, gate_halves(x.T, n - 1)).T
+    u_x = gates_by_spin(u.T, x.T, n - 1).T
     return x[0, 0] * u_x + sign * x[0, 1] * u_x[:, ::-1]
 
 

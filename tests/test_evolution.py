@@ -15,7 +15,7 @@ from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import block_end, every_slot, half_period
-from oracles import (apply_gates, dense_free_propagator, dense_free_rows, dense_step,
+from oracles import (dense_free_propagator, dense_free_rows, dense_step, gates_by_spin,
                      global_rotation_matrix, join_rows, parity_rows, sector_cycle_parity,
                      sector_free_rows, sector_free_step, state_vector, total_iz_matrix,
                      total_ix, zero_hamiltonian)
@@ -87,7 +87,7 @@ class TestMixingLayer:
         rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
         rows /= np.linalg.norm(rows)
         out, out_signs = GateLayer(gates, num_spins, 0)(rows, signs)
-        expected = parity_rows(apply_gates(join_rows(rows, signs), gates, num_spins))
+        expected = parity_rows(gates_by_spin(join_rows(rows, signs), gates, num_spins))
         assert out_signs == (1, -1)
         assert np.abs(out - expected).max() < 1e-13
 
@@ -273,7 +273,7 @@ def dense_evolve_values(program: PulseProgram, hamiltonian, psi0) -> np.ndarray:
     for sym in program.stream.symbols:
         kick = spec.kick_plus if sym > 0 else spec.kick_minus
         for i in range(spec.slots_per_block):
-            psi = u_free @ apply_gates(psi, y if i == kick else x, n)
+            psi = u_free @ gates_by_spin(psi, y if i == kick else x, n)
             values.append(total_ix(psi, n))
     return np.array(values)
 
@@ -347,10 +347,13 @@ class TestPairedFreeStep:
     @pytest.mark.parametrize("num_spins", [2, 3, 6, 9, 10])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_cycle_parity_matches_the_per_sector_scatter(self, num_spins, sign):
+        """Also away from theta_x = pi/2, where x₀₀ and x₀₁ differ in size: the row-wise
+        x pulse rests on X± being symmetric, not on the angle."""
         eigensystem = graph_system(num_spins).eigensystem()
-        spec = MonopoleSpec(tau=0.05)
-        assert np.abs(cycle_parity(eigensystem, spec, sign)
-                      - sector_cycle_parity(eigensystem, spec, sign)).max() < 1e-13
+        for theta_x in (math.pi / 2, 0.7 * math.pi):
+            spec = MonopoleSpec(tau=0.05, theta_x=theta_x)
+            assert np.abs(cycle_parity(eigensystem, spec, sign)
+                          - sector_cycle_parity(eigensystem, spec, sign)).max() < 1e-13
 
 
 def blockwise_deviation(hamiltonian, row0, spec, slots) -> float:

@@ -1,5 +1,5 @@
-"""The propagator factory's algebra: addition-chain powers, Kronecker-half gates, the
-spin-flip parity split, memory."""
+"""The propagator factory's algebra: addition-chain powers, gate layers on parity rows,
+the spin-flip parity split, memory."""
 
 import functools
 import math
@@ -12,17 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rondeau.evolution import (FUSE_COLUMN_BLOCKS, BlockPropagatorFactory, Power, PowerChain,
-                               PulseProgram, _kick_gates, evolve, evolve_blockwise,
-                               free_blocks, initial_state, kick_layout, kick_parity)
+from rondeau.evolution import (LAYER_BLOCKS, BlockPropagatorFactory, GateLayer, Power,
+                               PowerChain, PulseProgram, _kick_gates, cycle_parity, evolve,
+                               evolve_blockwise, free_blocks, initial_state, kick_layout,
+                               kick_parity, rotation_gate)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
 from conftest import rng
-from oracles import (apply_gates, dense_cycle_powers, dense_kick_gate, dense_slot_steps,
-                     dense_step, join_rows, parity_rows, spin_flip)
+from oracles import (dense_cycle_powers, dense_kick_gate, dense_slot_steps, dense_step,
+                     gates_by_spin, join_rows, parity_rows, spin_flip)
 
 #: Powers the default layout (301 slots, kicks after pulses 200 and 100) reads at the
 #: block end alone and at the half-period slot and the block end.
@@ -85,16 +86,6 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     g = rng(seed)
     q, r = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def gates_by_spin(state, gates, num_spins):
-    """Reference: each spin's 2x2 gate applied to its own axis, one spin at a time."""
-    if np.shape(gates) == (2, 2):
-        gates = [gates] * num_spins
-    out = np.array(state, dtype=complex)
-    for k, g in enumerate(gates):
-        out = np.einsum("ij,ajb->aib", g, out.reshape(2**k, 2, -1))
-    return out.reshape(np.shape(state))
 
 
 class TestPowerChain:
@@ -169,27 +160,45 @@ class TestPowerChain:
 
 
 class TestKroneckerHalves:
+    """`GateLayer`, the one code that applies a gate layer, on parity rows against each
+    spin's gate applied to the joined state vector by `gates_by_spin`."""
+
+    @staticmethod
+    def check(gates, num_spins: int, parity: int, rows: np.ndarray, signs: tuple):
+        out, out_signs = GateLayer(gates, num_spins, parity)(rows, signs)
+        if parity:  # the folding branch: each row is a state of its own
+            for c, s, z, t in zip(rows, signs, out, out_signs, strict=True):
+                expected = gates_by_spin(join_rows(c[None], (s,)), gates, num_spins)
+                assert np.abs(join_rows(z[None], (t,)) - expected).max() < 1e-12
+        else:
+            expected = gates_by_spin(join_rows(rows, signs), gates, num_spins)
+            assert np.abs(join_rows(out, out_signs) - expected).max() < 1e-12
+
     @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
-    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("per_spin", [False, True])
-    def test_matches_per_spin_loop(self, num_spins, columns, per_spin):
+    def test_matches_per_spin_loop(self, num_spins, batch, per_spin):
+        """Random gates mix P: the two rows of one state.  x rotations keep it: a ``batch``
+        of rows of both signs through the folding branch, as the factory applies it."""
         g = rng(num_spins)
-        dim = 2**num_spins
-        shape = (dim,) if columns is None else (dim, columns)
-        state = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-        gates = ([random_unitary(2, seed=k) for k in range(num_spins)] if per_spin
-                 else random_unitary(2, seed=num_spins))
-        out = apply_gates(state, gates, num_spins)
-        assert out.shape == shape
-        assert np.abs(out - gates_by_spin(state, gates, num_spins)).max() < 1e-12
+        shape = (2 if batch is None else batch, 2**(num_spins - 1))
+        rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        if batch is None:
+            gates = ([random_unitary(2, seed=k) for k in range(num_spins)] if per_spin
+                     else random_unitary(2, seed=num_spins))
+            self.check(gates, num_spins, 0, rows, (1, -1))
+        else:
+            angles = g.uniform(0, 2 * math.pi, size=num_spins if per_spin else 1)
+            gates = [rotation_gate("x", a) for a in angles] if per_spin else rotation_gate(
+                "x", angles[0])
+            self.check(gates, num_spins, 1, rows, (1, -1, -1)[:batch])
 
     @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
     def test_angle_spread_gates(self, num_spins):
         spec = MonopoleSpec(12, 8, 4, gamma_y=0.97 * math.pi)
         gates = _kick_gates(spec, num_spins, angle_spread=0.018, disorder_seed=3)
-        state = random_unitary(2**num_spins, seed=num_spins)
-        assert np.abs(apply_gates(state, gates, num_spins)
-                      - gates_by_spin(state, gates, num_spins)).max() < 1e-12
+        rows = parity_rows(random_unitary(2**num_spins, seed=num_spins)[:, 0])
+        self.check(gates, num_spins, 0, rows, (1, -1))
 
 
 def system(num_spins: int):
@@ -335,6 +344,23 @@ class TestFactoryMemory:
             assert all(len(blocks) < len(exponents) for blocks in factory.blocks.values())
             assert kept <= (len(read) * len(exponents) / 4 + 0.25) * matrix
             del factory
+
+    @pytest.mark.parametrize("num_spins", [8, 9, 10, 11])
+    def test_cycle_parity_applies_the_pulse_in_place(self, num_spins):
+        """W± is U± scattered pair block by pair block, then the x pulse's layer on its rows
+        in place: at most 1.6 half-size matrices, the one returned included."""
+        eigensystem = system(num_spins).eigensystem()
+        half = 16 * 4**(num_spins - 1)
+        for sign in (1, -1):
+            tracemalloc.start()
+            try:
+                w = cycle_parity(eigensystem, MonopoleSpec(tau=0.01), sign)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert w.nbytes == half
+            assert peak <= 1.6 * half
+            del w
 
     def test_parity_frees_the_base_after_its_last_read(self, monkeypatch):
         """A chain's dict holds the only reference to W, so W is freed right after the last
@@ -501,15 +527,16 @@ class TestFactoryMemory:
         fuses."""
         config = RunConfig(out_dir="x", num_spins=num_spins, **overrides)
         matrix = 16 * 4**num_spins
-        # the eigenvectors of the sectors k <= n/2, and one transient largest block
-        system = 8 * math.comb(num_spins, num_spins // 2)**2 + 8 * sum(
-            math.comb(num_spins, k)**2 for k in range(num_spins // 2 + 1))
+        # the eigenvectors of the sectors k <= n/2, and one transient largest block; their
+        # eigenvalues, every sector's indices and the readout's Σσx caches
+        n, own = num_spins, range(num_spins // 2 + 1)
+        system = 8 * math.comb(n, n // 2)**2 + 8 * sum(math.comb(n, k)**2 for k in own) + 8 * (
+            sum(math.comb(n, k) for k in own) + 2**n + 4**(n // 2) + 4**(n - n // 2))
         chain = PowerChain(BlockPropagatorFactory._exponents(
             kick_layout(config.spec(), runner._readout_slots(config))))
         targets = len(chain.targets)
-        build = (parities != {1}) * targets + max(BlockPropagatorFactory.BUILD_HALVES,
-                                                  chain.peak)
-        fuse = (1 + (-1 in parities)) * targets + 3 / FUSE_COLUMN_BLOCKS if parities != {0} else 0
+        build = (parities != {1}) * targets + chain.peak
+        fuse = (1 + (-1 in parities)) * targets + 3 / LAYER_BLOCKS if parities != {0} else 0
         assert peak_matrix_bytes(config) == int(system + max(build, fuse) / 4 * matrix)
 
     @pytest.mark.parametrize("text, num_spins", [("Hi", 8), ("Hi", 9)])
