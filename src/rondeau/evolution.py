@@ -190,6 +190,11 @@ def parity_ix(rows: np.ndarray, signs) -> float:
     return float(total)
 
 
+def parity_ix_bytes(num_spins: int) -> int:
+    """Bytes of the two Σσx caches `parity_ix` keeps for rows of ``num_spins`` spins."""
+    return 8 * (4**(num_spins // 2) + 4**(num_spins - num_spins // 2))
+
+
 def free_blocks(eigensystem, duration: float):
     """exp(-i duration H) on parity rows, one ``(cols, h, block)`` triple per mirror pair of
     total-Iz sectors (k, n - k), k < n/2, then at even n one for the middle sector n/2.
@@ -229,6 +234,14 @@ class FreeStep:
                            for (_, _, block), o in zip(blocks, start))
         self.order = np.argsort(self.gather[:1 << (len(eigensystem) - 2)])  # y's scatter
 
+    @staticmethod
+    def peak_bytes(num_spins: int) -> int:
+        """Most bytes a free step holds: its pair blocks, ``gather``, ``flip``, ``order`` and,
+        while the last block is built, a real temporary of its H₀ rows and its ufunc buffer."""
+        n, own = num_spins, sum(math.comb(num_spins, k) for k in range(num_spins // 2 + 1))
+        rows = math.comb(n - 1, n // 2) * math.comb(n, n // 2)
+        return 8 * (math.comb(2 * n, n) + 2 * own + 2**(n - 1) + rows + min(rows, np.getbufsize()))
+
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
         out = np.empty_like(rows)
         y = np.empty(rows.shape[1], dtype=complex)
@@ -257,7 +270,7 @@ class Power:
         out = np.empty_like(rows)
         for c, s, row in zip(rows, signs, out):
             np.matmul(self.blocks[s], c, out=row)
-        return out, signs if self.parity == 1 else tuple(self.parity * s for s in signs)
+        return out, signs if self.parity == 1 else tuple([self.parity * s for s in signs])
 
 
 class GateLayer:
@@ -494,13 +507,18 @@ def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
     """Write F = a · L · b into ``out``, L the ``kick``'s layer on a P = ``sign`` row.
 
     F is built in `LAYER_BLOCKS` column blocks.  Block J of L · b is the transpose of the
-    kick's call on the rows b[:, J].T, all of sign ``sign``, so block J reads only
-    b[:, J], ``out`` may be ``b``, and the call's temporaries are of a block's size.
+    kick's call on the rows b[:, J].T, all of sign ``sign``, so block J reads only b[:, J]
+    and ``out`` may be ``b``; the call's temporaries are counted by `fuse_kick_bytes`.
     """
     width = -(-b.shape[1] // LAYER_BLOCKS)
     for j in range(0, b.shape[1], width):
         np.matmul(a, kick(b[:, j:j + width].T, (sign,) * width)[0].T, out=out[:, j:j + width])
     return out
+
+
+def fuse_kick_bytes(num_spins: int) -> int:
+    """Bytes of `fuse_kick`'s temporaries on ``num_spins`` spins: three complex column blocks."""
+    return 3 * 16 * (h := 1 << (num_spins - 1)) * -(-h // LAYER_BLOCKS)
 
 
 def fusion_plan(layout: dict, parity: int) -> list[tuple]:
@@ -577,19 +595,15 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_matrices(cls, spec: MonopoleSpec, slots, parities: set) -> float:
-        """Most dense 2^n x 2^n matrices (a half-size block is a quarter) a factory for
-        ``spec``'s layout at ``slots`` holds for block sets at kicks of `kick_parity`
-        ``parities``: the build of the P = +1 chain and, unless every kick keeps P = +1,
-        the P = -1 chain, or the first fusion of the chains a kick that keeps P reads
-        (P = +1 alone at parity 1) with `fuse_kick`'s three column-block temporaries.  A
-        chain's build is its `PowerChain.peak`: `cycle_parity` holds at most 1.6
-        half-size matrices while it builds W, and every layout's chain peaks at 2 or more.
-        """
-        chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
+    def peak_bytes(cls, num_spins: int, spec: MonopoleSpec, slots, parities: set) -> int:
+        """Most bytes a factory for ``spec``'s layout at ``slots`` holds at kicks of `kick_parity`
+        ``parities``: a chain's build, `PowerChain.peak` half-size blocks (2 or more, while
+        `cycle_parity` holds 1.6), after the P = -1 targets unless every kick keeps P = +1;
+        or the first fusion, the half-size targets of the chains it reads and `fuse_kick_bytes`."""
+        chain, block = PowerChain(cls._exponents(kick_layout(spec, slots))), 4 << 2 * num_spins
         t = len(chain.targets)
-        fuse = ((1 + (-1 in parities)) * t + 3 / LAYER_BLOCKS) * bool(parities - {0})
-        return max((parities != {1}) * t + chain.peak, fuse) / 4
+        fuse = (1 + (-1 in parities)) * t * block + fuse_kick_bytes(num_spins)
+        return max(((parities != {1}) * t + chain.peak) * block, fuse * bool(parities - {0}))
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":

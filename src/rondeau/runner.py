@@ -25,15 +25,15 @@ from .analysis import (MIN_SPECTRUM_CYCLES, NORMALIZATIONS, HeatingFit, Spectrum
                        phase_diagram, dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import LowConfidenceError, Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
-from .evolution import (BlockPropagatorFactory, BlockPropagators, PulseProgram, SignalTrace,
-                        check_kick_layout, evolve, evolve_blockwise, half_sample_slot,
-                        initial_state, kick_parity)
+from .evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, PulseProgram,
+                        SignalTrace, check_kick_layout, evolve, evolve_blockwise,
+                        half_sample_slot, initial_state, kick_parity, parity_ix_bytes)
 # the heating rundown under its own name, so bench/tracing.py times it apart
 from .evolution import evolve_blockwise as stroboscopic_rundown
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
                         thue_morse_stream)
-from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, PackingInfeasibleError, SpinGraph,
-                    build_hamiltonian, compute_couplings, generate_graph)
+from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, Hamiltonian, PackingInfeasibleError,
+                    SpinGraph, build_hamiltonian, compute_couplings, generate_graph)
 from . import serialize
 
 KINDS = ("trace", "phase-diagram", "heating-eps", "heating-period",
@@ -199,7 +199,7 @@ class RunConfig:
         estimate, memory = peak_matrix_bytes(self), _physical_memory()
         if estimate > memory:
             raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs about {estimate} bytes of matrices, more than the "
+                              f"needs about {estimate} bytes of arrays, more than the "
                               f"{memory} bytes of physical memory")
         return graphs
 
@@ -233,37 +233,15 @@ def _builds_systems(config: RunConfig) -> bool:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Bytes of the matrices and 2^n-sized arrays a run holds at its peak, one system at a time.
-
-    A system holds the real eigenvectors of the sectors k <= n/2
-    (`Hamiltonian.eigensystem`), half of the C(2n, n) entries of all sector blocks
-    plus half the middle block's at even n, and, while they are built, one sector
-    block, at most the largest.  It also holds those sectors' eigenvalues, every
-    sector's indices and the readout's two Σσx caches (`parity_ix`).  The per-pulse
-    trace adds, once that block is freed, the free step's complex `free_blocks`, half
-    as many entries as the sector blocks, its index and sign arrays, and while the last
-    block is built a real temporary of its rows in H₀, C(n - 1, n // 2) x C(n, n // 2),
-    scaled through a ufunc buffer of at most `np.getbufsize` entries.  The other
-    full-engine kinds add the peak of the factory for the run's readout slots: its
-    parity blocks, each a quarter of a dense complex matrix, counted by
-    `BlockPropagatorFactory.peak_matrices` for the kick parities of the run's points.
-    A block set adds only gate halves, its steps state vectors.  Runs that build no
-    system hold none.
-    """
+    """Peak bytes of a run's arrays, 0 without a system: the kept `Hamiltonian.eigensystem_bytes`
+    and `parity_ix_bytes`, plus the largest stage: eigensystem build, trace `FreeStep`, factory."""
     if not _builds_systems(config):
         return 0
-    n = config.num_spins
-    entries, middle = math.comb(2 * n, n), math.comb(n, n // 2)
-    own = sum(math.comb(n, k) for k in range(n // 2 + 1))  # the states of sectors k <= n/2
-    system = 4 * (entries + (n % 2 == 0) * middle**2) + 8 * (
-        own + 2**n + 4**(n // 2) + 4**(n - n // 2))
-    if config.kind == "trace":  # FreeStep's gather and flip hold `own` entries, its order 2^(n-1)
-        scaled = math.comb(n - 1, n // 2) * middle
-        return system + 8 * (entries + scaled + min(scaled, np.getbufsize()) + 2 * own
-                             + 2**(n - 1))
-    parities = {kick_parity(s.gamma_y, n) for s in _point_specs(config)}
-    factory = BlockPropagatorFactory.peak_matrices(config.spec(), _readout_slots(config), parities)
-    return int(system + 8 * middle**2 + factory * 16 * 4**n)
+    n, specs = config.num_spins, _point_specs(config)
+    kept, build = Hamiltonian.eigensystem_bytes(n)
+    stage = FreeStep.peak_bytes(n) if config.kind == "trace" else BlockPropagatorFactory.peak_bytes(
+        n, config.spec(), _readout_slots(config), {kick_parity(s.gamma_y, n) for s in specs})
+    return kept + parity_ix_bytes(n) + max(build, stage)
 
 
 def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:

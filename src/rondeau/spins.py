@@ -11,6 +11,7 @@ formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,13 @@ class Hamiltonian:
             own += [(vals, vecs[::-1]) for vals, vecs in own[:(self.num_spins + 1) // 2][::-1]]
             self._eigensystem = tuple((idx, *pair) for idx, pair in zip(sectors, own))
         return self._eigensystem
+
+    @staticmethod
+    def eigensystem_bytes(num_spins: int) -> tuple[int, int]:
+        """Bytes `eigensystem` keeps, the eigenvectors and eigenvalues of the sectors k <= n/2
+        and every sector's indices, and bytes it adds while built: the largest sector block."""
+        sizes = [math.comb(num_spins, k) for k in range(num_spins // 2 + 1)]
+        return 8 * (sum(d * d + d for d in sizes) + 2**num_spins), 8 * sizes[-1]**2
 
 
 def generate_graph(num_spins: int,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ def short_spec():
     """Small block keeping unit tests fast; kick layout mirrors the 2:1 ratio."""
     return MonopoleSpec(pulses_per_block=12, kick_plus=8, kick_minus=4,
                         tau=0.05, gamma_y=math.pi)
+
+
+def traced(fn):
+    """``(fn(), kept, peak)``: what ``fn`` returns, and the bytes tracemalloc counts still
+    held when it returns and at the peak while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def rng(seed=0):

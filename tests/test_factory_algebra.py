@@ -3,7 +3,6 @@ the spin-flip parity split, memory."""
 
 import functools
 import math
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -12,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rondeau.evolution import (LAYER_BLOCKS, BlockPropagatorFactory, GateLayer, Power,
-                               PowerChain, PulseProgram, _kick_gates, cycle_parity, evolve,
-                               evolve_blockwise, free_blocks, initial_state, kick_layout,
-                               kick_parity, rotation_gate)
+from rondeau.evolution import (BlockPropagatorFactory, FreeStep, GateLayer, Power, PowerChain,
+                               PulseProgram, _kick_gates, _sum_sigma_x, cycle_parity, evolve,
+                               evolve_blockwise, free_blocks, fuse_kick, fuse_kick_bytes,
+                               initial_state, kick_layout, kick_parity, parity_ix,
+                               parity_ix_bytes, rotation_gate)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
-from conftest import rng
+from conftest import rng, traced
 from oracles import (dense_cycle_powers, dense_kick_gate, dense_slot_steps, dense_step,
                      gates_by_spin, join_rows, parity_rows, spin_flip)
 
@@ -322,27 +322,27 @@ class TestFactoryMemory:
         hamiltonian = system(num_spins)
         hamiltonian.eigensystem()  # cached before tracing: the run's Hamiltonian term
         spec = MonopoleSpec(tau=0.01)
-        matrix = 16 * 4**num_spins
+        half = 16 * 4**(num_spins - 1)
         parities = {kick_parity(gamma, num_spins) for gamma in gammas}
         assert chains == 1 + (parities != {1})
+
+        def built(slots):
+            factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+            for gamma in gammas:
+                factory.block_set(gamma)
+            return factory
+
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(spec, slots, parities)
-            tracemalloc.start()
-            try:
-                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
-                for gamma in gammas:
-                    factory.block_set(gamma)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert counted * matrix < peak <= counted * matrix + BOOKKEEPING
+            counted = BlockPropagatorFactory.peak_bytes(num_spins, spec, slots, parities)
+            factory, kept, peak = traced(lambda: built(slots))
+            assert counted < peak <= counted + BOOKKEEPING
             # only the chains the gamma = pi block set read are kept, each parity's block
-            # a quarter of a dense matrix, and fused kick steps hold the place of the
-            # powers they consumed: at even n fusing drops a P = -1 chain built earlier
+            # half-size, and fused kick steps hold the place of the powers they consumed: at
+            # even n fusing drops a P = -1 chain built earlier
             read = (1,) if kick_parity(math.pi, num_spins) == 1 else (1, -1)
             assert tuple(factory.blocks) == read
             assert all(len(blocks) < len(exponents) for blocks in factory.blocks.values())
-            assert kept <= (len(read) * len(exponents) / 4 + 0.25) * matrix
+            assert kept <= (len(read) * len(exponents) + 1) * half
             del factory
 
     @pytest.mark.parametrize("num_spins", [8, 9, 10, 11])
@@ -352,15 +352,22 @@ class TestFactoryMemory:
         eigensystem = system(num_spins).eigensystem()
         half = 16 * 4**(num_spins - 1)
         for sign in (1, -1):
-            tracemalloc.start()
-            try:
-                w = cycle_parity(eigensystem, MonopoleSpec(tau=0.01), sign)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            w, _, peak = traced(lambda: cycle_parity(eigensystem, MonopoleSpec(tau=0.01), sign))
             assert w.nbytes == half
             assert peak <= 1.6 * half
             del w
+
+    @pytest.mark.parametrize("num_spins", [8, 11])
+    def test_fuse_kick_holds_its_counted_temporaries(self, num_spins):
+        """`fuse_kick` writes over b and holds `fuse_kick_bytes`, three column blocks, while
+        the kick's call runs on one of them."""
+        h = 1 << (num_spins - 1)
+        a, b = (rng(seed).standard_normal((h, h)) + 0j for seed in (1, 2))
+        for parity in (1, -1):
+            kick = GateLayer(rotation_gate("y", math.pi), num_spins, parity)
+            _, kept, peak = traced(lambda: fuse_kick(a, kick, 1, b, b))
+            assert kept < 1024
+            assert fuse_kick_bytes(num_spins) < peak <= fuse_kick_bytes(num_spins) + BOOKKEEPING
 
     def test_parity_frees_the_base_after_its_last_read(self, monkeypatch):
         """A chain's dict holds the only reference to W, so W is freed right after the last
@@ -396,31 +403,25 @@ class TestFactoryMemory:
         hamiltonian = system(num_spins)
         hamiltonian.eigensystem()
         spec = MonopoleSpec(tau=0.01)
-        matrix, chains = 16 * 4**num_spins, 1 + num_spins % 2
+        half, chains = 16 * 4**(num_spins - 1), 1 + num_spins % 2
+
+        def built(slots):
+            factory = BlockPropagatorFactory(hamiltonian, spec, slots)
+            return factory, factory.block_set()
+
         for slots, exponents in LAYOUT_EXPONENTS.items():
-            counted = BlockPropagatorFactory.peak_matrices(
-                spec, slots, {kick_parity(math.pi, num_spins)})
-            tracemalloc.start()
-            try:
-                factory = BlockPropagatorFactory(hamiltonian, spec, slots)
-                props = factory.block_set()
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert counted * matrix < peak <= counted * matrix + BOOKKEEPING
+            counted = BlockPropagatorFactory.peak_bytes(
+                num_spins, spec, slots, {kick_parity(math.pi, num_spins)})
+            (factory, props), kept, peak = traced(lambda: built(slots))
+            assert counted < peak <= counted + BOOKKEEPING
             # per chain: 2 fused steps of 4 powers, or 2 fused and 2 plain of 5
             assert list(factory.blocks) == [1, -1][:chains]
             held = {(301,): 2, (150, 301): 4}[slots]
             assert all(len(blocks) == held < len(exponents) for blocks in factory.blocks.values())
-            assert kept <= (len(factory.blocks) * held / 4 + 0.25) * matrix
+            assert kept <= (len(factory.blocks) * held + 1) * half
             # a second block set reads the same fused steps and builds no dense matrix
-            tracemalloc.start()
-            try:
-                again = factory.block_set()
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert kept <= peak < 0.05 * matrix
+            again, kept, peak = traced(factory.block_set)
+            assert kept <= peak < 0.2 * half
             assert all(f.blocks[s] is g.blocks[s] for sign in (1, -1)
                        for (f,), (g,) in zip(props.steps[sign], again.steps[sign])
                        for s in f.blocks)
@@ -433,40 +434,44 @@ class TestFactoryMemory:
         `test_factory_fuses_into_the_powers_it_consumes` bounds."""
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
-        matrix = 16 * 4**8
+        half = 16 * 4**7
         for slots in LAYOUT_EXPONENTS:
             factory = BlockPropagatorFactory(hamiltonian, spec, slots)
             factory.parity(-1)
-            tracemalloc.start()
-            try:
-                props = factory.block_set(gamma_y)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert kept <= peak < 0.05 * matrix
+            props, kept, peak = traced(lambda: factory.block_set(gamma_y))
+            assert kept <= peak < 0.2 * half
             del factory, props
 
     def test_blockwise_steps_hold_only_state_vectors(self):
         hamiltonian = system(8)
         spec = MonopoleSpec(tau=0.01)
-        matrix = 16 * 4**8
+        half = 16 * 4**7
         for slots in LAYOUT_EXPONENTS:
             factory = BlockPropagatorFactory(hamiltonian, spec, slots)
             props, stream = factory.block_set(0.95 * math.pi), sample_rmd(1, 4, seed=3)
             row0 = initial_state(8)
-            tracemalloc.start()
-            try:
-                evolve_blockwise(stream, props, row0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 0.25 * matrix
+            _, _, peak = traced(lambda: evolve_blockwise(stream, props, row0))
+            assert peak < half
+
+    def test_power_keeps_no_sign_tuples(self):
+        """A parity -1 `Power` builds its signs from a list: `tuple()` of a generator leaves
+        resized tuples in CPython's free list, about 56 bytes a call."""
+        rows = rng(0).standard_normal((2, 8)) + 0j
+        step = Power({1: np.eye(8), -1: np.eye(8)}, -1)
+
+        def called():
+            signs = (1, -1)
+            for _ in range(1000):
+                _, signs = step(rows, signs)
+
+        _, kept, _ = traced(called)
+        assert kept < 1024
 
     @pytest.mark.parametrize("graphs", [1, 3])
     def test_heating_run_peak_within_the_estimate(self, tmp_path, graphs):
         """A whole full-engine heating-eps run holds no matrix beyond `peak_matrix_bytes`.
 
-        The estimate counts matrices only.  The run also holds its drive
+        The estimate counts arrays only.  The run also holds its drive
         streams, under 25 bytes a cycle while drawn, and `BOOKKEEPING`.  A short ``max_cycles``
         keeps the streams small next to one dense matrix, which a block set
         built densely would add.
@@ -475,12 +480,7 @@ class TestFactoryMemory:
                            eps_grid=(0.1, 0.2), realizations=2, max_cycles=1024,
                            graph_realizations=graphs)
         run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
-        tracemalloc.start()
-        try:
-            run(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: run(config))
         streams, bookkeeping = 25 * config.max_cycles, BOOKKEEPING
         assert peak <= peak_matrix_bytes(config) + streams + bookkeeping
 
@@ -489,23 +489,32 @@ class TestFactoryMemory:
         """A per-pulse trace holds the eigenvectors of the sectors k <= n/2, no sector
         block, the free step's pair blocks and, while they are built, a real temporary of
         a block's rows in H₀: within 10 % of the estimate.  Keeping H's sector blocks
-        would add 44-50 % here."""
+        would add 44-50 % here.  The free step alone holds its `FreeStep.peak_bytes`."""
         couplings = compute_couplings(generate_graph(num_spins, seed=11), 1.0)
         config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4)
         program = PulseProgram(sample_rmd(0, 2, seed=1), config.spec())
         row0 = initial_state(config.num_spins)
-        tracemalloc.start()
-        try:
-            evolve(program, build_hamiltonian(couplings), row0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: evolve(program, build_hamiltonian(couplings), row0))
         estimate = peak_matrix_bytes(config)
         assert abs(peak - estimate) <= 0.1 * estimate
+        eigensystem = build_hamiltonian(couplings).eigensystem()
+        _, _, peak = traced(lambda: FreeStep(eigensystem, config.tau))
+        assert abs(peak - FreeStep.peak_bytes(num_spins)) <= BOOKKEEPING
         # the free step's blocks are half the C(2n, n) complex entries of U_free's sectors
-        blocks = free_blocks(build_hamiltonian(couplings).eigensystem(), config.tau)
+        blocks = free_blocks(eigensystem, config.tau)
         assert sum(b.nbytes for _, _, b in blocks) == 8 * math.comb(2 * num_spins, num_spins)
+
+    @pytest.mark.parametrize("num_spins", [8, 9, 10])
+    def test_readout_caches_hold_their_bytes(self, num_spins):
+        """`parity_ix` keeps its two Σσx caches, `parity_ix_bytes`, and nothing else."""
+        rows = initial_state(num_spins)[None]
+        _sum_sigma_x.cache_clear()
+        try:
+            _, kept, _ = traced(lambda: parity_ix(rows, (1,)))
+        finally:
+            _sum_sigma_x.cache_clear()
+        assert parity_ix_bytes(num_spins) < kept <= parity_ix_bytes(num_spins) + BOOKKEEPING
 
     @pytest.mark.parametrize("num_spins, overrides, parities", [
         (8, dict(kind="encode", text="Hi"), {1}),
@@ -521,23 +530,19 @@ class TestFactoryMemory:
         (8, dict(kind="heating-period", tau_grid=(0.05, 0.02)), {1}),
         (8, dict(kind="heating-highfreq", tau_grid=(0.05, 0.02), sweep_slope=0.1), {0}),
     ])
-    def test_run_estimate_follows_the_chains(self, num_spins, overrides, parities):
-        """A run's factory peak is the build of its chains, or the fusion of the chains a
-        kick that keeps P reads, whichever holds more; P = -1 is dropped before P = +1
-        fuses."""
-        config = RunConfig(out_dir="x", num_spins=num_spins, **overrides)
-        matrix = 16 * 4**num_spins
-        # the eigenvectors of the sectors k <= n/2, and one transient largest block; their
-        # eigenvalues, every sector's indices and the readout's Σσx caches
-        n, own = num_spins, range(num_spins // 2 + 1)
-        system = 8 * math.comb(n, n // 2)**2 + 8 * sum(math.comb(n, k)**2 for k in own) + 8 * (
-            sum(math.comb(n, k) for k in own) + 2**n + 4**(n // 2) + 4**(n - n // 2))
-        chain = PowerChain(BlockPropagatorFactory._exponents(
-            kick_layout(config.spec(), runner._readout_slots(config))))
-        targets = len(chain.targets)
-        build = (parities != {1}) * targets + chain.peak
-        fuse = (1 + (-1 in parities)) * targets + 3 / LAYER_BLOCKS if parities != {0} else 0
-        assert peak_matrix_bytes(config) == int(system + max(build, fuse) / 4 * matrix)
+    def test_run_estimate_follows_the_chains(self, tmp_path, num_spins, overrides, parities):
+        """A whole run at the kick ``parities`` peaks within 10 % of its estimate: its
+        system, plus the build of its chains or the fusion of the chains a kick that keeps
+        P reads, whichever holds more."""
+        config = RunConfig(out_dir=str(tmp_path / "run"), num_spins=num_spins,
+                           pulses_per_block=12, kick_plus=8, kick_minus=4, cycles=16,
+                           max_cycles=256, **overrides)
+        points = runner._point_specs(config)
+        assert {kick_parity(s.gamma_y, num_spins) for s in points} == parities
+        run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
+        _, _, peak = traced(lambda: run(config))
+        estimate = peak_matrix_bytes(config)
+        assert abs(peak - estimate) <= 0.1 * estimate
 
     @pytest.mark.parametrize("text, num_spins", [("Hi", 8), ("Hi", 9)])
     def test_encode_run_peak_within_the_estimate(self, tmp_path, text, num_spins):
@@ -545,15 +550,9 @@ class TestFactoryMemory:
         config = RunConfig(kind="encode", out_dir=str(tmp_path / "run"), num_spins=num_spins,
                            pulses_per_block=60, kick_plus=40, kick_minus=20, text=text)
         run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
-        tracemalloc.start()
-        try:
-            run(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        matrix = 16 * 4**num_spins
-        assert peak_matrix_bytes(config) - 0.25 * matrix < peak
-        assert peak <= peak_matrix_bytes(config) + 0.25 * matrix
+        _, _, peak = traced(lambda: run(config))
+        half = 16 * 4**(num_spins - 1)
+        assert peak_matrix_bytes(config) - half < peak <= peak_matrix_bytes(config) + half
 
     def test_run_estimate_counts_the_chain_peak(self):
         def estimate(**layout):
@@ -562,11 +561,12 @@ class TestFactoryMemory:
                                                **layout))
         small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
         # a heating run reads whole blocks only
-        # in dense matrices: 4 kept and 4 live half-size blocks, against 3 and 3; the
-        # chain of 4 powers reads W early and drops it, so it holds no fifth block
+        # in half-size blocks: 4 kept and 4 live, against 3 and 3; the chain of 4 powers
+        # reads W early and drops it, so it holds no fifth block
         specs = [MonopoleSpec(**layout) for layout in ({}, small)]
-        chains = [BlockPropagatorFactory.peak_matrices(s, (s.slots_per_block,), {0, 1})
+        half = 16 * 4**5
+        chains = [BlockPropagatorFactory.peak_bytes(6, s, (s.slots_per_block,), {0, 1})
                   for s in specs]
-        assert chains == [2.0, 1.5]
+        assert chains == [8 * half, 6 * half]
         # the two graphs are built one after another, so their peaks do not add
-        assert estimate() - estimate(**small) == (2.0 - 1.5) * 16 * 4**6
+        assert estimate() - estimate(**small) == (8 - 6) * half

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from rondeau.sequences import (MonopoleSpec, StreamCapacityError, SymbolStream,
                                sample_rmd, thue_morse_stream, unroll_multipole)
 
+from conftest import traced
 from oracles import envelope
 
 
@@ -84,12 +84,7 @@ class TestSampleRmd:
 
     def test_draw_holds_no_wide_transients(self):
         sample_rmd(0, 2, 7)  # the first draw in a process sets up about 0.7 MB once
-        tracemalloc.start()
-        try:
-            sample_rmd(0, 32768, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: sample_rmd(0, 32768, 7))
         assert peak < 0.5 * 2**20  # a 32 KB stream; int64 sign arithmetic peaked at 578 KB
 
     def test_rejects_unaligned_cycles(self):

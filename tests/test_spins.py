@@ -1,16 +1,14 @@
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rondeau import spins
-from rondeau.spins import (ANGULAR, ISOTROPIC, CouplingSet, NormalizationError,
+from rondeau.spins import (ANGULAR, ISOTROPIC, CouplingSet, Hamiltonian, NormalizationError,
                            PackingInfeasibleError, SpinGraph, build_hamiltonian,
                            compute_couplings, generate_graph, sector_indices)
 
+from conftest import traced
 from oracles import (dense_hamiltonian, flat_buffer_blocks, scattered_matrix, total_iz_matrix,
                      zero_hamiltonian)
 
@@ -185,22 +183,21 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_eigensystem_holds_one_sector_block_at_a_time(self, num_spins):
-        """The built system keeps the eigenvectors of the sectors k <= n/2 and no block;
-        while it is built it adds at most one block, the largest, to them.  The slack
-        covers the sector indices and eigenvalues, under 2^n of each, and bookkeeping."""
+        """The built system keeps what `Hamiltonian.eigensystem_bytes` counts and no block;
+        while it is built it adds at most one block, the largest.  The slack covers
+        bookkeeping and the sector block's index temporaries."""
         couplings = compute_couplings(generate_graph(num_spins, seed=0), 1.0)
-        vecs = 8 * sum(math.comb(num_spins, k)**2 for k in range(num_spins // 2 + 1))
-        block = 8 * math.comb(num_spins, num_spins // 2)**2
-        slack = 16 * 2**num_spins + 16 * 1024
-        tracemalloc.start()
-        try:
+        kept, block = Hamiltonian.eigensystem_bytes(num_spins)
+        slack = 16 * 1024
+
+        def built():
             h = build_hamiltonian(couplings)
             h.eigensystem()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert vecs < held <= vecs + slack
-        assert peak <= vecs + block + slack
+            return h
+
+        _, held, peak = traced(built)
+        assert kept < held <= kept + slack
+        assert peak <= kept + block + slack
 
     def test_dimension_cap(self):
         fake = CouplingSet(couplings=np.zeros((15, 15)), median_coupling=1.0,
