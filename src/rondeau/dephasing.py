@@ -57,5 +57,6 @@ def model_signal(stream: SymbolStream, params: DephasingParams) -> SignalTrace:
     kick_slot = np.where(stream.symbols > 0, spec.kick_plus, spec.kick_minus)[:, None]
     kicks = np.arange(len(stream))[:, None] + (np.array(trace.slots) > kick_slot)
     kicks = np.concatenate([[0], kicks.ravel()])  # the pre-drive sample first
-    trace.values = np.power(-math.cos(spec.epsilon), kicks) * np.exp(-params.gamma_0 * trace.times)
+    np.exp(-params.gamma_0 * trace.times, out=trace.values)
+    trace.values *= np.power(-math.cos(spec.epsilon), kicks)
     return trace

@@ -1,36 +1,33 @@
 """Exact state-vector evolution of driven spin networks.
 
-Pulses are instantaneous global rotations: layers of single-spin gates,
-applied as the Kronecker products of two halves of the spins by
-:class:`GateLayer`'s call, the only code that applies a gate layer.  The dipolar
-Hamiltonian conserves total Iz, so free evolution is block-diagonal in the
-n + 1 magnetization sectors, built from the Hamiltonian's cached sector-wise
-eigendecomposition, one block per mirror pair of sectors (:func:`free_blocks`).
-Readout is the expectation value of total Ix after a slot's free evolution.
+Pulses are instantaneous global rotations: one single-spin gate on every spin, applied as
+the Kronecker products of two halves of the spins by :class:`GateLayer`'s call, the only
+code that applies a gate layer.  The dipolar Hamiltonian conserves total Iz, so free
+evolution is block-diagonal in the n + 1 magnetization sectors, built from the
+Hamiltonian's cached sector-wise eigendecomposition, one block per mirror pair of sectors
+(:func:`free_blocks`).  Readout is the expectation value of total Ix after a slot's free
+evolution.
 
-Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx,
-and the initial state has P = +1.  Every engine therefore carries its state
-as parity rows c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2, with H₀ the basis states whose
-spin 0 is up, the indices below 2^(n-1), and F the flip of every spin, which
-maps index i to 2^n - 1 - i.  A run starts from the one P = +1 row of
-:func:`initial_state`; a kick that keeps P eigenstates (:func:`kick_parity`,
-exactly gamma = pi) keeps one row, and the first kick that mixes P creates
-the P = -1 row.  Every operator acts on the rows, a gate layer included.
+Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx, and the
+initial state has P = +1.  Every engine therefore carries its state as parity rows
+c_s = (ψ[H₀] + s ψ[F(H₀)]) / √2, with H₀ the basis states whose spin 0 is up, the indices
+below 2^(n-1), and F the flip of every spin, which maps index i to 2^n - 1 - i.  A run
+starts from the one P = +1 row of :func:`initial_state`; a kick that keeps P eigenstates
+(:func:`kick_parity`, exactly gamma = pi) keeps one row, and the first kick that mixes P
+creates the P = -1 row.  Every operator acts on the rows, a gate layer included.
 
-A run reads every block at one increasing tuple of readout slots that ends
-at the block end.  :class:`BlockPropagators` holds one step per readout: b,
-then a :class:`GateLayer`, then a, with a and b per-parity operators, the
-factory's powers of the spin-lock cycle operator (:class:`Power`, placed by
-:func:`kick_layout`) or the per-pulse free step (:class:`FreeStep`).  At a
-kick that keeps P the factory multiplies the three into one half-size
-matrix per row sign (:func:`fuse_kick`), written over a power it consumes,
-so such a step is one :class:`Power`, one mat-vec per row.
-:func:`evolve_blockwise`, the one stepper, applies the steps and records Ix
-after each.  No 2^n vector and no 2^n x 2^n matrix is built.  The per-pulse
-and blockwise engines share `free_blocks` and the gate layer's call, and differ
-in how they combine them: pulse by pulse, or through powers of W.  The tests'
-dense oracles share only `rotation_gate` with this module: they apply gates spin
-by spin and build free evolution from one dense eigh.
+A run reads every block at one increasing tuple of readout slots that ends at the block
+end.  :class:`BlockPropagators` holds one step per readout: b, then a :class:`GateLayer`,
+then a, with a and b per-parity operators, the factory's powers of the spin-lock cycle
+operator (:class:`Power`, placed by :func:`kick_layout`) or the per-pulse free step
+(:class:`FreeStep`).  At a kick that keeps P the factory multiplies the three into one
+half-size matrix per row sign (:func:`fuse_kick`), written over a power it consumes, so
+such a step is one :class:`Power`, one mat-vec per row.  :func:`evolve_blockwise`, the one
+stepper, applies the steps and records Ix after each.  No 2^n x 2^n matrix is built, and
+only a mixing gate layer joins the rows into ψ's halves.  The per-pulse and blockwise
+engines share `free_blocks` and the gate layer's call, and differ in how they combine them:
+pulse by pulse, or through powers of W.  The tests' dense oracles share only `rotation_gate`
+with this module: they apply gates spin by spin and build free evolution from one dense eigh.
 """
 
 from __future__ import annotations
@@ -112,12 +109,18 @@ class SignalTrace:
         l T + slot tau, the pre-drive one at t = 0.
         """
         slots = tuple(slots)
-        cycle_index, pulse_index = cls.slot_layout(slots, (len(values) - 1) // len(slots))
+        cycle, slot = cls.slot_layout(slots, (len(values) - 1) // len(slots))
         T = spec.block_duration
-        times = np.where(pulse_index == spec.slots_per_block, (cycle_index + 1) * T,
-                         cycle_index * T + pulse_index * spec.tau)
+        times = np.multiply(cycle, T)
+        times += slot * spec.tau
+        np.multiply(cycle + 1, T, out=times, where=slot == spec.slots_per_block)
         return cls(times=times, values=np.asarray(values, dtype=float), slots=slots,
                    block_duration=T, slots_per_block=spec.slots_per_block, meta=meta)
+
+    @staticmethod
+    def peak_bytes(num_samples: int) -> int:
+        """Most bytes a trace of ``num_samples`` holds in `at_slots`: 5 arrays, a mask, a buffer."""
+        return 41 * num_samples + 8 * min(num_samples, np.getbufsize())
 
     @staticmethod
     def slot_layout(slots, num_cycles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +150,13 @@ def rotation_gate(axis: str, angle: float) -> np.ndarray:
 
 # -- spin-flip parity rows -------------------------------------------------
 
-def kick_parity(gamma_y: float, num_spins: int, angle_spread: float = 0.0) -> int:
+def kick_parity(gamma_y: float, num_spins: int) -> int:
     """How the kick maps a P eigenstate: 1 keeps its parity, -1 flips it, 0 mixes P = ±1.
 
     The one gamma = pi rule, from the angle exactly, never from the numbers:
     Y(pi) = -i σy anticommutes with σx, so Y(pi)^⊗n P = (-1)^n P Y(pi)^⊗n.
     """
-    if gamma_y != math.pi or angle_spread != 0.0:
+    if gamma_y != math.pi:
         return 0
     return -1 if num_spins % 2 else 1
 
@@ -274,39 +277,41 @@ class Power:
 
 
 class GateLayer:
-    """A layer of single-spin ``gates`` on parity rows, acting by its `kick_parity` ``parity``.
+    """One 2x2 ``gate`` on every spin, applied to parity rows by its `kick_parity` ``parity``.
 
-    With spin 0 the most significant bit the layer is g ⊗ G', g spin 0's gate and
-    G' (``halves``) the layer on the other n - 1 spins; a P = s state has
-    ψ[H₁] = s ψ[H₀][::-1].  Parity ±1: the layer folds onto each row c as
-    x = g₀₀ c + s g₀₁ c[::-1], and G' x is a row of parity ``parity`` · s.  Parity 0:
-    the rows give y₀ = Σ c_s = √2 ψ[H₀] and y₁ = (Σ s c_s)[::-1] = √2 ψ[H₁], so with
-    x = g y / 2 the rows z = G' x are (G ψ)[H₀] / √2 and (G ψ)[H₁] / √2, and the new
-    rows of signs (1, -1) are z₀ ± z₁[::-1].
-
-    A folding call takes any rows, strided too: a state's, U±'s (`cycle_parity`) or a
-    power's transposed columns (`fuse_kick`), and holds three temporaries of their size.
+    Spin 0 is the most significant bit, and a P = s state has ψ[H₁] = s ψ[H₀][::-1].
+    Parity ±1: the layer is g ⊗ G', G' (``halves``) on spins 1 ... n-1; it folds onto each
+    row c as x = g₀₀ c + s g₀₁ c[::-1], and G' x is a row of parity ``parity`` · s.  Parity
+    0: it acts on √2 ψ's halves, y₀ = Σ c_s and y₁ = (Σ s c_s)[::-1], as one 2^k x 2^(n-k)
+    matrix, spin 0 and a factor 1/2 in its first half: z = (G ψ) / √2, and the new rows, of
+    signs (1, -1), are z₀ ± z₁[::-1].  A folding call takes any rows, strided too: a state's,
+    U±'s (`cycle_parity`) or a power's transposed columns (`fuse_kick`), and holds three
+    temporaries of their size.
     """
 
-    def __init__(self, gates, num_spins: int, parity: int):
-        gates = [gates] * num_spins if np.shape(gates) == (2, 2) else gates
-        self.gate, self.parity = gates[0], parity
-        k = (num_spins + 1) // 2  # G' = (gates 1 ... k - 1) ⊗ (gates k ... n - 1)
-        kron = lambda part: reduce(np.kron, part, np.ones((1, 1), dtype=complex))
-        self.halves = kron(gates[1:k]), kron(gates[k:])
+    def __init__(self, gate: np.ndarray, num_spins: int, parity: int):
+        self.gate, self.parity = gate, parity
+        k = (num_spins + 1) // 2  # the first half: spins 1 ... k - 1 folding, 0 ... k - 1 mixing
+        power = lambda m: reduce(np.kron, [gate] * m, np.ones((1, 1), dtype=complex))
+        self.halves = power(k) / 2 if not parity else power(k - 1), power(num_spins - k)
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
         g, (first, second) = self.gate, self.halves
         if self.parity:
             x = (np.asarray(signs)[:, None] * g[0, 1]) * rows[:, ::-1]
             x += g[0, 0] * rows
-        else:
-            x = g / 2 @ np.stack((rows.sum(axis=0), (np.asarray(signs) @ rows)[::-1]))
-        z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
-        if self.parity:  # a list, not a generator: CPython's free list keeps resized tuples
+            z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
+            # a list, not a generator: CPython's free list keeps resized tuples
             return z, tuple([self.parity * s for s in signs])
-        flipped = z[1, ::-1]
-        return np.stack((z[0] + flipped, z[0] - flipped)), (1, -1)
+        y = np.empty((2, rows.shape[1]), dtype=complex)  # √2 ψ's halves, then the new rows
+        np.add.reduce(rows, axis=0, out=y[0])
+        np.subtract.reduce(rows[:, ::-1], axis=0, out=y[1])  # a second row's sign is -signs[0]
+        if signs[0] < 0:
+            y[1] *= -1
+        z = (first @ y.reshape(first.shape[0], -1) @ second.T).reshape(2, -1)
+        np.add(z[0], z[1, ::-1], out=y[0])
+        np.subtract(z[0], z[1, ::-1], out=y[1])
+        return y, (1, -1)
 
 
 # -- initial state ---------------------------------------------------------
@@ -330,20 +335,6 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
             raise ValueError(f"decay_time = {decay_time} needs a hamiltonian to decay under")
         row = FreeStep(hamiltonian.eigensystem(), decay_time)(row[None], (1,))[0][0]
     return row
-
-
-def _kick_gates(spec: MonopoleSpec, num_spins: int,
-                angle_spread: float = 0.0, disorder_seed: int | None = None):
-    """Per-spin y-kick gates, optionally with static angle inhomogeneity.
-
-    ``angle_spread`` is the fractional full width of a uniform interval
-    around gamma_y (0.018 mimics the measured pulse inhomogeneity).
-    """
-    if angle_spread == 0.0:
-        return rotation_gate("y", spec.gamma_y)
-    rng = np.random.Generator(np.random.PCG64(disorder_seed))
-    angles = spec.gamma_y * (1.0 + angle_spread * rng.uniform(-0.5, 0.5, size=num_spins))
-    return [rotation_gate("y", a) for a in angles]
 
 
 def _check_norm(state: np.ndarray, context: str):
@@ -611,22 +602,18 @@ class BlockPropagatorFactory:
 
         A step is a :class:`Power` of the chains the rows reach: P = +1 alone if
         the kick keeps it, else both.  A plain step is (W^e,), a fused kick step
-        (F,) and any other kick step (W^b, G, W^a).  A given ``include_half``
-        must name the factory's slots: the half-period slot and the block end, or
-        the block end alone.
+        (F,) and any other kick step (W^b, G, W^a).  The benchmark's key binds
+        ``include_half``, ``angle_spread`` and ``disorder_seed`` by name; each takes its default.
         """
-        end, n = self.spec.slots_per_block, self.num_spins
-        if include_half is not None and self.slots != (
-                (half_sample_slot(self.spec), end) if include_half else (end,)):
-            raise ValueError(f"factory built for slots {self.slots}, "
-                             f"asked for include_half={include_half}")
+        if (include_half, angle_spread, disorder_seed) != (None, 0.0, None):
+            raise ValueError("include_half, angle_spread and disorder_seed take their defaults")
+        n = self.num_spins
         spec = replace(self.spec, gamma_y=self.spec.gamma_y if gamma_y is None else gamma_y)
-        parity = kick_parity(spec.gamma_y, n, angle_spread)
+        parity = kick_parity(spec.gamma_y, n)
         if self.fused and not parity:
-            raise ValueError(f"factory fused its kick steps for kicks that keep P, asked for "
-                             f"gamma_y = {spec.gamma_y} with angle_spread {angle_spread}")
-        kick = GateLayer(np.matmul(rotation_gate("x", spec.theta_x).conj().T,
-                                   _kick_gates(spec, n, angle_spread, disorder_seed)), n, parity)
+            raise ValueError(f"a fused factory serves kicks that keep P, not {spec.gamma_y}")
+        kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
+                         @ rotation_gate("y", spec.gamma_y), n, parity)
         signs = (1,) if parity == 1 else (1, -1)
         chains = {s: self.parity(s) for s in signs}
         if parity and not self.fused:  # F_s = A_{p s} · L_s · B_s, written over B_s
@@ -671,38 +658,39 @@ class BlockPropagators:
 
 def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
                      stop_factor: float | None = None) -> SignalTrace:
-    """Evolve the P = +1 ``row`` of `initial_state` block by block under `stream`,
-    recording Ix after every step.
+    """Evolve the P = +1 ``row`` of `initial_state` block by block under `stream`, recording
+    Ix after every step.
 
-    This is the one stepping loop of every engine.  The state starts as that
-    one row, signs (1,); the first :class:`GateLayer` that mixes P turns it
-    into the two rows of signs (1, -1).  A step costs, per row, a half-size
-    mat-vec per :class:`Power`, one gather, ⌊n/2⌋ + 1 pair mat-vecs and one
-    scatter per :class:`FreeStep` and an (n - 1)-spin layer per
-    :class:`GateLayer`, then `parity_ix`, a few real products on all rows at
-    once; a mixing layer costs two, whatever it is given.  A plain or fused
-    factory step is one mat-vec per row.  The norm is checked once a cycle.
-    With ``stop_factor`` the run ends at the first block-end sample below
-    ``stop_factor / e`` of the initial magnitude, since later cycles cannot
-    move the lifetime argmin; ``num_cycles`` counts the cycles evolved.
+    This is the one stepping loop of every engine.  The state starts as that one row, signs
+    (1,); the first :class:`GateLayer` that mixes P turns it into the two rows of signs
+    (1, -1).  A step costs, per row, a half-size mat-vec per :class:`Power`, one gather,
+    ⌊n/2⌋ + 1 pair mat-vecs and one scatter per :class:`FreeStep` and an (n - 1)-spin layer
+    per folding :class:`GateLayer` (a mixing one is one n-spin layer), then `parity_ix`, a
+    few real products on all rows at once.  The norm is checked once a cycle.  With
+    ``stop_factor`` the run ends at the first block-end sample below ``stop_factor / e`` of
+    the initial magnitude: the stop is part of how a heating lifetime is defined, as an
+    envelope that is not monotone may cross 1/e again later.  The samples fill one array
+    sized for the stream, trimmed at the stop.
     """
     spec, num_spins = props.spec, props.num_spins
     if row.shape != (1 << (num_spins - 1),):
         raise ValueError("state dimension does not match the propagators")
     rows, signs = np.asarray(row, dtype=complex)[None], (1,)
-    values = [parity_ix(rows, signs)]
+    values = np.empty(1 + len(stream) * len(props.slots))
+    values[0] = parity_ix(rows, signs)
     # without stop_factor the target is 0, which no magnitude falls below
     target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
+    i = 0  # the last sample written
     for cycle, sym in enumerate(stream.symbols, start=1):
-        for step in props.steps[int(sym)]:
+        for i, step in enumerate(props.steps[int(sym)], start=i + 1):
             for factor in step:
                 rows, signs = factor(rows, signs)
-            values.append(parity_ix(rows, signs))
+            values[i] = parity_ix(rows, signs)
         _check_norm(rows, f"cycle {cycle}")
-        if abs(values[-1]) < target:
+        if abs(values[i]) < target:
             break
     return SignalTrace.at_slots(
-        spec, props.slots, values,
+        spec, props.slots, values[:i + 1],
         meta={"engine": "full-blockwise", "num_spins": num_spins,
               "stream_seed": stream.seed, "n_order": order_label(stream),
               "gamma_y": spec.gamma_y, "tau": spec.tau})
@@ -718,15 +706,14 @@ def evolve(program: PulseProgram, hamiltonian: Hamiltonian, row: np.ndarray) -> 
     samples are exact expectation values, free of read-out noise.  ``row`` is
     the P = +1 row of `initial_state`.
     """
-    spec, num_spins = program.spec, hamiltonian.num_spins
+    spec, n = program.spec, hamiltonian.num_spins
     free = FreeStep(hamiltonian.eigensystem(), spec.tau)
-    x = (GateLayer(rotation_gate("x", spec.theta_x), num_spins, 1), free)
-    kick = (GateLayer(_kick_gates(spec, num_spins), num_spins,
-                      kick_parity(spec.gamma_y, num_spins)), free)
+    x = (GateLayer(rotation_gate("x", spec.theta_x), n, 1), free)
+    kick = (GateLayer(rotation_gate("y", spec.gamma_y), n, kick_parity(spec.gamma_y, n)), free)
     slots = tuple(range(1, spec.slots_per_block + 1))
     steps = {sign: tuple(kick if slot == kick_slot + 1 else x for slot in slots)
              for sign, kick_slot in ((1, spec.kick_plus), (-1, spec.kick_minus))}
-    props = BlockPropagators(spec, slots, steps, num_spins)
+    props = BlockPropagators(spec, slots, steps, n)
     trace = evolve_blockwise(program.stream, props, row)
     trace.meta["engine"] = "full"
     return trace

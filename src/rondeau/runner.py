@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import (MIN_SPECTRUM_CYCLES, NORMALIZATIONS, HeatingFit, SpectrumResult,
                        fit_power_law, half_frequency_contrast, lifetime, min_contrast_cycles,
                        phase_diagram, dft_micromotion, dft_stroboscopic, symbol_dft)
-from .codec import LowConfidenceError, Message, decode, decode_margins, encode
+from .codec import BITS_PER_CHAR, LowConfidenceError, Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
 from .evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, PulseProgram,
                         SignalTrace, check_kick_layout, evolve, evolve_blockwise,
@@ -233,15 +233,26 @@ def _builds_systems(config: RunConfig) -> bool:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Peak bytes of a run's arrays, 0 without a system: the kept `Hamiltonian.eigensystem_bytes`
-    and `parity_ix_bytes`, plus the largest stage: eigensystem build, trace `FreeStep`, factory."""
+    """Peak bytes of a run's arrays: the `SignalTrace.peak_bytes` of its longest trace and, with
+    a system, the kept `Hamiltonian.eigensystem_bytes` and `parity_ix_bytes`, plus the largest
+    stage: eigensystem build, trace `FreeStep`, factory."""
+    trace = SignalTrace.peak_bytes(_trace_samples(config))
     if not _builds_systems(config):
-        return 0
+        return trace
     n, specs = config.num_spins, _point_specs(config)
     kept, build = Hamiltonian.eigensystem_bytes(n)
     stage = FreeStep.peak_bytes(n) if config.kind == "trace" else BlockPropagatorFactory.peak_bytes(
         n, config.spec(), _readout_slots(config), {kick_parity(s.gamma_y, n) for s in specs})
-    return kept + parity_ix_bytes(n) + max(build, stage)
+    return trace + kept + parity_ix_bytes(n) + max(build, stage)
+
+
+def _trace_samples(config: RunConfig) -> int:
+    """Samples of the longest trace a run records: none for a decode or a symbol spectrum."""
+    if config.kind == "decode" or (config.kind, config.spectrum_kind) == ("spectrum", "symbol"):
+        return 0
+    cycles = (len(config.text) * BITS_PER_CHAR if config.kind == "encode"
+              else config.max_cycles if config.kind in _SWEEPS else config.cycles)
+    return 1 + cycles * len(_readout_slots(config))
 
 
 def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:

@@ -35,9 +35,9 @@ def _write(path, meta: dict, columns: dict, *data):
     of the ``data`` arrays, each formatted by the kind (float, int, str) of its column."""
     header = [f"# {key}={json.dumps('inf' if isinstance(v, float) and math.isinf(v) else v)}\n"
               for key, v in meta.items()]
-    cells = [map(repr if kind is float else str, np.asarray(values, dtype=kind).tolist())
+    cells = [map(repr if kind is float else str, map(kind, np.asarray(values, dtype=kind)))
              for kind, values in zip(columns.values(), data)]
-    with open(path, "w") as f:  # row by row, holding no list of row strings
+    with open(path, "w") as f:  # row by row, holding no list of cells or row strings
         f.writelines(header + [",".join(columns) + "\n"])
         f.writelines(",".join(row) + "\n" for row in zip(*cells))
 

@@ -47,18 +47,15 @@ def pi_shift_mirror(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes[(m // 2 - np.arange(m)) % m]
 
 
-def gates_by_spin(state: np.ndarray, gates, num_spins: int) -> np.ndarray:
-    """Each spin's 2x2 gate applied to its own axis of `state`, one spin at a time.
+def gates_by_spin(state: np.ndarray, gate: np.ndarray, num_spins: int) -> np.ndarray:
+    """The 2x2 ``gate`` applied to each spin's own axis of `state`, one spin at a time.
 
     Works on vectors (dim,) and on matrices (dim, m): trailing axes are a
-    flat batch.  `gates` is a single gate shared by all spins or a list of
-    per-spin gates; spin 0 is the most significant bit of a basis index.
+    flat batch.  Spin 0 is the most significant bit of a basis index.
     """
-    if np.shape(gates) == (2, 2):
-        gates = [gates] * num_spins
     out = np.array(state, dtype=complex)
-    for k, g in enumerate(gates):
-        out = np.einsum("ij,ajb->aib", g, out.reshape(2**k, 2, -1))
+    for k in range(num_spins):
+        out = np.einsum("ij,ajb->aib", gate, out.reshape(2**k, 2, -1))
     return out.reshape(np.shape(state))
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, FreeStep, GateLayer, Power, PowerChain,
-                               PulseProgram, _kick_gates, _sum_sigma_x, cycle_parity, evolve,
+                               PulseProgram, SignalTrace, _sum_sigma_x, cycle_parity, evolve,
                                evolve_blockwise, free_blocks, fuse_kick, fuse_kick_bytes,
                                initial_state, kick_layout, kick_parity, parity_ix,
                                parity_ix_bytes, rotation_gate)
@@ -164,41 +165,29 @@ class TestKroneckerHalves:
     spin's gate applied to the joined state vector by `gates_by_spin`."""
 
     @staticmethod
-    def check(gates, num_spins: int, parity: int, rows: np.ndarray, signs: tuple):
-        out, out_signs = GateLayer(gates, num_spins, parity)(rows, signs)
+    def check(gate, num_spins: int, parity: int, rows: np.ndarray, signs: tuple):
+        out, out_signs = GateLayer(gate, num_spins, parity)(rows, signs)
         if parity:  # the folding branch: each row is a state of its own
             for c, s, z, t in zip(rows, signs, out, out_signs, strict=True):
-                expected = gates_by_spin(join_rows(c[None], (s,)), gates, num_spins)
+                expected = gates_by_spin(join_rows(c[None], (s,)), gate, num_spins)
                 assert np.abs(join_rows(z[None], (t,)) - expected).max() < 1e-12
         else:
-            expected = gates_by_spin(join_rows(rows, signs), gates, num_spins)
+            expected = gates_by_spin(join_rows(rows, signs), gate, num_spins)
             assert np.abs(join_rows(out, out_signs) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
     @pytest.mark.parametrize("batch", [None, 3])
-    @pytest.mark.parametrize("per_spin", [False, True])
-    def test_matches_per_spin_loop(self, num_spins, batch, per_spin):
-        """Random gates mix P: the two rows of one state.  x rotations keep it: a ``batch``
-        of rows of both signs through the folding branch, as the factory applies it."""
+    def test_matches_per_spin_loop(self, num_spins, batch):
+        """A random gate mixes P: the two rows of one state.  An x rotation keeps it: a
+        ``batch`` of rows of both signs through the folding branch, as the factory applies it."""
         g = rng(num_spins)
         shape = (2 if batch is None else batch, 2**(num_spins - 1))
         rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
         if batch is None:
-            gates = ([random_unitary(2, seed=k) for k in range(num_spins)] if per_spin
-                     else random_unitary(2, seed=num_spins))
-            self.check(gates, num_spins, 0, rows, (1, -1))
+            self.check(random_unitary(2, seed=num_spins), num_spins, 0, rows, (1, -1))
         else:
-            angles = g.uniform(0, 2 * math.pi, size=num_spins if per_spin else 1)
-            gates = [rotation_gate("x", a) for a in angles] if per_spin else rotation_gate(
-                "x", angles[0])
-            self.check(gates, num_spins, 1, rows, (1, -1, -1)[:batch])
-
-    @pytest.mark.parametrize("num_spins", [1, 2, 5, 6])
-    def test_angle_spread_gates(self, num_spins):
-        spec = MonopoleSpec(12, 8, 4, gamma_y=0.97 * math.pi)
-        gates = _kick_gates(spec, num_spins, angle_spread=0.018, disorder_seed=3)
-        rows = parity_rows(random_unitary(2**num_spins, seed=num_spins)[:, 0])
-        self.check(gates, num_spins, 0, rows, (1, -1))
+            gate = rotation_gate("x", g.uniform(0, 2 * math.pi))
+            self.check(gate, num_spins, 1, rows, (1, -1, -1)[:batch])
 
 
 def system(num_spins: int):
@@ -492,8 +481,8 @@ class TestFactoryMemory:
         would add 44-50 % here.  The free step alone holds its `FreeStep.peak_bytes`."""
         couplings = compute_couplings(generate_graph(num_spins, seed=11), 1.0)
         config = RunConfig(kind="trace", out_dir="x", num_spins=num_spins,
-                           pulses_per_block=12, kick_plus=8, kick_minus=4)
-        program = PulseProgram(sample_rmd(0, 2, seed=1), config.spec())
+                           pulses_per_block=12, kick_plus=8, kick_minus=4, cycles=2)
+        program = PulseProgram(sample_rmd(0, config.cycles, seed=1), config.spec())
         row0 = initial_state(config.num_spins)
         _, _, peak = traced(lambda: evolve(program, build_hamiltonian(couplings), row0))
         estimate = peak_matrix_bytes(config)
@@ -504,6 +493,35 @@ class TestFactoryMemory:
         # the free step's blocks are half the C(2n, n) complex entries of U_free's sectors
         blocks = free_blocks(eigensystem, config.tau)
         assert sum(b.nbytes for _, _, b in blocks) == 8 * math.comb(2 * num_spins, num_spins)
+
+    @pytest.mark.parametrize("engine", ["full", "dephasing"])
+    @pytest.mark.parametrize("cycles", [1, 64, 256])
+    def test_trace_placement_holds_its_bytes(self, engine, cycles):
+        """A trace of 301-slot blocks peaks at its `SignalTrace.peak_bytes` while it is placed:
+        from the values array `evolve_blockwise` fills, or inside `model_signal`."""
+        spec, stream = MonopoleSpec(), sample_rmd(0, cycles, seed=1)
+        slots = tuple(range(1, spec.slots_per_block + 1))
+        samples = 1 + cycles * len(slots)
+        if engine == "full":
+            values = np.zeros(samples)
+            _, _, peak = traced(lambda: SignalTrace.at_slots(spec, slots, values, {}))
+            peak += values.nbytes
+        else:
+            _, _, peak = traced(lambda: model_signal(stream, DephasingParams(spec, slots)))
+        assert abs(peak - SignalTrace.peak_bytes(samples)) <= BOOKKEEPING
+
+    @pytest.mark.parametrize("engine", ["full", "dephasing"])
+    def test_long_trace_run_within_its_estimate(self, tmp_path, engine):
+        """A trace of 64 cycles at n = 8 holds 19,265 samples, 40 bytes each while
+        `SignalTrace.at_slots` places them: four times the system's bytes, on either engine.
+        A run whose writer held its cells as Python objects would add about 100 bytes each."""
+        config = RunConfig(kind="trace", engine=engine, out_dir=str(tmp_path / "run"),
+                           num_spins=8, cycles=64)
+        run(replace(config, out_dir=str(tmp_path / "warm"), cycles=2))  # imports, caches
+        _, _, peak = traced(lambda: run(config))
+        estimate = peak_matrix_bytes(config)
+        assert SignalTrace.peak_bytes(19265) > 0.75 * estimate
+        assert abs(peak - estimate) <= 0.1 * estimate
 
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_readout_caches_hold_their_bytes(self, num_spins):

@@ -304,11 +304,32 @@ class TestRunConfig:
         RunConfig(out_dir="x", num_spins=15, r_min=1.5, **overrides).validate()
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_dephasing_engine_never_rejected_for_memory(self, monkeypatch, kind):
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 0)
-        RunConfig(kind=kind, out_dir="x", engine="dephasing", num_spins=14,
-                  gamma_grid=(math.pi,), eps_grid=(0.1,), tau_grid=(0.05,), text="Hi",
-                  trace_file="trace.csv").validate()
+    def test_dephasing_engine_estimate_is_its_trace_alone(self, monkeypatch, kind):
+        """The dephasing engine builds no system: at n = 14 it needs the bytes of its
+        longest trace, no more, and none for a decode."""
+        config = RunConfig(kind=kind, out_dir="x", engine="dephasing", num_spins=14,
+                           gamma_grid=(math.pi,), eps_grid=(0.1,), tau_grid=(0.05,), text="Hi",
+                           trace_file="trace.csv")
+        estimate = runner.peak_matrix_bytes(config)
+        assert estimate == SignalTrace.peak_bytes(runner._trace_samples(config))
+        assert (estimate == 0) == (kind == "decode")
+        monkeypatch.setattr(runner, "_physical_memory", lambda: estimate)
+        config.validate()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_long_trace_refused_for_its_samples(self, monkeypatch, engine):
+        """A 2^20-cycle trace of 301-slot blocks holds 3.2e8 samples, about 14 GiB, while
+        the n = 8 system's matrices take a few hundred KB."""
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 8 * 2**30)
+        config = RunConfig(kind="trace", out_dir="x", engine=engine, num_spins=8,
+                           cycles=2**20)
+        samples = 1 + 2**20 * config.spec().slots_per_block
+        assert runner._trace_samples(config) == samples
+        with pytest.raises(ConfigError) as err:
+            config.validate()
+        assert str(runner.peak_matrix_bytes(config)) in str(err.value)
+        assert runner.peak_matrix_bytes(config) - SignalTrace.peak_bytes(samples) < 2**20
+        dataclasses.replace(config, cycles=2**10).validate()
 
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
