@@ -157,7 +157,6 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit requires strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
-    n = lx.size
     mx = lx.mean()
     sxx = np.sum((lx - mx) ** 2)
     if sxx == 0:
@@ -165,9 +164,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     slope = np.sum((lx - mx) * (ly - ly.mean())) / sxx
     intercept = ly.mean() - slope * mx
     residuals = ly - (slope * lx + intercept)
-    variance = np.sum(residuals**2) / (n - 2) if n > 2 else 0.0
-    return PowerLawFit(exponent=float(slope),
-                       stderr=float(math.sqrt(max(variance, 0.0) / sxx)),
+    variance = np.sum(residuals**2) / (lx.size - 2)  # 3 or more points
+    return PowerLawFit(exponent=float(slope), stderr=float(math.sqrt(variance / sxx)),
                        prefactor=float(math.exp(intercept)))
 
 
@@ -185,13 +183,9 @@ def phase_diagram(gammas, rows, block_duration: float, n_order=None, realization
     gammas = np.asarray(gammas, dtype=float)
     order = np.argsort(gammas)
     rows = np.vstack(rows)[order]  # a ValueError unless the rows are equally long
-    if normalization == "row":
-        peaks = rows.max(axis=1, keepdims=True)
+    if normalization != "none":  # rows or the whole map to unit maximum, unless not positive
+        peaks = rows.max(axis=1 if normalization == "row" else None, keepdims=True)
         rows = np.where(peaks > 0, rows / np.where(peaks > 0, peaks, 1.0), rows)
-    elif normalization == "global":
-        peak = rows.max()
-        if peak > 0:
-            rows = rows / peak
     m = rows.shape[1]
     nu_grid = 2.0 * np.pi * np.arange(m) / (m * round(block_duration, 12))
     return PhaseDiagram(gamma_grid=gammas[order], nu_grid=nu_grid, intensity=rows,

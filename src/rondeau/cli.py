@@ -27,16 +27,13 @@ from .sequences import MonopoleSpec
 from .spins import COUPLING_MODELS
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_TUPLE_FLOAT_FIELDS = {"gamma_grid", "eps_grid", "tau_grid"}
-_TUPLE_STR_FIELDS = {"n_orders"}
 
 
 def _parse_config_value(key: str, raw: str):
-    if key in _TUPLE_FLOAT_FIELDS:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    if key in _TUPLE_STR_FIELDS:
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
     hint = _FIELD_TYPES[key]
+    if hint == "tuple":  # comma-separated: n_orders' order labels, every grid's floats
+        items = tuple(x.strip() for x in raw.split(",") if x.strip())
+        return items if key == "n_orders" else tuple(map(float, items))
     if "int" in hint:
         return int(raw)
     if "float" in hint:
@@ -124,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and exponent/stderr or error; eps entries add rate_at_pi and "
                     "reference_crossed (an order whose gamma=pi reference never "
                     "crossed 1/e is not fitted and its rate_at_pi is null), period "
-                    "and highfreq entries add smallest_period_rate.")
+                    "and highfreq entries add smallest_period_rate. The heating_<sweep>.csv "
+                    "header holds swept (its epsilon or period column), engine, seed, "
+                    "max_cycles and config_hash.")
     _add_common(p); _add_system(p); _add_drive(p)
     p.add_argument("--sweep", choices=["eps", "period", "highfreq"], default="eps",
                    help="eps: kick-angle deviation; period: tau with eps = slope*T; "
@@ -175,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _geomspace(lo: float, hi: float, points: int) -> tuple:
-    return tuple(float(x) for x in np.geomspace(lo, hi, points))
+def _grid(space, lo: float, hi: float, points: int) -> tuple:
+    return tuple(float(x) for x in space(lo, hi, points))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -193,26 +192,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if "out_dir" not in values:
         raise ConfigError("an output directory is required (--out)")
 
-    command = args.command
+    command = values["kind"] = args.command
     if command == "heating":
         values["kind"] = f"heating-{args.sweep}"
         if args.sweep == "eps" and "eps_grid" not in values:
-            values["eps_grid"] = _geomspace(args.eps_min, args.eps_max, args.eps_points)
+            values["eps_grid"] = _grid(np.geomspace, args.eps_min, args.eps_max, args.eps_points)
         if args.sweep in ("period", "highfreq") and "tau_grid" not in values:
-            values["tau_grid"] = _geomspace(args.tau_min, args.tau_max, args.tau_points)
-    elif command == "phase-diagram":
-        values["kind"] = "phase-diagram"
-        if "gamma_grid" not in values:
-            values["gamma_grid"] = tuple(
-                float(x) for x in np.linspace(args.gamma_min, args.gamma_max,
-                                              args.gamma_points))
-    elif command == "encode":
-        values["kind"] = "encode"
-        if getattr(args, "file", None):
-            with open(args.file) as fh:
-                values["text"] = fh.read().rstrip("\n")
-    else:
-        values["kind"] = command
+            values["tau_grid"] = _grid(np.geomspace, args.tau_min, args.tau_max, args.tau_points)
+    elif command == "phase-diagram" and "gamma_grid" not in values:
+        values["gamma_grid"] = _grid(np.linspace, args.gamma_min, args.gamma_max,
+                                     args.gamma_points)
+    elif command == "encode" and getattr(args, "file", None):
+        with open(args.file) as fh:
+            values["text"] = fh.read().rstrip("\n")
     return RunConfig(**values)
 
 

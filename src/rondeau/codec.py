@@ -47,25 +47,16 @@ class Message:
     @property
     def bits(self) -> np.ndarray:
         """MSB-first code bits, BITS_PER_CHAR per character."""
-        out = np.empty(len(self.text) * BITS_PER_CHAR, dtype=np.int8)
-        for i, c in enumerate(self.text):
-            code = ord(c)
-            for j in range(BITS_PER_CHAR):
-                out[i * BITS_PER_CHAR + j] = (code >> (BITS_PER_CHAR - 1 - j)) & 1
-        return out
+        codes = np.frombuffer(self.text.encode("ascii"), dtype=np.uint8)
+        return np.unpackbits(codes[:, None], axis=1)[:, 8 - BITS_PER_CHAR:].ravel().view(np.int8)
 
     @classmethod
     def from_bits(cls, bits) -> "Message":
-        bits = np.asarray(bits, dtype=np.int8)
-        if bits.size % BITS_PER_CHAR:
-            bits = bits[: bits.size - bits.size % BITS_PER_CHAR]
-        chars = []
-        for i in range(0, bits.size, BITS_PER_CHAR):
-            code = 0
-            for b in bits[i:i + BITS_PER_CHAR]:
-                code = (code << 1) | int(b)
-            chars.append(chr(code))
-        return cls(text="".join(chars))
+        """Text of MSB-first code bits; a trailing partial character is dropped."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        chars = bits[:bits.size - bits.size % BITS_PER_CHAR].reshape(-1, BITS_PER_CHAR)
+        codes = np.packbits(chars, axis=1)[:, 0] >> (8 - BITS_PER_CHAR)
+        return cls(text=codes.tobytes().decode("ascii"))
 
 
 def encode(message: Message | str) -> SymbolStream:
@@ -93,15 +84,13 @@ def decode(trace: SignalTrace, threshold: float = 0.0) -> Message:
     the affected cycle numbers; a trailing partial character is dropped.
     """
     samples = decode_margins(trace)
-    weak = np.nonzero(np.abs(samples) <= threshold)[0]
     usable = samples.size - samples.size % BITS_PER_CHAR
     if usable == 0:
         raise ValueError("trace spans fewer cycles than one encoded character")
-    weak = weak[weak < usable]
+    weak = np.nonzero(np.abs(samples[:usable]) <= threshold)[0]
     if weak.size:
         raise LowConfidenceError(weak.tolist())
-    bits = (samples[:usable] > 0).astype(np.int8)
-    return Message.from_bits(bits)
+    return Message.from_bits(samples > 0)
 
 
 def capacity(floor_crossing_time: float, spec: MonopoleSpec,

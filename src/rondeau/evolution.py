@@ -407,9 +407,9 @@ class PowerChain:
     not yet built.  So a chain never needs more products than the binary method
     with shared squares.  A lean rule squares-and-multiplies from the top bit and
     pairs the largest a without W, so W is dropped early (201 = 101 + 100, not
-    200 + 1); its chain is kept if it needs no more products and has a lower
-    ``peak``, the most matrices `fill` holds at once: the base, built powers, the
-    identity.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, and ``drops[i]``
+    200 + 1); its chain is kept if it is no worse in products and in ``peak``, the
+    most matrices `fill` holds at once (the base, built powers, the identity), and
+    better in one.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, and ``drops[i]``
     names the powers that are no target and that no later step reads.
     """
 
@@ -418,8 +418,9 @@ class PowerChain:
         if any(e < 0 for e in self.targets):
             raise ValueError(f"negative exponent in {sorted(self.targets)}")
         binary, lean = self._chain(lean=False), self._chain(lean=True)
-        fewer = len(lean[0]) <= len(binary[0]) and lean[2] < binary[2]
-        self.steps, self.drops, self.peak = lean if fewer else binary
+        no_worse = len(lean[0]) <= len(binary[0]) and lean[2] <= binary[2]
+        better = no_worse and (len(lean[0]), lean[2]) != (len(binary[0]), binary[2])
+        self.steps, self.drops, self.peak = lean if better else binary
 
     def _chain(self, lean: bool) -> tuple[tuple, tuple, int]:
         """Steps, drops and peak of the binary rule, or of the lean rule."""

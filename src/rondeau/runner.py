@@ -169,12 +169,10 @@ class RunConfig:
             if order in seen:
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
             seen.add(order)
-        # a stream is rounded up to its order's 2**n; a sweep's Thue-Morse windows shift by r
         cycles = self.max_cycles if sweep else self.cycles
         for label in _orders(self) if self.kind not in ("encode", "decode") else ():
-            order = _parse_order(label)
-            length = (cycles + (self.realizations - 1 if sweep else 0) if order == math.inf
-                      else -(-cycles // 2**order) * 2**order)
+            # a sweep's Thue-Morse windows shift by up to realizations - 1
+            length = stream_symbols(label, cycles, self.realizations - 1 if sweep else 0)
             if length > DEFAULT_MAX_SYMBOLS:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
@@ -233,9 +231,13 @@ def _builds_systems(config: RunConfig) -> bool:
 
 
 def peak_matrix_bytes(config: RunConfig) -> int:
-    """Peak bytes of a run's arrays: the `SignalTrace.peak_bytes` of its longest trace and, with
-    a system, the kept `Hamiltonian.eigensystem_bytes` and `parity_ix_bytes`, plus the largest
-    stage: eigensystem build, trace `FreeStep`, factory."""
+    """Peak bytes of a run's arrays: a decode's `serialize.read_bytes` of its trace file, else
+    the `SignalTrace.peak_bytes` of its longest trace and, with a system, the kept
+    `Hamiltonian.eigensystem_bytes` and `parity_ix_bytes`, plus the largest stage: eigensystem
+    build, trace `FreeStep`, factory."""
+    if config.kind == "decode":  # a file that cannot be stat'ed adds 0, and fails when read
+        path = config.trace_file
+        return serialize.read_bytes(os.path.getsize(path)) if os.path.isfile(path) else 0
     trace = SignalTrace.peak_bytes(_trace_samples(config))
     if not _builds_systems(config):
         return trace
@@ -308,19 +310,24 @@ def derive_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def stream_symbols(order, cycles: int, offset: int = 0) -> int:
+    """Symbols `make_stream` draws: a random drive's ``cycles`` rounded up to a multiple of
+    its 2**n, a Thue-Morse window's ``cycles`` after the ``offset`` it skips."""
+    order = _parse_order(order)
+    return cycles + offset if order == math.inf else -(-cycles // 2**order) * 2**order
+
+
 def make_stream(order, cycles: int, seed: int, offset: int = 0) -> SymbolStream:
     """Stream covering `cycles` blocks for the given multipole order.
 
-    A random drive is rounded up to the next multiple of its 2**n alignment
-    (`RunConfig.validate` keeps fixed-length kinds aligned).  For the
-    deterministic n -> inf drive, ``offset`` selects the window that plays
-    the role of a realization; ``seed`` is ignored there.
+    A random drive is rounded up to `stream_symbols` (`RunConfig.validate` keeps
+    fixed-length kinds aligned).  For the deterministic n -> inf drive, ``offset``
+    selects the window that plays the role of a realization; ``seed`` is ignored there.
     """
     order = _parse_order(order)
     if order == math.inf:
         return thue_morse_stream(cycles, offset=offset)
-    chunk = 2**order
-    return sample_rmd(order, -(-cycles // chunk) * chunk, seed)
+    return sample_rmd(order, stream_symbols(order, cycles), seed)
 
 
 def _orders(config: RunConfig) -> tuple:
@@ -551,7 +558,9 @@ def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
         fits[str(order)] = entry
         rows += [(str(order), xs[j], rates[j], results[j][1], ys[j], crossed[j])
                  for j in range(len(xs))]
-    serialize.write_heating(out / f"{config.kind.replace('-', '_')}.csv", sweep.xname, rows)
+    meta = {"swept": sweep.xname, "engine": config.engine, "seed": config.seed,
+            "max_cycles": config.max_cycles, "config_hash": config.hash()}
+    serialize.write_heating(out / f"{config.kind.replace('-', '_')}.csv", meta, [*zip(*rows)])
     serialize.write_json(out / "fits.json", fits)
     return {"fits": fits}
 

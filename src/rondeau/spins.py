@@ -35,15 +35,10 @@ class NormalizationError(ValueError):
     """Coupling normalization impossible (all couplings vanish)."""
 
 
-def default_edge_length(num_spins: int) -> float:
-    """Cube edge giving unit number density, i.e. spacing of order one."""
-    return float(num_spins) ** (1.0 / 3.0)
-
-
 def cube_edge(num_spins: int, edge_length: float | None, r_min: float, r_max: float) -> float:
-    """``edge_length``, by default `default_edge_length`; a ValueError unless
-    0 < r_min < r_max < edge_length."""
-    edge = default_edge_length(num_spins) if edge_length is None else edge_length
+    """``edge_length``, by default n**(1/3), the edge of unit number density (a spacing of
+    order one); a ValueError unless 0 < r_min < r_max < edge_length."""
+    edge = float(num_spins) ** (1.0 / 3.0) if edge_length is None else edge_length
     if not (0 < r_min < r_max < edge):
         raise ValueError(f"need 0 < r_min < r_max < edge_length, got {r_min}, {r_max}, {edge}")
     return edge

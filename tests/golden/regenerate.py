@@ -17,15 +17,16 @@ replaced, and name each of them, with its reason, in CHANGES.md.  It also
 writes ``blas.json`` next to ``expected/``: the BLAS the outputs were made
 with (`blas_info`), since another GEMM kernel sums in another order.  A changed
 file is reported as ``floats only`` with the largest |delta| of its float
-tokens when nothing else in it moved (a reassociated matrix product), and as
-``content`` otherwise: a count, an integer, a word or a line that changed.
+tokens when nothing else in it moved (a reassociated matrix product), as ``header
+lines only`` when only its ``#`` lines moved, and as ``content`` otherwise: a count,
+an integer, a word or a line that changed.
 
     PYTHONPATH=src python tests/golden/regenerate.py --check
 
 runs the cases into a temporary directory instead, writes nothing under
 ``expected/``, prints the same lines, and exits 1 on an added or removed
-file, a content change, or a float token that moved by more than
-``CHECK_RTOL`` of its magnitude.
+file, a change of header lines or content, or a float token that moved by
+more than ``CHECK_RTOL`` of its magnitude.
 """
 
 from __future__ import annotations
@@ -144,7 +145,11 @@ def float_drift(before: bytes, after: bytes, relative: bool = False) -> float | 
 
 
 def describe(before: bytes, after: bytes) -> str:
-    """How a changed file moved: ``floats only, max |delta| ...`` or ``content``."""
+    """How a changed file moved: ``header lines only`` when its lines that do not start with
+    ``#`` are unchanged, else ``floats only, max |delta| ...`` or ``content``."""
+    body = lambda text: [line for line in text.splitlines() if not line.startswith(b"#")]
+    if body(before) == body(after):
+        return "header lines only"
     drift = float_drift(before, after)
     return "content" if drift is None else f"floats only, max |delta| {drift:.3g}"
 

@@ -15,8 +15,8 @@ from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.evolution import (BlockPropagatorFactory, FreeStep, GateLayer, Power, PowerChain,
                                PulseProgram, SignalTrace, _sum_sigma_x, cycle_parity, evolve,
                                evolve_blockwise, free_blocks, fuse_kick, fuse_kick_bytes,
-                               initial_state, kick_layout, kick_parity, parity_ix,
-                               parity_ix_bytes, rotation_gate)
+                               half_sample_slot, initial_state, kick_layout, kick_parity,
+                               parity_ix, parity_ix_bytes, rotation_gate)
 import rondeau.runner as runner
 from rondeau.runner import RunConfig, peak_matrix_bytes, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
@@ -144,6 +144,36 @@ class TestPowerChain:
         assert chain.peak == peak
         assert held_peak(largest_pair_chain(exponents), exponents) == reference
         assert [step for step in chain.steps if 1 in step[1:]][-1] == (101, 100, 1)
+
+    def test_lean_chain_kept_for_fewer_products_at_the_same_peak(self):
+        """9 pulses with kicks after pulses 3 and 1, read at the block end: both rules hold
+        5 matrices, and the lean chain needs 5 products where the binary one needs 6."""
+        spec = MonopoleSpec(pulses_per_block=9, kick_plus=3, kick_minus=1)
+        exponents = BlockPropagatorFactory._exponents(kick_layout(spec, (10,)))
+        assert exponents == {1, 3, 7, 9}
+        chain = PowerChain(exponents)
+        lean, binary = chain._chain(lean=True), chain._chain(lean=False)
+        assert (len(binary[0]), binary[2]) == (6, 5)
+        assert (chain.steps, chain.peak) == (lean[0], lean[2])
+        assert (len(chain.steps), chain.peak) == (5, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_other_rule_never_beats_the_kept_chain_on_both_counts(self, data):
+        """On a layout of 3-79 pulses read at the block end, or at the half period too, the
+        rule not kept needs no fewer products or holds no fewer matrices."""
+        pulses = data.draw(st.integers(3, 79))
+        minus = data.draw(st.integers(1, pulses - 2))
+        spec = MonopoleSpec(pulses_per_block=pulses, kick_minus=minus,
+                            kick_plus=data.draw(st.integers(minus + 1, pulses - 1)))
+        half = (half_sample_slot(spec),) if minus < half_sample_slot(spec) <= spec.kick_plus \
+            and data.draw(st.booleans()) else ()
+        chain = PowerChain(BlockPropagatorFactory._exponents(
+            kick_layout(spec, (*half, spec.slots_per_block))))
+        kept = (len(chain.steps), chain.peak)
+        for steps, _, peak in (chain._chain(lean=True), chain._chain(lean=False)):
+            other = (len(steps), peak)
+            assert not (other != kept and other[0] <= kept[0] and other[1] <= kept[1]), other
 
     def test_intermediates_are_dropped_after_last_use(self):
         chain = PowerChain(BOTH_LAYOUTS)

@@ -88,6 +88,11 @@ def test_regeneration_tells_float_drift_from_content_changes():
                   b"slot,value\n1,0.25\n", b"slot,value\n1,nan\n2,-1.5e-03\n"):
         assert float_drift(before, after) is None
         assert describe(before, after) == "content"
+    # a file whose '#' lines alone moved is named so, and --check still fails it
+    for after in (b"# seed=1\n" + before, b"# seed=2\n" + before):
+        assert describe(b"# seed=1\n" + before, after) == "header lines only"
+    assert describe(before, b"# seed=1\nslot,value\n1,0.25\n2,-1.6e-03\n") == "content"
+    assert check_failures({"t.csv": before}, {"t.csv": b"# seed=1\n" + before}) == ["t.csv"]
 
 
 def test_check_bounds_float_drift_relative_to_each_token():
@@ -142,15 +147,24 @@ def test_blas_info_reads_unknown_without_the_library(monkeypatch):
     assert blas_info() == {"config": "unknown", "core": "unknown"}
 
 
+_HEATING = (serialize.read_heating, lambda path, table: serialize.write_heating(path, *table))
 _READERS = {"trace.csv": (serialize.read_trace, serialize.write_trace),
             "stream.txt": (serialize.read_stream, serialize.write_stream),
             "spectrum.csv": (serialize.read_spectrum, serialize.write_spectrum),
             "graph.csv": (serialize.read_graph, serialize.write_graph),
-            "couplings.csv": (serialize.read_couplings, serialize.write_couplings)}
+            "couplings.csv": (serialize.read_couplings, serialize.write_couplings),
+            "phase_diagram.csv": (serialize.read_phase_diagram, serialize.write_phase_diagram),
+            "heating_eps.csv": _HEATING, "heating_period.csv": _HEATING,
+            "heating_highfreq.csv": _HEATING}
+#: Every non-JSON file under expected/.
+_TABLES = sorted(p.relative_to(EXPECTED) for p in EXPECTED.glob("*/*") if p.suffix != ".json")
 
 
-@pytest.mark.parametrize("path", sorted(p.relative_to(EXPECTED) for name in _READERS
-                                        for p in EXPECTED.glob(f"*/{name}")), ids=str)
+def test_every_golden_table_has_a_reader():
+    assert {path.name for path in _TABLES} == set(_READERS)
+
+
+@pytest.mark.parametrize("path", _TABLES, ids=str)
 def test_golden_files_read_back_and_rewrite_byte_for_byte(tmp_path, path):
     read, write = _READERS[path.name]
     write(tmp_path / path.name, read(EXPECTED / path))

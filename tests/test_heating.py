@@ -1,4 +1,5 @@
-"""Heating sweeps: strict read-back of the CSV, crossed-point fits, seed layout."""
+"""Heating sweeps: the CSV read back through `serialize.read_heating`, crossed-point fits,
+seed layout."""
 
 import dataclasses
 import json
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from rondeau import serialize
 from rondeau.analysis import fit_power_law
 from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set, _visits,
                             derive_seed, measure_rate, run)
@@ -40,17 +42,13 @@ def heating_config(out_dir, kind, **overrides):
     return RunConfig(**base)
 
 
-def read_heating(path, xname):
-    """Strict parser: every numeric field must be a plain int or float literal."""
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"n_order,{xname},rate_mean,rate_std,excess_rate,crossed"
-    rows = []
-    for line in lines[1:]:
-        order, x, mean, std, excess, crossed = line.split(",")
-        assert crossed in ("0", "1"), line
-        rows.append({"order": order, "x": float(x), "rate": float(mean),
-                     "std": float(std), "y": float(excess), "crossed": int(crossed)})
-    return rows
+def heating_rows(path, xname):
+    """The rows of a heating table as `serialize.read_heating` reads it, each a dict; the
+    header must name ``xname`` the swept column."""
+    meta, columns = serialize.read_heating(path)
+    assert meta["swept"] == xname
+    return [dict(zip(("order", "x", "rate", "std", "y", "crossed"), row))
+            for row in zip(*columns)]
 
 
 @pytest.mark.parametrize("kind, overrides", [
@@ -62,7 +60,13 @@ def test_csv_round_trips_and_agrees_with_fits(tmp_path, kind, overrides):
     config = heating_config(tmp_path, kind, **overrides)
     summary = run(config)
     filename, xname, point_index = LAYOUT[kind]
-    rows = read_heating(tmp_path / filename, xname)
+    rows = heating_rows(tmp_path / filename, xname)
+    meta, columns = serialize.read_heating(tmp_path / filename)
+    assert meta == {"swept": xname, "engine": "dephasing", "seed": 1,
+                    "max_cycles": config.max_cycles, "config_hash": config.hash()}
+    assert set(columns[-1]) <= {0, 1}
+    serialize.write_heating(tmp_path / "again.csv", meta, columns)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / filename).read_bytes()
     fits = json.loads((tmp_path / "fits.json").read_text())
     assert fits == summary["fits"]
     grid = config.eps_grid or config.tau_grid
@@ -125,7 +129,7 @@ def test_eps_sweep_does_not_fit_rates_unresolved_below_one_block(tmp_path):
     config = heating_config(tmp_path, "heating-eps", eps_grid=(1.25, 1.35, 1.45),
                             gamma_0=0.05)
     entry = run(config)["fits"]["0"]
-    rows = read_heating(tmp_path / "heating_eps.csv", "epsilon")
+    rows = heating_rows(tmp_path / "heating_eps.csv", "epsilon")
     assert [r["rate"] for r in rows] == [1.0 / config.spec().block_duration] * 3
     assert entry["reference_crossed"] and entry["points_used"] == 3
     assert "exponent" not in entry and "share the rate" in entry["error"]
@@ -138,7 +142,7 @@ def test_full_engine_sweep_pools_every_graph(tmp_path):
                        seed=3, graph_seed=5, graph_realizations=2, realizations=2, tau=0.1,
                        eps_grid=(0.3, 0.6), n_orders=("0", "inf"), max_cycles=256, **SMALL)
     fits = run(config)["fits"]
-    rows = read_heating(tmp_path / "heating_eps.csv", "epsilon")
+    rows = heating_rows(tmp_path / "heating_eps.csv", "epsilon")
     specs = [dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
              for eps in (0.0, *config.eps_grid)]
     graphs = config.validate()
@@ -173,7 +177,7 @@ def test_smallest_period_rate_for_descending_grid(tmp_path, kind):
                               n_orders=("0",)))
     assert down["fits"]["0"]["smallest_period_rate"] == \
         up["fits"]["0"]["smallest_period_rate"]
-    rows = read_heating(tmp_path / "down" / LAYOUT[kind][0], "period")
+    rows = heating_rows(tmp_path / "down" / LAYOUT[kind][0], "period")
     smallest = min(rows, key=lambda r: r["x"])
     assert down["fits"]["0"]["smallest_period_rate"] == smallest["rate"]
     assert down["fits"]["0"]["exponent"] == pytest.approx(up["fits"]["0"]["exponent"])

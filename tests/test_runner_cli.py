@@ -10,11 +10,14 @@ import pytest
 
 import rondeau.runner as runner
 import rondeau.spins as spins
+from rondeau import serialize
 from rondeau.cli import load_config_file, main
 from rondeau.evolution import SignalTrace
 from rondeau.runner import ENGINES, KINDS, ConfigError, RunConfig, derive_seed, run
 from rondeau.sequences import MonopoleSpec
 from rondeau.serialize import read_trace, write_trace
+
+from conftest import traced
 
 
 def dephasing_trace_config(out_dir, **overrides):
@@ -330,6 +333,50 @@ class TestRunConfig:
         assert str(runner.peak_matrix_bytes(config)) in str(err.value)
         assert runner.peak_matrix_bytes(config) - SignalTrace.peak_bytes(samples) < 2**20
         dataclasses.replace(config, cycles=2**10).validate()
+
+    @staticmethod
+    def decode_config(tmp_path, text: str) -> RunConfig:
+        """A decode of the trace.csv of a dephasing encode of ``text``, whose signals are
+        17-digit floats as a real run's are."""
+        run(RunConfig(kind="encode", out_dir=str(tmp_path / "enc"), engine="dephasing",
+                      num_spins=6, pulses_per_block=30, kick_plus=20, kick_minus=10,
+                      gamma_0=0.01, text=text))
+        return RunConfig(kind="decode", out_dir=str(tmp_path / "dec"),
+                         trace_file=str(tmp_path / "enc" / "trace.csv"))
+
+    @pytest.mark.parametrize("chars", [40, 320])
+    def test_decode_within_its_trace_files_estimate(self, tmp_path, chars):
+        """A decode holds what `_read` holds for its trace file, 20 KB or 180 KB here."""
+        text = ("Rondeau? " * 40)[:chars]
+        config = self.decode_config(tmp_path, text)
+        estimate = runner.peak_matrix_bytes(config)
+        assert estimate == serialize.read_bytes(Path(config.trace_file).stat().st_size)
+        summary, _, peak = traced(lambda: run(config))
+        assert summary["text"] == text
+        assert 0.8 * estimate <= peak <= 1.3 * estimate
+
+    def test_decode_refused_for_its_trace_file(self, tmp_path, monkeypatch):
+        config = self.decode_config(tmp_path, "Hi")
+        estimate = runner.peak_matrix_bytes(config)
+        assert estimate > 0
+        monkeypatch.setattr(runner, "_physical_memory", lambda: estimate - 1)
+        with pytest.raises(ConfigError, match=f"needs about {estimate} bytes of arrays"):
+            config.validate()
+        assert not (tmp_path / "dec").exists()
+        monkeypatch.setattr(runner, "_physical_memory", lambda: estimate)
+        config.validate()
+
+    @pytest.mark.parametrize("order, cycles, offset, symbols", [
+        ("0", 5, 0, 5), ("2", 5, 0, 8), ("3", 16, 0, 16), (3, 17, 2, 24),
+        ("inf", 5, 0, 5), ("tm", 5, 3, 8),
+    ])
+    def test_stream_symbols_are_what_make_stream_draws(self, order, cycles, offset, symbols):
+        assert runner.stream_symbols(order, cycles, offset) == symbols
+        stream = runner.make_stream(order, cycles, seed=1, offset=offset)
+        if runner._parse_order(order) == math.inf:  # a window of the symbols drawn
+            assert len(stream) == cycles
+        else:
+            assert len(stream) == symbols
 
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)

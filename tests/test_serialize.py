@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rondeau import serialize
-from rondeau.analysis import symbol_dft
+from rondeau.analysis import PhaseDiagram, symbol_dft
 from rondeau.dephasing import DephasingParams, model_signal
 from rondeau.sequences import MonopoleSpec, SymbolStream, sample_rmd, thue_morse_stream
 from rondeau.spins import compute_couplings, generate_graph
@@ -99,6 +99,37 @@ def test_couplings_file_lists_all_pairs_and_reads_back(tmp_path):
         serialize.read_couplings(path)
 
 
+DIAGRAM = PhaseDiagram(gamma_grid=np.array([3.0, 3.1]), nu_grid=np.array([0.0, 0.5]),
+                       intensity=np.array([[1.0, 0.25], [0.5, 1.0]]), n_order="inf",
+                       realizations=2, normalization="row")
+HEATING = ({"swept": "epsilon", "engine": "dephasing", "seed": 1, "max_cycles": 64,
+            "config_hash": "0123456789abcdef"},
+           (["0", "0", "inf"], [0.1, 0.2, 0.1], [1.0, 2.0, 1.5], [0.0, 0.5, 0.0],
+            [0.5, 1.5, math.nan], [1, 0, 1]))
+
+
+def test_phase_diagram_round_trip(tmp_path):
+    path = tmp_path / "phase_diagram.csv"
+    serialize.write_phase_diagram(path, DIAGRAM)
+    assert path.read_text().splitlines()[3:5] == ["# nu_grid=[0.0, 0.5]", "gamma_y,0.0,0.5"]
+    again = serialize.read_phase_diagram(path)
+    for field in ("gamma_grid", "nu_grid", "intensity"):
+        assert np.array_equal(getattr(again, field), getattr(DIAGRAM, field)), field
+    assert (again.n_order, again.realizations, again.normalization) == ("inf", 2, "row")
+
+
+def test_heating_round_trip(tmp_path):
+    path = tmp_path / "heating_eps.csv"
+    serialize.write_heating(path, *HEATING)
+    assert path.read_text().splitlines()[5:7] == [
+        "n_order,epsilon,rate_mean,rate_std,excess_rate,crossed", "0,0.1,1.0,0.0,0.5,1"]
+    meta, columns = serialize.read_heating(path)
+    assert meta == HEATING[0]
+    assert [c.dtype.kind for c in columns] == ["U", "f", "f", "f", "f", "i"]
+    for again, written in zip(columns, HEATING[1], strict=True):
+        assert np.array_equal(again, np.array(written), equal_nan=again.dtype.kind == "f")
+
+
 def _write_stream(path):
     serialize.write_stream(path, thue_morse_stream(8))  # +--+-++-
 
@@ -115,8 +146,18 @@ def _write_couplings(path):
     serialize.write_couplings(path, compute_couplings(generate_graph(4, seed=9), 1.0))
 
 
+def _write_phase_diagram(path):
+    serialize.write_phase_diagram(path, DIAGRAM)
+
+
+def _write_heating(path):
+    serialize.write_heating(path, *HEATING)
+
+
 @pytest.mark.parametrize("write, read, old, new, problem", [
     (_write_stream, serialize.read_stream, "+--", "+x-", "the symbol line is not 8 of + and -"),
+    (_write_stream, serialize.read_stream, "+--+-++-", "+--+-++-\n+--+-++-",
+     "the symbol line is not 8 of + and -"),
     (_write_stream, serialize.read_stream, "# seed=", "# cycles=8\n# seed=",
      "header key cycles is repeated"),
     (_write_spectrum, serialize.read_spectrum, "omega,amplitude", "omega,amp",
@@ -125,6 +166,8 @@ def _write_couplings(path):
      "data row 1 has the amplitude cell '1e"),
     (_write_spectrum, serialize.read_spectrum, "# cycles=", '# kind="x"\n# cycles=',
      "header key kind is repeated"),
+    (_write_spectrum, serialize.read_spectrum, "# cycles=8", "# cycles=16",
+     "the header's cycles is not its 8 rows"),
     (_write_graph, serialize.read_graph, "index,x,y,z", "index,x,z,y",
      "column line 'index,x,z,y', not index,x,y,z"),
     (_write_graph, serialize.read_graph, "0,", "0.0,",
@@ -137,9 +180,23 @@ def _write_couplings(path):
      "the rows are not the pairs k < l of 4 spins in order"),
     (_write_couplings, serialize.read_couplings, "# model=", "# mode=",
      "lacks the header key(s) model"),
-], ids=["stream-symbol", "stream-key", "spectrum-columns", "spectrum-cell", "spectrum-key",
-        "graph-columns", "graph-cell", "graph-key", "couplings-lower-pair",
-        "couplings-repeated-pair", "couplings-key"])
+    (_write_phase_diagram, serialize.read_phase_diagram, "# nu_grid=[0.0", "# nu_grid=[0.25",
+     "column line 'gamma_y,0.0,0.5', not gamma_y,0.25,0.5"),
+    (_write_phase_diagram, serialize.read_phase_diagram, "# nu_grid=[0.0", '# nu_grid=["0.0"',
+     "column line 'gamma_y,0.0,0.5', not gamma_y,'0.0',0.5"),
+    (_write_phase_diagram, serialize.read_phase_diagram, "# nu_grid=", "# nu=",
+     "lacks the header key(s) nu_grid"),
+    (_write_heating, serialize.read_heating, '# swept="epsilon"', '# swept="period"',
+     "column line 'n_order,epsilon,rate_mean,rate_std,excess_rate,crossed', not "
+     "n_order,period,rate_mean,rate_std,excess_rate,crossed"),
+    (_write_heating, serialize.read_heating, "# seed=1", '# seed="1"',
+     "header key seed has the wrong type"),
+    (_write_heating, serialize.read_heating, "0,0.1,", "0,0.1x,",
+     "data row 1 has the epsilon cell '0.1x', not a valid float"),
+], ids=["stream-symbol", "stream-lines", "stream-key", "spectrum-columns", "spectrum-cell",
+        "spectrum-key", "spectrum-cycles", "graph-columns", "graph-cell", "graph-key", "couplings-lower-pair",
+        "couplings-repeated-pair", "couplings-key", "diagram-columns", "diagram-grid",
+        "diagram-key", "heating-columns", "heating-key", "heating-cell"])
 def test_readers_name_the_file_and_the_defect(tmp_path, write, read, old, new, problem):
     """A bad cell, a wrong column (or symbol) line and a repeated header key: the first
     line starting with ``old`` starts with ``new`` instead."""
