@@ -5,8 +5,10 @@ the Kronecker products of two halves of the spins by :class:`GateLayer`'s call, 
 code that applies a gate layer.  The dipolar Hamiltonian conserves total Iz, so free
 evolution is block-diagonal in the n + 1 magnetization sectors, built from the
 Hamiltonian's cached sector-wise eigendecomposition, one block per mirror pair of sectors
-(:func:`free_blocks`).  Readout is the expectation value of total Ix after a slot's free
-evolution.
+(:func:`free_blocks`).  Each pass over the blocks runs opposite to the last
+(:class:`FreeStep`): at n = 11 they outgrow L2, and a pass that starts with the blocks the
+last one read last finds them still there; no value depends on the order.  Readout is the
+expectation value of total Ix after a slot's free evolution.
 
 Free evolution, the x pulse and Ix commute with the global spin flip P = Π σx, and the
 initial state has P = +1.  Every engine therefore carries its state as parity rows
@@ -223,40 +225,47 @@ def free_blocks(eigensystem, duration: float):
 
 class FreeStep:
     """A per-parity operator, free evolution by the `free_blocks` for ``duration``: a row c
-    of parity s is gathered once, x = c[gather] of every block's ``cols``, times s on the
-    H₁ entries (``flip``).  Each block maps its slice of x into the same slice of one
-    buffer y, the first 2^(n-1) entries, which list every row entry once; y gets s on its
-    H₁ entries and is scattered into the row at once."""
+    of parity s is gathered once into the kept buffer x = c[gather] of every block's
+    ``cols``, times s on the H₁ entries (``flip``, complex so that no call casts it).  Each
+    block maps its view of x into its view of the kept buffer y, the first 2^(n-1) entries,
+    which list every row entry once; y gets s on its H₁ entries and is scattered into the
+    row at once.  Each pass over the blocks, one per row, runs opposite to the pass before
+    it, across calls too, so that it starts with the blocks still in cache: at n = 11 they
+    hold 5.6 MB, more than the 2 MB L2 of each of two cores.  As each block writes its own
+    slice of y, the order changes no value."""
 
     def __init__(self, eigensystem, duration: float):
         blocks = tuple(free_blocks(eigensystem, duration))
         self.gather = np.concatenate([cols for cols, _, _ in blocks])
-        self.flip = np.concatenate([np.arange(c.size) < h for c, h, _ in blocks]) * 2.0 - 1
-        start = np.cumsum([0] + [cols.size for cols, _, _ in blocks])
-        self.parts = tuple((block, slice(o, o + block.shape[1]), slice(o, o + len(block)))
-                           for (_, _, block), o in zip(blocks, start))
+        self.flip = np.concatenate([np.arange(c.size) < h for c, h, _ in blocks]) * 2.0 - 1 + 0j
         self.order = np.argsort(self.gather[:1 << (len(eigensystem) - 2)])  # y's scatter
+        self.x, self.y = np.empty(self.gather.size, complex), np.empty(self.order.size, complex)
+        start = np.cumsum([0] + [cols.size for cols, _, _ in blocks])
+        self.parts = tuple((block, self.x[o:o + block.shape[1]], self.y[o:o + len(block)])
+                           for (_, _, block), o in zip(blocks, start))
 
     @staticmethod
     def peak_bytes(num_spins: int) -> int:
-        """Most bytes a free step holds: its pair blocks, ``gather``, ``flip``, ``order`` and,
-        while the last block is built, a real temporary of its H₀ rows and its ufunc buffer."""
+        """Most bytes a free step holds: its pair blocks and the larger of what is held while
+        the last block is built, a real temporary of its H₀ rows and its ufunc buffer, and
+        what is kept after it: ``gather``, ``flip``, ``x``, ``y`` and ``order``."""
         n, own = num_spins, sum(math.comb(num_spins, k) for k in range(num_spins // 2 + 1))
-        rows = math.comb(n - 1, n // 2) * math.comb(n, n // 2)
-        return 8 * (math.comb(2 * n, n) + 2 * own + 2**(n - 1) + rows + min(rows, np.getbufsize()))
+        rows, half = math.comb(n - 1, n // 2) * math.comb(n, n // 2), 2**(n - 1)
+        build, kept = rows + min(rows, np.getbufsize()), 5 * own + 3 * half
+        return 8 * (math.comb(2 * n, n) + max(build, kept))
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
-        out = np.empty_like(rows)
-        y = np.empty(rows.shape[1], dtype=complex)
+        out, x, y = np.empty_like(rows), self.x, self.y
         for c, s, row in zip(rows, signs, out):
-            x = c[self.gather]
+            c.take(self.gather, out=x, mode="clip")  # valid indices; "raise" would buffer
             if s < 0:
                 x *= self.flip
+            self.parts = self.parts[::-1]  # the blocks the last pass read last come first
             for block, into, outof in self.parts:
-                np.matmul(block, x[into], out=y[outof])
+                np.matmul(block, into, out=outof)
             if s < 0:
                 y *= self.flip[:y.size]
-            np.take(y, self.order, out=row)
+            y.take(self.order, out=row, mode="clip")
         return out, signs
 
 

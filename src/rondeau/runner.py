@@ -237,7 +237,7 @@ def peak_matrix_bytes(config: RunConfig) -> int:
     build, trace `FreeStep`, factory."""
     if config.kind == "decode":  # a file that cannot be stat'ed adds 0, and fails when read
         path = config.trace_file
-        return serialize.read_bytes(os.path.getsize(path)) if os.path.isfile(path) else 0
+        return serialize.read_bytes(path) if os.path.isfile(path) else 0
     trace = SignalTrace.peak_bytes(_trace_samples(config))
     if not _builds_systems(config):
         return trace

@@ -35,11 +35,16 @@ _TRACE = {"time": float, "cycle": int, "pulse_index": int, "signal": float}
 
 def _write(path, meta: dict, columns: dict, *data):
     """Write ``meta`` as header lines, then ``columns``' names, then one CSV row per index
-    of the ``data`` arrays, each formatted by the kind (float, int, str) of its column."""
+    of the ``data`` arrays, each formatted by the kind (float, int, str) of its column.
+    A ValueError refuses names that are not one per array, or arrays of unequal lengths."""
+    arrays = [np.asarray(values, dtype=kind) for kind, values in zip(columns.values(), data)]
+    if len(columns) != len(data) or len({len(a) for a in arrays}) > 1:
+        raise ValueError(f"{path}: {len(columns)} column names for arrays of lengths "
+                         f"{[len(values) for values in data]}")
     header = [f"# {key}={json.dumps('inf' if isinstance(v, float) and math.isinf(v) else v)}\n"
               for key, v in meta.items()]
-    cells = [map(repr if kind is float else str, map(kind, np.asarray(values, dtype=kind)))
-             for kind, values in zip(columns.values(), data)]
+    cells = [map(repr if kind is float else str, map(kind, a))
+             for kind, a in zip(columns.values(), arrays)]
     with open(path, "w") as f:  # row by row, holding no list of cells or row strings
         f.writelines(header + [",".join(columns) + "\n"])
         f.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -91,15 +96,18 @@ def _read(path, keys: dict, columns=None, optional: int = 0):
     return meta, [np.array(cells, dtype=kind) for kind, cells in zip(kinds, parsed)]
 
 
-def read_bytes(file_bytes: int) -> int:
-    """Peak bytes `_read` holds for a file of ``file_bytes``, 5.8-6.0 per byte measured on traces
-    of 17-digit signals; the shorter rows of a noise-free trace's ±1.0 hold up to 10 per byte."""
-    return 6 * file_bytes
+def read_bytes(path) -> int:
+    """Peak bytes `_read` holds for the file at ``path``: its bytes once, as line strings, and
+    200 per line for the line and its parsed cells, as measured on traces of 17-digit and of
+    ±1.0 signals.  The lines are counted in 64 KiB chunks, so no copy of the file is held."""
+    with open(path, "rb") as f:
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 16), b""))
+    return Path(path).stat().st_size + 200 * lines
 
 
 def write_stream(path, stream: SymbolStream):
     _write(path, {"n_order": order_label(stream), "seed": stream.seed, "cycles": len(stream)},
-           {stream.as_text(): str})
+           {stream.as_text(): str}, [])
 
 
 def read_stream(path) -> SymbolStream:

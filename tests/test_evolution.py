@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,29 @@ class TestPairedFreeStep:
         assert out_signs == signs
         assert np.abs(join_rows(out, signs) - expected).max() < 1e-13
 
+    @pytest.mark.parametrize("num_spins", [7, 8])
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    def test_pass_order_changes_no_value(self, num_spins, signs):
+        """Each pass over the pair blocks runs opposite to the pass before it, across rows
+        and calls.  In a second call every row passes the other way (after one more pass at
+        two rows), and both calls return the same bits, each matching the dense step."""
+        hamiltonian = graph_system(num_spins)
+        g = np.random.default_rng(num_spins)
+        shape = (len(signs), 1 << (num_spins - 1))
+        rows = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        rows /= np.linalg.norm(rows)
+        step = FreeStep(hamiltonian.eigensystem(), 0.05)
+        before = step.parts
+        first, _ = step(rows, signs)
+        if len(signs) == 2:
+            step(rows[:1], signs[:1])
+        assert all(a is b for a, b in zip(step.parts, before[::-1], strict=True))
+        second, _ = step(rows, signs)
+        assert np.array_equal(first, second)
+        expected = dense_free_propagator(hamiltonian, 0.05) @ join_rows(rows, signs)
+        for out in (first, second):
+            assert np.abs(join_rows(out, signs) - expected).max() < 1e-13
+
     @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
     def test_matches_the_per_sector_step_at_11_spins(self, signs):
         eigensystem = graph_system(11).eigensystem()
@@ -510,6 +534,8 @@ class TestParityComponent:
     @pytest.mark.parametrize("num_spins", [5, 6])
     @pytest.mark.parametrize("decay_time", [0.0, 0.3])
     def test_per_pulse_matches_the_two_row_steps(self, short_spec, num_spins, decay_time):
+        """At gamma = pi `evolve` keeps one row where `two_row_pulses` mixes it into two;
+        at a kick that mixes P both take the same steps, so their traces are bit-equal."""
         hamiltonian = graph_system(num_spins)
         row0 = initial_state(num_spins, hamiltonian, decay_time)
         stream = sample_rmd(1, 4, seed=3)
@@ -517,6 +543,10 @@ class TestParityComponent:
         b = evolve_blockwise(stream, two_row_pulses(hamiltonian, short_spec), row0)
         assert np.array_equal(a.times, b.times)
         assert np.abs(a.values - b.values).max() < 1e-12
+        mixing = replace(short_spec, gamma_y=0.95 * math.pi)
+        a = evolve(PulseProgram(stream, mixing), hamiltonian, row0)
+        b = evolve_blockwise(stream, two_row_pulses(hamiltonian, mixing), row0)
+        assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("gamma_y", [np.nextafter(math.pi, 4), 0.95 * math.pi])
     def test_only_exactly_pi_takes_one_block(self, small_system, short_spec, gamma_y):

@@ -335,22 +335,24 @@ class TestRunConfig:
         dataclasses.replace(config, cycles=2**10).validate()
 
     @staticmethod
-    def decode_config(tmp_path, text: str) -> RunConfig:
+    def decode_config(tmp_path, text: str, gamma_0: float = 0.01) -> RunConfig:
         """A decode of the trace.csv of a dephasing encode of ``text``, whose signals are
-        17-digit floats as a real run's are."""
+        17-digit floats as a real run's are, or ±1.0 at ``gamma_0`` = 0."""
         run(RunConfig(kind="encode", out_dir=str(tmp_path / "enc"), engine="dephasing",
                       num_spins=6, pulses_per_block=30, kick_plus=20, kick_minus=10,
-                      gamma_0=0.01, text=text))
+                      gamma_0=gamma_0, text=text))
         return RunConfig(kind="decode", out_dir=str(tmp_path / "dec"),
                          trace_file=str(tmp_path / "enc" / "trace.csv"))
 
+    @pytest.mark.parametrize("gamma_0", [0.01, 0.0])
     @pytest.mark.parametrize("chars", [40, 320])
-    def test_decode_within_its_trace_files_estimate(self, tmp_path, chars):
-        """A decode holds what `_read` holds for its trace file, 20 KB or 180 KB here."""
+    def test_decode_within_its_trace_files_estimate(self, tmp_path, chars, gamma_0):
+        """A decode holds what `_read` holds for its trace file, 11-180 KB here: rows of
+        17-digit signals, or the shorter rows of ±1.0 that a noise-free trace holds."""
         text = ("Rondeau? " * 40)[:chars]
-        config = self.decode_config(tmp_path, text)
+        config = self.decode_config(tmp_path, text, gamma_0)
         estimate = runner.peak_matrix_bytes(config)
-        assert estimate == serialize.read_bytes(Path(config.trace_file).stat().st_size)
+        assert estimate == serialize.read_bytes(config.trace_file)
         summary, _, peak = traced(lambda: run(config))
         assert summary["text"] == text
         assert 0.8 * estimate <= peak <= 1.3 * estimate

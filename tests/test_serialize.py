@@ -130,6 +130,21 @@ def test_heating_round_trip(tmp_path):
         assert np.array_equal(again, np.array(written), equal_nan=again.dtype.kind == "f")
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: serialize.write_phase_diagram(path, dataclasses.replace(
+        DIAGRAM, nu_grid=np.array([0.0, 0.0]))),  # two intensity columns, one ν name
+    lambda path: serialize.write_heating(path, HEATING[0], HEATING[1][:5]),
+    lambda path: serialize.write_heating(path, HEATING[0], (*HEATING[1][:5], [1, 0])),
+], ids=["repeated-nu", "fewer-arrays", "short-array"])
+def test_writer_refuses_a_table_it_would_truncate(tmp_path, write):
+    """Column names that are not one per array, or arrays of unequal lengths, are refused
+    before the file is opened, not cut to the shortest."""
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="column names for arrays of lengths"):
+        write(path)
+    assert not path.exists()
+
+
 def _write_stream(path):
     serialize.write_stream(path, thue_morse_stream(8))  # +--+-++-
 
