@@ -1,8 +1,10 @@
 """Command-line driver.
 
-Subcommands map onto the experiment kinds of :mod:`rondeau.runner`; every
-run writes CSV/JSON results plus a manifest into --out.  Errors exit
-nonzero with a machine-readable JSON object on stderr.
+Subcommands map onto the experiment kinds of :mod:`rondeau.runner`; every run writes
+CSV/JSON results into --out, and a manifest.json of its config, config hash, versions,
+summary, outputs and plan: readout slots, sweep points, the bytes of each array stage, and
+peak_bytes, the estimate the preflight compares with physical memory and prints when it
+refuses a run.  Errors exit nonzero with a machine-readable JSON object on stderr.
 
 Parameters can also come from an INI config file (--config); section names
 are organizational, keys must be RunConfig fields, unknown keys are hard

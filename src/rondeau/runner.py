@@ -114,13 +114,9 @@ class RunConfig:
     trace_file: str = ""
     threshold: float = 0.0
 
-    def validate(self) -> tuple[SpinGraph, ...]:
-        """Raise ConfigError unless the run can go ahead; return the graphs it builds.
-
-        A full-engine run's graphs are placed here, where a packing failure is a
-        ConfigError, and handed to the run: graph g of a heating sweep has seed
-        ``graph_seed + g``.  A run that builds no system (`_builds_systems`) has none.
-        """
+    def plan(self) -> RunPlan:
+        """Check every field and derive the run's `RunPlan`, each per-kind rule once; raise
+        ConfigError for a config no run can follow.  `validate` checks what needs a system."""
         for name, known in (("kind", KINDS), ("engine", ENGINES),
                             ("spectrum_kind", SPECTRUM_KINDS), ("normalization", NORMALIZATIONS),
                             ("coupling_model", COUPLING_MODELS)):
@@ -140,6 +136,9 @@ class RunConfig:
                 raise ConfigError(f"{grid} entries must be finite")
         if any(tau <= 0 for tau in self.tau_grid):
             raise ConfigError("tau_grid entries must be > 0")
+        if 0 in self.eps_grid:  # its excess rate would enter the fit at |eps| = 0
+            raise ConfigError("eps_grid entries must be nonzero: eps = 0 is the gamma = pi "
+                              "reference, which every eps sweep measures")
         if self.readout_noise > 0 and self.kind not in ("trace", "encode"):
             raise ConfigError(f"readout_noise is seeded only by trace and encode, not {self.kind}")
         if self.kind == "phase-diagram" and not self.gamma_grid:
@@ -163,41 +162,85 @@ class RunConfig:
             raise ConfigError("encode requires text")
         if self.kind == "decode" and not self.trace_file:
             raise ConfigError("decode requires a trace_file")
-        seen = set()
-        for label in self.n_orders:
-            order = _parse_order(label)
-            if order in seen:
+        for i, label in enumerate(self.n_orders):
+            if _parse_order(label) in map(_parse_order, self.n_orders[:i]):
                 raise ConfigError(f"n_orders repeats multipole order {label!r}")
-            seen.add(order)
-        cycles = self.max_cycles if sweep else self.cycles
-        for label in _orders(self) if self.kind not in ("encode", "decode") else ():
-            # a sweep's Thue-Morse windows shift by up to realizations - 1
-            length = stream_symbols(label, cycles, self.realizations - 1 if sweep else 0)
+        # the orders a run draws streams of: a heating sweep's, none for a codec kind
+        orders = () if self.kind in ("encode", "decode") else (
+            (sweep and (self.n_orders or sweep.orders)) or (self.n_order,))
+        cycles, realizations = (self.max_cycles, self.realizations) if sweep else (self.cycles, 1)
+        for label in orders:  # a sweep's Thue-Morse windows shift by up to realizations - 1
+            length = stream_symbols(label, cycles, realizations - 1 if sweep else 0)
             if length > DEFAULT_MAX_SYMBOLS:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
-        if _builds_systems(self) and not 2 <= self.num_spins <= DEFAULT_SPIN_CAP:
-            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs between 2 spins and the cap of {DEFAULT_SPIN_CAP} spins")
+        n, end = self.num_spins, self.pulses_per_block + 1
         try:  # a decode reads its drive layout from the trace file
-            spec = self.spec() if self.kind != "decode" else None
-            if self.kind != "trace" and len(_readout_slots(self)) > 1:
-                check_kick_layout(spec)
-            if self.kind == "encode":
+            base = self.spec() if self.kind != "decode" else None
+            specs, slots = [base], (end,)
+            if self.kind == "trace":
+                slots = tuple(range(1, end + 1))
+            elif self.kind == "encode":
+                check_kick_layout(base)
+                slots, cycles = (half_sample_slot(base), end), len(self.text) * BITS_PER_CHAR
                 Message(self.text)  # an EncodingError for text outside 7 bits
-            graphs = ()
-            if _builds_systems(self):  # graph g of a heating sweep has seed graph_seed + g
+            elif self.kind == "decode":
+                specs, slots = [], ()
+            elif self.kind == "heating-eps":  # point 0 is the gamma = pi reference
+                specs = [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *self.eps_grid)]
+            elif sweep:  # a tau point kicks at gamma = pi + sweep_slope * T
+                specs = [replace(s, gamma_y=math.pi + self.sweep_slope * s.block_duration)
+                         for s in (replace(base, tau=tau) for tau in self.tau_grid)]
+            else:  # a spectrum or a phase diagram: one realization of a Thue-Morse drive
+                realizations = 1 if order == math.inf else self.realizations
+                if self.kind == "phase-diagram":
+                    specs = [replace(base, gamma_y=gamma) for gamma in self.gamma_grid]
+                elif self.spectrum_kind == "micromotion":
+                    check_kick_layout(base)
+                    slots = half_sample_slot(base), end
+                elif self.spectrum_kind == "symbol":
+                    slots = ()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        # the kicks that keep P last: their block set fuses the factory's chains in place
+        points = tuple(sorted(enumerate(specs), key=lambda p: kick_parity(p[1].gamma_y, n) != 0))
+        samples = 1 + cycles * len(slots) if slots else 0
+        builds_system = self.engine == "full" and bool(slots)
+        path = self.trace_file  # a file that cannot be stat'ed adds 0, and fails when read
+        stages = ({"decode_read": serialize.read_bytes(path) if os.path.isfile(path) else 0}
+                  if self.kind == "decode" else {"trace": SignalTrace.peak_bytes(samples)})
+        if builds_system and n >= 2:  # `validate` refuses fewer spins before any estimate
+            stages["eigensystem"], stages["eigensystem_build"] = Hamiltonian.eigensystem_bytes(n)
+            stages["parity_ix"] = parity_ix_bytes(n)
+            if self.kind == "trace":  # the per-pulse engine
+                stages["free_step"] = FreeStep.peak_bytes(n)
+            else:
+                stages["factory"] = BlockPropagatorFactory.peak_bytes(
+                    n, base, slots, {kick_parity(s.gamma_y, n) for _, s in points})
+        return RunPlan(self, slots, points, orders, realizations, samples, builds_system,
+                       sweep, stages)
+
+    def validate(self, plan: RunPlan | None = None) -> tuple[SpinGraph, ...]:
+        """Raise ConfigError unless the run of ``plan`` (by default this config's `plan`) can
+        go ahead here: its system within the spin cap, its graphs placed (graph g of a heating
+        sweep has seed ``graph_seed + g``) and its `RunPlan.peak_bytes` within physical
+        memory.  Return the graphs."""
+        plan, graphs = plan or self.plan(), ()
+        where = f"{self.kind} on the {self.engine} engine at n = {self.num_spins}"
+        if plan.builds_system:
+            if not 2 <= self.num_spins <= DEFAULT_SPIN_CAP:
+                raise ConfigError(f"{where} needs between 2 spins and the cap of "
+                                  f"{DEFAULT_SPIN_CAP} spins")
+            try:
                 graphs = tuple(generate_graph(self.num_spins, edge_length=self.edge_length,
                                               r_min=self.r_min, r_max=self.r_max,
                                               seed=self.graph_seed + g)
-                               for g in range(self.graph_realizations if self.kind in _SWEEPS
-                                              else 1))
-        except (ValueError, PackingInfeasibleError) as exc:
-            raise ConfigError(str(exc)) from None
-        estimate, memory = peak_matrix_bytes(self), _physical_memory()
+                               for g in range(self.graph_realizations if plan.sweep else 1))
+            except (ValueError, PackingInfeasibleError) as exc:
+                raise ConfigError(str(exc)) from None
+        estimate, memory = plan.peak_bytes, _physical_memory()
         if estimate > memory:
-            raise ConfigError(f"{self.kind} on the {self.engine} engine at n = {self.num_spins} "
-                              f"needs about {estimate} bytes of arrays, more than the "
+            raise ConfigError(f"{where} needs about {estimate} bytes of arrays, more than the "
                               f"{memory} bytes of physical memory")
         return graphs
 
@@ -224,69 +267,32 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _builds_systems(config: RunConfig) -> bool:
-    """Whether the run builds a spin system; dephasing, decode and symbol spectra build none."""
-    return config.engine == "full" and config.kind != "decode" and not (
-        config.kind == "spectrum" and config.spectrum_kind == "symbol")
+_TRANSIENT_STAGES = ("eigensystem_build", "free_step", "factory")  # one after another
 
 
-def peak_matrix_bytes(config: RunConfig) -> int:
-    """Peak bytes of a run's arrays: a decode's `serialize.read_bytes` of its trace file, else
-    the `SignalTrace.peak_bytes` of its longest trace and, with a system, the kept
-    `Hamiltonian.eigensystem_bytes` and `parity_ix_bytes`, plus the largest stage: eigensystem
-    build, trace `FreeStep`, factory."""
-    if config.kind == "decode":  # a file that cannot be stat'ed adds 0, and fails when read
-        path = config.trace_file
-        return serialize.read_bytes(path) if os.path.isfile(path) else 0
-    trace = SignalTrace.peak_bytes(_trace_samples(config))
-    if not _builds_systems(config):
-        return trace
-    n, specs = config.num_spins, _point_specs(config)
-    kept, build = Hamiltonian.eigensystem_bytes(n)
-    stage = FreeStep.peak_bytes(n) if config.kind == "trace" else BlockPropagatorFactory.peak_bytes(
-        n, config.spec(), _readout_slots(config), {kick_parity(s.gamma_y, n) for s in specs})
-    return trace + kept + parity_ix_bytes(n) + max(build, stage)
+@dataclass(frozen=True)
+class RunPlan:
+    """Every per-kind rule of one run of ``config``, derived once by `RunConfig.plan`.
 
+    ``stage_bytes`` names each array stage of the memory estimate: the ``trace`` and, with a
+    system, its kept ``eigensystem`` and `parity_ix` caches, then the ``eigensystem_build``
+    and the per-pulse ``free_step`` or the ``factory``; a decode's ``decode_read`` alone."""
 
-def _trace_samples(config: RunConfig) -> int:
-    """Samples of the longest trace a run records: none for a decode or a symbol spectrum."""
-    if config.kind == "decode" or (config.kind, config.spectrum_kind) == ("spectrum", "symbol"):
-        return 0
-    cycles = (len(config.text) * BITS_PER_CHAR if config.kind == "encode"
-              else config.max_cycles if config.kind in _SWEEPS else config.cycles)
-    return 1 + cycles * len(_readout_slots(config))
+    config: RunConfig
+    slots: tuple[int, ...]   # each block's readout slots; () where no trace is evolved
+    points: tuple[tuple[int, MonopoleSpec], ...]  # (index, spec), visited gamma = pi last
+    orders: tuple            # multipole orders the run draws streams of
+    realizations: int        # drive realizations per point and order
+    trace_samples: int       # samples of the longest trace the run records
+    builds_system: bool
+    sweep: _Sweep | None     # the heating sweep, if any
+    stage_bytes: dict[str, int]
 
-
-def _visits(config: RunConfig) -> list[tuple[int, MonopoleSpec]]:
-    """The points (index, spec) of `_point_specs` in the order a run visits them: the points
-    whose kick keeps P last, since their block set fuses the factory's chains in place."""
-    return sorted(enumerate(_point_specs(config)),
-                  key=lambda point: kick_parity(point[1].gamma_y, config.num_spins) != 0)
-
-
-def _point_specs(config: RunConfig) -> list[MonopoleSpec]:
-    """Each point's drive in sweep order; an eps sweep starts at the gamma = pi reference."""
-    base = config.spec()
-    if config.kind == "phase-diagram":
-        return [replace(base, gamma_y=gamma) for gamma in config.gamma_grid]
-    if config.kind == "heating-eps":
-        return [replace(base, gamma_y=math.pi + eps) for eps in (0.0, *config.eps_grid)]
-    if config.kind not in _SWEEPS:
-        return [base]
-    specs = [replace(base, tau=tau) for tau in config.tau_grid]
-    return [replace(s, gamma_y=math.pi + config.sweep_slope * s.block_duration) for s in specs]
-
-
-def _readout_slots(config: RunConfig) -> tuple[int, ...]:
-    """Slots of each block the run reads: every slot for a trace, the half-period slot
-    and the block end for encode and micromotion spectra, else the block end alone."""
-    end = config.pulses_per_block + 1
-    if config.kind == "trace":
-        return tuple(range(1, end + 1))
-    if config.kind == "encode" or (config.kind == "spectrum"
-                                   and config.spectrum_kind == "micromotion"):
-        return half_sample_slot(config.spec()), end
-    return (end,)
+    @property
+    def peak_bytes(self) -> int:
+        """Peak bytes of the run's arrays: every held stage plus the largest transient one."""
+        transient = [b for stage, b in self.stage_bytes.items() if stage in _TRANSIENT_STAGES]
+        return sum(self.stage_bytes.values()) - sum(transient) + max(transient, default=0)
 
 
 def _parse_order(label) -> int | float:
@@ -330,17 +336,6 @@ def make_stream(order, cycles: int, seed: int, offset: int = 0) -> SymbolStream:
     return sample_rmd(order, stream_symbols(order, cycles), seed)
 
 
-def _orders(config: RunConfig) -> tuple:
-    """Multipole orders the run draws streams of: a heating sweep's, else ``n_order``."""
-    sweep = _SWEEPS.get(config.kind)
-    return (sweep and config.n_orders) or (sweep and sweep.orders) or (config.n_order,)
-
-
-def _drive_realizations(config: RunConfig) -> int:
-    """Drive realizations a spectrum or phase diagram evolves; one for Thue-Morse."""
-    return 1 if _parse_order(config.n_order) == math.inf else config.realizations
-
-
 class FullSystem:
     """Graph, Hamiltonian, initial P = +1 row, and the propagator factory of one run.
 
@@ -371,25 +366,18 @@ class FullSystem:
         return self._factory[1]
 
 
-def _system_for(config: RunConfig, graphs: tuple, g: int = 0) -> FullSystem | None:
-    """The run's FullSystem on graph g of `RunConfig.validate`'s ``graphs``, or None if it
-    builds none (no graphs)."""
-    return FullSystem(config, graphs[g]) if graphs else None
-
-
 # -- the engine seam: only these two functions know which engine runs ---------
 
-def _block_set(system: FullSystem | None, config: RunConfig,
+def _block_set(system: FullSystem | None, plan: RunPlan,
                spec: MonopoleSpec) -> BlockPropagators | DephasingParams:
     """What `_drive_trace` evolves under at ``spec``.
 
     The full engine's block propagators on ``system``, or the dephasing
-    model's parameters when ``system`` is None; both read `_readout_slots`.
+    model's parameters when ``system`` is None; both read ``plan.slots``.
     """
-    slots = _readout_slots(config)
     if system is None:
-        return DephasingParams(spec=spec, slots=slots, gamma_0=config.gamma_0)
-    return system.factory(spec, slots).block_set(spec.gamma_y)
+        return DephasingParams(spec=spec, slots=plan.slots, gamma_0=plan.config.gamma_0)
+    return system.factory(spec, plan.slots).block_set(spec.gamma_y)
 
 
 def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
@@ -414,16 +402,17 @@ def measure_rate(system: FullSystem | None, props, config: RunConfig, order, see
     return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
 
 
-def _realization_spectra(system: FullSystem | None, config: RunConfig, spec: MonopoleSpec,
+def _realization_spectra(system: FullSystem | None, plan: RunPlan, spec: MonopoleSpec,
                          i: int) -> list[SpectrumResult]:
-    """DFTs of the `_drive_realizations` streams of sweep point ``i``, stream r seeded
-    ``derive_seed(seed, i, r)``: of the stream itself for a symbol spectrum, else of its
-    trace under `_block_set` at ``spec``, micromotion where the trace reads two slots."""
+    """DFTs of the ``plan.realizations`` streams of sweep point ``i``, stream r seeded
+    ``derive_seed(seed, i, r)``: of the stream where the plan reads no slot (a symbol
+    spectrum), else of its trace under `_block_set` at ``spec``, micromotion at two slots."""
+    config = plan.config
     streams = (make_stream(config.n_order, config.cycles, derive_seed(config.seed, i, r))
-               for r in range(_drive_realizations(config)))
-    if config.kind == "spectrum" and config.spectrum_kind == "symbol":
+               for r in range(plan.realizations))
+    if not plan.slots:
         return [symbol_dft(stream) for stream in streams]
-    props = _block_set(system, config, spec)
+    props = _block_set(system, plan, spec)
     traces = (_drive_trace(system, props, stream) for stream in streams)
     return [(dft_micromotion if len(t.slots) > 1 else dft_stroboscopic)(t) for t in traces]
 
@@ -436,8 +425,8 @@ def _pooled(fits) -> tuple[float, float, bool]:
     return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
 
 
-def _run_trace(config: RunConfig, out: Path, graphs: tuple) -> dict:
-    spec = config.spec()
+def _run_trace(plan: RunPlan, out: Path, graphs: tuple) -> dict:
+    config, ((_, spec),) = plan.config, plan.points
     stream = make_stream(config.n_order, config.cycles, derive_seed(config.seed, 0, 0))
     if config.engine == "full":
         # the per-pulse reference engine, for the quasi-continuous readout
@@ -446,7 +435,7 @@ def _run_trace(config: RunConfig, out: Path, graphs: tuple) -> dict:
         serialize.write_graph(out / "graph.csv", system.graph)
         serialize.write_couplings(out / "couplings.csv", system.couplings)
     else:
-        trace = _drive_trace(None, _block_set(None, config, spec), stream)
+        trace = _drive_trace(None, _block_set(None, plan, spec), stream)
     trace = trace.with_noise(config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_stream(out / "stream.txt", stream)
     serialize.write_trace(out / "trace.csv", trace)
@@ -455,16 +444,18 @@ def _run_trace(config: RunConfig, out: Path, graphs: tuple) -> dict:
             "rate": fit.rate, "crossed": fit.crossed}
 
 
-def _run_spectrum(config: RunConfig, out: Path, graphs: tuple) -> dict:
-    spectra = _realization_spectra(_system_for(config, graphs), config, config.spec(), 0)
-    reps = len(spectra)
+def _run_spectrum(plan: RunPlan, out: Path, graphs: tuple) -> dict:
+    config, ((_, spec),) = plan.config, plan.points
+    system = FullSystem(config, graphs[0]) if graphs else None
+    spectra = _realization_spectra(system, plan, spec, 0)
     amps = np.vstack([s.amplitudes for s in spectra])
     mean = SpectrumResult(omegas=spectra[0].omegas, amplitudes=amps.mean(axis=0),
                           kind=spectra[0].kind, std=amps.std(axis=0), meta={
-                              "realizations": reps, "n_order": config.n_order,
+                              "realizations": plan.realizations, "n_order": config.n_order,
                               "engine": config.engine, "seed": config.seed})
     serialize.write_spectrum(out / "spectrum.csv", mean)
-    return {"kind": config.spectrum_kind, "realizations": reps, "cycles": config.cycles}
+    return {"kind": config.spectrum_kind, "realizations": plan.realizations,
+            "cycles": config.cycles}
 
 
 def _json_number(x: float) -> float | str | None:
@@ -472,55 +463,51 @@ def _json_number(x: float) -> float | str | None:
     return None if math.isnan(x) else "inf" if math.isinf(x) else x
 
 
-def _run_phase_diagram(config: RunConfig, out: Path, graphs: tuple) -> dict:
-    spec, system = config.spec(), _system_for(config, graphs)
-    reps = _drive_realizations(config)
-    rows = {i: np.mean([s.amplitudes**2 for s in _realization_spectra(system, config, p, i)],
+def _run_phase_diagram(plan: RunPlan, out: Path, graphs: tuple) -> dict:
+    config, system = plan.config, FullSystem(plan.config, graphs[0]) if graphs else None
+    rows = {i: np.mean([s.amplitudes**2 for s in _realization_spectra(system, plan, p, i)],
                        axis=0)
-            for i, p in _visits(config)}
+            for i, p in plan.points}
     diagram = phase_diagram(config.gamma_grid, [rows[i] for i in sorted(rows)],
-                            spec.block_duration, n_order=config.n_order,
-                            realizations=reps, normalization=config.normalization)
+                            config.spec().block_duration, n_order=config.n_order,
+                            realizations=plan.realizations, normalization=config.normalization)
     serialize.write_phase_diagram(out / "phase_diagram.csv", diagram)
     contrasts = {repr(float(g)): _json_number(half_frequency_contrast(row))
                  for g, row in zip(diagram.gamma_grid, diagram.intensity)}
     serialize.write_json(out / "contrast.json", {"half_frequency_contrast": contrasts})
-    return {"gammas": len(config.gamma_grid), "realizations": reps,
+    return {"gammas": len(config.gamma_grid), "realizations": plan.realizations,
             "cycles": config.cycles}
 
 
-def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
+def _run_heating(plan: RunPlan, out: Path, graphs: tuple) -> dict:
     """Heating-rate power law along one swept axis, per multipole order.
 
-    ``heating-eps`` sweeps the kick-angle deviation and fits the rate in
-    excess of the rate at gamma = pi against |eps|; ``heating-period`` and
-    ``heating-highfreq`` sweep tau at gamma = pi + sweep_slope * T and fit
-    the rate against the period T.  One loop measures every rate: graph g (one
-    on the dephasing engine) -> point j, in `_visits` order -> one block set ->
-    order k -> realization r, seeded by ``derive_seed(seed, seed_block * k + j,
-    g, r)`` (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference,
-    visited last, and eps i is point 1 + i; a tau point is its grid index.  One
-    graph's system is alive at a time.  A point pools its (g, r) rates and is
-    used if all crossed 1/e and its (excess) rate is positive; an order whose
-    used points share one rate, or an eps order whose reference never crossed
-    (``rate_at_pi`` NaN), is not fitted.  Each ``fits.json`` entry has
-    ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or an ``error``;
-    eps entries add ``rate_at_pi`` (``null`` when NaN) and ``reference_crossed``,
-    tau sweeps ``smallest_period_rate``.
+    ``heating-eps`` sweeps the kick-angle deviation and fits the rate in excess of the rate
+    at gamma = pi against |eps|; ``heating-period`` and ``heating-highfreq`` sweep tau at
+    gamma = pi + sweep_slope * T and fit the rate against the period T.  One loop measures
+    every rate: graph g (one on the dephasing engine) -> point j, in ``plan.points`` order
+    -> one block set -> order k -> realization r, seeded by ``derive_seed(seed, seed_block
+    * k + j, g, r)`` (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference,
+    visited last, and eps i is point 1 + i; a tau point is its grid index.  One graph's
+    system is alive at a time.  A point pools its (g, r) rates and is used if all crossed
+    1/e and its (excess) rate is positive; an order whose used points share one rate, or an
+    eps order whose reference never crossed (``rate_at_pi`` NaN), is not fitted.  Each
+    ``fits.json`` entry has ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or
+    an ``error``; eps entries add ``rate_at_pi`` (``null`` when NaN) and
+    ``reference_crossed``, tau sweeps ``smallest_period_rate``.
     """
-    sweep = _SWEEPS[config.kind]
-    orders = _orders(config)
+    config, sweep, orders = plan.config, plan.sweep, plan.orders
     eps_sweep = sweep.grid == "eps_grid"
-    specs = _point_specs(config)
-    xs = np.array(config.eps_grid if eps_sweep else [s.block_duration for s in specs], dtype=float)
-    measured = [[[] for _ in specs] for _ in orders]  # [k][j]: fits over (g, r)
-    for g in range(config.graph_realizations if config.engine == "full" else 1):
-        system = _system_for(config, graphs, g)
-        for j, spec in _visits(config):
-            props = _block_set(system, config, spec)
+    xs = np.array(config.eps_grid if eps_sweep else
+                  [s.block_duration for _, s in sorted(plan.points)], dtype=float)
+    measured = [[[] for _ in plan.points] for _ in orders]  # [k][j]: fits over (g, r)
+    for g in range(len(graphs) or 1):
+        system = FullSystem(config, graphs[g]) if graphs else None
+        for j, spec in plan.points:
+            props = _block_set(system, plan, spec)
             for k, order in enumerate(orders):
                 inf = _parse_order(order) == math.inf
-                for r in range(config.realizations):
+                for r in range(plan.realizations):
                     seed = derive_seed(config.seed, sweep.seed_block * k + j, g, r)
                     measured[k][j].append(measure_rate(system, props, config, order, seed,
                                                        offset=r if inf else 0))
@@ -565,26 +552,27 @@ def _run_heating(config: RunConfig, out: Path, graphs: tuple) -> dict:
     return {"fits": fits}
 
 
-def _run_encode(config: RunConfig, out: Path, graphs: tuple) -> dict:
+def _run_encode(plan: RunPlan, out: Path, graphs: tuple) -> dict:
+    config, ((_, spec),) = plan.config, plan.points
     message = Message(config.text)
     stream = encode(message)
     serialize.write_stream(out / "stream.txt", stream)
-    system = _system_for(config, graphs)
-    props = _block_set(system, config, config.spec())
+    system = FullSystem(config, graphs[0]) if graphs else None
+    props = _block_set(system, plan, spec)
     trace = _drive_trace(system, props, stream).with_noise(
         config.readout_noise, derive_seed(config.seed, 0, 1))
     serialize.write_trace(out / "trace.csv", trace)
     return {"characters": len(message.text), "cycles": len(stream)}
 
 
-def _run_decode(config: RunConfig, out: Path, graphs: tuple, message: Message,
+def _run_decode(plan: RunPlan, out: Path, graphs: tuple, message: Message,
                 margins: np.ndarray) -> dict:
     """Write the ``message`` and ``margins`` that `run` decoded before creating ``out``; a
     decode builds no system, so ``graphs`` is empty."""
     serialize.write_json(out / "decoded.json", {
         "text": message.text,
         "margins": [float(m) for m in margins],
-        "threshold": config.threshold,
+        "threshold": plan.config.threshold,
     })
     return {"text": message.text, "cycles": int(margins.size)}
 
@@ -601,8 +589,16 @@ _HANDLERS = {
 
 
 def run(config: RunConfig) -> dict:
-    """Validate, execute, and write the manifest; returns a summary dict."""
-    graphs = config.validate()
+    """Plan, validate and execute ``config`` and write its manifest; returns the summary.
+
+    ``manifest.json`` holds the ``config``, its ``config_hash``, the ``versions`` of rondeau
+    and numpy, the handler's ``summary``, the other ``outputs`` in the directory, and the
+    ``plan``: its readout ``slots``, its number of sweep ``points``, the ``stage_bytes`` of
+    each array stage of the memory estimate, and ``peak_bytes``, the estimate that the
+    preflight compares with physical memory and prints when it refuses a run.
+    """
+    plan = config.plan()
+    graphs = config.validate(plan)
     handler = _HANDLERS.get(config.kind)
     if handler is None:  # a decode: its trace is read, checked and decoded before --out exists
         trace = serialize.read_trace(config.trace_file)
@@ -617,13 +613,15 @@ def run(config: RunConfig) -> dict:
         handler = partial(_run_decode, message=message, margins=decode_margins(trace))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = handler(config, out, graphs)
+    summary = handler(plan, out, graphs)
     manifest = {
         "config": dataclasses.asdict(config),
         "config_hash": config.hash(),
         "versions": {"rondeau": __version__, "numpy": np.__version__},
         "summary": summary,
         "outputs": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
+        "plan": {"slots": plan.slots, "points": len(plan.points),
+                 "stage_bytes": plan.stage_bytes, "peak_bytes": plan.peak_bytes},
     }
     serialize.write_json(out / "manifest.json", manifest)
     return summary

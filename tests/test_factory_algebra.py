@@ -17,8 +17,7 @@ from rondeau.evolution import (BlockPropagatorFactory, FreeStep, GateLayer, Powe
                                evolve_blockwise, free_blocks, fuse_kick, fuse_kick_bytes,
                                half_sample_slot, initial_state, kick_layout, kick_parity,
                                parity_ix, parity_ix_bytes, rotation_gate)
-import rondeau.runner as runner
-from rondeau.runner import RunConfig, peak_matrix_bytes, run
+from rondeau.runner import RunConfig, run
 from rondeau.sequences import MonopoleSpec, sample_rmd
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
 
@@ -488,7 +487,7 @@ class TestFactoryMemory:
 
     @pytest.mark.parametrize("graphs", [1, 3])
     def test_heating_run_peak_within_the_estimate(self, tmp_path, graphs):
-        """A whole full-engine heating-eps run holds no matrix beyond `peak_matrix_bytes`.
+        """A whole full-engine heating-eps run holds no matrix beyond its plan's `peak_bytes`.
 
         The estimate counts arrays only.  The run also holds its drive
         streams, under 25 bytes a cycle while drawn, and `BOOKKEEPING`.  A short ``max_cycles``
@@ -501,7 +500,7 @@ class TestFactoryMemory:
         run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
         _, _, peak = traced(lambda: run(config))
         streams, bookkeeping = 25 * config.max_cycles, BOOKKEEPING
-        assert peak <= peak_matrix_bytes(config) + streams + bookkeeping
+        assert peak <= config.plan().peak_bytes + streams + bookkeeping
 
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_trace_estimate_counts_the_sector_engine(self, num_spins):
@@ -515,7 +514,7 @@ class TestFactoryMemory:
         program = PulseProgram(sample_rmd(0, config.cycles, seed=1), config.spec())
         row0 = initial_state(config.num_spins)
         _, _, peak = traced(lambda: evolve(program, build_hamiltonian(couplings), row0))
-        estimate = peak_matrix_bytes(config)
+        estimate = config.plan().peak_bytes
         assert abs(peak - estimate) <= 0.1 * estimate
         eigensystem = build_hamiltonian(couplings).eigensystem()
         _, _, peak = traced(lambda: FreeStep(eigensystem, config.tau))
@@ -549,7 +548,7 @@ class TestFactoryMemory:
                            num_spins=8, cycles=64)
         run(replace(config, out_dir=str(tmp_path / "warm"), cycles=2))  # imports, caches
         _, _, peak = traced(lambda: run(config))
-        estimate = peak_matrix_bytes(config)
+        estimate = config.plan().peak_bytes
         assert SignalTrace.peak_bytes(19265) > 0.75 * estimate
         assert abs(peak - estimate) <= 0.1 * estimate
 
@@ -585,11 +584,11 @@ class TestFactoryMemory:
         config = RunConfig(out_dir=str(tmp_path / "run"), num_spins=num_spins,
                            pulses_per_block=12, kick_plus=8, kick_minus=4, cycles=16,
                            max_cycles=256, **overrides)
-        points = runner._point_specs(config)
-        assert {kick_parity(s.gamma_y, num_spins) for s in points} == parities
+        points = config.plan().points
+        assert {kick_parity(s.gamma_y, num_spins) for _, s in points} == parities
         run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
         _, _, peak = traced(lambda: run(config))
-        estimate = peak_matrix_bytes(config)
+        estimate = config.plan().peak_bytes
         assert abs(peak - estimate) <= 0.1 * estimate
 
     @pytest.mark.parametrize("text, num_spins", [("Hi", 8), ("Hi", 9)])
@@ -600,13 +599,12 @@ class TestFactoryMemory:
         run(replace(config, out_dir=str(tmp_path / "warm")))  # imports outside the trace
         _, _, peak = traced(lambda: run(config))
         half = 16 * 4**(num_spins - 1)
-        assert peak_matrix_bytes(config) - half < peak <= peak_matrix_bytes(config) + half
+        assert config.plan().peak_bytes - half < peak <= config.plan().peak_bytes + half
 
     def test_run_estimate_counts_the_chain_peak(self):
         def estimate(**layout):
-            return peak_matrix_bytes(RunConfig(kind="heating-eps", out_dir="x", num_spins=6,
-                                               eps_grid=(0.1,), graph_realizations=2,
-                                               **layout))
+            return RunConfig(kind="heating-eps", out_dir="x", num_spins=6, eps_grid=(0.1,),
+                             graph_realizations=2, **layout).plan().peak_bytes
         small = dict(pulses_per_block=3, kick_plus=2, kick_minus=1)
         # a heating run reads whole blocks only
         # in half-size blocks: 4 kept and 4 live, against 3 and 3; the chain of 4 powers

@@ -10,7 +10,7 @@ import pytest
 
 from rondeau import serialize
 from rondeau.analysis import fit_power_law
-from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set, _visits,
+from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set,
                             derive_seed, measure_rate, run)
 
 SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
@@ -28,7 +28,7 @@ LAYOUT = {
 def pooled_rate(config, spec, order, index):
     """Mean and std of the dephasing engine's rates at ``spec`` over the drive
     realizations of seed index ``index``, and whether all of them crossed 1/e."""
-    props = _block_set(None, config, spec)
+    props = _block_set(None, config.plan(), spec)
     fits = [measure_rate(None, props, config, order, derive_seed(config.seed, index, 0, r),
                          offset=r if order == "inf" else 0) for r in range(config.realizations)]
     rates = np.array([f.rate for f in fits])
@@ -145,13 +145,14 @@ def test_full_engine_sweep_pools_every_graph(tmp_path):
     rows = heating_rows(tmp_path / "heating_eps.csv", "epsilon")
     specs = [dataclasses.replace(config.spec(), gamma_y=math.pi + eps)
              for eps in (0.0, *config.eps_grid)]
-    graphs = config.validate()
+    plan = config.plan()
+    graphs = config.validate(plan)
     for k, order in enumerate(config.n_orders):
         rates = [[] for _ in specs]
         for g in range(config.graph_realizations):
             system = FullSystem(config, graphs[g])
-            for j, spec in _visits(config):  # the reference j = 0 last
-                props = _block_set(system, config, spec)
+            for j, spec in plan.points:  # the reference j = 0 last
+                props = _block_set(system, plan, spec)
                 for r in range(config.realizations):
                     seed = derive_seed(config.seed, 1000 * k + j, g, r)
                     rates[j].append(measure_rate(system, props, config, order, seed,

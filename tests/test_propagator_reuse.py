@@ -161,7 +161,7 @@ def test_factory_builds_each_parity_at_its_first_block_set(overrides, parities):
     config = RunConfig(out_dir="x", **{**SMALL, **overrides})
     factory = FullSystem(config, *config.validate()).factory(config.spec(), (13,))
     assert list(factory.blocks) == [1]
-    for (_, spec), expected in zip(runner._visits(config), parities, strict=True):
+    for (_, spec), expected in zip(config.plan().points, parities, strict=True):
         factory.block_set(spec.gamma_y)
         assert list(factory.blocks) == expected
 

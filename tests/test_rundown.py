@@ -85,7 +85,7 @@ def test_dephasing_rundown_stops_at_max_cycles(monkeypatch):
         return model_signal(stream, params)
 
     monkeypatch.setattr(runner, "model_signal", recorded)
-    fit = measure_rate(None, runner._block_set(None, config, spec), config, "2", seed=5)
+    fit = measure_rate(None, runner._block_set(None, config.plan(), spec), config, "2", seed=5)
     assert lengths == [101]  # not the 104 symbols of the rounded-up order-2 stream
     assert not fit.crossed
     assert fit.lifetime == pytest.approx(101 * spec.block_duration)

@@ -96,13 +96,13 @@ class TestRunConfig:
         # is given half of that, whatever the estimate's terms
         config = RunConfig(kind="heating-eps", out_dir=str(tmp_path), num_spins=13,
                            eps_grid=(0.1,))
-        memory = runner.peak_matrix_bytes(config) // 2
+        memory = config.plan().peak_bytes // 2
         monkeypatch.setattr(runner, "_physical_memory", lambda: memory)
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
         with pytest.raises(ConfigError) as err:
             run(config)
-        assert str(runner.peak_matrix_bytes(config)) in str(err.value)
+        assert str(config.plan().peak_bytes) in str(err.value)
         assert str(memory) in str(err.value)
 
     def test_full_engine_heating_at_13_spins_fits_in_7_gib(self, monkeypatch):
@@ -110,7 +110,7 @@ class TestRunConfig:
         monkeypatch.setattr(runner, "_physical_memory", lambda: 7 * 2**30)
         config = RunConfig(kind="heating-eps", out_dir="x", num_spins=13, eps_grid=(0.1,))
         config.validate()
-        assert runner.peak_matrix_bytes(config) < 2.5 * 2**30
+        assert config.plan().peak_bytes < 2.5 * 2**30
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("overrides", [
@@ -148,11 +148,16 @@ class TestRunConfig:
               realizations=2), "order inf draws a stream of 1048577 symbols"),
         (dict(kind="heating-period", tau_grid=(0.05,), max_cycles=2**20 + 1),
          "order 0 draws a stream of 1048577 symbols"),
+        # eps = 0 repeats the gamma = pi reference, and |eps| = 0 cannot enter a log-log fit
+        (dict(kind="heating-eps", eps_grid=(0.0, 0.3, 0.5)), "eps_grid entries must be nonzero"),
+        (dict(kind="heating-eps", eps_grid=(0.3, -0.0)), "eps_grid entries must be nonzero"),
     ])
     def test_out_of_range_sweep_input_rejected_before_any_system(self, tmp_path, monkeypatch,
                                                                  overrides, message):
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
+        monkeypatch.setattr(runner, "generate_graph",
+                            lambda *a, **k: pytest.fail("placed a graph for a bad config"))
         config = RunConfig(out_dir=str(tmp_path), num_spins=4, pulses_per_block=12,
                            kick_plus=8, kick_minus=4, cycles=64, **overrides)
         with pytest.raises(ConfigError, match=message):
@@ -208,7 +213,7 @@ class TestRunConfig:
         monkeypatch.setattr(runner, "FullSystem",
                             lambda *a: pytest.fail("built a system for a bad config"))
         config = RunConfig(kind="trace", out_dir=str(tmp_path), num_spins=15)
-        assert runner.peak_matrix_bytes(config) < 64 * 2**30
+        assert config.plan().peak_bytes < 64 * 2**30
         with pytest.raises(ConfigError, match="cap of 14 spins"):
             run(config)
 
@@ -313,8 +318,8 @@ class TestRunConfig:
         config = RunConfig(kind=kind, out_dir="x", engine="dephasing", num_spins=14,
                            gamma_grid=(math.pi,), eps_grid=(0.1,), tau_grid=(0.05,), text="Hi",
                            trace_file="trace.csv")
-        estimate = runner.peak_matrix_bytes(config)
-        assert estimate == SignalTrace.peak_bytes(runner._trace_samples(config))
+        estimate = config.plan().peak_bytes
+        assert estimate == SignalTrace.peak_bytes(config.plan().trace_samples)
         assert (estimate == 0) == (kind == "decode")
         monkeypatch.setattr(runner, "_physical_memory", lambda: estimate)
         config.validate()
@@ -327,11 +332,11 @@ class TestRunConfig:
         config = RunConfig(kind="trace", out_dir="x", engine=engine, num_spins=8,
                            cycles=2**20)
         samples = 1 + 2**20 * config.spec().slots_per_block
-        assert runner._trace_samples(config) == samples
+        assert config.plan().trace_samples == samples
         with pytest.raises(ConfigError) as err:
             config.validate()
-        assert str(runner.peak_matrix_bytes(config)) in str(err.value)
-        assert runner.peak_matrix_bytes(config) - SignalTrace.peak_bytes(samples) < 2**20
+        assert str(config.plan().peak_bytes) in str(err.value)
+        assert config.plan().peak_bytes - SignalTrace.peak_bytes(samples) < 2**20
         dataclasses.replace(config, cycles=2**10).validate()
 
     @staticmethod
@@ -351,7 +356,7 @@ class TestRunConfig:
         17-digit signals, or the shorter rows of ±1.0 that a noise-free trace holds."""
         text = ("Rondeau? " * 40)[:chars]
         config = self.decode_config(tmp_path, text, gamma_0)
-        estimate = runner.peak_matrix_bytes(config)
+        estimate = config.plan().peak_bytes
         assert estimate == serialize.read_bytes(config.trace_file)
         summary, _, peak = traced(lambda: run(config))
         assert summary["text"] == text
@@ -359,7 +364,7 @@ class TestRunConfig:
 
     def test_decode_refused_for_its_trace_file(self, tmp_path, monkeypatch):
         config = self.decode_config(tmp_path, "Hi")
-        estimate = runner.peak_matrix_bytes(config)
+        estimate = config.plan().peak_bytes
         assert estimate > 0
         monkeypatch.setattr(runner, "_physical_memory", lambda: estimate - 1)
         with pytest.raises(ConfigError, match=f"needs about {estimate} bytes of arrays"):
@@ -607,6 +612,61 @@ class TestCodecPipeline:
         if case in ("short", "weak"):
             assert err["error"] == ("ValueError" if case == "short" else "LowConfidenceError")
         assert not out.exists()
+
+
+class TestRunPlan:
+    """`RunConfig.plan` states what a run does: the slots and samples of every trace it
+    evolves, and the manifest's ``plan``."""
+
+    SMALL = dict(num_spins=4, seed=2, pulses_per_block=12, kick_plus=8, kick_minus=4,
+                 tau=0.05, gamma_0=0.01, cycles=16, max_cycles=128)
+    KIND_OVERRIDES = {
+        "trace": dict(n_order="1"),
+        "phase-diagram": dict(gamma_grid=(0.9 * math.pi, math.pi), realizations=2),
+        "heating-eps": dict(eps_grid=(0.2, 0.4), realizations=2),
+        "heating-period": dict(tau_grid=(0.05, 0.1), sweep_slope=0.05),
+        "heating-highfreq": dict(tau_grid=(0.05, 0.1), n_orders=("0", "inf")),
+        "spectrum": dict(realizations=2),
+        "encode": dict(text="Hi"),
+        "decode": dict(),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("kind, overrides", [
+        *((kind, {}) for kind in KINDS),
+        ("spectrum", dict(spectrum_kind="symbol", n_order="2")),
+        ("spectrum", dict(spectrum_kind="stroboscopic")),
+    ])
+    def test_plan_and_run_agree(self, tmp_path, monkeypatch, engine, kind, overrides):
+        if kind == "decode":  # of the trace of an encode on the same engine
+            run(RunConfig(kind="encode", out_dir=str(tmp_path / "enc"), engine=engine,
+                          **self.SMALL, **self.KIND_OVERRIDES["encode"]))
+            overrides = dict(trace_file=str(tmp_path / "enc" / "trace.csv"))
+        config = RunConfig(kind=kind, out_dir=str(tmp_path / "run"), engine=engine,
+                           **{**self.SMALL, **self.KIND_OVERRIDES[kind], **overrides})
+        plan, evolved = config.plan(), []
+
+        def recorded(evolve):
+            def wrapper(*args, **kwargs):
+                evolved.append(evolve(*args, **kwargs))
+                return evolved[-1]
+            return wrapper
+
+        monkeypatch.setattr(runner, "evolve", recorded(runner.evolve))
+        monkeypatch.setattr(runner, "_drive_trace", recorded(runner._drive_trace))
+        run(config)
+        # every trace the run evolves, a heating rundown too, reads the plan's slots and
+        # holds at most its samples; a run that reads no slot evolves none
+        assert bool(evolved) == bool(plan.slots) == (plan.trace_samples > 0)
+        assert all(t.slots == plan.slots and len(t) <= plan.trace_samples for t in evolved)
+        if kind in ("trace", "encode"):
+            trace = read_trace(tmp_path / "run" / "trace.csv")
+            assert trace.slots == plan.slots and len(trace) == plan.trace_samples
+        assert plan.builds_system == (engine == "full" and bool(plan.slots))
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["plan"] == {"slots": list(plan.slots), "points": len(plan.points),
+                                    "stage_bytes": plan.stage_bytes,
+                                    "peak_bytes": plan.peak_bytes}
 
 
 class TestCli:

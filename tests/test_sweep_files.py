@@ -96,7 +96,7 @@ def test_phase_diagram_row_i_averages_the_drives_seeded_by_point_i(tmp_path, wri
     (_, diagram), _ = written["write_phase_diagram"]
     system = runner.FullSystem(config, *config.validate())
     for i, gamma in enumerate(gammas):
-        props = runner._block_set(system, config, dataclasses.replace(config.spec(),
+        props = runner._block_set(system, config.plan(), dataclasses.replace(config.spec(),
                                                                       gamma_y=gamma))
         traces = [evolve_blockwise(runner.make_stream("1", 16, derive_seed(4, i, r)), props,
                                    system.row0) for r in range(2)]
