@@ -30,6 +30,15 @@ only a mixing gate layer joins the rows into ψ's halves.  The per-pulse and blo
 engines share `free_blocks` and the gate layer's call, and differ in how they combine them:
 pulse by pulse, or through powers of W.  The tests' dense oracles share only `rotation_gate`
 with this module: they apply gates spin by spin and build free evolution from one dense eigh.
+
+A factory keeps its powers, and its block sets step their rows, in one dtype: complex128,
+or complex64 for a heating-eps sweep's rundowns, which halves the bytes each mat-vec
+streams.  Either way the chains are built, and every gate layer computes, in complex128,
+and Ix and the norm are summed in float64; only the stored powers and the rows are rounded.
+At n = 10 a complex64 rundown moved Ix by at most 1.6e-5 in up to 1160 cycles, against
+|Ix| near 1.8 where a lifetime is read.  A lifetime, a whole block m, can then move by one
+block only where a block-end |S| lies that close to 1/e; on every input measured none did.
+Every other kind, a trace whose samples are outputs too, is stepped in complex128.
 """
 
 from __future__ import annotations
@@ -44,8 +53,10 @@ import numpy as np
 from .sequences import MonopoleSpec, SymbolStream, order_label
 from .spins import Hamiltonian
 
-#: Relative norm drift beyond which the evolution is aborted.
+#: Relative norm drift beyond which the evolution of complex128 rows is aborted.
 NORM_DRIFT_LIMIT = 1e-8
+#: The same for complex64 rows, whose drift grows by single-precision rounding.
+NORM_DRIFT_LIMIT_SINGLE = 1e-4
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -181,9 +192,10 @@ def parity_ix(rows: np.ndarray, signs) -> float:
     read one real view v of the C-contiguous rows, each 2^a x 2^b, a = ⌈(n - 1)/2⌉, with
     real and imaginary parts side by side, as vdot(v, A v + v (B ⊗ I₂)) / 2, A and B the
     cached Σσx of the first a and the last b spins.  Spin 0 reads s Re<c, c[::-1]> / 2
-    per row.
+    per row.  Complex64 rows are read as complex128, so every readout accumulates in
+    float64.
     """
-    rows = np.ascontiguousarray(rows)
+    rows = np.ascontiguousarray(rows, dtype=complex)
     bits = rows.shape[1].bit_length() - 1
     a = (bits + 1) // 2
     v = rows.view(float).reshape(len(rows), 1 << a, -1)
@@ -295,11 +307,16 @@ class GateLayer:
     matrix, spin 0 and a factor 1/2 in its first half: z = (G ψ) / √2, and the new rows, of
     signs (1, -1), are z₀ ± z₁[::-1].  A folding call takes any rows, strided too: a state's,
     U±'s (`cycle_parity`) or a power's transposed columns (`fuse_kick`), and holds three
-    temporaries of their size.
+    complex128 temporaries of their size.
+
+    The layer computes in complex128 and returns rows of ``dtype``.  A gate or a Kronecker
+    half rounded to complex64 would repeat one rounding error on every spin or on many equal
+    entries, an error that the state accumulates cycle after cycle: at n = 10 and tau = 0.002,
+    complex64 halves drifted the norm by 1e-4 in 2000 cycles, complex64 powers by 4e-6.
     """
 
-    def __init__(self, gate: np.ndarray, num_spins: int, parity: int):
-        self.gate, self.parity = gate, parity
+    def __init__(self, gate: np.ndarray, num_spins: int, parity: int, dtype=complex):
+        self.gate, self.parity, self.dtype = gate, parity, np.dtype(dtype)
         k = (num_spins + 1) // 2  # the first half: spins 1 ... k - 1 folding, 0 ... k - 1 mixing
         power = lambda m: reduce(np.kron, [gate] * m, np.ones((1, 1), dtype=complex))
         self.halves = power(k) / 2 if not parity else power(k - 1), power(num_spins - k)
@@ -307,11 +324,11 @@ class GateLayer:
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
         g, (first, second) = self.gate, self.halves
         if self.parity:
-            x = (np.asarray(signs)[:, None] * g[0, 1]) * rows[:, ::-1]
+            x = (np.asarray(signs)[:, None] * g[0, 1]) * rows[:, ::-1]  # complex128, as g
             x += g[0, 0] * rows
             z = ((first @ x.reshape(len(x), first.shape[0], -1)) @ second.T).reshape(x.shape)
             # a list, not a generator: CPython's free list keeps resized tuples
-            return z, tuple([self.parity * s for s in signs])
+            return z.astype(self.dtype, copy=False), tuple([self.parity * s for s in signs])
         y = np.empty((2, rows.shape[1]), dtype=complex)  # √2 ψ's halves, then the new rows
         np.add.reduce(rows, axis=0, out=y[0])
         np.subtract.reduce(rows[:, ::-1], axis=0, out=y[1])  # a second row's sign is -signs[0]
@@ -320,7 +337,7 @@ class GateLayer:
         z = (first @ y.reshape(first.shape[0], -1) @ second.T).reshape(2, -1)
         np.add(z[0], z[1, ::-1], out=y[0])
         np.subtract(z[0], z[1, ::-1], out=y[1])
-        return y, (1, -1)
+        return y.astype(self.dtype, copy=False), (1, -1)
 
 
 # -- initial state ---------------------------------------------------------
@@ -347,8 +364,10 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
 
 
 def _check_norm(state: np.ndarray, context: str):
+    limit = NORM_DRIFT_LIMIT if state.dtype == np.complex128 else NORM_DRIFT_LIMIT_SINGLE
+    state = state.astype(complex, copy=False)  # complex64 rows too sum in float64
     drift = abs(float(np.vdot(state, state).real) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if drift > limit:
         raise NumericalIntegrityError(f"norm drift {drift:.3e} during {context}")
 
 
@@ -418,8 +437,9 @@ class PowerChain:
     pairs the largest a without W, so W is dropped early (201 = 101 + 100, not
     200 + 1); its chain is kept if it is no worse in products and in ``peak``, the
     most matrices `fill` holds at once (the base, built powers, the identity), and
-    better in one.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, and ``drops[i]``
-    names the powers that are no target and that no later step reads.
+    better in one.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, ``drops[i]``
+    names the powers that are no target and that no later step reads, and ``casts[i]`` the
+    targets that no later step reads.
     """
 
     def __init__(self, exponents):
@@ -430,6 +450,7 @@ class PowerChain:
         no_worse = len(lean[0]) <= len(binary[0]) and lean[2] <= binary[2]
         better = no_worse and (len(lean[0]), lean[2]) != (len(binary[0]), binary[2])
         self.steps, self.drops, self.peak = lean if better else binary
+        self.casts = self._casts(self.steps)
 
     def _chain(self, lean: bool) -> tuple[tuple, tuple, int]:
         """Steps, drops and peak of the binary rule, or of the lean rule."""
@@ -460,31 +481,62 @@ class PowerChain:
         last = {f: i for i, step in enumerate(steps) for f in step[1:]}
         drops = tuple(tuple(sorted({f for f in (a, b) if last[f] == i} - self.targets))
                       for i, (_, a, b) in enumerate(steps))
-        live = peak = 1
-        for drop in drops:
-            live += 1
-            peak = max(peak, live)
-            live -= len(drop)
-        if 1 not in self.targets and not steps:
-            live -= 1  # the base is dropped unread
-        return tuple(steps), drops, max(peak, live + (0 in self.targets))
+        return tuple(steps), drops, self._held(steps, drops, 16) // 16
 
-    def fill(self, powers: dict) -> dict:
+    def _casts(self, steps) -> tuple:
+        last = {f: i for i, step in enumerate(steps) for f in step}
+        return tuple(tuple(sorted({f for f in step if last[f] == i} & self.targets))
+                     for i, step in enumerate(steps))
+
+    def _held(self, steps, drops, itemsize: int) -> int:
+        """Most bytes an entry that `fill` holds at once running ``steps`` on a complex128 W
+        and keeping its targets at ``itemsize`` bytes: each matrix at its current size, and
+        below 16, a target's copy while it is cast."""
+        casts = self._casts(steps) if itemsize < 16 else [()] * len(steps)
+        held, peak = {1: 16}, 16
+        for (e, _, _), drop, done in zip(steps, drops, casts):
+            held[e] = 16
+            peak = max(peak, sum(held.values()))
+            for f in drop:
+                del held[f]
+            for f in done:
+                peak = max(peak, sum(held.values()) + itemsize)
+                held[f] = itemsize
+        if 1 not in self.targets:
+            held.pop(1, None)  # dropped after its last read, or unread
+        elif itemsize < 16 and not steps:
+            peak, held[1] = 16 + itemsize, itemsize
+        if 0 in self.targets:
+            held[0] = itemsize
+        return max(peak, sum(held.values()))
+
+    def fill(self, powers: dict, dtype=complex) -> dict:
         """Add every target power to ``powers``, which holds only the base W at key 1.
 
         The dict is the only reference the chain keeps to each matrix, so a
-        dropped power is freed at once if the caller holds no other.
+        dropped power is freed at once if the caller holds no other.  Every product
+        is taken in W's dtype, and each target is kept in ``dtype``: cast once no
+        later step reads it, so that a cast frees its source before the next product.
         """
-        dim = powers[1].shape[0]
-        for (e, a, b), drop in zip(self.steps, self.drops):
+        dim, cast = powers[1].shape[0], np.dtype(dtype) != powers[1].dtype
+        for (e, a, b), drop, done in zip(self.steps, self.drops, self.casts):
             powers[e] = powers[a] @ powers[b]
             for f in drop:
                 del powers[f]
+            for f in done if cast else ():
+                powers[f] = powers[f].astype(dtype)
         if 1 not in self.targets:
             powers.pop(1, None)
+        elif cast and not self.steps:
+            powers[1] = powers[1].astype(dtype)
         if 0 in self.targets:
-            powers[0] = np.eye(dim, dtype=complex)
+            powers[0] = np.eye(dim, dtype=dtype)
         return powers
+
+    def peak_bytes(self, entries: int, itemsize: int = 16) -> int:
+        """Most bytes `fill` holds at once on a complex128 W of ``entries`` entries whose
+        targets it keeps at ``itemsize`` bytes an entry; ``peak`` matrices at 16."""
+        return self._held(self.steps, self.drops, itemsize) * entries
 
 
 def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
@@ -518,7 +570,8 @@ def fuse_kick(a: np.ndarray, kick: GateLayer, sign: int, b: np.ndarray,
 
 
 def fuse_kick_bytes(num_spins: int) -> int:
-    """Bytes of `fuse_kick`'s temporaries on ``num_spins`` spins: three complex column blocks."""
+    """Bytes of `fuse_kick`'s temporaries on ``num_spins`` spins: three complex128 column
+    blocks, in which a folding `GateLayer` computes whatever the dtype of its rows."""
     return 3 * 16 * (h := 1 << (num_spins - 1)) * -(-h // LAYER_BLOCKS)
 
 
@@ -563,6 +616,11 @@ class BlockPropagatorFactory:
     reads the chains its rows reach: at gamma = pi and even n, where G keeps
     P = +1, the P = +1 chain alone, so such a factory never builds P = -1.
 
+    Every chain is built in complex128.  Its powers are kept in ``dtype``: `PowerChain.fill`
+    casts each once no later product reads it, so that complex64 powers halve what the
+    factory keeps and what a step streams.  Fusion's products then run in ``dtype``; the
+    kick's gate layer computes in complex128 and hands on rows of ``dtype``.
+
     A kick that keeps P (`kick_parity` ±1) makes each kick step one fixed
     half-size matrix per row sign, built by :func:`fuse_kick`.  The first block
     set at such a kick fuses the steps of :func:`fusion_plan` in place: F_s is
@@ -573,10 +631,11 @@ class BlockPropagatorFactory:
     such block sets read P = +1 alone, so fusing drops a P = -1 chain.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots):
+    def __init__(self, hamiltonian: Hamiltonian, spec: MonopoleSpec, slots, dtype=complex):
         self.hamiltonian = hamiltonian
         self.spec = spec
         self.slots = tuple(slots)
+        self.dtype = np.dtype(dtype)
         self.num_spins = hamiltonian.num_spins
         self.layout = kick_layout(spec, self.slots)
         self._eigensystem = hamiltonian.eigensystem()
@@ -588,7 +647,7 @@ class BlockPropagatorFactory:
         """The P = ``sign`` blocks of the layout's powers, built the first time they are asked."""
         if sign not in self.blocks:  # the chain's dict holds the only reference to W
             self.blocks[sign] = PowerChain(self._exponents(self.layout)).fill(
-                {1: cycle_parity(self._eigensystem, self.spec, sign)})
+                {1: cycle_parity(self._eigensystem, self.spec, sign)}, self.dtype)
         return self.blocks[sign]
 
     @staticmethod
@@ -596,15 +655,18 @@ class BlockPropagatorFactory:
         return {e for steps in layout.values() for factors in steps for e in factors}
 
     @classmethod
-    def peak_bytes(cls, num_spins: int, spec: MonopoleSpec, slots, parities: set) -> int:
+    def peak_bytes(cls, num_spins: int, spec: MonopoleSpec, slots, parities: set,
+                   itemsize: int = 16) -> int:
         """Most bytes a factory for ``spec``'s layout at ``slots`` holds at kicks of `kick_parity`
-        ``parities``: a chain's build, `PowerChain.peak` half-size blocks (2 or more, while
-        `cycle_parity` holds 1.6), after the P = -1 targets unless every kick keeps P = +1;
-        or the first fusion, the half-size targets of the chains it reads and `fuse_kick_bytes`."""
-        chain, block = PowerChain(cls._exponents(kick_layout(spec, slots))), 4 << 2 * num_spins
-        t = len(chain.targets)
-        fuse = (1 + (-1 in parities)) * t * block + fuse_kick_bytes(num_spins)
-        return max(((parities != {1}) * t + chain.peak) * block, fuse * bool(parities - {0}))
+        ``parities``, its powers kept at ``itemsize`` bytes an entry: a chain's build,
+        `PowerChain.peak_bytes` of half-size blocks (2 or more, while `cycle_parity` holds
+        1.6), after the other chain's kept targets unless every kick keeps P = +1; or the
+        first fusion, the kept targets of the chains it reads and `fuse_kick_bytes`."""
+        chain = PowerChain(cls._exponents(kick_layout(spec, slots)))
+        entries = 1 << 2 * num_spins - 2
+        build, kept = chain.peak_bytes(entries, itemsize), len(chain.targets) * itemsize * entries
+        fuse = (1 + (-1 in parities)) * kept + fuse_kick_bytes(num_spins)
+        return max((parities != {1}) * kept + build, fuse * bool(parities - {0}))
 
     def block_set(self, gamma_y: float | None = None, include_half: bool | None = None,
                   angle_spread: float = 0.0, disorder_seed: int | None = None) -> "BlockPropagators":
@@ -623,7 +685,7 @@ class BlockPropagatorFactory:
         if self.fused and not parity:
             raise ValueError(f"a fused factory serves kicks that keep P, not {spec.gamma_y}")
         kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
-                         @ rotation_gate("y", spec.gamma_y), n, parity)
+                         @ rotation_gate("y", spec.gamma_y), n, parity, self.dtype)
         signs = (1,) if parity == 1 else (1, -1)
         chains = {s: self.parity(s) for s in signs}
         if parity and not self.fused:  # F_s = A_{p s} · L_s · B_s, written over B_s
@@ -642,7 +704,7 @@ class BlockPropagatorFactory:
                              else (power(f[1]), kick, power(f[0]))
                              for f in layout)
                  for sign, layout in self.layout.items()}
-        return BlockPropagators(spec, self.slots, steps, n)
+        return BlockPropagators(spec, self.slots, steps, n, self.dtype)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -657,13 +719,15 @@ class BlockPropagators:
     step is a tuple of factors applied in turn, each mapping (rows, signs) to
     (rows, signs): b, a :class:`GateLayer`, a; or one :class:`Power`, a plain
     power or a kick step the factory fused.  How many rows a state carries
-    comes from the factors it passes through, not from the block set.
+    comes from the factors it passes through, not from the block set; the rows
+    are stepped in ``dtype``, the dtype of the factors.
     """
 
     spec: MonopoleSpec
     slots: tuple
     steps: dict
     num_spins: int
+    dtype: np.dtype = np.dtype(complex)
 
 
 def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
@@ -685,7 +749,7 @@ def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndar
     spec, num_spins = props.spec, props.num_spins
     if row.shape != (1 << (num_spins - 1),):
         raise ValueError("state dimension does not match the propagators")
-    rows, signs = np.asarray(row, dtype=complex)[None], (1,)
+    rows, signs = np.asarray(row, dtype=props.dtype)[None], (1,)
     values = np.empty(1 + len(stream) * len(props.slots))
     values[0] = parity_ix(rows, signs)
     # without stop_factor the target is 0, which no magnitude falls below

@@ -44,8 +44,9 @@ SPECTRUM_KINDS = ("symbol", "micromotion", "stroboscopic")
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One heating sweep: the swept grid, its CSV column and its seed layout."""
+    """One heating sweep: its CSV file, the swept grid, its CSV column and its seed layout."""
 
+    table: str         # the CSV file of its rates
     grid: str          # RunConfig field holding the swept values
     xname: str         # CSV column of the swept axis
     seed_block: int    # point indices of the k-th order start at seed_block * k
@@ -53,9 +54,10 @@ class _Sweep:
 
 
 _SWEEPS = {
-    "heating-eps": _Sweep("eps_grid", "epsilon", 1000),
-    "heating-period": _Sweep("tau_grid", "period", 2000),
-    "heating-highfreq": _Sweep("tau_grid", "period", 3000, ("0", "1", "3", "inf")),
+    "heating-eps": _Sweep("heating_eps.csv", "eps_grid", "epsilon", 1000),
+    "heating-period": _Sweep("heating_period.csv", "tau_grid", "period", 2000),
+    "heating-highfreq": _Sweep("heating_highfreq.csv", "tau_grid", "period", 3000,
+                               ("0", "1", "3", "inf")),
 }
 
 
@@ -175,6 +177,9 @@ class RunConfig:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
         n, end = self.num_spins, self.pulses_per_block + 1
+        # a heating-eps rundown writes whole-block 1/e crossings alone, which complex64 steps
+        # kept on every eps input measured; the tau sweeps' long small-T rundowns were not
+        dtype = np.dtype(np.complex64 if sweep is _SWEEPS["heating-eps"] else np.complex128)
         try:  # a decode reads its drive layout from the trace file
             base = self.spec() if self.kind != "decode" else None
             specs, slots = [base], (end,)
@@ -216,9 +221,10 @@ class RunConfig:
                 stages["free_step"] = FreeStep.peak_bytes(n)
             else:
                 stages["factory"] = BlockPropagatorFactory.peak_bytes(
-                    n, base, slots, {kick_parity(s.gamma_y, n) for _, s in points})
+                    n, base, slots, {kick_parity(s.gamma_y, n) for _, s in points},
+                    dtype.itemsize)
         return RunPlan(self, slots, points, orders, realizations, samples, builds_system,
-                       sweep, stages)
+                       sweep, dtype, stages)
 
     def validate(self, plan: RunPlan | None = None) -> tuple[SpinGraph, ...]:
         """Raise ConfigError unless the run of ``plan`` (by default this config's `plan`) can
@@ -274,9 +280,12 @@ _TRANSIENT_STAGES = ("eigensystem_build", "free_step", "factory")  # one after a
 class RunPlan:
     """Every per-kind rule of one run of ``config``, derived once by `RunConfig.plan`.
 
-    ``stage_bytes`` names each array stage of the memory estimate: the ``trace`` and, with a
-    system, its kept ``eigensystem`` and `parity_ix` caches, then the ``eigensystem_build``
-    and the per-pulse ``free_step`` or the ``factory``; a decode's ``decode_read`` alone."""
+    ``dtype`` is the one a factory keeps its powers and steps its rows in: complex64 for
+    heating-eps, whose rundowns write whole-block 1/e crossings alone, complex128 for every
+    other kind.  ``stage_bytes`` names each array stage of the memory estimate: the
+    ``trace`` and, with a system, its kept ``eigensystem`` and `parity_ix` caches, then the
+    ``eigensystem_build`` and the per-pulse ``free_step`` or the ``factory``; a decode's
+    ``decode_read`` alone."""
 
     config: RunConfig
     slots: tuple[int, ...]   # each block's readout slots; () where no trace is evolved
@@ -286,6 +295,7 @@ class RunPlan:
     trace_samples: int       # samples of the longest trace the run records
     builds_system: bool
     sweep: _Sweep | None     # the heating sweep, if any
+    dtype: np.dtype          # of a factory's kept powers and of the rows it steps
     stage_bytes: dict[str, int]
 
     @property
@@ -357,12 +367,12 @@ class FullSystem:
                                   decay_time=config.decay_time)
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
 
-    def factory(self, spec: MonopoleSpec, slots: tuple) -> BlockPropagatorFactory:
-        key = (spec.tau, slots)
+    def factory(self, spec: MonopoleSpec, slots: tuple, dtype=complex) -> BlockPropagatorFactory:
+        key = (spec.tau, slots)  # a run's plan fixes one dtype
         if self._factory is None or self._factory[0] != key:
             self._factory = None  # release the old factory before building
             self._factory = (key, BlockPropagatorFactory(
-                self.hamiltonian, replace(spec, gamma_y=math.pi), slots))
+                self.hamiltonian, replace(spec, gamma_y=math.pi), slots, dtype))
         return self._factory[1]
 
 
@@ -372,12 +382,12 @@ def _block_set(system: FullSystem | None, plan: RunPlan,
                spec: MonopoleSpec) -> BlockPropagators | DephasingParams:
     """What `_drive_trace` evolves under at ``spec``.
 
-    The full engine's block propagators on ``system``, or the dephasing
-    model's parameters when ``system`` is None; both read ``plan.slots``.
+    The full engine's block propagators on ``system`` in ``plan.dtype``, or the
+    dephasing model's parameters when ``system`` is None; both read ``plan.slots``.
     """
     if system is None:
         return DephasingParams(spec=spec, slots=plan.slots, gamma_0=plan.config.gamma_0)
-    return system.factory(spec, plan.slots).block_set(spec.gamma_y)
+    return system.factory(spec, plan.slots, plan.dtype).block_set(spec.gamma_y)
 
 
 def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
@@ -494,7 +504,15 @@ def _run_heating(plan: RunPlan, out: Path, graphs: tuple) -> dict:
     eps order whose reference never crossed (``rate_at_pi`` NaN), is not fitted.  Each
     ``fits.json`` entry has ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or
     an ``error``; eps entries add ``rate_at_pi`` (``null`` when NaN) and
-    ``reference_crossed``, tau sweeps ``smallest_period_rate``.
+    ``reference_crossed``, tau sweeps ``smallest_period_rate``.  The rates go to the
+    sweep's ``table``.
+
+    A heating-eps run steps its rundowns in complex64 (``plan.dtype``), at half the bytes
+    per mat-vec; the other sweeps step in complex128.  A rate is 1/(m T) for the whole block
+    m nearest 1/e, and complex64 rows move |S| by about 1e-5 at n = 10.  So m can differ from
+    complex128's only where a block-end |S| lies that close to 1/e or to the stop target,
+    and then by one block, a relative 1/m.  On the benchmark's inputs and the golden cases
+    no m, stop cycle or crossing differed.  ``manifest.json``'s plan records the dtype.
     """
     config, sweep, orders = plan.config, plan.sweep, plan.orders
     eps_sweep = sweep.grid == "eps_grid"
@@ -547,7 +565,7 @@ def _run_heating(plan: RunPlan, out: Path, graphs: tuple) -> dict:
                  for j in range(len(xs))]
     meta = {"swept": sweep.xname, "engine": config.engine, "seed": config.seed,
             "max_cycles": config.max_cycles, "config_hash": config.hash()}
-    serialize.write_heating(out / f"{config.kind.replace('-', '_')}.csv", meta, [*zip(*rows)])
+    serialize.write_heating(out / sweep.table, meta, [*zip(*rows)])
     serialize.write_json(out / "fits.json", fits)
     return {"fits": fits}
 
@@ -593,9 +611,10 @@ def run(config: RunConfig) -> dict:
 
     ``manifest.json`` holds the ``config``, its ``config_hash``, the ``versions`` of rondeau
     and numpy, the handler's ``summary``, the other ``outputs`` in the directory, and the
-    ``plan``: its readout ``slots``, its number of sweep ``points``, the ``stage_bytes`` of
-    each array stage of the memory estimate, and ``peak_bytes``, the estimate that the
-    preflight compares with physical memory and prints when it refuses a run.
+    ``plan``: its readout ``slots``, its number of sweep ``points``, where the run builds a
+    system the ``dtype`` its rows are stepped in, the ``stage_bytes`` of each array stage of
+    the memory estimate, and ``peak_bytes``, the estimate that the preflight compares with
+    physical memory and prints when it refuses a run.
     """
     plan = config.plan()
     graphs = config.validate(plan)
@@ -621,6 +640,7 @@ def run(config: RunConfig) -> dict:
         "summary": summary,
         "outputs": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
         "plan": {"slots": plan.slots, "points": len(plan.points),
+                 **({"dtype": plan.dtype.name} if plan.builds_system else {}),
                  "stage_bytes": plan.stage_bytes, "peak_bytes": plan.peak_bytes},
     }
     serialize.write_json(out / "manifest.json", manifest)

@@ -93,11 +93,11 @@ def test_shared_block_set_gives_identical_rates(tmp_path, order):
                        eps_grid=(0.3,), n_orders=(order,), max_cycles=256, seed=7, **SMALL)
     run(config)
     spec = dataclasses.replace(config.spec(), gamma_y=math.pi + 0.3)
-    rates, graphs = [], config.validate()
+    rates, graphs, dtype = [], config.validate(), config.plan().dtype
     for g in range(config.graph_realizations):
         system = FullSystem(config, graphs[g])
         for r in range(config.realizations):
-            props = system.factory(spec, (spec.slots_per_block,)).block_set(spec.gamma_y)
+            props = system.factory(spec, (spec.slots_per_block,), dtype).block_set(spec.gamma_y)
             seed = derive_seed(config.seed, 1, g, r)  # eps point 0 follows the reference
             offset = r if order == "inf" else 0
             rates.append(measure_rate(system, props, config, order, seed,
@@ -141,7 +141,7 @@ def test_factory_is_built_once(monkeypatch):
     system = FullSystem(config, *config.validate())
     calls = []
     monkeypatch.setattr(runner, "BlockPropagatorFactory",
-                        _counter(lambda hamiltonian, spec, slots: object(), calls))
+                        _counter(lambda hamiltonian, spec, slots, dtype: object(), calls))
     spec = config.spec()
     results = [system.factory(spec, (13,)) for _ in range(3)]
     assert len(calls) == 1

@@ -663,9 +663,13 @@ class TestRunPlan:
             trace = read_trace(tmp_path / "run" / "trace.csv")
             assert trace.slots == plan.slots and len(trace) == plan.trace_samples
         assert plan.builds_system == (engine == "full" and bool(plan.slots))
+        # a heating-eps sweep steps its rundowns in complex64, every other kind in complex128
+        assert plan.dtype == (np.complex64 if kind == "heating-eps" else np.complex128)
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        # the dtype is recorded where the run steps rows of a system
+        dtype = {"dtype": plan.dtype.name} if plan.builds_system else {}
         assert manifest["plan"] == {"slots": list(plan.slots), "points": len(plan.points),
-                                    "stage_bytes": plan.stage_bytes,
+                                    **dtype, "stage_bytes": plan.stage_bytes,
                                     "peak_bytes": plan.peak_bytes}
 
 
