@@ -24,12 +24,15 @@ then a, with a and b per-parity operators, the factory's powers of the spin-lock
 operator (:class:`Power`, placed by :func:`kick_layout`) or the per-pulse free step
 (:class:`FreeStep`).  At a kick that keeps P the factory multiplies the three into one
 half-size matrix per row sign (:func:`fuse_kick`), written over a power it consumes, so
-such a step is one :class:`Power`, one mat-vec per row.  :func:`evolve_blockwise`, the one
-stepper, applies the steps and records Ix after each.  No 2^n x 2^n matrix is built, and
-only a mixing gate layer joins the rows into ψ's halves.  The per-pulse and blockwise
-engines share `free_blocks` and the gate layer's call, and differ in how they combine them:
-pulse by pulse, or through powers of W.  The tests' dense oracles share only `rotation_gate`
-with this module: they apply gates spin by spin and build free evolution from one dense eigh.
+such a step is one :class:`Power`, one mat-vec per row.  :func:`evolve_batch`, the one
+stepper, applies the steps to a batch of (stream, block set) members that share a factory
+and records each member's Ix after each; a shared power is applied to all rows that read it
+back to back, while it is in cache.  :func:`evolve_blockwise` is a batch of one.  No
+2^n x 2^n matrix is built, and only a mixing gate layer joins the rows into ψ's halves.  The
+per-pulse and blockwise engines share `free_blocks` and the gate layer's call, and differ in
+how they combine them: pulse by pulse, or through powers of W.  The tests' dense oracles
+share only `rotation_gate` with this module: they apply gates spin by spin and build free
+evolution from one dense eigh.
 
 A factory keeps its powers, and its block sets step their rows, in one dtype: complex128,
 or complex64 for a heating-eps sweep's rundowns, which halves the bytes each mat-vec
@@ -47,6 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
+from itertools import zip_longest
 
 import numpy as np
 
@@ -185,26 +189,37 @@ def _sum_sigma_x(bits: int, width: int = 1) -> np.ndarray:
     return total
 
 
-def parity_ix(rows: np.ndarray, signs) -> float:
-    """Total Ix of parity ``rows``; Ix commutes with P, so each row reads its own part.
+def parity_ix(rows: list, signs: list, norms: np.ndarray | None = None) -> np.ndarray:
+    """Total Ix of each member's parity rows, ``rows[m]`` of ``signs[m]``; Ix commutes with
+    P, so each row reads its own part.  ``norms``, if given, receives each member's squared
+    norm, summed from the same float64 view.
 
     A row c of parity s is c / √2 on H₀ and s c[::-1] / √2 on F(H₀).  Spins 1 ... n-1
-    read one real view v of the C-contiguous rows, each 2^a x 2^b, a = ⌈(n - 1)/2⌉, with
-    real and imaginary parts side by side, as vdot(v, A v + v (B ⊗ I₂)) / 2, A and B the
-    cached Σσx of the first a and the last b spins.  Spin 0 reads s Re<c, c[::-1]> / 2
-    per row.  Complex64 rows are read as complex128, so every readout accumulates in
-    float64.
+    read one real view v of every member's rows, stacked C-contiguous, each 2^a x 2^b,
+    a = ⌈(n - 1)/2⌉, with real and imaginary parts side by side, as vdot(v, A v + v (B ⊗ I₂))
+    / 2 over a member's part of v, A and B the cached Σσx of the first a and the last b
+    spins.  Spin 0 reads s Re<c, c[::-1]> / 2 per row.  Complex64 rows are read as
+    complex128, so every readout accumulates in float64.  The products compute each row's
+    part of A v and v (B ⊗ I₂) from that row alone, so a member reads the same bits in a
+    batch as alone; `test_a_batch_steps_each_member_as_alone` checks it on the BLAS in use.
     """
-    rows = np.ascontiguousarray(rows, dtype=complex)
-    bits = rows.shape[1].bit_length() - 1
+    state = (np.ascontiguousarray(rows[0], dtype=complex) if len(rows) == 1
+             else np.concatenate(rows, dtype=complex))
+    bits = state.shape[1].bit_length() - 1
     a = (bits + 1) // 2
-    v = rows.view(float).reshape(len(rows), 1 << a, -1)
+    v = state.view(float).reshape(len(state), 1 << a, -1)
     w = _sum_sigma_x(a) @ v
     w += (v.reshape(-1, v.shape[2]) @ _sum_sigma_x(bits - a, 2)).reshape(v.shape)
-    total = np.vdot(v, w) / 2
-    for row, s in zip(rows, signs):
-        total += s * np.vdot(row, row[::-1]).real / 2
-    return float(total)
+    ix, stop = np.empty(len(rows)), 0
+    for m, member in enumerate(signs):
+        start, stop = stop, stop + len(member)
+        total = np.vdot(v[start:stop], w[start:stop]) / 2
+        for row, s in zip(state[start:stop], member):
+            total += s * np.vdot(row, row[::-1]).real / 2
+        ix[m] = total
+        if norms is not None:
+            norms[m] = np.vdot(v[start:stop], v[start:stop])
+    return ix
 
 
 def parity_ix_bytes(num_spins: int) -> int:
@@ -291,10 +306,27 @@ class Power:
     parity: int = 1
 
     def __call__(self, rows: np.ndarray, signs) -> tuple[np.ndarray, tuple]:
+        queue = {}
+        out, signs = self.defer(rows, signs, queue)
+        run_queue(queue)
+        return out, signs
+
+    def defer(self, rows: np.ndarray, signs, queue: dict) -> tuple[np.ndarray, tuple]:
+        """The rows and signs this power maps ``rows`` to, its mat-vecs not yet run: each
+        (row, out) pair is queued under the id of the block that reads it, for `run_queue`."""
         out = np.empty_like(rows)
         for c, s, row in zip(rows, signs, out):
-            np.matmul(self.blocks[s], c, out=row)
+            block = self.blocks[s]
+            queue.setdefault(id(block), [block]).append((c, row))
         return out, signs if self.parity == 1 else tuple([self.parity * s for s in signs])
+
+
+def run_queue(queue: dict):
+    """Run the mat-vecs `Power.defer` queued, matrix by matrix: each block is applied to all
+    of its rows back to back, while it is still in cache, one mat-vec per row."""
+    for block, *pairs in queue.values():
+        for c, row in pairs:
+            np.matmul(block, c, out=row)
 
 
 class GateLayer:
@@ -363,10 +395,11 @@ def initial_state(num_spins: int, hamiltonian: Hamiltonian | None = None,
     return row
 
 
-def _check_norm(state: np.ndarray, context: str):
-    limit = NORM_DRIFT_LIMIT if state.dtype == np.complex128 else NORM_DRIFT_LIMIT_SINGLE
-    state = state.astype(complex, copy=False)  # complex64 rows too sum in float64
-    drift = abs(float(np.vdot(state, state).real) - 1.0)
+def _check_norm(norm: float, dtype, context: str):
+    """Raise unless the squared ``norm`` of rows of ``dtype``, summed in float64, is 1 within
+    the dtype's limit."""
+    limit = NORM_DRIFT_LIMIT if dtype == np.complex128 else NORM_DRIFT_LIMIT_SINGLE
+    drift = abs(float(norm) - 1.0)
     if drift > limit:
         raise NumericalIntegrityError(f"norm drift {drift:.3e} during {context}")
 
@@ -730,44 +763,105 @@ class BlockPropagators:
     dtype: np.dtype = np.dtype(complex)
 
 
-def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
-                     stop_factor: float | None = None) -> SignalTrace:
-    """Evolve the P = +1 ``row`` of `initial_state` block by block under `stream`, recording
-    Ix after every step.
+@dataclass(frozen=True, eq=False)
+class BatchSamples:
+    """What `evolve_batch` recorded: ``samples[m]``, member m's Ix samples up to its stop, of
+    its (stream, block set) ``members[m]``.  Each member's trace is placed by `traces`."""
 
-    This is the one stepping loop of every engine.  The state starts as that one row, signs
-    (1,); the first :class:`GateLayer` that mixes P turns it into the two rows of signs
-    (1, -1).  A step costs, per row, a half-size mat-vec per :class:`Power`, one gather,
-    ⌊n/2⌋ + 1 pair mat-vecs and one scatter per :class:`FreeStep` and an (n - 1)-spin layer
-    per folding :class:`GateLayer` (a mixing one is one n-spin layer), then `parity_ix`, a
-    few real products on all rows at once.  The norm is checked once a cycle.  With
-    ``stop_factor`` the run ends at the first block-end sample below ``stop_factor / e`` of
-    the initial magnitude: the stop is part of how a heating lifetime is defined, as an
-    envelope that is not monotone may cross 1/e again later.  The samples fill one array
-    sized for the stream, trimmed at the stop.
+    members: tuple
+    samples: tuple
+
+    @property
+    def num_cycles(self) -> int:
+        """Cycles stepped, summed over the members."""
+        return sum((len(v) - 1) // len(p.slots) for v, (_, p) in zip(self.samples, self.members))
+
+    def traces(self):
+        """Each member's `SignalTrace`, in member order, placed one at a time, so that a
+        caller that drops each trace holds one placement beside the members' samples."""
+        for (stream, props), values in zip(self.members, self.samples):
+            spec = props.spec
+            yield SignalTrace.at_slots(
+                spec, props.slots, values,
+                meta={"engine": "full-blockwise", "num_spins": props.num_spins,
+                      "stream_seed": stream.seed, "n_order": order_label(stream),
+                      "gamma_y": spec.gamma_y, "tau": spec.tau})
+
+
+def evolve_batch(members, row: np.ndarray, stop_factor: float | None = None) -> BatchSamples:
+    """Evolve the P = +1 ``row`` of `initial_state` block by block under each member's stream
+    and block set, recording each member's Ix after every step.
+
+    This is the one stepping loop of every engine.  A member is one (stream, block set)
+    pair, and a batch's block sets come from one factory: they read one slot tuple and one
+    dtype, and share the factory's powers.  Each member's state starts as that one row,
+    signs (1,); the first :class:`GateLayer` that mixes P turns it into the two rows of
+    signs (1, -1).  All members take a step together, factor by factor: every
+    :class:`Power` queues its mat-vecs (`Power.defer`), and `run_queue` applies each matrix
+    to all rows that read it back to back, so a power shared by many members is read from
+    memory once per step; a gate layer or a :class:`FreeStep` is called per member, since
+    its kick is the member's own.  Per row a step costs a half-size mat-vec per Power, one
+    gather, ⌊n/2⌋ + 1 pair mat-vecs and one scatter per FreeStep and an (n - 1)-spin layer
+    per folding GateLayer (a mixing one is one n-spin layer); then `parity_ix` reads every
+    member's Ix in one pass over all rows.  Each member's norm is checked once a cycle, from
+    the same pass.  No value depends on the batch: each row goes through the same mat-vecs,
+    in the same order, as in a batch of one.
+
+    A member leaves the batch at the end of its stream, or, with ``stop_factor``, at its
+    first block-end sample below ``stop_factor / e`` of its initial magnitude: the stop is
+    part of how a heating lifetime is defined, as an envelope that is not monotone may cross
+    1/e again later.  Each member's samples fill one array sized for its stream, trimmed at
+    its stop.
     """
-    spec, num_spins = props.spec, props.num_spins
+    members = tuple(members)
+    props = [p for _, p in members]
+    slots, dtype, num_spins = props[0].slots, props[0].dtype, props[0].num_spins
+    if any((p.slots, p.dtype, p.num_spins) != (slots, dtype, num_spins) for p in props):
+        raise ValueError("a batch's block sets must share their slots, dtype and spins")
     if row.shape != (1 << (num_spins - 1),):
         raise ValueError("state dimension does not match the propagators")
-    rows, signs = np.asarray(row, dtype=props.dtype)[None], (1,)
-    values = np.empty(1 + len(stream) * len(props.slots))
-    values[0] = parity_ix(rows, signs)
+    count = len(members)
+    rows, signs = [np.asarray(row, dtype=dtype)[None]] * count, [(1,)] * count
+    values = [np.empty(1 + len(stream) * len(slots)) for stream, _ in members]
+    ends, norms = [0] * count, np.empty(count)
+    for m, x in enumerate(parity_ix(rows, signs)):
+        values[m][0] = x
     # without stop_factor the target is 0, which no magnitude falls below
-    target = 0.0 if stop_factor is None else abs(values[0]) * stop_factor / math.e
-    i = 0  # the last sample written
-    for cycle, sym in enumerate(stream.symbols, start=1):
-        for i, step in enumerate(props.steps[int(sym)], start=i + 1):
-            for factor in step:
-                rows, signs = factor(rows, signs)
-            values[i] = parity_ix(rows, signs)
-        _check_norm(rows, f"cycle {cycle}")
-        if abs(values[i]) < target:
-            break
-    return SignalTrace.at_slots(
-        spec, props.slots, values[:i + 1],
-        meta={"engine": "full-blockwise", "num_spins": num_spins,
-              "stream_seed": stream.seed, "n_order": order_label(stream),
-              "gamma_y": spec.gamma_y, "tau": spec.tau})
+    targets = [0.0 if stop_factor is None else abs(v[0]) * stop_factor / math.e
+               for v in values]
+    symbols = [iter(stream.symbols) for stream, _ in members]
+    live, i, cycle = list(range(count)), 0, 0  # i: the last sample written
+    while live := [m for m in live if cycle < len(members[m][0])]:
+        cycle += 1
+        block_steps = [props[m].steps[int(next(symbols[m]))] for m in live]
+        for t in range(len(slots)):
+            # the members' d-th factors of step t, None past a member's last
+            for factors in zip_longest(*[steps[t] for steps in block_steps]):
+                queue = {}
+                for m, factor in zip(live, factors):
+                    if isinstance(factor, Power):
+                        rows[m], signs[m] = factor.defer(rows[m], signs[m], queue)
+                    elif factor is not None:
+                        rows[m], signs[m] = factor(rows[m], signs[m])
+                if queue:
+                    run_queue(queue)
+            i += 1
+            ix = parity_ix([rows[m] for m in live], [signs[m] for m in live],
+                           norms if t == len(slots) - 1 else None)
+            for m, x in zip(live, ix):
+                values[m][i] = x
+        for m, norm in zip(live, norms):
+            _check_norm(norm, dtype, f"cycle {cycle}")
+            ends[m] = i
+        live = [m for m, x in zip(live, ix) if not abs(x) < targets[m]]
+    return BatchSamples(members, tuple(v[:end + 1] for v, end in zip(values, ends)))
+
+
+def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
+                     stop_factor: float | None = None) -> SignalTrace:
+    """`evolve_batch` of one member: the trace of ``stream`` under ``props`` from ``row``."""
+    (trace,) = evolve_batch(((stream, props),), row, stop_factor).traces()
+    return trace
 
 
 def evolve(program: PulseProgram, hamiltonian: Hamiltonian, row: np.ndarray) -> SignalTrace:

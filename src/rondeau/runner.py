@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,10 @@ from .analysis import (MIN_SPECTRUM_CYCLES, NORMALIZATIONS, HeatingFit, Spectrum
                        phase_diagram, dft_micromotion, dft_stroboscopic, symbol_dft)
 from .codec import BITS_PER_CHAR, LowConfidenceError, Message, decode, decode_margins, encode
 from .dephasing import DephasingParams, model_signal
-from .evolution import (BlockPropagatorFactory, BlockPropagators, FreeStep, PulseProgram,
-                        SignalTrace, check_kick_layout, evolve, evolve_blockwise,
-                        half_sample_slot, initial_state, kick_parity, parity_ix_bytes)
-# the heating rundown under its own name, so bench/tracing.py times it apart
-from .evolution import evolve_blockwise as stroboscopic_rundown
+from .evolution import (BatchSamples, BlockPropagatorFactory, BlockPropagators, FreeStep,
+                        PulseProgram, SignalTrace, check_kick_layout, evolve, evolve_batch,
+                        evolve_blockwise, half_sample_slot, initial_state, kick_parity,
+                        parity_ix_bytes)
 from .sequences import (DEFAULT_MAX_SYMBOLS, MonopoleSpec, SymbolStream, sample_rmd,
                         thue_morse_stream)
 from .spins import (COUPLING_MODELS, DEFAULT_SPIN_CAP, Hamiltonian, PackingInfeasibleError,
@@ -171,8 +171,10 @@ class RunConfig:
         orders = () if self.kind in ("encode", "decode") else (
             (sweep and (self.n_orders or sweep.orders)) or (self.n_order,))
         cycles, realizations = (self.max_cycles, self.realizations) if sweep else (self.cycles, 1)
+        symbols = 0  # of the longest stream drawn
         for label in orders:  # a sweep's Thue-Morse windows shift by up to realizations - 1
             length = stream_symbols(label, cycles, realizations - 1 if sweep else 0)
+            symbols = max(symbols, length)
             if length > DEFAULT_MAX_SYMBOLS:
                 raise ConfigError(f"order {label} draws a stream of {length} symbols for "
                                   f"{cycles} cycles, more than the cap of {DEFAULT_MAX_SYMBOLS}")
@@ -209,11 +211,20 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         # the kicks that keep P last: their block set fuses the factory's chains in place
         points = tuple(sorted(enumerate(specs), key=lambda p: kick_parity(p[1].gamma_y, n) != 0))
+        # a sweep steps the points that share a factory (one tau) and whose kicks mix P as
+        # one batch; a point whose kick keeps P, and so fuses the chains, is a batch alone
+        batches = tuple(tuple(i for i, _ in group) for _, group in groupby(
+            points, lambda p: (p[1].tau, p[0] if kick_parity(p[1].gamma_y, n) else -1))
+        ) if sweep else ()
         samples = 1 + cycles * len(slots) if slots else 0
         builds_system = self.engine == "full" and bool(slots)
+        # a full-engine batch holds every member's stream and samples while their traces
+        # are placed, one at a time
+        members = max(map(len, batches), default=0) * len(orders) * realizations
+        held = builds_system * members * (8 * samples + symbols)
         path = self.trace_file  # a file that cannot be stat'ed adds 0, and fails when read
         stages = ({"decode_read": serialize.read_bytes(path) if os.path.isfile(path) else 0}
-                  if self.kind == "decode" else {"trace": SignalTrace.peak_bytes(samples)})
+                  if self.kind == "decode" else {"trace": SignalTrace.peak_bytes(samples) + held})
         if builds_system and n >= 2:  # `validate` refuses fewer spins before any estimate
             stages["eigensystem"], stages["eigensystem_build"] = Hamiltonian.eigensystem_bytes(n)
             stages["parity_ix"] = parity_ix_bytes(n)
@@ -223,8 +234,8 @@ class RunConfig:
                 stages["factory"] = BlockPropagatorFactory.peak_bytes(
                     n, base, slots, {kick_parity(s.gamma_y, n) for _, s in points},
                     dtype.itemsize)
-        return RunPlan(self, slots, points, orders, realizations, samples, builds_system,
-                       sweep, dtype, stages)
+        return RunPlan(self, slots, points, batches, orders, realizations, samples,
+                       builds_system, sweep, dtype, stages)
 
     def validate(self, plan: RunPlan | None = None) -> tuple[SpinGraph, ...]:
         """Raise ConfigError unless the run of ``plan`` (by default this config's `plan`) can
@@ -282,14 +293,18 @@ class RunPlan:
 
     ``dtype`` is the one a factory keeps its powers and steps its rows in: complex64 for
     heating-eps, whose rundowns write whole-block 1/e crossings alone, complex128 for every
-    other kind.  ``stage_bytes`` names each array stage of the memory estimate: the
-    ``trace`` and, with a system, its kept ``eigensystem`` and `parity_ix` caches, then the
-    ``eigensystem_build`` and the per-pulse ``free_step`` or the ``factory``; a decode's
-    ``decode_read`` alone."""
+    other kind.  ``batches`` groups a heating sweep's points into the batches its rundowns
+    are stepped in (`_run_heating`).  ``stage_bytes`` names each array stage of the memory
+    estimate: the ``trace`` (one `SignalTrace.at_slots` placement, and where a system is
+    built the stream, a byte a symbol, and the samples, 8 bytes each, of every member of
+    the largest batch) and, with a system, its kept ``eigensystem`` and `parity_ix` caches,
+    then the ``eigensystem_build`` and the per-pulse ``free_step`` or the ``factory``; a
+    decode's ``decode_read`` alone."""
 
     config: RunConfig
     slots: tuple[int, ...]   # each block's readout slots; () where no trace is evolved
     points: tuple[tuple[int, MonopoleSpec], ...]  # (index, spec), visited gamma = pi last
+    batches: tuple[tuple[int, ...], ...]  # a sweep's point indices stepped together, in turn
     orders: tuple            # multipole orders the run draws streams of
     realizations: int        # drive realizations per point and order
     trace_samples: int       # samples of the longest trace the run records
@@ -351,9 +366,7 @@ class FullSystem:
 
     ``graph`` is one that `RunConfig.validate` placed.  The Hamiltonian keeps
     its couplings and, from its first use, its sector eigensystem; no sector
-    block outlives its diagonalization.  Only the factory of the most recent
-    tau and readout slots is kept, since a sweep uses each tau for one point
-    and a run reads one slot tuple.
+    block outlives its diagonalization.
     """
 
     def __init__(self, config: RunConfig, graph: SpinGraph):
@@ -368,7 +381,11 @@ class FullSystem:
         self._factory: tuple[tuple, BlockPropagatorFactory] | None = None
 
     def factory(self, spec: MonopoleSpec, slots: tuple, dtype=complex) -> BlockPropagatorFactory:
-        key = (spec.tau, slots)  # a run's plan fixes one dtype
+        """The factory of ``spec``'s tau and ``slots``, built at the first ask and kept until
+        another tau or slot tuple is asked for: a run reads one slot tuple, and every block
+        set of a sweep's batch (`RunPlan.batches`) is asked for at one tau, so all of them
+        read one factory's powers.  A run's plan fixes one ``dtype``."""
+        key = (spec.tau, slots)
         if self._factory is None or self._factory[0] != key:
             self._factory = None  # release the old factory before building
             self._factory = (key, BlockPropagatorFactory(
@@ -390,26 +407,40 @@ def _block_set(system: FullSystem | None, plan: RunPlan,
     return system.factory(spec, plan.slots, plan.dtype).block_set(spec.gamma_y)
 
 
-def _drive_trace(system: FullSystem | None, props, stream: SymbolStream,
-                 stop_factor: float | None = None) -> SignalTrace:
-    """Noise-free trace of ``stream`` under ``props`` from `_block_set`.
-
-    With ``stop_factor`` the full engine runs the early-stopping heating
-    rundown; the closed-form model always covers the whole stream.
-    """
+def _drive_trace(system: FullSystem | None, props, stream: SymbolStream) -> SignalTrace:
+    """Noise-free trace of the whole ``stream`` under ``props`` from `_block_set`."""
     if system is None:
         return model_signal(stream, props)
-    if stop_factor is None:
-        return evolve_blockwise(stream, props, system.row0)
-    return stroboscopic_rundown(stream, props, system.row0, stop_factor=stop_factor)
+    return evolve_blockwise(stream, props, system.row0)
 
 
-def measure_rate(system: FullSystem | None, props, config: RunConfig, order, seed: int,
-                 offset: int = 0) -> HeatingFit:
-    """1/e decay rate of one drive realization under ``props`` from `_block_set`."""
+def _rundown_traces(system: FullSystem | None, members):
+    """Heating rundown trace of each (stream, ``props`` from `_block_set`) member, in turn.
+
+    The full engine steps the members as one batch, `stroboscopic_rundown`; the
+    closed-form model traces each whole stream, one member at a time.
+    """
+    if system is None:
+        return (model_signal(stream, params) for stream, params in members)
+    return stroboscopic_rundown(members, system.row0).traces()
+
+
+def stroboscopic_rundown(members, row) -> BatchSamples:
+    """The heating rundown of a batch of (stream, block set) members from ``row``: each
+    member stepped by `evolve_batch` until its first block-end sample below 0.8 / e of its
+    initial magnitude, or its stream's end."""
+    return evolve_batch(members, row, stop_factor=0.8)
+
+
+def _rundown_stream(config: RunConfig, order, seed: int, offset: int = 0) -> SymbolStream:
+    """The drive of one heating realization: `make_stream`'s, cut at ``max_cycles``."""
     stream = make_stream(order, config.max_cycles, seed, offset=offset)
-    stream = replace(stream, symbols=stream.symbols[:config.max_cycles])
-    return lifetime(_drive_trace(system, props, stream, stop_factor=0.8))
+    return replace(stream, symbols=stream.symbols[:config.max_cycles])
+
+
+def measure_rate(trace: SignalTrace) -> HeatingFit:
+    """1/e decay rate of one drive realization, from its rundown ``trace``."""
+    return lifetime(trace)
 
 
 def _realization_spectra(system: FullSystem | None, plan: RunPlan, spec: MonopoleSpec,
@@ -495,17 +526,22 @@ def _run_heating(plan: RunPlan, out: Path, graphs: tuple) -> dict:
     ``heating-eps`` sweeps the kick-angle deviation and fits the rate in excess of the rate
     at gamma = pi against |eps|; ``heating-period`` and ``heating-highfreq`` sweep tau at
     gamma = pi + sweep_slope * T and fit the rate against the period T.  One loop measures
-    every rate: graph g (one on the dephasing engine) -> point j, in ``plan.points`` order
-    -> one block set -> order k -> realization r, seeded by ``derive_seed(seed, seed_block
-    * k + j, g, r)`` (Thue-Morse: offset r).  Eps point 0 is the gamma = pi reference,
-    visited last, and eps i is point 1 + i; a tau point is its grid index.  One graph's
-    system is alive at a time.  A point pools its (g, r) rates and is used if all crossed
-    1/e and its (excess) rate is positive; an order whose used points share one rate, or an
-    eps order whose reference never crossed (``rate_at_pi`` NaN), is not fitted.  Each
-    ``fits.json`` entry has ``points_used``, ``uncrossed``, then ``exponent``/``stderr`` or
-    an ``error``; eps entries add ``rate_at_pi`` (``null`` when NaN) and
-    ``reference_crossed``, tau sweeps ``smallest_period_rate``.  The rates go to the
-    sweep's ``table``.
+    every rate: graph g (one on the dephasing engine) -> batch, in ``plan.batches`` order ->
+    its points' block sets -> order k -> point j -> realization r, one member each, seeded
+    by ``derive_seed(seed, seed_block * k + j, g, r)`` (Thue-Morse: offset r).  A batch's
+    members are stepped together (`stroboscopic_rundown`): all eps points that mix P, which
+    share one factory, and then the gamma = pi reference alone, whose block set fuses the
+    chains in place; a tau sweep's points each need their own factory, so each is a batch.
+    Eps point 0 is the reference, and eps i is point 1 + i; a tau point is its grid index.
+    One graph's system is alive at a time, and one batch's block sets.  Batching changes no
+    value: each row goes through the same mat-vecs as alone.  Each member's rate is measured
+    (`measure_rate`) in member order.  A point pools its (g, r) rates and is used if all
+    crossed 1/e and its (excess) rate is positive; an order whose used points share one
+    rate, or an eps order whose reference never crossed (``rate_at_pi`` NaN), is not
+    fitted.  Each ``fits.json`` entry has ``points_used``, ``uncrossed``, then
+    ``exponent``/``stderr`` or an ``error``; eps entries add ``rate_at_pi`` (``null`` when
+    NaN) and ``reference_crossed``, tau sweeps ``smallest_period_rate``.  The rates go to
+    the sweep's ``table``.
 
     A heating-eps run steps its rundowns in complex64 (``plan.dtype``), at half the bytes
     per mat-vec; the other sweeps step in complex128.  A rate is 1/(m T) for the whole block
@@ -519,17 +555,20 @@ def _run_heating(plan: RunPlan, out: Path, graphs: tuple) -> dict:
     xs = np.array(config.eps_grid if eps_sweep else
                   [s.block_duration for _, s in sorted(plan.points)], dtype=float)
     measured = [[[] for _ in plan.points] for _ in orders]  # [k][j]: fits over (g, r)
+    specs = dict(plan.points)
     for g in range(len(graphs) or 1):
         system = FullSystem(config, graphs[g]) if graphs else None
-        for j, spec in plan.points:
-            props = _block_set(system, plan, spec)
-            for k, order in enumerate(orders):
-                inf = _parse_order(order) == math.inf
-                for r in range(plan.realizations):
-                    seed = derive_seed(config.seed, sweep.seed_block * k + j, g, r)
-                    measured[k][j].append(measure_rate(system, props, config, order, seed,
-                                                       offset=r if inf else 0))
-            del props  # before the next block set is built
+        for batch in plan.batches:
+            props = {j: _block_set(system, plan, specs[j]) for j in batch}
+            keys = [(k, j, r) for k in range(len(orders)) for j in batch
+                    for r in range(plan.realizations)]
+            members = ((_rundown_stream(config, orders[k],
+                                        derive_seed(config.seed, sweep.seed_block * k + j, g, r),
+                                        r if _parse_order(orders[k]) == math.inf else 0),
+                        props[j]) for k, j, r in keys)
+            for (k, j, _), trace in zip(keys, _rundown_traces(system, members)):
+                measured[k][j].append(measure_rate(trace))
+            del props  # before the next batch's block sets are built
         del system  # before the next graph's Hamiltonian is built
 
     rows, fits = [], {}
@@ -611,7 +650,8 @@ def run(config: RunConfig) -> dict:
 
     ``manifest.json`` holds the ``config``, its ``config_hash``, the ``versions`` of rondeau
     and numpy, the handler's ``summary``, the other ``outputs`` in the directory, and the
-    ``plan``: its readout ``slots``, its number of sweep ``points``, where the run builds a
+    ``plan``: its readout ``slots``, its number of sweep ``points``, for a heating sweep the
+    ``batches`` of point indices whose rundowns are stepped together, where the run builds a
     system the ``dtype`` its rows are stepped in, the ``stage_bytes`` of each array stage of
     the memory estimate, and ``peak_bytes``, the estimate that the preflight compares with
     physical memory and prints when it refuses a run.
@@ -640,6 +680,7 @@ def run(config: RunConfig) -> dict:
         "summary": summary,
         "outputs": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
         "plan": {"slots": plan.slots, "points": len(plan.points),
+                 **({"batches": plan.batches} if plan.sweep else {}),
                  **({"dtype": plan.dtype.name} if plan.builds_system else {}),
                  "stage_bytes": plan.stage_bytes, "peak_bytes": plan.peak_bytes},
     }

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rondeau.runner as runner
 from rondeau.evolution import half_sample_slot, initial_state
 from rondeau.sequences import MonopoleSpec
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
@@ -55,3 +56,11 @@ def block_end(spec):
 def every_slot(spec):
     """Readout slots of the per-pulse trace: every slot of the block."""
     return tuple(range(1, spec.slots_per_block + 1))
+
+
+def realization_rate(system, props, config, order, seed: int, offset: int = 0):
+    """`measure_rate` of one heating realization stepped alone, a batch of one member: the
+    stream `_run_heating` draws for it under ``props``, on ``system`` (None: dephasing)."""
+    stream = runner._rundown_stream(config, order, seed, offset)
+    (trace,) = runner._rundown_traces(system, [(stream, props)])
+    return runner.measure_rate(trace)

@@ -68,7 +68,7 @@ class TestParityReadout:
         laid_out = {"C": rows, "reversed": rows[::-1, ::-1].copy()[::-1, ::-1],
                     "strided": wide[:, ::2], "F": np.asfortranarray(rows)}[layout]
         assert np.array_equal(laid_out, rows)
-        assert abs(parity_ix(laid_out, signs) - expected) <= 1e-12 * abs(expected)
+        assert abs(parity_ix([laid_out], [signs])[0] - expected) <= 1e-12 * abs(expected)
 
 
 class TestMixingLayer:

@@ -538,6 +538,22 @@ class TestFactoryMemory:
             assert config.plan().stage_bytes["factory"] > 0.9 * estimate
             assert 0.8 * estimate <= peak <= 1.3 * estimate
 
+    def test_batched_heating_run_peak_within_the_estimate(self, tmp_path):
+        """A heating-eps batch holds every member's stream and samples while its traces
+        are placed: here 4 eps points x 3 realizations of 2^14 + 1 samples each, more than
+        the rest of the run.  The plan's ``trace`` stage counts them, so the whole run stays
+        within `peak_bytes` and `BOOKKEEPING`, and an estimate without them would be short."""
+        config = RunConfig(kind="heating-eps", out_dir=str(tmp_path / "run"), num_spins=6,
+                           eps_grid=(0.3, 0.4, 0.5, 0.6), realizations=3, max_cycles=2**14,
+                           pulses_per_block=12, kick_plus=8, kick_minus=4, tau=0.05)
+        run(replace(config, out_dir=str(tmp_path / "warm"), max_cycles=64))  # imports
+        _, _, peak = traced(lambda: run(config))
+        plan = config.plan()
+        assert plan.batches == ((1, 2, 3, 4), (0,))
+        held = 12 * (8 * plan.trace_samples + config.max_cycles)
+        assert plan.stage_bytes["trace"] == SignalTrace.peak_bytes(plan.trace_samples) + held
+        assert plan.peak_bytes - held < peak <= plan.peak_bytes + BOOKKEEPING
+
     @pytest.mark.parametrize("num_spins", [8, 9, 10])
     def test_trace_estimate_counts_the_sector_engine(self, num_spins):
         """A per-pulse trace holds the eigenvectors of the sectors k <= n/2, no sector
@@ -594,7 +610,7 @@ class TestFactoryMemory:
         rows = initial_state(num_spins)[None]
         _sum_sigma_x.cache_clear()
         try:
-            _, kept, _ = traced(lambda: parity_ix(rows, (1,)))
+            _, kept, _ = traced(lambda: parity_ix([rows], [(1,)]))
         finally:
             _sum_sigma_x.cache_clear()
         assert parity_ix_bytes(num_spins) < kept <= parity_ix_bytes(num_spins) + BOOKKEEPING

@@ -10,8 +10,9 @@ import pytest
 
 from rondeau import serialize
 from rondeau.analysis import fit_power_law
-from rondeau.runner import (ConfigError, FullSystem, RunConfig, _block_set,
-                            derive_seed, measure_rate, run)
+from rondeau.runner import ConfigError, FullSystem, RunConfig, _block_set, derive_seed, run
+
+from conftest import realization_rate
 
 SMALL = dict(pulses_per_block=12, kick_plus=8, kick_minus=4)
 EPS_GRID = tuple(float(e) for e in np.geomspace(0.02, 0.2, 6) * math.pi)
@@ -29,8 +30,9 @@ def pooled_rate(config, spec, order, index):
     """Mean and std of the dephasing engine's rates at ``spec`` over the drive
     realizations of seed index ``index``, and whether all of them crossed 1/e."""
     props = _block_set(None, config.plan(), spec)
-    fits = [measure_rate(None, props, config, order, derive_seed(config.seed, index, 0, r),
-                         offset=r if order == "inf" else 0) for r in range(config.realizations)]
+    fits = [realization_rate(None, props, config, order, derive_seed(config.seed, index, 0, r),
+                             offset=r if order == "inf" else 0)
+            for r in range(config.realizations)]
     rates = np.array([f.rate for f in fits])
     return float(rates.mean()), float(rates.std()), all(f.crossed for f in fits)
 
@@ -155,8 +157,8 @@ def test_full_engine_sweep_pools_every_graph(tmp_path):
                 props = _block_set(system, plan, spec)
                 for r in range(config.realizations):
                     seed = derive_seed(config.seed, 1000 * k + j, g, r)
-                    rates[j].append(measure_rate(system, props, config, order, seed,
-                                                 offset=r if order == "inf" else 0).rate)
+                    rates[j].append(realization_rate(system, props, config, order, seed,
+                                                     offset=r if order == "inf" else 0).rate)
         (reference, *points), mine = rates, [r for r in rows if r["order"] == order]
         assert fits[order]["reference_crossed"]
         assert fits[order]["rate_at_pi"] == float(np.mean(reference))

@@ -11,8 +11,10 @@ import pytest
 import rondeau.runner as runner
 from rondeau import serialize
 from rondeau.evolution import BlockPropagatorFactory
-from rondeau.runner import FullSystem, RunConfig, derive_seed, measure_rate, run
+from rondeau.runner import FullSystem, RunConfig, derive_seed, run
 from rondeau.spins import build_hamiltonian, compute_couplings, generate_graph
+
+from conftest import realization_rate
 
 SMALL = dict(num_spins=4, engine="full", pulses_per_block=12, kick_plus=8, kick_minus=4,
              tau=0.05, realizations=3)
@@ -46,14 +48,16 @@ def test_one_block_set_per_kick_angle(tmp_path, block_set_keys, overrides, disti
 
 
 @pytest.mark.parametrize("graphs", [1, 3])
-@pytest.mark.parametrize("overrides, points", [
-    (dict(kind="heating-highfreq", sweep_slope=0.5, tau_grid=(0.05, 0.04, 0.03, 0.02)), 4),
-    (dict(kind="heating-eps", eps_grid=(0.2, 0.4)), 3),  # and the gamma = pi reference
+@pytest.mark.parametrize("overrides, batches", [
+    (dict(kind="heating-highfreq", sweep_slope=0.5, tau_grid=(0.05, 0.04, 0.03, 0.02)),
+     [1, 1, 1, 1]),  # one batch per tau
+    (dict(kind="heating-eps", eps_grid=(0.2, 0.4)), [2, 1]),  # then the gamma = pi reference
 ])
-def test_sweep_keeps_one_spin_system_alive(tmp_path, monkeypatch, graphs, overrides, points):
-    """Each block set is built with one factory and no older block set alive, and each
-    graph's Hamiltonian with neither: a sweep releases each tau's factory and each
-    graph's system before it builds the next."""
+def test_sweep_keeps_one_spin_system_alive(tmp_path, monkeypatch, graphs, overrides,
+                                           batches):
+    """Each block set is built with one factory and no block set of an earlier batch alive,
+    and each graph's Hamiltonian with neither: a sweep releases each batch's block sets,
+    each tau's factory and each graph's system before it builds the next."""
     factories, block_sets, seen = weakref.WeakSet(), weakref.WeakSet(), []
     init, block_set = BlockPropagatorFactory.__init__, BlockPropagatorFactory.block_set
     build_hamiltonian = runner.build_hamiltonian
@@ -82,7 +86,8 @@ def test_sweep_keeps_one_spin_system_alive(tmp_path, monkeypatch, graphs, overri
     # heating-highfreq evolves its four default orders under each block set
     run(RunConfig(out_dir=str(tmp_path), graph_realizations=graphs, max_cycles=64,
                   **SMALL, **overrides))
-    assert seen == ([("hamiltonian", 0, 0)] + [("block_set", 1, 0)] * points) * graphs
+    assert seen == ([("hamiltonian", 0, 0)] + [("block_set", 1, i) for size in batches
+                                               for i in range(size)]) * graphs
 
 
 @pytest.mark.parametrize("order", ["1", "inf"])
@@ -100,8 +105,8 @@ def test_shared_block_set_gives_identical_rates(tmp_path, order):
             props = system.factory(spec, (spec.slots_per_block,), dtype).block_set(spec.gamma_y)
             seed = derive_seed(config.seed, 1, g, r)  # eps point 0 follows the reference
             offset = r if order == "inf" else 0
-            rates.append(measure_rate(system, props, config, order, seed,
-                                      offset=offset).rate)
+            rates.append(realization_rate(system, props, config, order, seed,
+                                          offset=offset).rate)
     _, (_, _, mean, std, _, _) = serialize.read_heating(tmp_path / "heating_eps.csv")
     assert (mean.tolist(), std.tolist()) == ([float(np.mean(rates))], [float(np.std(rates))])
 
@@ -168,8 +173,8 @@ def test_factory_builds_each_parity_at_its_first_block_set(overrides, parities):
 
 def test_heating_eps_builds_p_minus_first_and_fuses_the_reference_last(tmp_path, monkeypatch):
     """A heating-eps run builds P = -1 at its first eps point's block set, before any rundown,
-    and fuses the kick steps at its gamma = pi reference, the last block set, which at
-    even n drops P = -1."""
+    steps every eps point in one batch, one rundown, and then fuses the kick steps at its
+    gamma = pi reference, the last block set, which at even n drops P = -1."""
     events = []
     real_block_set = BlockPropagatorFactory.block_set
     real_rundown = runner.stroboscopic_rundown
@@ -188,6 +193,6 @@ def test_heating_eps_builds_p_minus_first_and_fuses_the_reference_last(tmp_path,
     run(RunConfig(kind="heating-eps", out_dir=str(tmp_path), eps_grid=(0.1, 0.2),
                   max_cycles=64, **SMALL))
     sets = [e for e in events if e != "rundown"]
-    assert events[0] == sets[0] and events.index("rundown") == 1
+    assert events == [sets[0], sets[1], "rundown", sets[2], "rundown"]
     assert sets == [(pytest.approx(0.1), [1, -1], False), (pytest.approx(0.2), [1, -1], False),
                     (0.0, [1], True)]

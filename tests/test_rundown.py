@@ -1,5 +1,5 @@
-"""The heating rundown is evolve_blockwise with an early stop, checked against a plain loop
-in either precision."""
+"""The heating rundown is evolve_batch with an early stop, checked against a plain loop
+in either precision, and a batch against its members stepped alone."""
 
 import dataclasses
 import math
@@ -11,8 +11,9 @@ import rondeau.runner as runner
 from rondeau.analysis import lifetime
 from rondeau.cli import _config_from_args, build_parser
 from rondeau.evolution import NumericalIntegrityError, SignalTrace, _check_norm, parity_ix
-from rondeau.runner import FullSystem, RunConfig, make_stream, measure_rate, run
+from rondeau.runner import FullSystem, RunConfig, _block_set, derive_seed, make_stream, run
 
+from conftest import realization_rate
 from golden.regenerate import CASES
 
 #: The full-engine heating cases of the golden suite, each one CLI command line.
@@ -31,15 +32,16 @@ def reference_rundown(symbols, props, row0, max_cycles, stop_factor=0.8):
     T = spec.block_duration
     full = {s: step for s, (step,) in props.steps.items()}
     rows, signs = np.stack((row0, np.zeros_like(row0))).astype(props.dtype), (1, -1)
-    values = [parity_ix(rows, signs)]
+    values = [parity_ix([rows], [signs])[0]]
     target = abs(values[0]) * stop_factor / math.e
     limit = min(max_cycles, symbols.size)
     for ell in range(limit):
         for factor in full[int(symbols[ell])]:
             rows, signs = factor(rows, signs)
-        values.append(parity_ix(rows, signs))
+        values.append(parity_ix([rows], [signs])[0])
         if (ell + 1) % 64 == 0:
-            _check_norm(rows, f"cycle {ell + 1}")
+            state = rows.astype(complex)  # summed in float64, as the stepper sums it
+            _check_norm(np.vdot(state, state).real, rows.dtype, f"cycle {ell + 1}")
         if abs(values[-1]) < target:
             break
     return SignalTrace(times=T * np.arange(len(values)), values=np.array(values),
@@ -62,20 +64,21 @@ def test_rundown_matches_reference_loop(monkeypatch, tau, eps, order, max_cycles
     system = FullSystem(config, *config.validate())
     props = system.factory(spec, (spec.slots_per_block,), dtype).block_set(spec.gamma_y)
     assert props.dtype == dtype
-    traces = []
+    batches = []
     rundown = runner.stroboscopic_rundown
 
     def recorded(*args, **kwargs):
-        traces.append(rundown(*args, **kwargs))
-        return traces[-1]
+        batches.append(rundown(*args, **kwargs))
+        return batches[-1]
 
     monkeypatch.setattr(runner, "stroboscopic_rundown", recorded)
-    fit = measure_rate(system, props, config, order, seed=5)
+    fit = realization_rate(system, props, config, order, seed=5)
 
     stream = make_stream(order, max_cycles, 5)
     expected = reference_rundown(stream.symbols, props, system.row0, max_cycles)
-    (trace,) = traces
-    assert trace.num_cycles == expected.num_cycles
+    (batch,) = batches
+    (trace,) = batch.traces()
+    assert trace.num_cycles == batch.num_cycles == expected.num_cycles
     assert np.array_equal(trace.values, expected.values)
     assert np.array_equal(trace.times, expected.times)
     assert trace.slots == expected.slots
@@ -100,7 +103,8 @@ def test_dephasing_rundown_stops_at_max_cycles(monkeypatch):
         return model_signal(stream, params)
 
     monkeypatch.setattr(runner, "model_signal", recorded)
-    fit = measure_rate(None, runner._block_set(None, config.plan(), spec), config, "2", seed=5)
+    fit = realization_rate(None, runner._block_set(None, config.plan(), spec), config, "2",
+                           seed=5)
     assert lengths == [101]  # not the 104 symbols of the rounded-up order-2 stream
     assert not fit.crossed
     assert fit.lifetime == pytest.approx(101 * spec.block_duration)
@@ -121,9 +125,11 @@ def test_complex64_rundowns_keep_every_lifetime(tmp_path, monkeypatch, case):
     for dtype in (np.complex64, np.complex128):
         recorded = runs[dtype] = []
 
-        def traced_rundown(stream, props, *args, **kwargs):
-            recorded.append((props.dtype, rundown(stream, props, *args, **kwargs)))
-            return recorded[-1][1]
+        def traced_rundown(members, *args, **kwargs):
+            batch = rundown(members, *args, **kwargs)
+            recorded.extend((props.dtype, trace)
+                            for (_, props), trace in zip(batch.members, batch.traces()))
+            return batch
 
         monkeypatch.setattr(RunConfig, "plan", lambda self, dtype=dtype: dataclasses.replace(
             planned(self), dtype=np.dtype(dtype)))
@@ -154,4 +160,46 @@ def test_non_unitary_step_fails_the_norm_check(dtype):
     for block in power.blocks.values():
         block *= 1 + 1e-3
     with pytest.raises(NumericalIntegrityError, match="norm drift"):
-        measure_rate(system, props, config, "0", seed=5)
+        realization_rate(system, props, config, "0", seed=5)
+
+
+@pytest.mark.parametrize("engine", ["full", "dephasing"])
+@pytest.mark.parametrize("kind, overrides", [
+    ("heating-eps", dict(num_spins=5, eps_grid=(0.05, 0.4, 0.8), max_cycles=128)),
+    ("heating-period", dict(num_spins=4, tau_grid=(0.02, 0.1), sweep_slope=0.3,
+                            max_cycles=100)),
+])
+def test_a_batch_steps_each_member_as_alone(engine, kind, overrides):
+    """Every batch of the plan, in its order (the eps points that mix P together, in
+    complex64, then the gamma = pi reference, which fuses the chains; each tau point
+    alone, in complex128), holds 3 realizations of each of its points.  Each member's trace
+    is bit for bit its trace stepped alone, a batch of one on the same (stream, block
+    set), and the batch's cycles are its members' sum.  The members stop at many cycles,
+    some never within ``max_cycles``."""
+    config = RunConfig(kind=kind, out_dir="x", engine=engine, pulses_per_block=12,
+                       kick_plus=8, kick_minus=4, tau=0.05, realizations=3, **overrides)
+    plan = config.plan()
+    system = FullSystem(config, *config.validate(plan)) if engine == "full" else None
+    specs, stops = dict(plan.points), []
+    for batch in plan.batches:
+        props = {j: _block_set(system, plan, specs[j]) for j in batch}
+        members = [(runner._rundown_stream(config, "0", derive_seed(1, j, r)), props[j])
+                   for j in batch for r in range(3)]
+        if system is None:
+            together = list(runner._rundown_traces(None, members))
+            alone = [t for m in members for t in runner._rundown_traces(None, [m])]
+        else:
+            assert all(p.dtype == plan.dtype for p in props.values())
+            batched = runner.stroboscopic_rundown(members, system.row0)
+            singles = [runner.stroboscopic_rundown([m], system.row0) for m in members]
+            assert batched.num_cycles == sum(single.num_cycles for single in singles)
+            together = list(batched.traces())
+            alone = [t for single in singles for t in single.traces()]
+        for a, b in zip(together, alone, strict=True):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.times, b.times)
+            assert a.meta == b.meta
+        stops += [t.num_cycles for t in together]
+    if engine == "full":
+        assert config.max_cycles in stops and min(stops) < config.max_cycles
+        assert len(set(stops)) > len(plan.batches)

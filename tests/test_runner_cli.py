@@ -652,8 +652,15 @@ class TestRunPlan:
                 return evolved[-1]
             return wrapper
 
+        def recorded_rundowns(system, members):
+            traces = list(rundown_traces(system, members))
+            evolved.extend(traces)
+            return traces
+
+        rundown_traces = runner._rundown_traces
         monkeypatch.setattr(runner, "evolve", recorded(runner.evolve))
         monkeypatch.setattr(runner, "_drive_trace", recorded(runner._drive_trace))
+        monkeypatch.setattr(runner, "_rundown_traces", recorded_rundowns)
         run(config)
         # every trace the run evolves, a heating rundown too, reads the plan's slots and
         # holds at most its samples; a run that reads no slot evolves none
@@ -668,8 +675,14 @@ class TestRunPlan:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         # the dtype is recorded where the run steps rows of a system
         dtype = {"dtype": plan.dtype.name} if plan.builds_system else {}
+        # a heating sweep records its batches: the eps points that mix P together, then the
+        # gamma = pi reference; each tau point alone, as each needs its own factory
+        batches = {"heating-eps": [[1, 2], [0]], "heating-period": [[0], [1]],
+                   "heating-highfreq": [[0], [1]]}
+        assert plan.batches == tuple(map(tuple, batches.get(kind, ())))
+        batches = {"batches": batches[kind]} if kind in batches else {}
         assert manifest["plan"] == {"slots": list(plan.slots), "points": len(plan.points),
-                                    **dtype, "stage_bytes": plan.stage_bytes,
+                                    **batches, **dtype, "stage_bytes": plan.stage_bytes,
                                     "peak_bytes": plan.peak_bytes}
 
 
