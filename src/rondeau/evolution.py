@@ -36,11 +36,15 @@ evolution from one dense eigh.
 
 A factory keeps its powers, and its block sets step their rows, in one dtype: complex128,
 or complex64 for a heating-eps sweep's rundowns, which halves the bytes each mat-vec
-streams.  Either way the chains are built, and every gate layer computes, in complex128,
-and Ix and the norm are summed in float64; only the stored powers and the rows are rounded.
-At n = 10 a complex64 rundown moved Ix by at most 1.6e-5 in up to 1160 cycles, against
-|Ix| near 1.8 where a lifetime is read.  A lifetime, a whole block m, can then move by one
-block only where a block-end |S| lies that close to 1/e; on every input measured none did.
+streams.  Either way every product of a chain is taken, and every gate layer computes, in
+complex128, and Ix and the norm are summed in float64; only the stored powers and the rows
+are rounded.  A complex64 chain writes the powers no later product reads straight into
+complex64, row block by row block, and casts each other power after its last read
+(`PowerChain.schedule`): on the default block-end layout it holds at most the bytes of
+three complex128 matrices, where a complex128 chain holds four.  At n = 10 a complex64
+rundown moved Ix by at most 1.6e-5 in up to 1160 cycles, against |Ix| near 1.8 where a
+lifetime is read.  A lifetime, a whole block m, can then move by one block only where a
+block-end |S| lies that close to 1/e; on every input measured none did.
 Every other kind, a trace whose samples are outputs too, is stepped in complex128.
 """
 
@@ -50,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -429,6 +433,9 @@ def check_kick_layout(spec: MonopoleSpec):
 #: Blocks of rows (`cycle_parity`) or columns (`fuse_kick`) in which a gate layer is applied
 #: to a half-size matrix in place, so that no full-size temporary is made.
 LAYER_BLOCKS = 32
+#: Row blocks in which `PowerChain.fill` takes a product that it keeps in a narrower dtype
+#: than W's and that no later product reads, so that one block is held in W's dtype.
+LEAF_BLOCKS = 4
 
 
 def cycle_parity(eigensystem, spec: MonopoleSpec, sign: int) -> np.ndarray:
@@ -470,9 +477,8 @@ class PowerChain:
     pairs the largest a without W, so W is dropped early (201 = 101 + 100, not
     200 + 1); its chain is kept if it is no worse in products and in ``peak``, the
     most matrices `fill` holds at once (the base, built powers, the identity), and
-    better in one.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b, ``drops[i]``
-    names the powers that are no target and that no later step reads, and ``casts[i]`` the
-    targets that no later step reads.
+    better in one.  ``steps[i] = (e, a, b)`` computes W^e = W^a · W^b; `schedule` gives
+    the order in which `fill` runs them and what it frees after each.
     """
 
     def __init__(self, exponents):
@@ -480,13 +486,12 @@ class PowerChain:
         if any(e < 0 for e in self.targets):
             raise ValueError(f"negative exponent in {sorted(self.targets)}")
         binary, lean = self._chain(lean=False), self._chain(lean=True)
-        no_worse = len(lean[0]) <= len(binary[0]) and lean[2] <= binary[2]
-        better = no_worse and (len(lean[0]), lean[2]) != (len(binary[0]), binary[2])
-        self.steps, self.drops, self.peak = lean if better else binary
-        self.casts = self._casts(self.steps)
+        no_worse = len(lean[0]) <= len(binary[0]) and lean[1] <= binary[1]
+        better = no_worse and (len(lean[0]), lean[1]) != (len(binary[0]), binary[1])
+        self.steps, self.peak = lean if better else binary
 
-    def _chain(self, lean: bool) -> tuple[tuple, tuple, int]:
-        """Steps, drops and peak of the binary rule, or of the lean rule."""
+    def _chain(self, lean: bool) -> tuple[tuple, int]:
+        """Steps and peak of the binary rule, or of the lean rule."""
         built, steps = {1}, []
 
         def product(a: int, b: int) -> int:
@@ -511,33 +516,61 @@ class PowerChain:
                 partial = 1 << e.bit_length() - 1
                 for j in reversed(range(e.bit_length() - 1)):
                     partial = product(partial, 1 << j) if e >> j & 1 else partial
-        last = {f: i for i, step in enumerate(steps) for f in step[1:]}
-        drops = tuple(tuple(sorted({f for f in (a, b) if last[f] == i} - self.targets))
-                      for i, (_, a, b) in enumerate(steps))
-        return tuple(steps), drops, self._held(steps, drops, 16) // 16
+        return tuple(steps), self._held(self._schedule(steps, False), 16) // 16
 
-    def _casts(self, steps) -> tuple:
-        last = {f: i for i, step in enumerate(steps) for f in step}
-        return tuple(tuple(sorted({f for f in step if last[f] == i} & self.targets))
-                     for i, step in enumerate(steps))
+    def schedule(self, cast: bool) -> tuple:
+        """``(e, a, b, leaf, drops, casts)`` for each product, in the order `fill` runs them
+        on a W whose dtype its targets keep (``cast`` False) or that it casts them from.
 
-    def _held(self, steps, drops, itemsize: int) -> int:
-        """Most bytes an entry that `fill` holds at once running ``steps`` on a complex128 W
-        and keeping its targets at ``itemsize`` bytes: each matrix at its current size, and
-        below 16, a target's copy while it is cast."""
-        casts = self._casts(steps) if itemsize < 16 else [()] * len(steps)
+        ``drops`` names the powers that are no target and that no later product reads.
+        Without ``cast`` the order is ``steps``, no product is a leaf and nothing is cast.
+        With it, a leaf is a product that no later product reads: it is taken in
+        `LEAF_BLOCKS` row blocks, each written straight into the kept dtype, so no
+        complex128 copy of it is held.  ``casts`` names the other targets that no later
+        product reads, cast after it.  Each run of consecutive leaves is reordered so that
+        the next one frees the most complex128 bytes: W^201 = W^101 · W^100 before
+        W^200 = W^100 · W^100, so W^101 is cast before W^200 is held.
+        """
+        return self._schedule(self.steps, cast)
+
+    def _schedule(self, steps, cast: bool) -> tuple:
+        reads = [f for _, a, b in steps for f in (a, b)]
+        leaves = {e for e, _, _ in steps} - set(reads) if cast else set()
+        order = []
+        for leaf, run in groupby(steps, lambda step: step[0] in leaves):
+            run = list(run)
+            later = set(reads[2 * (len(order) + len(run)):])
+
+            def freed(step) -> int:  # complex128 bytes an entry freed once ``step`` runs
+                others = {f for other in run if other is not step for f in other[1:]}
+                return sum(8 << (f not in self.targets) for f in set(step[1:]) - later - others)
+
+            while leaf and run:
+                order.append(max(run, key=freed))
+                run.remove(order[-1])
+            order += run
+        last = {f: i for i, (_, a, b) in enumerate(order) for f in (a, b)}
+        ends = [{f for f in (a, b) if last[f] == i} for i, (_, a, b) in enumerate(order)]
+        return tuple((e, a, b, e in leaves, tuple(sorted(end - self.targets)),
+                      tuple(sorted(end & self.targets)) if cast else ())
+                     for (e, a, b), end in zip(order, ends))
+
+    def _held(self, schedule, itemsize: int) -> int:
+        """Most bytes an entry that `fill` holds at once running ``schedule`` on a complex128 W
+        and keeping its targets at ``itemsize`` bytes: each matrix at its current size, a
+        leaf's row block while it is taken, and a target's copy while it is cast."""
         held, peak = {1: 16}, 16
-        for (e, _, _), drop, done in zip(steps, drops, casts):
-            held[e] = 16
-            peak = max(peak, sum(held.values()))
-            for f in drop:
+        for e, _, _, leaf, drops, casts in schedule:
+            held[e] = itemsize if leaf else 16
+            peak = max(peak, sum(held.values()) + leaf * 16 // LEAF_BLOCKS)
+            for f in drops:
                 del held[f]
-            for f in done:
+            for f in casts:
                 peak = max(peak, sum(held.values()) + itemsize)
                 held[f] = itemsize
         if 1 not in self.targets:
             held.pop(1, None)  # dropped after its last read, or unread
-        elif itemsize < 16 and not steps:
+        elif itemsize < 16 and not schedule:
             peak, held[1] = 16 + itemsize, itemsize
         if 0 in self.targets:
             held[0] = itemsize
@@ -548,15 +581,22 @@ class PowerChain:
 
         The dict is the only reference the chain keeps to each matrix, so a
         dropped power is freed at once if the caller holds no other.  Every product
-        is taken in W's dtype, and each target is kept in ``dtype``: cast once no
-        later step reads it, so that a cast frees its source before the next product.
+        is taken in W's dtype, and each target is kept in ``dtype``: a leaf is written
+        into it block by block, and any other target is cast once no later product reads
+        it, so that a cast frees its source before the next product (`schedule`).
         """
         dim, cast = powers[1].shape[0], np.dtype(dtype) != powers[1].dtype
-        for (e, a, b), drop, done in zip(self.steps, self.drops, self.casts):
-            powers[e] = powers[a] @ powers[b]
-            for f in drop:
+        rows = -(-dim // LEAF_BLOCKS)
+        for e, a, b, leaf, drops, casts in self.schedule(cast):
+            if leaf:
+                powers[e] = np.empty((dim, dim), dtype)
+                for r in range(0, dim, rows):
+                    powers[e][r:r + rows] = powers[a][r:r + rows] @ powers[b]
+            else:
+                powers[e] = powers[a] @ powers[b]
+            for f in drops:
                 del powers[f]
-            for f in done if cast else ():
+            for f in casts:
                 powers[f] = powers[f].astype(dtype)
         if 1 not in self.targets:
             powers.pop(1, None)
@@ -569,7 +609,7 @@ class PowerChain:
     def peak_bytes(self, entries: int, itemsize: int = 16) -> int:
         """Most bytes `fill` holds at once on a complex128 W of ``entries`` entries whose
         targets it keeps at ``itemsize`` bytes an entry; ``peak`` matrices at 16."""
-        return self._held(self.steps, self.drops, itemsize) * entries
+        return self._held(self.schedule(itemsize < 16), itemsize) * entries
 
 
 def kick_layout(spec: MonopoleSpec, slots) -> dict[int, tuple]:
@@ -649,10 +689,12 @@ class BlockPropagatorFactory:
     reads the chains its rows reach: at gamma = pi and even n, where G keeps
     P = +1, the P = +1 chain alone, so such a factory never builds P = -1.
 
-    Every chain is built in complex128.  Its powers are kept in ``dtype``: `PowerChain.fill`
-    casts each once no later product reads it, so that complex64 powers halve what the
-    factory keeps and what a step streams.  Fusion's products then run in ``dtype``; the
-    kick's gate layer computes in complex128 and hands on rows of ``dtype``.
+    Every product of a chain is taken in complex128, and its powers are kept in ``dtype``:
+    a complex64 `PowerChain.fill` writes each leaf, a power no later product reads, into
+    complex64 by row blocks and casts every other power after its last read, so that
+    complex64 powers halve what the factory keeps and what a step streams.  Fusion's
+    products then run in ``dtype``; the kick's gate layer computes in complex128 and hands
+    on rows of ``dtype``.
 
     A kick that keeps P (`kick_parity` ±1) makes each kick step one fixed
     half-size matrix per row sign, built by :func:`fuse_kick`.  The first block
@@ -717,13 +759,13 @@ class BlockPropagatorFactory:
         parity = kick_parity(spec.gamma_y, n)
         if self.fused and not parity:
             raise ValueError(f"a fused factory serves kicks that keep P, not {spec.gamma_y}")
+        signs = (1,) if parity == 1 else (1, -1)
+        if parity == 1 and not self.fused:  # no block set reads P = -1 again: free it first
+            self.blocks.pop(-1, None)
+        chains = {s: self.parity(s) for s in signs}  # built before the kick's layer is held
         kick = GateLayer(rotation_gate("x", spec.theta_x).conj().T
                          @ rotation_gate("y", spec.gamma_y), n, parity, self.dtype)
-        signs = (1,) if parity == 1 else (1, -1)
-        chains = {s: self.parity(s) for s in signs}
         if parity and not self.fused:  # F_s = A_{p s} · L_s · B_s, written over B_s
-            if parity == 1:  # no block set reads P = -1 again: free it before fusing
-                self.blocks.pop(-1, None)
             for (a, b), drops in fusion_plan(self.layout, parity):
                 for s in signs:
                     into = chains[s].pop(b)
@@ -857,10 +899,10 @@ def evolve_batch(members, row: np.ndarray, stop_factor: float | None = None) -> 
     return BatchSamples(members, tuple(v[:end + 1] for v, end in zip(values, ends)))
 
 
-def evolve_blockwise(stream: SymbolStream, props: BlockPropagators, row: np.ndarray,
-                     stop_factor: float | None = None) -> SignalTrace:
+def evolve_blockwise(stream: SymbolStream, props: BlockPropagators,
+                     row: np.ndarray) -> SignalTrace:
     """`evolve_batch` of one member: the trace of ``stream`` under ``props`` from ``row``."""
-    (trace,) = evolve_batch(((stream, props),), row, stop_factor).traces()
+    (trace,) = evolve_batch(((stream, props),), row).traces()
     return trace
 
 

@@ -393,7 +393,7 @@ class FullSystem:
         return self._factory[1]
 
 
-# -- the engine seam: only these two functions know which engine runs ---------
+# -- the engine seam: only these three functions know which engine runs -------
 
 def _block_set(system: FullSystem | None, plan: RunPlan,
                spec: MonopoleSpec) -> BlockPropagators | DephasingParams:
